@@ -6,6 +6,19 @@ kernels, cokernels and homology.  Elements of a group presented on n ambient
 generators are length-n integer tuples; a homomorphism is an integer matrix
 acting on column vectors.
 
+Homology over a base ring (Z, Z[1/2], Q or Z/m, read from a polyring
+BaseRing) has one home here, the Homology class, and the base-ring rule
+lives only in this module:
+
+* chain_group(dim, base) presents a free base-module of rank dim: as
+  (Z/m)^dim (relations m*I) over Z/m, as Z^dim over every other base;
+* over Z the homology comes from SNF, over Z/m from those presentations;
+* Q and Z[1/2] are flat over Z, so the homology is computed over Z and then
+  localized: over Q all torsion is dropped, over Z[1/2] the powers of 2 are
+  dropped from the invariant factors.
+
+A Z summand of a homology group is then a free rank-1 summand over the base.
+
 >>> G = FgAbGroup.from_invariants([2, 0])
 >>> G.invariant_factors()
 (2, 0)
@@ -73,10 +86,6 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def mat_eq(A, B):
-    return [list(r) for r in A] == [list(r) for r in B]
-
-
 def is_zero_matrix(A):
     return all(all(x == 0 for x in row) for row in A)
 
@@ -87,17 +96,6 @@ def hstack(A, B):
     if not B:
         return mat_copy(A)
     return [list(ra) + list(rb) for ra, rb in zip(A, B)]
-
-
-def block_diag(A, B, arows, acols, brows, bcols):
-    out = zeros(arows + brows, acols + bcols)
-    for i in range(arows):
-        for j in range(acols):
-            out[i][j] = A[i][j]
-    for i in range(brows):
-        for j in range(bcols):
-            out[arows + i][acols + j] = B[i][j]
-    return out
 
 
 def kronecker(A, B, arows, acols, brows, bcols):
@@ -243,22 +241,27 @@ def integer_kernel(A, ncols):
 
 def solve_integer(A, b, ncols):
     """One x with A x = b, or None.  A has ncols columns."""
+    return _solve_columns(A, [b], ncols)[0]
+
+
+def _solve_columns(A, bs, ncols):
+    """solve_integer for every right-hand side in bs, with one SNF of A."""
     if not A:
-        return [0] * ncols if all(v == 0 for v in b) else None
+        return [[0] * ncols if not any(b) else None for b in bs]
     U, D, V = smith_normal_form(A)
-    c = mat_vec(U, b)
-    y = [0] * ncols
     diag = diagonal_of(D)
-    for i, ci in enumerate(c):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if ci != 0:
-                return None
-        else:
-            if ci % d:
-                return None
-            y[i] = ci // d
-    return mat_vec(V, y)
+    out = []
+    for b in bs:
+        y = [0] * ncols
+        for i, ci in enumerate(mat_vec(U, b)):
+            d = diag[i] if i < len(diag) else 0
+            if (ci % d if d else ci):
+                y = None
+                break
+            if d:
+                y[i] = ci // d
+        out.append(None if y is None else mat_vec(V, y))
+    return out
 
 
 def hermite_normal_form(A):
@@ -331,18 +334,33 @@ class FgAbGroup:
         self.relations = hermite_normal_form(rels)
         self.labels = list(labels) if labels else None
         self._snf = None
+        # per-generator orders (0 = free) when the relations are diagonal, as
+        # for chain groups; membership is then an entrywise test
+        self._orders = None
+        if all(sum(1 for x in r if x) == 1 for r in self.relations):
+            self._orders = [0] * ngens
+            for r in self.relations:
+                j = next(j for j, x in enumerate(r) if x)
+                self._orders[j] = r[j]
 
     # -- canonical data ----------------------------------------------------
+    #
+    # With U R V = D for the relation matrix R, the rows of V^-1 form a basis
+    # of the ambient lattice in which the relations are diagonal: row i of
+    # V^-1 generates the summand Z/d_i, and v has coordinates V^T v there.
 
     def _smith(self):
+        """(orders, V, V^-1): orders[i] is the SNF diagonal entry d_i,
+        padded with zeros to one entry per generator."""
         if self._snf is None:
-            R = self.relations if self.relations else zeros(0, self.ngens)
-            if not R:
-                U, D, V = [], zeros(0, self.ngens), identity(self.ngens)
+            if self.relations:
+                _, D, V = smith_normal_form(self.relations)
             else:
-                U, D, V = smith_normal_form(R)
+                D, V = [], identity(self.ngens)
+            diag = diagonal_of(D)
+            orders = diag + [0] * (self.ngens - len(diag))
             Vinv = _unimodular_inverse(V) if self.ngens else []
-            self._snf = (U, D, V, Vinv)
+            self._snf = (orders, V, Vinv)
         return self._snf
 
     def invariant_factors(self):
@@ -351,10 +369,8 @@ class FgAbGroup:
         >>> FgAbGroup(2, [[2, 0], [0, 4]]).invariant_factors()
         (2, 4)
         """
-        _, D, _, _ = self._smith()
-        diag = [d for d in diagonal_of(D) if d != 1]
-        rank = self.ngens - sum(1 for d in diagonal_of(D) if d)
-        return tuple(d for d in diag if d) + (0,) * rank
+        orders, _, _ = self._smith()
+        return tuple(d for d in orders if d != 1)
 
     def rank(self):
         return sum(1 for d in self.invariant_factors() if d == 0)
@@ -369,37 +385,22 @@ class FgAbGroup:
         """Is the class of v the identity?"""
         if all(x == 0 for x in v):
             return True
+        if self._orders is not None:
+            return all(x % d == 0 if d else x == 0 for x, d in zip(v, self._orders))
         R = self.relations
-        if not R:
-            return False
         return solve_integer(transpose(R), list(v), len(R)) is not None
+
+    def canonical_basis(self):
+        """Ambient vectors whose classes are the invariant-factor generators,
+        in the order of invariant_factors()."""
+        orders, _, Vinv = self._smith()
+        return [list(Vinv[i]) for i, d in enumerate(orders) if d != 1]
 
     def canonical_coords(self, v):
         """Coordinates of [v] in the invariant-factor decomposition."""
-        _, D, _, Vinv = self._smith()
-        y = mat_vec(Vinv, list(v)) if self.ngens else []
-        diag = diagonal_of(D)
-        out = []
-        for i, yi in enumerate(y):
-            d = diag[i] if i < len(diag) else 0
-            if d == 1:
-                continue
-            out.append(yi % d if d else yi)
-        return out
-
-    def canonical_ngens(self):
-        return len(self.canonical_coords([0] * self.ngens))
-
-    def canonical_group(self):
-        """The same group presented on invariant-factor generators."""
-        inv = self.invariant_factors()
-        rels = []
-        for i, d in enumerate(inv):
-            if d:
-                row = [0] * len(inv)
-                row[i] = d
-                rels.append(row)
-        return FgAbGroup(len(inv), rels)
+        orders, V, _ = self._smith()
+        y = mat_vec(transpose(V), list(v))
+        return [yi % d if d else yi for yi, d in zip(y, orders) if d != 1]
 
     def elements(self):
         """Iterate all elements (finite groups only), in canonical coords."""
@@ -526,15 +527,11 @@ class AbMap:
 
     def equals(self, other):
         """Equality as maps, i.e. matrix equality modulo target relations."""
-        if self.source.ngens != other.source.ngens:
-            return False
-        diff = self - other
-        return all(self.target.contains_zero(mat_vec(diff.matrix, e))
-                   for e in identity(self.source.ngens))
+        return self.source.ngens == other.source.ngens and (self - other).is_zero()
 
     def is_zero(self):
-        return all(self.target.contains_zero(mat_vec(self.matrix, e))
-                   for e in identity(self.source.ngens))
+        return all(self.target.contains_zero([row[j] for row in self.matrix])
+                   for j in range(self.source.ngens))
 
     def __repr__(self):
         return "AbMap(%r -> %r)" % (self.source, self.target)
@@ -565,8 +562,9 @@ def direct_sum_maps(maps, source=None, target=None):
 # ---------------------------------------------------------------------------
 # kernels, cokernels, homology
 
-def subgroup_coords(gens, relations, v, ngens_ambient):
-    """y with gens*y = v modulo rowspan(relations); None if no solution.
+def subgroup_coords(gens, relations, vectors, ngens_ambient):
+    """For each v in vectors, a y with gens*y = v modulo rowspan(relations),
+    or None if there is none.  One SNF serves all the vectors.
 
     gens: list of column vectors (each length ngens_ambient).
     """
@@ -578,10 +576,8 @@ def subgroup_coords(gens, relations, v, ngens_ambient):
         if rel_cols:
             row += rel_cols[i]
         A.append(row)
-    sol = solve_integer(A, list(v), len(cols) + (len(relations) if relations else 0))
-    if sol is None:
-        return None
-    return sol[:len(cols)]
+    sols = _solve_columns(A, [list(v) for v in vectors], len(cols) + len(relations))
+    return [None if y is None else y[:len(cols)] for y in sols]
 
 
 def kernel(f):
@@ -625,59 +621,90 @@ def cokernel(f):
     return C, proj
 
 
-def homology_at(d_in, d_out):
-    """ker(d_out)/im(d_in) for composable maps with d_out after d_in zero.
+def chain_group(dim, base=None):
+    """The free base-module of rank dim as an abelian group: (Z/m)^dim, with
+    relations m*I, over Z/m; Z^dim over Z, Z[1/2] and Q."""
+    m = _modulus(base)
+    return FgAbGroup(dim, [[m if i == j else 0 for j in range(dim)]
+                           for i in range(dim)] if m else ())
+
+
+def _modulus(base):
+    return base.modulus if base is not None and base.kind == "Z/m" else 0
+
+
+def _localize(G, base):
+    """G tensored with a base that is flat over Z, on the same generators:
+    over Q all torsion is dropped, over Z[1/2] the powers of 2."""
+    kind = base.kind if base is not None else "Z"
+    if kind not in ("Q", "Z[1/2]") or not G.relations:
+        return G
+    orders, _, Vinv = G._smith()
+    # d & -d is the largest power of 2 dividing d > 0
+    kept = [0 if d == 0 else 1 if kind == "Q" else d // (d & -d) for d in orders]
+    if kept == orders:
+        return G
+    return FgAbGroup(G.ngens, [[d * x for x in Vinv[i]] for i, d in enumerate(kept) if d])
+
+
+class Homology:
+    """ker(d_out) / im(d_in) over a base ring (None means Z).
+
+    d_in and d_out are AbMaps between the base's chain groups, as presented
+    by chain_group; d_out o d_in = 0 is checked here.
+
+    group: the homology over the base, presented on the kernel generators;
+    cycles: the inclusion of ker(d_out) into the chain group;
+    induced(phi, target): the map on homology of a chain map phi.
+
+    >>> two = AbMap(Z(), Z(), [[2]])
+    >>> zero = AbMap(Z(), Z(), [[0]])
+    >>> Homology(two, zero).group.invariant_factors()
+    (2,)
+    """
+
+    def __init__(self, d_in, d_out, base=None):
+        if not d_out.compose(d_in).is_zero():
+            raise NotAComplex("d_out o d_in != 0")
+        self.base = base
+        K, self.cycles = kernel(d_out)
+        rels = list(K.relations)
+        if K.ngens and any(map(any, d_in.matrix)):
+            # relations: kernel combinations that are boundaries modulo the
+            # relations of the chain group
+            Rm = d_out.source.relations
+            stacked = hstack(self.cycles.matrix, [[-x for x in row] for row in d_in.matrix])
+            stacked = hstack(stacked, [[-x for x in row] for row in transpose(Rm)])
+            ncols = K.ngens + d_in.source.ngens + len(Rm)
+            rels += [v[:K.ngens] for v in integer_kernel(stacked, ncols)]
+        self.group = _localize(FgAbGroup(K.ngens, rels), base)
+
+    def rank(self):
+        """Number of free rank-1 summands over the base: the dimension over a
+        field."""
+        m = _modulus(self.base)
+        return sum(1 for d in self.group.invariant_factors() if d == m)
+
+    def induced(self, phi, target):
+        """H(phi): self.group -> target.group for a chain map phi from this
+        homology's chain group to target's."""
+        images = [phi(c) for c in transpose(self.cycles.matrix)]
+        ys = subgroup_coords(transpose(target.cycles.matrix), phi.target.relations,
+                             images, phi.target.ngens)
+        if None in ys:
+            raise IllFormedMap("the map does not carry cycles to cycles")
+        return AbMap(self.group, target.group, transpose(ys))
+
+
+def homology_at(d_in, d_out, base=None):
+    """The homology group ker(d_out)/im(d_in) over the base.
 
     >>> two = AbMap(Z(), Z(), [[2]])
     >>> zero = AbMap(Z(), Z(), [[0]])
     >>> homology_at(two, zero).invariant_factors()
     (2,)
     """
-    if not d_out.compose(d_in).is_zero():
-        raise NotAComplex("d_out o d_in != 0")
-    K, incl = kernel(d_out)
-    # relations on K: existing + preimages of im(d_in) (mod middle relations)
-    mid = d_out.source
-    Rm = mid.relations
-    if K.ngens:
-        # columns: K-generators, then d_in images, then middle relations
-        stacked = incl.matrix
-        stacked = hstack(stacked, [[-x for x in row] for row in d_in.matrix])
-        stacked = hstack(stacked, [[-x for x in col] for col in transpose(Rm)] if Rm else [])
-        ncols = K.ngens + d_in.source.ngens + (len(Rm) if Rm else 0)
-        bk = integer_kernel(stacked, ncols)
-        rels = [v[:K.ngens] for v in bk]
-    else:
-        rels = []
-    H = FgAbGroup(K.ngens, list(K.relations) + rels)
-    return H
-
-
-def homology_with_inclusion(d_in, d_out):
-    """Like homology_at but also returns the kernel inclusion for transport."""
-    if not d_out.compose(d_in).is_zero():
-        raise NotAComplex("d_out o d_in != 0")
-    H = homology_at(d_in, d_out)
-    K, incl = kernel(d_out)
-    return H, AbMap(H, d_out.source, incl.matrix)
-
-
-def induced_map(h_src, incl_src, h_tgt, incl_tgt, phi):
-    """Map on homology induced by phi commuting with the differentials.
-
-    h_src/h_tgt: homology groups, incl_*: their kernel inclusions into the
-    chain groups, phi: AbMap between the chain groups.
-    """
-    cols = []
-    tgt_gens = transpose(incl_tgt.matrix) if h_tgt.ngens else []
-    for e in identity(h_src.ngens):
-        v = phi(incl_src(e))
-        y = subgroup_coords(tgt_gens, phi.target.relations, v, phi.target.ngens)
-        if y is None:
-            raise IllFormedMap("induced map does not preserve kernels")
-        cols.append(y)
-    M = transpose(cols) if cols else [[] for _ in range(h_tgt.ngens)]
-    return AbMap(h_src, h_tgt, M).check()
+    return Homology(d_in, d_out, base).group
 
 
 def tensor_groups(G, H):

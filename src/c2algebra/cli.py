@@ -235,23 +235,9 @@ def mackey_to_json(M):
     }
 
 
-def _canonical_basis(G):
-    _, D, V, _ = G._smith()
-    from .abelian import diagonal_of, transpose
-    diag = diagonal_of(D)
-    cols = transpose(V) if G.ngens else []
-    keep = []
-    for i in range(G.ngens):
-        d = diag[i] if i < len(diag) else 0
-        if d != 1:
-            keep.append(cols[i])
-    return keep
-
-
 def _canonical_matrix(f):
-    basis = _canonical_basis(f.source)
     rows = []
-    cols = [f.target.canonical_coords(f(list(b))) for b in basis]
+    cols = [f.target.canonical_coords(f(b)) for b in f.source.canonical_basis()]
     n = len(f.target.invariant_factors())
     for i in range(n):
         rows.append([c[i] for c in cols])

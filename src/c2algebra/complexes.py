@@ -18,14 +18,13 @@ and its dual, modelling S^{-sigma}, is
 from .abelian import (
     AbMap,
     FgAbGroup,
+    Homology,
     cokernel,
-    homology_at,
     identity,
-    kernel,
-    subgroup_coords,
-    transpose,
+    mat_mul,
     zeros,
 )
+from . import abelian
 from .mackey import (
     MackeyFunctor,
     MackeyMap,
@@ -103,49 +102,18 @@ def homology(C, n):
     """Levelwise homology at degree n with induced res/tr/sigma."""
     d_n = C.diff(n)
     d_np1 = C.diff(n + 1)
-    if not d_n.compose(d_np1).is_zero():
+    try:
+        Hf = Homology(d_np1.f_fixed, d_n.f_fixed)
+        He = Homology(d_np1.f_underlying, d_n.f_underlying)
+    except abelian.NotAComplex:
         raise NotAComplex("d o d != 0 at degree %d" % (n + 1))
-    Hf, Kf, incl_f = _homology_level(d_np1.f_fixed, d_n.f_fixed)
-    He, Ke, incl_e = _homology_level(d_np1.f_underlying, d_n.f_underlying)
     M = C.term(n)
-    res = _induced_on_subquotients(Hf, incl_f, He, incl_e, M.res)
-    tr = _induced_on_subquotients(He, incl_e, Hf, incl_f, M.tr)
-    sig = _induced_on_subquotients(He, incl_e, He, incl_e, M.sigma)
-    H = MackeyFunctor(Hf, He, res, tr, sig)
+    H = MackeyFunctor(Hf.group, He.group, Hf.induced(M.res, He),
+                      He.induced(M.tr, Hf), He.induced(M.sigma, He))
     v = validate(H)
     if v is not None:
         raise ComplexError("homology failed Lewis validation: %r" % v)
     return H
-
-
-def _homology_level(d_in, d_out):
-    K, incl = kernel(d_out)
-    from .abelian import hstack, integer_kernel
-    if K.ngens:
-        Rm = d_out.source.relations
-        stacked = incl.matrix
-        stacked = hstack(stacked, [[-x for x in row] for row in d_in.matrix])
-        stacked = hstack(stacked, [[-x for x in col] for col in transpose(Rm)] if Rm else [])
-        ncols = K.ngens + d_in.source.ngens + (len(Rm) if Rm else 0)
-        bk = integer_kernel(stacked, ncols)
-        rels = [v[:K.ngens] for v in bk]
-    else:
-        rels = []
-    H = FgAbGroup(K.ngens, list(K.relations) + rels)
-    return H, K, incl
-
-
-def _induced_on_subquotients(H_src, incl_src, H_tgt, incl_tgt, phi):
-    cols = []
-    tgt_gens = transpose(incl_tgt.matrix) if H_tgt.ngens else []
-    for e in identity(H_src.ngens):
-        v = phi(incl_src(e))
-        y = subgroup_coords(tgt_gens, phi.target.relations, v, phi.target.ngens)
-        if y is None:
-            raise ComplexError("structure map does not preserve cycles")
-        cols.append(y)
-    M = transpose(cols) if cols else zeros(H_tgt.ngens, H_src.ngens)
-    return AbMap(H_src, H_tgt, M)
 
 
 def homology_table(C):
@@ -330,7 +298,7 @@ def _phi_homology(groups, diffs, n):
     if d_out is None:
         tgt = groups.get(n - 1, FgAbGroup(0))
         d_out = AbMap.zero_map(groups[n], tgt)
-    return homology_at(d_in, d_out)
+    return Homology(d_in, d_out).group
 
 
 def is_regular_slice_connective(C, n):
@@ -420,7 +388,6 @@ def graded_norm(B):
     for w, (rank, sig) in B.items():
         if len(sig) != rank or any(len(r) != rank for r in sig):
             raise NotFree("sigma matrix shape mismatch at weight %d" % w)
-        from .abelian import mat_mul
         if rank and mat_mul(sig, sig) != identity(rank):
             raise NotFree("sigma is not an involution at weight %d" % w)
     weights = sorted(B)

@@ -16,10 +16,16 @@ an involutive complex is computed through sign_fix.
 from fractions import Fraction
 from itertools import combinations
 
-from .abelian import AbMap, FgAbGroup, homology_at, identity, kernel, zeros
+from .abelian import AbMap, FgAbGroup, Homology, chain_group, identity, mat_mul, zeros
 from . import complexes as cx
 from .mackey import fixed_point_mackey
-from .polyring import BaseRing, PolyRing, RingInvolution, UnsupportedPresentation
+from .polyring import (
+    BaseRing,
+    PolyRing,
+    RingInvolution,
+    UnsupportedPresentation,
+    integer_lift,
+)
 from .tambara import TambaraPresentation
 from .trace import hr_graded_pieces
 
@@ -219,7 +225,7 @@ class CotangentPresentation:
                         for m2, c2 in prod.items():
                             key = (m2, i)
                             if key in index:
-                                row[index[key]] += _intc(c2)
+                                row[index[key]] += integer_lift(c2)
                                 hit = True
                     if hit and any(row):
                         rels.append(row)
@@ -232,7 +238,7 @@ class CotangentPresentation:
                 for m2, c2 in prod.items():
                     key = (m2, j)
                     if key in index:
-                        sig[index[key]][k] += _intc(c2)
+                        sig[index[key]][k] += integer_lift(c2)
         G = FgAbGroup(n, rels)
         # fixed level = invariants: reuse the fixed-point construction when
         # the piece is relation-free, else quotient then invariants
@@ -255,14 +261,6 @@ def _unit_inverse(A, poly):
     if isinstance(c, Fraction):
         return A.const(1 / c)
     return A.const(c)  # +-1 mod m is its own inverse only for +-1; fine here
-
-
-def _intc(c):
-    if isinstance(c, Fraction):
-        if c.denominator != 1:
-            raise DifferentialError("non-integer structure constant")
-        return c.numerator
-    return int(c)
 
 
 def cotangent_module(B):
@@ -302,16 +300,15 @@ class InvolutiveCochainComplex:
     weight w), a dimension, a sigma matrix, and d to (n+1, w).  The
     differential must be sigma-antilinear: d sigma = -sigma d.
 
-    over_field marks complexes of vector spaces (base Q): their cohomology
-    is reported torsion-free (integral torsion from clearing denominators
-    is an artifact there)."""
+    The terms are free modules over base (a BaseRing; None means Z), whose
+    elements the integer matrices lift; cohomology is taken over that base."""
 
-    def __init__(self, dims, sigmas, diffs, sign_fixed=False, over_field=False):
+    def __init__(self, dims, sigmas, diffs, sign_fixed=False, base=None):
         self.dims = dict(dims)          # (n, w) -> int
         self.sigmas = dict(sigmas)      # (n, w) -> matrix
         self.diffs = dict(diffs)        # (n, w) -> matrix to (n+1, w)
         self.sign_fixed = sign_fixed
-        self.over_field = over_field
+        self.base = base
 
     def degrees(self):
         return sorted({n for (n, _w) in self.dims})
@@ -323,7 +320,6 @@ class InvolutiveCochainComplex:
         return self.dims.get((n, w), 0)
 
     def check(self):
-        from .abelian import mat_mul
         for (n, w), d in self.diffs.items():
             d2 = self.diffs.get((n + 1, w))
             if d2 is not None and d and d2:
@@ -350,40 +346,19 @@ def sign_fix(M):
     for (n, w), s in M.sigmas.items():
         sigmas[(n, w)] = [[-x for x in row] for row in s] if n % 2 else s
     out = InvolutiveCochainComplex(M.dims, sigmas, M.diffs,
-                                   sign_fixed=not M.sign_fixed,
-                                   over_field=M.over_field)
+                                   sign_fixed=not M.sign_fixed, base=M.base)
     return out.check()
 
 
 def inv_cochain_cohomology(M, n, w=0):
-    """H^n of sign_fix(M) at weight w, with the residual sigma action:
-    returns (FgAbGroup, sigma matrix on its generators)."""
+    """H^n of sign_fix(M) at weight w over the base of M, with the residual
+    sigma action: returns (FgAbGroup, sigma matrix on its generators)."""
     F = sign_fix(M) if not M.sign_fixed else M
-    Cn = FgAbGroup.free(F.dim(n, w))
-    Cp = FgAbGroup.free(F.dim(n + 1, w))
-    Cm = FgAbGroup.free(F.dim(n - 1, w))
-    d_in = AbMap(Cm, Cn, F.diffs.get((n - 1, w)) or zeros(Cn.ngens, Cm.ngens))
-    d_out = AbMap(Cn, Cp, F.diffs.get((n, w)) or zeros(Cp.ngens, Cn.ngens))
-    H = homology_at(d_in, d_out)
-    K, incl = kernel(d_out)
-    Hincl = AbMap(H, Cn, incl.matrix)
+    Cm, Cn, Cp = (chain_group(F.dim(k, w), M.base) for k in (n - 1, n, n + 1))
+    H = Homology(AbMap(Cm, Cn, F.diffs.get((n - 1, w)) or ()),
+                 AbMap(Cn, Cp, F.diffs.get((n, w)) or ()), M.base)
     sig = AbMap(Cn, Cn, F.sigmas.get((n, w)) or identity(Cn.ngens))
-    from .complexes import _induced_on_subquotients
-    sigma_H = _induced_on_subquotients(H, Hincl, H, Hincl, sig)
-    if M.over_field:
-        return _free_quotient(H), sigma_H.matrix
-    return H, sigma_H.matrix
-
-
-def _free_quotient(G):
-    """G modulo torsion: saturate the relation lattice."""
-    if not G.relations:
-        return G
-    from .abelian import smith_normal_form, _unimodular_inverse, diagonal_of
-    U, D, V = smith_normal_form(G.relations)
-    Vinv = _unimodular_inverse(V)
-    sat = [Vinv[i] for i, d in enumerate(diagonal_of(D)) if d]
-    return FgAbGroup(G.ngens, sat)
+    return H.group, H.induced(sig, H).matrix
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +385,7 @@ def de_rham_complex(B, i_max, max_weight=8):
         if not _is_unit_const(A, c):
             raise NotSmoothPresentation("sigma coefficient is not a unit")
         (mono, cval), = c.items()
-        perm.append((L.gen_names.index(gname), _intc(cval)))
+        perm.append((L.gen_names.index(gname), integer_lift(cval)))
     gweights = [P.free_ring.monomial_weight(
         tuple(1 if k == i else 0 for k in range(nvars))) for i in range(nvars)]
 
@@ -445,7 +420,7 @@ def de_rham_complex(B, i_max, max_weight=8):
                         for m2, c2 in dm.items():
                             key = (m2, S2)
                             if key in tgt_index:
-                                d_mat[tgt_index[key]][k] += sgn * _intc(c2)
+                                d_mat[tgt_index[key]][k] += sgn * integer_lift(c2)
                 diffs[(n, w)] = d_mat
             sig = zeros(len(basis), len(basis))
             twist = -1 if n % 2 else 1
@@ -463,11 +438,9 @@ def de_rham_complex(B, i_max, max_weight=8):
                 for m2, c2 in img_m.items():
                     key = (m2, S2_sorted)
                     if key in index:
-                        sig[index[key]][k] += sgn * _intc(c2)
+                        sig[index[key]][k] += sgn * integer_lift(c2)
             sigmas[(n, w)] = sig
-    over_field = A.base.kind == "Q"
-    return InvolutiveCochainComplex(dims, sigmas, diffs,
-                                    over_field=over_field).check()
+    return InvolutiveCochainComplex(dims, sigmas, diffs, base=A.base).check()
 
 
 def _wedge_insert(S, j):
@@ -542,7 +515,7 @@ def _exterior_power_piece(L, i, w):
             img = L.sigma_on_gens[v]
             (gname, coeff), = img.items()
             S2.append(L.gen_names.index(gname))
-            sgn *= _intc(A.normal_form(coeff)[(0,) * A.n])
+            sgn *= integer_lift(A.normal_form(coeff)[(0,) * A.n])
         S2_sorted, order_sign = _sort_wedge(tuple(S2))
         if S2_sorted is None:
             continue
@@ -550,7 +523,7 @@ def _exterior_power_piece(L, i, w):
         for m2, c2 in img_m.items():
             key = (m2, S2_sorted)
             if key in index:
-                sig[index[key]][k] += sgn * _intc(c2)
+                sig[index[key]][k] += sgn * integer_lift(c2)
     G = FgAbGroup.free(len(basis))
     return fixed_point_mackey(G, AbMap(G, G, sig))
 

@@ -20,6 +20,7 @@ from .abelian import (
     direct_sum_maps,
     identity,
     kernel,
+    kronecker,
     mat_vec,
     subgroup_coords,
     tensor_groups,
@@ -226,12 +227,9 @@ def fixed_point_mackey(G, sigma):
     K, incl = kernel(diff)
     one_plus = AbMap.identity_map(G) + sigma
     gens = transpose(incl.matrix) if K.ngens else []
-    cols = []
-    for e in identity(G.ngens):
-        y = subgroup_coords(gens, G.relations, one_plus(e), G.ngens)
-        if y is None:
-            raise MackeyError("1 + sigma does not land in the fixed subgroup")
-        cols.append(y)
+    cols = subgroup_coords(gens, G.relations, transpose(one_plus.matrix), G.ngens)
+    if None in cols:
+        raise MackeyError("1 + sigma does not land in the fixed subgroup")
     tr = AbMap(G, K, transpose(cols) if cols else zeros(K.ngens, G.ngens))
     return MackeyFunctor(K, G, AbMap(K, G, incl.matrix), tr, sigma)
 
@@ -395,21 +393,8 @@ def box_map(f, g, source=None, target=None):
                     Mx[tf_m * tf_n + a2 * te_n + b2][c] = fu[a2][a] * gu[b2][b]
     f_fixed = AbMap(src.fixed, tgt.fixed, Mx)
     f_und = AbMap(src.underlying, tgt.underlying,
-                  _kron(fu, gu, te_m, ne_m, te_n, ne_n))
+                  kronecker(fu, gu, te_m, ne_m, te_n, ne_n))
     return MackeyMap(src, tgt, f_fixed, f_und)
-
-
-def _kron(A, B, arows, acols, brows, bcols):
-    out = zeros(arows * brows, acols * bcols)
-    for i in range(arows):
-        for j in range(acols):
-            a = A[i][j]
-            if not a:
-                continue
-            for k in range(brows):
-                for l in range(bcols):
-                    out[i * brows + k][j * bcols + l] = a * B[k][l]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -445,27 +430,21 @@ def dual_map(f, dual_source=None, dual_target=None):
                 fu_t if fu_t else zeros(Ms.underlying.ngens, Mt.underlying.ngens))
     # fixed level: restrict the transpose to invariant functionals
     gens_s = transpose(Ms.res.matrix) if Ms.fixed.ngens else []
-    cols = []
-    for e in identity(Mt.fixed.ngens):
-        v = und(Mt.res(e))
-        y = subgroup_coords(gens_s, Ms.underlying.relations, v, Ms.underlying.ngens)
-        if y is None:
-            raise MackeyError("dual map does not preserve invariant functionals")
-        cols.append(y)
+    cols = subgroup_coords(gens_s, Ms.underlying.relations,
+                           [und(Mt.res(e)) for e in identity(Mt.fixed.ngens)],
+                           Ms.underlying.ngens)
+    if None in cols:
+        raise MackeyError("dual map does not preserve invariant functionals")
     fx = AbMap(Mt.fixed, Ms.fixed,
                transpose(cols) if cols else zeros(Ms.fixed.ngens, Mt.fixed.ngens))
     return MackeyMap(Mt, Ms, fx, und)
 
 
 def _free_basis(G):
-    """Columns of ambient vectors whose classes form a basis (G torsion-free)."""
+    """Ambient vectors whose classes form a basis (G torsion-free)."""
     if G.torsion():
         raise TorsionNotSupported("group has torsion")
-    _, D, V, Vinv = G._smith()
-    diag = [D[i][i] for i in range(min(len(D), G.ngens))] if G.relations else []
-    rank_rel = sum(1 for d in diag if d)
-    cols = transpose(V) if G.ngens else []
-    return [cols[j] for j in range(rank_rel, G.ngens)]
+    return G.canonical_basis()
 
 
 def _map_on_basis(f, basis, G):
@@ -474,13 +453,10 @@ def _map_on_basis(f, basis, G):
 
 
 def _map_on_bases(f, basis_src, G_tgt, basis_tgt):
-    cols = []
-    for b in basis_src:
-        v = f(b)
-        y = subgroup_coords([list(x) for x in basis_tgt], G_tgt.relations, v, G_tgt.ngens)
-        if y is None:
-            raise MackeyError("image leaves the free basis span")
-        cols.append(y)
+    cols = subgroup_coords(basis_tgt, G_tgt.relations, [f(b) for b in basis_src],
+                           G_tgt.ngens)
+    if None in cols:
+        raise MackeyError("image leaves the free basis span")
     return transpose(cols) if cols else []
 
 

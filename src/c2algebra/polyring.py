@@ -25,6 +25,16 @@ class TwoNotInvertible(RingError):
     pass
 
 
+def integer_lift(c):
+    """The integer a base-ring coefficient stands for (its residue over Z/m);
+    non-integral rationals are refused."""
+    if isinstance(c, Fraction):
+        if c.denominator != 1:
+            raise UnsupportedPresentation("non-integer structure constant %s" % c)
+        return c.numerator
+    return int(c)
+
+
 class BaseRing:
     """Z, Z[1/2], Q or Z/m."""
 

@@ -22,6 +22,7 @@ from .polyring import (
     PolyRing,
     RingInvolution,
     UnsupportedPresentation,
+    integer_lift,
 )
 
 
@@ -264,7 +265,7 @@ def _invariants_of_span(ring, sigma, monos):
             col[index[m2]] = c
         rows.append(col)
     # matrix of sigma - 1 acting on the span (columns indexed by monos)
-    mat = [[_as_int(rows[j][i]) - (1 if i == j else 0) for j in range(n)]
+    mat = [[integer_lift(rows[j][i]) - (1 if i == j else 0) for j in range(n)]
            for i in range(n)]
     from .abelian import integer_kernel
     basis = integer_kernel(mat, n)
@@ -279,14 +280,6 @@ def _invariants_of_span(ring, sigma, monos):
             continue
         out.append((label, ring.normal_form(poly)))
     return out
-
-
-def _as_int(c):
-    if isinstance(c, Fraction):
-        if c.denominator != 1:
-            raise UnsupportedPresentation("non-integer sigma matrix entry")
-        return c.numerator
-    return int(c)
 
 
 def free_involutive_trivial(base, names, truncation=DEFAULT_TRUNCATION):
@@ -402,7 +395,7 @@ def mackey_piece(T, w):
         img = T.sigma({m: ring.base.one()})
         for m2, c in img.items():
             if m2 in index:
-                sig[index[m2]][j] = _as_int(c)
+                sig[index[m2]][j] = integer_lift(c)
     G = FgAbGroup.free(n)
     from .mackey import fixed_point_mackey
     return fixed_point_mackey(G, AbMap(G, G, sig))

@@ -22,18 +22,17 @@ from fractions import Fraction
 from .abelian import (
     AbMap,
     FgAbGroup,
-    homology_at,
+    Homology,
+    chain_group,
     identity,
-    integer_kernel,
-    kernel,
+    is_zero_matrix,
     mat_mul,
-    subgroup_coords,
-    transpose,
+    trivial_group,
     zeros,
 )
 from . import complexes as cx
 from .mackey import induced
-from .polyring import BaseRing, PolyRing, RingInvolution, TwoNotInvertible
+from .polyring import BaseRing, PolyRing, RingInvolution, TwoNotInvertible, integer_lift
 from .tambara import free_involutive_free, free_involutive_trivial, mackey_piece
 
 
@@ -195,7 +194,7 @@ class DihedralComplex:
             for mono, cf in poly.items():
                 if i >= 1 and mono == unit:
                     continue  # degenerate
-                rec(i + 1, acc + [mono], c * _int(cf))
+                rec(i + 1, acc + [mono], c * integer_lift(cf))
         rec(0, [], coeff)
 
     def _b_matrix(self, n):
@@ -255,7 +254,7 @@ class DihedralComplex:
 
     def check_identities(self):
         for n in range(2, self.n_max + 1):
-            assert _is_zero(mat_mul(self.b[n - 1], self.b[n])), "b^2 != 0"
+            assert is_zero_matrix(mat_mul(self.b[n - 1], self.b[n])), "b^2 != 0"
         for n in range(1, self.n_max + 1):
             assert mat_mul(self.omega[n - 1], self.b[n]) == \
                 mat_mul(self.b[n], self.omega[n]), "wb != bw"
@@ -263,20 +262,20 @@ class DihedralComplex:
             assert mat_mul(self.omega[n], self.omega[n]) == identity(self.dim(n)), \
                 "w^2 != 1"
         for n in range(0, self.n_max - 1):
-            assert _is_zero(mat_mul(self.B[n + 1], self.B[n])), "B^2 != 0"
+            assert is_zero_matrix(mat_mul(self.B[n + 1], self.B[n])), "B^2 != 0"
         for n in range(1, self.n_max):
             bB = mat_mul(self.b[n + 1], self.B[n])
             Bb = mat_mul(self.B[n - 1], self.b[n])
             s = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(bB, Bb)]
-            assert _is_zero(s), "bB + Bb != 0"
+            assert is_zero_matrix(s), "bB + Bb != 0"
         if self.n_max >= 1:
             bB0 = mat_mul(self.b[1], self.B[0])
-            assert _is_zero(bB0), "bB != 0 in degree 0"
+            assert is_zero_matrix(bB0), "bB != 0 in degree 0"
         for n in range(0, self.n_max):
             wB = mat_mul(self.omega[n + 1], self.B[n])
             Bw = mat_mul(self.B[n], self.omega[n])
             s = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(wB, Bw)]
-            assert _is_zero(s), "wB + Bw != 0"
+            assert is_zero_matrix(s), "wB + Bw != 0"
         return True
 
     def idempotent_is_idempotent(self):
@@ -298,47 +297,64 @@ def _mono(ring, m):
     return {m: ring.base.one()}
 
 
-def _int(c):
-    if isinstance(c, Fraction):
-        if c.denominator != 1:
-            raise UnsupportedAlgebra("non-integer structure constant")
-        return c.numerator
-    return int(c)
-
-
-def _is_zero(M):
-    return all(all(x == 0 for x in row) for row in M)
-
-
 def hochschild_complex(A, n_max, weight=None):
     return DihedralComplex(A, n_max, weight)
 
 
 # ---------------------------------------------------------------------------
-# homology of one block
+# complexes of chain groups over the base
 
-def _block_homology(dims, mats, n):
-    """Homology at degree n of a complex given by integer matrices
-    mats[k] : degree k -> k - 1."""
-    Cn = FgAbGroup.free(dims.get(n, 0))
-    Cin = FgAbGroup.free(dims.get(n + 1, 0))
-    Cout = FgAbGroup.free(dims.get(n - 1, 0))
-    d_in = AbMap(Cin, Cn, mats.get(n + 1) or zeros(Cn.ngens, Cin.ngens))
-    d_out = AbMap(Cn, Cout, mats.get(n) or zeros(Cout.ngens, Cn.ngens))
-    return homology_at(d_in, d_out)
+class BlockComplex:
+    """Chain groups over the base ring with boundaries diffs[n] : C_n ->
+    C_{n-1}, as AbMaps; homology goes through abelian.Homology."""
+
+    def __init__(self, groups, diffs, base):
+        self.groups = groups
+        self.diffs = diffs
+        self.base = base
+
+    @classmethod
+    def from_matrices(cls, dims, mats, base):
+        """Integer boundary matrices on the base's chain groups of rank dims."""
+        groups = {n: chain_group(d, base) for n, d in dims.items()}
+        diffs = {n: AbMap(groups[n], groups[n - 1], M) for n, M in mats.items()}
+        return cls(groups, diffs, base)
+
+    def _diff(self, n):
+        d = self.diffs.get(n)
+        if d is None:
+            d = AbMap.zero_map(self.groups.get(n, trivial_group()),
+                               self.groups.get(n - 1, trivial_group()))
+        return d
+
+    def homology(self, n):
+        return Homology(self._diff(n + 1), self._diff(n), self.base)
+
+
+def _chains(C):
+    """The Hochschild chains of a DihedralComplex with the boundary b."""
+    return BlockComplex.from_matrices({k: C.dim(k) for k in C.bases}, C.b,
+                                      C.algebra.base)
+
+
+def _kernel(f, base):
+    """ker(f) over the base, as the homology of 0 -> source -> target."""
+    return Homology(AbMap.zero_map(trivial_group(), f.source), f, base)
+
+
+def _hh(A, n, n_max=None, weight=None):
+    top = n_max if n_max is not None else n + 1
+    return _chains(hochschild_complex(A, max(top, n + 1), weight)).homology(n)
 
 
 def hh_group(A, n, n_max=None, weight=None):
-    """HH_n as an abelian group (integral structure constants)."""
-    top = n_max if n_max is not None else n + 1
-    C = hochschild_complex(A, max(top, n + 1), weight)
-    dims = {k: C.dim(k) for k in C.bases}
-    return _block_homology(dims, C.b, n)
+    """HH_n over the base ring of A (integral structure constants)."""
+    return _hh(A, n, n_max, weight).group
 
 
 def hh_dimension(A, n, weight=None):
-    """dim_k HH_n (free rank of the integral computation)."""
-    return hh_group(A, n, weight=weight).rank()
+    """dim_k HH_n: the free rank over the base."""
+    return _hh(A, n, weight=weight).rank()
 
 
 def hr_underlying(A, n, weight=None):
@@ -349,51 +365,25 @@ def hr_underlying(A, n, weight=None):
 # ---------------------------------------------------------------------------
 # +/- splitting
 
-class SignedComplex:
-    """A subcomplex cut out by an eigenvalue of an involution."""
-
-    def __init__(self, dims, mats):
-        self.dims = dims
-        self.mats = mats
-
-    def homology(self, n):
-        return _block_homology(self.dims, self.mats, n)
-
-    def dim(self, n):
-        return self.dims.get(n, 0)
-
-
-def _eigen_subcomplex(dims, mats, invol, sign):
-    """Kernel of (invol - sign) in each degree, with the restricted boundary."""
-    bases = {}
-    for n, d in dims.items():
-        m = [[invol[n][i][j] - (sign if i == j else 0) for j in range(d)]
-             for i in range(d)]
-        bases[n] = integer_kernel(m, d)
-    new_dims = {n: len(v) for n, v in bases.items()}
-    new_mats = {}
-    for n, M in mats.items():
-        if n not in dims or (n - 1) not in dims:
-            continue
-        cols = []
-        for v in bases[n]:
-            img = [sum(M[i][j] * v[j] for j in range(len(v))) for i in range(dims[n - 1])]
-            y = subgroup_coords([list(u) for u in bases[n - 1]], [], img, dims[n - 1])
-            if y is None:
-                raise TraceError("boundary does not preserve the eigenspace")
-            cols.append(y)
-        new_mats[n] = transpose(cols) if cols else zeros(new_dims[n - 1], 0)
-    return SignedComplex(new_dims, new_mats)
+def _eigen_subcomplex(C, invol, sign):
+    """Kernel of (invol - sign) on each chain group of the BlockComplex C,
+    with the restricted boundary.  On (Z/m)^d the kernel is taken mod m, so
+    an integer lift of the involution (entries m - 1 for -1) is enough."""
+    parts = {}
+    for n, G in C.groups.items():
+        shifted = [[x - sign if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(invol[n])]
+        parts[n] = _kernel(AbMap(G, G, shifted), C.base)
+    diffs = {n: parts[n].induced(d, parts[n - 1]) for n, d in C.diffs.items()}
+    return BlockComplex({n: P.group for n, P in parts.items()}, diffs, C.base)
 
 
 def split_plus_minus(C):
     """(C+, C-) : the omega-eigenvalue subcomplexes of the Hochschild complex."""
     if not C.algebra.base.two_invertible:
         raise TwoNotInvertible("2 is not invertible in the base")
-    dims = {n: C.dim(n) for n in C.bases}
-    plus = _eigen_subcomplex(dims, C.b, C.omega, 1)
-    minus = _eigen_subcomplex(dims, C.b, C.omega, -1)
-    return plus, minus
+    chains = _chains(C)
+    return _eigen_subcomplex(chains, C.omega, 1), _eigen_subcomplex(chains, C.omega, -1)
 
 
 def hh_plus_minus_dimensions(A, n, weight=None):
@@ -413,20 +403,10 @@ def hr_fixed_points(A, n, weight=None):
 def hh_omega_fixed_dimension(A, n, weight=None):
     """Independent route: dim of the +1 eigenspace of omega acting on HH_n."""
     C = hochschild_complex(A, n + 1, weight)
-    dims = {k: C.dim(k) for k in C.bases}
-    Cn = FgAbGroup.free(dims.get(n, 0))
-    Cin = FgAbGroup.free(dims.get(n + 1, 0))
-    Cout = FgAbGroup.free(dims.get(n - 1, 0))
-    d_in = AbMap(Cin, Cn, C.b.get(n + 1) or zeros(Cn.ngens, Cin.ngens))
-    d_out = AbMap(Cn, Cout, C.b.get(n) or zeros(Cout.ngens, Cn.ngens))
-    H = homology_at(d_in, d_out)
-    K, incl = kernel(d_out)
-    Hmap = AbMap(H, d_out.source, incl.matrix)
-    omega_n = AbMap(Cn, Cn, C.omega[n])
-    from .complexes import _induced_on_subquotients
-    om_H = _induced_on_subquotients(H, Hmap, H, Hmap, omega_n)
-    fixed, _ = kernel(om_H - AbMap.identity_map(H))
-    return fixed.rank()
+    H = _chains(C).homology(n)
+    Cn = H.cycles.target
+    om_H = H.induced(AbMap(Cn, Cn, C.omega[n]), H)
+    return _kernel(om_H - AbMap.identity_map(H.group), A.base).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +422,9 @@ class DihedralHomology:
 def dihedral_homology(A, n_max, weight=None):
     """HC, HD, HD' of the (b, B)-bicomplex truncated at n_max columns.
 
-    Returns per-degree dimensions for 0 <= n <= n_max.  The bicomplex
-    involution acts by (-1)^i omega on column i; HD is its +1 part.
+    Returns per-degree dimensions (free ranks over the base) for
+    0 <= n <= n_max.  The bicomplex involution acts by (-1)^i omega on
+    column i; HD is its +1 part.
     """
     if not A.base.two_invertible:
         raise TwoNotInvertible("2 is not invertible in the base")
@@ -491,15 +472,16 @@ def dihedral_homology(A, n_max, weight=None):
                 for c in range(C.dim(q)):
                     M[off + r][off + c] = sgn * om[r][c]
         invol[n] = M
-    # sanity: the involution commutes with the total differential
-    for n in range(1, n_max + 2):
-        lhs = mat_mul(invol[n - 1], mats[n])
-        rhs = mat_mul(mats[n], invol[n])
-        if lhs != rhs:
+    T = BlockComplex.from_matrices(dims, mats, A.base)
+    # sanity: the involution commutes with the total differential (compared
+    # in the chain groups, so mod m over Z/m)
+    for n, d in T.diffs.items():
+        lhs = AbMap(d.source, d.target, mat_mul(invol[n - 1], d.matrix))
+        if not lhs.equals(AbMap(d.source, d.target, mat_mul(d.matrix, invol[n]))):
             raise TraceError("bicomplex involution does not commute with b + B")
-    hc = [_block_homology(dims, mats, n).rank() for n in range(0, n_max + 1)]
-    plus = _eigen_subcomplex(dims, mats, invol, 1)
-    minus = _eigen_subcomplex(dims, mats, invol, -1)
+    hc = [T.homology(n).rank() for n in range(0, n_max + 1)]
+    plus = _eigen_subcomplex(T, invol, 1)
+    minus = _eigen_subcomplex(T, invol, -1)
     hd = [plus.homology(n).rank() for n in range(0, n_max + 1)]
     hdp = [minus.homology(n).rank() for n in range(0, n_max + 1)]
     return DihedralHomology(hc, hd, hdp)

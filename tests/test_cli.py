@@ -9,7 +9,8 @@ from c2algebra.cli import (
     parse_mackey,
     run,
 )
-from c2algebra.mackey import burnside, fingerprint, zbar, zbar_c2, zsign
+from c2algebra.complexes import homology
+from c2algebra.mackey import box, burnside, fingerprint, zbar, zbar_c2, zsign
 from c2algebra import trace as tr
 
 
@@ -61,7 +62,8 @@ def test_parse_rejects_unknown_fields():
 
 
 def test_mackey_roundtrip():
-    for M in (zbar(), zsign(), zbar_c2(), burnside()):
+    for M in (zbar(), zsign(), zbar_c2(), burnside(), box(zbar(), zbar()),
+              homology(tr.hr_graded_pieces("free", 2, 4), 2)):
         data = mackey_to_json(M)
         M2 = parse_mackey(json.loads(json.dumps(data)))
         assert fingerprint(M2) == fingerprint(M)
@@ -138,6 +140,45 @@ def test_hh_command():
     assert data["rows"][2]["hh"] == []
 
 
+def _hh_rows(algebra, *opts):
+    code, out = run_cli(["hh", "--algebra", algebra, "--format", "json", *opts])
+    assert code == 0
+    return [r["hh"] for r in json.loads(out)["rows"]]
+
+
+DUAL_JSON = '{"base": "%s", "gens": [{"name": "x", "sigma": "%s"}], "rels": ["x^2"]}'
+
+
+def test_hh_over_the_base_ring():
+    # HH of a field is the field; HH of k[x]/x^2 from its 2-periodic
+    # resolution: HH_0 = A, HH_odd = A/(2x), HH_even>0 = Ann(2x)
+    assert _hh_rows('{"base": "Z/3", "gens": [], "rels": []}', "--nmax", "2") == [[3], [], []]
+    assert _hh_rows(DUAL_JSON % ("Z/2", "x"), "--nmax", "3") == [[2, 2]] * 4
+    assert _hh_rows(DUAL_JSON % ("Q", "x"), "--nmax", "3") == [[0, 0], [0], [0], [0]]
+    # over Z, HH_1 = Z/2 + Z; Z[1/2] inverts the 2
+    assert _hh_rows(DUAL_JSON % ("Z", "x"), "--nmax", "1")[1] == [2, 0]
+    assert _hh_rows(DUAL_JSON % ("Z[1/2]", "x"), "--nmax", "1")[1] == [0]
+
+
+def test_hh_free_involutive_over_odd_primes():
+    # HKR: HH_n of F_p[x, x_s] at weight w is (Z/p)^r, r the rank over Q
+    for p in (3, 5):
+        algebra = KXXS_JSON.replace('"Z"', '"Z/%d"' % p)
+        for w, ranks in ((2, (3, 4, 1)), (3, (4, 6, 2))):
+            rows = _hh_rows(algebra, "--weight", str(w), "--nmax", "2")
+            assert rows == [[p] * r for r in ranks], (p, w)
+
+
+def test_dihedral_splits_over_finite_fields():
+    for base in ("Z/3", "Z/5"):
+        code, out = run_cli(["dihedral", "--algebra", DUAL_JSON % (base, "-x"),
+                             "--nmax", "3", "--format", "json"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["hc"][0] == 2, base
+        assert [a + b for a, b in zip(data["hd"], data["hd_prime"])] == data["hc"], base
+
+
 def test_hh_graded_needs_weight():
     code, _ = run_cli(["hh", "--algebra", QX_JSON, "--nmax", "2"])
     assert code == 1
@@ -194,6 +235,19 @@ def test_derham_command():
     for w in ("1", "2", "3"):
         assert data["table"][w]["0"]["h"] == []
         assert data["table"][w]["1"]["h"] == []
+
+
+def test_derham_over_the_base_ring():
+    # d x^w = w x^(w-1) dx, so H^1 at weight w is the base modulo w
+    def h1(base, maxweight):
+        code, out = run_cli(["derham", "--algebra", KX_JSON.replace('"Z"', '"%s"' % base),
+                             "--imax", "1", "--maxweight", str(maxweight), "--format", "json"])
+        assert code == 0
+        table = json.loads(out)["table"]
+        return [table[str(w)]["1"]["h"] for w in range(2, maxweight + 1)]
+    assert h1("Z/3", 3) == [[], [3]]
+    # Z[1/2] drops only the 2-primary torsion of Z/w
+    assert h1("Z[1/2]", 4) == [[], [3], []]
 
 
 def test_determinism_byte_identical():
