@@ -373,6 +373,8 @@ class FgAbGroup:
         return tuple(d for d in orders if d != 1)
 
     def rank(self):
+        """Number of Z summands; ``Homology.rank`` counts free summands over
+        a base ring Z/m."""
         return sum(1 for d in self.invariant_factors() if d == 0)
 
     def torsion(self):
@@ -696,15 +698,15 @@ class Homology:
         return AbMap(self.group, target.group, transpose(ys))
 
 
-def homology_at(d_in, d_out, base=None):
-    """The homology group ker(d_out)/im(d_in) over the base.
+def homology_at(d_in, d_out):
+    """The homology group ker(d_out)/im(d_in) over Z.
 
     >>> two = AbMap(Z(), Z(), [[2]])
     >>> zero = AbMap(Z(), Z(), [[0]])
     >>> homology_at(two, zero).invariant_factors()
     (2,)
     """
-    return Homology(d_in, d_out, base).group
+    return Homology(d_in, d_out).group
 
 
 def tensor_groups(G, H):

@@ -20,6 +20,7 @@ from .abelian import (
     FgAbGroup,
     Homology,
     cokernel,
+    homology_at,
     identity,
     mat_mul,
     zeros,
@@ -298,7 +299,7 @@ def _phi_homology(groups, diffs, n):
     if d_out is None:
         tgt = groups.get(n - 1, FgAbGroup(0))
         d_out = AbMap.zero_map(groups[n], tgt)
-    return Homology(d_in, d_out).group
+    return homology_at(d_in, d_out)
 
 
 def is_regular_slice_connective(C, n):

@@ -348,7 +348,11 @@ def _hh(A, n, n_max=None, weight=None):
 
 
 def hh_group(A, n, n_max=None, weight=None):
-    """HH_n over the base ring of A (integral structure constants)."""
+    """HH_n over the base ring of A (integral structure constants).
+
+    The result is an FgAbGroup, whose ``.rank()`` counts Z summands only:
+    over Z/m it is 0 and the dimension sits in the Z/m summands.  Use
+    ``hh_dimension`` for the free rank over the base."""
     return _hh(A, n, n_max, weight).group
 
 
