@@ -27,6 +27,7 @@ A Z summand of a homology group is then a free rank-1 summand over the base.
 (2,)
 """
 
+from functools import cached_property
 from itertools import product
 
 
@@ -323,6 +324,14 @@ class FgAbGroup:
 
     relations: iterable of length-n integer rows.  The Hermite normal form
     of the relations is the canonical stored presentation.
+
+    The group is factored once: U R V = D is the Smith form of the relations
+    R, orders[i] = d_i (zero-padded to n entries), and V^T v are the
+    coordinates of v in which the relations are diagonal.  One rule decides
+    membership: v is zero exactly when each coordinate of V^T v is divisible
+    by its order (order 0: the coordinate is 0).  Presentations already in
+    Smith form, such as free groups and the (Z/m)^d chain groups, have
+    V = identity and run no SNF.  V^-1 is computed only for canonical_basis.
     """
 
     def __init__(self, ngens, relations=(), labels=None):
@@ -333,35 +342,18 @@ class FgAbGroup:
                 raise ValueError("relation length != number of generators")
         self.relations = hermite_normal_form(rels)
         self.labels = list(labels) if labels else None
-        self._snf = None
-        # per-generator orders (0 = free) when the relations are diagonal, as
-        # for chain groups; membership is then an entrywise test
-        self._orders = None
-        if all(sum(1 for x in r if x) == 1 for r in self.relations):
-            self._orders = [0] * ngens
-            for r in self.relations:
-                j = next(j for j, x in enumerate(r) if x)
-                self._orders[j] = r[j]
 
-    # -- canonical data ----------------------------------------------------
-    #
-    # With U R V = D for the relation matrix R, the rows of V^-1 form a basis
-    # of the ambient lattice in which the relations are diagonal: row i of
-    # V^-1 generates the summand Z/d_i, and v has coordinates V^T v there.
-
-    def _smith(self):
-        """(orders, V, V^-1): orders[i] is the SNF diagonal entry d_i,
-        padded with zeros to one entry per generator."""
-        if self._snf is None:
-            if self.relations:
-                _, D, V = smith_normal_form(self.relations)
-            else:
-                D, V = [], identity(self.ngens)
-            diag = diagonal_of(D)
-            orders = diag + [0] * (self.ngens - len(diag))
-            Vinv = _unimodular_inverse(V) if self.ngens else []
-            self._snf = (orders, V, Vinv)
-        return self._snf
+    @cached_property
+    def _factors(self):
+        """(orders, V^T), with V^T None when V is the identity."""
+        R = self.relations
+        diag, Vt = [r[i] for i, r in enumerate(R)], None
+        in_smith_form = all(sum(map(bool, r)) == 1 and d for r, d in zip(R, diag)) \
+            and not any(b % a for a, b in zip(diag, diag[1:]))
+        if not in_smith_form:
+            _, D, V = smith_normal_form(R)
+            diag, Vt = diagonal_of(D), transpose(V)
+        return diag + [0] * (self.ngens - len(diag)), Vt
 
     def invariant_factors(self):
         """Nonnegative, each dividing the next, 0 = Z, units dropped.
@@ -369,8 +361,7 @@ class FgAbGroup:
         >>> FgAbGroup(2, [[2, 0], [0, 4]]).invariant_factors()
         (2, 4)
         """
-        orders, _, _ = self._smith()
-        return tuple(d for d in orders if d != 1)
+        return tuple(d for d in self._factors[0] if d != 1)
 
     def rank(self):
         """Number of Z summands; ``Homology.rank`` counts free summands over
@@ -384,24 +375,28 @@ class FgAbGroup:
         return not self.invariant_factors()
 
     def contains_zero(self, v):
-        """Is the class of v the identity?"""
-        if all(x == 0 for x in v):
-            return True
-        if self._orders is not None:
-            return all(x % d == 0 if d else x == 0 for x, d in zip(v, self._orders))
-        R = self.relations
-        return solve_integer(transpose(R), list(v), len(R)) is not None
+        """Is the class of v the identity?
+
+        >>> G = FgAbGroup(2, [[2, -1]])
+        >>> G.contains_zero([2, -1]), G.contains_zero([1, 0])
+        (True, False)
+        """
+        return not any(self.canonical_coords(v))
 
     def canonical_basis(self):
         """Ambient vectors whose classes are the invariant-factor generators,
-        in the order of invariant_factors()."""
-        orders, _, Vinv = self._smith()
-        return [list(Vinv[i]) for i, d in enumerate(orders) if d != 1]
+        in the order of invariant_factors(): rows of V^-1."""
+        return [list(r) for r, d in zip(self._vinv, self._factors[0]) if d != 1]
+
+    @cached_property
+    def _vinv(self):
+        Vt = self._factors[1]
+        return identity(self.ngens) if Vt is None else _unimodular_inverse(transpose(Vt))
 
     def canonical_coords(self, v):
         """Coordinates of [v] in the invariant-factor decomposition."""
-        orders, V, _ = self._smith()
-        y = mat_vec(transpose(V), list(v))
+        orders, Vt = self._factors
+        y = v if Vt is None else mat_vec(Vt, v)
         return [yi % d if d else yi for yi, d in zip(y, orders) if d != 1]
 
     def elements(self):
@@ -641,12 +636,13 @@ def _localize(G, base):
     kind = base.kind if base is not None else "Z"
     if kind not in ("Q", "Z[1/2]") or not G.relations:
         return G
-    orders, _, Vinv = G._smith()
+    invs = G.invariant_factors()
     # d & -d is the largest power of 2 dividing d > 0
-    kept = [0 if d == 0 else 1 if kind == "Q" else d // (d & -d) for d in orders]
-    if kept == orders:
+    kept = [0 if d == 0 else 1 if kind == "Q" else d // (d & -d) for d in invs]
+    if kept == list(invs):
         return G
-    return FgAbGroup(G.ngens, [[d * x for x in Vinv[i]] for i, d in enumerate(kept) if d])
+    return FgAbGroup(G.ngens, G.relations + [[k * x for x in b] for b, k in
+                                             zip(G.canonical_basis(), kept) if k])
 
 
 class Homology:

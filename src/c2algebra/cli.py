@@ -33,7 +33,7 @@ import json
 import os
 import sys
 
-from .abelian import AbMap, FgAbGroup, render_invariants
+from .abelian import AbMap, FgAbGroup, IllFormedMap, render_invariants
 from . import mackey as mk
 from . import complexes as cx
 from . import tambara as tb
@@ -85,9 +85,9 @@ def parse_mackey(data):
     try:
         fixed = FgAbGroup.from_invariants([int(d) for d in data["fixed"]])
         und = FgAbGroup.from_invariants([int(d) for d in data["underlying"]])
-        res = AbMap(fixed, und, data.get("res") or [])
-        tr_ = AbMap(und, fixed, data.get("tr") or [])
-        sig = AbMap(und, und, data.get("sigma") or [])
+        res = AbMap(fixed, und, _int_matrix(data.get("res") or []))
+        tr_ = AbMap(und, fixed, _int_matrix(data.get("tr") or []))
+        sig = AbMap(und, und, _int_matrix(data.get("sigma") or []))
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError("malformed Mackey functor: %s" % e)
     except Exception as e:
@@ -97,6 +97,14 @@ def parse_mackey(data):
     if v is not None:
         raise DomainError("Lewis axioms fail: %r" % v)
     return M
+
+
+def _int_matrix(rows):
+    """A JSON matrix, checked to be a list of rows of integers."""
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)
+            and all(type(x) is int for r in rows for x in r)):
+        raise ParseError("matrix entries must be integers, got %r" % (rows,))
+    return rows
 
 
 def parse_algebra(data):
@@ -208,9 +216,12 @@ def parse_complex(data):
         if n not in terms or (n - 1) not in terms:
             raise ParseError("differential at %d has no source or target" % n)
         src, tgt = terms[n], terms[n - 1]
-        diffs[n] = mk.MackeyMap(src, tgt,
-                                AbMap(src.fixed, tgt.fixed, mats["fixed"]),
-                                AbMap(src.underlying, tgt.underlying, mats["underlying"]))
+        try:
+            diffs[n] = mk.MackeyMap(
+                src, tgt, AbMap(src.fixed, tgt.fixed, _int_matrix(mats["fixed"])),
+                AbMap(src.underlying, tgt.underlying, _int_matrix(mats["underlying"])))
+        except (KeyError, TypeError, IllFormedMap) as e:
+            raise ParseError("malformed differential at %d: %s" % (n, e))
     C = cx.MackeyComplex(terms, diffs)
     try:
         C.check()
@@ -501,7 +512,7 @@ def cmd_derham(args, out):
         raise ParseError("derham expects an algebra")
     pres = _involutive_presentation_of(A)
     try:
-        M = df.de_rham_complex(pres, args.imax, max_weight=args.maxweight)
+        M = df.sign_fix(df.de_rham_complex(pres, args.imax, max_weight=args.maxweight))
     except df.DifferentialError as e:
         raise DomainError(str(e))
     table = {}
@@ -531,13 +542,9 @@ def cmd_hh(args, out):
     weight = args.weight
     if not A.is_finite_dimensional() and weight is None:
         raise DomainError("graded algebra: pass --weight")
-    try:
-        rows = []
-        for n in range(0, args.nmax + 1):
-            H = tr.hh_group(A, n, weight=weight)
-            rows.append({"n": n, "hh": group_to_json(H)})
-    except tr.TraceError as e:
-        raise DomainError(str(e))
+    chains = tr.hochschild_chains(tr.DihedralComplex(A, args.nmax + 1, weight))
+    rows = [{"n": n, "hh": group_to_json(chains.homology(n).group)}
+            for n in range(0, args.nmax + 1)]
     if args.format == "json":
         out(json.dumps({"weight": weight, "rows": rows}, sort_keys=True,
                        separators=(",", ":")))
@@ -570,6 +577,14 @@ def cmd_dihedral(args, out):
 # ---------------------------------------------------------------------------
 # entry point
 
+def nonnegative(text):
+    """argparse type of the size options: an integer >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % n)
+    return n
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="c2algebra",
                                 description="exact C2-equivariant algebra engine")
@@ -595,26 +610,26 @@ def build_parser():
     sp = add("tambara-free", cmd_tambara_free)
     sp.add_argument("--kind", required=True)
     sp.add_argument("--base", default="Z")
-    sp.add_argument("--trunc", type=int)
+    sp.add_argument("--trunc", type=nonnegative)
     sp.add_argument("--names")
     sp = add("cotangent", cmd_cotangent)
     sp.add_argument("--algebra", required=True)
     sp = add("derham", cmd_derham)
     sp.add_argument("--algebra", required=True)
-    sp.add_argument("--imax", type=int, default=2)
-    sp.add_argument("--maxweight", type=int, default=4)
+    sp.add_argument("--imax", type=nonnegative, default=2)
+    sp.add_argument("--maxweight", type=nonnegative, default=4)
     sp = add("hr-gr", cmd_hr_gr)
     sp.add_argument("--algebra", required=True)
     sp.add_argument("--i", type=int, required=True)
-    sp.add_argument("--weight", type=int)
+    sp.add_argument("--weight", type=nonnegative)
     sp = add("hh", cmd_hh)
     sp.add_argument("--algebra", required=True)
-    sp.add_argument("--nmax", type=int, default=4)
-    sp.add_argument("--weight", type=int)
+    sp.add_argument("--nmax", type=nonnegative, default=4)
+    sp.add_argument("--weight", type=nonnegative)
     sp = add("dihedral", cmd_dihedral)
     sp.add_argument("--algebra", required=True)
-    sp.add_argument("--nmax", type=int, default=4)
-    sp.add_argument("--weight", type=int)
+    sp.add_argument("--nmax", type=nonnegative, default=4)
+    sp.add_argument("--weight", type=nonnegative)
     return p
 
 

@@ -320,20 +320,22 @@ class InvolutiveCochainComplex:
         return self.dims.get((n, w), 0)
 
     def check(self):
+        """d^2 = 0 and d sigma = -/+ sigma d, compared in the base's chain
+        groups (mod m over Z/m, where -1 is lifted as m - 1)."""
         for (n, w), d in self.diffs.items():
+            if not d:
+                continue
+            C = {k: chain_group(self.dim(k, w), self.base) for k in (n, n + 1, n + 2)}
             d2 = self.diffs.get((n + 1, w))
-            if d2 is not None and d and d2:
-                prod = mat_mul(d2, d)
-                if any(any(x for x in row) for row in prod):
-                    raise DifferentialError("d^2 != 0 at degree %d weight %d" % (n, w))
+            if d2 and not AbMap(C[n], C[n + 2], mat_mul(d2, d)).is_zero():
+                raise DifferentialError("d^2 != 0 at degree %d weight %d" % (n, w))
             sig_src = self.sigmas.get((n, w))
             sig_tgt = self.sigmas.get((n + 1, w))
-            if sig_src is None or sig_tgt is None or not d:
+            if sig_src is None or sig_tgt is None:
                 continue
-            lhs = mat_mul(d, sig_src)
-            rhs = mat_mul(sig_tgt, d)
-            want = rhs if self.sign_fixed else [[-x for x in row] for row in rhs]
-            if lhs != want:
+            lhs = AbMap(C[n], C[n + 1], mat_mul(d, sig_src))
+            rhs = AbMap(C[n], C[n + 1], mat_mul(sig_tgt, d))
+            if not lhs.equals(rhs if self.sign_fixed else -rhs):
                 kind = "equivariance" if self.sign_fixed else "antilinearity"
                 raise DifferentialError("sigma %s fails at degree %d weight %d"
                                         % (kind, n, w))

@@ -18,6 +18,7 @@ finite-dimensional algebras in one block.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from .abelian import (
     AbMap,
@@ -110,7 +111,8 @@ def algebra_poly(base, names, omega_images=None, rules=None):
 
 class DihedralComplex:
     """Normalized Hochschild chains of one weight block (or the whole finite
-    complex), with b, omega and B as integer matrices."""
+    complex), with b, omega and B as integer matrices.  The bases and b are
+    built here; omega and B are built on first read."""
 
     def __init__(self, algebra, n_max, weight=None):
         if n_max < 1:
@@ -128,8 +130,14 @@ class DihedralComplex:
             self.bases[n] = basis
             self.index[n] = {t: i for i, t in enumerate(basis)}
         self.b = {n: self._b_matrix(n) for n in range(1, n_max + 1)}
-        self.omega = {n: self._omega_matrix(n) for n in range(0, n_max + 1)}
-        self.B = {n: self._B_matrix(n) for n in range(0, n_max)}
+
+    @cached_property
+    def omega(self):
+        return {n: self._omega_matrix(n) for n in range(0, self.n_max + 1)}
+
+    @cached_property
+    def B(self):
+        return {n: self._B_matrix(n) for n in range(0, self.n_max)}
 
     # -- bases ---------------------------------------------------------------
 
@@ -331,7 +339,7 @@ class BlockComplex:
         return Homology(self._diff(n + 1), self._diff(n), self.base)
 
 
-def _chains(C):
+def hochschild_chains(C):
     """The Hochschild chains of a DihedralComplex with the boundary b."""
     return BlockComplex.from_matrices({k: C.dim(k) for k in C.bases}, C.b,
                                       C.algebra.base)
@@ -342,23 +350,18 @@ def _kernel(f, base):
     return Homology(AbMap.zero_map(trivial_group(), f.source), f, base)
 
 
-def _hh(A, n, n_max=None, weight=None):
-    top = n_max if n_max is not None else n + 1
-    return _chains(hochschild_complex(A, max(top, n + 1), weight)).homology(n)
-
-
-def hh_group(A, n, n_max=None, weight=None):
+def hh_group(A, n, weight=None):
     """HH_n over the base ring of A (integral structure constants).
 
     The result is an FgAbGroup, whose ``.rank()`` counts Z summands only:
     over Z/m it is 0 and the dimension sits in the Z/m summands.  Use
     ``hh_dimension`` for the free rank over the base."""
-    return _hh(A, n, n_max, weight).group
+    return hochschild_chains(hochschild_complex(A, n + 1, weight)).homology(n).group
 
 
 def hh_dimension(A, n, weight=None):
     """dim_k HH_n: the free rank over the base."""
-    return _hh(A, n, weight=weight).rank()
+    return hochschild_chains(hochschild_complex(A, n + 1, weight)).homology(n).rank()
 
 
 def hr_underlying(A, n, weight=None):
@@ -386,7 +389,7 @@ def split_plus_minus(C):
     """(C+, C-) : the omega-eigenvalue subcomplexes of the Hochschild complex."""
     if not C.algebra.base.two_invertible:
         raise TwoNotInvertible("2 is not invertible in the base")
-    chains = _chains(C)
+    chains = hochschild_chains(C)
     return _eigen_subcomplex(chains, C.omega, 1), _eigen_subcomplex(chains, C.omega, -1)
 
 
@@ -407,7 +410,7 @@ def hr_fixed_points(A, n, weight=None):
 def hh_omega_fixed_dimension(A, n, weight=None):
     """Independent route: dim of the +1 eigenspace of omega acting on HH_n."""
     C = hochschild_complex(A, n + 1, weight)
-    H = _chains(C).homology(n)
+    H = hochschild_chains(C).homology(n)
     Cn = H.cycles.target
     om_H = H.induced(AbMap(Cn, Cn, C.omega[n]), H)
     return _kernel(om_H - AbMap.identity_map(H.group), A.base).rank()

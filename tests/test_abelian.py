@@ -11,6 +11,7 @@ from c2algebra.abelian import (
     NotAComplex,
     Z,
     Zmod,
+    chain_group,
     cokernel,
     direct_sum_groups,
     hermite_normal_form,
@@ -27,7 +28,10 @@ from c2algebra.abelian import (
     trivial_group,
 )
 
+from c2algebra.polyring import BaseRing
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 
 # -- oracle -----------------------------------------------------------------
@@ -168,6 +172,53 @@ def test_contains_zero_and_coords():
     assert G.contains_zero([4])
     assert not G.contains_zero([2])
     assert G.canonical_coords([5]) == [1]
+
+
+@st.composite
+def _presentation_and_vector(draw):
+    """(ngens, relations, v): up to 4x4 relations with entries in -9..9, some
+    diagonal; v is random or a combination of the relations."""
+    entry = st.integers(-9, 9)
+    n = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        diag = draw(st.lists(entry, max_size=n))
+        rels = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(diag)]
+    else:
+        rels = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    v = draw(st.lists(entry, min_size=n, max_size=n))
+    if rels and draw(st.booleans()):
+        cs = draw(st.lists(entry, min_size=len(rels), max_size=len(rels)))
+        v = [sum(c * r[j] for c, r in zip(cs, rels)) for j in range(n)]
+    return n, rels, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_presentation_and_vector())
+def test_contains_zero_agrees_with_solving(case):
+    # the cached factorization answers membership as solving R^T x = v does
+    n, rels, v = case
+    G = FgAbGroup(n, rels)
+    R = G.relations
+    assert G.contains_zero(v) == (solve_integer(transpose(R), v, len(R)) is not None)
+
+
+def test_membership_factors_each_group_once(monkeypatch):
+    import c2algebra.abelian as ab
+    calls = []
+    real = ab.smith_normal_form
+    monkeypatch.setattr(ab, "smith_normal_form", lambda A: calls.append(A) or real(A))
+    rng = Random(3)
+
+    def ask(G):
+        calls.clear()
+        for _ in range(50):
+            G.contains_zero([rng.randint(-9, 9) for _ in range(G.ngens)])
+        return len(calls)
+
+    assert ask(FgAbGroup(3, [[2, 4, 6], [1, -3, 5]])) <= 2
+    # free and (Z/m)^d groups are already in Smith form: no SNF at all
+    assert ask(FgAbGroup.free(60)) == 0
+    assert ask(chain_group(60, BaseRing.parse("Z/3"))) == 0
 
 
 # -- maps, kernels, cokernels -----------------------------------------------

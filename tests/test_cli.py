@@ -140,6 +140,21 @@ def test_hh_command():
     assert data["rows"][2]["hh"] == []
 
 
+def test_hh_builds_one_complex_without_omega_or_B(monkeypatch):
+    builds, lazy = [], []
+    init = tr.DihedralComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(tr.DihedralComplex, "__init__", counting_init)
+    monkeypatch.setattr(tr.DihedralComplex, "_omega_matrix", lambda self, n: lazy.append(n))
+    monkeypatch.setattr(tr.DihedralComplex, "_B_matrix", lambda self, n: lazy.append(n))
+    code, out = run_cli(["hh", "--algebra", QX_JSON, "--weight", "2", "--nmax", "3"])
+    assert code == 0 and out.count("HH_") == 4
+    assert len(builds) == 1 and not lazy
+
+
 def _hh_rows(algebra, *opts):
     code, out = run_cli(["hh", "--algebra", algebra, "--format", "json", *opts])
     assert code == 0
@@ -239,13 +254,17 @@ def test_derham_command():
 
 def test_derham_over_the_base_ring():
     # d x^w = w x^(w-1) dx, so H^1 at weight w is the base modulo w
-    def h1(base, maxweight):
-        code, out = run_cli(["derham", "--algebra", KX_JSON.replace('"Z"', '"%s"' % base),
+    def h1(base, maxweight, sigma="x"):
+        algebra = KX_JSON.replace('"Z"', '"%s"' % base).replace('"sigma": "x"',
+                                                                '"sigma": "%s"' % sigma)
+        code, out = run_cli(["derham", "--algebra", algebra,
                              "--imax", "1", "--maxweight", str(maxweight), "--format", "json"])
         assert code == 0
         table = json.loads(out)["table"]
         return [table[str(w)]["1"]["h"] for w in range(2, maxweight + 1)]
     assert h1("Z/3", 3) == [[], [3]]
+    # sigma(x) = -x is lifted as m - 1; the checks compare mod m
+    assert h1("Z/3", 3, "-x") == [[], [3]]
     # Z[1/2] drops only the 2-primary torsion of Z/w
     assert h1("Z[1/2]", 4) == [[], [3], []]
 
@@ -270,6 +289,21 @@ def test_determinism_byte_identical():
 def test_exit_code_2_on_bad_json():
     code, _ = run_cli(["mackey-show", "--input", '{"fixed": [0,'])
     assert code == 2
+    code, _ = run_cli(["mackey-show", "--input", '{"fixed": [0], "underlying": [0], '
+                       '"res": [["a"]], "tr": [[2]], "sigma": [[1]]}'])
+    assert code == 2
+    # a differential whose fixed-level matrix has the wrong shape
+    code, _ = run_cli(["slice-check", "--n", "0", "--complex",
+                       '{"kind": "complex", "terms": {"0": ["Zbar"], "1": ["Zbar"]}, '
+                       '"diffs": {"1": {"fixed": [[1, 2]], "underlying": [[1]]}}}'])
+    assert code == 2
+    # negative sizes are rejected by the argument parser
+    for argv in (["hh", "--algebra", QX_JSON, "--nmax", "-1"],
+                 ["hh", "--algebra", QX_JSON, "--weight", "-2"],
+                 ["derham", "--algebra", KX_JSON, "--imax", "-1", "--maxweight", "-1"],
+                 ["tambara-free", "--kind", "free", "--trunc", "-1"],
+                 ["dihedral", "--algebra", Q_JSON, "--nmax", "-1"]):
+        assert run_cli(argv)[0] == 2, argv
 
 
 def test_render_zero_functor():
