@@ -19,6 +19,14 @@ lives only in this module:
 
 A Z summand of a homology group is then a free rank-1 summand over the base.
 
+The matrices met here are sparse with entries +-1 (bar complexes, sign-sphere
+cells), so the kernels skip the work whose result is already known: mat_mul
+and mat_vec skip the zero entries, hermite_normal_form keeps rows it would
+subtract 0 times, and smith_normal_form skips the searches and zero column
+entries described in its docstring.  Each kernel still performs the same
+sequence of integer operations as the plain loops, so every result, and the
+canonical bases printed from V, stays exactly the same.
+
 >>> G = FgAbGroup.from_invariants([2, 0])
 >>> G.invariant_factors()
 (2, 0)
@@ -51,7 +59,10 @@ def mat_copy(A):
 
 
 def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = zeros(n, n)
+    for i in range(n):
+        out[i][i] = 1
+    return out
 
 
 def zeros(m, n):
@@ -59,26 +70,24 @@ def zeros(m, n):
 
 
 def mat_mul(A, B):
+    """A*B, accumulating a * B[k] over the nonzero entries a = A[i][k]."""
     if A and B and len(A[0]) != len(B):
         raise ValueError("shape mismatch")
     n = len(B[0]) if B else 0
-    inner = len(B)
     out = []
     for row in A:
-        out_row = []
-        for j in range(n):
-            s = 0
-            for k in range(inner):
-                a = row[k]
-                if a:
-                    s += a * B[k][j]
-            out_row.append(s)
-        out.append(out_row)
+        acc = [0] * n
+        for a, Bk in zip(row, B):
+            if a:
+                acc = [s + a * b for s, b in zip(acc, Bk)]
+        out.append(acc)
     return out
 
 
 def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
+    """A*v, summing over the nonzero entries of v."""
+    nz = [(k, x) for k, x in enumerate(v) if x]
+    return [sum(row[k] * x for k, x in nz) for row in A]
 
 
 def transpose(A):
@@ -119,8 +128,24 @@ def kronecker(A, B, arows, acols, brows, bcols):
 def smith_normal_form(A):
     """U, D, V with U*A*V = D, D diagonal, d1 | d2 | ..., di >= 0.
 
-    U and V are unimodular.  Pivots are chosen by minimal absolute value;
-    plain gcd-driven row/column elimination, no modular shortcuts.
+    U and V are unimodular.  Pivots are chosen by minimal absolute value
+    (the first such entry in row-major order); plain gcd-driven row/column
+    elimination, no modular shortcuts.
+
+    The loops skip only work whose result is known, so U, D and V are
+    exactly those of the plain loops:
+
+    * the pivot search stops at the first entry +-1, which no later entry
+      can beat (a strict < scan keeps the first minimum);
+    * the divisibility scan is skipped for a pivot +-1, which divides
+      everything;
+    * a column operation on D touches only the rows whose source entry is
+      nonzero (rows above t are zero there; the others would add 0);
+    * V is held as the rows of V^T, so a column operation on V is one row
+      operation; it is transposed once at the end.
+
+    Every entry that changes is changed by the same integer operations in
+    the same order.
 
     >>> U, D, V = smith_normal_form([[2, 4], [6, 8]])
     >>> [D[0][0], D[1][1]]
@@ -130,7 +155,7 @@ def smith_normal_form(A):
     m = len(D)
     n = len(D[0]) if D else 0
     U = identity(m)
-    V = identity(n)
+    Vt = identity(n)
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
@@ -139,35 +164,40 @@ def smith_normal_form(A):
     def swap_cols(i, j):
         for row in D:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+        Vt[i], Vt[j] = Vt[j], Vt[i]
 
     def add_row(src, dst, c):
         # row dst += c * row src
         D[dst] = [x + c * y for x, y in zip(D[dst], D[src])]
         U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
 
-    def add_col(src, dst, c):
-        for row in D:
+    def add_col(live, src, dst, c):
+        # column dst += c * column src; live: the rows of D nonzero at src
+        for row in live:
             row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
+        Vt[dst] = [x + c * y for x, y in zip(Vt[dst], Vt[src])]
 
     def negate_row(i):
         D[i] = [-x for x in D[i]]
         U[i] = [-x for x in U[i]]
 
-    t = 0
-    while True:
-        # find the minimal-absolute-value nonzero entry in D[t:, t:]
-        pivot = None
-        best = None
+    def find_pivot(t):
+        # the first entry of minimal absolute value in D[t:, t:]
+        pivot = best = None
         for i in range(t, m):
+            row = D[i]
             for j in range(t, n):
-                x = D[i][j]
+                x = row[j]
                 if x and (best is None or abs(x) < best):
                     best = abs(x)
                     pivot = (i, j)
+                    if best == 1:
+                        return pivot
+        return pivot
+
+    t = 0
+    while True:
+        pivot = find_pivot(t)
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -184,31 +214,29 @@ def smith_normal_form(A):
                         # remainder became the smaller pivot
                         swap_rows(t, i)
                         dirty = True
+            live = [row for row in D[t:] if row[t]]
             for j in range(t + 1, n):
                 if D[t][j]:
                     q = D[t][j] // D[t][t]
-                    add_col(t, j, -q)
+                    add_col(live, t, j, -q)
                     if D[t][j]:
                         swap_cols(t, j)
+                        live = [row for row in D[t:] if row[t]]
                         dirty = True
         # enforce divisibility d_t | entries of the remaining block
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if D[i][j] % D[t][t]:
-                    add_row(i, t, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue  # redo elimination at the same t
-        if D[t][t] < 0:
+        p = D[t][t]
+        if p not in (1, -1):
+            bad = next((i for i in range(t + 1, m)
+                        if any(x % p for x in D[i][t + 1:])), None)
+            if bad is not None:
+                add_row(bad, t, 1)
+                continue  # redo elimination at the same t
+        if p < 0:
             negate_row(t)
         t += 1
         if t == m or t == n:
             break
-    return U, D, V
+    return U, D, transpose(Vt)
 
 
 def diagonal_of(D):
@@ -285,8 +313,7 @@ def hermite_normal_form(A):
             done = True
             for r in cand[1:]:
                 q = r[col] // piv[col]
-                for j in range(n):
-                    r[j] -= q * piv[j]
+                r[:] = [x - q * y for x, y in zip(r, piv)]
                 if r[col]:
                     done = False
             cand = [r for r in cand if r[col]] or [piv]
@@ -300,6 +327,9 @@ def hermite_normal_form(A):
         for r in rows:
             if r is not piv and any(r):
                 q = r[col] // piv[col] if piv[col] else 0
+                if not q:
+                    rest.append(r)  # kept as it is, not copied
+                    continue
                 rr = [x - q * y for x, y in zip(r, piv)]
                 if any(rr):
                     rest.append(rr)

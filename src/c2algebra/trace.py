@@ -106,13 +106,32 @@ def algebra_poly(base, names, omega_images=None, rules=None):
     return InvolutiveAlgebra(base, ring, om)
 
 
+def _require_homogeneous(algebra):
+    """Weight blocks exist only for a graded presentation: every rule
+    replacement and every sigma-image must be homogeneous of the weight of
+    what it replaces."""
+    ring = algebra.ring
+    for i, (p, repl) in sorted(ring.rules.items()):
+        if any(ring.monomial_weight(m) != p * ring.weights[i] for m in repl):
+            raise UnsupportedAlgebra(
+                "a weight needs a graded ring: the relation %s^%d = %s is not homogeneous"
+                % (ring.names[i], p, ring.poly_string(repl)))
+    for i, img in enumerate(algebra.omega.images):
+        if any(ring.monomial_weight(m) != ring.weights[i] for m in img):
+            raise UnsupportedAlgebra(
+                "a weight needs a graded ring: sigma(%s) = %s is not homogeneous"
+                % (ring.names[i], ring.poly_string(img)))
+
+
 # ---------------------------------------------------------------------------
 # the dihedral complex
 
 class DihedralComplex:
     """Normalized Hochschild chains of one weight block (or the whole finite
     complex), with b, omega and B as integer matrices.  The bases and b are
-    built here; omega and B are built on first read."""
+    built here; omega and B are built on first read.  A weight block needs a
+    graded presentation: a rule or sigma-image that is not homogeneous
+    raises UnsupportedAlgebra."""
 
     def __init__(self, algebra, n_max, weight=None):
         if n_max < 1:
@@ -123,6 +142,8 @@ class DihedralComplex:
         ring = algebra.ring
         if weight is None and not algebra.is_finite_dimensional():
             raise UnsupportedAlgebra("graded algebra needs a weight block")
+        if weight is not None:
+            _require_homogeneous(algebra)
         self.bases = {}
         self.index = {}
         for n in range(0, n_max + 1):

@@ -221,6 +221,210 @@ def test_membership_factors_each_group_once(monkeypatch):
     assert ask(chain_group(60, BaseRing.parse("Z/3"))) == 0
 
 
+# -- the kernels against the plain loops --------------------------------------
+# The plain loops below are the kernels before their sparsity-aware rewrite.
+# The rewrite skips only work whose result is known, so every output must be
+# identical, not just equivalent: U, D and V of the SNF fix the canonical
+# bases that the CLI prints.
+
+def plain_mat_mul(A, B):
+    if A and B and len(A[0]) != len(B):
+        raise ValueError("shape mismatch")
+    n = len(B[0]) if B else 0
+    inner = len(B)
+    out = []
+    for row in A:
+        out_row = []
+        for j in range(n):
+            s = 0
+            for k in range(inner):
+                a = row[k]
+                if a:
+                    s += a * B[k][j]
+            out_row.append(s)
+        out.append(out_row)
+    return out
+
+
+def plain_mat_vec(A, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in A]
+
+
+def plain_smith_normal_form(A):
+    D = [list(row) for row in A]
+    m = len(D)
+    n = len(D[0]) if D else 0
+    U = identity(m)
+    V = identity(n)
+
+    def swap_rows(i, j):
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in D:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, c):
+        # row dst += c * row src
+        D[dst] = [x + c * y for x, y in zip(D[dst], D[src])]
+        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
+
+    def add_col(src, dst, c):
+        for row in D:
+            row[dst] += c * row[src]
+        for row in V:
+            row[dst] += c * row[src]
+
+    def negate_row(i):
+        D[i] = [-x for x in D[i]]
+        U[i] = [-x for x in U[i]]
+
+    t = 0
+    while True:
+        # find the minimal-absolute-value nonzero entry in D[t:, t:]
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = D[i][j]
+                if x and (best is None or abs(x) < best):
+                    best = abs(x)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        # clear row and column t
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, m):
+                if D[i][t]:
+                    q = D[i][t] // D[t][t]
+                    add_row(t, i, -q)
+                    if D[i][t]:
+                        # remainder became the smaller pivot
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if D[t][j]:
+                    q = D[t][j] // D[t][t]
+                    add_col(t, j, -q)
+                    if D[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+        # enforce divisibility d_t | entries of the remaining block
+        fixed = True
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if D[i][j] % D[t][t]:
+                    add_row(i, t, 1)
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if not fixed:
+            continue  # redo elimination at the same t
+        if D[t][t] < 0:
+            negate_row(t)
+        t += 1
+        if t == m or t == n:
+            break
+    return U, D, V
+
+
+def plain_hermite_normal_form(A):
+    rows = [list(r) for r in A if any(r)]
+    if not rows:
+        return []
+    n = len(rows[0])
+    out = []
+    col = 0
+    while rows and col < n:
+        # pick row with nonzero entry of minimal abs value at col
+        cand = [r for r in rows if r[col]]
+        if not cand:
+            col += 1
+            continue
+        while True:
+            cand.sort(key=lambda r: abs(r[col]))
+            piv = cand[0]
+            done = True
+            for r in cand[1:]:
+                q = r[col] // piv[col]
+                for j in range(n):
+                    r[j] -= q * piv[j]
+                if r[col]:
+                    done = False
+            cand = [r for r in cand if r[col]] or [piv]
+            if done or len(cand) == 1:
+                break
+        piv = cand[0]
+        if piv[col] < 0:
+            piv = [-x for x in piv]
+        out.append(piv)
+        rest = []
+        for r in rows:
+            if r is not piv and any(r):
+                q = r[col] // piv[col] if piv[col] else 0
+                rr = [x - q * y for x, y in zip(r, piv)]
+                if any(rr):
+                    rest.append(rr)
+        rows = rest
+        col += 1
+    # reduce entries above pivots
+    out.sort(key=lambda r: next(j for j, x in enumerate(r) if x))
+    for i in range(len(out) - 1, -1, -1):
+        piv_col = next(j for j, x in enumerate(out[i]) if x)
+        for k in range(i):
+            q = out[k][piv_col] // out[i][piv_col]
+            if q:
+                out[k] = [x - q * y for x, y in zip(out[k], out[i])]
+    return out
+
+
+def _sparse_unit_matrices():
+    # sparse +-1 entries, as in the bar complex; dense matrices or larger
+    # entries reach the coefficient growth of the unguarded SNF
+    rng = Random(4)
+    yield from ([], [[]], [[0, 0]], [[0], [0]], [[-1]])
+    # small pivots that do not divide the rest of the block
+    yield from ([[2, 0], [0, 3]], [[2, 4], [6, 8]], [[0, 2, 0], [3, 0, 0], [0, 0, -2]])
+    for _ in range(80):
+        m, n = rng.randint(1, 20), rng.randint(1, 24)
+        density = rng.uniform(0.02, 0.2)
+        yield [[rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(n)]
+               for _ in range(m)]
+
+
+def _bar_differentials():
+    from c2algebra.polyring import PolyRing, RingInvolution
+    from c2algebra.trace import DihedralComplex, InvolutiveAlgebra
+    base = BaseRing("Q")
+    ring = PolyRing(base, ["x", "x_s"])
+    A = InvolutiveAlgebra(base, ring, RingInvolution(ring, [ring.var(1), ring.var(0)]))
+    return [DihedralComplex(A, 4, w).b[n] for w in (3, 4) for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("inputs", [_sparse_unit_matrices, _bar_differentials])
+def test_kernels_match_the_plain_loops(inputs):
+    rng = Random(5)
+    for A in inputs():
+        n = len(A[0]) if A else 0
+        v = [rng.choice((-1, 0, 0, 1)) for _ in range(n)]
+        At = [list(col) for col in zip(*A)]
+        frozen = repr(A)
+        assert smith_normal_form(A) == plain_smith_normal_form(A)
+        assert hermite_normal_form(A) == plain_hermite_normal_form(A)
+        assert mat_vec(A, v) == plain_mat_vec(A, v)
+        assert mat_mul(A, At) == plain_mat_mul(A, At)
+        assert mat_mul(At, A) == plain_mat_mul(At, A)
+        assert repr(A) == frozen
+
+
 # -- maps, kernels, cokernels -----------------------------------------------
 
 def test_cokernel_examples():

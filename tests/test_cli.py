@@ -199,6 +199,26 @@ def test_hh_graded_needs_weight():
     assert code == 1
 
 
+def test_weight_needs_a_homogeneous_presentation(capsys):
+    # x^2 - x^3 becomes the rule x^3 -> x^2, and x^3 - x the rule x^3 -> x:
+    # neither ring is graded, so it has no weight blocks
+    cases = [
+        (["hh", "--nmax", "2", "--weight", "2"], "Z", "x", "x^2 - x^3", "x^3 = x^2"),
+        (["dihedral", "--weight", "1"], "Q", "-x", "x^3 - x", "x^3 = x"),
+        (["dihedral", "--weight", "1"], "Q", "1 - x", None, "sigma(x) = 1 - x"),
+    ]
+    for argv, base, sigma, rel, named in cases:
+        algebra = json.dumps({"base": base, "gens": [{"name": "x", "sigma": sigma}],
+                              "rels": [rel] if rel else []})
+        code, out = run_cli(argv + ["--algebra", algebra])
+        assert code == 1 and out == "", argv
+        assert named in capsys.readouterr().err
+    # the graded quotient k[x]/x^2 keeps its weight blocks
+    code, _ = run_cli(["hh", "--algebra", DUAL_JSON % ("Q", "-x"), "--nmax", "2",
+                       "--weight", "2"])
+    assert code == 0
+
+
 def test_dihedral_command_golden():
     code, out = run_cli(["dihedral", "--algebra", Q_JSON, "--nmax", "4",
                          "--format", "json"])
@@ -219,6 +239,30 @@ def test_hr_gr_command():
     assert block["homology"]["1"]["underlying"] == [0]
     assert block["homology"]["1"]["fixed"] == []
     assert block["homology"]["0"]["fixed"] == [2]
+
+
+ZBAR_C2_JSON = ('{"fixed": [0], "underlying": [0, 0], "res": [[1], [1]], '
+                '"tr": [[1, 1]], "sigma": [[0, 1], [1, 0]]}')
+BURNSIDE_JSON = ('{"fixed": [0, 0], "underlying": [0], "res": [[1, 2]], '
+                 '"tr": [[0], [1]], "sigma": [[1]]}')
+
+
+def test_basis_dependent_output_golden():
+    # res, tr and sigma are written in the canonical bases, which come from
+    # the V of the Smith normal form: any change to the SNF shows here
+    code, out = run_cli(["hr-gr", "--algebra", KXXS_JSON, "--i", "2", "--weight", "4",
+                         "--format", "json"])
+    assert code == 0
+    assert out == (
+        '{"algebra":"free","blocks":[{"homology":{"1":{"fixed":[2],"res":[],"sigma":[],'
+        '"tr":[[]],"underlying":[]},"2":{"fixed":[0],"res":[[-1],[0],[1]],'
+        '"sigma":[[0,0,-1],[0,-1,0],[-1,0,0]],"tr":[[-1,0,1]],"underlying":[0,0,0]}},'
+        '"weight":4}],"i":2}\n')
+    code, out = run_cli(["box", "--left", ZBAR_C2_JSON, "--right", BURNSIDE_JSON,
+                         "--format", "json"])
+    assert code == 0
+    assert out == ('{"fixed":[0],"res":[[1],[1]],"sigma":[[0,1],[1,0]],"tr":[[1,1]],'
+                   '"underlying":[0,0]}\n')
 
 
 def test_cotangent_command_hyperelliptic():
