@@ -585,6 +585,16 @@ def nonnegative(text):
     return n
 
 
+def base_ring(text):
+    """argparse type of --base: the name of a supported base ring, kept as
+    written because the output echoes it."""
+    try:
+        BaseRing.parse(text)
+    except RingError as e:
+        raise argparse.ArgumentTypeError(str(e))
+    return text
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="c2algebra",
                                 description="exact C2-equivariant algebra engine")
@@ -609,7 +619,7 @@ def build_parser():
     sp.add_argument("--coconnective", action="store_true")
     sp = add("tambara-free", cmd_tambara_free)
     sp.add_argument("--kind", required=True)
-    sp.add_argument("--base", default="Z")
+    sp.add_argument("--base", type=base_ring, default="Z")
     sp.add_argument("--trunc", type=nonnegative)
     sp.add_argument("--names")
     sp = add("cotangent", cmd_cotangent)

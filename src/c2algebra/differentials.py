@@ -13,7 +13,6 @@ on odd degrees, making the differential strictly equivariant; cohomology of
 an involutive complex is computed through sign_fix.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
 from .abelian import AbMap, FgAbGroup, Homology, chain_group, identity, mat_mul, zeros
@@ -249,18 +248,12 @@ def _is_unit_const(A, poly):
     if len(poly) != 1:
         return False
     (mono, c), = poly.items()
-    if any(mono):
-        return False
-    if isinstance(c, Fraction):
-        return c != 0
-    return c in (1, A.base.modulus - 1 if A.base.modulus else -1)
+    return not any(mono) and A.base.is_unit(c)
 
 
 def _unit_inverse(A, poly):
-    (mono, c), = poly.items()
-    if isinstance(c, Fraction):
-        return A.const(1 / c)
-    return A.const(c)  # +-1 mod m is its own inverse only for +-1; fine here
+    (_mono, c), = poly.items()
+    return A.const(A.base.inverse(c))
 
 
 def cotangent_module(B):

@@ -5,12 +5,20 @@ replaces a pure power v_i^p by a polynomial of strictly smaller v_i-degree.
 This covers every quotient the engine needs (truncated polynomial rings,
 y^2 = f(x), i^2 = -1, group rings of cyclic groups) without Groebner bases.
 
-Base rings: Z, Z[1/2], Q and Z/m, all with exact arithmetic (Fraction
-coefficients in characteristic 0, reduced ints mod m).  Polynomials are
-dicts monomial-exponent-tuple -> coefficient, kept in normal form.
+Base rings: Z, Z[1/2], Q and Z/m, all with exact, integer-first
+arithmetic.  A coefficient is an int: in [0, m) over Z/m, and over Q and
+Z[1/2] an int unless a denominator is left, when it is a Fraction.
+BaseRing.coerce is the one conversion into the base.  Polynomials are dicts
+monomial-exponent-tuple -> coefficient, kept in normal form; a dict built
+outside the ring (parser output, involution images, {monomial: 1}) enters
+through PolyRing.normal_form, which coerces each coefficient once.  add,
+mul, scale and apply_map take polynomials in normal form and convert
+nothing.
 """
 
+import operator
 from fractions import Fraction
+from math import gcd
 
 
 class RingError(Exception):
@@ -36,7 +44,11 @@ def integer_lift(c):
 
 
 class BaseRing:
-    """Z, Z[1/2], Q or Z/m."""
+    """Z, Z[1/2], Q or Z/m.
+
+    An element is an int (in [0, m) over Z/m); over Q and Z[1/2] it is a
+    Fraction only when a denominator is left.  coerce is the one conversion
+    into the ring; add, mul and neg take elements and return elements."""
 
     def __init__(self, kind, modulus=None):
         if kind not in ("Z", "Z[1/2]", "Q", "Z/m"):
@@ -54,34 +66,58 @@ class BaseRing:
                     raise RingError("fraction in Z/m")
                 x = x.numerator
             return x % self.modulus
+        if type(x) is int:
+            return x
         x = Fraction(x)
-        if self.kind == "Z" and x.denominator != 1:
+        if x.denominator == 1:
+            return x.numerator
+        if self.kind == "Z":
             raise RingError("%s is not an integer" % x)
-        if self.kind == "Z[1/2]":
-            d = x.denominator
-            while d % 2 == 0:
-                d //= 2
-            if d != 1:
-                raise RingError("%s is not in Z[1/2]" % x)
+        if self.kind == "Z[1/2]" and not _is_power_of_two(x.denominator):
+            raise RingError("%s is not in Z[1/2]" % x)
+        return x
+
+    def reduce(self, x):
+        """x, a sum or product of elements, as an element: reduced mod m
+        over Z/m, an integral Fraction as its int."""
+        if self.kind == "Z/m":
+            return x % self.modulus
+        if type(x) is Fraction and x.denominator == 1:
+            return x.numerator
         return x
 
     def zero(self):
-        return 0 if self.kind == "Z/m" else Fraction(0)
+        return 0
 
     def one(self):
-        return 1 if self.kind == "Z/m" else Fraction(1)
-
-    def is_zero(self, x):
-        return self.coerce(x) == self.zero()
+        return 1
 
     def add(self, a, b):
-        return self.coerce(a + b)
+        return self.reduce(a + b)
 
     def mul(self, a, b):
-        return self.coerce(a * b)
+        return self.reduce(a * b)
 
     def neg(self, a):
-        return self.coerce(-a)
+        return self.reduce(-a)
+
+    def is_unit(self, c):
+        """Whether the element c is invertible: +-1 over Z, +-2^k over
+        Z[1/2], c != 0 over Q, gcd(c, m) = 1 over Z/m."""
+        if self.kind == "Z/m":
+            return gcd(c, self.modulus) == 1
+        if self.kind == "Q":
+            return c != 0
+        if self.kind == "Z":
+            return c in (1, -1)
+        return _is_power_of_two(abs(c.numerator))
+
+    def inverse(self, c):
+        if not self.is_unit(c):
+            raise RingError("%s is not a unit in %r" % (_coeff_str(c), self))
+        if self.kind == "Z/m":
+            return pow(c, -1, self.modulus)
+        return self.coerce(1 / Fraction(c))
 
     @property
     def two_invertible(self):
@@ -108,7 +144,11 @@ class BaseRing:
         if text in ("Z[1/2]", "Z1/2"):
             return cls("Z[1/2]")
         if text.startswith("Z/"):
-            return cls("Z/m", modulus=int(text[2:]))
+            try:
+                modulus = int(text[2:])
+            except ValueError:
+                raise UnsupportedPresentation("Z/m needs an integer modulus, got %r" % text)
+            return cls("Z/m", modulus=modulus)
         raise UnsupportedPresentation("unsupported base ring %r" % text)
 
 
@@ -125,7 +165,8 @@ class PolyRing:
         self.base = base
         self.names = list(names)
         self.n = len(self.names)
-        self.rules = dict(rules or {})
+        self.rules = {i: (p, {m: base.coerce(c) for m, c in repl.items()})
+                      for i, (p, repl) in (rules or {}).items()}
         self.weights = list(weights) if weights is not None else [1] * self.n
         self.trunc = trunc
         for i, (p, repl) in self.rules.items():
@@ -179,18 +220,23 @@ class PolyRing:
 
     def const(self, c):
         c = self.base.coerce(c)
-        return {} if self.base.is_zero(c) else {(0,) * self.n: c}
+        return {(0,) * self.n: c} if c != 0 else {}
 
     def monomial_weight(self, mono):
-        return sum(e * w for e, w in zip(mono, self.weights))
+        return sum(map(operator.mul, mono, self.weights))
 
     def normal_form(self, poly):
+        """The element a dict monomial -> coefficient stands for: each
+        coefficient coerced into the base, the rules applied, the terms of
+        weight over the truncation dropped.  The entry point for dicts built
+        outside the ring; add, mul, scale and apply_map take elements."""
+        base = self.base
         out = {}
         work = list(poly.items())
         while work:
             mono, coeff = work.pop()
-            coeff = self.base.coerce(coeff)
-            if self.base.is_zero(coeff):
+            coeff = base.coerce(coeff)
+            if coeff == 0:
                 continue
             if self.trunc is not None and self.monomial_weight(mono) > self.trunc:
                 continue
@@ -200,8 +246,8 @@ class PolyRing:
                     hit = (i, p, repl)
                     break
             if hit is None:
-                c = self.base.add(out.get(mono, self.base.zero()), coeff)
-                if self.base.is_zero(c):
+                c = base.add(out.get(mono, 0), coeff)
+                if c == 0:
                     out.pop(mono, None)
                 else:
                     out[mono] = c
@@ -210,15 +256,27 @@ class PolyRing:
             rest = list(mono)
             rest[i] -= p
             for rm, rc in repl.items():
-                newmono = tuple(a + b for a, b in zip(rest, rm))
-                work.append((newmono, self.base.mul(coeff, rc)))
+                newmono = tuple(map(operator.add, rest, rm))
+                work.append((newmono, base.mul(coeff, rc)))
+        return out
+
+    def _settle(self, raw):
+        """Sums of products of coefficients, on monomials already in normal
+        form, brought back into the base (mod m, integral Fractions as ints)
+        without their zero terms."""
+        reduce = self.base.reduce
+        out = {}
+        for m, c in raw.items():
+            c = reduce(c)
+            if c != 0:
+                out[m] = c
         return out
 
     def add(self, a, b):
         out = dict(a)
         for m, c in b.items():
-            s = self.base.add(out.get(m, self.base.zero()), c)
-            if self.base.is_zero(s):
+            s = self.base.add(out.get(m, 0), c)
+            if s == 0:
                 out.pop(m, None)
             else:
                 out[m] = s
@@ -226,9 +284,9 @@ class PolyRing:
 
     def scale(self, c, a):
         c = self.base.coerce(c)
-        if self.base.is_zero(c):
+        if c == 0:
             return {}
-        return self.normal_form({m: self.base.mul(c, x) for m, x in a.items()})
+        return self._settle({m: c * x for m, x in a.items()})
 
     def neg(self, a):
         return {m: self.base.neg(c) for m, c in a.items()}
@@ -237,13 +295,22 @@ class PolyRing:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
+        """a * b; with a truncation, the products of weight over it are
+        never formed."""
+        if self.trunc is None:
+            limit, weight = 0, _weightless
+        else:
+            limit, weight = self.trunc, self.monomial_weight
+        b_terms = [(m2, c2, weight(m2)) for m2, c2 in b.items()]
         out = {}
         for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                c = self.base.mul(c1, c2)
-                out[m] = self.base.add(out.get(m, self.base.zero()), c)
-        return self.normal_form(out)
+            room = limit - weight(m1)
+            for m2, c2, w2 in b_terms:
+                if w2 > room:
+                    continue
+                m = tuple(map(operator.add, m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return self.normal_form(out) if self.rules else self._settle(out)
 
     def is_zero(self, a):
         return not self.normal_form(a)
@@ -260,7 +327,7 @@ class PolyRing:
                 for _ in range(e):
                     term = self.mul(term, images[i])
             out = self.add(out, term)
-        return self.normal_form(out)
+        return out
 
     # -- bases ---------------------------------------------------------------
 
@@ -325,6 +392,14 @@ class PolyRing:
         for t in terms[1:]:
             out += " - " + t[1:] if t.startswith("-") else " + " + t
         return out
+
+
+def _weightless(mono):
+    return 0
+
+
+def _is_power_of_two(n):
+    return n > 0 and n & (n - 1) == 0
 
 
 def _coeff_str(c):

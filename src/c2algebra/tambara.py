@@ -14,8 +14,6 @@ together with its fixed level and norm data.  Two storage modes:
     not injective and whose norm is not squaring.
 """
 
-from fractions import Fraction
-
 from .abelian import AbMap, FgAbGroup
 from .polyring import (
     BaseRing,
@@ -362,7 +360,7 @@ def norm_ring(R, sigma=None, truncation=DEFAULT_TRUNCATION):
 def gaussian_algebra(truncation=DEFAULT_TRUNCATION):
     """Q(i) over Q with complex conjugation: the desk-scale model of C/R."""
     base = BaseRing("Q")
-    ring = PolyRing(base, ["i"], rules={0: (2, {(0,): Fraction(-1)})},
+    ring = PolyRing(base, ["i"], rules={0: (2, {(0,): -1})},
                     weights=[1])
     sigma = RingInvolution(ring, [ring.neg(ring.var(0))])
     return fixed_point_green(ring, sigma, truncation, name="C/R")
@@ -371,7 +369,7 @@ def gaussian_algebra(truncation=DEFAULT_TRUNCATION):
 def group_ring_involutive(order, truncation=DEFAULT_TRUNCATION):
     """Z[Z/order] with g -> g^{-1}."""
     base = BaseRing("Z")
-    ring = PolyRing(base, ["g"], rules={0: (order, {(0,): Fraction(1)})})
+    ring = PolyRing(base, ["g"], rules={0: (order, {(0,): 1})})
     inv = _pow(ring, ring.var(0), order - 1)
     sigma = RingInvolution(ring, [inv])
     return fixed_point_green(ring, sigma, truncation, name="Z[Z/%d]" % order)

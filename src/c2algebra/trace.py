@@ -86,7 +86,7 @@ def algebra_q_dual_numbers():
 def algebra_gaussian():
     """Q(i) over Q with conjugation: the desk model of C over R."""
     base = BaseRing("Q")
-    ring = PolyRing(base, ["i"], rules={0: (2, {(0,): Fraction(-1)})})
+    ring = PolyRing(base, ["i"], rules={0: (2, {(0,): -1})})
     return InvolutiveAlgebra(base, ring, RingInvolution(ring, [ring.neg(ring.var(0))]),
                              "C/R")
 

@@ -313,6 +313,60 @@ def test_derham_over_the_base_ring():
     assert h1("Z[1/2]", 4) == [[], [3], []]
 
 
+def test_derham_sigma_scaled_by_a_unit():
+    # 3 is a unit mod 8 and 9 = 1, so sigma(x) = 3x is an involution of
+    # Z/8[x]; the cohomology table does not see sigma
+    def table(sigma):
+        algebra = KX_JSON.replace('"Z"', '"Z/8"').replace('"sigma": "x"',
+                                                           '"sigma": "%s"' % sigma)
+        return run_cli(["derham", "--algebra", algebra, "--imax", "1", "--maxweight", "4"])
+    code, out = table("3*x")
+    assert code == 0
+    assert (code, out) == table("x")
+
+
+HYPER_Z_JSON = ('{"base": "Z", "gens": [{"name": "x", "sigma": "x"}, '
+                '{"name": "y", "sigma": "-y"}], "rels": ["y^2 - x^3 + 1"]}')
+T_RELATIONS = ("t_1 * t_1 relation holds: True\nt_2 * t_1 relation holds: True\n"
+               "t_2 * t_2 relation holds: True\nt_3 * t_1 relation holds: True\n"
+               "t_3 * t_2 relation holds: True\nt_3 * t_3 relation holds: True\n"
+               "t_4 * t_1 relation holds: True\nt_4 * t_2 relation holds: True\n"
+               "t_4 * t_3 relation holds: True\nt_4 * t_4 relation holds: True\n")
+T_RELATIONS_JSON = ('[{"holds":true,"i":1,"j":1},{"holds":true,"i":2,"j":1},'
+                    '{"holds":true,"i":2,"j":2},{"holds":true,"i":3,"j":1},'
+                    '{"holds":true,"i":3,"j":2},{"holds":true,"i":3,"j":3},'
+                    '{"holds":true,"i":4,"j":1},{"holds":true,"i":4,"j":2},'
+                    '{"holds":true,"i":4,"j":3},{"holds":true,"i":4,"j":4}]')
+
+
+def test_polynomial_output_golden():
+    # the commands whose work is all in the polynomial layer
+    for base in ("Z", "Q"):
+        argv = ["tambara-free", "--kind", "free", "--base", base, "--trunc", "8"]
+        assert run_cli(argv) == (0, (
+            "free free involutive algebra over %s, truncation 8\n"
+            "underlying generators: x, x_s\n"
+            "fixed generators: t_1, t_2, t_3, t_4, t_5, t_6, t_7, t_8, x_N\n"
+            "cohomological: True\n" % base) + T_RELATIONS)
+        assert run_cli(argv + ["--format", "json"]) == (0, (
+            '{"base":"%s","cohomological":true,"fixed_generators":["t_1","t_2","t_3",'
+            '"t_4","t_5","t_6","t_7","t_8","x_N"],"kind":"free","t_relations":%s,'
+            '"truncation":8,"underlying":["x","x_s"]}\n' % (base, T_RELATIONS_JSON)))
+    assert run_cli(["tambara-free", "--kind", "trivial", "--base", "Z/6"]) == (0, (
+        "free trivial involutive algebra over Z/6, truncation 8\n"
+        "underlying generators: x\nfixed generators: x\ncohomological: True\n"))
+    assert run_cli(["cotangent", "--algebra", HYPER_Z_JSON]) == (0, (
+        "cotangent generators: dy, dy_s, dx\n"
+        "dw -> (-3*x^2)dx + (y)dy + (-y)dy_s\n"
+        "dz -> (1)dy + (1)dy_s\n"
+        "reduced generators: dy, dx\n"))
+    assert run_cli(["cotangent", "--algebra", HYPER_Z_JSON, "--format", "json"]) == (0, (
+        '{"generators":["dy","dy_s","dx"],"reduced_generators":["dy","dx"],'
+        '"reduced_relations":[{"dx":"-3*x^2","dy":"2*y"}],"relations":{"dw":'
+        '{"dx":"-3*x^2","dy":"y","dy_s":"-y"},"dz":{"dy":"1","dy_s":"1"}},'
+        '"sigma":{"dx":"(1)dx","dy":"(1)dy_s","dy_s":"(1)dy"}}\n'))
+
+
 def test_determinism_byte_identical():
     jobs = [
         ["mackey-show", "--input", ZBAR_JSON, "--format", "json"],
@@ -348,6 +402,11 @@ def test_exit_code_2_on_bad_json():
                  ["tambara-free", "--kind", "free", "--trunc", "-1"],
                  ["dihedral", "--algebra", Q_JSON, "--nmax", "-1"]):
         assert run_cli(argv)[0] == 2, argv
+    # an unsupported base ring, given by --base or inside the algebra JSON
+    for base in ("Z/x", "R", "Z/1"):
+        assert run_cli(["tambara-free", "--kind", "free", "--base", base])[0] == 2, base
+        algebra = KX_JSON.replace('"Z"', '"%s"' % base)
+        assert run_cli(["derham", "--algebra", algebra])[0] == 2, base
 
 
 def test_render_zero_functor():
