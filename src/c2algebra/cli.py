@@ -198,21 +198,24 @@ def parse_complex(data):
         raise ParseError("unknown fields in complex: %s" % sorted(unknown))
     kind = data.get("kind")
     if kind == "sigma-sphere":
-        k = int(data.get("k", 0))
-        return cx.suspend_sigma(cx.single(mk.zbar()), k) if k else cx.single(mk.zbar())
+        k = data.get("k", 0)
+        if type(k) is not int:
+            raise ParseError("k must be an integer, got %r" % (k,))
+        return cx.sign_sphere(k)
     if kind != "complex":
         raise ParseError("unknown complex kind %r" % kind)
     terms = {}
-    for deg, cells in (data.get("terms") or {}).items():
+    for deg, cells in _degree_items(data, "terms"):
+        if not isinstance(cells, list):
+            raise ParseError("cells at degree %d must be a list, got %r" % (deg, cells))
         parts = []
         for c in cells:
-            if c not in CELLS:
-                raise ParseError("unknown cell %r (use Zbar or ZbarC2)" % c)
+            if type(c) is not str or c not in CELLS:
+                raise ParseError("unknown cell %r (use Zbar or ZbarC2)" % (c,))
             parts.append(CELLS[c]())
-        terms[int(deg)] = mk.direct_sum(parts)
+        terms[deg] = mk.direct_sum(parts)
     diffs = {}
-    for deg, mats in (data.get("diffs") or {}).items():
-        n = int(deg)
+    for n, mats in _degree_items(data, "diffs"):
         if n not in terms or (n - 1) not in terms:
             raise ParseError("differential at %d has no source or target" % n)
         src, tgt = terms[n], terms[n - 1]
@@ -228,6 +231,20 @@ def parse_complex(data):
     except cx.ComplexError as e:
         raise DomainError(str(e))
     return C
+
+
+def _degree_items(data, field):
+    """The (degree, value) pairs of a complex's "terms" or "diffs" object."""
+    obj = data.get(field, {})
+    if not isinstance(obj, dict):
+        raise ParseError("%s must be an object keyed by degree" % field)
+    try:
+        items = [(int(key), value) for key, value in obj.items()]
+    except ValueError as e:
+        raise ParseError("%s keys must be integer degrees: %s" % (field, e))
+    if len({n for n, _ in items}) < len(items):
+        raise ParseError("%s names a degree twice: %s" % (field, sorted(obj)))
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +509,7 @@ def _involutive_presentation_of(A):
                 key = tuple(k if t == ix else 0 for t in range(2))
                 c = repl.get(key, 0)
                 coeffs.append(c)
-            return df.hyperelliptic_presentation(coeffs)
+            return df.hyperelliptic_presentation(coeffs, A.base)
     raise DomainError("cotangent supports free involutive presentations and "
                       "hyperelliptic quotients")
 

@@ -1,18 +1,16 @@
 """Bounded chain complexes of Mackey functors.
 
 Provides homology with induced Lewis structure, representation-sphere
-suspension (including negative sign-sphere shifts via the dual cell
-complex), box products of complexes with Koszul signs, graded norms, and
+suspension, box products of complexes with Koszul signs, graded norms, and
 the regular-slice connectivity checks on underlying and geometric fixed
 points.
 
-The reduced cell complex of the sign sphere S^sigma is
-
-    zbar_c2  --(fold / x2)-->  zbar        (degrees 1, 0)
-
-and its dual, modelling S^{-sigma}, is
-
-    zbar  --(diagonal / x1)-->  zbar_c2    (degrees 0, -1).
+S^{k sigma} smashed with zbar is its reduced C2-CW chain complex (Hill-
+Hopkins-Ravenel), |k| + 1 cells: zbar in degree 0 and zbar_c2 in each degree
+1..k (k > 0) or -1..k (k < 0).  Outward from degree 0 the differentials are
+the fold zbar_c2 -> zbar (fixed x2) for k > 0 or its dual, the diagonal
+zbar -> zbar_c2 (fixed x1) for k < 0; then 1 - sigma (fixed 0), 1 + sigma
+(fixed x2), 1 - sigma, ... between the zbar_c2 cells.
 """
 
 from .abelian import (
@@ -32,7 +30,6 @@ from .mackey import (
     box,
     box_map,
     direct_sum,
-    dual_map,
     validate,
     zbar,
     zbar_c2,
@@ -128,33 +125,25 @@ def homology_table(C):
 # ---------------------------------------------------------------------------
 # sign-sphere cells
 
-def sigma_cell_complex():
-    """Reduced cellular complex of S^sigma smashed with zbar."""
-    top = zbar_c2()
-    bottom = zbar()
-    d = MackeyMap(top, bottom,
-                  AbMap(top.fixed, bottom.fixed, [[2]]),
-                  AbMap(top.underlying, bottom.underlying, [[1, 1]]))
-    return MackeyComplex({1: top, 0: bottom}, {1: d})
-
-
-def sigma_cell_complex_dual():
-    """Levelwise dual of the S^sigma cell complex: the S^{-sigma} model.
-
-    Dualizing [zbar_c2 -> zbar] gives [zbar -> zbar_c2] in degrees 0, -1
-    with underlying differential the diagonal and fixed differential the
-    identity (the transpose restricted to invariant functionals).
-    """
-    C = sigma_cell_complex()
-    dd = dual_map(C.diffs[1])
-    # transplant onto tagged copies of zbar / zbar_c2 (same presentations)
-    src, tgt = zbar(), zbar_c2()
-    assert dd.source.underlying.ngens == src.underlying.ngens
-    assert dd.target.underlying.ngens == tgt.underlying.ngens
-    d = MackeyMap(src, tgt,
-                  AbMap(src.fixed, tgt.fixed, dd.f_fixed.matrix),
-                  AbMap(src.underlying, tgt.underlying, dd.f_underlying.matrix))
-    return MackeyComplex({0: src, -1: tgt}, {0: d})
+def sign_sphere(k):
+    """S^{k sigma} smashed with zbar, k any integer (see the module docstring)."""
+    if k == 0:
+        return single(zbar())
+    terms = {n: zbar_c2() if n else zbar()
+             for n in range(max(k, 0), min(k, 0) - 1, -1)}
+    diffs = {}
+    for m in range(1, abs(k) + 1):  # joins the cells in degrees +-(m - 1), +-m
+        if m == 1:
+            fixed, und = ([[2]], [[1, 1]]) if k > 0 else ([[1]], [[1], [1]])
+        elif m % 2 == 0:
+            fixed, und = [[0]], [[1, -1], [-1, 1]]
+        else:
+            fixed, und = [[2]], [[1, 1], [1, 1]]
+        n = m if k > 0 else 1 - m
+        src, tgt = terms[n], terms[n - 1]
+        diffs[n] = MackeyMap(src, tgt, AbMap(src.fixed, tgt.fixed, fixed),
+                             AbMap(src.underlying, tgt.underlying, und))
+    return MackeyComplex(terms, diffs)
 
 
 def dual_circle_complex():
@@ -248,12 +237,8 @@ def _assemble_blocks(src, tgt, src_keys, tgt_keys, pieces, blocks):
 
 
 def suspend_sigma(C, k):
-    """Smash with S^{k sigma}; k < 0 uses the dual cell complex."""
-    out = C
-    cell = sigma_cell_complex() if k >= 0 else sigma_cell_complex_dual()
-    for _ in range(abs(k)):
-        out = box_complex(out, cell)
-    return out
+    """Smash with S^{k sigma}: one box product with sign_sphere(k)."""
+    return box_complex(C, sign_sphere(k)) if k else C
 
 
 def suspend_rho(C, k):

@@ -263,11 +263,10 @@ def cotangent_module(B):
     return CotangentPresentation(B)
 
 
-def hyperelliptic_presentation(f_coeffs):
-    """C[x, y]/(y^2 - f(x)) with y -> -y, presented involutively as
-    k[y, y_s, x] / (y + y_s, -y y_s - f(x)); f given by its coefficient list
-    [c0, c1, ...]."""
-    base = BaseRing("Q")
+def hyperelliptic_presentation(f_coeffs, base=BaseRing("Q")):
+    """k[x, y]/(y^2 - f(x)) over the BaseRing k = base, with y -> -y,
+    presented involutively as k[y, y_s, x] / (y + y_s, -y y_s - f(x)); f
+    given by its coefficient list [c0, c1, ...]."""
     free = PolyRing(base, ["y", "y_s", "x"])
     y, ys, x = free.var(0), free.var(1), free.var(2)
     sigma = RingInvolution(free, [ys, y, x])
@@ -476,10 +475,7 @@ def lsym_weight_piece(kind, i, w, trunc=8):
     piece = _exterior_power_piece(L, i, w)
     if piece is None:
         return cx.MackeyComplex({}, {})
-    C = cx.single(piece)
-    for _ in range(i):
-        C = cx.suspend_sigma(C, 1)
-    return C
+    return cx.suspend_sigma(cx.single(piece), i)
 
 
 def _exterior_power_piece(L, i, w):

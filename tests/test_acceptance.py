@@ -179,7 +179,7 @@ def test_criterion_1_lewis_axiom_suite():
 # -- criterion 2: Sigma^{-sigma} zbar = Sigma^{-1} zsign ----------------------
 
 def test_criterion_2_negative_sign_sphere():
-    C = cx.box_complex(cx.sigma_cell_complex_dual(), cx.single(mk.zbar()))
+    C = cx.box_complex(cx.sign_sphere(-1), cx.single(mk.zbar()))
     ok = mk.isomorphic(cx.homology(C, -1), mk.zsign())
     for n in (-3, -2, 0, 1):
         ok = ok and mk.isomorphic(cx.homology(C, n), mk.zero_mackey())

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 from c2algebra.cli import (
     mackey_to_json,
@@ -109,6 +110,18 @@ def test_slice_check_golden():
     assert out.strip() == "regular-slice (-1)-connective: true"
     code, out = run_cli(["slice-check", "--complex", job, "--n", "0"])
     assert out.strip() == "regular-slice (0)-connective: false"
+
+
+def test_slice_check_large_sign_spheres():
+    # S^{k sigma} is regular-slice n-connective iff n <= min(k, 0)
+    t0 = time.monotonic()
+    for k in (40, -40):
+        job = json.dumps({"kind": "sigma-sphere", "k": k})
+        for n in (k, k + 1):
+            verdict = "true" if n <= min(k, 0) else "false"
+            assert run_cli(["slice-check", "--complex", job, "--n", str(n)]) == \
+                (0, "regular-slice (%d)-connective: %s\n" % (n, verdict))
+    assert time.monotonic() - t0 < 2.0
 
 
 def test_slice_check_explicit_complex():
@@ -277,6 +290,14 @@ def test_cotangent_command_hyperelliptic():
     assert data["reduced_generators"] == ["dy", "dx"]
 
 
+def test_cotangent_hyperelliptic_over_the_base_ring():
+    # y^2 = x^3 - 1 over Z/3: the -3x^2 dx term of dw vanishes
+    algebra = HYPER_Z_JSON.replace('"Z"', '"Z/3"')
+    code, out = run_cli(["cotangent", "--algebra", algebra, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["reduced_relations"] == [{"dy": "2*y"}]
+
+
 def test_cotangent_command_free():
     code, out = run_cli(["cotangent", "--algebra", KXXS_JSON, "--format", "json"])
     assert code == 0
@@ -407,6 +428,23 @@ def test_exit_code_2_on_bad_json():
         assert run_cli(["tambara-free", "--kind", "free", "--base", base])[0] == 2, base
         algebra = KX_JSON.replace('"Z"', '"%s"' % base)
         assert run_cli(["derham", "--algebra", algebra])[0] == 2, base
+    # malformed complexes: a non-integer k, non-integer or repeated degree
+    # keys, terms or diffs that are not objects, cells that are not lists of
+    # cell names
+    for complex_json in ('{"kind": "sigma-sphere", "k": "abc"}',
+                         '{"kind": "sigma-sphere", "k": [1]}',
+                         '{"kind": "sigma-sphere", "k": 1.5}',
+                         '{"kind": "sigma-sphere", "k": true}',
+                         '{"kind": "complex", "terms": {"x": ["Zbar"]}}',
+                         '{"kind": "complex", "terms": {"0": ["Zbar"]}, "diffs": {"x": {}}}',
+                         '{"kind": "complex", "terms": [1]}',
+                         '{"kind": "complex", "terms": {"0": ["Zbar"]}, "diffs": [1]}',
+                         '{"kind": "complex", "terms": {"0": 5}}',
+                         '{"kind": "complex", "terms": {"0": {"Zbar": 1}}}',
+                         '{"kind": "complex", "terms": {"0": [["Zbar"]]}}',
+                         '{"kind": "complex", "terms": {"0": ["Zbar"], "00": ["ZbarC2"]}}'):
+        argv = ["slice-check", "--n", "0", "--complex", complex_json]
+        assert run_cli(argv)[0] == 2, complex_json
 
 
 def test_render_zero_functor():

@@ -6,6 +6,8 @@ from random import Random
 from c2algebra.abelian import AbMap, FgAbGroup, Zmod
 from c2algebra.mackey import (
     MackeyFunctor,
+    MackeyMap,
+    dual_map,
     fingerprint,
     geometric_fixed_points,
     is_valid,
@@ -28,12 +30,12 @@ from c2algebra.complexes import (
     is_regular_slice_coconnective,
     is_regular_slice_connective,
     phi_complex,
-    sigma_cell_complex,
-    sigma_cell_complex_dual,
+    sign_sphere,
     single,
     suspend_sigma,
 )
 
+from c2algebra import complexes
 import pytest
 
 
@@ -54,7 +56,7 @@ def test_homology_of_single_term():
 
 
 def test_sigma_sphere_homology():
-    C = sigma_cell_complex()
+    C = sign_sphere(1)
     C.check()
     assert isomorphic(homology(C, 1), zsign())
     assert isomorphic(homology(C, 0), H0_SIGMA_SPHERE)
@@ -62,7 +64,7 @@ def test_sigma_sphere_homology():
 
 def test_dual_sigma_sphere_homology():
     # Sigma^{-sigma} zbar = Sigma^{-1} zsign: homology is zsign in degree -1 only
-    C = sigma_cell_complex_dual()
+    C = sign_sphere(-1)
     C.check()
     assert isomorphic(homology(C, 0), zero_mackey())
     assert isomorphic(homology(C, -1), zsign())
@@ -99,14 +101,14 @@ def test_suspend_sigma_of_zsign():
 
 
 def test_box_complex_unit():
-    C = sigma_cell_complex()
+    C = sign_sphere(1)
     D = box_complex(C, single(zbar()))
     for n in (0, 1):
         assert isomorphic(homology(D, n), homology(C, n))
 
 
 def test_box_complex_two_sigma_spheres():
-    D = box_complex(sigma_cell_complex(), sigma_cell_complex())
+    D = box_complex(sign_sphere(1), sign_sphere(1))
     E = suspend_sigma(suspend_sigma(single(zbar()), 1), 1)
     for n in range(-1, 4):
         assert fingerprint(homology(D, n)) == fingerprint(homology(E, n)), n
@@ -114,7 +116,7 @@ def test_box_complex_two_sigma_spheres():
 
 def test_box_complex_d_squared_zero():
     rng = Random(17)
-    cells = [sigma_cell_complex(), sigma_cell_complex_dual(), single(zbar_c2()),
+    cells = [sign_sphere(1), sign_sphere(-1), single(zbar_c2()),
              single(zbar(), 1)]
     for _ in range(6):
         C = box_complex(rng.choice(cells), rng.choice(cells))
@@ -130,14 +132,14 @@ def test_dual_circle_complex():
 
 def test_euler_characteristic_preserved():
     rng = Random(23)
-    cells = [sigma_cell_complex(), sigma_cell_complex_dual(), single(zbar_c2())]
+    cells = [sign_sphere(1), sign_sphere(-1), single(zbar_c2())]
     for _ in range(5):
         C = box_complex(rng.choice(cells), rng.choice(cells))
         assert euler_characteristics(C) == euler_characteristics_homology(C)
 
 
 def test_homology_outputs_validate():
-    for C in (sigma_cell_complex(), sigma_cell_complex_dual(), dual_circle_complex()):
+    for C in (sign_sphere(1), sign_sphere(-1), dual_circle_complex()):
         for n in range(-2, 3):
             assert is_valid(homology(C, n))
 
@@ -169,7 +171,7 @@ def test_slice_connectivity_deeper_negative_sigma_spheres():
 
 
 def test_slice_connectivity_dual_sphere_example():
-    C = sigma_cell_complex_dual()
+    C = sign_sphere(-1)
     assert is_regular_slice_connective(C, -1) is True
     assert is_regular_slice_connective(C, 0) is False
 
@@ -200,19 +202,133 @@ def test_coconnectivity():
     assert is_regular_slice_coconnective(single(zbar()), 0) == "passes-necessary-conditions"
     up = single(zbar(), 1)
     assert is_regular_slice_coconnective(up, 0) == "fails"
-    C = sigma_cell_complex_dual()
+    C = sign_sphere(-1)
     assert is_regular_slice_coconnective(C, -1) == "passes-necessary-conditions"
 
 
 def test_phi_complex_consistency():
     # chain-level Phi commutes with homology on these free-term complexes
-    C = sigma_cell_complex()
+    C = sign_sphere(1)
     groups, diffs = phi_complex(C)
     from c2algebra.complexes import _phi_homology
     assert _phi_homology(groups, diffs, 0) == Zmod(2)
     assert _phi_homology(groups, diffs, 1).is_trivial()
     assert geometric_fixed_points(homology(C, 0)) == Zmod(2)
     assert geometric_fixed_points(homology(C, 1)).is_trivial()
+
+
+# -- the (|k| + 1)-cell sign sphere against the iterated box -------------------
+# The one-cell S^{+-sigma} complexes and the k-fold box that modelled S^{k sigma}
+# before sign_sphere, kept verbatim as the reference.
+
+def plain_sigma_cell_complex():
+    """Reduced cellular complex of S^sigma smashed with zbar."""
+    top = zbar_c2()
+    bottom = zbar()
+    d = MackeyMap(top, bottom,
+                  AbMap(top.fixed, bottom.fixed, [[2]]),
+                  AbMap(top.underlying, bottom.underlying, [[1, 1]]))
+    return MackeyComplex({1: top, 0: bottom}, {1: d})
+
+
+def plain_sigma_cell_complex_dual():
+    """Levelwise dual of the S^sigma cell complex: the S^{-sigma} model.
+
+    Dualizing [zbar_c2 -> zbar] gives [zbar -> zbar_c2] in degrees 0, -1
+    with underlying differential the diagonal and fixed differential the
+    identity (the transpose restricted to invariant functionals).
+    """
+    C = plain_sigma_cell_complex()
+    dd = dual_map(C.diffs[1])
+    # transplant onto tagged copies of zbar / zbar_c2 (same presentations)
+    src, tgt = zbar(), zbar_c2()
+    assert dd.source.underlying.ngens == src.underlying.ngens
+    assert dd.target.underlying.ngens == tgt.underlying.ngens
+    d = MackeyMap(src, tgt,
+                  AbMap(src.fixed, tgt.fixed, dd.f_fixed.matrix),
+                  AbMap(src.underlying, tgt.underlying, dd.f_underlying.matrix))
+    return MackeyComplex({0: src, -1: tgt}, {0: d})
+
+
+def plain_suspend_sigma(C, k):
+    """Smash with S^{k sigma}; k < 0 uses the dual cell complex."""
+    out = C
+    cell = plain_sigma_cell_complex() if k >= 0 else plain_sigma_cell_complex_dual()
+    for _ in range(abs(k)):
+        out = box_complex(out, cell)
+    return out
+
+
+def entries(C):
+    """Every number of a complex, in its stored order."""
+    def group(G):
+        return G.ngens, G.relations, G.labels
+
+    def functor(M):
+        return (group(M.fixed), group(M.underlying), M.res.matrix, M.tr.matrix,
+                M.sigma.matrix, M.cells)
+
+    return ([(n, functor(M)) for n, M in C.terms.items()],
+            [(n, functor(d.source), functor(d.target), d.f_fixed.matrix,
+              d.f_underlying.matrix) for n, d in C.diffs.items()])
+
+
+SIGN_SPHERE_KS = range(-5, 6)
+PLAIN_SPHERES = {k: plain_suspend_sigma(single(zbar()), k) for k in SIGN_SPHERE_KS}
+_HOMOLOGY = {}
+
+
+def cached_homology(C, n):
+    """homology(C, n), computed once per complex and degree: the iterated
+    box of S^{5 sigma} has 243 underlying generators."""
+    key = (id(C), n)
+    if key not in _HOMOLOGY:
+        _HOMOLOGY[key] = (C, homology(C, n))  # holding C keeps its id unique
+    return _HOMOLOGY[key][1]
+
+
+def fingerprints(C, lo, hi):
+    return [fingerprint(cached_homology(C, n)) for n in range(lo, hi + 1)]
+
+
+def test_sign_sphere_one_cell_cases_are_the_plain_cells():
+    assert entries(sign_sphere(1)) == entries(plain_sigma_cell_complex())
+    assert entries(sign_sphere(-1)) == entries(plain_sigma_cell_complex_dual())
+    assert entries(sign_sphere(0)) == entries(single(zbar()))
+
+
+def test_sign_sphere_has_k_plus_one_cells_and_is_a_complex():
+    for k in SIGN_SPHERE_KS:
+        C = sign_sphere(k)
+        C.check()
+        assert C.degrees() == list(range(min(k, 0), max(k, 0) + 1)), k
+        assert [C.term(n).cells for n in C.degrees()].count(("free",)) == abs(k), k
+
+
+def test_sign_sphere_homology_matches_iterated_box():
+    for k, plain in PLAIN_SPHERES.items():
+        lo, hi = -abs(k) - 1, abs(k) + 1
+        assert fingerprints(sign_sphere(k), lo, hi) == fingerprints(plain, lo, hi), k
+
+
+def test_sign_sphere_slice_verdicts_match_iterated_box(monkeypatch):
+    monkeypatch.setattr(complexes, "homology", cached_homology)
+    for k, plain in PLAIN_SPHERES.items():
+        C = sign_sphere(k)
+        for n in range(-abs(k) - 1, abs(k) + 2):
+            assert is_regular_slice_connective(C, n) == \
+                is_regular_slice_connective(plain, n), (k, n)
+        for n in range(-abs(k) - 1, 1):
+            assert is_regular_slice_coconnective(C, n) == \
+                is_regular_slice_coconnective(plain, n), (k, n)
+
+
+def test_suspend_sigma_matches_iterated_box():
+    for M in (zbar(), zbar_c2(), zsign()):
+        for k in range(-3, 4):
+            lo, hi = -abs(k) - 1, abs(k) + 1
+            assert fingerprints(suspend_sigma(single(M), k), lo, hi) == \
+                fingerprints(plain_suspend_sigma(single(M), k), lo, hi), (M, k)
 
 
 # -- graded norm ---------------------------------------------------------------
