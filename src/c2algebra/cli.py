@@ -403,46 +403,33 @@ def cmd_tambara_free(args, out):
     return 0
 
 
-def _monogenic_kind(A):
-    names = list(A.ring.names)
-    if A.ring.rules:
-        return None
-    if len(names) == 1:
-        img = A.omega.images[0]
-        if A.ring.equal(img, A.ring.var(0)):
-            return "trivial"
-        return None
-    if len(names) == 2:
-        if A.ring.equal(A.omega.images[0], A.ring.var(1)) and \
-                A.ring.equal(A.omega.images[1], A.ring.var(0)):
-            return "free"
-    return None
-
-
 def cmd_hr_gr(args, out):
     A = parse_input(_load(args.algebra))
     if not isinstance(A, tr.InvolutiveAlgebra):
         raise ParseError("hr-gr expects an algebra")
-    kind = _monogenic_kind(A)
-    if kind is None:
-        raise DomainError("hr-gr supports the monogenic free involutive algebras")
+    if A.base.kind != "Z":
+        raise DomainError("hr-gr computes Mackey homology over Z only, not over %s"
+                          % A.base)
+    L = df.cotangent_module(_involutive_presentation_of(A))
+    # one sigma-orbit type per generator; a swapped pair at its first member
+    label = "+".join(("trivial" if s == 1 else "sign") if k == j else "free"
+                     for j, (k, s) in enumerate(df.signed_permutation(L)) if k >= j)
     trunc = default_truncation()
     weights = [args.weight] if args.weight is not None else list(range(0, min(5, trunc + 1)))
     blocks = []
     for w in weights:
-        C = tr.hr_graded_pieces(kind, args.i, w, trunc)
-        entry = {"weight": w, "homology": {}}
-        if C.terms:
-            lo, hi = min(C.degrees()), max(C.degrees())
-            for n in range(lo, hi + 1):
-                H = cx.homology(C, n)
-                entry["homology"][str(n)] = mackey_to_json(H)
-        blocks.append(entry)
+        C = df.hkr_graded_piece(L, args.i, w)
+        H = {n: cx.homology(C, n) for n in C.degrees()}
+        nonzero = [n for n, h in H.items()
+                   if not (h.fixed.is_trivial() and h.underlying.is_trivial())]
+        degrees = range(min(nonzero), max(nonzero) + 1) if nonzero else ()
+        blocks.append({"weight": w,
+                       "homology": {str(n): mackey_to_json(H[n]) for n in degrees}})
     if args.format == "json":
-        out(json.dumps({"algebra": kind, "i": args.i, "blocks": blocks},
+        out(json.dumps({"algebra": label, "i": args.i, "blocks": blocks},
                        sort_keys=True, separators=(",", ":")))
     else:
-        out("gr^%d HR of the %s monogenic algebra" % (args.i, kind))
+        out("gr^%d HR of the %s algebra" % (args.i, label))
         for entry in blocks:
             out("weight %d:" % entry["weight"])
             if not entry["homology"]:

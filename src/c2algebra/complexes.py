@@ -317,13 +317,9 @@ def is_regular_slice_coconnective(C, n):
     degs = C.degrees()
     if not degs:
         return "passes-necessary-conditions"
-    hi = max(degs)
-    for k in range(n + 1, hi + 2):
-        if not homology(C, k).underlying.is_trivial():
-            return "fails"
-    fixed_bound = n // 2  # floor
-    for k in range(fixed_bound + 1, hi + 2):
-        if not homology(C, k).fixed.is_trivial():
+    for k in range(n + 1, max(degs) + 2):  # n <= 0, so n <= floor(n/2)
+        H = homology(C, k)
+        if not H.underlying.is_trivial() or (k > n // 2 and not H.fixed.is_trivial()):
             return "fails"
     return "passes-necessary-conditions"
 

@@ -11,6 +11,12 @@ involutive cochain complex: the differential raises degree and is
 sigma-antilinear, d(sigma m) = -sigma(d m).  sign_fix flips the involution
 on odd degrees, making the differential strictly equivariant; cohomology of
 an involutive complex is computed through sign_fix.
+
+When sigma permutes the generators up to sign, exterior_power builds
+Lambda^i L at one weight with its natural sigma.  It is the one builder of
+both the de Rham terms (sigma twisted by (-1)^i) and the graded pieces of
+real Hochschild homology, gr^i HR = Sigma^{i sigma} Lambda^i L
+(hkr_graded_piece, the involutive HKR identification).
 """
 
 from itertools import combinations
@@ -26,7 +32,6 @@ from .polyring import (
     integer_lift,
 )
 from .tambara import TambaraPresentation
-from .trace import hr_graded_pieces
 
 
 class DifferentialError(Exception):
@@ -356,7 +361,52 @@ def inv_cochain_cohomology(M, n, w=0):
 
 
 # ---------------------------------------------------------------------------
-# de Rham complexes
+# exterior powers and de Rham complexes
+
+def signed_permutation(L):
+    """sigma on the variables of a free cotangent module as a signed
+    permutation: perm[j] = (k, s) when sigma(v_j) = s v_k, s a unit, so
+    that sigma(dv_j) = s dv_k.  Relations, or a sigma that is not such a
+    permutation of variables of equal weights, raise NotSmoothPresentation."""
+    if not L.is_free():
+        raise NotSmoothPresentation("cotangent module has relations")
+    ring = L.presentation.free_ring
+    perm = []
+    for j, img in enumerate(L.presentation.sigma.images):
+        mono, c = next(iter(img.items())) if len(img) == 1 else ((), 0)
+        if sum(mono) != 1 or not ring.base.is_unit(c) \
+                or ring.weights[mono.index(1)] != ring.weights[j]:
+            raise NotSmoothPresentation(
+                "sigma(%s) = %s is not a signed permutation of the generators "
+                "of equal weight" % (ring.names[j], ring.poly_string(img)))
+        perm.append((mono.index(1), integer_lift(c)))
+    return perm
+
+
+def exterior_power(L, i, w):
+    """Lambda^i of a free cotangent module at weight w: the basis of pairs
+    (monomial m, increasing generator tuple S) standing for m dv_S, and the
+    matrix of the natural semilinear sigma on it (sigma must be a signed
+    permutation of the generators, see signed_permutation)."""
+    perm = signed_permutation(L)
+    A = L.algebra
+    P = L.presentation
+    gweights = P.free_ring.weights
+    basis = []
+    for S in combinations(range(P.free_ring.n), i) if i >= 0 else ():
+        sw = sum(gweights[k] for k in S)
+        if sw <= w:
+            basis.extend((m, S) for m in A.monomial_basis_weight(w - sw))
+    index = {b: k for k, b in enumerate(basis)}
+    sig = zeros(len(basis), len(basis))
+    for (m, S), k in index.items():
+        S2, sgn = _sort_wedge(tuple(perm[v][0] for v in S))
+        for v in S:
+            sgn *= perm[v][1]
+        for m2, c2 in P.sigma_quotient({m: A.base.one()}).items():
+            sig[index[(m2, S2)]][k] += sgn * integer_lift(c2)
+    return basis, sig
+
 
 def de_rham_complex(B, i_max, max_weight=8):
     """Involutive de Rham complex of a smooth presentation: terms are the
@@ -364,76 +414,26 @@ def de_rham_complex(B, i_max, max_weight=8):
     sigma on Omega^i is (-1)^i times the natural semilinear action (so the
     exterior derivative is sigma-antilinear)."""
     L = cotangent_module(B)
-    if not L.is_free():
-        raise NotSmoothPresentation("cotangent module has relations")
-    P = L.presentation
     A = L.algebra
-    nvars = P.free_ring.n
-    # sigma permutes the generators up to sign in the smooth cases we accept
-    perm = []
-    for i, img in enumerate(L.sigma_on_gens):
-        if len(img) != 1:
-            raise NotSmoothPresentation("sigma mixes cotangent generators")
-        (gname, coeff), = img.items()
-        c = A.normal_form(coeff)
-        if not _is_unit_const(A, c):
-            raise NotSmoothPresentation("sigma coefficient is not a unit")
-        (mono, cval), = c.items()
-        perm.append((L.gen_names.index(gname), integer_lift(cval)))
-    gweights = [P.free_ring.monomial_weight(
-        tuple(1 if k == i else 0 for k in range(nvars))) for i in range(nvars)]
-
+    nvars = L.presentation.free_ring.n
     dims, sigmas, diffs = {}, {}, {}
-    bases = {}
     for w in range(0, max_weight + 1):
-        for n in range(0, i_max + 1):
-            basis = []
-            for S in combinations(range(nvars), n):
-                sw = sum(gweights[i] for i in S)
-                if sw > w:
-                    continue
-                for m in A.monomial_basis_weight(w - sw):
-                    basis.append((m, S))
-            bases[(n, w)] = basis
+        powers = [exterior_power(L, n, w) for n in range(0, i_max + 1)]
+        for n, (basis, sig) in enumerate(powers):
             dims[(n, w)] = len(basis)
-    for w in range(0, max_weight + 1):
-        for n in range(0, i_max + 1):
-            basis = bases[(n, w)]
-            index = {b: k for k, b in enumerate(basis)}
-            d_mat = zeros(dims.get((n + 1, w), 0), len(basis))
-            if n + 1 <= i_max:
-                tgt_index = {b: k for k, b in enumerate(bases[(n + 1, w)])}
-                for (m, S), k in index.items():
-                    for j in range(nvars):
-                        if j in S:
-                            continue
-                        dm = partial_derivative(A, {m: A.base.one()}, j)
-                        if not dm:
-                            continue
-                        S2, sgn = _wedge_insert(S, j)
-                        for m2, c2 in dm.items():
-                            key = (m2, S2)
-                            if key in tgt_index:
-                                d_mat[tgt_index[key]][k] += sgn * integer_lift(c2)
-                diffs[(n, w)] = d_mat
-            sig = zeros(len(basis), len(basis))
-            twist = -1 if n % 2 else 1
-            for (m, S), k in index.items():
-                img_m = P.sigma_quotient({m: A.base.one()})
-                S2 = []
-                sgn = twist
-                for i in S:
-                    S2.append(perm[i][0])
-                    sgn *= perm[i][1]
-                S2_sorted, order_sign = _sort_wedge(tuple(S2))
-                if S2_sorted is None:
-                    continue
-                sgn *= order_sign
-                for m2, c2 in img_m.items():
-                    key = (m2, S2_sorted)
-                    if key in index:
-                        sig[index[key]][k] += sgn * integer_lift(c2)
-            sigmas[(n, w)] = sig
+            sigmas[(n, w)] = [[-x for x in row] for row in sig] if n % 2 else sig
+            if n == i_max:
+                continue
+            tgt_index = {b: k for k, b in enumerate(powers[n + 1][0])}
+            d_mat = zeros(len(tgt_index), len(basis))
+            for k, (m, S) in enumerate(basis):
+                for j in range(nvars):
+                    if j in S:
+                        continue
+                    S2, sgn = _wedge_insert(S, j)
+                    for m2, c2 in partial_derivative(A, {m: A.base.one()}, j).items():
+                        d_mat[tgt_index[(m2, S2)]][k] += sgn * integer_lift(c2)
+            diffs[(n, w)] = d_mat
     return InvolutiveCochainComplex(dims, sigmas, diffs, base=A.base).check()
 
 
@@ -444,6 +444,8 @@ def _wedge_insert(S, j):
 
 
 def _sort_wedge(S):
+    """S sorted increasingly and the sign of the sorting permutation; S has
+    no repeated entry (a permutation image of an increasing tuple)."""
     s = list(S)
     sign = 1
     for i in range(len(s)):
@@ -451,102 +453,19 @@ def _sort_wedge(S):
             if s[j] > s[j + 1]:
                 s[j], s[j + 1] = s[j + 1], s[j]
                 sign = -sign
-            elif s[j] == s[j + 1]:
-                return None, 0
     return tuple(s), sign
 
 
 # ---------------------------------------------------------------------------
-# the HKR comparison
+# the HKR graded pieces
 
-def lsym_weight_piece(kind, i, w, trunc=8):
-    """Weight block of LSym^sigma(Sigma^sigma L(1)) in chain-level form:
-    Sigma^{i sigma} applied to the i-th exterior power of the cotangent
-    module with its semilinear signs."""
-    from .tambara import free_involutive_free, free_involutive_trivial
-    base = BaseRing("Z")
-    if kind == "trivial":
-        T = free_involutive_trivial(base, ["x"], truncation=trunc)
-    elif kind == "free":
-        T = free_involutive_free(base, truncation=trunc)
-    else:
-        raise DifferentialError("unknown monogenic case %r" % kind)
-    L = cotangent_module(T)
-    piece = _exterior_power_piece(L, i, w)
-    if piece is None:
-        return cx.MackeyComplex({}, {})
-    return cx.suspend_sigma(cx.single(piece), i)
-
-
-def _exterior_power_piece(L, i, w):
-    """Lambda^i of the cotangent module, weight w, as a Mackey functor."""
-    A = L.algebra
-    P = L.presentation
-    nvars = P.free_ring.n
-    if i > nvars or w < i:
-        return None
-    gweights = [1] * nvars
-    basis = []
-    for S in combinations(range(nvars), i):
-        sw = sum(gweights[k] for k in S)
-        if sw > w:
-            continue
-        for m in A.monomial_basis_weight(w - sw):
-            basis.append((m, S))
+def hkr_graded_piece(L, i, w):
+    """gr^i of real Hochschild homology at weight w, through the involutive
+    HKR identification: Sigma^{i sigma} of Lambda^i L_w with its natural
+    sigma, for a free cotangent module L (an empty complex when Lambda^i L_w
+    is 0)."""
+    basis, sig = exterior_power(L, i, w)
     if not basis:
-        return None
-    index = {b: k for k, b in enumerate(basis)}
-    sig = zeros(len(basis), len(basis))
-    for (m, S), k in index.items():
-        img_m = P.sigma_quotient({m: A.base.one()})
-        # sigma(dv) is a signed generator in the free cases
-        S2 = []
-        sgn = 1
-        for v in S:
-            img = L.sigma_on_gens[v]
-            (gname, coeff), = img.items()
-            S2.append(L.gen_names.index(gname))
-            sgn *= integer_lift(A.normal_form(coeff)[(0,) * A.n])
-        S2_sorted, order_sign = _sort_wedge(tuple(S2))
-        if S2_sorted is None:
-            continue
-        sgn *= order_sign
-        for m2, c2 in img_m.items():
-            key = (m2, S2_sorted)
-            if key in index:
-                sig[index[key]][k] += sgn * integer_lift(c2)
+        return cx.MackeyComplex({}, {})
     G = FgAbGroup.free(len(basis))
-    return fixed_point_mackey(G, AbMap(G, G, sig))
-
-
-def check_hkr(kind, i_values=(0, 1, 2, 3, 4), weights=(0, 1, 2, 3, 4), trunc=8):
-    """Compare hr_graded_pieces against the de Rham side levelwise.
-
-    Returns a report: list of (i, weight, degree, bool); overall agreement
-    is all(entry[-1] for entry in report)."""
-    from .mackey import fingerprint
-    report = []
-    for i in i_values:
-        for w in weights:
-            lhs = hr_graded_pieces(kind, i, w, trunc)
-            rhs = lsym_weight_piece(kind, i, w, trunc)
-            degrees = set()
-            for C in (lhs, rhs):
-                if C.terms:
-                    degrees.update(range(min(C.degrees()), max(C.degrees()) + 1))
-            if not degrees:
-                report.append((i, w, None, True))
-                continue
-            for n in sorted(degrees):
-                hl = cx.homology(lhs, n) if lhs.terms else None
-                hr = cx.homology(rhs, n) if rhs.terms else None
-                fl = fingerprint(hl) if hl is not None else None
-                fr = fingerprint(hr) if hr is not None else None
-                if fl is None:
-                    ok = hr is None or all(g.is_trivial() for g in (hr.fixed, hr.underlying))
-                elif fr is None:
-                    ok = all(g.is_trivial() for g in (hl.fixed, hl.underlying))
-                else:
-                    ok = fl == fr
-                report.append((i, w, n, ok))
-    return report
+    return cx.suspend_sigma(cx.single(fixed_point_mackey(G, AbMap(G, G, sig))), i)

@@ -127,8 +127,11 @@ class BaseRing:
             return self.modulus % 2 == 1
         return False
 
+    def __str__(self):
+        return self.kind if self.kind != "Z/m" else "Z/%d" % self.modulus
+
     def __repr__(self):
-        return "BaseRing(%s)" % (self.kind if self.kind != "Z/m" else "Z/%d" % self.modulus)
+        return "BaseRing(%s)" % self
 
     def __eq__(self, other):
         return (isinstance(other, BaseRing) and self.kind == other.kind

@@ -14,7 +14,9 @@ of real Hochschild homology, and the dihedral splitting HC = HD + HD' of the
 cyclic homology of the (b, B)-bicomplex.
 
 Graded algebras are handled one internal weight at a time (exact per weight);
-finite-dimensional algebras in one block.
+finite-dimensional algebras in one block.  The graded pieces gr^i of real
+Hochschild homology come from the de Rham side,
+differentials.hkr_graded_piece; this complex is their oracle.
 """
 
 from fractions import Fraction
@@ -22,7 +24,6 @@ from functools import cached_property
 
 from .abelian import (
     AbMap,
-    FgAbGroup,
     Homology,
     chain_group,
     identity,
@@ -31,10 +32,7 @@ from .abelian import (
     trivial_group,
     zeros,
 )
-from . import complexes as cx
-from .mackey import induced
 from .polyring import BaseRing, PolyRing, RingInvolution, TwoNotInvertible, integer_lift
-from .tambara import free_involutive_free, free_involutive_trivial, mackey_piece
 
 
 class TraceError(Exception):
@@ -521,93 +519,3 @@ def cyclic_class_eigenvalue(n):
     if n % 2:
         raise ValueError("ground-field cyclic classes live in even degrees")
     return -1 if (n // 2) % 2 else 1
-
-
-# ---------------------------------------------------------------------------
-# graded pieces of genuine HR via the norm resolutions
-
-def hr_graded_pieces(kind, i, weight, trunc=8):
-    """The weight block of gr^i HR for the two monogenic cases over Z.
-
-    kind "trivial" (or a free_involutive_trivial presentation on one
-    generator): gr^0 = the algebra, gr^1 = Sigma^sigma(the algebra),
-    0 otherwise.
-    kind "free" (or a free_involutive_free presentation):
-        gr^0 = the algebra, gr^1 = Sigma^1(algebra (x) C2),
-        gr^2 = Sigma^{sigma + 1}(algebra), 0 otherwise.
-
-    Products with the resolution differentials vanish after base change
-    along the augmentation, so each graded piece is the stated suspension
-    with zero differential; the suspensions are built through
-    complexes.suspend_sigma / shift.
-    """
-    kind = _monogenic_kind_of(kind)
-    if kind == "trivial":
-        T = free_involutive_trivial(BaseRing("Z"), ["x"], truncation=trunc)
-        if weight > trunc or weight < 0:
-            return cx.MackeyComplex({}, {})
-        if i == 0:
-            return cx.single(mackey_piece(T, weight))
-        if i == 1:
-            if weight < 1:
-                return cx.MackeyComplex({}, {})
-            piece = mackey_piece(T, weight - 1)
-            return cx.suspend_sigma(cx.single(piece), 1)
-        return cx.MackeyComplex({}, {})
-    if kind == "free":
-        T = free_involutive_free(BaseRing("Z"), truncation=trunc)
-        if weight > trunc or weight < 0:
-            return cx.MackeyComplex({}, {})
-        if i == 0:
-            return cx.single(mackey_piece(T, weight))
-        if i == 1:
-            if weight < 1:
-                return cx.MackeyComplex({}, {})
-            rank = len(T.ring.monomial_basis_weight(weight - 1))
-            return cx.single(induced(FgAbGroup.free(rank)), 1)
-        if i == 2:
-            if weight < 2:
-                return cx.MackeyComplex({}, {})
-            piece = mackey_piece(T, weight - 2)
-            return cx.suspend_sigma(cx.single(piece).shift(1), 1)
-        return cx.MackeyComplex({}, {})
-    raise UnsupportedAlgebra("hr_graded_pieces supports the two monogenic cases")
-
-
-def _monogenic_kind_of(B):
-    if isinstance(B, str):
-        return B
-    ring = getattr(B, "ring", None)
-    if ring is not None and not ring.rules:
-        names = list(ring.names)
-        sig = B.sigma
-        if len(names) == 1 and ring.equal(sig.images[0], ring.var(0)):
-            return "trivial"
-        if len(names) == 2 and ring.equal(sig.images[0], ring.var(1)) \
-                and ring.equal(sig.images[1], ring.var(0)):
-            return "free"
-    raise UnsupportedAlgebra("expected k[x^triv] or k[x, x_s]")
-
-
-def hr_underlying_dims_from_graded(kind, weight, degrees, trunc=8):
-    """Sum over i of the underlying homology ranks of gr^i in each degree."""
-    out = {n: 0 for n in degrees}
-    for i in range(0, 3):
-        C = hr_graded_pieces(kind, i, weight, trunc)
-        if not C.terms:
-            continue
-        for n in degrees:
-            out[n] += cx.homology(C, n).underlying.rank()
-    return out
-
-
-def bar_algebra_for(kind):
-    base = BaseRing("Z")
-    if kind == "trivial":
-        ring = PolyRing(base, ["x"])
-        return InvolutiveAlgebra(base, ring, RingInvolution.identity(ring), "k[x]")
-    if kind == "free":
-        ring = PolyRing(base, ["x", "x_s"])
-        om = RingInvolution(ring, [ring.var(1), ring.var(0)])
-        return InvolutiveAlgebra(base, ring, om, "k[x, x_s]")
-    raise UnsupportedAlgebra(kind)

@@ -11,7 +11,10 @@ from c2algebra.cli import (
     run,
 )
 from c2algebra.complexes import homology
+from c2algebra.differentials import cotangent_module, hkr_graded_piece
 from c2algebra.mackey import box, burnside, fingerprint, zbar, zbar_c2, zsign
+from c2algebra.polyring import BaseRing
+from c2algebra.tambara import free_involutive_free
 from c2algebra import trace as tr
 
 
@@ -64,7 +67,8 @@ def test_parse_rejects_unknown_fields():
 
 def test_mackey_roundtrip():
     for M in (zbar(), zsign(), zbar_c2(), burnside(), box(zbar(), zbar()),
-              homology(tr.hr_graded_pieces("free", 2, 4), 2)):
+              homology(hkr_graded_piece(cotangent_module(free_involutive_free(BaseRing("Z"))),
+                                        2, 4), 2)):
         data = mackey_to_json(M)
         M2 = parse_mackey(json.loads(json.dumps(data)))
         assert fingerprint(M2) == fingerprint(M)
@@ -254,6 +258,28 @@ def test_hr_gr_command():
     assert block["homology"]["0"]["fixed"] == [2]
 
 
+def test_hr_gr_refuses_a_base_other_than_z(capsys):
+    # Mackey homology is taken over Z; over Q, Z[1/2] and Z/3 the answer
+    # over Z used to be printed
+    for base in ("Q", "Z[1/2]", "Z/3"):
+        algebra = KX_JSON.replace('"Z"', '"%s"' % base)
+        code, out = run_cli(["hr-gr", "--algebra", algebra, "--i", "1", "--weight", "2"])
+        assert (code, out) == (1, ""), base
+        assert base in capsys.readouterr().err, base
+
+
+def test_hr_gr_weights_past_the_truncation_and_weighted_generators():
+    # gr^0 of k[x] is k[x] at every weight, not only up to the truncation 8
+    assert run_cli(["hr-gr", "--algebra", KX_JSON, "--i", "0", "--weight", "9"]) == (
+        0, "gr^0 HR of the trivial algebra\nweight 9:\n  H_0: Z / Z\n")
+    # x of weight 2: k[x] is 0 at weight 1 and Z x at weight 2
+    weighted = KX_JSON[:-1] + ', "weights": {"x": 2}}'
+    assert run_cli(["hr-gr", "--algebra", weighted, "--i", "0", "--weight", "1"]) == (
+        0, "gr^0 HR of the trivial algebra\nweight 1:\n  0\n")
+    assert run_cli(["hr-gr", "--algebra", weighted, "--i", "0", "--weight", "2"]) == (
+        0, "gr^0 HR of the trivial algebra\nweight 2:\n  H_0: Z / Z\n")
+
+
 ZBAR_C2_JSON = ('{"fixed": [0], "underlying": [0, 0], "res": [[1], [1]], '
                 '"tr": [[1, 1]], "sigma": [[0, 1], [1, 0]]}')
 BURNSIDE_JSON = ('{"fixed": [0, 0], "underlying": [0], "res": [[1, 2]], '
@@ -344,6 +370,18 @@ def test_derham_sigma_scaled_by_a_unit():
     code, out = table("3*x")
     assert code == 0
     assert (code, out) == table("x")
+
+
+def test_derham_and_hr_gr_refuse_sigma_that_is_not_a_signed_permutation():
+    # sigma(x) = 1 - x is an involution but moves the weight, and so does a
+    # swap of generators of weights 1 and 2: both used to print a table
+    affine = KX_JSON.replace('"sigma": "x"', '"sigma": "1 - x"')
+    uneven = KXXS_JSON[:-1] + ', "weights": {"x_s": 2}}'
+    for algebra in (affine, uneven):
+        assert run_cli(["derham", "--algebra", algebra, "--imax", "1",
+                        "--maxweight", "2"]) == (1, ""), algebra
+        assert run_cli(["hr-gr", "--algebra", algebra, "--i", "1",
+                        "--weight", "2"]) == (1, ""), algebra
 
 
 HYPER_Z_JSON = ('{"base": "Z", "gens": [{"name": "x", "sigma": "x"}, '

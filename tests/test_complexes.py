@@ -206,6 +206,20 @@ def test_coconnectivity():
     assert is_regular_slice_coconnective(C, -1) == "passes-necessary-conditions"
 
 
+def test_coconnectivity_computes_each_homology_once(monkeypatch):
+    # degrees n + 1 .. 1 of S^{-6 sigma} at n = -6: one homology per degree
+    calls = []
+
+    def counted(C, k):
+        calls.append(k)
+        return homology(C, k)
+
+    monkeypatch.setattr(complexes, "homology", counted)
+    assert is_regular_slice_coconnective(sign_sphere(-6), -6) == \
+        "passes-necessary-conditions"
+    assert calls == list(range(-5, 2))
+
+
 def test_phi_complex_consistency():
     # chain-level Phi commutes with homology on these free-term complexes
     C = sign_sphere(1)

@@ -1,15 +1,18 @@
 """Dihedral bar complex: operator identities, HH with the +/- splitting,
-cyclic/dihedral homology, and the graded pieces of genuine HR."""
+cyclic/dihedral homology, and the graded pieces of real Hochschild homology
+against bar-complex HH."""
 
+from c2algebra.differentials import cotangent_module, hkr_graded_piece
 from c2algebra.polyring import BaseRing, PolyRing, RingInvolution, TwoNotInvertible
+from c2algebra.tambara import free_involutive_free, free_involutive_trivial
 from c2algebra.trace import (
     InvolutiveAlgebra,
     TruncationTooSmall,
     algebra_gaussian,
     algebra_ground,
+    algebra_poly,
     algebra_q_dual_numbers,
     algebra_q_poly,
-    bar_algebra_for,
     cyclic_class_eigenvalue,
     dihedral_homology,
     hh_dimension,
@@ -18,14 +21,35 @@ from c2algebra.trace import (
     hh_plus_minus_dimensions,
     hochschild_complex,
     hr_fixed_points,
-    hr_graded_pieces,
     hr_underlying,
-    hr_underlying_dims_from_graded,
 )
 from c2algebra.complexes import homology as cx_homology
 from c2algebra.mackey import isomorphic, zbar, zsign
 
 import pytest
+
+
+Z = BaseRing("Z")
+K_X = algebra_poly(Z, ["x"])                                          # k[x]
+K_X_XS = algebra_poly(Z, ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}])   # k[x, x_s]
+COTANGENT = {"trivial": cotangent_module(free_involutive_trivial(Z, ["x"])),
+             "free": cotangent_module(free_involutive_free(Z))}
+
+
+def hr_graded_pieces(kind, i, w):
+    """gr^i HR of k[x] ("trivial") or k[x, x_s] ("free") at weight w."""
+    return hkr_graded_piece(COTANGENT[kind], i, w)
+
+
+def hr_underlying_dims_from_graded(kind, weight, degrees):
+    """Sum over i of the underlying homology ranks of gr^i in each degree."""
+    out = {n: 0 for n in degrees}
+    for i in range(0, 3):
+        C = hr_graded_pieces(kind, i, weight)
+        for n in degrees:
+            if n in C.terms:
+                out[n] += cx_homology(C, n).underlying.rank()
+    return out
 
 
 def test_truncation_guard():
@@ -159,7 +183,7 @@ def test_hr_requires_two_invertible():
 
 
 def test_hr_underlying_integral():
-    A = bar_algebra_for("trivial")
+    A = K_X
     assert hr_underlying(A, 0, weight=2).invariant_factors() == (0,)
     assert hr_underlying(A, 1, weight=2).invariant_factors() == (0,)
 
@@ -167,7 +191,7 @@ def test_hr_underlying_integral():
 def test_hh_two_variable_closed_form():
     # HH of k[x, x_s] is the exterior algebra on dx, dx_s over k[x, x_s]:
     # per weight w, dims are (w + 1, 2w, w - 1, 0, ...)
-    A = bar_algebra_for("free")
+    A = K_X_XS
     for w in range(0, 5):
         assert hh_group(A, 0, weight=w).rank() == w + 1, w
         assert hh_group(A, 1, weight=w).rank() == 2 * w, w
@@ -214,7 +238,7 @@ def test_cyclic_homology_polynomial():
 
 
 def test_dihedral_requires_two_invertible():
-    A = bar_algebra_for("trivial")
+    A = K_X
     with pytest.raises(TwoNotInvertible):
         dihedral_homology(A, 2, weight=1)
 
@@ -222,13 +246,11 @@ def test_dihedral_requires_two_invertible():
 # -- graded pieces of HR -------------------------------------------------------
 
 def test_hr_graded_pieces_accepts_presentations():
-    from c2algebra.tambara import free_involutive_free, free_involutive_trivial
-    from c2algebra.polyring import BaseRing
     T = free_involutive_trivial(BaseRing("Z"), ["x"])
-    C = hr_graded_pieces(T, 0, 2)
+    C = hkr_graded_piece(cotangent_module(T), 0, 2)
     assert isomorphic(cx_homology(C, 0), zbar())
     F = free_involutive_free(BaseRing("Z"))
-    C2 = hr_graded_pieces(F, 1, 1)
+    C2 = hkr_graded_piece(cotangent_module(F), 1, 1)
     assert cx_homology(C2, 1).underlying.rank() == 2
 
 
@@ -249,7 +271,7 @@ def test_hr_graded_pieces_trivial_case():
 
 def test_hr_graded_pieces_underlying_hkr_trivial():
     # underlying homology summed over i = bar-complex HH of k[x], degreewise
-    A = bar_algebra_for("trivial")
+    A = K_X
     for w in range(0, 5):
         got = hr_underlying_dims_from_graded("trivial", w, range(0, 5))
         for n in range(0, 5):
@@ -257,7 +279,7 @@ def test_hr_graded_pieces_underlying_hkr_trivial():
 
 
 def test_hr_graded_pieces_underlying_hkr_free():
-    A = bar_algebra_for("free")
+    A = K_X_XS
     for w in range(0, 5):
         got = hr_underlying_dims_from_graded("free", w, range(0, 5))
         for n in range(0, 5):
