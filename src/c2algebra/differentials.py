@@ -6,11 +6,17 @@ sigma-stable relations) has a cotangent module
     L = coker( A{dr per relation} -> A{dv per generator} )
 
 with the universal derivation acting by Leibniz expansion and sigma acting
-semilinearly (sigma(dv) = d(sigma v)).  The associated de Rham complex is an
-involutive cochain complex: the differential raises degree and is
-sigma-antilinear, d(sigma m) = -sigma(d m).  sign_fix flips the involution
-on odd degrees, making the differential strictly equivariant; cohomology of
-an involutive complex is computed through sign_fix.
+semilinearly (sigma(dv) = d(sigma v)).  presentation_of is the one route
+from a parsed algebra to such a presentation: a rule-free algebra presents
+itself, y^2 = f(x) with y -> -y is hyperelliptic_presentation.  For a ring
+with involution the fixed-point Tambara functor is always cohomological
+(N(res x) = x sigma(x) = x^2), so nothing here needs Tambara data.
+
+The associated de Rham complex is an involutive cochain complex: the
+differential raises degree and is sigma-antilinear, d(sigma m) =
+-sigma(d m).  sign_fix flips the involution on odd degrees, making the
+differential strictly equivariant; cohomology of an involutive complex is
+computed through sign_fix.
 
 When sigma permutes the generators up to sign, exterior_power builds
 Lambda^i L at one weight with its natural sigma.  It is the one builder of
@@ -24,21 +30,10 @@ from itertools import combinations
 from .abelian import AbMap, FgAbGroup, Homology, chain_group, identity, mat_mul, zeros
 from . import complexes as cx
 from .mackey import fixed_point_mackey
-from .polyring import (
-    BaseRing,
-    PolyRing,
-    RingInvolution,
-    UnsupportedPresentation,
-    integer_lift,
-)
-from .tambara import TambaraPresentation
+from .polyring import BaseRing, PolyRing, RingInvolution, integer_lift
 
 
 class DifferentialError(Exception):
-    pass
-
-
-class NotCohomological(DifferentialError):
     pass
 
 
@@ -77,29 +72,7 @@ class InvolutivePresentation:
 
     def project(self, poly):
         """Image of a free-ring polynomial in the quotient."""
-        out = self.quotient.zero_poly()
-        for mono, c in poly.items():
-            term = self.quotient.const(c)
-            for i, e in enumerate(mono):
-                for _ in range(e):
-                    term = self.quotient.mul(term, self.to_quotient[i])
-            out = self.quotient.add(out, term)
-        return self.quotient.normal_form(out)
-
-    @classmethod
-    def from_tambara(cls, T):
-        """Free involutive algebras (no ring rules) as presentations."""
-        from .tambara import is_cohomological
-        if T.mode != "subring" or not is_cohomological(T):
-            raise NotCohomological("cotangent module needs a cohomological presentation")
-        if T.ring.rules:
-            raise UnsupportedPresentation(
-                "wrap ruled rings in an explicit InvolutivePresentation")
-        ring = T.ring
-        free = PolyRing(ring.base, list(ring.names), weights=list(ring.weights))
-        sigma = RingInvolution(free, [dict(img) for img in T.sigma.images])
-        ident = [free.var(i) for i in range(free.n)]
-        return cls(free, sigma, [], free, ident, sigma, name=T.name)
+        return self.quotient.apply_map(poly, self.to_quotient)
 
 
 def partial_derivative(ring, poly, j):
@@ -198,56 +171,6 @@ class CotangentPresentation:
                 "(%s)%s" % (A.poly_string(c), g) for g, c in sorted(img.items())) or "0"
         return out
 
-    def mackey_piece(self, w):
-        """Weight-w piece of L as a Mackey functor (graded presentations,
-        integral structure constants): underlying = monomial x generator
-        span modulo relation multiples, fixed = sigma-invariants."""
-        A = self.algebra
-        P = self.presentation
-        gw = [P.free_ring.monomial_weight(
-            tuple(1 if k == i else 0 for k in range(P.free_ring.n)))
-            for i in range(P.free_ring.n)]
-        basis = []
-        for i, name in enumerate(self.gen_names):
-            need = w - gw[i]
-            if need < 0:
-                continue
-            for m in A.monomial_basis_weight(need):
-                basis.append((m, i))
-        index = {b: k for k, b in enumerate(basis)}
-        n = len(basis)
-        rels = []
-        for rname, img in self.relation_images:
-            # weight of the relation: uniform for homogeneous presentations
-            for mw in range(0, w + 1):
-                for m in A.monomial_basis_weight(mw):
-                    row = [0] * n
-                    hit = False
-                    for g, c in img.items():
-                        i = self.gen_names.index(g)
-                        prod = A.mul({m: A.base.one()}, c)
-                        for m2, c2 in prod.items():
-                            key = (m2, i)
-                            if key in index:
-                                row[index[key]] += integer_lift(c2)
-                                hit = True
-                    if hit and any(row):
-                        rels.append(row)
-        sig = zeros(n, n)
-        for (m, i), k in index.items():
-            img_m = P.sigma_quotient({m: A.base.one()})
-            for g, c in self.sigma_on_gens[i].items():
-                j = self.gen_names.index(g)
-                prod = A.mul(img_m, c)
-                for m2, c2 in prod.items():
-                    key = (m2, j)
-                    if key in index:
-                        sig[index[key]][k] += integer_lift(c2)
-        G = FgAbGroup(n, rels)
-        # fixed level = invariants: reuse the fixed-point construction when
-        # the piece is relation-free, else quotient then invariants
-        return fixed_point_mackey(G, AbMap(G, G, sig))
-
 
 def _is_unit_const(A, poly):
     if len(poly) != 1:
@@ -261,11 +184,9 @@ def _unit_inverse(A, poly):
     return A.const(A.base.inverse(c))
 
 
-def cotangent_module(B):
-    """Cotangent module of a TambaraPresentation or InvolutivePresentation."""
-    if isinstance(B, TambaraPresentation):
-        B = InvolutivePresentation.from_tambara(B)
-    return CotangentPresentation(B)
+def cotangent_module(P):
+    """Cotangent module of an InvolutivePresentation."""
+    return CotangentPresentation(P)
 
 
 def hyperelliptic_presentation(f_coeffs, base=BaseRing("Q")):
@@ -287,6 +208,29 @@ def hyperelliptic_presentation(f_coeffs, base=BaseRing("Q")):
     sigma_q = RingInvolution(quotient, [quotient.neg(quotient.var(0)), quotient.var(1)])
     return InvolutivePresentation(free, sigma, [("z", r_z), ("w", r_w)],
                                   quotient, to_q, sigma_q, name="hyperelliptic")
+
+
+def presentation_of(A):
+    """The InvolutivePresentation of a parsed algebra A (ring, omega, base):
+    a rule-free algebra is its own free presentation, y^2 = f(x) with
+    y -> -y and x -> x is hyperelliptic_presentation; anything else raises
+    DifferentialError."""
+    ring = A.ring
+    if not ring.rules:
+        ident = [ring.var(i) for i in range(ring.n)]
+        return InvolutivePresentation(ring, A.omega, [], ring, ident, A.omega)
+    if ring.n == 2 and len(ring.rules) == 1:
+        (iy, (p, repl)), = ring.rules.items()
+        ix = 1 - iy
+        if p == 2 and ring.equal(A.omega.images[iy], ring.neg(ring.var(iy))) and \
+                ring.equal(A.omega.images[ix], ring.var(ix)) and \
+                all(m[iy] == 0 for m in repl):
+            coeffs = [0] * (max((m[ix] for m in repl), default=0) + 1)
+            for m, c in repl.items():
+                coeffs[m[ix]] = c
+            return hyperelliptic_presentation(coeffs, A.base)
+    raise DifferentialError("cotangent supports free involutive presentations and "
+                            "hyperelliptic quotients")
 
 
 # ---------------------------------------------------------------------------

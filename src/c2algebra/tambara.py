@@ -180,16 +180,11 @@ def _validate_table(T):
     return None
 
 
-def is_cohomological(T, revalidate=True):
+def is_cohomological(T):
     """N(res x) = x^2 for all fixed-level generators.
 
-    The generator check suffices by multiplicativity and the sum rule;
-    those are re-verified (on the sampled monomials) unless revalidate is
-    switched off."""
-    if revalidate:
-        v = validate_tambara(T, sample_weight=2)
-        if v is not None:
-            raise TambaraError("presentation is not a Tambara functor: %r" % v)
+    Assumes validate_tambara(T) is None: the generator check suffices by
+    multiplicativity and the sum rule, which that validation samples."""
     if T.mode == "table":
         tab = T.table
         # generators 1 = (1,0) and t = (0,1)
@@ -400,22 +395,19 @@ def mackey_piece(T, w):
 
 
 class GradedGreenFunctor:
-    """Weightwise Mackey pieces with multiplication data and a Koszul flag.
+    """Weightwise Mackey pieces with multiplication data.
 
-    When koszul_flag is set, norm entries obey n(a) = -n(sigma a) in odd
-    weights; assert_koszul_norm_rule checks the convention through res.
+    Norm entries obey n(a) = -n(sigma a) in odd weights (the Koszul sign);
+    assert_koszul_norm_rule checks the convention through res.
     """
 
-    def __init__(self, pieces, norm_table=None, koszul_flag=False):
+    def __init__(self, pieces, norm_table=None):
         self.pieces = dict(pieces)
         self.norm_table = norm_table or {}
-        self.koszul_flag = koszul_flag
 
     def assert_koszul_norm_rule(self):
         """Every odd-weight norm entry satisfies the twisted Weyl rule:
         res of the sigma-companion is minus the Koszul swap of res n(v)."""
-        if not self.koszul_flag:
-            return True
         for w2, entries in self.norm_table.items():
             for e in entries:
                 if e.weight % 2 == 0:
@@ -441,7 +433,7 @@ def _diag_swap(vec, entry):
     return out
 
 
-def graded_green_from_norm(B, koszul_flag=True):
+def graded_green_from_norm(B):
     from .complexes import graded_norm
     N = graded_norm(B)
-    return GradedGreenFunctor(N.pieces, N.norm_table, koszul_flag)
+    return GradedGreenFunctor(N.pieces, N.norm_table)

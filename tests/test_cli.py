@@ -11,10 +11,9 @@ from c2algebra.cli import (
     run,
 )
 from c2algebra.complexes import homology
-from c2algebra.differentials import cotangent_module, hkr_graded_piece
+from c2algebra.differentials import cotangent_module, hkr_graded_piece, presentation_of
 from c2algebra.mackey import box, burnside, fingerprint, zbar, zbar_c2, zsign
 from c2algebra.polyring import BaseRing
-from c2algebra.tambara import free_involutive_free
 from c2algebra import trace as tr
 
 
@@ -67,8 +66,8 @@ def test_parse_rejects_unknown_fields():
 
 def test_mackey_roundtrip():
     for M in (zbar(), zsign(), zbar_c2(), burnside(), box(zbar(), zbar()),
-              homology(hkr_graded_piece(cotangent_module(free_involutive_free(BaseRing("Z"))),
-                                        2, 4), 2)):
+              homology(hkr_graded_piece(cotangent_module(presentation_of(tr.algebra_poly(
+                  BaseRing("Z"), ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}]))), 2, 4), 2)):
         data = mackey_to_json(M)
         M2 = parse_mackey(json.loads(json.dumps(data)))
         assert fingerprint(M2) == fingerprint(M)
@@ -332,6 +331,32 @@ def test_cotangent_command_free():
     assert data["sigma"]["dx"] == "(1)dx_s"
 
 
+def test_one_route_from_an_algebra_to_its_cotangent_module(monkeypatch):
+    """cotangent, derham and hr-gr build no Tambara presentation and check
+    no Tambara axiom; tambara-free checks its presentation once."""
+    from c2algebra import tambara as tb
+    calls = {"validate_tambara": 0, "TambaraPresentation": 0}
+    validate, init = tb.validate_tambara, tb.TambaraPresentation.__init__
+
+    def counted_validate(*args, **kwargs):
+        calls["validate_tambara"] += 1
+        return validate(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        calls["TambaraPresentation"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tb, "validate_tambara", counted_validate)
+    monkeypatch.setattr(tb.TambaraPresentation, "__init__", counted_init)
+    for argv in (["cotangent", "--algebra", KXXS_JSON],
+                 ["derham", "--algebra", KXXS_JSON],
+                 ["hr-gr", "--algebra", KXXS_JSON, "--i", "1", "--weight", "3"]):
+        assert run_cli(argv)[0] == 0, argv
+        assert calls == {"validate_tambara": 0, "TambaraPresentation": 0}, argv
+    assert run_cli(["tambara-free", "--kind", "free"])[0] == 0
+    assert calls == {"validate_tambara": 1, "TambaraPresentation": 1}
+
+
 def test_derham_command():
     code, out = run_cli(["derham", "--algebra", QX_JSON, "--imax", "1",
                          "--maxweight", "3", "--format", "json"])
@@ -483,6 +508,30 @@ def test_exit_code_2_on_bad_json():
                          '{"kind": "complex", "terms": {"0": ["Zbar"], "00": ["ZbarC2"]}}'):
         argv = ["slice-check", "--n", "0", "--complex", complex_json]
         assert run_cli(argv)[0] == 2, complex_json
+    # malformed algebras: fields of the wrong JSON type, weights that are not
+    # integers >= 1 or that name no generator, unknown generator fields
+    x = '{"name": "x", "sigma": "x"}'
+    for algebra_json in ('{"base": "Q", "gens": [%s], "weights": {"x": "abc"}}' % x,
+                         '{"base": "Q", "gens": [%s], "weights": [1]}' % x,
+                         '{"base": "Q", "gens": [%s], "weights": {"x": 1.5}}' % x,
+                         '{"base": "Q", "gens": [%s], "weights": {"x": true}}' % x,
+                         '{"base": "Q", "gens": [%s], "weights": {"x": 0}}' % x,
+                         '{"base": "Q", "gens": [%s], "weights": {"y": 2}}' % x,
+                         '{"base": "Q", "gens": [{"name": 1}]}',
+                         '{"base": "Q", "gens": [{"name": "1"}]}',
+                         '{"base": "Q", "gens": [{"name": "x", "sigma": 3}]}',
+                         '{"base": "Q", "gens": [{"name": "x", "sgima": "x"}]}',
+                         '{"base": "Q", "gens": [%s], "rels": [3]}' % x,
+                         '{"base": "Q", "gens": [%s], "rels": "x^2"}' % x,
+                         '{"base": "Q", "gens": {"x": "x"}}',
+                         '{"base": 5, "gens": []}',
+                         '{"base": null, "gens": []}',
+                         '{"base": "Q", "gens": [%s], "rels": null}' % x):
+        argv = ["hh", "--algebra", algebra_json, "--weight", "2"]
+        assert run_cli(argv)[0] == 2, algebra_json
+    # a zero weight is refused when the algebra is parsed, by every command
+    assert run_cli(["cotangent", "--algebra",
+                    KX_JSON[:-1] + ', "weights": {"x": 0}}'])[0] == 2
 
 
 def test_render_zero_functor():

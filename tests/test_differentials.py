@@ -4,28 +4,31 @@ against the bar complex for signed permutations of up to three variables."""
 
 from c2algebra.polyring import BaseRing, parse_poly
 from c2algebra.tambara import (
-    burnside_tambara,
     free_involutive_free,
     free_involutive_trivial,
     mackey_piece,
 )
-from c2algebra.abelian import FgAbGroup
-from c2algebra.cli import _involutive_presentation_of, mackey_to_json, parse_input
+from c2algebra.abelian import AbMap, FgAbGroup
+from c2algebra.cli import mackey_to_json, parse_input
 from c2algebra import complexes as cx
 from c2algebra.complexes import homology
 from c2algebra.differentials import (
+    DifferentialError,
     InvolutiveCochainComplex,
-    NotCohomological,
     NotSmoothPresentation,
     cotangent_module,
     de_rham_complex,
+    exterior_power,
     hkr_graded_piece,
     hyperelliptic_presentation,
     inv_cochain_cohomology,
+    presentation_of,
     sign_fix,
 )
-from c2algebra.mackey import fingerprint, induced, isomorphic, zbar, zbar_c2, is_valid
-from c2algebra.trace import hochschild_chains, hochschild_complex, split_plus_minus
+from c2algebra.mackey import (
+    fingerprint, fixed_point_mackey, induced, isomorphic, zbar, zbar_c2, is_valid)
+from c2algebra.trace import (
+    algebra_poly, hochschild_chains, hochschild_complex, split_plus_minus)
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -34,35 +37,61 @@ from hypothesis import assume, given, settings, strategies as st
 Z = BaseRing("Z")
 
 
+def k_x(base=Z, names=("x",)):
+    """k[names] with the trivial involution, as a presentation."""
+    return presentation_of(algebra_poly(base, list(names)))
+
+
+def k_x_xs(base=Z):
+    """k[x, x_s] with the swap, as a presentation."""
+    return presentation_of(algebra_poly(base, ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}]))
+
+
+def cotangent_piece(L, w):
+    """L_w as a Mackey functor: the fixed points of Lambda^1 L at weight w."""
+    basis, sig = exterior_power(L, 1, w)
+    G = FgAbGroup.free(len(basis))
+    return fixed_point_mackey(G, AbMap(G, G, sig))
+
+
 def test_cotangent_trivial_generator():
     # L(k[x]) = (k[x], k[x]{dx})
-    T = free_involutive_trivial(Z, ["x"])
-    L = cotangent_module(T)
+    L = cotangent_module(k_x())
     assert L.gen_names == ["dx"]
     assert L.is_free()
     # sigma(dx) = dx
     assert L.sigma_on_gens[0] == {"dx": L.algebra.one_poly()}
     for w in range(1, 4):
-        piece = L.mackey_piece(w)
+        piece = cotangent_piece(L, w)
         assert is_valid(piece)
         assert isomorphic(piece, zbar()), w
 
 
 def test_cotangent_free_orbit():
     # L(k[x, x_s]) = (k[x, x_s], k[x, x_s] (x) C2 {dx, dx_s})
-    T = free_involutive_free(Z)
-    L = cotangent_module(T)
+    L = cotangent_module(k_x_xs())
     assert L.gen_names == ["dx", "dx_s"]
     assert L.is_free()
     assert L.sigma_on_gens[0] == {"dx_s": L.algebra.one_poly()}
     assert L.sigma_on_gens[1] == {"dx": L.algebra.one_poly()}
-    piece = L.mackey_piece(1)
+    piece = cotangent_piece(L, 1)
     assert isomorphic(piece, zbar_c2())
 
 
-def test_cotangent_needs_cohomological():
-    with pytest.raises(NotCohomological):
-        cotangent_module(burnside_tambara())
+def test_presentation_of_a_parsed_algebra():
+    # a rule-free algebra is its own free presentation
+    A = algebra_poly(Z, ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}])
+    P = presentation_of(A)
+    assert P.free_ring is A.ring and P.quotient is A.ring and P.relations == []
+    assert P.to_quotient == [A.ring.var(0), A.ring.var(1)]
+    # y^2 = x^3 + 1 with y -> -y is the hyperelliptic presentation
+    H = parse_input({"base": "Q", "gens": [{"name": "x"}, {"name": "y", "sigma": "-y"}],
+                     "rels": ["y^2 - x^3 - 1"]})
+    assert [name for name, _ in presentation_of(H).relations] == ["z", "w"]
+    # other quotients have no presentation here
+    with pytest.raises(DifferentialError):
+        presentation_of(parse_input({"base": "Q", "gens": [{"name": "x"}],
+                                     "rels": ["x^3"]}))
 
 
 def test_hyperelliptic_cotangent():
@@ -132,8 +161,7 @@ def test_hyperelliptic_fixed_level_facts():
 # -- de Rham -------------------------------------------------------------------
 
 def test_de_rham_trivial_generator():
-    T = free_involutive_trivial(Z, ["x"])
-    M = de_rham_complex(T, 1, max_weight=6)
+    M = de_rham_complex(k_x(), 1, max_weight=6)
     M.check()
     # Omega^0 weight w: one monomial; Omega^1 weight w: x^{w-1} dx
     for w in range(0, 5):
@@ -144,8 +172,7 @@ def test_de_rham_trivial_generator():
 
 
 def test_de_rham_constant():
-    T = free_involutive_trivial(Z, [])
-    M = de_rham_complex(T, 3, max_weight=2)
+    M = de_rham_complex(k_x(names=()), 3, max_weight=2)
     for i in range(1, 4):
         for w in range(0, 3):
             assert M.dim(i, w) == 0
@@ -153,13 +180,11 @@ def test_de_rham_constant():
 
 def test_de_rham_underlying_is_classical():
     # Leibniz rule d(x^w) = w x^{w-1} dx, degreewise
-    T = free_involutive_trivial(Z, ["x"])
-    M = de_rham_complex(T, 1, max_weight=6)
+    M = de_rham_complex(k_x(), 1, max_weight=6)
     for w in range(1, 6):
         assert M.diffs[(0, w)] == [[w]]
     # two variables: matches the classical de Rham complex of k[x, x_s]
-    F = free_involutive_free(Z)
-    N = de_rham_complex(F, 2, max_weight=4)
+    N = de_rham_complex(k_x_xs(), 2, max_weight=4)
     N.check()
     # d on weight 1: dx, dx_s both hit with coefficient 1
     assert N.dim(0, 1) == 2 and N.dim(1, 1) == 2
@@ -167,8 +192,7 @@ def test_de_rham_underlying_is_classical():
 
 
 def test_sign_fix_involution_of_conventions():
-    T = free_involutive_trivial(Z, ["x"])
-    M = de_rham_complex(T, 1, max_weight=4)
+    M = de_rham_complex(k_x(), 1, max_weight=4)
     F = sign_fix(M)
     F.check()
     FF = sign_fix(F)
@@ -178,8 +202,7 @@ def test_sign_fix_involution_of_conventions():
 
 
 def test_sign_fix_flips_only_odd_degrees():
-    F = free_involutive_free(Z)
-    M = de_rham_complex(F, 2, max_weight=3)
+    M = de_rham_complex(k_x_xs(), 2, max_weight=3)
     G = sign_fix(M)
     for (n, w), s in M.sigmas.items():
         if n % 2:
@@ -191,15 +214,14 @@ def test_sign_fix_flips_only_odd_degrees():
 def test_sign_fix_equivariance_through_degree_8():
     # d sigma = sigma d on every monomial block up to weight 8 (check() on
     # the sign-fixed complex asserts the identity matrixwise per block)
-    for T in (free_involutive_trivial(Z, ["x"]), free_involutive_free(Z)):
-        M = de_rham_complex(T, 2, max_weight=8)
+    for P in (k_x(), k_x_xs()):
+        M = de_rham_complex(P, 2, max_weight=8)
         sign_fix(M).check()
 
 
 def test_inv_cochain_cohomology_poincare():
     # de Rham of Q[x]: H^0 = Q, H^1 = 0 (per weight: only weight 0 survives)
-    T = free_involutive_trivial(BaseRing("Q"), ["x"])
-    M = de_rham_complex(T, 1, max_weight=5)
+    M = de_rham_complex(k_x(BaseRing("Q")), 1, max_weight=5)
     H0, _ = inv_cochain_cohomology(M, 0, w=0)
     assert H0.invariant_factors() == (0,)
     for w in range(1, 5):
@@ -210,8 +232,7 @@ def test_inv_cochain_cohomology_poincare():
 
 def test_inv_cochain_cohomology_two_variables():
     # de Rham of Q[x, x_s]: H^0 = Q, H^1 = H^2 = 0
-    F = free_involutive_free(BaseRing("Q"))
-    M = de_rham_complex(F, 2, max_weight=4)
+    M = de_rham_complex(k_x_xs(BaseRing("Q")), 2, max_weight=4)
     H0, _ = inv_cochain_cohomology(M, 0, w=0)
     assert H0.invariant_factors() == (0,)
     for w in range(1, 4):
@@ -281,8 +302,7 @@ def closed_form_graded_pieces(kind, i, weight, trunc=8):
 
 
 def monogenic_cotangent(kind):
-    T = free_involutive_trivial(Z, ["x"]) if kind == "trivial" else free_involutive_free(Z)
-    return cotangent_module(T)
+    return cotangent_module(k_x() if kind == "trivial" else k_x_xs())
 
 
 def check_hkr(kind, i_values=(0, 1, 2, 3, 4), weights=(0, 1, 2, 3, 4), trunc=8):
@@ -383,7 +403,7 @@ def assert_hkr_two_oracles(gens, w, degrees=range(0, 4)):
     names = [n for n, _ in gens]
     A = {b: parse_input({"base": b, "gens": [{"name": n, "sigma": s} for n, s in gens]})
          for b in ("Z", "Z[1/2]")}
-    L = cotangent_module(_involutive_presentation_of(A["Z"]))
+    L = cotangent_module(presentation_of(A["Z"]))
     underlying = {n: 0 for n in degrees}
     fixed = {n: 0 for n in degrees}
     for i in range(0, len(names) + 1):

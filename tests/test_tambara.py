@@ -201,10 +201,10 @@ def test_mackey_piece_shapes():
 
 def test_graded_green_koszul_rule():
     B = {1: (2, [[0, 1], [1, 0]])}
-    G = graded_green_from_norm(B, koszul_flag=True)
+    G = graded_green_from_norm(B)
     assert G.assert_koszul_norm_rule()
     B2 = {1: (1, [[1]]), 3: (1, [[-1]])}
-    G2 = graded_green_from_norm(B2, koszul_flag=True)
+    G2 = graded_green_from_norm(B2)
     assert G2.assert_koszul_norm_rule()
 
 

@@ -2,9 +2,8 @@
 cyclic/dihedral homology, and the graded pieces of real Hochschild homology
 against bar-complex HH."""
 
-from c2algebra.differentials import cotangent_module, hkr_graded_piece
+from c2algebra.differentials import cotangent_module, hkr_graded_piece, presentation_of
 from c2algebra.polyring import BaseRing, PolyRing, RingInvolution, TwoNotInvertible
-from c2algebra.tambara import free_involutive_free, free_involutive_trivial
 from c2algebra.trace import (
     InvolutiveAlgebra,
     TruncationTooSmall,
@@ -32,8 +31,8 @@ import pytest
 Z = BaseRing("Z")
 K_X = algebra_poly(Z, ["x"])                                          # k[x]
 K_X_XS = algebra_poly(Z, ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}])   # k[x, x_s]
-COTANGENT = {"trivial": cotangent_module(free_involutive_trivial(Z, ["x"])),
-             "free": cotangent_module(free_involutive_free(Z))}
+COTANGENT = {"trivial": cotangent_module(presentation_of(K_X)),
+             "free": cotangent_module(presentation_of(K_X_XS))}
 
 
 def hr_graded_pieces(kind, i, w):
@@ -246,11 +245,9 @@ def test_dihedral_requires_two_invertible():
 # -- graded pieces of HR -------------------------------------------------------
 
 def test_hr_graded_pieces_accepts_presentations():
-    T = free_involutive_trivial(BaseRing("Z"), ["x"])
-    C = hkr_graded_piece(cotangent_module(T), 0, 2)
+    C = hkr_graded_piece(cotangent_module(presentation_of(K_X)), 0, 2)
     assert isomorphic(cx_homology(C, 0), zbar())
-    F = free_involutive_free(BaseRing("Z"))
-    C2 = hkr_graded_piece(cotangent_module(F), 1, 1)
+    C2 = hkr_graded_piece(cotangent_module(presentation_of(K_X_XS)), 1, 1)
     assert cx_homology(C2, 1).underlying.rank() == 2
 
 
