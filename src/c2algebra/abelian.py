@@ -294,7 +294,15 @@ def _solve_columns(A, bs, ncols):
 
 
 def hermite_normal_form(A):
-    """Row Hermite normal form (nonnegative pivots, zero rows dropped)."""
+    """A row echelon basis of the row lattice of A: nonnegative pivots, zero
+    rows dropped, entries above each pivot reduced once, from the last pivot
+    to the first.  A later step can push an entry back out of [0, pivot), so
+    this is not the canonical Hermite form: two bases of one lattice can give
+    different rows.
+
+    >>> hermite_normal_form([[-3, 4, -4], [-1, -4, 2], [2, 2, 5]])
+    [[1, 0, -10], [0, 2, 25], [0, 0, 42]]
+    """
     rows = [list(r) for r in A if any(r)]
     if not rows:
         return []
@@ -352,8 +360,10 @@ def hermite_normal_form(A):
 class FgAbGroup:
     """Finitely generated abelian group Z^n / rowspan(relations).
 
-    relations: iterable of length-n integer rows.  The Hermite normal form
-    of the relations is the canonical stored presentation.
+    relations: iterable of length-n integer rows, stored as the echelon
+    basis hermite_normal_form gives.  That basis is not canonical, so two
+    generating sets of one subgroup can store different relations; groups
+    compare by their invariant factors.
 
     The group is factored once: U R V = D is the Smith form of the relations
     R, orders[i] = d_i (zero-padded to n entries), and V^T v are the
@@ -675,6 +685,20 @@ def _localize(G, base):
                                              zip(G.canonical_basis(), kept) if k])
 
 
+def free_rank(G, base=None):
+    """Number of free rank-1 summands of G as a module over the base (None
+    means Z): invariant factors m over Z/m, 0 over every other base.  It is
+    not additive over Z/m (Z/2 + Z/3 = Z/6 over Z/6), so a direct sum is
+    formed first and counted once.
+
+    >>> from c2algebra.polyring import BaseRing
+    >>> free_rank(FgAbGroup.from_invariants([2, 3]), BaseRing.parse("Z/6"))
+    1
+    """
+    m = _modulus(base)
+    return sum(1 for d in G.invariant_factors() if d == m)
+
+
 class Homology:
     """ker(d_out) / im(d_in) over a base ring (None means Z).
 
@@ -710,8 +734,7 @@ class Homology:
     def rank(self):
         """Number of free rank-1 summands over the base: the dimension over a
         field."""
-        m = _modulus(self.base)
-        return sum(1 for d in self.group.invariant_factors() if d == m)
+        return free_rank(self.group, self.base)
 
     def induced(self, phi, target):
         """H(phi): self.group -> target.group for a chain map phi from this

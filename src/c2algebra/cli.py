@@ -531,9 +531,9 @@ def cmd_hh(args, out):
     weight = args.weight
     if not A.is_finite_dimensional() and weight is None:
         raise DomainError("graded algebra: pass --weight")
-    chains = tr.hochschild_chains(tr.DihedralComplex(A, args.nmax + 1, weight))
-    rows = [{"n": n, "hh": group_to_json(chains.homology(n).group)}
-            for n in range(0, args.nmax + 1)]
+    degrees = range(0, args.nmax + 1)
+    groups = tr.hh_groups(tr.hochschild_blocks(A, args.nmax + 1, weight), degrees)
+    rows = [{"n": n, "hh": group_to_json(G)} for n, G in zip(degrees, groups)]
     if args.format == "json":
         out(json.dumps({"weight": weight, "rows": rows}, sort_keys=True,
                        separators=(",", ":")))

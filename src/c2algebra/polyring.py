@@ -322,14 +322,24 @@ class PolyRing:
         return self.is_zero(self.sub(a, b))
 
     def apply_map(self, poly, images):
-        """Ring map fixing the base, v_i -> images[i] (polys in this ring)."""
+        """Ring map fixing the base, v_i -> images[i] (polys in this ring).
+        Each monomial's image is the product of powers of the images, and
+        each power is computed once per call."""
+        powers = [[self.one_poly(), img] for img in images]
+
+        def power(i, e):
+            table = powers[i]
+            while len(table) <= e:
+                table.append(self.mul(table[-1], images[i]))
+            return table[e]
+
         out = {}
         for mono, coeff in poly.items():
-            term = self.const(coeff)
+            term = None
             for i, e in enumerate(mono):
-                for _ in range(e):
-                    term = self.mul(term, images[i])
-            out = self.add(out, term)
+                if e:
+                    term = power(i, e) if term is None else self.mul(term, power(i, e))
+            out = self.add(out, self.const(coeff) if term is None else self.scale(coeff, term))
         return out
 
     # -- bases ---------------------------------------------------------------

@@ -13,19 +13,33 @@ the complex splits along w into C+ and C-, giving HH^{+/-}, the fixed points
 of real Hochschild homology, and the dihedral splitting HC = HD + HD' of the
 cyclic homology of the (b, B)-bicomplex.
 
-Graded algebras are handled one internal weight at a time (exact per weight);
-finite-dimensional algebras in one block.  The graded pieces gr^i of real
-Hochschild homology come from the de Rham side,
-differentials.hkr_graded_piece; this complex is their oracle.
+Graded algebras are handled one internal weight at a time (exact per
+weight), finite-dimensional algebras as a whole, and both are cut further
+into blocks by the finest grading the presentation has.  When every rule is
+a monomial relation x_i^p = 0 and sigma is a signed permutation of the
+variables, sigma(x_i) = u x_pi(i) with u a unit, b and B preserve the
+exponent vector of a tensor (the sum over its slots) and w carries the block
+of e onto the block of pi(e): hochschild_blocks builds one DihedralComplex
+per sigma-orbit of exponent vectors.  A paired orbit, e != pi(e), has two
+blocks with isomorphic homology and a swapped w, so it counts its block
+twice in HH and HC, once in each of HH^+ and HH^-, and once in each of HD
+and HD'; only a self-conjugate block is split along w.  Any other
+presentation has one block, the weight block or the whole finite complex.
+The graded pieces gr^i of real Hochschild homology come from the de Rham
+side, differentials.hkr_graded_piece; this complex is their oracle.
 """
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
+from operator import add, le
 
 from .abelian import (
     AbMap,
+    FgAbGroup,
     Homology,
     chain_group,
+    free_rank,
     identity,
     is_zero_matrix,
     mat_mul,
@@ -121,31 +135,98 @@ def _require_homogeneous(algebra):
                 % (ring.names[i], ring.poly_string(img)))
 
 
+def _check_request(algebra, n_max, weight):
+    if n_max < 1:
+        raise TruncationTooSmall("need n_max >= 1")
+    if weight is None and not algebra.is_finite_dimensional():
+        raise UnsupportedAlgebra("graded algebra needs a weight block")
+    if weight is not None:
+        _require_homogeneous(algebra)
+
+
+def _require_two_invertible(base):
+    if not base.two_invertible:
+        raise TwoNotInvertible("2 is not invertible in the base")
+
+
+def _variable_permutation(algebra):
+    """pi with sigma(x_i) = u x_pi(i) when every rule is a monomial relation
+    x_i^p = 0 and sigma is a signed permutation of the variables (u is a unit
+    because sigma is an involution); None otherwise, when the only block key
+    is constant."""
+    ring = algebra.ring
+    if any(repl for _p, repl in ring.rules.values()):
+        return None
+    perm = []
+    for img in algebra.omega.images:
+        mono = next(iter(img)) if len(img) == 1 else ()
+        if sum(mono) != 1:
+            return None
+        perm.append(mono.index(1))
+    return perm
+
+
+def _permuted(perm, e):
+    """The exponent vector of sigma(x^e): x_i^e_i goes to x_pi(i)^e_i."""
+    out = [0] * len(e)
+    for i, k in enumerate(perm):
+        out[k] = e[i]
+    return tuple(out)
+
+
+def _block_keys(algebra, n_max, weight):
+    """The exponent vectors (of weight `weight`, if given) of the tensors in
+    degrees 0..n_max, in sorted order."""
+    ring = algebra.ring
+    if weight is None:
+        monos = ring.monomial_basis_all()
+    else:
+        monos = [m for w in range(weight + 1) for m in ring.monomial_basis_weight(w)]
+    reduced = [m for m in monos if any(m)]
+    layer = set(monos)
+    keys = set(layer)
+    for _ in range(n_max):
+        layer = {e for a in layer for m in reduced for e in [tuple(map(add, a, m))]
+                 if weight is None or ring.monomial_weight(e) <= weight}
+        keys |= layer
+    return sorted(e for e in keys if weight is None or ring.monomial_weight(e) == weight)
+
+
 # ---------------------------------------------------------------------------
 # the dihedral complex
 
 class DihedralComplex:
-    """Normalized Hochschild chains of one weight block (or the whole finite
-    complex), with b, omega and B as integer matrices.  The bases and b are
-    built here; omega and B are built on first read.  A weight block needs a
-    graded presentation: a rule or sigma-image that is not homogeneous
-    raises UnsupportedAlgebra."""
+    """Normalized Hochschild chains of one block, with b, omega and B as
+    integer matrices.  The bases and b are built here; omega and B are built
+    on first read.
 
-    def __init__(self, algebra, n_max, weight=None):
-        if n_max < 1:
-            raise TruncationTooSmall("need n_max >= 1")
+    block=None is the whole weight block, or the whole finite complex when
+    weight is None.  A block key, an exponent vector (of weight `weight`, if
+    given), keeps only the tensors whose slots sum to it; it needs monomial
+    rules and a signed-permutation sigma, see hochschild_blocks.  The block
+    is paired when sigma moves its key: omega then leaves the block, and
+    reading it raises TraceError.  A weight needs a graded presentation: a
+    rule or sigma-image that is not homogeneous raises UnsupportedAlgebra."""
+
+    def __init__(self, algebra, n_max, weight=None, block=None):
+        _check_request(algebra, n_max, weight)
         self.algebra = algebra
         self.n_max = n_max
         self.weight = weight
-        ring = algebra.ring
-        if weight is None and not algebra.is_finite_dimensional():
-            raise UnsupportedAlgebra("graded algebra needs a weight block")
-        if weight is not None:
-            _require_homogeneous(algebra)
+        self.block = block
+        self.paired = False
+        if block is not None:
+            perm = _variable_permutation(algebra)
+            if perm is None:
+                raise TraceError("%r has no exponent-vector blocks" % algebra)
+            if weight is not None and algebra.ring.monomial_weight(block) != weight:
+                raise TraceError("block %r is not of weight %d" % (block, weight))
+            self.paired = _permuted(perm, block) != block
         self.bases = {}
         self.index = {}
+        slots = self._slot_monomials()
         for n in range(0, n_max + 1):
-            basis = self._basis(n)
+            basis = self._basis(n, slots)
             self.bases[n] = basis
             self.index[n] = {t: i for i, t in enumerate(basis)}
         self.b = {n: self._b_matrix(n) for n in range(1, n_max + 1)}
@@ -160,40 +241,42 @@ class DihedralComplex:
 
     # -- bases ---------------------------------------------------------------
 
-    def _slot_monomials(self, reduced, budget=None):
+    def _slot_monomials(self):
+        """The basis monomials a slot can hold: all of them for the whole
+        finite complex, else a list per weight 0..top (dividing the block's
+        monomial, for a block)."""
         ring = self.algebra.ring
-        if self.weight is None:
-            monos = ring.monomial_basis_all()
-            unit = (0,) * ring.n
-            return [m for m in monos if not (reduced and m == unit)]
-        out = []
-        top = budget if budget is not None else self.weight
-        lo = 1 if reduced else 0
-        for w in range(lo, top + 1):
-            out.extend(ring.monomial_basis_weight(w))
-        return out
+        if self.weight is None and self.block is None:
+            return ring.monomial_basis_all()
+        if self.block is None:
+            return [ring.monomial_basis_weight(w) for w in range(self.weight + 1)]
+        return [[m for m in ring.monomial_basis_weight(w) if all(map(le, m, self.block))]
+                for w in range(ring.monomial_weight(self.block) + 1)]
 
-    def _basis(self, n):
-        ring = self.algebra.ring
+    def _basis(self, n, slots):
+        """The tensors a0 (x) ... (x) an of basis monomials, a1..an != 1, in
+        this block."""
+        if self.weight is None and self.block is None:
+            reduced = [m for m in slots if any(m)]
+            return list(product(slots, *[reduced] * n))
         out = []
 
-        def rec(i, rem, acc):
+        def rec(i, rem, left, acc):
+            # rem: weight still to place; left: exponents still to place
             if i == n + 1:
-                if self.weight is None or rem == 0:
+                if rem == 0:
                     out.append(tuple(acc))
                 return
-            reduced = i >= 1
-            if self.weight is None:
-                for m in self._slot_monomials(reduced):
-                    rec(i + 1, rem, acc + [m])
-            else:
-                lo = 1 if reduced else 0
-                # leave at least 1 per remaining reduced slot
-                remaining = n - i
-                for w in range(lo, rem - remaining + 1):
-                    for m in ring.monomial_basis_weight(w):
-                        rec(i + 1, rem - w, acc + [m])
-        rec(0, self.weight if self.weight is not None else 0, [])
+            # leave at least 1 per remaining reduced slot
+            for w in range(1 if i else 0, rem - (n - i) + 1):
+                for m in slots[w]:
+                    if left is None:
+                        rec(i + 1, rem - w, None, acc + [m])
+                        continue
+                    rest = tuple(a - b for a, b in zip(left, m))
+                    if min(rest, default=0) >= 0:
+                        rec(i + 1, rem - w, rest, acc + [m])
+        rec(0, len(slots) - 1, self.block, [])
         return out
 
     def dim(self, n):
@@ -214,7 +297,9 @@ class DihedralComplex:
                 t = tuple(acc)
                 key = self.index[n].get(t)
                 if key is None:
-                    return
+                    raise TraceError(
+                        "the tensor %r is not in the degree-%d basis of %r, weight %s, block %s"
+                        % (t, n, self.algebra, self.weight, self.block))
                 out[key] += c
                 return
             poly = slots_polys[i]
@@ -307,8 +392,7 @@ class DihedralComplex:
 
     def idempotent_is_idempotent(self):
         """e = (1 + w)/2 squares to itself (needs 2 invertible)."""
-        if not self.algebra.base.two_invertible:
-            raise TwoNotInvertible("2 is not invertible in the base")
+        _require_two_invertible(self.algebra.base)
         for n in range(0, self.n_max + 1):
             d = self.dim(n)
             e = [[Fraction(self.omega[n][i][j] + (1 if i == j else 0), 2)
@@ -326,6 +410,30 @@ def _mono(ring, m):
 
 def hochschild_complex(A, n_max, weight=None):
     return DihedralComplex(A, n_max, weight)
+
+
+def hochschild_blocks(A, n_max, weight=None):
+    """One DihedralComplex per sigma-orbit of block keys: the orbit's first
+    key in sorted order, flagged paired when sigma moves it.  With monomial
+    rules and a signed-permutation sigma the keys are the exponent vectors
+    of the tensors in degrees <= n_max; otherwise the one block is the whole
+    weight block (or finite complex)."""
+    _check_request(A, n_max, weight)
+    perm = _variable_permutation(A)
+    if perm is None:
+        return [DihedralComplex(A, n_max, weight)]
+    blocks, seen = [], set()
+    for e in _block_keys(A, n_max, weight):
+        if e not in seen:
+            seen.update((e, _permuted(perm, e)))
+            blocks.append(DihedralComplex(A, n_max, weight, block=e))
+    return blocks
+
+
+def _direct_sum(parts):
+    """The direct sum of (group, multiplicity) pairs, presented diagonally
+    by its invariant factors."""
+    return FgAbGroup.from_invariants([d for G, k in parts for d in G.invariant_factors() * k])
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +477,26 @@ def _kernel(f, base):
     return Homology(AbMap.zero_map(trivial_group(), f.source), f, base)
 
 
+def hh_groups(blocks, degrees):
+    """HH_n for each n in degrees, from the blocks of hochschild_blocks: the
+    direct sum of the blocks' homology, a paired block counted twice."""
+    chains = [(C, hochschild_chains(C), 2 if C.paired else 1) for C in blocks]
+    return [_direct_sum([(ch.homology(n).group, k) for C, ch, k in chains if C.dim(n)])
+            for n in degrees]
+
+
 def hh_group(A, n, weight=None):
     """HH_n over the base ring of A (integral structure constants).
 
     The result is an FgAbGroup, whose ``.rank()`` counts Z summands only:
     over Z/m it is 0 and the dimension sits in the Z/m summands.  Use
     ``hh_dimension`` for the free rank over the base."""
-    return hochschild_chains(hochschild_complex(A, n + 1, weight)).homology(n).group
+    return hh_groups(hochschild_blocks(A, n + 1, weight), [n])[0]
 
 
 def hh_dimension(A, n, weight=None):
     """dim_k HH_n: the free rank over the base."""
-    return hochschild_chains(hochschild_complex(A, n + 1, weight)).homology(n).rank()
+    return free_rank(hh_group(A, n, weight), A.base)
 
 
 def hr_underlying(A, n, weight=None):
@@ -405,29 +521,32 @@ def _eigen_subcomplex(C, invol, sign):
 
 
 def split_plus_minus(C):
-    """(C+, C-) : the omega-eigenvalue subcomplexes of the Hochschild complex."""
-    if not C.algebra.base.two_invertible:
-        raise TwoNotInvertible("2 is not invertible in the base")
+    """(C+, C-): the omega-eigenvalue subcomplexes of the Hochschild chains
+    of C's sigma-orbit.  For a paired block omega swaps C with its partner,
+    so each eigen part is a copy of C's chains and omega is not built."""
+    _require_two_invertible(C.algebra.base)
     chains = hochschild_chains(C)
+    if C.paired:
+        return chains, chains
     return _eigen_subcomplex(chains, C.omega, 1), _eigen_subcomplex(chains, C.omega, -1)
 
 
 def hh_plus_minus_dimensions(A, n, weight=None):
     """(dim HH_n^+, dim HH_n^-)."""
-    C = hochschild_complex(A, n + 1, weight)
-    plus, minus = split_plus_minus(C)
-    return plus.homology(n).rank(), minus.homology(n).rank()
+    _require_two_invertible(A.base)
+    parts = [split_plus_minus(C) for C in hochschild_blocks(A, n + 1, weight)]
+    return tuple(free_rank(_direct_sum([(P[s].homology(n).group, 1) for P in parts]), A.base)
+                 for s in (0, 1))
 
 
 def hr_fixed_points(A, n, weight=None):
     """pi_n of HR^{C2} when 2 is invertible: HH_n^+(A^e/k)."""
-    if not A.base.two_invertible:
-        raise TwoNotInvertible("2 is not invertible in the base")
     return hh_plus_minus_dimensions(A, n, weight)[0]
 
 
 def hh_omega_fixed_dimension(A, n, weight=None):
-    """Independent route: dim of the +1 eigenspace of omega acting on HH_n."""
+    """Independent route: dim of the +1 eigenspace of omega acting on HH_n,
+    on the whole weight block."""
     C = hochschild_complex(A, n + 1, weight)
     H = hochschild_chains(C).homology(n)
     Cn = H.cycles.target
@@ -445,16 +564,14 @@ class DihedralHomology:
         self.hd_prime = hd_prime
 
 
-def dihedral_homology(A, n_max, weight=None):
-    """HC, HD, HD' of the (b, B)-bicomplex truncated at n_max columns.
-
-    Returns per-degree dimensions (free ranks over the base) for
-    0 <= n <= n_max.  The bicomplex involution acts by (-1)^i omega on
-    column i; HD is its +1 part.
-    """
-    if not A.base.two_invertible:
-        raise TwoNotInvertible("2 is not invertible in the base")
-    C = hochschild_complex(A, n_max + 1, weight)
+def _bicomplex_homology(C, n_max):
+    """(HC, HD, HD') of the (b, B)-bicomplex of one block, truncated at
+    n_max columns: for each degree 0..n_max a (group, multiplicity) pair, the
+    block's share of the direct sum over all blocks.  The bicomplex
+    involution acts by (-1)^i omega on column i; HD is its +1 part.  A
+    paired orbit's total complex is two copies of C's swapped by the
+    involution, so each eigen part is one copy and omega is not built."""
+    base = C.algebra.base
     # total complex T_n = sum over columns i of C_{n - 2i}
     layout = {}
     dims = {}
@@ -487,6 +604,10 @@ def dihedral_homology(A, n_max, weight=None):
                     for c in range(C.dim(q)):
                         M[t_off + r][src_off + c] += Bm[r][c]
         mats[n] = M
+    T = BlockComplex.from_matrices(dims, mats, base)
+    hc = [T.homology(n).group for n in range(0, n_max + 1)]
+    if C.paired:
+        return [(H, 2) for H in hc], [(H, 1) for H in hc], [(H, 1) for H in hc]
     invol = {}
     for n in range(0, n_max + 2):
         M = zeros(dims[n], dims[n])
@@ -498,18 +619,30 @@ def dihedral_homology(A, n_max, weight=None):
                 for c in range(C.dim(q)):
                     M[off + r][off + c] = sgn * om[r][c]
         invol[n] = M
-    T = BlockComplex.from_matrices(dims, mats, A.base)
     # sanity: the involution commutes with the total differential (compared
     # in the chain groups, so mod m over Z/m)
     for n, d in T.diffs.items():
         lhs = AbMap(d.source, d.target, mat_mul(invol[n - 1], d.matrix))
         if not lhs.equals(AbMap(d.source, d.target, mat_mul(d.matrix, invol[n]))):
             raise TraceError("bicomplex involution does not commute with b + B")
-    hc = [T.homology(n).rank() for n in range(0, n_max + 1)]
     plus = _eigen_subcomplex(T, invol, 1)
     minus = _eigen_subcomplex(T, invol, -1)
-    hd = [plus.homology(n).rank() for n in range(0, n_max + 1)]
-    hdp = [minus.homology(n).rank() for n in range(0, n_max + 1)]
+    return ([(H, 1) for H in hc],
+            [(plus.homology(n).group, 1) for n in range(0, n_max + 1)],
+            [(minus.homology(n).group, 1) for n in range(0, n_max + 1)])
+
+
+def dihedral_homology(A, n_max, weight=None):
+    """HC, HD, HD' of the (b, B)-bicomplex truncated at n_max columns.
+
+    Returns per-degree dimensions (free ranks over the base) for
+    0 <= n <= n_max, each the free rank of the direct sum over the blocks
+    of hochschild_blocks.
+    """
+    _require_two_invertible(A.base)
+    parts = [_bicomplex_homology(C, n_max) for C in hochschild_blocks(A, n_max + 1, weight)]
+    hc, hd, hdp = ([free_rank(_direct_sum([p[s][n] for p in parts]), A.base)
+                    for n in range(0, n_max + 1)] for s in range(3))
     return DihedralHomology(hc, hd, hdp)
 
 

@@ -150,6 +150,35 @@ def test_hermite_normal_form():
     assert solve_integer(transpose(H), [1, 2], len(H)) is not None
 
 
+def _same_row_lattice(A, H):
+    """Every row of A is an integer combination of the rows of H, and back."""
+    ncols = len(A[0])
+    return all(solve_integer(transpose(H) or [[]] * ncols, r, len(H)) is not None for r in A) \
+        and all(solve_integer(transpose(A), r, len(A)) is not None for r in H)
+
+
+def _is_row_echelon(H):
+    pivots = [next(j for j, x in enumerate(r) if x) for r in H]
+    return pivots == sorted(set(pivots)) and all(r[j] > 0 for r, j in zip(H, pivots))
+
+
+def test_hnf_spans_the_row_lattice_of_a_fixed_case():
+    # entries above the pivot 42 stay outside [0, 42): the echelon basis is
+    # not the canonical Hermite form
+    A = [[-3, 4, -4], [-1, -4, 2], [2, 2, 5]]
+    H = hermite_normal_form(A)
+    assert H == [[1, 0, -10], [0, 2, 25], [0, 0, 42]]
+    assert _is_row_echelon(H) and _same_row_lattice(A, H)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=1, max_size=4)))
+def test_hnf_spans_the_row_lattice(A):
+    H = hermite_normal_form(A)
+    assert _is_row_echelon(H) and _same_row_lattice(A, H)
+
+
 # -- groups -----------------------------------------------------------------
 
 def test_invariant_factors():

@@ -171,6 +171,26 @@ def test_hh_builds_one_complex_without_omega_or_B(monkeypatch):
     assert len(builds) == 1 and not lazy
 
 
+def test_hh_builds_one_complex_per_sigma_orbit_of_blocks(monkeypatch):
+    # Q[x, x_s] at weight 5 has 6 exponent vectors, paired by sigma into 3
+    # orbits; omega and B are never built
+    builds, lazy = [], []
+    init = tr.DihedralComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(kwargs.get("block"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(tr.DihedralComplex, "__init__", counting_init)
+    monkeypatch.setattr(tr.DihedralComplex, "_omega_matrix", lambda self, n: lazy.append(n))
+    monkeypatch.setattr(tr.DihedralComplex, "_B_matrix", lambda self, n: lazy.append(n))
+    algebra = KXXS_JSON.replace('"Z"', '"Q"')
+    code, out = run_cli(["hh", "--algebra", algebra, "--weight", "5", "--nmax", "3"])
+    assert code == 0 and out.splitlines()[:3] == ["HH_0 = " + " + ".join(["Z"] * 6),
+                                                  "HH_1 = " + " + ".join(["Z"] * 10),
+                                                  "HH_2 = " + " + ".join(["Z"] * 4)]
+    assert builds == [(0, 5), (1, 4), (2, 3)] and not lazy
+
+
 def _hh_rows(algebra, *opts):
     code, out = run_cli(["hh", "--algebra", algebra, "--format", "json", *opts])
     assert code == 0

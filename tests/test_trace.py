@@ -2,11 +2,16 @@
 cyclic/dihedral homology, and the graded pieces of real Hochschild homology
 against bar-complex HH."""
 
+from c2algebra.abelian import AbMap, mat_mul, zeros
 from c2algebra.differentials import cotangent_module, hkr_graded_piece, presentation_of
 from c2algebra.polyring import BaseRing, PolyRing, RingInvolution, TwoNotInvertible
 from c2algebra.trace import (
+    BlockComplex,
+    DihedralHomology,
     InvolutiveAlgebra,
+    TraceError,
     TruncationTooSmall,
+    _eigen_subcomplex,
     algebra_gaussian,
     algebra_ground,
     algebra_poly,
@@ -16,8 +21,11 @@ from c2algebra.trace import (
     dihedral_homology,
     hh_dimension,
     hh_group,
+    hh_groups,
     hh_omega_fixed_dimension,
     hh_plus_minus_dimensions,
+    hochschild_blocks,
+    hochschild_chains,
     hochschild_complex,
     hr_fixed_points,
     hr_underlying,
@@ -26,6 +34,7 @@ from c2algebra.complexes import homology as cx_homology
 from c2algebra.mackey import isomorphic, zbar, zsign
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 
 Z = BaseRing("Z")
@@ -295,3 +304,175 @@ def test_hr_graded_pieces_free_shapes():
         g1 = hr_graded_pieces("free", 1, w)
         H1 = cx_homology(g1, 1)
         assert H1.underlying.rank() == 2 * w, w
+
+
+# -- blocks against the whole weight block -------------------------------------
+#
+# The whole-weight routes as they stood before the exponent-vector blocks,
+# kept verbatim as the reference: one DihedralComplex per weight, one SNF per
+# degree, the eigen-split on every chain group.
+
+def plain_hh_group(A, n, weight=None):
+    return hochschild_chains(hochschild_complex(A, n + 1, weight)).homology(n).group
+
+
+def plain_split_plus_minus(C):
+    if not C.algebra.base.two_invertible:
+        raise TwoNotInvertible("2 is not invertible in the base")
+    chains = hochschild_chains(C)
+    return _eigen_subcomplex(chains, C.omega, 1), _eigen_subcomplex(chains, C.omega, -1)
+
+
+def plain_hh_plus_minus_dimensions(A, n, weight=None):
+    C = hochschild_complex(A, n + 1, weight)
+    plus, minus = plain_split_plus_minus(C)
+    return plus.homology(n).rank(), minus.homology(n).rank()
+
+
+def plain_dihedral_homology(A, n_max, weight=None):
+    if not A.base.two_invertible:
+        raise TwoNotInvertible("2 is not invertible in the base")
+    C = hochschild_complex(A, n_max + 1, weight)
+    # total complex T_n = sum over columns i of C_{n - 2i}
+    layout = {}
+    dims = {}
+    for n in range(0, n_max + 2):
+        cols = [(i, n - 2 * i) for i in range(0, n_max + 1) if 0 <= n - 2 * i <= C.n_max]
+        layout[n] = cols
+        dims[n] = sum(C.dim(q) for _, q in cols)
+    offs = {}
+    for n, cols in layout.items():
+        off = 0
+        offs[n] = {}
+        for key in cols:
+            offs[n][key] = off
+            off += C.dim(key[1])
+    mats = {}
+    for n in range(1, n_max + 2):
+        M = zeros(dims[n - 1], dims[n])
+        for (i, q) in layout[n]:
+            src_off = offs[n][(i, q)]
+            if (i, q - 1) in offs[n - 1] and q >= 1:
+                b = C.b[q]
+                t_off = offs[n - 1][(i, q - 1)]
+                for r in range(C.dim(q - 1)):
+                    for c in range(C.dim(q)):
+                        M[t_off + r][src_off + c] += b[r][c]
+            if (i - 1, q + 1) in offs[n - 1] and q <= C.n_max - 1:
+                Bm = C.B[q]
+                t_off = offs[n - 1][(i - 1, q + 1)]
+                for r in range(C.dim(q + 1)):
+                    for c in range(C.dim(q)):
+                        M[t_off + r][src_off + c] += Bm[r][c]
+        mats[n] = M
+    invol = {}
+    for n in range(0, n_max + 2):
+        M = zeros(dims[n], dims[n])
+        for (i, q) in layout[n]:
+            off = offs[n][(i, q)]
+            sgn = -1 if i % 2 else 1
+            om = C.omega[q]
+            for r in range(C.dim(q)):
+                for c in range(C.dim(q)):
+                    M[off + r][off + c] = sgn * om[r][c]
+        invol[n] = M
+    T = BlockComplex.from_matrices(dims, mats, A.base)
+    # sanity: the involution commutes with the total differential (compared
+    # in the chain groups, so mod m over Z/m)
+    for n, d in T.diffs.items():
+        lhs = AbMap(d.source, d.target, mat_mul(invol[n - 1], d.matrix))
+        if not lhs.equals(AbMap(d.source, d.target, mat_mul(d.matrix, invol[n]))):
+            raise TraceError("bicomplex involution does not commute with b + B")
+    hc = [T.homology(n).rank() for n in range(0, n_max + 1)]
+    plus = _eigen_subcomplex(T, invol, 1)
+    minus = _eigen_subcomplex(T, invol, -1)
+    hd = [plus.homology(n).rank() for n in range(0, n_max + 1)]
+    hdp = [minus.homology(n).rank() for n in range(0, n_max + 1)]
+    return DihedralHomology(hc, hd, hdp)
+
+
+@st.composite
+def monomial_algebras(draw):
+    """A base among Z, Q, Z[1/2], Z/4 and F_3; up to 3 variables; sigma a
+    signed-permutation involution (pairs swapped with one sign, fixed points
+    with a sign); optional relations x^p = 0, p in 2..3, one p per orbit."""
+    base = BaseRing.parse(draw(st.sampled_from(["Z", "Q", "Z[1/2]", "Z/4", "Z/3"])))
+    n = draw(st.integers(1, 3))
+    order = draw(st.permutations(range(n)))
+    orbits = []
+    while order:
+        if len(order) >= 2 and draw(st.booleans()):
+            orbits.append(order[:2])
+            order = order[2:]
+        else:
+            orbits.append(order[:1])
+            order = order[1:]
+    names = ["v%d" % i for i in range(n)]
+    images, rules = [None] * n, {}
+    for orbit in orbits:
+        u = draw(st.sampled_from([1, -1]))
+        p = draw(st.sampled_from([None, 2, 3]))
+        for i, j in zip(orbit, orbit[::-1]):
+            mono = tuple(1 if k == j else 0 for k in range(n))
+            images[i] = {mono: u}
+            if p is not None:
+                rules[i] = (p, {})
+    return algebra_poly(base, names, images, rules)
+
+
+def assert_blocks_match_whole(A, weight, n_max):
+    blocks = hochschild_blocks(A, n_max + 1, weight)
+    got = [G.invariant_factors() for G in hh_groups(blocks, range(0, n_max + 1))]
+    want = [plain_hh_group(A, n, weight).invariant_factors() for n in range(0, n_max + 1)]
+    assert got == want, (A.ring.names, weight)
+    if A.base.two_invertible:
+        D, P = dihedral_homology(A, n_max, weight), plain_dihedral_homology(A, n_max, weight)
+        assert (D.hc, D.hd, D.hd_prime) == (P.hc, P.hd, P.hd_prime), (A.ring.names, weight)
+        for n in range(0, n_max + 1):
+            assert hh_plus_minus_dimensions(A, n, weight) == \
+                plain_hh_plus_minus_dimensions(A, n, weight), (A.ring.names, weight, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(A=monomial_algebras(), weight=st.integers(0, 4), n_max=st.integers(1, 3))
+def test_blocks_match_the_whole_weight_block(A, weight, n_max):
+    # three variables at weight 4 take 1-6 s each on the whole-weight route
+    assume(A.ring.n < 3 or weight < 4)
+    assert_blocks_match_whole(A, weight, n_max)
+
+
+@pytest.mark.parametrize("rules,images", [
+    ({0: (2, {}), 1: (2, {})}, [{(0, 1): 1}, {(1, 0): 1}]),   # Z[x, x_s]/(x^2, x_s^2)
+    ({0: (2, {})}, [{(1,): -1}]),                              # Z[x]/x^2, x -> -x
+    ({0: (3, {})}, [{(1,): 1}]),                               # Z[x]/x^3
+])
+@pytest.mark.parametrize("base", ["Z", "Z/4", "Q"])
+def test_blocks_match_the_whole_finite_complex(rules, images, base):
+    names = ["x", "x_s"][:len(images)]
+    A = algebra_poly(BaseRing.parse(base), names, images, rules)
+    assert_blocks_match_whole(A, None, 3)
+
+
+def test_a_relation_that_is_not_monomial_keeps_one_block():
+    # Q(i) with i^2 = -1: b does not preserve exponent vectors, so the one
+    # block is the whole finite complex, split along omega as before
+    A = algebra_gaussian()
+    blocks = hochschild_blocks(A, 4)
+    assert len(blocks) == 1 and blocks[0].block is None and not blocks[0].paired
+    assert_blocks_match_whole(A, None, 3)
+
+
+def test_free_involutive_weight_5_has_three_paired_blocks():
+    A = algebra_poly(BaseRing("Q"), ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}])
+    blocks = hochschild_blocks(A, 3, 5)
+    assert [C.block for C in blocks] == [(0, 5), (1, 4), (2, 3)]
+    assert all(C.paired for C in blocks)
+    with pytest.raises(TraceError):
+        blocks[0].omega   # omega carries the block onto its partner's
+
+
+def test_a_term_outside_the_basis_is_an_error():
+    C = hochschild_complex(algebra_q_poly(), 2, weight=2)
+    col = [0] * C.dim(1)
+    with pytest.raises(TraceError, match="degree-1 basis"):
+        C._expand([{(1,): 1}, {(2,): 1}], col, 1, 1)   # weight 3, not 2
