@@ -7,8 +7,10 @@ generators are length-n integer tuples; a homomorphism is an integer matrix
 acting on column vectors.
 
 Homology over a base ring (Z, Z[1/2], Q or Z/m, read from a polyring
-BaseRing) has one home here, the Homology class, and the base-ring rule
-lives only in this module:
+BaseRing) has one home here, the Homology class, reached through
+ChainComplex (chain groups by degree with their boundaries, and the
+eigen-subcomplexes of an involution); block_matrix lays out the direct sums
+they are built from.  The base-ring rule lives only in this module:
 
 * chain_group(dim, base) presents a free base-module of rank dim: as
   (Z/m)^dim (relations m*I) over Z/m, as Z^dim over every other base;
@@ -36,7 +38,7 @@ canonical bases printed from V, stays exactly the same.
 """
 
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 
 
 class AbelianError(Exception):
@@ -106,6 +108,27 @@ def hstack(A, B):
     if not B:
         return mat_copy(A)
     return [list(ra) + list(rb) for ra, rb in zip(A, B)]
+
+
+def block_matrix(rows, cols, blocks):
+    """The matrix with the block blocks[(r, c)] added at the row offset of
+    key r and the column offset of key c, zero entries skipped; rows and
+    cols map the keys, in order, to their block sizes.
+
+    >>> block_matrix({0: 1, 1: 2}, {"a": 2}, {(1, "a"): [[1, 2], [3, 4]]})
+    [[0, 0], [1, 2], [3, 4]]
+    """
+    roff, coff = (dict(zip(sizes, accumulate(sizes.values(), initial=0)))
+                  for sizes in (rows, cols))
+    out = zeros(sum(rows.values()), sum(cols.values()))
+    for (r, c), B in blocks.items():
+        i0, j0 = roff[r], coff[c]
+        for i, row in enumerate(B):
+            target = out[i0 + i]
+            for j, x in enumerate(row):
+                if x:
+                    target[j0 + j] += x
+    return out
 
 
 def kronecker(A, B, arows, acols, brows, bcols):
@@ -275,7 +298,7 @@ def solve_integer(A, b, ncols):
 
 def _solve_columns(A, bs, ncols):
     """solve_integer for every right-hand side in bs, with one SNF of A."""
-    if not A:
+    if not (A and bs):
         return [[0] * ncols if not any(b) else None for b in bs]
     U, D, V = smith_normal_form(A)
     diag = diagonal_of(D)
@@ -497,16 +520,10 @@ def trivial_group():
 
 
 def direct_sum_groups(groups):
-    n = sum(g.ngens for g in groups)
-    rels = []
-    offset = 0
-    for g in groups:
-        for r in g.relations:
-            row = [0] * n
-            row[offset:offset + g.ngens] = r
-            rels.append(row)
-        offset += g.ngens
-    return FgAbGroup(n, rels)
+    sizes = {k: g.ngens for k, g in enumerate(groups)}
+    rels = block_matrix({k: len(g.relations) for k, g in enumerate(groups)}, sizes,
+                        {(k, k): g.relations for k, g in enumerate(groups)})
+    return FgAbGroup(sum(sizes.values()), rels)
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +602,9 @@ class AbMap:
 def direct_sum_maps(maps, source=None, target=None):
     src = source or direct_sum_groups([f.source for f in maps])
     tgt = target or direct_sum_groups([f.target for f in maps])
-    M = zeros(tgt.ngens, src.ngens)
-    roff = coff = 0
-    for f in maps:
-        for i in range(f.target.ngens):
-            for j in range(f.source.ngens):
-                M[roff + i][coff + j] = f.matrix[i][j]
-        roff += f.target.ngens
-        coff += f.source.ngens
+    M = block_matrix({k: f.target.ngens for k, f in enumerate(maps)},
+                     {k: f.source.ngens for k, f in enumerate(maps)},
+                     {(k, k): f.matrix for k, f in enumerate(maps)})
     return AbMap(src, tgt, M)
 
 
@@ -716,9 +728,13 @@ class Homology:
     """
 
     def __init__(self, d_in, d_out, base=None):
+        self.base = base
+        if not d_out.source.ngens:  # the zero group; d_out o d_in = 0 by shape
+            self.group = d_out.source
+            self.cycles = AbMap.identity_map(self.group)
+            return
         if not d_out.compose(d_in).is_zero():
             raise NotAComplex("d_out o d_in != 0")
-        self.base = base
         K, self.cycles = kernel(d_out)
         rels = list(K.relations)
         if K.ngens and any(map(any, d_in.matrix)):
@@ -756,6 +772,52 @@ def homology_at(d_in, d_out):
     (2,)
     """
     return Homology(d_in, d_out).group
+
+
+class ChainComplex:
+    """Chain groups groups[n] over a base ring (None means Z) with
+    boundaries diffs[n] : C_n -> C_{n-1}, as AbMaps; a missing group is 0
+    and a missing boundary the zero map.
+
+    >>> C = ChainComplex.from_matrices({0: 1, 1: 1}, {1: [[2]]})
+    >>> C.homology(0).group.invariant_factors(), C.homology(1).group.invariant_factors()
+    ((2,), ())
+    """
+
+    def __init__(self, groups, diffs, base=None):
+        self.groups = groups
+        self.diffs = diffs
+        self.base = base
+
+    @classmethod
+    def from_matrices(cls, dims, mats, base=None):
+        """Integer boundary matrices on the base's chain groups of rank dims."""
+        groups = {n: chain_group(d, base) for n, d in dims.items()}
+        diffs = {n: AbMap(groups[n], groups[n - 1], M) for n, M in mats.items()}
+        return cls(groups, diffs, base)
+
+    def diff(self, n):
+        d = self.diffs.get(n)
+        if d is None:
+            d = AbMap.zero_map(self.groups.get(n, trivial_group()),
+                               self.groups.get(n - 1, trivial_group()))
+        return d
+
+    def homology(self, n):
+        return Homology(self.diff(n + 1), self.diff(n), self.base)
+
+    def eigen(self, invol, sign):
+        """Kernel of (invol - sign) on each chain group, with the restricted
+        boundary.  On (Z/m)^d the kernel is taken mod m, so an integer lift
+        of the involution (entries m - 1 for -1) is enough."""
+        parts = {}
+        for n, G in self.groups.items():
+            shifted = [[x - sign if i == j else x for j, x in enumerate(row)]
+                       for i, row in enumerate(invol[n])]
+            parts[n] = Homology(AbMap.zero_map(trivial_group(), G), AbMap(G, G, shifted),
+                                self.base)
+        diffs = {n: parts[n].induced(d, parts[n - 1]) for n, d in self.diffs.items()}
+        return ChainComplex({n: P.group for n, P in parts.items()}, diffs, self.base)
 
 
 def tensor_groups(G, H):

@@ -92,8 +92,6 @@ def parse_mackey(data):
         res = AbMap(fixed, und, _int_matrix(data.get("res") or []))
         tr_ = AbMap(und, fixed, _int_matrix(data.get("tr") or []))
         sig = AbMap(und, und, _int_matrix(data.get("sigma") or []))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError("malformed Mackey functor: %s" % e)
     except Exception as e:
         raise ParseError("malformed Mackey functor: %s" % e)
     M = mk.MackeyFunctor(fixed, und, res, tr_, sig)
@@ -166,10 +164,7 @@ def parse_algebra(data):
                 break
         raise DomainError("relation ideal is not sigma-stable (offending "
                           "relation: %s)" % bad)
-    try:
-        return tr.InvolutiveAlgebra(base, ring, omega)
-    except tr.TraceError as e:
-        raise DomainError(str(e))
+    return tr.InvolutiveAlgebra(base, ring, omega)
 
 
 def _generator_weights(weights, names):
@@ -370,24 +365,21 @@ def cmd_slice_check(args, out):
     C = parse_input(_load(args.complex))
     if not isinstance(C, cx.MackeyComplex):
         raise ParseError("slice-check expects a complex")
-    try:
-        if args.coconnective:
-            verdict = cx.is_regular_slice_coconnective(C, args.n)
-            if args.format == "json":
-                out(json.dumps({"coconnective": verdict, "n": args.n},
-                               sort_keys=True, separators=(",", ":")))
-            else:
-                out("regular-slice (%d)-coconnective: %s" % (args.n, verdict))
+    if args.coconnective:
+        verdict = cx.is_regular_slice_coconnective(C, args.n)
+        if args.format == "json":
+            out(json.dumps({"coconnective": verdict, "n": args.n},
+                           sort_keys=True, separators=(",", ":")))
         else:
-            verdict = cx.is_regular_slice_connective(C, args.n)
-            if args.format == "json":
-                out(json.dumps({"connective": verdict, "n": args.n},
-                               sort_keys=True, separators=(",", ":")))
-            else:
-                out("regular-slice (%d)-connective: %s"
-                    % (args.n, "true" if verdict else "false"))
-    except cx.ComplexError as e:
-        raise DomainError(str(e))
+            out("regular-slice (%d)-coconnective: %s" % (args.n, verdict))
+    else:
+        verdict = cx.is_regular_slice_connective(C, args.n)
+        if args.format == "json":
+            out(json.dumps({"connective": verdict, "n": args.n},
+                           sort_keys=True, separators=(",", ":")))
+        else:
+            out("regular-slice (%d)-connective: %s"
+                % (args.n, "true" if verdict else "false"))
     return 0
 
 
@@ -395,8 +387,7 @@ def cmd_tambara_free(args, out):
     base = BaseRing.parse(args.base)
     trunc = args.trunc if args.trunc is not None else default_truncation()
     if args.kind == "trivial":
-        T = tb.free_involutive_trivial(base, args.names.split(",") if args.names else ["x"],
-                                       truncation=trunc)
+        T = tb.free_involutive_trivial(base, args.names or ["x"], truncation=trunc)
     elif args.kind == "free":
         T = tb.free_involutive_free(base, truncation=trunc)
     else:
@@ -502,13 +493,12 @@ def cmd_derham(args, out):
     A = parse_input(_load(args.algebra))
     if not isinstance(A, tr.InvolutiveAlgebra):
         raise ParseError("derham expects an algebra")
-    M = df.sign_fix(df.de_rham_complex(df.presentation_of(A), args.imax,
-                                       max_weight=args.maxweight))
+    M = df.de_rham_complex(df.presentation_of(A), args.imax, max_weight=args.maxweight)
     table = {}
     for w in range(0, args.maxweight + 1):
         col = {}
         for n in range(0, args.imax + 1):
-            H, _sig = df.inv_cochain_cohomology(M, n, w)
+            H = df.inv_cochain_cohomology(M, n, w)
             col[str(n)] = {"h": group_to_json(H), "dim": M.dim(n, w)}
         table[str(w)] = col
     if args.format == "json":
@@ -550,10 +540,7 @@ def cmd_dihedral(args, out):
     weight = args.weight
     if not A.is_finite_dimensional() and weight is None:
         raise DomainError("graded algebra: pass --weight")
-    try:
-        D = tr.dihedral_homology(A, args.nmax, weight=weight)
-    except tr.TraceError as e:
-        raise DomainError(str(e))
+    D = tr.dihedral_homology(A, args.nmax, weight=weight)
     data = {"hc": D.hc, "hd": D.hd, "hd_prime": D.hd_prime}
     if args.format == "json":
         out(json.dumps(data, sort_keys=True, separators=(",", ":")))
@@ -584,6 +571,15 @@ def base_ring(text):
     return text
 
 
+def generator_names(text):
+    """argparse type of --names: comma-separated distinct variable names."""
+    names = text.split(",")
+    if not all(n.isidentifier() for n in names) or len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(
+            "expected distinct comma-separated variable names, got %r" % text)
+    return names
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="c2algebra",
                                 description="exact C2-equivariant algebra engine")
@@ -610,7 +606,7 @@ def build_parser():
     sp.add_argument("--kind", required=True)
     sp.add_argument("--base", type=base_ring, default="Z")
     sp.add_argument("--trunc", type=nonnegative)
-    sp.add_argument("--names")
+    sp.add_argument("--names", type=generator_names)
     sp = add("cotangent", cmd_cotangent)
     sp.add_argument("--algebra", required=True)
     sp = add("derham", cmd_derham)

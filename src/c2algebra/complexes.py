@@ -15,10 +15,11 @@ zbar -> zbar_c2 (fixed x1) for k < 0; then 1 - sigma (fixed 0), 1 + sigma
 
 from .abelian import (
     AbMap,
+    ChainComplex,
     FgAbGroup,
     Homology,
+    block_matrix,
     cokernel,
-    homology_at,
     identity,
     mat_mul,
     zeros,
@@ -168,72 +169,36 @@ def box_complex(C, D):
 
     d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy.
     """
-    terms = {}
-    pieces = {}
-    for i in C.degrees():
-        for j in D.degrees():
-            pieces[(i, j)] = box(C.term(i), D.term(j))
-            terms.setdefault(i + j, []).append((i, j))
-    total_terms = {}
+    pieces = {(i, j): box(C.term(i), D.term(j)) for i in C.degrees() for j in D.degrees()}
     layout = {}
-    for n, keys in terms.items():
-        keys.sort()
-        layout[n] = keys
-        total_terms[n] = direct_sum([pieces[k] for k in keys])
+    for key in pieces:  # (i, j) in sorted order, so each layout[n] is sorted
+        layout.setdefault(sum(key), []).append(key)
+    terms = {n: direct_sum([pieces[k] for k in keys]) for n, keys in layout.items()}
     diffs = {}
-    for n in sorted(total_terms):
-        if (n - 1) not in total_terms:
+    for n in sorted(terms):
+        if (n - 1) not in terms:
             continue
-        src_keys = layout[n]
-        tgt_keys = layout[n - 1]
         blocks = {}
-        for (i, j) in src_keys:
-            if (i - 1, j) in pieces and (i - 1, j) in tgt_keys:
-                f = box_map(C.diff(i), MackeyMap.identity_map(D.term(j)),
-                            pieces[(i, j)], pieces[(i - 1, j)])
-                blocks[((i, j), (i - 1, j))] = f
-            if (i, j - 1) in pieces and (i, j - 1) in tgt_keys:
+        for (i, j) in layout[n]:
+            if (i - 1, j) in pieces:
+                blocks[(i - 1, j), (i, j)] = box_map(
+                    C.diff(i), MackeyMap.identity_map(D.term(j)),
+                    pieces[(i, j)], pieces[(i - 1, j)])
+            if (i, j - 1) in pieces:
                 g = box_map(MackeyMap.identity_map(C.term(i)), D.diff(j),
                             pieces[(i, j)], pieces[(i, j - 1)])
-                if i % 2:
-                    g = g.scale(-1)
-                blocks[((i, j), (i, j - 1))] = g
-        diffs[n] = _assemble_blocks(total_terms[n], total_terms[n - 1],
-                                    src_keys, tgt_keys, pieces, blocks)
-    return MackeyComplex(total_terms, diffs)
+                blocks[(i, j - 1), (i, j)] = g.scale(-1) if i % 2 else g
+        src, tgt = terms[n], terms[n - 1]
 
-
-def _assemble_blocks(src, tgt, src_keys, tgt_keys, pieces, blocks):
-    f_fixed = zeros(tgt.fixed.ngens, src.fixed.ngens)
-    f_und = zeros(tgt.underlying.ngens, src.underlying.ngens)
-    fo = {k: 0 for k in src_keys}
-    uo = {k: 0 for k in src_keys}
-    off_f = off_u = 0
-    for k in src_keys:
-        fo[k], uo[k] = off_f, off_u
-        off_f += pieces[k].fixed.ngens
-        off_u += pieces[k].underlying.ngens
-    to_f = {k: 0 for k in tgt_keys}
-    to_u = {k: 0 for k in tgt_keys}
-    off_f = off_u = 0
-    for k in tgt_keys:
-        to_f[k], to_u[k] = off_f, off_u
-        off_f += pieces[k].fixed.ngens
-        off_u += pieces[k].underlying.ngens
-    for (ks, kt), f in blocks.items():
-        mf = f.f_fixed.matrix
-        for i, row in enumerate(mf):
-            for j, x in enumerate(row):
-                if x:
-                    f_fixed[to_f[kt] + i][fo[ks] + j] += x
-        mu = f.f_underlying.matrix
-        for i, row in enumerate(mu):
-            for j, x in enumerate(row):
-                if x:
-                    f_und[to_u[kt] + i][uo[ks] + j] += x
-    return MackeyMap(src, tgt,
-                     AbMap(src.fixed, tgt.fixed, f_fixed),
-                     AbMap(src.underlying, tgt.underlying, f_und))
+        def level(name):
+            # the level `name` of d_n, one block per pair of box pieces
+            def sizes(m):
+                return {k: getattr(pieces[k], name).ngens for k in layout[m]}
+            M = block_matrix(sizes(n - 1), sizes(n),
+                             {k: getattr(f, "f_" + name).matrix for k, f in blocks.items()})
+            return AbMap(getattr(src, name), getattr(tgt, name), M)
+        diffs[n] = MackeyMap(src, tgt, level("fixed"), level("underlying"))
+    return MackeyComplex(terms, diffs)
 
 
 def suspend_sigma(C, k):
@@ -250,7 +215,7 @@ def suspend_rho(C, k):
 # geometric fixed points of complexes and slice checks
 
 def phi_complex(C):
-    """Levelwise coker(tr) with induced differentials.
+    """Levelwise coker(tr) with induced differentials: a ChainComplex over Z.
 
     Only sound (exact) on complexes whose terms are direct sums of zbar and
     zbar_c2 cells; enforced via the cell tags the builders propagate.
@@ -258,38 +223,15 @@ def phi_complex(C):
     for n in C.degrees():
         if C.term(n).cells is None:
             raise NotFreeTerms("term in degree %d has no free-cell structure" % n)
-    groups = {}
-    projs = {}
-    for n in C.degrees():
-        M = C.term(n)
-        Phi, proj = cokernel(M.tr)
-        groups[n] = Phi
-        projs[n] = proj
-    diffs = {}
-    for n in C.degrees():
-        if (n - 1) not in groups:
-            continue
-        d = C.diff(n)
-        diffs[n] = AbMap(groups[n], groups[n - 1], d.f_fixed.matrix)
-    return groups, diffs
-
-
-def _phi_homology(groups, diffs, n):
-    if n not in groups:
-        return FgAbGroup(0)
-    d_in = diffs.get(n + 1)
-    if d_in is None:
-        d_in = AbMap.zero_map(FgAbGroup(0), groups[n])
-    d_out = diffs.get(n)
-    if d_out is None:
-        tgt = groups.get(n - 1, FgAbGroup(0))
-        d_out = AbMap.zero_map(groups[n], tgt)
-    return homology_at(d_in, d_out)
+    groups = {n: cokernel(C.term(n).tr)[0] for n in C.degrees()}
+    diffs = {n: AbMap(groups[n], groups[n - 1], C.diff(n).f_fixed.matrix)
+             for n in C.degrees() if (n - 1) in groups}
+    return ChainComplex(groups, diffs)
 
 
 def is_regular_slice_connective(C, n):
     """True iff H_k(C^e) = 0 for k < n and H_k(Phi C) = 0 for k < ceil(n/2)."""
-    groups, diffs = phi_complex(C)
+    phi = phi_complex(C)
     degs = C.degrees()
     if not degs:
         return True
@@ -299,7 +241,7 @@ def is_regular_slice_connective(C, n):
             return False
     phi_bound = -((-n) // 2)  # ceil(n/2)
     for k in range(lo, min(phi_bound, hi + 1)):
-        if not _phi_homology(groups, diffs, k).is_trivial():
+        if not phi.homology(k).group.is_trivial():
             return False
     return True
 
@@ -309,7 +251,7 @@ def is_regular_slice_coconnective(C, n):
     H_k(C^{C2}) = 0 for k > floor(n/2).  Returns "passes-necessary-conditions"
     or "fails"."""
     if n > 0:
-        raise ValueError("coconnectivity check is stated for n <= 0")
+        raise ComplexError("coconnectivity check is stated for n <= 0")
     # demand the same free-term structure as the connective check
     for k in C.degrees():
         if C.term(k).cells is None:

@@ -15,8 +15,9 @@ with involution the fixed-point Tambara functor is always cohomological
 The associated de Rham complex is an involutive cochain complex: the
 differential raises degree and is sigma-antilinear, d(sigma m) =
 -sigma(d m).  sign_fix flips the involution on odd degrees, making the
-differential strictly equivariant; cohomology of an involutive complex is
-computed through sign_fix.
+differential strictly equivariant.  Cohomology does not depend on sigma:
+inv_cochain_cohomology reads it from the differentials alone, as the
+homology of an abelian.ChainComplex.
 
 When sigma permutes the generators up to sign, exterior_power builds
 Lambda^i L at one weight with its natural sigma.  It is the one builder of
@@ -27,7 +28,7 @@ real Hochschild homology, gr^i HR = Sigma^{i sigma} Lambda^i L
 
 from itertools import combinations
 
-from .abelian import AbMap, FgAbGroup, Homology, chain_group, identity, mat_mul, zeros
+from .abelian import AbMap, ChainComplex, FgAbGroup, chain_group, mat_mul, zeros
 from . import complexes as cx
 from .mackey import fixed_point_mackey
 from .polyring import BaseRing, PolyRing, RingInvolution, integer_lift
@@ -294,14 +295,13 @@ def sign_fix(M):
 
 
 def inv_cochain_cohomology(M, n, w=0):
-    """H^n of sign_fix(M) at weight w over the base of M, with the residual
-    sigma action: returns (FgAbGroup, sigma matrix on its generators)."""
-    F = sign_fix(M) if not M.sign_fixed else M
-    Cm, Cn, Cp = (chain_group(F.dim(k, w), M.base) for k in (n - 1, n, n + 1))
-    H = Homology(AbMap(Cm, Cn, F.diffs.get((n - 1, w)) or ()),
-                 AbMap(Cn, Cp, F.diffs.get((n, w)) or ()), M.base)
-    sig = AbMap(Cn, Cn, F.sigmas.get((n, w)) or identity(Cn.ngens))
-    return H.group, H.induced(sig, H).matrix
+    """H^n of M at weight w over the base of M, as an FgAbGroup: the
+    homology at chain degree -n of C_{-k} = M^k."""
+    near = (n - 1, n, n + 1)
+    C = ChainComplex.from_matrices({-k: M.dim(k, w) for k in near},
+                                   {-k: M.diffs[(k, w)] for k in near[:2] if (k, w) in M.diffs},
+                                   M.base)
+    return C.homology(-n).group
 
 
 # ---------------------------------------------------------------------------

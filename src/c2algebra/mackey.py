@@ -15,6 +15,7 @@ burnside() is the Burnside Mackey functor.
 from .abelian import (
     AbMap,
     FgAbGroup,
+    block_matrix,
     cokernel,
     direct_sum_groups,
     direct_sum_maps,
@@ -246,14 +247,6 @@ def direct_sum(functors):
     return MackeyFunctor(fixed, und, res, tr, sig, cells=cells)
 
 
-def direct_sum_mackey_maps(maps, source=None, target=None):
-    src = source or direct_sum([f.source for f in maps])
-    tgt = target or direct_sum([f.target for f in maps])
-    return MackeyMap(src, tgt,
-                     direct_sum_maps([f.f_fixed for f in maps], src.fixed, tgt.fixed),
-                     direct_sum_maps([f.f_underlying for f in maps], src.underlying, tgt.underlying))
-
-
 def zero_mackey():
     zero = FgAbGroup(0)
     return MackeyFunctor(zero, zero, AbMap.zero_map(zero, zero),
@@ -376,24 +369,12 @@ def box_map(f, g, source=None, target=None):
     ne_m, ne_n = f.source.underlying.ngens, g.source.underlying.ngens
     tf_m, tf_n = f.target.fixed.ngens, g.target.fixed.ngens
     te_m, te_n = f.target.underlying.ngens, g.target.underlying.ngens
-    rows = tf_m * tf_n + te_m * te_n
-    cols = nf_m * nf_n + ne_m * ne_n
-    Mx = zeros(rows, cols)
-    for i in range(nf_m):
-        for j in range(nf_n):
-            c = i * nf_n + j
-            for i2 in range(tf_m):
-                for j2 in range(tf_n):
-                    Mx[i2 * tf_n + j2][c] = ff[i2][i] * gf[j2][j]
-    for a in range(ne_m):
-        for b in range(ne_n):
-            c = nf_m * nf_n + a * ne_n + b
-            for a2 in range(te_m):
-                for b2 in range(te_n):
-                    Mx[tf_m * tf_n + a2 * te_n + b2][c] = fu[a2][a] * gu[b2][b]
+    und = kronecker(fu, gu, te_m, ne_m, te_n, ne_n)
+    # fixed level: the u_i (x) v_j block, then the i(x_a (x) y_b) block
+    Mx = block_matrix({0: tf_m * tf_n, 1: te_m * te_n}, {0: nf_m * nf_n, 1: ne_m * ne_n},
+                      {(0, 0): kronecker(ff, gf, tf_m, nf_m, tf_n, nf_n), (1, 1): und})
     f_fixed = AbMap(src.fixed, tgt.fixed, Mx)
-    f_und = AbMap(src.underlying, tgt.underlying,
-                  kronecker(fu, gu, te_m, ne_m, te_n, ne_n))
+    f_und = AbMap(src.underlying, tgt.underlying, und)
     return MackeyMap(src, tgt, f_fixed, f_und)
 
 

@@ -162,6 +162,8 @@ class PolyRing:
     have v_i-degree < power, and rule dependencies must be acyclic.
     weights: per-variable positive weights for graded enumeration (None for
     ungraded variables).
+    trunc: drop the monomials of weight over trunc; every rule must then
+    replace v_i^p by monomials of weight >= that of v_i^p.
     """
 
     def __init__(self, base, names, rules=None, weights=None, trunc=None):
@@ -179,6 +181,11 @@ class PolyRing:
                 if mono[i] >= p:
                     raise UnsupportedPresentation(
                         "rule for %s does not lower its degree" % self.names[i])
+        if trunc is not None and any(c and self.monomial_weight(m) < p * self.weights[i]
+                                     for i, (p, repl) in self.rules.items()
+                                     for m, c in repl.items()):
+            # dropping the weights over trunc would not commute with the rules
+            raise UnsupportedPresentation("a truncation needs rules that do not lower weight")
         self._check_acyclic()
 
     def _check_acyclic(self):

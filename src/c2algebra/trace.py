@@ -11,7 +11,10 @@ These satisfy b^2 = 0, wb = bw, w^2 = 1, B^2 = 0, bB + Bb = 0 and
 wB = -Bw exactly; all are asserted in the test suite.  When 2 is invertible
 the complex splits along w into C+ and C-, giving HH^{+/-}, the fixed points
 of real Hochschild homology, and the dihedral splitting HC = HD + HD' of the
-cyclic homology of the (b, B)-bicomplex.
+cyclic homology of the (b, B)-bicomplex.  Each of these complexes (the
+Hochschild chains, their w-eigen parts, the total complex of the bicomplex,
+laid out by abelian.block_matrix) is an abelian.ChainComplex over the base
+ring, and its homology is read there.
 
 Graded algebras are handled one internal weight at a time (exact per
 weight), finite-dimensional algebras as a whole, and both are cut further
@@ -36,9 +39,10 @@ from operator import add, le
 
 from .abelian import (
     AbMap,
+    ChainComplex,
     FgAbGroup,
     Homology,
-    chain_group,
+    block_matrix,
     free_rank,
     identity,
     is_zero_matrix,
@@ -436,45 +440,10 @@ def _direct_sum(parts):
     return FgAbGroup.from_invariants([d for G, k in parts for d in G.invariant_factors() * k])
 
 
-# ---------------------------------------------------------------------------
-# complexes of chain groups over the base
-
-class BlockComplex:
-    """Chain groups over the base ring with boundaries diffs[n] : C_n ->
-    C_{n-1}, as AbMaps; homology goes through abelian.Homology."""
-
-    def __init__(self, groups, diffs, base):
-        self.groups = groups
-        self.diffs = diffs
-        self.base = base
-
-    @classmethod
-    def from_matrices(cls, dims, mats, base):
-        """Integer boundary matrices on the base's chain groups of rank dims."""
-        groups = {n: chain_group(d, base) for n, d in dims.items()}
-        diffs = {n: AbMap(groups[n], groups[n - 1], M) for n, M in mats.items()}
-        return cls(groups, diffs, base)
-
-    def _diff(self, n):
-        d = self.diffs.get(n)
-        if d is None:
-            d = AbMap.zero_map(self.groups.get(n, trivial_group()),
-                               self.groups.get(n - 1, trivial_group()))
-        return d
-
-    def homology(self, n):
-        return Homology(self._diff(n + 1), self._diff(n), self.base)
-
-
 def hochschild_chains(C):
     """The Hochschild chains of a DihedralComplex with the boundary b."""
-    return BlockComplex.from_matrices({k: C.dim(k) for k in C.bases}, C.b,
+    return ChainComplex.from_matrices({k: C.dim(k) for k in C.bases}, C.b,
                                       C.algebra.base)
-
-
-def _kernel(f, base):
-    """ker(f) over the base, as the homology of 0 -> source -> target."""
-    return Homology(AbMap.zero_map(trivial_group(), f.source), f, base)
 
 
 def hh_groups(blocks, degrees):
@@ -507,19 +476,6 @@ def hr_underlying(A, n, weight=None):
 # ---------------------------------------------------------------------------
 # +/- splitting
 
-def _eigen_subcomplex(C, invol, sign):
-    """Kernel of (invol - sign) on each chain group of the BlockComplex C,
-    with the restricted boundary.  On (Z/m)^d the kernel is taken mod m, so
-    an integer lift of the involution (entries m - 1 for -1) is enough."""
-    parts = {}
-    for n, G in C.groups.items():
-        shifted = [[x - sign if i == j else x for j, x in enumerate(row)]
-                   for i, row in enumerate(invol[n])]
-        parts[n] = _kernel(AbMap(G, G, shifted), C.base)
-    diffs = {n: parts[n].induced(d, parts[n - 1]) for n, d in C.diffs.items()}
-    return BlockComplex({n: P.group for n, P in parts.items()}, diffs, C.base)
-
-
 def split_plus_minus(C):
     """(C+, C-): the omega-eigenvalue subcomplexes of the Hochschild chains
     of C's sigma-orbit.  For a paired block omega swaps C with its partner,
@@ -528,7 +484,7 @@ def split_plus_minus(C):
     chains = hochschild_chains(C)
     if C.paired:
         return chains, chains
-    return _eigen_subcomplex(chains, C.omega, 1), _eigen_subcomplex(chains, C.omega, -1)
+    return chains.eigen(C.omega, 1), chains.eigen(C.omega, -1)
 
 
 def hh_plus_minus_dimensions(A, n, weight=None):
@@ -551,7 +507,8 @@ def hh_omega_fixed_dimension(A, n, weight=None):
     H = hochschild_chains(C).homology(n)
     Cn = H.cycles.target
     om_H = H.induced(AbMap(Cn, Cn, C.omega[n]), H)
-    return _kernel(om_H - AbMap.identity_map(H.group), A.base).rank()
+    fixed = om_H - AbMap.identity_map(H.group)
+    return Homology(AbMap.zero_map(trivial_group(), H.group), fixed, A.base).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -571,62 +528,36 @@ def _bicomplex_homology(C, n_max):
     involution acts by (-1)^i omega on column i; HD is its +1 part.  A
     paired orbit's total complex is two copies of C's swapped by the
     involution, so each eigen part is one copy and omega is not built."""
-    base = C.algebra.base
     # total complex T_n = sum over columns i of C_{n - 2i}
-    layout = {}
-    dims = {}
-    for n in range(0, n_max + 2):
-        cols = [(i, n - 2 * i) for i in range(0, n_max + 1) if 0 <= n - 2 * i <= C.n_max]
-        layout[n] = cols
-        dims[n] = sum(C.dim(q) for _, q in cols)
-    offs = {}
-    for n, cols in layout.items():
-        off = 0
-        offs[n] = {}
-        for key in cols:
-            offs[n][key] = off
-            off += C.dim(key[1])
+    layout = {n: {(i, n - 2 * i): C.dim(n - 2 * i) for i in range(0, n_max + 1)
+                  if 0 <= n - 2 * i <= C.n_max}
+              for n in range(0, n_max + 2)}
     mats = {}
     for n in range(1, n_max + 2):
-        M = zeros(dims[n - 1], dims[n])
+        blocks = {}
         for (i, q) in layout[n]:
-            src_off = offs[n][(i, q)]
-            if (i, q - 1) in offs[n - 1] and q >= 1:
-                b = C.b[q]
-                t_off = offs[n - 1][(i, q - 1)]
-                for r in range(C.dim(q - 1)):
-                    for c in range(C.dim(q)):
-                        M[t_off + r][src_off + c] += b[r][c]
-            if (i - 1, q + 1) in offs[n - 1] and q <= C.n_max - 1:
-                Bm = C.B[q]
-                t_off = offs[n - 1][(i - 1, q + 1)]
-                for r in range(C.dim(q + 1)):
-                    for c in range(C.dim(q)):
-                        M[t_off + r][src_off + c] += Bm[r][c]
-        mats[n] = M
-    T = BlockComplex.from_matrices(dims, mats, base)
+            if (i, q - 1) in layout[n - 1]:
+                blocks[(i, q - 1), (i, q)] = C.b[q]
+            if (i - 1, q + 1) in layout[n - 1]:
+                blocks[(i - 1, q + 1), (i, q)] = C.B[q]
+        mats[n] = block_matrix(layout[n - 1], layout[n], blocks)
+    T = ChainComplex.from_matrices({n: sum(cols.values()) for n, cols in layout.items()},
+                                   mats, C.algebra.base)
     hc = [T.homology(n).group for n in range(0, n_max + 1)]
     if C.paired:
         return [(H, 2) for H in hc], [(H, 1) for H in hc], [(H, 1) for H in hc]
-    invol = {}
-    for n in range(0, n_max + 2):
-        M = zeros(dims[n], dims[n])
-        for (i, q) in layout[n]:
-            off = offs[n][(i, q)]
-            sgn = -1 if i % 2 else 1
-            om = C.omega[q]
-            for r in range(C.dim(q)):
-                for c in range(C.dim(q)):
-                    M[off + r][off + c] = sgn * om[r][c]
-        invol[n] = M
+    def signed_omega(i, q):
+        return [[-x for x in row] for row in C.omega[q]] if i % 2 else C.omega[q]
+
+    invol = {n: block_matrix(cols, cols, {(key, key): signed_omega(*key) for key in cols})
+             for n, cols in layout.items()}
     # sanity: the involution commutes with the total differential (compared
     # in the chain groups, so mod m over Z/m)
     for n, d in T.diffs.items():
         lhs = AbMap(d.source, d.target, mat_mul(invol[n - 1], d.matrix))
         if not lhs.equals(AbMap(d.source, d.target, mat_mul(d.matrix, invol[n]))):
             raise TraceError("bicomplex involution does not commute with b + B")
-    plus = _eigen_subcomplex(T, invol, 1)
-    minus = _eigen_subcomplex(T, invol, -1)
+    plus, minus = T.eigen(invol, 1), T.eigen(invol, -1)
     return ([(H, 1) for H in hc],
             [(plus.homology(n).group, 1) for n in range(0, n_max + 1)],
             [(minus.homology(n).group, 1) for n in range(0, n_max + 1)])

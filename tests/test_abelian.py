@@ -7,10 +7,13 @@ from random import Random
 
 from c2algebra.abelian import (
     AbMap,
+    ChainComplex,
     FgAbGroup,
+    Homology,
     NotAComplex,
     Z,
     Zmod,
+    block_matrix,
     chain_group,
     cokernel,
     direct_sum_groups,
@@ -553,3 +556,43 @@ def test_module_doctests():
     import c2algebra.abelian
     failures, _ = doctest.testmod(c2algebra.abelian)
     assert failures == 0
+
+
+def test_zero_chain_group_homology_runs_no_snf_or_hnf(monkeypatch):
+    import c2algebra.abelian as ab
+    base = BaseRing.parse("Z/3")
+    zero, C2, C3 = (chain_group(d, base) for d in (0, 2, 3))
+    target = Homology(AbMap.zero_map(C3, C2), AbMap.zero_map(C2, zero), base)
+    calls = []
+    for name in ("smith_normal_form", "hermite_normal_form"):
+        real = getattr(ab, name)
+        monkeypatch.setattr(ab, name, lambda A, real=real: calls.append(A) or real(A))
+    H = Homology(AbMap.zero_map(C3, zero), AbMap.zero_map(zero, C2), base)
+    assert H.group.is_trivial() and H.rank() == 0
+    f = H.induced(AbMap.zero_map(zero, C2), target)
+    assert (f.source.ngens, f.target.ngens) == (0, 2)
+    assert calls == []
+
+
+def test_block_matrix_places_blocks_at_key_offsets():
+    rows, cols = {"a": 1, "b": 2}, {0: 2, 1: 1}
+    M = block_matrix(rows, cols, {("b", 0): [[1, 0], [0, 3]], ("a", 1): [[5]]})
+    assert M == [[0, 0, 5], [1, 0, 0], [0, 3, 0]]
+    assert block_matrix({}, {0: 0}, {}) == []
+    # direct sums are block diagonal
+    G = direct_sum_groups([Zmod(2), Z(), Zmod(3)])
+    assert (G.ngens, G.invariant_factors()) == (3, (6, 0))
+
+
+def test_chain_complex_homology_and_eigen_parts():
+    # Z^2 --0--> Z --2--> Z in degrees 2, 1, 0; the swap acts on Z^2
+    C = ChainComplex.from_matrices({0: 1, 1: 1, 2: 2}, {1: [[2]], 2: [[0, 0]]})
+    assert [C.homology(n).group.invariant_factors() for n in range(-1, 4)] == \
+        [(), (2,), (), (0, 0), ()]
+    assert C.diff(5).matrix == [] and C.diff(0).target.ngens == 0
+    swap = {0: [[1]], 1: [[1]], 2: [[0, 1], [1, 0]]}
+    plus, minus = C.eigen(swap, 1), C.eigen(swap, -1)
+    assert [plus.groups[n].ngens for n in (0, 1, 2)] == [1, 1, 1]
+    assert [minus.groups[n].ngens for n in (0, 1, 2)] == [0, 0, 1]
+    assert [plus.homology(n).group for n in (0, 1, 2)] == [Zmod(2), trivial_group(), Z()]
+    assert [minus.homology(n).group for n in (0, 1, 2)] == [trivial_group(), trivial_group(), Z()]

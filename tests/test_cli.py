@@ -146,6 +146,15 @@ def test_tambara_free_command():
     assert all(r["holds"] for r in data["t_relations"])
 
 
+def test_tambara_free_names_are_distinct_variable_names(capsys):
+    code, out = run_cli(["tambara-free", "--kind", "trivial", "--names", "x,y"])
+    assert code == 0 and "underlying generators: x, y" in out
+    for names in ("x,x", "1", ",", "x y", ""):
+        code, out = run_cli(["tambara-free", "--kind", "trivial", "--names", names])
+        assert (code, out) == (2, ""), names
+        assert "argument --names" in capsys.readouterr().err
+
+
 def test_hh_command():
     code, out = run_cli(["hh", "--algebra", QX_JSON, "--nmax", "3",
                          "--weight", "2", "--format", "json"])
@@ -486,6 +495,17 @@ def test_determinism_byte_identical():
         assert c1 == c2 == 0
         assert o1 == o2
         assert o1.encode("utf-8") == o2.encode("utf-8")
+
+
+def test_exit_code_1_on_domain_errors(capsys):
+    # one "error:" line on stderr, no traceback
+    for argv in (["slice-check", "--complex", '{"kind":"sigma-sphere","k":2}', "--n", "1",
+                  "--coconnective"],
+                 ["dihedral", "--algebra", DUAL_JSON % ("Z", "-x")],
+                 ["hh", "--algebra", QX_JSON, "--nmax", "2"]):
+        assert run_cli(argv) == (1, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_exit_code_2_on_bad_json():

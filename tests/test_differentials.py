@@ -222,28 +222,28 @@ def test_sign_fix_equivariance_through_degree_8():
 def test_inv_cochain_cohomology_poincare():
     # de Rham of Q[x]: H^0 = Q, H^1 = 0 (per weight: only weight 0 survives)
     M = de_rham_complex(k_x(BaseRing("Q")), 1, max_weight=5)
-    H0, _ = inv_cochain_cohomology(M, 0, w=0)
+    H0 = inv_cochain_cohomology(M, 0, w=0)
     assert H0.invariant_factors() == (0,)
     for w in range(1, 5):
-        H0w, _ = inv_cochain_cohomology(M, 0, w=w)
-        H1w, _ = inv_cochain_cohomology(M, 1, w=w)
+        H0w = inv_cochain_cohomology(M, 0, w=w)
+        H1w = inv_cochain_cohomology(M, 1, w=w)
         assert H0w.is_trivial() and H1w.is_trivial(), w
 
 
 def test_inv_cochain_cohomology_two_variables():
     # de Rham of Q[x, x_s]: H^0 = Q, H^1 = H^2 = 0
     M = de_rham_complex(k_x_xs(BaseRing("Q")), 2, max_weight=4)
-    H0, _ = inv_cochain_cohomology(M, 0, w=0)
+    H0 = inv_cochain_cohomology(M, 0, w=0)
     assert H0.invariant_factors() == (0,)
     for w in range(1, 4):
         for n in (0, 1, 2):
-            H, _ = inv_cochain_cohomology(M, n, w=w)
+            H = inv_cochain_cohomology(M, n, w=w)
             assert H.is_trivial(), (n, w)
 
 
 def test_inv_cochain_cohomology_zero_complex():
     M = InvolutiveCochainComplex({}, {}, {})
-    H, _ = inv_cochain_cohomology(M, 0, w=0)
+    H = inv_cochain_cohomology(M, 0, w=0)
     assert H.is_trivial()
 
 

@@ -2,16 +2,14 @@
 cyclic/dihedral homology, and the graded pieces of real Hochschild homology
 against bar-complex HH."""
 
-from c2algebra.abelian import AbMap, mat_mul, zeros
+from c2algebra.abelian import AbMap, ChainComplex, mat_mul, zeros
 from c2algebra.differentials import cotangent_module, hkr_graded_piece, presentation_of
 from c2algebra.polyring import BaseRing, PolyRing, RingInvolution, TwoNotInvertible
 from c2algebra.trace import (
-    BlockComplex,
     DihedralHomology,
     InvolutiveAlgebra,
     TraceError,
     TruncationTooSmall,
-    _eigen_subcomplex,
     algebra_gaussian,
     algebra_ground,
     algebra_poly,
@@ -320,7 +318,7 @@ def plain_split_plus_minus(C):
     if not C.algebra.base.two_invertible:
         raise TwoNotInvertible("2 is not invertible in the base")
     chains = hochschild_chains(C)
-    return _eigen_subcomplex(chains, C.omega, 1), _eigen_subcomplex(chains, C.omega, -1)
+    return chains.eigen(C.omega, 1), chains.eigen(C.omega, -1)
 
 
 def plain_hh_plus_minus_dimensions(A, n, weight=None):
@@ -376,7 +374,7 @@ def plain_dihedral_homology(A, n_max, weight=None):
                 for c in range(C.dim(q)):
                     M[off + r][off + c] = sgn * om[r][c]
         invol[n] = M
-    T = BlockComplex.from_matrices(dims, mats, A.base)
+    T = ChainComplex.from_matrices(dims, mats, A.base)
     # sanity: the involution commutes with the total differential (compared
     # in the chain groups, so mod m over Z/m)
     for n, d in T.diffs.items():
@@ -384,8 +382,8 @@ def plain_dihedral_homology(A, n_max, weight=None):
         if not lhs.equals(AbMap(d.source, d.target, mat_mul(d.matrix, invol[n]))):
             raise TraceError("bicomplex involution does not commute with b + B")
     hc = [T.homology(n).rank() for n in range(0, n_max + 1)]
-    plus = _eigen_subcomplex(T, invol, 1)
-    minus = _eigen_subcomplex(T, invol, -1)
+    plus = T.eigen(invol, 1)
+    minus = T.eigen(invol, -1)
     hd = [plus.homology(n).rank() for n in range(0, n_max + 1)]
     hdp = [minus.homology(n).rank() for n in range(0, n_max + 1)]
     return DihedralHomology(hc, hd, hdp)
