@@ -32,13 +32,13 @@ canonical bases printed from V, stays exactly the same.
 >>> G = FgAbGroup.from_invariants([2, 0])
 >>> G.invariant_factors()
 (2, 0)
->>> f = AbMap(Z(), Z(), [[2]])
->>> cokernel(f)[0].invariant_factors()
+>>> Z = FgAbGroup.free(1)
+>>> cokernel(AbMap(Z, Z, [[2]]))[0].invariant_factors()
 (2,)
 """
 
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate
 
 
 class AbelianError(Exception):
@@ -96,10 +96,6 @@ def transpose(A):
     if not A:
         return []
     return [list(col) for col in zip(*A)]
-
-
-def is_zero_matrix(A):
-    return all(all(x == 0 for x in row) for row in A)
 
 
 def hstack(A, B):
@@ -431,9 +427,6 @@ class FgAbGroup:
         a base ring Z/m."""
         return sum(1 for d in self.invariant_factors() if d == 0)
 
-    def torsion(self):
-        return tuple(d for d in self.invariant_factors() if d)
-
     def is_trivial(self):
         return not self.invariant_factors()
 
@@ -461,14 +454,6 @@ class FgAbGroup:
         orders, Vt = self._factors
         y = v if Vt is None else mat_vec(Vt, v)
         return [yi % d if d else yi for yi, d in zip(y, orders) if d != 1]
-
-    def elements(self):
-        """Iterate all elements (finite groups only), in canonical coords."""
-        inv = self.invariant_factors()
-        if any(d == 0 for d in inv):
-            raise ValueError("infinite group")
-        for tup in product(*[range(d) for d in inv]):
-            yield list(tup)
 
     def __eq__(self, other):
         if not isinstance(other, FgAbGroup):
@@ -505,14 +490,6 @@ def render_invariants(invs):
         return "0"
     parts = ["Z" if d == 0 else "Z/%d" % d for d in invs]
     return " + ".join(parts)
-
-
-def Z():
-    return FgAbGroup.free(1)
-
-
-def Zmod(m):
-    return FgAbGroup(1, [[m]])
 
 
 def trivial_group():
@@ -632,7 +609,7 @@ def subgroup_coords(gens, relations, vectors, ngens_ambient):
 def kernel(f):
     """(K, inclusion) with K = ker(f) as a subgroup of the source.
 
-    >>> f = AbMap(FgAbGroup.free(2), Z(), [[1, 1]])
+    >>> f = AbMap(FgAbGroup.free(2), FgAbGroup.free(1), [[1, 1]])
     >>> kernel(f)[0].invariant_factors()
     (0,)
     """
@@ -721,9 +698,8 @@ class Homology:
     cycles: the inclusion of ker(d_out) into the chain group;
     induced(phi, target): the map on homology of a chain map phi.
 
-    >>> two = AbMap(Z(), Z(), [[2]])
-    >>> zero = AbMap(Z(), Z(), [[0]])
-    >>> Homology(two, zero).group.invariant_factors()
+    >>> Z = FgAbGroup.free(1)
+    >>> Homology(AbMap(Z, Z, [[2]]), AbMap(Z, Z, [[0]])).group.invariant_factors()
     (2,)
     """
 
@@ -761,17 +737,6 @@ class Homology:
         if None in ys:
             raise IllFormedMap("the map does not carry cycles to cycles")
         return AbMap(self.group, target.group, transpose(ys))
-
-
-def homology_at(d_in, d_out):
-    """The homology group ker(d_out)/im(d_in) over Z.
-
-    >>> two = AbMap(Z(), Z(), [[2]])
-    >>> zero = AbMap(Z(), Z(), [[0]])
-    >>> homology_at(two, zero).invariant_factors()
-    (2,)
-    """
-    return Homology(d_in, d_out).group
 
 
 class ChainComplex:
@@ -823,8 +788,8 @@ class ChainComplex:
 def tensor_groups(G, H):
     """G (x) H presented on generator pairs (i, j) -> i * H.ngens + j.
 
-    >>> tensor_groups(Zmod(4), Zmod(6)).invariant_factors()
-    (2,)
+    >>> tensor_groups(FgAbGroup.from_invariants([4]), FgAbGroup.from_invariants([6]))
+    FgAbGroup(2,)
     """
     n = G.ngens * H.ngens
     rels = []

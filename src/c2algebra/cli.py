@@ -86,19 +86,28 @@ def parse_mackey(data):
     unknown = set(data) - allowed
     if unknown:
         raise ParseError("unknown fields in Mackey functor: %s" % sorted(unknown))
+    fixed = FgAbGroup.from_invariants(_invariant_list(data, "fixed"))
+    und = FgAbGroup.from_invariants(_invariant_list(data, "underlying"))
     try:
-        fixed = FgAbGroup.from_invariants([int(d) for d in data["fixed"]])
-        und = FgAbGroup.from_invariants([int(d) for d in data["underlying"]])
         res = AbMap(fixed, und, _int_matrix(data.get("res") or []))
         tr_ = AbMap(und, fixed, _int_matrix(data.get("tr") or []))
         sig = AbMap(und, und, _int_matrix(data.get("sigma") or []))
-    except Exception as e:
+    except IllFormedMap as e:
         raise ParseError("malformed Mackey functor: %s" % e)
     M = mk.MackeyFunctor(fixed, und, res, tr_, sig)
     v = mk.validate(M)
     if v is not None:
         raise DomainError("Lewis axioms fail: %r" % v)
     return M
+
+
+def _invariant_list(data, field):
+    """A level of a Mackey functor, checked to be a list of invariant
+    factors: integers >= 0."""
+    invs = data.get(field)
+    if not (isinstance(invs, list) and all(type(d) is int and d >= 0 for d in invs)):
+        raise ParseError("%s must be a list of integers >= 0, got %r" % (field, invs))
+    return invs
 
 
 def _int_matrix(rows):
@@ -389,6 +398,9 @@ def cmd_tambara_free(args, out):
     if args.kind == "trivial":
         T = tb.free_involutive_trivial(base, args.names or ["x"], truncation=trunc)
     elif args.kind == "free":
+        if args.names is not None:
+            raise ParseError("--names applies to --kind trivial only: the free "
+                             "kind's generators are x, x_s")
         T = tb.free_involutive_free(base, truncation=trunc)
     else:
         raise ParseError("kind must be trivial or free")
@@ -652,7 +664,16 @@ def run(argv, stdout=None):
             cx.ComplexError, mk.MackeyError, RingError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    print("\n".join(lines), file=stdout)
+    try:
+        print("\n".join(lines), file=stdout)
+        stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (as `| head` does) and wants no more:
+        # end quietly, with stdout on devnull, where the flush at exit
+        # cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -14,10 +14,9 @@ with involution the fixed-point Tambara functor is always cohomological
 
 The associated de Rham complex is an involutive cochain complex: the
 differential raises degree and is sigma-antilinear, d(sigma m) =
--sigma(d m).  sign_fix flips the involution on odd degrees, making the
-differential strictly equivariant.  Cohomology does not depend on sigma:
-inv_cochain_cohomology reads it from the differentials alone, as the
-homology of an abelian.ChainComplex.
+-sigma(d m).  Cohomology does not depend on sigma: inv_cochain_cohomology
+reads it from the differentials alone, as the homology of an
+abelian.ChainComplex.
 
 When sigma permutes the generators up to sign, exterior_power builds
 Lambda^i L at one weight with its natural sigma.  It is the one builder of
@@ -245,11 +244,10 @@ class InvolutiveCochainComplex:
     The terms are free modules over base (a BaseRing; None means Z), whose
     elements the integer matrices lift; cohomology is taken over that base."""
 
-    def __init__(self, dims, sigmas, diffs, sign_fixed=False, base=None):
+    def __init__(self, dims, sigmas, diffs, base=None):
         self.dims = dict(dims)          # (n, w) -> int
         self.sigmas = dict(sigmas)      # (n, w) -> matrix
         self.diffs = dict(diffs)        # (n, w) -> matrix to (n+1, w)
-        self.sign_fixed = sign_fixed
         self.base = base
 
     def degrees(self):
@@ -262,7 +260,7 @@ class InvolutiveCochainComplex:
         return self.dims.get((n, w), 0)
 
     def check(self):
-        """d^2 = 0 and d sigma = -/+ sigma d, compared in the base's chain
+        """d^2 = 0 and d sigma = -sigma d, compared in the base's chain
         groups (mod m over Z/m, where -1 is lifted as m - 1)."""
         for (n, w), d in self.diffs.items():
             if not d:
@@ -277,21 +275,10 @@ class InvolutiveCochainComplex:
                 continue
             lhs = AbMap(C[n], C[n + 1], mat_mul(d, sig_src))
             rhs = AbMap(C[n], C[n + 1], mat_mul(sig_tgt, d))
-            if not lhs.equals(rhs if self.sign_fixed else -rhs):
-                kind = "equivariance" if self.sign_fixed else "antilinearity"
-                raise DifferentialError("sigma %s fails at degree %d weight %d"
-                                        % (kind, n, w))
+            if not lhs.equals(-rhs):
+                raise DifferentialError("sigma antilinearity fails at degree %d weight %d"
+                                        % (n, w))
         return self
-
-
-def sign_fix(M):
-    """Flip sigma on odd degrees; the differential becomes equivariant."""
-    sigmas = {}
-    for (n, w), s in M.sigmas.items():
-        sigmas[(n, w)] = [[-x for x in row] for row in s] if n % 2 else s
-    out = InvolutiveCochainComplex(M.dims, sigmas, M.diffs,
-                                   sign_fixed=not M.sign_fixed, base=M.base)
-    return out.check()
 
 
 def inv_cochain_cohomology(M, n, w=0):

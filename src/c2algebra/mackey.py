@@ -8,8 +8,7 @@ Weyl action sigma on M^e, subject to
     res o tr = 1 + sigma.
 
 Standard diagrams: zbar() is the constant functor at Z (res = 1, tr = 2),
-zsign() has trivial fixed level and sigma = -1, zbar_c2() = induced(Z),
-burnside() is the Burnside Mackey functor.
+zbar_c2() = induced(Z), the two cells of sign-sphere complexes.
 """
 
 from .abelian import (
@@ -36,10 +35,6 @@ class MackeyError(Exception):
 
 
 class NotInvolution(MackeyError):
-    pass
-
-
-class TorsionNotSupported(MackeyError):
     pass
 
 
@@ -74,9 +69,6 @@ class MackeyFunctor:
 
     def __repr__(self):
         return "MackeyFunctor(%s / %s)" % (self.fixed, self.underlying)
-
-    def levels(self):
-        return self.fixed.invariant_factors(), self.underlying.invariant_factors()
 
 
 class MackeyMap:
@@ -183,16 +175,6 @@ def zbar():
     return constant_mackey(FgAbGroup.free(1))
 
 
-def zsign():
-    """Fixed level 0, underlying Z with sigma = -1 (a regular (-1)-slice)."""
-    zero = FgAbGroup(0)
-    z = FgAbGroup.free(1)
-    return MackeyFunctor(zero, z,
-                         AbMap.zero_map(zero, z),
-                         AbMap.zero_map(z, zero),
-                         AbMap(z, z, [[-1]]))
-
-
 def induced(G):
     """Free on the C2-orbit: fixed = G, underlying = G + G, res diagonal."""
     n = G.ngens
@@ -209,15 +191,6 @@ def induced(G):
 
 def zbar_c2():
     return induced(FgAbGroup.free(1))
-
-
-def burnside():
-    """The C2-Burnside Mackey functor: fixed = Z{[C2/C2], [C2]}."""
-    fixed = FgAbGroup.free(2, labels=["[C2/C2]", "[C2]"])
-    und = FgAbGroup.free(1)
-    res = AbMap(fixed, und, [[1, 2]])
-    tr = AbMap(und, fixed, [[0], [1]])
-    return MackeyFunctor(fixed, und, res, tr, AbMap.identity_map(und))
 
 
 def fixed_point_mackey(G, sigma):
@@ -379,124 +352,8 @@ def box_map(f, g, source=None, target=None):
 
 
 # ---------------------------------------------------------------------------
-# duals, geometric fixed points, zeroth slice
-
-def dual(M):
-    """Hom(M, zbar): the monoidal dual for levelwise torsion-free functors.
-
-    Concretely: dual(M)^e = Hom(M^e, Z) with sigma-transpose action, fixed
-    level the sigma-invariant functionals, res the inclusion, tr = 1 + sigma.
-    Under this dual zbar, zbar_c2 and zsign are self-dual.
-    """
-    if M.fixed.torsion() or M.underlying.torsion():
-        raise TorsionNotSupported("dual requires torsion-free levels")
-    basis = _free_basis(M.underlying)
-    k = len(basis)
-    sig = _map_on_basis(M.sigma, basis, M.underlying)
-    sig_t = transpose(sig) if k else []
-    free = FgAbGroup.free(k)
-    sigma_dual = AbMap(free, free, sig_t if k else [])
-    return fixed_point_mackey(free, sigma_dual)
-
-
-def dual_map(f, dual_source=None, dual_target=None):
-    """dual(f): dual(target) -> dual(source), transpose on basis coordinates."""
-    Mt = dual_target if dual_target is not None else dual(f.target)
-    Ms = dual_source if dual_source is not None else dual(f.source)
-    bs = _free_basis(f.source.underlying)
-    bt = _free_basis(f.target.underlying)
-    fu = _map_on_bases(f.f_underlying, bs, f.target.underlying, bt)
-    fu_t = transpose(fu) if fu else []
-    und = AbMap(Mt.underlying, Ms.underlying,
-                fu_t if fu_t else zeros(Ms.underlying.ngens, Mt.underlying.ngens))
-    # fixed level: restrict the transpose to invariant functionals
-    gens_s = transpose(Ms.res.matrix) if Ms.fixed.ngens else []
-    cols = subgroup_coords(gens_s, Ms.underlying.relations,
-                           [und(Mt.res(e)) for e in identity(Mt.fixed.ngens)],
-                           Ms.underlying.ngens)
-    if None in cols:
-        raise MackeyError("dual map does not preserve invariant functionals")
-    fx = AbMap(Mt.fixed, Ms.fixed,
-               transpose(cols) if cols else zeros(Ms.fixed.ngens, Mt.fixed.ngens))
-    return MackeyMap(Mt, Ms, fx, und)
-
-
-def _free_basis(G):
-    """Ambient vectors whose classes form a basis (G torsion-free)."""
-    if G.torsion():
-        raise TorsionNotSupported("group has torsion")
-    return G.canonical_basis()
-
-
-def _map_on_basis(f, basis, G):
-    """Matrix of f: G -> G on the chosen basis of a torsion-free G."""
-    return _map_on_bases(f, basis, G, basis)
-
-
-def _map_on_bases(f, basis_src, G_tgt, basis_tgt):
-    cols = subgroup_coords(basis_tgt, G_tgt.relations, [f(b) for b in basis_src],
-                           G_tgt.ngens)
-    if None in cols:
-        raise MackeyError("image leaves the free basis span")
-    return transpose(cols) if cols else []
-
+# geometric fixed points
 
 def geometric_fixed_points(M):
     """coker(tr : M^e -> M^{C2}); pi_0-level geometric fixed points."""
     return cokernel(M.tr)[0]
-
-
-def zeroth_slice(M):
-    """Largest quotient with injective restriction, plus the quotient map."""
-    K, incl = kernel(M.res)
-    # sub-Mackey functor generated by ker(res): underlying part = span res(K),
-    # fixed part = K + tr(res K); here res K = 0 in the quotient's bookkeeping
-    kgens = transpose(incl.matrix) if K.ngens else []
-    und_extra = [M.res(list(g)) for g in kgens]
-    und_rels = list(M.underlying.relations) + und_extra
-    new_und = FgAbGroup(M.underlying.ngens, und_rels)
-    fixed_extra = [list(g) for g in kgens]
-    fixed_extra += [M.tr(v) for v in und_extra]
-    new_fixed = FgAbGroup(M.fixed.ngens, list(M.fixed.relations) + fixed_extra)
-    res = AbMap(new_fixed, new_und, M.res.matrix)
-    tr = AbMap(new_und, new_fixed, M.tr.matrix)
-    sig = AbMap(new_und, new_und, M.sigma.matrix)
-    P = MackeyFunctor(new_fixed, new_und, res, tr, sig)
-    q = MackeyMap(M, P,
-                  AbMap(M.fixed, new_fixed, identity(M.fixed.ngens)),
-                  AbMap(M.underlying, new_und, identity(M.underlying.ngens)))
-    return P, q
-
-
-# ---------------------------------------------------------------------------
-# isomorphism fingerprint
-
-def fingerprint(M):
-    """Tuple of isomorphism invariants.
-
-    Levelwise invariant factors plus invariant factors of kernels and
-    cokernels of res, tr, sigma -+ 1, and of the zeroth slice.  Complete on
-    the library's standard family (asserted in the test suite), used for
-    "exact match" assertions in place of a module-isomorphism search.
-    """
-    one = AbMap.identity_map(M.underlying)
-    parts = [
-        M.fixed.invariant_factors(),
-        M.underlying.invariant_factors(),
-        kernel(M.res)[0].invariant_factors(),
-        cokernel(M.res)[0].invariant_factors(),
-        kernel(M.tr)[0].invariant_factors(),
-        cokernel(M.tr)[0].invariant_factors(),
-        kernel(M.sigma - one)[0].invariant_factors(),
-        cokernel(M.sigma - one)[0].invariant_factors(),
-        kernel(M.sigma + one)[0].invariant_factors(),
-        cokernel(M.sigma + one)[0].invariant_factors(),
-    ]
-    P, _ = zeroth_slice(M)
-    parts.append(P.fixed.invariant_factors())
-    parts.append(P.underlying.invariant_factors())
-    return tuple(parts)
-
-
-def isomorphic(M, N):
-    return fingerprint(M) == fingerprint(N)

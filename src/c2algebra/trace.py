@@ -9,12 +9,11 @@ Hochschild chains C_n = A (x) Abar^{(x) n} with
 
 These satisfy b^2 = 0, wb = bw, w^2 = 1, B^2 = 0, bB + Bb = 0 and
 wB = -Bw exactly; all are asserted in the test suite.  When 2 is invertible
-the complex splits along w into C+ and C-, giving HH^{+/-}, the fixed points
-of real Hochschild homology, and the dihedral splitting HC = HD + HD' of the
-cyclic homology of the (b, B)-bicomplex.  Each of these complexes (the
-Hochschild chains, their w-eigen parts, the total complex of the bicomplex,
-laid out by abelian.block_matrix) is an abelian.ChainComplex over the base
-ring, and its homology is read there.
+the total complex of the (b, B)-bicomplex splits along w, giving the
+dihedral splitting HC = HD + HD' of cyclic homology.  Each of these
+complexes (the Hochschild chains, the total complex of the bicomplex, laid
+out by abelian.block_matrix, and its eigen parts) is an
+abelian.ChainComplex over the base ring, and its homology is read there.
 
 Graded algebras are handled one internal weight at a time (exact per
 weight), finite-dimensional algebras as a whole, and both are cut further
@@ -32,25 +31,12 @@ The graded pieces gr^i of real Hochschild homology come from the de Rham
 side, differentials.hkr_graded_piece; this complex is their oracle.
 """
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from operator import add, le
 
-from .abelian import (
-    AbMap,
-    ChainComplex,
-    FgAbGroup,
-    Homology,
-    block_matrix,
-    free_rank,
-    identity,
-    is_zero_matrix,
-    mat_mul,
-    trivial_group,
-    zeros,
-)
-from .polyring import BaseRing, PolyRing, RingInvolution, TwoNotInvertible, integer_lift
+from .abelian import AbMap, ChainComplex, FgAbGroup, block_matrix, free_rank, mat_mul, zeros
+from .polyring import TwoNotInvertible, integer_lift
 
 
 class TraceError(Exception):
@@ -83,43 +69,6 @@ class InvolutiveAlgebra:
 
     def __repr__(self):
         return "InvolutiveAlgebra(%s)" % (self.name or self.ring.names)
-
-
-def algebra_q_poly():
-    base = BaseRing("Q")
-    ring = PolyRing(base, ["x"])
-    return InvolutiveAlgebra(base, ring, RingInvolution.identity(ring), "Q[x]")
-
-
-def algebra_q_dual_numbers():
-    """Q[x]/x^2 with w(x) = -x."""
-    base = BaseRing("Q")
-    ring = PolyRing(base, ["x"], rules={0: (2, {})})
-    return InvolutiveAlgebra(base, ring, RingInvolution(ring, [ring.neg(ring.var(0))]),
-                             "Q[x]/x^2, w(x) = -x")
-
-
-def algebra_gaussian():
-    """Q(i) over Q with conjugation: the desk model of C over R."""
-    base = BaseRing("Q")
-    ring = PolyRing(base, ["i"], rules={0: (2, {(0,): -1})})
-    return InvolutiveAlgebra(base, ring, RingInvolution(ring, [ring.neg(ring.var(0))]),
-                             "C/R")
-
-
-def algebra_ground(base=None):
-    base = base or BaseRing("Q")
-    ring = PolyRing(base, [])
-    return InvolutiveAlgebra(base, ring, RingInvolution.identity(ring), "k")
-
-
-def algebra_poly(base, names, omega_images=None, rules=None):
-    ring = PolyRing(base, names, rules=rules or {})
-    if omega_images is None:
-        om = RingInvolution.identity(ring)
-    else:
-        om = RingInvolution(ring, omega_images)
-    return InvolutiveAlgebra(base, ring, om)
 
 
 def _require_homogeneous(algebra):
@@ -366,54 +315,9 @@ class DihedralComplex:
                 M[i][j] = v
         return M
 
-    # -- identities -------------------------------------------------------------
-
-    def check_identities(self):
-        for n in range(2, self.n_max + 1):
-            assert is_zero_matrix(mat_mul(self.b[n - 1], self.b[n])), "b^2 != 0"
-        for n in range(1, self.n_max + 1):
-            assert mat_mul(self.omega[n - 1], self.b[n]) == \
-                mat_mul(self.b[n], self.omega[n]), "wb != bw"
-        for n in range(0, self.n_max + 1):
-            assert mat_mul(self.omega[n], self.omega[n]) == identity(self.dim(n)), \
-                "w^2 != 1"
-        for n in range(0, self.n_max - 1):
-            assert is_zero_matrix(mat_mul(self.B[n + 1], self.B[n])), "B^2 != 0"
-        for n in range(1, self.n_max):
-            bB = mat_mul(self.b[n + 1], self.B[n])
-            Bb = mat_mul(self.B[n - 1], self.b[n])
-            s = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(bB, Bb)]
-            assert is_zero_matrix(s), "bB + Bb != 0"
-        if self.n_max >= 1:
-            bB0 = mat_mul(self.b[1], self.B[0])
-            assert is_zero_matrix(bB0), "bB != 0 in degree 0"
-        for n in range(0, self.n_max):
-            wB = mat_mul(self.omega[n + 1], self.B[n])
-            Bw = mat_mul(self.B[n], self.omega[n])
-            s = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(wB, Bw)]
-            assert is_zero_matrix(s), "wB + Bw != 0"
-        return True
-
-    def idempotent_is_idempotent(self):
-        """e = (1 + w)/2 squares to itself (needs 2 invertible)."""
-        _require_two_invertible(self.algebra.base)
-        for n in range(0, self.n_max + 1):
-            d = self.dim(n)
-            e = [[Fraction(self.omega[n][i][j] + (1 if i == j else 0), 2)
-                  for j in range(d)] for i in range(d)]
-            ee = [[sum(e[i][k] * e[k][j] for k in range(d)) for j in range(d)]
-                  for i in range(d)]
-            if ee != e:
-                return False
-        return True
-
 
 def _mono(ring, m):
     return {m: ring.base.one()}
-
-
-def hochschild_complex(A, n_max, weight=None):
-    return DihedralComplex(A, n_max, weight)
 
 
 def hochschild_blocks(A, n_max, weight=None):
@@ -452,63 +356,6 @@ def hh_groups(blocks, degrees):
     chains = [(C, hochschild_chains(C), 2 if C.paired else 1) for C in blocks]
     return [_direct_sum([(ch.homology(n).group, k) for C, ch, k in chains if C.dim(n)])
             for n in degrees]
-
-
-def hh_group(A, n, weight=None):
-    """HH_n over the base ring of A (integral structure constants).
-
-    The result is an FgAbGroup, whose ``.rank()`` counts Z summands only:
-    over Z/m it is 0 and the dimension sits in the Z/m summands.  Use
-    ``hh_dimension`` for the free rank over the base."""
-    return hh_groups(hochschild_blocks(A, n + 1, weight), [n])[0]
-
-
-def hh_dimension(A, n, weight=None):
-    """dim_k HH_n: the free rank over the base."""
-    return free_rank(hh_group(A, n, weight), A.base)
-
-
-def hr_underlying(A, n, weight=None):
-    """Underlying homotopy of real Hochschild homology: HH_n(A^e/k)."""
-    return hh_group(A, n, weight=weight)
-
-
-# ---------------------------------------------------------------------------
-# +/- splitting
-
-def split_plus_minus(C):
-    """(C+, C-): the omega-eigenvalue subcomplexes of the Hochschild chains
-    of C's sigma-orbit.  For a paired block omega swaps C with its partner,
-    so each eigen part is a copy of C's chains and omega is not built."""
-    _require_two_invertible(C.algebra.base)
-    chains = hochschild_chains(C)
-    if C.paired:
-        return chains, chains
-    return chains.eigen(C.omega, 1), chains.eigen(C.omega, -1)
-
-
-def hh_plus_minus_dimensions(A, n, weight=None):
-    """(dim HH_n^+, dim HH_n^-)."""
-    _require_two_invertible(A.base)
-    parts = [split_plus_minus(C) for C in hochschild_blocks(A, n + 1, weight)]
-    return tuple(free_rank(_direct_sum([(P[s].homology(n).group, 1) for P in parts]), A.base)
-                 for s in (0, 1))
-
-
-def hr_fixed_points(A, n, weight=None):
-    """pi_n of HR^{C2} when 2 is invertible: HH_n^+(A^e/k)."""
-    return hh_plus_minus_dimensions(A, n, weight)[0]
-
-
-def hh_omega_fixed_dimension(A, n, weight=None):
-    """Independent route: dim of the +1 eigenspace of omega acting on HH_n,
-    on the whole weight block."""
-    C = hochschild_complex(A, n + 1, weight)
-    H = hochschild_chains(C).homology(n)
-    Cn = H.cycles.target
-    om_H = H.induced(AbMap(Cn, Cn, C.omega[n]), H)
-    fixed = om_H - AbMap.identity_map(H.group)
-    return Homology(AbMap.zero_map(trivial_group(), H.group), fixed, A.base).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +422,3 @@ def dihedral_homology(A, n_max, weight=None):
     hc, hd, hdp = ([free_rank(_direct_sum([p[s][n] for p in parts]), A.base)
                     for n in range(0, n_max + 1)] for s in range(3))
     return DihedralHomology(hc, hd, hdp)
-
-
-def cyclic_class_eigenvalue(n):
-    """Eigenvalue of the bicomplex involution on the degree-n cyclic class of
-    the ground field: the class sits in column n/2."""
-    if n % 2:
-        raise ValueError("ground-field cyclic classes live in even degrees")
-    return -1 if (n // 2) % 2 else 1

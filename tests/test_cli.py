@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from c2algebra.cli import (
     mackey_to_json,
@@ -12,9 +16,10 @@ from c2algebra.cli import (
 )
 from c2algebra.complexes import homology
 from c2algebra.differentials import cotangent_module, hkr_graded_piece, presentation_of
-from c2algebra.mackey import box, burnside, fingerprint, zbar, zbar_c2, zsign
+from c2algebra.mackey import box, zbar, zbar_c2
 from c2algebra.polyring import BaseRing
 from c2algebra import trace as tr
+from oracles import algebra_poly, burnside, fingerprint, zsign
 
 
 def run_cli(argv):
@@ -66,7 +71,7 @@ def test_parse_rejects_unknown_fields():
 
 def test_mackey_roundtrip():
     for M in (zbar(), zsign(), zbar_c2(), burnside(), box(zbar(), zbar()),
-              homology(hkr_graded_piece(cotangent_module(presentation_of(tr.algebra_poly(
+              homology(hkr_graded_piece(cotangent_module(presentation_of(algebra_poly(
                   BaseRing("Z"), ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}]))), 2, 4), 2)):
         data = mackey_to_json(M)
         M2 = parse_mackey(json.loads(json.dumps(data)))
@@ -153,6 +158,9 @@ def test_tambara_free_names_are_distinct_variable_names(capsys):
         code, out = run_cli(["tambara-free", "--kind", "trivial", "--names", names])
         assert (code, out) == (2, ""), names
         assert "argument --names" in capsys.readouterr().err
+    # the free kind has its own generators x, x_s: names are refused, not dropped
+    assert run_cli(["tambara-free", "--kind", "free", "--names", "a,b"]) == (2, "")
+    assert "--names" in capsys.readouterr().err
 
 
 def test_hh_command():
@@ -514,6 +522,14 @@ def test_exit_code_2_on_bad_json():
     code, _ = run_cli(["mackey-show", "--input", '{"fixed": [0], "underlying": [0], '
                        '"res": [["a"]], "tr": [[2]], "sigma": [[1]]}'])
     assert code == 2
+    # levels that are not lists of invariant factors (integers >= 0), and a
+    # matrix of the wrong shape
+    for level in ('"fixed": "0"', '"fixed": [2.7]', '"fixed": [true]', '"underlying": [-1]',
+                  '"underlying": null'):
+        mackey = json.loads(ZBAR_JSON)
+        mackey.update(json.loads("{%s}" % level))
+        assert run_cli(["mackey-show", "--input", json.dumps(mackey)])[0] == 2, level
+    assert run_cli(["mackey-show", "--input", ZBAR_JSON.replace("[[2]]", "[[2, 2]]")])[0] == 2
     # a differential whose fixed-level matrix has the wrong shape
     code, _ = run_cli(["slice-check", "--n", "0", "--complex",
                        '{"kind": "complex", "terms": {"0": ["Zbar"], "1": ["Zbar"]}, '
@@ -590,3 +606,22 @@ def test_mackey_trunc_env_override(monkeypatch):
     monkeypatch.setenv("MACKEY_TRUNC", "bogus")
     code, _ = run_cli(["tambara-free", "--kind", "free"])
     assert code == 2
+
+
+def test_a_closed_pipe_ends_quietly(tmp_path):
+    # Z^150 with the constant structure prints about 200 kB, more than a pipe
+    # holds, so the writer is still writing when the reader closes the pipe
+    # after the first line
+    n = 150
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"fixed": [0] * n, "underlying": [0] * n, "res": eye,
+                                "tr": [[2 * x for x in row] for row in eye], "sigma": eye}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "c2algebra.cli", "mackey-show",
+                             "--input", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"C2-level : Z + Z")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")

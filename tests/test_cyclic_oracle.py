@@ -2,14 +2,9 @@
 (b, b', 1 - t, N) bicomplex on unnormalized chains, compared against the
 engine's normalized (b, B)-model degree by degree."""
 
-from c2algebra.abelian import AbMap, FgAbGroup, homology_at, mat_mul, zeros
-from c2algebra.trace import (
-    algebra_gaussian,
-    algebra_ground,
-    algebra_q_dual_numbers,
-    algebra_q_poly,
-    dihedral_homology,
-)
+from c2algebra.abelian import ChainComplex, mat_mul, zeros
+from c2algebra.trace import dihedral_homology
+from oracles import algebra_gaussian, algebra_ground, algebra_q_dual_numbers, algebra_q_poly
 
 
 def _unnormalized_chains(A, n_max, weight):
@@ -149,15 +144,8 @@ def classical_hc(A, n_max, weight=None):
     for n in range(2, n_max + 2):
         prod = mat_mul(mats[n - 1], mats[n])
         assert all(all(x == 0 for x in row) for row in prod), "oracle D^2 != 0"
-    out = []
-    for n in range(0, n_max + 1):
-        Cn = FgAbGroup.free(dims.get(n, 0))
-        Cin = FgAbGroup.free(dims.get(n + 1, 0))
-        Cout = FgAbGroup.free(dims.get(n - 1, 0))
-        d_in = AbMap(Cin, Cn, mats.get(n + 1) or zeros(Cn.ngens, Cin.ngens))
-        d_out = AbMap(Cn, Cout, mats.get(n) or zeros(Cout.ngens, Cn.ngens))
-        out.append(homology_at(d_in, d_out).rank())
-    return out
+    T = ChainComplex.from_matrices(dims, mats)
+    return [T.homology(n).group.rank() for n in range(0, n_max + 1)]
 
 
 def test_oracle_matches_engine_ground_field():

@@ -1,38 +1,90 @@
-"""Every top-level function and class of the package is used: its name
-occurs in code (not in a string or comment) somewhere under src/, tests/ or
-perfbench/ other than its own definition."""
+"""src/c2algebra holds what the CLI runs: every function, class and method of
+the package is reachable from cli.py, or is read by perfbench as a counter.
+
+The walk starts at every top-level statement of cli.py, at the module-level
+statements of the other modules (they run on import), and at the names that
+perfbench/crosscheck.py's TARGETS and perfbench/tracer.py's report read as
+strings.  From a reached definition it follows every name the definition's
+code uses (a Name or an Attribute, resolved by name alone, so a use reaches
+each definition of that name).  A reached class reaches its class-level code
+and its dunder methods, which Python calls implicitly; its other methods
+count only when named.  Uses under tests/ do not count."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "c2algebra"
+PERFBENCH = ROOT / "perfbench"
 
 
-def _trees():
-    for folder in ("src", "tests", "perfbench"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
-def _names_used(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1]
+def _names_used(nodes):
+    for tree in nodes:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+
+def _is_def(node):
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef))
+
+
+def _definitions():
+    """(label, name, code nodes) of every top-level function and class and
+    every method of the package, and the package's root code."""
+    defs, roots = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in _parse(path).body:
+            if module == "cli" or not _is_def(node):
+                roots.append(node)
+            if isinstance(node, ast.FunctionDef):
+                defs.append(("%s.%s" % (module, node.name), node.name, [node]))
+            elif isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)
+                           and not m.name.startswith("__")]
+                own = [m for m in node.body if m not in methods] + node.bases
+                defs.append(("%s.%s" % (module, node.name), node.name,
+                             own + node.decorator_list))
+                defs += [("%s.%s.%s" % (module, node.name, m.name), m.name, [m])
+                         for m in methods]
+    return defs, roots
+
+
+def _perfbench_names():
+    """The definition names perfbench reads as strings."""
+    names = set()
+    for node in ast.walk(_parse(PERFBENCH / "crosscheck.py")):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            for pair in node.value.values:
+                names.add(pair.elts[1].value.rsplit(".", 1)[-1])
+    report = next(node for node in ast.walk(_parse(PERFBENCH / "tracer.py"))
+                  if isinstance(node, ast.FunctionDef) and node.name == "report")
+    for node in ast.walk(report):
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            names.add(str(node.slice.value).rsplit(".", 1)[-1])
+    return names
 
 
 def test_every_top_level_definition_is_used():
-    used = set()
-    defined = []
-    for path, tree in _trees():
-        used.update(_names_used(tree))
-        if path.parent == PACKAGE:
-            defined += [(path.name, node.name) for node in tree.body
-                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    assert defined
-    unused = [(module, name) for module, name in defined if name not in used]
-    assert unused == [], "defined but never named elsewhere: %s" % unused
+    defs, roots = _definitions()
+    assert defs and roots
+    code_by_name = {}
+    for _, name, code in defs:
+        code_by_name.setdefault(name, []).extend(code)
+    seen = set()
+    todo = set(_names_used(roots)) | _perfbench_names()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        todo |= set(_names_used(code_by_name.get(name, ()))) - seen
+    unreached = [label for label, name, _ in defs if name not in seen]
+    assert unreached == [], "%d definitions the CLI never reaches: %s" % (
+        len(unreached), ", ".join(unreached))

@@ -1,13 +1,9 @@
-"""Cotangent modules, involutive de Rham complexes, sign_fix, and the HKR
+"""Cotangent modules, involutive de Rham complexes, and the HKR
 graded pieces: against the closed-form table of the two monogenic cases, and
 against the bar complex for signed permutations of up to three variables."""
 
 from c2algebra.polyring import BaseRing, parse_poly
-from c2algebra.tambara import (
-    free_involutive_free,
-    free_involutive_trivial,
-    mackey_piece,
-)
+from c2algebra.tambara import free_involutive_free, free_involutive_trivial
 from c2algebra.abelian import AbMap, FgAbGroup
 from c2algebra.cli import mackey_to_json, parse_input
 from c2algebra import complexes as cx
@@ -23,12 +19,18 @@ from c2algebra.differentials import (
     hyperelliptic_presentation,
     inv_cochain_cohomology,
     presentation_of,
-    sign_fix,
 )
-from c2algebra.mackey import (
-    fingerprint, fixed_point_mackey, induced, isomorphic, zbar, zbar_c2, is_valid)
-from c2algebra.trace import (
-    algebra_poly, hochschild_chains, hochschild_complex, split_plus_minus)
+from c2algebra.mackey import fixed_point_mackey, induced, zbar, zbar_c2, is_valid
+from c2algebra.trace import DihedralComplex, hochschild_chains
+from oracles import (
+    algebra_poly,
+    fingerprint,
+    isomorphic,
+    mackey_piece,
+    shift,
+    split_plus_minus,
+    zsign,
+)
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -191,32 +193,12 @@ def test_de_rham_underlying_is_classical():
     assert sorted(sum(row) for row in N.diffs[(0, 1)]) == [1, 1]
 
 
-def test_sign_fix_involution_of_conventions():
-    M = de_rham_complex(k_x(), 1, max_weight=4)
-    F = sign_fix(M)
-    F.check()
-    FF = sign_fix(F)
-    assert FF.sigmas == M.sigmas
-    # after the fix sigma(dx) = +dx and d sigma = sigma d
-    assert F.sigmas[(1, 1)] == [[1]]
-
-
-def test_sign_fix_flips_only_odd_degrees():
-    M = de_rham_complex(k_x_xs(), 2, max_weight=3)
-    G = sign_fix(M)
-    for (n, w), s in M.sigmas.items():
-        if n % 2:
-            assert G.sigmas[(n, w)] == [[-x for x in row] for row in s]
-        else:
-            assert G.sigmas[(n, w)] == s
-
-
-def test_sign_fix_equivariance_through_degree_8():
-    # d sigma = sigma d on every monomial block up to weight 8 (check() on
-    # the sign-fixed complex asserts the identity matrixwise per block)
+def test_de_rham_antilinearity_through_weight_8():
+    # d^2 = 0 and d sigma = -sigma d on every monomial block up to weight 8
+    # (check() asserts both matrixwise per block)
     for P in (k_x(), k_x_xs()):
         M = de_rham_complex(P, 2, max_weight=8)
-        sign_fix(M).check()
+        assert M.check() is M
 
 
 def test_inv_cochain_cohomology_poincare():
@@ -267,7 +249,7 @@ def closed_form_graded_pieces(kind, i, weight, trunc=8):
     Products with the resolution differentials vanish after base change
     along the augmentation, so each graded piece is the stated suspension
     with zero differential; the suspensions are built through
-    complexes.suspend_sigma / shift.
+    complexes.suspend_sigma and oracles.shift.
     """
     if kind == "trivial":
         T = free_involutive_trivial(BaseRing("Z"), ["x"], truncation=trunc)
@@ -296,7 +278,7 @@ def closed_form_graded_pieces(kind, i, weight, trunc=8):
             if weight < 2:
                 return cx.MackeyComplex({}, {})
             piece = mackey_piece(T, weight - 2)
-            return cx.suspend_sigma(cx.single(piece).shift(1), 1)
+            return cx.suspend_sigma(shift(cx.single(piece), 1), 1)
         return cx.MackeyComplex({}, {})
     raise ValueError(kind)
 
@@ -351,8 +333,6 @@ def test_check_hkr_free_case():
 def test_lsym_weight_piece_shapes():
     # i = 1 trivial weight w: Sigma^sigma zbar
     C = hkr_graded_piece(monogenic_cotangent("trivial"), 1, 2)
-    from c2algebra.complexes import homology
-    from c2algebra.mackey import zsign
     assert isomorphic(homology(C, 1), zsign())
 
 
@@ -413,9 +393,9 @@ def assert_hkr_two_oracles(gens, w, degrees=range(0, 4)):
                 H = homology(C, n)
                 underlying[n] += H.underlying.rank()
                 fixed[n] += H.fixed.rank()
-    bar = hochschild_complex(A["Z"], max(degrees) + 1, w)
+    bar = DihedralComplex(A["Z"], max(degrees) + 1, w)
     hh = hochschild_chains(bar)
-    plus, _minus = split_plus_minus(hochschild_complex(A["Z[1/2]"], max(degrees) + 1, w))
+    plus, _minus = split_plus_minus(DihedralComplex(A["Z[1/2]"], max(degrees) + 1, w))
     for n in degrees:
         assert underlying[n] == hh.homology(n).group.rank(), (gens, w, n)
         assert fixed[n] == plus.homology(n).rank(), (gens, w, n)

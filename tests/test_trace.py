@@ -6,30 +6,32 @@ from c2algebra.abelian import AbMap, ChainComplex, mat_mul, zeros
 from c2algebra.differentials import cotangent_module, hkr_graded_piece, presentation_of
 from c2algebra.polyring import BaseRing, PolyRing, RingInvolution, TwoNotInvertible
 from c2algebra.trace import (
+    DihedralComplex,
     DihedralHomology,
     InvolutiveAlgebra,
     TraceError,
     TruncationTooSmall,
+    dihedral_homology,
+    hh_groups,
+    hochschild_blocks,
+    hochschild_chains,
+)
+from c2algebra.complexes import homology as cx_homology
+from c2algebra.mackey import zbar
+from oracles import (
     algebra_gaussian,
     algebra_ground,
     algebra_poly,
     algebra_q_dual_numbers,
     algebra_q_poly,
+    check_identities,
     cyclic_class_eigenvalue,
-    dihedral_homology,
-    hh_dimension,
-    hh_group,
-    hh_groups,
     hh_omega_fixed_dimension,
     hh_plus_minus_dimensions,
-    hochschild_blocks,
-    hochschild_chains,
-    hochschild_complex,
-    hr_fixed_points,
-    hr_underlying,
+    idempotent_is_idempotent,
+    isomorphic,
+    zsign,
 )
-from c2algebra.complexes import homology as cx_homology
-from c2algebra.mackey import isomorphic, zbar, zsign
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -40,6 +42,11 @@ K_X = algebra_poly(Z, ["x"])                                          # k[x]
 K_X_XS = algebra_poly(Z, ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}])   # k[x, x_s]
 COTANGENT = {"trivial": cotangent_module(presentation_of(K_X)),
              "free": cotangent_module(presentation_of(K_X_XS))}
+
+
+def hh(A, n_max, weight=None):
+    """HH_0, ..., HH_{n_max} of A, by the route of the hh command."""
+    return hh_groups(hochschild_blocks(A, n_max + 1, weight), range(n_max + 1))
 
 
 def hr_graded_pieces(kind, i, w):
@@ -60,79 +67,66 @@ def hr_underlying_dims_from_graded(kind, weight, degrees):
 
 def test_truncation_guard():
     with pytest.raises(TruncationTooSmall):
-        hochschild_complex(algebra_ground(), 0)
+        DihedralComplex(algebra_ground(), 0)
 
 
 def test_identities_ground_field():
-    C = hochschild_complex(algebra_ground(), 4)
-    assert C.check_identities()
-    assert C.idempotent_is_idempotent()
+    C = DihedralComplex(algebra_ground(), 4)
+    assert check_identities(C)
+    assert idempotent_is_idempotent(C)
 
 
 def test_identities_dual_numbers():
-    C = hochschild_complex(algebra_q_dual_numbers(), 4)
-    assert C.check_identities()
-    assert C.idempotent_is_idempotent()
+    C = DihedralComplex(algebra_q_dual_numbers(), 4)
+    assert check_identities(C)
+    assert idempotent_is_idempotent(C)
 
 
 def test_identities_gaussian():
-    C = hochschild_complex(algebra_gaussian(), 4)
-    assert C.check_identities()
+    assert check_identities(DihedralComplex(algebra_gaussian(), 4))
 
 
 def test_identities_x_cubed():
     base = BaseRing("Q")
     ring = PolyRing(base, ["x"], rules={0: (3, {})})
     A = InvolutiveAlgebra(base, ring, RingInvolution.identity(ring), "Q[x]/x^3")
-    C = hochschild_complex(A, 4)
-    assert C.check_identities()
+    assert check_identities(DihedralComplex(A, 4))
 
 
 def test_identities_poly_per_weight():
     A = algebra_q_poly()
     for w in range(0, 4):
-        C = hochschild_complex(A, 4, weight=w)
-        assert C.check_identities()
+        assert check_identities(DihedralComplex(A, 4, weight=w))
 
+
+# over Q the rank of HH_n is its dimension
 
 def test_hh_ground_field():
-    A = algebra_ground()
-    assert hh_dimension(A, 0) == 1
-    for n in range(1, 4):
-        assert hh_dimension(A, n) == 0
+    assert [G.rank() for G in hh(algebra_ground(), 3)] == [1, 0, 0, 0]
 
 
 def test_hh_polynomial_ring():
     # HH_0 = Q[x], HH_1 = Q[x]dx, HH_n = 0 for n >= 2, weight by weight
     A = algebra_q_poly()
     for w in range(0, 5):
-        assert hh_dimension(A, 0, weight=w) == 1
-        assert hh_dimension(A, 1, weight=w) == (1 if w >= 1 else 0)
-        for n in (2, 3):
-            assert hh_dimension(A, n, weight=w) == 0
+        assert [G.rank() for G in hh(A, 3, w)] == [1, 1 if w >= 1 else 0, 0, 0], w
 
 
 def test_hh_gaussian_etale():
     # R -> C is quadratic etale: HH_0 = C (dim 2 over Q), HH_n = 0 above
-    A = algebra_gaussian()
-    assert hh_dimension(A, 0) == 2
-    for n in range(1, 4):
-        assert hh_dimension(A, n) == 0
+    assert [G.rank() for G in hh(algebra_gaussian(), 3)] == [2, 0, 0, 0]
 
 
 def test_hh_dual_numbers_brute():
     # classical: HH_0(Q[x]/x^2) = Q[x]/x^2, HH_n = Q for n >= 1
-    A = algebra_q_dual_numbers()
-    assert hh_dimension(A, 0) == 2
-    for n in range(1, 5):
-        assert hh_dimension(A, n) == 1
+    assert [G.rank() for G in hh(algebra_q_dual_numbers(), 4)] == [2, 1, 1, 1, 1]
 
 
 def test_split_dims_add_up_dual_numbers():
     A = algebra_q_dual_numbers()
-    for n in range(0, 5):
+    for n, G in enumerate(hh(A, 4)):
         p, m = hh_plus_minus_dimensions(A, n)
-        assert p + m == hh_dimension(A, n), n
+        assert p + m == G.rank(), n
 
 
 def test_dual_numbers_plus_minus_table():
@@ -151,9 +145,9 @@ def test_gaussian_plus_minus_table():
 
 def test_split_dims_add_up_gaussian():
     A = algebra_gaussian()
-    for n in range(0, 4):
+    for n, G in enumerate(hh(A, 3)):
         p, m = hh_plus_minus_dimensions(A, n)
-        assert p + m == hh_dimension(A, n), n
+        assert p + m == G.rank(), n
 
 
 def test_hh_plus_minus_polynomial():
@@ -165,9 +159,10 @@ def test_hh_plus_minus_polynomial():
 
 
 def test_hr_fixed_points_examples():
-    assert hr_fixed_points(algebra_ground(), 0) == 1
+    # pi_n of HR^{C2} is HH_n^+ when 2 is invertible
+    assert hh_plus_minus_dimensions(algebra_ground(), 0)[0] == 1
     for w in range(1, 4):
-        assert hr_fixed_points(algebra_q_poly(), 1, weight=w) == 0
+        assert hh_plus_minus_dimensions(algebra_q_poly(), 1, weight=w)[0] == 0
 
 
 def test_hr_fixed_points_two_routes():
@@ -176,7 +171,7 @@ def test_hr_fixed_points_two_routes():
                        (algebra_q_poly(), [0, 1, 2, 3])):
         for w in weights:
             for n in range(0, 4):
-                assert hr_fixed_points(A, n, weight=w) == \
+                assert hh_plus_minus_dimensions(A, n, weight=w)[0] == \
                     hh_omega_fixed_dimension(A, n, weight=w), (A.name, n, w)
 
 
@@ -185,28 +180,22 @@ def test_hr_requires_two_invertible():
     ring = PolyRing(base, ["x"])
     A = InvolutiveAlgebra(base, ring, RingInvolution.identity(ring))
     with pytest.raises(TwoNotInvertible):
-        hr_fixed_points(A, 1, weight=1)
+        hh_plus_minus_dimensions(A, 1, weight=1)
 
 
 def test_hr_underlying_integral():
-    A = K_X
-    assert hr_underlying(A, 0, weight=2).invariant_factors() == (0,)
-    assert hr_underlying(A, 1, weight=2).invariant_factors() == (0,)
+    # the underlying homotopy of real Hochschild homology is HH over Z
+    assert [G.invariant_factors() for G in hh(K_X, 1, 2)] == [(0,), (0,)]
 
 
 def test_hh_two_variable_closed_form():
     # HH of k[x, x_s] is the exterior algebra on dx, dx_s over k[x, x_s]:
     # per weight w, dims are (w + 1, 2w, w - 1, 0, ...)
-    A = K_X_XS
     for w in range(0, 5):
-        assert hh_group(A, 0, weight=w).rank() == w + 1, w
-        assert hh_group(A, 1, weight=w).rank() == 2 * w, w
-        assert hh_group(A, 2, weight=w).rank() == max(w - 1, 0), w
-        assert hh_group(A, 3, weight=w).rank() == 0, w
-    # over Z the groups are torsion-free in the smooth case
-    for w in range(0, 4):
-        for n in range(0, 3):
-            assert not hh_group(A, n, weight=w).torsion(), (n, w)
+        groups = hh(K_X_XS, 3, w)
+        assert [G.rank() for G in groups] == [w + 1, 2 * w, max(w - 1, 0), 0], w
+        # over Z the groups are torsion-free in the smooth case
+        assert not any(d for G in groups[:3] for d in G.invariant_factors()), w
 
 
 def test_cyclic_homology_ground_field():
@@ -275,19 +264,17 @@ def test_hr_graded_pieces_trivial_case():
 
 def test_hr_graded_pieces_underlying_hkr_trivial():
     # underlying homology summed over i = bar-complex HH of k[x], degreewise
-    A = K_X
     for w in range(0, 5):
         got = hr_underlying_dims_from_graded("trivial", w, range(0, 5))
-        for n in range(0, 5):
-            assert got[n] == hh_group(A, n, weight=w).rank(), (w, n)
+        for n, G in enumerate(hh(K_X, 4, w)):
+            assert got[n] == G.rank(), (w, n)
 
 
 def test_hr_graded_pieces_underlying_hkr_free():
-    A = K_X_XS
     for w in range(0, 5):
         got = hr_underlying_dims_from_graded("free", w, range(0, 5))
-        for n in range(0, 5):
-            assert got[n] == hh_group(A, n, weight=w).rank(), (w, n)
+        for n, G in enumerate(hh(K_X_XS, 4, w)):
+            assert got[n] == G.rank(), (w, n)
 
 
 def test_hr_graded_pieces_free_shapes():
@@ -311,7 +298,7 @@ def test_hr_graded_pieces_free_shapes():
 # degree, the eigen-split on every chain group.
 
 def plain_hh_group(A, n, weight=None):
-    return hochschild_chains(hochschild_complex(A, n + 1, weight)).homology(n).group
+    return hochschild_chains(DihedralComplex(A, n + 1, weight)).homology(n).group
 
 
 def plain_split_plus_minus(C):
@@ -322,7 +309,7 @@ def plain_split_plus_minus(C):
 
 
 def plain_hh_plus_minus_dimensions(A, n, weight=None):
-    C = hochschild_complex(A, n + 1, weight)
+    C = DihedralComplex(A, n + 1, weight)
     plus, minus = plain_split_plus_minus(C)
     return plus.homology(n).rank(), minus.homology(n).rank()
 
@@ -330,7 +317,7 @@ def plain_hh_plus_minus_dimensions(A, n, weight=None):
 def plain_dihedral_homology(A, n_max, weight=None):
     if not A.base.two_invertible:
         raise TwoNotInvertible("2 is not invertible in the base")
-    C = hochschild_complex(A, n_max + 1, weight)
+    C = DihedralComplex(A, n_max + 1, weight)
     # total complex T_n = sum over columns i of C_{n - 2i}
     layout = {}
     dims = {}
@@ -470,7 +457,7 @@ def test_free_involutive_weight_5_has_three_paired_blocks():
 
 
 def test_a_term_outside_the_basis_is_an_error():
-    C = hochschild_complex(algebra_q_poly(), 2, weight=2)
+    C = DihedralComplex(algebra_q_poly(), 2, weight=2)
     col = [0] * C.dim(1)
     with pytest.raises(TraceError, match="degree-1 basis"):
         C._expand([{(1,): 1}, {(2,): 1}], col, 1, 1)   # weight 3, not 2
