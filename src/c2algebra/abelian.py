@@ -622,15 +622,13 @@ def kernel(f):
     full = integer_kernel(A, ncols) if f.target.ngens else [list(r) for r in identity(n)]
     gens = [v[:n] for v in full]
     gens = [g for g in hermite_normal_form(gens)] if gens else []
-    # relations among the kernel generators: combos landing in source relations
-    if gens:
-        gen_cols = transpose(gens)  # n x s
-        Rs = f.source.relations
-        B = hstack(gen_cols, [[-x for x in col] for col in transpose(Rs)] if Rs else [])
-        bk = integer_kernel(B, len(gens) + (len(Rs) if Rs else 0))
-        rels = [v[:len(gens)] for v in bk]
-    else:
-        rels = []
+    # relations among the kernel generators: combos landing in source
+    # relations; the HNF rows are independent, so a free source gives none
+    Rs = f.source.relations
+    rels = []
+    if gens and Rs:
+        B = hstack(transpose(gens), [[-x for x in col] for col in transpose(Rs)])
+        rels = [v[:len(gens)] for v in integer_kernel(B, len(gens) + len(Rs))]
     K = FgAbGroup(len(gens), rels)
     incl = AbMap(K, f.source, transpose(gens) if gens else [[] for _ in range(n)])
     return K, incl
@@ -770,6 +768,22 @@ class ChainComplex:
 
     def homology(self, n):
         return Homology(self.diff(n + 1), self.diff(n), self.base)
+
+    def check(self, invol=None, sign=1):
+        """d o d = 0 in every degree and, given invol (a matrix per degree),
+        d invol = sign invol d, compared in the chain groups (mod m over
+        Z/m).  A failure raises NotAComplex(what, n), n the degree of the
+        failing boundary's source; returns self."""
+        for n, d in self.diffs.items():
+            below = self.diffs.get(n - 1)
+            if below is not None and not below.compose(d).is_zero():
+                raise NotAComplex("d o d != 0", n)
+            if invol is not None:
+                lhs = AbMap(d.source, d.target, mat_mul(d.matrix, invol[n]))
+                rhs = AbMap(d.source, d.target, mat_mul(invol[n - 1], d.matrix))
+                if not lhs.equals(rhs.scale(sign)):
+                    raise NotAComplex("d invol != %d invol d" % sign, n)
+        return self
 
     def eigen(self, invol, sign):
         """Kernel of (invol - sign) on each chain group, with the restricted

@@ -505,14 +505,11 @@ def cmd_derham(args, out):
     A = parse_input(_load(args.algebra))
     if not isinstance(A, tr.InvolutiveAlgebra):
         raise ParseError("derham expects an algebra")
-    M = df.de_rham_complex(df.presentation_of(A), args.imax, max_weight=args.maxweight)
-    table = {}
-    for w in range(0, args.maxweight + 1):
-        col = {}
-        for n in range(0, args.imax + 1):
-            H = df.inv_cochain_cohomology(M, n, w)
-            col[str(n)] = {"h": group_to_json(H), "dim": M.dim(n, w)}
-        table[str(w)] = col
+    complexes = df.de_rham_complex(df.presentation_of(A), args.imax, args.maxweight)
+    table = {str(w): {str(n): {"h": group_to_json(C.homology(-n).group),
+                               "dim": C.groups[-n].ngens}
+                      for n in range(0, args.imax + 1)}
+             for w, C in complexes.items()}
     if args.format == "json":
         out(json.dumps({"imax": args.imax, "table": table}, sort_keys=True,
                        separators=(",", ":")))

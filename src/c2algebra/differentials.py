@@ -12,11 +12,10 @@ itself, y^2 = f(x) with y -> -y is hyperelliptic_presentation.  For a ring
 with involution the fixed-point Tambara functor is always cohomological
 (N(res x) = x sigma(x) = x^2), so nothing here needs Tambara data.
 
-The associated de Rham complex is an involutive cochain complex: the
-differential raises degree and is sigma-antilinear, d(sigma m) =
--sigma(d m).  Cohomology does not depend on sigma: inv_cochain_cohomology
-reads it from the differentials alone, as the homology of an
-abelian.ChainComplex.
+The associated de Rham complex is one abelian.ChainComplex per weight,
+Omega^k in chain degree -k, so H^k is its homology at -k.  The differential
+is sigma-antilinear, d(sigma m) = -sigma(d m), which ChainComplex.check
+verifies; cohomology does not depend on sigma.
 
 When sigma permutes the generators up to sign, exterior_power builds
 Lambda^i L at one weight with its natural sigma.  It is the one builder of
@@ -27,10 +26,10 @@ real Hochschild homology, gr^i HR = Sigma^{i sigma} Lambda^i L
 
 from itertools import combinations
 
-from .abelian import AbMap, ChainComplex, FgAbGroup, chain_group, mat_mul, zeros
+from .abelian import AbMap, ChainComplex, FgAbGroup, NotAComplex, zeros
 from . import complexes as cx
 from .mackey import fixed_point_mackey
-from .polyring import BaseRing, PolyRing, RingInvolution, integer_lift
+from .polyring import PolyRing, RingInvolution, integer_lift
 
 
 class DifferentialError(Exception):
@@ -54,14 +53,13 @@ class InvolutivePresentation:
     """
 
     def __init__(self, free_ring, sigma_free, relations, quotient, to_quotient,
-                 sigma_quotient, name=""):
+                 sigma_quotient):
         self.free_ring = free_ring
         self.sigma = sigma_free
         self.relations = list(relations)
         self.quotient = quotient
         self.to_quotient = list(to_quotient)
         self.sigma_quotient = sigma_quotient
-        self.name = name
         if not sigma_free.is_involution():
             raise DifferentialError("sigma is not an involution")
         for rname, r in self.relations:
@@ -189,7 +187,7 @@ def cotangent_module(P):
     return CotangentPresentation(P)
 
 
-def hyperelliptic_presentation(f_coeffs, base=BaseRing("Q")):
+def hyperelliptic_presentation(f_coeffs, base):
     """k[x, y]/(y^2 - f(x)) over the BaseRing k = base, with y -> -y,
     presented involutively as k[y, y_s, x] / (y + y_s, -y y_s - f(x)); f
     given by its coefficient list [c0, c1, ...]."""
@@ -207,7 +205,7 @@ def hyperelliptic_presentation(f_coeffs, base=BaseRing("Q")):
     to_q = [quotient.var(0), quotient.neg(quotient.var(0)), quotient.var(1)]
     sigma_q = RingInvolution(quotient, [quotient.neg(quotient.var(0)), quotient.var(1)])
     return InvolutivePresentation(free, sigma, [("z", r_z), ("w", r_w)],
-                                  quotient, to_q, sigma_q, name="hyperelliptic")
+                                  quotient, to_q, sigma_q)
 
 
 def presentation_of(A):
@@ -231,64 +229,6 @@ def presentation_of(A):
             return hyperelliptic_presentation(coeffs, A.base)
     raise DifferentialError("cotangent supports free involutive presentations and "
                             "hyperelliptic quotients")
-
-
-# ---------------------------------------------------------------------------
-# involutive cochain complexes
-
-class InvolutiveCochainComplex:
-    """Weight-blocked cochain complex with involution: for each (degree n,
-    weight w), a dimension, a sigma matrix, and d to (n+1, w).  The
-    differential must be sigma-antilinear: d sigma = -sigma d.
-
-    The terms are free modules over base (a BaseRing; None means Z), whose
-    elements the integer matrices lift; cohomology is taken over that base."""
-
-    def __init__(self, dims, sigmas, diffs, base=None):
-        self.dims = dict(dims)          # (n, w) -> int
-        self.sigmas = dict(sigmas)      # (n, w) -> matrix
-        self.diffs = dict(diffs)        # (n, w) -> matrix to (n+1, w)
-        self.base = base
-
-    def degrees(self):
-        return sorted({n for (n, _w) in self.dims})
-
-    def weights(self):
-        return sorted({w for (_n, w) in self.dims})
-
-    def dim(self, n, w):
-        return self.dims.get((n, w), 0)
-
-    def check(self):
-        """d^2 = 0 and d sigma = -sigma d, compared in the base's chain
-        groups (mod m over Z/m, where -1 is lifted as m - 1)."""
-        for (n, w), d in self.diffs.items():
-            if not d:
-                continue
-            C = {k: chain_group(self.dim(k, w), self.base) for k in (n, n + 1, n + 2)}
-            d2 = self.diffs.get((n + 1, w))
-            if d2 and not AbMap(C[n], C[n + 2], mat_mul(d2, d)).is_zero():
-                raise DifferentialError("d^2 != 0 at degree %d weight %d" % (n, w))
-            sig_src = self.sigmas.get((n, w))
-            sig_tgt = self.sigmas.get((n + 1, w))
-            if sig_src is None or sig_tgt is None:
-                continue
-            lhs = AbMap(C[n], C[n + 1], mat_mul(d, sig_src))
-            rhs = AbMap(C[n], C[n + 1], mat_mul(sig_tgt, d))
-            if not lhs.equals(-rhs):
-                raise DifferentialError("sigma antilinearity fails at degree %d weight %d"
-                                        % (n, w))
-        return self
-
-
-def inv_cochain_cohomology(M, n, w=0):
-    """H^n of M at weight w over the base of M, as an FgAbGroup: the
-    homology at chain degree -n of C_{-k} = M^k."""
-    near = (n - 1, n, n + 1)
-    C = ChainComplex.from_matrices({-k: M.dim(k, w) for k in near},
-                                   {-k: M.diffs[(k, w)] for k in near[:2] if (k, w) in M.diffs},
-                                   M.base)
-    return C.homology(-n).group
 
 
 # ---------------------------------------------------------------------------
@@ -339,33 +279,42 @@ def exterior_power(L, i, w):
     return basis, sig
 
 
-def de_rham_complex(B, i_max, max_weight=8):
-    """Involutive de Rham complex of a smooth presentation: terms are the
-    exterior powers of the cotangent module over the underlying algebra,
-    sigma on Omega^i is (-1)^i times the natural semilinear action (so the
-    exterior derivative is sigma-antilinear)."""
+def de_rham_complex(B, i_max, max_weight):
+    """Involutive de Rham complex of a smooth presentation, as one
+    abelian.ChainComplex over the base per weight w <= max_weight: the
+    exterior power Omega^k_w of the cotangent module sits in chain degree -k
+    for 0 <= k <= i_max + 1, so H^k = homology(-k) for k <= i_max.  The
+    exterior derivative is sigma-antilinear for sigma on Omega^k twisted by
+    (-1)^k, which is checked."""
     L = cotangent_module(B)
     A = L.algebra
     nvars = L.presentation.free_ring.n
-    dims, sigmas, diffs = {}, {}, {}
+    complexes = {}
     for w in range(0, max_weight + 1):
-        powers = [exterior_power(L, n, w) for n in range(0, i_max + 1)]
-        for n, (basis, sig) in enumerate(powers):
-            dims[(n, w)] = len(basis)
-            sigmas[(n, w)] = [[-x for x in row] for row in sig] if n % 2 else sig
-            if n == i_max:
-                continue
-            tgt_index = {b: k for k, b in enumerate(powers[n + 1][0])}
+        powers = [exterior_power(L, k, w) for k in range(0, i_max + 2)]
+        mats = {}
+        for k, (basis, _sig) in enumerate(powers[:-1]):
+            tgt_index = {b: j for j, b in enumerate(powers[k + 1][0])}
             d_mat = zeros(len(tgt_index), len(basis))
-            for k, (m, S) in enumerate(basis):
+            for col, (m, S) in enumerate(basis):
                 for j in range(nvars):
                     if j in S:
                         continue
                     S2, sgn = _wedge_insert(S, j)
                     for m2, c2 in partial_derivative(A, {m: A.base.one()}, j).items():
-                        d_mat[tgt_index[(m2, S2)]][k] += sgn * integer_lift(c2)
-            diffs[(n, w)] = d_mat
-    return InvolutiveCochainComplex(dims, sigmas, diffs, base=A.base).check()
+                        d_mat[tgt_index[(m2, S2)]][col] += sgn * integer_lift(c2)
+            mats[-k] = d_mat
+        C = ChainComplex.from_matrices({-k: len(basis) for k, (basis, _) in enumerate(powers)},
+                                       mats, A.base)
+        sigma = {-k: [[-x for x in row] for row in sig] if k % 2 else sig
+                 for k, (_basis, sig) in enumerate(powers)}
+        try:
+            complexes[w] = C.check(sigma, -1)
+        except NotAComplex as e:
+            what, n = e.args
+            raise DifferentialError("de Rham complex: %s at degree %d weight %d"
+                                    % (what, -n, w))
+    return complexes
 
 
 def _wedge_insert(S, j):

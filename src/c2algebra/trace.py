@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import product
 from operator import add, le
 
-from .abelian import AbMap, ChainComplex, FgAbGroup, block_matrix, free_rank, mat_mul, zeros
+from .abelian import ChainComplex, FgAbGroup, NotAComplex, block_matrix, free_rank, zeros
 from .polyring import TwoNotInvertible, integer_lift
 
 
@@ -54,11 +54,10 @@ class UnsupportedAlgebra(TraceError):
 class InvolutiveAlgebra:
     """Presented commutative algebra with involution over an exact base."""
 
-    def __init__(self, base, ring, omega, name=""):
+    def __init__(self, base, ring, omega):
         self.base = base
         self.ring = ring
         self.omega = omega
-        self.name = name
         if not omega.is_involution():
             raise TraceError("omega is not an involution")
         if not omega.preserves_rules():
@@ -68,7 +67,7 @@ class InvolutiveAlgebra:
         return self.ring.is_finite_dimensional()
 
     def __repr__(self):
-        return "InvolutiveAlgebra(%s)" % (self.name or self.ring.names)
+        return "InvolutiveAlgebra(%s)" % self.ring.names
 
 
 def _require_homogeneous(algebra):
@@ -398,12 +397,10 @@ def _bicomplex_homology(C, n_max):
 
     invol = {n: block_matrix(cols, cols, {(key, key): signed_omega(*key) for key in cols})
              for n, cols in layout.items()}
-    # sanity: the involution commutes with the total differential (compared
-    # in the chain groups, so mod m over Z/m)
-    for n, d in T.diffs.items():
-        lhs = AbMap(d.source, d.target, mat_mul(invol[n - 1], d.matrix))
-        if not lhs.equals(AbMap(d.source, d.target, mat_mul(d.matrix, invol[n]))):
-            raise TraceError("bicomplex involution does not commute with b + B")
+    try:
+        T.check(invol, 1)
+    except NotAComplex as e:
+        raise TraceError("bicomplex (b + B): %s at degree %d" % e.args)
     plus, minus = T.eigen(invol, 1), T.eigen(invol, -1)
     return ([(H, 1) for H in hc],
             [(plus.homology(n).group, 1) for n in range(0, n_max + 1)],

@@ -1,8 +1,8 @@
 """Reference routes and fixtures the tests compare the engine against.
 
-No CLI command runs any of this: fixture algebras and Mackey functors, the
-Mackey comparator (fingerprint, duals, the zeroth slice), the graded norm
-with its Koszul sign, the Tambara examples (the Burnside table, norm rings,
+No CLI command runs any of this: fixture algebras, Mackey functors and
+random integral involutions, the Mackey comparator (fingerprint, duals, the
+zeroth slice), the graded norm with its Koszul sign, the Tambara examples (the Burnside table, norm rings,
 fixed-point Green functors, weightwise Mackey pieces) and the trace oracles
 (the omega-eigen splitting of HH, the operator identities of the dihedral
 bar complex)."""
@@ -14,6 +14,7 @@ from c2algebra import mackey as mk
 from c2algebra import tambara as tb
 from c2algebra.abelian import (
     AbMap,
+    _unimodular_inverse,
     FgAbGroup,
     Homology,
     cokernel,
@@ -57,29 +58,27 @@ def algebra_poly(base, names, omega_images=None, rules=None):
 def algebra_q_poly():
     base = BaseRing("Q")
     ring = PolyRing(base, ["x"])
-    return InvolutiveAlgebra(base, ring, RingInvolution.identity(ring), "Q[x]")
+    return InvolutiveAlgebra(base, ring, RingInvolution.identity(ring))
 
 
 def algebra_q_dual_numbers():
     """Q[x]/x^2 with w(x) = -x."""
     base = BaseRing("Q")
     ring = PolyRing(base, ["x"], rules={0: (2, {})})
-    return InvolutiveAlgebra(base, ring, RingInvolution(ring, [ring.neg(ring.var(0))]),
-                             "Q[x]/x^2, w(x) = -x")
+    return InvolutiveAlgebra(base, ring, RingInvolution(ring, [ring.neg(ring.var(0))]))
 
 
 def algebra_gaussian():
     """Q(i) over Q with conjugation: the desk model of C over R."""
     base = BaseRing("Q")
     ring = PolyRing(base, ["i"], rules={0: (2, {(0,): -1})})
-    return InvolutiveAlgebra(base, ring, RingInvolution(ring, [ring.neg(ring.var(0))]),
-                             "C/R")
+    return InvolutiveAlgebra(base, ring, RingInvolution(ring, [ring.neg(ring.var(0))]))
 
 
 def algebra_ground(base=None):
     base = base or BaseRing("Q")
     ring = PolyRing(base, [])
-    return InvolutiveAlgebra(base, ring, RingInvolution.identity(ring), "k")
+    return InvolutiveAlgebra(base, ring, RingInvolution.identity(ring))
 
 
 def zsign():
@@ -96,6 +95,30 @@ def burnside():
     und = FgAbGroup.free(1)
     return mk.MackeyFunctor(fixed, und, AbMap(fixed, und, [[1, 2]]),
                             AbMap(und, fixed, [[0], [1]]), AbMap.identity_map(und))
+
+
+def random_involution(rng, n):
+    """A random integral involution of Z^n: a signed permutation of order at
+    most 2 conjugated by a product of n elementary unimodular matrices.  The
+    coin flips reach every partial pairing of the basis; the elementary
+    multipliers range over -2..2."""
+    left = list(range(n))
+    rng.shuffle(left)
+    sig = zeros(n, n)
+    while left:
+        i = left.pop()
+        j = left.pop() if left and rng.random() < 0.5 else i
+        if i == j:
+            sig[i][i] = rng.choice([1, -1])
+        else:
+            sig[i][j] = sig[j][i] = 1
+    T = identity(n)
+    for _ in range(n):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b:
+            c = rng.randint(-2, 2)
+            T[a] = [x + c * y for x, y in zip(T[a], T[b])]
+    return mat_mul(mat_mul(T, sig), _unimodular_inverse(T))
 
 
 def shift(C, k):

@@ -479,6 +479,24 @@ def test_kernel_with_torsion():
     assert kernel(g)[0] == FgAbGroup.from_invariants([2])
 
 
+def test_kernel_of_a_free_source_solves_once(monkeypatch):
+    # the HNF generators of a kernel in a free source are independent, so
+    # only the kernel itself is solved for; a source with relations also
+    # solves for the relations among the generators
+    import c2algebra.abelian as ab
+    calls = []
+    real = ab.integer_kernel
+    monkeypatch.setattr(ab, "integer_kernel",
+                        lambda A, ncols: calls.append(A) or real(A, ncols))
+    K, incl = kernel(AbMap(FgAbGroup.free(3), Z, [[1, 2, 2]]))
+    assert (K.ngens, K.relations, K.invariant_factors()) == (2, [], (0, 0))
+    assert len(calls) == 1
+    calls.clear()
+    f = AbMap(FgAbGroup(2, [[4, 0]]), FgAbGroup.from_invariants([4]), [[2, 0]])
+    assert kernel(f)[0].invariant_factors() == (2, 0)
+    assert len(calls) == 2
+
+
 def test_rank_nullity():
     rng = Random(7)
     for _ in range(40):
@@ -585,3 +603,22 @@ def test_chain_complex_homology_and_eigen_parts():
     assert [plus.homology(n).group for n in (0, 1, 2)] == \
         [FgAbGroup.from_invariants([2]), trivial_group(), Z]
     assert [minus.homology(n).group for n in (0, 1, 2)] == [trivial_group(), trivial_group(), Z]
+
+
+def test_chain_complex_check():
+    C = ChainComplex.from_matrices({0: 1, 1: 1, 2: 2}, {1: [[2]], 2: [[0, 0]]})
+    swap = {0: [[1]], 1: [[1]], 2: [[0, 1], [1, 0]]}
+    assert C.check() is C and C.check(swap, 1) is C
+    # (-1)^n on degree n anticommutes with d; the identity does not
+    flip = {0: [[1]], 1: [[-1]], 2: identity(2)}
+    assert C.check(flip, -1) is C
+    with pytest.raises(NotAComplex) as e:
+        C.check({0: [[1]], 1: [[1]], 2: identity(2)}, -1)
+    assert e.value.args == ("d invol != -1 invol d", 1)
+    bad = ChainComplex.from_matrices({0: 1, 1: 1, 2: 1}, {1: [[1]], 2: [[1]]})
+    with pytest.raises(NotAComplex) as e:
+        bad.check()
+    assert e.value.args == ("d o d != 0", 2)
+    # over Z/3 the comparison is mod 3: -1 may be lifted as 2
+    mod3 = ChainComplex.from_matrices({0: 1, 1: 1}, {1: [[1]]}, BaseRing.parse("Z/3"))
+    assert mod3.check({0: [[1]], 1: [[2]]}, -1) is mod3

@@ -31,6 +31,7 @@ from oracles import (
     hh_plus_minus_dimensions,
     isomorphic,
     mackey_piece,
+    random_involution,
     zsign,
 )
 
@@ -55,38 +56,11 @@ def _random_valid_mackey(rng):
             [rng.choice([0, 2, 4, 6]) for _ in range(rng.randint(1, 2))]))
     if kind == 3:
         n = rng.randint(1, 3)
-        sig = _random_involution_matrix(rng, n)
+        sig = random_involution(rng, n)
         G = FgAbGroup.free(n)
         return mk.fixed_point_mackey(G, AbMap(G, G, sig))
     return mk.box(mk.zbar() if rng.random() < 0.5 else zsign(),
                   rng.choice([mk.zbar, mk.zbar_c2, burnside])())
-
-
-def _random_involution_matrix(rng, n):
-    from c2algebra.abelian import mat_mul, _unimodular_inverse
-    pairs = []
-    left = list(range(n))
-    rng.shuffle(left)
-    while left:
-        if len(left) >= 2 and rng.random() < 0.5:
-            pairs.append((left.pop(), left.pop()))
-        else:
-            pairs.append((left.pop(),))
-    sig = [[0] * n for _ in range(n)]
-    for p in pairs:
-        if len(p) == 1:
-            sig[p[0]][p[0]] = rng.choice([1, -1])
-        else:
-            sig[p[0]][p[1]] = 1
-            sig[p[1]][p[0]] = 1
-    T = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    for _ in range(n):
-        a, b = rng.randrange(n), rng.randrange(n)
-        if a != b:
-            c = rng.randint(-1, 1)
-            for k in range(n):
-                T[a][k] += c * T[b][k]
-    return mat_mul(mat_mul(T, sig), _unimodular_inverse(T))
 
 
 def _mutate_sigma_squared(M):
@@ -271,7 +245,7 @@ def test_criterion_6_cotangent_tables():
         ok = ok and isomorphic(_cotangent_piece(LF, w), want)
     # hyperelliptic: dw -> -y dy_s - y_s dy - f'(x) dx, underlying diagram
     # A{dx, dy}/(2y dy - f'(x) dx)
-    P = df.hyperelliptic_presentation([1, 0, 0, 1])  # f = x^3 + 1
+    P = df.hyperelliptic_presentation([1, 0, 0, 1], BaseRing("Q"))  # f = x^3 + 1
     LH = df.cotangent_module(P)
     A = LH.algebra
     from c2algebra.polyring import parse_poly

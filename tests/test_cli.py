@@ -422,6 +422,30 @@ def test_derham_over_the_base_ring():
     assert h1("Z[1/2]", 4) == [[], [3], []]
 
 
+def test_derham_top_degree_is_cohomology():
+    # H^imax is ker d / im d, not Omega^imax / im d: the --imax k table is
+    # the first k + 1 degrees of the --imax k + 1 table
+    def table(algebra, imax):
+        code, out = run_cli(["derham", "--algebra", algebra, "--imax", str(imax),
+                             "--maxweight", "3", "--format", "json"])
+        assert code == 0
+        return json.loads(out)["table"]
+
+    for base in ("Z", "Q", "Z[1/2]", "Z/3", "Z/9"):
+        for algebra in (KX_JSON, KXXS_JSON):
+            algebra = algebra.replace('"Z"', '"%s"' % base)
+            tables = [table(algebra, k) for k in range(0, 4)]
+            for k in range(0, 3):
+                cut = {w: {n: c for n, c in col.items() if int(n) <= k}
+                       for w, col in tables[k + 1].items()}
+                assert tables[k] == cut, (base, algebra, k)
+    # Q[x] at --imax 0: H^0 = 0 above weight 0 (it printed Q at every weight)
+    assert [col["0"]["h"] for _w, col in sorted(table(QX_JSON, 0).items())] == \
+        [[0], [], [], []]
+    # Z[x, x_s] at --imax 1, weight 2: Z/2 + Z/2 (it printed Z/2 + Z/2 + Z)
+    assert table(KXXS_JSON, 1)["2"]["1"]["h"] == [2, 2]
+
+
 def test_derham_sigma_scaled_by_a_unit():
     # 3 is a unit mod 8 and 9 = 1, so sigma(x) = 3x is an involution of
     # Z/8[x]; the cohomology table does not see sigma

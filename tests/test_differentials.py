@@ -4,20 +4,18 @@ against the bar complex for signed permutations of up to three variables."""
 
 from c2algebra.polyring import BaseRing, parse_poly
 from c2algebra.tambara import free_involutive_free, free_involutive_trivial
-from c2algebra.abelian import AbMap, FgAbGroup
+from c2algebra.abelian import AbMap, ChainComplex, FgAbGroup, NotAComplex
 from c2algebra.cli import mackey_to_json, parse_input
 from c2algebra import complexes as cx
 from c2algebra.complexes import homology
 from c2algebra.differentials import (
     DifferentialError,
-    InvolutiveCochainComplex,
     NotSmoothPresentation,
     cotangent_module,
     de_rham_complex,
     exterior_power,
     hkr_graded_piece,
     hyperelliptic_presentation,
-    inv_cochain_cohomology,
     presentation_of,
 )
 from c2algebra.mackey import fixed_point_mackey, induced, zbar, zbar_c2, is_valid
@@ -37,6 +35,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 
 Z = BaseRing("Z")
+Q = BaseRing("Q")
 
 
 def k_x(base=Z, names=("x",)):
@@ -98,7 +97,7 @@ def test_presentation_of_a_parsed_algebra():
 
 def test_hyperelliptic_cotangent():
     # f(x) = x^3 + 1, say: dw -> -y dy_s - y_s dy - f'(x) dx
-    P = hyperelliptic_presentation([1, 0, 0, 1])
+    P = hyperelliptic_presentation([1, 0, 0, 1], Q)
     L = cotangent_module(P)
     assert L.gen_names == ["dy", "dy_s", "dx"]
     names = [n for n, _ in L.relation_images]
@@ -118,7 +117,7 @@ def test_hyperelliptic_cotangent():
 def test_hyperelliptic_reduced_presentation():
     # eliminating dy_s via dz gives the displayed underlying diagram:
     # A{dx, dy} / (2y dy - f'(x) dx)
-    P = hyperelliptic_presentation([1, 0, 0, 1])
+    P = hyperelliptic_presentation([1, 0, 0, 1], Q)
     L = cotangent_module(P)
     gens, rels = L.reduced_presentation()
     assert gens == ["dy", "dx"]
@@ -133,7 +132,7 @@ def test_hyperelliptic_other_polynomials():
     from fractions import Fraction
     from c2algebra.polyring import parse_poly
     # f = x^5 + 2x + 3: dw -> -y dy_s - y_s dy - (5x^4 + 2) dx
-    P = hyperelliptic_presentation([3, 2, 0, 0, 0, 1])
+    P = hyperelliptic_presentation([3, 2, 0, 0, 0, 1], Q)
     L = cotangent_module(P)
     A = L.algebra
     dw = dict(L.relation_images[1][1])
@@ -141,7 +140,7 @@ def test_hyperelliptic_other_polynomials():
     gens, rels = L.reduced_presentation()
     assert gens == ["dy", "dx"]
     # rational coefficients: f = x/2
-    P2 = hyperelliptic_presentation([0, Fraction(1, 2)])
+    P2 = hyperelliptic_presentation([0, Fraction(1, 2)], Q)
     L2 = cotangent_module(P2)
     A2 = L2.algebra
     dw2 = dict(L2.relation_images[1][1])
@@ -150,7 +149,7 @@ def test_hyperelliptic_other_polynomials():
 
 def test_hyperelliptic_fixed_level_facts():
     # dx is invariant; y dy is invariant and congruent to f'(x) dx / 2
-    P = hyperelliptic_presentation([1, 0, 0, 1])
+    P = hyperelliptic_presentation([1, 0, 0, 1], Q)
     L = cotangent_module(P)
     A = L.algebra
     # sigma(dy) = dy_s which reduces to -dy after eliminating dy_s
@@ -162,77 +161,109 @@ def test_hyperelliptic_fixed_level_facts():
 
 # -- de Rham -------------------------------------------------------------------
 
+def dims(C, k_max):
+    return [C.groups[-k].ngens for k in range(0, k_max + 1)]
+
+
+def twisted_sigma(L, k_max, w, twist=True):
+    """sigma on Omega^k_w in chain degree -k, times (-1)^k when twist."""
+    sigma = {}
+    for k in range(0, k_max + 1):
+        sig = exterior_power(L, k, w)[1]
+        sigma[-k] = [[-x for x in row] for row in sig] if twist and k % 2 else sig
+    return sigma
+
+
 def test_de_rham_trivial_generator():
-    M = de_rham_complex(k_x(), 1, max_weight=6)
-    M.check()
-    # Omega^0 weight w: one monomial; Omega^1 weight w: x^{w-1} dx
+    M = de_rham_complex(k_x(), 1, 6)
+    assert sorted(M) == list(range(0, 7))
+    # Omega^0 weight w: one monomial; Omega^1 weight w: x^{w-1} dx; Omega^2 = 0
     for w in range(0, 5):
-        assert M.dim(0, w) == 1
-        assert M.dim(1, w) == (1 if w >= 1 else 0)
-    # sigma(dx) = -dx at the twisted level (odd degree)
-    assert M.sigmas[(1, 1)] == [[-1]]
+        assert dims(M[w], 2) == [1, 1 if w >= 1 else 0, 0]
+    # the natural sigma(dx) is dx for x -> x and -dx for x -> -x; the
+    # (-1)^1 twist of the de Rham term makes the first -dx too
+    assert exterior_power(cotangent_module(k_x()), 1, 1)[1] == [[1]]
+    sign = presentation_of(algebra_poly(Z, ["x"], [{(1,): -1}]))
+    assert exterior_power(cotangent_module(sign), 1, 1)[1] == [[-1]]
 
 
 def test_de_rham_constant():
-    M = de_rham_complex(k_x(names=()), 3, max_weight=2)
-    for i in range(1, 4):
-        for w in range(0, 3):
-            assert M.dim(i, w) == 0
+    M = de_rham_complex(k_x(names=()), 3, 2)
+    for w in range(0, 3):
+        assert dims(M[w], 4)[1:] == [0, 0, 0, 0]
 
 
 def test_de_rham_underlying_is_classical():
     # Leibniz rule d(x^w) = w x^{w-1} dx, degreewise
-    M = de_rham_complex(k_x(), 1, max_weight=6)
+    M = de_rham_complex(k_x(), 1, 6)
     for w in range(1, 6):
-        assert M.diffs[(0, w)] == [[w]]
+        assert M[w].diffs[0].matrix == [[w]]
     # two variables: matches the classical de Rham complex of k[x, x_s]
-    N = de_rham_complex(k_x_xs(), 2, max_weight=4)
-    N.check()
+    N = de_rham_complex(k_x_xs(), 2, 4)
     # d on weight 1: dx, dx_s both hit with coefficient 1
-    assert N.dim(0, 1) == 2 and N.dim(1, 1) == 2
-    assert sorted(sum(row) for row in N.diffs[(0, 1)]) == [1, 1]
+    assert dims(N[1], 1) == [2, 2]
+    assert sorted(sum(row) for row in N[1].diffs[0].matrix) == [1, 1]
+    # d(x dx_s) = dx dx_s = -d(x_s dx) at weight 2
+    assert sorted(N[2].diffs[-1].matrix[0]) == [-1, 0, 0, 1]
 
 
 def test_de_rham_antilinearity_through_weight_8():
     # d^2 = 0 and d sigma = -sigma d on every monomial block up to weight 8
-    # (check() asserts both matrixwise per block)
+    # for sigma twisted by (-1)^k; the natural sigma commutes with d instead
     for P in (k_x(), k_x_xs()):
-        M = de_rham_complex(P, 2, max_weight=8)
-        assert M.check() is M
+        M = de_rham_complex(P, 2, 8)
+        L = cotangent_module(P)
+        for w, C in M.items():
+            assert C.check(twisted_sigma(L, 3, w), -1) is C
+            assert C.check(twisted_sigma(L, 3, w, twist=False), 1) is C
+        with pytest.raises(NotAComplex):
+            M[2].check(twisted_sigma(L, 3, 2, twist=False), -1)
 
 
-def test_inv_cochain_cohomology_poincare():
+def test_de_rham_cohomology_poincare():
     # de Rham of Q[x]: H^0 = Q, H^1 = 0 (per weight: only weight 0 survives)
-    M = de_rham_complex(k_x(BaseRing("Q")), 1, max_weight=5)
-    H0 = inv_cochain_cohomology(M, 0, w=0)
-    assert H0.invariant_factors() == (0,)
+    M = de_rham_complex(k_x(Q), 1, 5)
+    assert M[0].homology(0).group.invariant_factors() == (0,)
     for w in range(1, 5):
-        H0w = inv_cochain_cohomology(M, 0, w=w)
-        H1w = inv_cochain_cohomology(M, 1, w=w)
-        assert H0w.is_trivial() and H1w.is_trivial(), w
+        assert M[w].homology(0).group.is_trivial(), w
+        assert M[w].homology(-1).group.is_trivial(), w
 
 
-def test_inv_cochain_cohomology_two_variables():
+def test_de_rham_cohomology_two_variables():
     # de Rham of Q[x, x_s]: H^0 = Q, H^1 = H^2 = 0
-    M = de_rham_complex(k_x_xs(BaseRing("Q")), 2, max_weight=4)
-    H0 = inv_cochain_cohomology(M, 0, w=0)
-    assert H0.invariant_factors() == (0,)
+    M = de_rham_complex(k_x_xs(Q), 2, 4)
+    assert M[0].homology(0).group.invariant_factors() == (0,)
     for w in range(1, 4):
         for n in (0, 1, 2):
-            H = inv_cochain_cohomology(M, n, w=w)
-            assert H.is_trivial(), (n, w)
+            assert M[w].homology(-n).group.is_trivial(), (n, w)
 
 
-def test_inv_cochain_cohomology_zero_complex():
-    M = InvolutiveCochainComplex({}, {}, {})
-    H = inv_cochain_cohomology(M, 0, w=0)
-    assert H.is_trivial()
+def test_de_rham_cohomology_of_a_zero_complex():
+    # k has no weight-1 forms: every term and every group is 0
+    C = de_rham_complex(k_x(names=()), 1, 1)[1]
+    assert dims(C, 2) == [0, 0, 0]
+    assert C.homology(0).group.is_trivial()
+    assert ChainComplex({}, {}).check().homology(0).group.is_trivial()
+
+
+def test_de_rham_failures_name_the_weight_and_degree(monkeypatch):
+    # a sigma that is not antilinear fails the check, named in the error
+    import c2algebra.differentials as df
+    natural = df.exterior_power
+
+    def flipped(L, k, w):
+        basis, sig = natural(L, k, w)
+        return basis, [[-x for x in row] for row in sig] if k == 1 else sig
+
+    monkeypatch.setattr(df, "exterior_power", flipped)
+    with pytest.raises(DifferentialError, match="at degree 0 weight 1"):
+        de_rham_complex(k_x(), 1, 2)
 
 
 def test_de_rham_rejects_non_smooth():
-    P = hyperelliptic_presentation([1, 0, 0, 1])
+    P = hyperelliptic_presentation([1, 0, 0, 1], Q)
     with pytest.raises(NotSmoothPresentation):
-        de_rham_complex(P, 1)
+        de_rham_complex(P, 1, 2)
 
 
 # -- the HKR graded pieces against the closed-form table ---------------------

@@ -31,6 +31,7 @@ from oracles import (
     dual_map,
     fingerprint,
     isomorphic,
+    random_involution,
     zeroth_slice,
     zsign,
 )
@@ -201,8 +202,7 @@ def test_dual_double_dual_on_reflexive_sample():
     rng = Random(5)
     for _ in range(10):
         n = rng.randint(1, 3)
-        # random integral involution: conjugated signed permutation
-        sig = _random_involution(rng, n)
+        sig = random_involution(rng, n)
         G = FgAbGroup.free(n)
         M = fixed_point_mackey(G, AbMap(G, G, sig))
         assert isomorphic(dual(dual(M)), M)
@@ -277,48 +277,11 @@ def test_fingerprint_separates_standard_family():
     assert len(set(prints)) == len(prints)
 
 
-def _random_involution(rng, n):
-    # signed permutation conjugated by a random unimodular matrix
-    perm = list(range(n))
-    rng.shuffle(perm)
-    # force an involution: compose the permutation with itself fixpointwise
-    pairs = []
-    used = set()
-    for i in range(n):
-        if i in used:
-            continue
-        j = perm[i]
-        if j == i or j in used:
-            pairs.append((i, i))
-            used.add(i)
-        else:
-            pairs.append((i, j))
-            used.add(i)
-            used.add(j)
-    sig = [[0] * n for _ in range(n)]
-    for i, j in pairs:
-        if i == j:
-            sig[i][i] = rng.choice([1, -1])
-        else:
-            sig[i][j] = 1
-            sig[j][i] = 1
-    # conjugate by a random elementary unimodular T: T sig T^-1
-    T = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    for _ in range(n):
-        a, b = rng.randrange(n), rng.randrange(n)
-        if a != b:
-            c = rng.randint(-2, 2)
-            for k in range(n):
-                T[a][k] += c * T[b][k]
-    from c2algebra.abelian import mat_mul, _unimodular_inverse
-    return mat_mul(mat_mul(T, sig), _unimodular_inverse(T))
-
-
 def test_random_fixed_point_functors_validate():
     rng = Random(99)
     for _ in range(30):
         n = rng.randint(1, 4)
-        sig = _random_involution(rng, n)
+        sig = random_involution(rng, n)
         G = FgAbGroup.free(n)
         M = fixed_point_mackey(G, AbMap(G, G, sig))
         assert is_valid(M)

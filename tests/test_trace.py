@@ -89,7 +89,7 @@ def test_identities_gaussian():
 def test_identities_x_cubed():
     base = BaseRing("Q")
     ring = PolyRing(base, ["x"], rules={0: (3, {})})
-    A = InvolutiveAlgebra(base, ring, RingInvolution.identity(ring), "Q[x]/x^3")
+    A = InvolutiveAlgebra(base, ring, RingInvolution.identity(ring))
     assert check_identities(DihedralComplex(A, 4))
 
 
@@ -172,7 +172,7 @@ def test_hr_fixed_points_two_routes():
         for w in weights:
             for n in range(0, 4):
                 assert hh_plus_minus_dimensions(A, n, weight=w)[0] == \
-                    hh_omega_fixed_dimension(A, n, weight=w), (A.name, n, w)
+                    hh_omega_fixed_dimension(A, n, weight=w), (A, n, w)
 
 
 def test_hr_requires_two_invertible():
