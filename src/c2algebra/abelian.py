@@ -769,20 +769,17 @@ class ChainComplex:
     def homology(self, n):
         return Homology(self.diff(n + 1), self.diff(n), self.base)
 
-    def check(self, invol=None, sign=1):
-        """d o d = 0 in every degree and, given invol (a matrix per degree),
-        d invol = sign invol d, compared in the chain groups (mod m over
-        Z/m).  A failure raises NotAComplex(what, n), n the degree of the
-        failing boundary's source; returns self."""
+    def check(self, invol, sign):
+        """d invol = sign invol d for invol a matrix per degree, compared in
+        the chain groups (mod m over Z/m).  d o d = 0 is left to homology(n),
+        which checks it for every degree it reads.  A failure raises
+        NotAComplex(what, n), n the degree of the failing boundary's source;
+        returns self."""
         for n, d in self.diffs.items():
-            below = self.diffs.get(n - 1)
-            if below is not None and not below.compose(d).is_zero():
-                raise NotAComplex("d o d != 0", n)
-            if invol is not None:
-                lhs = AbMap(d.source, d.target, mat_mul(d.matrix, invol[n]))
-                rhs = AbMap(d.source, d.target, mat_mul(invol[n - 1], d.matrix))
-                if not lhs.equals(rhs.scale(sign)):
-                    raise NotAComplex("d invol != %d invol d" % sign, n)
+            lhs = AbMap(d.source, d.target, mat_mul(d.matrix, invol[n]))
+            rhs = AbMap(d.source, d.target, mat_mul(invol[n - 1], d.matrix))
+            if not lhs.equals(rhs.scale(sign)):
+                raise NotAComplex("d invol != %d invol d" % sign, n)
         return self
 
     def eigen(self, invol, sign):

@@ -214,6 +214,7 @@ def test_de_rham_antilinearity_through_weight_8():
         M = de_rham_complex(P, 2, 8)
         L = cotangent_module(P)
         for w, C in M.items():
+            assert all(C.diff(n - 1).compose(d).is_zero() for n, d in C.diffs.items())
             assert C.check(twisted_sigma(L, 3, w), -1) is C
             assert C.check(twisted_sigma(L, 3, w, twist=False), 1) is C
         with pytest.raises(NotAComplex):
@@ -243,7 +244,7 @@ def test_de_rham_cohomology_of_a_zero_complex():
     C = de_rham_complex(k_x(names=()), 1, 1)[1]
     assert dims(C, 2) == [0, 0, 0]
     assert C.homology(0).group.is_trivial()
-    assert ChainComplex({}, {}).check().homology(0).group.is_trivial()
+    assert ChainComplex({}, {}).check({}, 1).homology(0).group.is_trivial()
 
 
 def test_de_rham_failures_name_the_weight_and_degree(monkeypatch):
