@@ -8,6 +8,16 @@ Subpackages:
   trace          real Hochschild homology at the chain level
   differentials  involutive cotangent modules and de Rham complexes
   cli            batch front end
+
+EngineError is the base of every domain error the layers raise (RingError,
+MackeyError, ComplexError, TambaraError, TraceError, DifferentialError); the
+CLI reports any of them with exit code 1.  AbelianError, a malformed input to
+the linear algebra, stays outside it.
 """
 
 __version__ = "0.1.0"
+
+
+class EngineError(Exception):
+    """A job the engine refuses: the input is well formed, the answer does
+    not exist or is not computed."""

@@ -37,27 +37,25 @@ import json
 import os
 import sys
 
-from .abelian import AbMap, FgAbGroup, IllFormedMap, render_invariants
-from . import mackey as mk
-from . import complexes as cx
-from . import tambara as tb
-from . import trace as tr
-from . import differentials as df
-from .polyring import BaseRing, PolyRing, RingError, RingInvolution, parse_poly
+from . import EngineError
+
+# Each command imports the layers it runs inside its own functions, so that
+# a process loads (and compiles) no layer it does not call.
 
 
 class ParseError(Exception):
     pass
 
 
-class DomainError(Exception):
+class DomainError(EngineError):
     pass
 
 
 def default_truncation():
+    from .tambara import DEFAULT_TRUNCATION
     v = os.environ.get("MACKEY_TRUNC")
     if v is None:
-        return tb.DEFAULT_TRUNCATION
+        return DEFAULT_TRUNCATION
     try:
         return int(v)
     except ValueError:
@@ -82,6 +80,8 @@ def parse_input(data):
 
 
 def parse_mackey(data):
+    from .abelian import AbMap, FgAbGroup, IllFormedMap
+    from . import mackey as mk
     allowed = {"fixed", "underlying", "res", "tr", "sigma"}
     unknown = set(data) - allowed
     if unknown:
@@ -119,6 +119,8 @@ def _int_matrix(rows):
 
 
 def parse_algebra(data):
+    from .polyring import BaseRing, PolyRing, RingError, RingInvolution, parse_poly
+    from . import trace as tr
     allowed = {"base", "gens", "rels", "weights"}
     unknown = set(data) - allowed
     if unknown:
@@ -221,10 +223,10 @@ def _relations_to_rules(ring, rel_polys, rels_text):
     return rules
 
 
-CELLS = {"Zbar": mk.zbar, "ZbarC2": mk.zbar_c2}
-
-
 def parse_complex(data):
+    from .abelian import AbMap, IllFormedMap
+    from . import mackey as mk
+    from . import complexes as cx
     unknown = set(data) - {"kind", "k", "terms", "diffs"}
     if unknown:
         raise ParseError("unknown fields in complex: %s" % sorted(unknown))
@@ -236,6 +238,7 @@ def parse_complex(data):
         return cx.sign_sphere(k)
     if kind != "complex":
         raise ParseError("unknown complex kind %r" % kind)
+    CELLS = {"Zbar": mk.zbar, "ZbarC2": mk.zbar_c2}
     terms = {}
     for deg, cells in _degree_items(data, "terms"):
         if not isinstance(cells, list):
@@ -305,6 +308,7 @@ def _canonical_matrix(f):
 
 
 def render_lewis(M, fmt="pretty"):
+    from .abelian import render_invariants
     if fmt == "json":
         return json.dumps(mackey_to_json(M), sort_keys=True, separators=(",", ":"))
     data = mackey_to_json(M)
@@ -341,6 +345,7 @@ def _load(path_or_json):
 
 
 def cmd_mackey_show(args, out):
+    from . import mackey as mk
     M = parse_input(_load(args.input))
     if not isinstance(M, mk.MackeyFunctor):
         raise ParseError("mackey-show expects a Mackey functor")
@@ -349,6 +354,7 @@ def cmd_mackey_show(args, out):
 
 
 def cmd_box(args, out):
+    from . import mackey as mk
     L = parse_input(_load(args.left))
     R = parse_input(_load(args.right))
     if not (isinstance(L, mk.MackeyFunctor) and isinstance(R, mk.MackeyFunctor)):
@@ -358,6 +364,8 @@ def cmd_box(args, out):
 
 
 def cmd_phi(args, out):
+    from .abelian import render_invariants
+    from . import mackey as mk
     M = parse_input(_load(args.input))
     if not isinstance(M, mk.MackeyFunctor):
         raise ParseError("phi expects a Mackey functor")
@@ -371,6 +379,7 @@ def cmd_phi(args, out):
 
 
 def cmd_slice_check(args, out):
+    from . import complexes as cx
     C = parse_input(_load(args.complex))
     if not isinstance(C, cx.MackeyComplex):
         raise ParseError("slice-check expects a complex")
@@ -393,6 +402,8 @@ def cmd_slice_check(args, out):
 
 
 def cmd_tambara_free(args, out):
+    from .polyring import BaseRing
+    from . import tambara as tb
     base = BaseRing.parse(args.base)
     trunc = args.trunc if args.trunc is not None else default_truncation()
     if args.kind == "trivial":
@@ -437,6 +448,10 @@ def cmd_tambara_free(args, out):
 
 
 def cmd_hr_gr(args, out):
+    from .abelian import render_invariants
+    from . import complexes as cx
+    from . import differentials as df
+    from . import trace as tr
     A = parse_input(_load(args.algebra))
     if not isinstance(A, tr.InvolutiveAlgebra):
         raise ParseError("hr-gr expects an algebra")
@@ -475,6 +490,8 @@ def cmd_hr_gr(args, out):
 
 
 def cmd_cotangent(args, out):
+    from . import differentials as df
+    from . import trace as tr
     A = parse_input(_load(args.algebra))
     if not isinstance(A, tr.InvolutiveAlgebra):
         raise ParseError("cotangent expects an algebra")
@@ -502,6 +519,9 @@ def cmd_cotangent(args, out):
 
 
 def cmd_derham(args, out):
+    from .abelian import render_invariants
+    from . import differentials as df
+    from . import trace as tr
     A = parse_input(_load(args.algebra))
     if not isinstance(A, tr.InvolutiveAlgebra):
         raise ParseError("derham expects an algebra")
@@ -524,6 +544,8 @@ def cmd_derham(args, out):
 
 
 def cmd_hh(args, out):
+    from .abelian import render_invariants
+    from . import trace as tr
     A = parse_input(_load(args.algebra))
     if not isinstance(A, tr.InvolutiveAlgebra):
         raise ParseError("hh expects an algebra")
@@ -543,6 +565,7 @@ def cmd_hh(args, out):
 
 
 def cmd_dihedral(args, out):
+    from . import trace as tr
     A = parse_input(_load(args.algebra))
     if not isinstance(A, tr.InvolutiveAlgebra):
         raise ParseError("dihedral expects an algebra")
@@ -573,6 +596,7 @@ def nonnegative(text):
 def base_ring(text):
     """argparse type of --base: the name of a supported base ring, kept as
     written because the output echoes it."""
+    from .polyring import BaseRing, RingError
     try:
         BaseRing.parse(text)
     except RingError as e:
@@ -654,11 +678,7 @@ def run(argv, stdout=None):
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 2
-    except DomainError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except (tr.TraceError, tb.TambaraError, df.DifferentialError,
-            cx.ComplexError, mk.MackeyError, RingError) as e:
+    except EngineError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     try:

@@ -12,6 +12,7 @@ zbar -> zbar_c2 (fixed x1) for k < 0; then 1 - sigma (fixed 0), 1 + sigma
 (fixed x2), 1 - sigma, ... between the zbar_c2 cells.
 """
 
+from . import EngineError
 from .abelian import AbMap, ChainComplex, Homology, block_matrix, cokernel
 from . import abelian
 from .mackey import (
@@ -27,7 +28,7 @@ from .mackey import (
 )
 
 
-class ComplexError(Exception):
+class ComplexError(EngineError):
     pass
 
 

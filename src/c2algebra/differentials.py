@@ -26,13 +26,14 @@ real Hochschild homology, gr^i HR = Sigma^{i sigma} Lambda^i L
 
 from itertools import combinations
 
+from . import EngineError
 from .abelian import AbMap, ChainComplex, FgAbGroup, NotAComplex, zeros
 from . import complexes as cx
 from .mackey import fixed_point_mackey
 from .polyring import PolyRing, RingInvolution, integer_lift
 
 
-class DifferentialError(Exception):
+class DifferentialError(EngineError):
     pass
 
 

@@ -11,6 +11,7 @@ Standard diagrams: zbar() is the constant functor at Z (res = 1, tr = 2),
 zbar_c2() = induced(Z), the two cells of sign-sphere complexes.
 """
 
+from . import EngineError
 from .abelian import (
     AbMap,
     FgAbGroup,
@@ -30,7 +31,7 @@ from .abelian import (
 )
 
 
-class MackeyError(Exception):
+class MackeyError(EngineError):
     pass
 
 

@@ -20,8 +20,10 @@ import operator
 from fractions import Fraction
 from math import gcd
 
+from . import EngineError
 
-class RingError(Exception):
+
+class RingError(EngineError):
     pass
 
 

@@ -8,13 +8,14 @@ underlying polynomial ring (res-injective normal forms).  The free
 involutive algebras of tambara-free are built here.
 """
 
+from . import EngineError
 from .polyring import PolyRing, RingInvolution
 
 
 DEFAULT_TRUNCATION = 8
 
 
-class TambaraError(Exception):
+class TambaraError(EngineError):
     pass
 
 
@@ -29,13 +30,12 @@ class TambaraViolation:
 
 
 class TambaraPresentation:
-    def __init__(self, base, ring, sigma, fixed_gens, truncation, name=""):
+    def __init__(self, base, ring, sigma, fixed_gens, truncation):
         self.base = base
         self.ring = ring
         self.sigma = sigma
         self.fixed_gens = list(fixed_gens)  # (name, res-image polynomial)
         self.truncation = truncation
-        self.name = name
 
     # underlying-level structure maps
     def tr(self, a):
@@ -51,7 +51,7 @@ class TambaraPresentation:
         raise TambaraError("no fixed generator named %r" % name)
 
     def __repr__(self):
-        return "TambaraPresentation(%s)" % (self.name or self.ring.names)
+        return "TambaraPresentation(%s)" % self.ring.names
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +138,7 @@ def free_involutive_trivial(base, names, truncation=DEFAULT_TRUNCATION):
     ring = PolyRing(base, list(names), trunc=truncation)
     sigma = RingInvolution.identity(ring)
     gens = [(n, ring.var_named(n)) for n in names]
-    return TambaraPresentation(base, ring, sigma, gens, truncation,
-                               name="free-trivial")
+    return TambaraPresentation(base, ring, sigma, gens, truncation)
 
 
 def free_involutive_free(base, truncation=DEFAULT_TRUNCATION):
@@ -156,8 +155,7 @@ def free_involutive_free(base, truncation=DEFAULT_TRUNCATION):
             xi = ring.mul(xi, x)
             xsi = ring.mul(xsi, xs)
         gens.append(("t_%d" % i, ring.add(xi, xsi)))
-    return TambaraPresentation(base, ring, sigma, gens, truncation,
-                               name="free-involutive")
+    return TambaraPresentation(base, ring, sigma, gens, truncation)
 
 
 def free_relation_holds(T, i, j):

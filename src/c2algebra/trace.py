@@ -35,11 +35,12 @@ from functools import cached_property
 from itertools import product
 from operator import add, le
 
+from . import EngineError
 from .abelian import ChainComplex, FgAbGroup, NotAComplex, block_matrix, free_rank, zeros
 from .polyring import TwoNotInvertible, integer_lift
 
 
-class TraceError(Exception):
+class TraceError(EngineError):
     pass
 
 
@@ -52,16 +53,14 @@ class UnsupportedAlgebra(TraceError):
 
 
 class InvolutiveAlgebra:
-    """Presented commutative algebra with involution over an exact base."""
+    """Presented commutative algebra with involution over an exact base.
+    The caller checks that omega is an involution that preserves the rules;
+    cli.parse_algebra does, naming the offending relation."""
 
     def __init__(self, base, ring, omega):
         self.base = base
         self.ring = ring
         self.omega = omega
-        if not omega.is_involution():
-            raise TraceError("omega is not an involution")
-        if not omega.preserves_rules():
-            raise TraceError("relations are not omega-stable")
 
     def is_finite_dimensional(self):
         return self.ring.is_finite_dimensional()

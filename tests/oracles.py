@@ -465,7 +465,7 @@ class BurnsideTable:
         return None
 
 
-def fixed_point_green(ring, sigma, truncation=tb.DEFAULT_TRUNCATION, name=""):
+def fixed_point_green(ring, sigma, truncation=tb.DEFAULT_TRUNCATION):
     """Strict fixed points of the involution: res = inclusion, tr = 1 + sigma,
     N(a) = a sigma(a).  Fixed generators are an invariant basis computed
     degreewise (finite rings) or weightwise up to the truncation."""
@@ -480,7 +480,7 @@ def fixed_point_green(ring, sigma, truncation=tb.DEFAULT_TRUNCATION, name=""):
     else:
         gens = [g for w in range(1, truncation + 1)
                 for g in _invariants_of_span(ring, sigma, ring.monomial_basis_weight(w))]
-    return tb.TambaraPresentation(ring.base, ring, sigma, gens, truncation, name=name)
+    return tb.TambaraPresentation(ring.base, ring, sigma, gens, truncation)
 
 
 def _invariants_of_span(ring, sigma, monos):
@@ -518,21 +518,21 @@ def norm_ring(R, truncation=tb.DEFAULT_TRUNCATION):
                          [ring.var(i) for i in range(n)])
     gens = [("%s_N" % R.names[i], ring.mul(ring.var(i), ring.var(i + n))) for i in range(n)]
     gens += [("t_%s" % R.names[i], ring.add(ring.var(i), ring.var(i + n))) for i in range(n)]
-    return tb.TambaraPresentation(R.base, ring, sig, gens, truncation, name="norm")
+    return tb.TambaraPresentation(R.base, ring, sig, gens, truncation)
 
 
 def gaussian_algebra(truncation=tb.DEFAULT_TRUNCATION):
     """Q(i) over Q with complex conjugation: the desk-scale model of C/R."""
     ring = PolyRing(BaseRing("Q"), ["i"], rules={0: (2, {(0,): -1})}, weights=[1])
     return fixed_point_green(ring, RingInvolution(ring, [ring.neg(ring.var(0))]),
-                             truncation, name="C/R")
+                             truncation)
 
 
 def group_ring_involutive(order, truncation=tb.DEFAULT_TRUNCATION):
     """Z[Z/order] with g -> g^{-1}."""
     ring = PolyRing(BaseRing("Z"), ["g"], rules={0: (order, {(0,): 1})})
     sigma = RingInvolution(ring, [tb._pow(ring, ring.var(0), order - 1)])
-    return fixed_point_green(ring, sigma, truncation, name="Z[Z/%d]" % order)
+    return fixed_point_green(ring, sigma, truncation)
 
 
 def mackey_piece(T, w):

@@ -53,11 +53,21 @@ def test_parse_hyperelliptic():
     assert A.ring.equal(img, A.ring.neg(A.ring.var(1)))
 
 
-def test_parse_rejects_non_sigma_stable():
+def test_parse_rejects_non_sigma_stable(capsys):
     bad = ('{"base": "Q", "gens": [{"name": "x", "sigma": "-x"}], '
            '"rels": ["x^2 - x"]}')
     code, _ = run_cli(["hh", "--algebra", bad, "--nmax", "1"])
     assert code == 1
+    assert capsys.readouterr().err == ("error: relation ideal is not sigma-stable "
+                                       "(offending relation: x^2 - x)\n")
+
+
+def test_parse_rejects_sigma_that_is_not_an_involution(capsys):
+    # sigma(x) = 2x over Z: sigma^2(x) = 4x
+    bad = '{"base": "Z", "gens": [{"name": "x", "sigma": "2*x"}]}'
+    code, out = run_cli(["hh", "--algebra", bad, "--nmax", "1"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: sigma is not an involution\n"
 
 
 def test_parse_rejects_unknown_fields():
@@ -649,3 +659,42 @@ def test_a_closed_pipe_ends_quietly(tmp_path):
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, b"")
+
+
+def _layers_loaded(statements):
+    """The c2algebra modules a fresh interpreter holds after running
+    statements (the pytest process has imported every layer already)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = statements + (
+        "\nimport sys"
+        "\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('c2algebra'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _layers_after(argv):
+    return _layers_loaded("import io\nfrom c2algebra.cli import run\n"
+                          "assert run(%r, stdout=io.StringIO()) == 0" % (argv,))
+
+
+def test_each_command_loads_only_the_layers_it_runs():
+    package = {"c2algebra", "c2algebra.cli"}
+    layers = lambda names: package | {"c2algebra." + n for n in names.split()}
+    assert _layers_loaded("import c2algebra.cli") == package
+    sphere = ["slice-check", "--complex", '{"kind":"sigma-sphere","k":2}', "--n", "2"]
+    assert _layers_after(sphere) == layers("abelian mackey complexes")
+    hh = _layers_after(["hh", "--algebra", QX_JSON, "--weight", "2", "--nmax", "2"])
+    assert hh == layers("abelian polyring trace")
+    show = _layers_after(["mackey-show", "--input", ZBAR_JSON])
+    assert show == layers("abelian mackey")
+
+
+def test_every_domain_error_is_an_engine_error():
+    from c2algebra import EngineError, complexes, differentials, mackey, polyring, tambara
+    from c2algebra.abelian import AbelianError
+    for cls in (tr.TraceError, tambara.TambaraError, differentials.DifferentialError,
+                complexes.ComplexError, mackey.MackeyError, polyring.RingError):
+        assert issubclass(cls, EngineError), cls
+    assert not issubclass(AbelianError, EngineError)
