@@ -17,6 +17,10 @@ the linear algebra, stays outside it.
 
 __version__ = "0.1.0"
 
+# The truncation of Mackey and Tambara computations (tambara-free, hr-gr)
+# when MACKEY_TRUNC does not set one.
+DEFAULT_TRUNCATION = 8
+
 
 class EngineError(Exception):
     """A job the engine refuses: the input is well formed, the answer does

@@ -7,14 +7,19 @@ generators are length-n integer tuples; a homomorphism is an integer matrix
 acting on column vectors.
 
 Homology over a base ring (Z, Z[1/2], Q or Z/m, read from a polyring
-BaseRing) has one home here, the Homology class, reached through
-ChainComplex (chain groups by degree with their boundaries, and the
-eigen-subcomplexes of an involution); block_matrix lays out the direct sums
-they are built from.  The base-ring rule lives only in this module:
+BaseRing) has one home here, ChainComplex (chain groups by degree with their
+boundaries); block_matrix lays out the direct sums they are built from.
+hh, dihedral and derham read only invariant factors and ranks
+(ChainComplex.invariants and eigen_ranks, from boundary ranks and
+elementary divisors: no cycles, no HNF).  The Mackey layer reads cycles and
+induced maps from a Homology (ChainComplex.homology), as do invariants and
+the eigen-subcomplexes (ChainComplex.eigen) over Z/m.  The base-ring rule
+lives only in this module:
 
 * chain_group(dim, base) presents a free base-module of rank dim: as
   (Z/m)^dim (relations m*I) over Z/m, as Z^dim over every other base;
-* over Z the homology comes from SNF, over Z/m from those presentations;
+* over Z the homology comes from elementary divisors or SNF, over Z/m from
+  those presentations;
 * Q and Z[1/2] are flat over Z, so the homology is computed over Z and then
   localized: over Q all torsion is dropped, over Z[1/2] the powers of 2 are
   dropped from the invariant factors.
@@ -38,7 +43,8 @@ canonical bases printed from V, stays exactly the same.
 """
 
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress, count
+from math import gcd
 
 
 class AbelianError(Exception):
@@ -72,16 +78,19 @@ def zeros(m, n):
 
 
 def mat_mul(A, B):
-    """A*B, accumulating a * B[k] over the nonzero entries a = A[i][k]."""
+    """A*B, accumulating a * b over the nonzero entries a = A[i][k] and
+    b = B[k][j]."""
     if A and B and len(A[0]) != len(B):
         raise ValueError("shape mismatch")
     n = len(B[0]) if B else 0
+    sparse = [_sparse(Bk).items() for Bk in B]
     out = []
     for row in A:
         acc = [0] * n
-        for a, Bk in zip(row, B):
+        for a, Bk in zip(row, sparse):
             if a:
-                acc = [s + a * b for s, b in zip(acc, Bk)]
+                for j, b in Bk:
+                    acc[j] += a * b
         out.append(acc)
     return out
 
@@ -261,6 +270,73 @@ def smith_normal_form(A):
 def diagonal_of(D):
     k = min(len(D), len(D[0]) if D else 0)
     return [D[i][i] for i in range(k)]
+
+
+def elementary_divisors(M):
+    """(rank, the elementary divisors of M other than 1), the divisors
+    positive and each dividing the next.  M and its transpose give the same.
+
+    Reduce before factoring (Kaczynski-Mrozek-Slusarek): the rows are held
+    as sparse dicts; while an entry is +-1, take the shortest row holding
+    one, pivot on its +-1 of shortest column, clear that column with row
+    operations only and drop the pivot's row and column.  Each step removes
+    one divisor 1 and keeps the others; only the core left without a unit
+    entry goes to smith_normal_form.
+
+    >>> elementary_divisors([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    (2, (3,))
+    """
+    return _reduce(map(_sparse, M))
+
+
+def _sparse(v):
+    """{i: v[i]} over the nonzero entries, found by compress at C speed."""
+    return {i: v[i] for i in compress(count(), v)}
+
+
+def _reduce(rows):
+    """elementary_divisors of the matrix with the given sparse rows."""
+    # imported here, so that the commands that never reduce do not load it
+    from heapq import heapify, heappop, heappush
+    live = dict(enumerate(r for r in rows if r))
+    cols = {}
+    for i, r in live.items():
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    heap = [(len(r), i) for i, r in live.items()]
+    heapify(heap)
+    rank = 0
+    while heap:
+        size, i = heappop(heap)
+        r = live.get(i)
+        units = [j for j, x in r.items() if x in (1, -1)] if r and len(r) == size else ()
+        if not units:
+            continue
+        c = min(units, key=lambda j: len(cols[j]))
+        del live[i]
+        for j in r:
+            cols[j].discard(i)
+        for k in list(cols[c]):
+            target = live[k]
+            f = target[c] * r[c]
+            for j, x in r.items():
+                y = target.get(j, 0) - f * x
+                if y:
+                    if j not in target:
+                        cols[j].add(k)
+                    target[j] = y
+                else:
+                    del target[j]
+                    cols[j].discard(k)
+            if target:
+                heappush(heap, (len(target), k))
+            else:
+                del live[k]
+        rank += 1
+    core_cols = sorted({j for r in live.values() for j in r})
+    core = [[r.get(j, 0) for j in core_cols] for r in live.values()]
+    diag = diagonal_of(smith_normal_form(core)[1]) if core else []
+    return rank + sum(1 for d in diag if d), tuple(d for d in diag if d > 1)
 
 
 def _unimodular_inverse(V):
@@ -657,15 +733,23 @@ def _modulus(base):
     return base.modulus if base is not None and base.kind == "Z/m" else 0
 
 
+def _local_order(d, base):
+    """The order of Z/d tensored with the base (0 = Z): 1 over Q for d > 0,
+    the odd part of d over Z[1/2], d over Z."""
+    kind = base.kind if base is not None else "Z"
+    if d == 0 or kind not in ("Q", "Z[1/2]"):
+        return d
+    # d & -d is the largest power of 2 dividing d > 0
+    return 1 if kind == "Q" else d // (d & -d)
+
+
 def _localize(G, base):
     """G tensored with a base that is flat over Z, on the same generators:
     over Q all torsion is dropped, over Z[1/2] the powers of 2."""
-    kind = base.kind if base is not None else "Z"
-    if kind not in ("Q", "Z[1/2]") or not G.relations:
+    if not G.relations:
         return G
     invs = G.invariant_factors()
-    # d & -d is the largest power of 2 dividing d > 0
-    kept = [0 if d == 0 else 1 if kind == "Q" else d // (d & -d) for d in invs]
+    kept = [_local_order(d, base) for d in invs]
     if kept == list(invs):
         return G
     return FgAbGroup(G.ngens, G.relations + [[k * x for x in b] for b, k in
@@ -751,6 +835,7 @@ class ChainComplex:
         self.groups = groups
         self.diffs = diffs
         self.base = base
+        self._divisors = {}
 
     @classmethod
     def from_matrices(cls, dims, mats, base=None):
@@ -769,12 +854,56 @@ class ChainComplex:
     def homology(self, n):
         return Homology(self.diff(n + 1), self.diff(n), self.base)
 
+    def invariants(self, n):
+        """homology(n).group.invariant_factors(), read without a Homology
+        where the chain groups are free (over Z, Z[1/2] and Q): then
+        H_n = Z^(dim C_n - rk d_n - rk d_{n+1}) + the torsion of
+        coker d_{n+1}, from the elementary divisors of the two boundaries,
+        localized as _localize does.  Over Z/m it is homology(n).  Raises
+        NotAComplex when d_n o d_{n+1} != 0."""
+        if _modulus(self.base):
+            return self.homology(n).group.invariant_factors()
+        d_out, d_in = self.diffs.get(n), self.diffs.get(n + 1)
+        if d_out and d_in and any(map(any, mat_mul(d_out.matrix, d_in.matrix))):
+            raise NotAComplex("d_out o d_in != 0")
+        dim = self.groups[n].ngens if n in self.groups else 0
+        rank_in, torsion = self._boundary_divisors(n + 1)
+        free = dim - self._boundary_divisors(n)[0] - rank_in
+        local = (_local_order(d, self.base) for d in torsion)
+        return tuple(d for d in local if d != 1) + (0,) * free
+
+    def _boundary_divisors(self, n):
+        if n not in self._divisors:
+            d = self.diffs.get(n)
+            self._divisors[n] = elementary_divisors(d.matrix) if d else (0, ())
+        return self._divisors[n]
+
+    def eigen_ranks(self, invol, sign):
+        """{n: rank of H_n of the sign-eigen part of invol}, for a base in
+        which 2 is a unit, read over Q without eigen kernels: the part is the
+        image of P = 1 + sign invol, so its rank is
+        rk P_n - rk d_n P_n - rk d_{n+1} P_{n+1}."""
+        images = {}  # the columns of P_n, sparse
+        for n, iota in invol.items():
+            images[n] = []
+            for j, col in enumerate(transpose(iota)):
+                v = {i: sign * x for i, x in _sparse(col).items()}
+                v[j] = v.get(j, 0) + 1
+                images[n].append({i: x for i, x in v.items() if x})
+        boundary = {}
+        for n, d in self.diffs.items():
+            cols = [_sparse(c) for c in transpose(d.matrix)]
+            if cols:
+                boundary[n] = _rank(_combine(cols, v) for v in images[n])
+        return {n: _rank(vs) - boundary.get(n, 0) - boundary.get(n + 1, 0)
+                for n, vs in images.items()}
+
     def check(self, invol, sign):
         """d invol = sign invol d for invol a matrix per degree, compared in
-        the chain groups (mod m over Z/m).  d o d = 0 is left to homology(n),
-        which checks it for every degree it reads.  A failure raises
-        NotAComplex(what, n), n the degree of the failing boundary's source;
-        returns self."""
+        the chain groups (mod m over Z/m).  d o d = 0 is left to homology(n)
+        and invariants(n), which check it for every degree they read.  A
+        failure raises NotAComplex(what, n), n the degree of the failing
+        boundary's source; returns self."""
         for n, d in self.diffs.items():
             lhs = AbMap(d.source, d.target, mat_mul(d.matrix, invol[n]))
             rhs = AbMap(d.source, d.target, mat_mul(invol[n - 1], d.matrix))
@@ -794,6 +923,27 @@ class ChainComplex:
                                 self.base)
         diffs = {n: parts[n].induced(d, parts[n - 1]) for n, d in self.diffs.items()}
         return ChainComplex({n: P.group for n, P in parts.items()}, diffs, self.base)
+
+
+def _combine(cols, v):
+    """The sparse vector sum of c * cols[k] over the entries c = v[k]."""
+    out = {}
+    for k, c in v.items():
+        for i, x in cols[k].items():
+            out[i] = out.get(i, 0) + c * x
+    return {i: x for i, x in out.items() if x}
+
+
+def _rank(vectors):
+    """The rank of the sparse vectors.  Each is divided by its content and
+    signed so that its first entry is positive, so parallel vectors meet as
+    one."""
+    primitive = set()
+    for v in filter(None, vectors):
+        g = gcd(*v.values())
+        g = g if v[min(v)] > 0 else -g
+        primitive.add(tuple(sorted((i, x // g) for i, x in v.items())))
+    return _reduce(map(dict, primitive))[0]
 
 
 def tensor_groups(G, H):

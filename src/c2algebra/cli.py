@@ -37,7 +37,7 @@ import json
 import os
 import sys
 
-from . import EngineError
+from . import DEFAULT_TRUNCATION, EngineError
 
 # Each command imports the layers it runs inside its own functions, so that
 # a process loads (and compiles) no layer it does not call.
@@ -52,7 +52,6 @@ class DomainError(EngineError):
 
 
 def default_truncation():
-    from .tambara import DEFAULT_TRUNCATION
     v = os.environ.get("MACKEY_TRUNC")
     if v is None:
         return DEFAULT_TRUNCATION
@@ -526,7 +525,7 @@ def cmd_derham(args, out):
     if not isinstance(A, tr.InvolutiveAlgebra):
         raise ParseError("derham expects an algebra")
     complexes = df.de_rham_complex(df.presentation_of(A), args.imax, args.maxweight)
-    table = {str(w): {str(n): {"h": group_to_json(C.homology(-n).group),
+    table = {str(w): {str(n): {"h": list(C.invariants(-n)),
                                "dim": C.groups[-n].ngens}
                       for n in range(0, args.imax + 1)}
              for w, C in complexes.items()}

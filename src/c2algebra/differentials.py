@@ -13,7 +13,8 @@ with involution the fixed-point Tambara functor is always cohomological
 (N(res x) = x sigma(x) = x^2), so nothing here needs Tambara data.
 
 The associated de Rham complex is one abelian.ChainComplex per weight,
-Omega^k in chain degree -k, so H^k is its homology at -k.  The differential
+Omega^k in chain degree -k, so H^k is its homology at -k (derham reads its
+invariant factors, ChainComplex.invariants).  The differential
 is sigma-antilinear, d(sigma m) = -sigma(d m), which ChainComplex.check
 verifies; cohomology does not depend on sigma.
 
@@ -51,6 +52,10 @@ class InvolutivePresentation:
     quotient: PolyRing with rewrite rules presenting the quotient algebra,
     to_quotient: images of the free variables in the quotient,
     sigma_quotient: the induced involution on the quotient.
+
+    The caller checks that sigma_free is an involution; cli.parse_algebra
+    does, and hyperelliptic_presentation builds one.  The relations are
+    checked to be sigma-stable here.
     """
 
     def __init__(self, free_ring, sigma_free, relations, quotient, to_quotient,
@@ -61,8 +66,6 @@ class InvolutivePresentation:
         self.quotient = quotient
         self.to_quotient = list(to_quotient)
         self.sigma_quotient = sigma_quotient
-        if not sigma_free.is_involution():
-            raise DifferentialError("sigma is not an involution")
         for rname, r in self.relations:
             img = sigma_free(r)
             if not any(free_ring.equal(img, r2) or free_ring.equal(img, free_ring.neg(r2))

@@ -8,11 +8,8 @@ underlying polynomial ring (res-injective normal forms).  The free
 involutive algebras of tambara-free are built here.
 """
 
-from . import EngineError
+from . import DEFAULT_TRUNCATION, EngineError
 from .polyring import PolyRing, RingInvolution
-
-
-DEFAULT_TRUNCATION = 8
 
 
 class TambaraError(EngineError):

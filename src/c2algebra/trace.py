@@ -11,9 +11,11 @@ These satisfy b^2 = 0, wb = bw, w^2 = 1, B^2 = 0, bB + Bb = 0 and
 wB = -Bw exactly; all are asserted in the test suite.  When 2 is invertible
 the total complex of the (b, B)-bicomplex splits along w, giving the
 dihedral splitting HC = HD + HD' of cyclic homology.  Each of these
-complexes (the Hochschild chains, the total complex of the bicomplex, laid
-out by abelian.block_matrix, and its eigen parts) is an
-abelian.ChainComplex over the base ring, and its homology is read there.
+complexes (the Hochschild chains and the total complex of the bicomplex,
+laid out by abelian.block_matrix) is an abelian.ChainComplex over the base
+ring.  HH and HC are read as invariant factors (ChainComplex.invariants);
+HD and HD' as the ranks of the eigen parts (ChainComplex.eigen_ranks), or
+over Z/m from the eigen-subcomplexes.
 
 Graded algebras are handled one internal weight at a time (exact per
 weight), finite-dimensional algebras as a whole, and both are cut further
@@ -337,9 +339,8 @@ def hochschild_blocks(A, n_max, weight=None):
 
 
 def _direct_sum(parts):
-    """The direct sum of (group, multiplicity) pairs, presented diagonally
-    by its invariant factors."""
-    return FgAbGroup.from_invariants([d for G, k in parts for d in G.invariant_factors() * k])
+    """The direct sum of (invariant factors, multiplicity) pairs."""
+    return FgAbGroup.from_invariants([d for invs, k in parts for d in invs * k])
 
 
 def hochschild_chains(C):
@@ -352,7 +353,7 @@ def hh_groups(blocks, degrees):
     """HH_n for each n in degrees, from the blocks of hochschild_blocks: the
     direct sum of the blocks' homology, a paired block counted twice."""
     chains = [(C, hochschild_chains(C), 2 if C.paired else 1) for C in blocks]
-    return [_direct_sum([(ch.homology(n).group, k) for C, ch, k in chains if C.dim(n)])
+    return [_direct_sum([(ch.invariants(n), k) for C, ch, k in chains if C.dim(n)])
             for n in degrees]
 
 
@@ -388,7 +389,8 @@ def _bicomplex_homology(C, n_max):
         mats[n] = block_matrix(layout[n - 1], layout[n], blocks)
     T = ChainComplex.from_matrices({n: sum(cols.values()) for n, cols in layout.items()},
                                    mats, C.algebra.base)
-    hc = [T.homology(n).group for n in range(0, n_max + 1)]
+    degrees = range(0, n_max + 1)
+    hc = [T.invariants(n) for n in degrees]
     if C.paired:
         return [(H, 2) for H in hc], [(H, 1) for H in hc], [(H, 1) for H in hc]
     def signed_omega(i, q):
@@ -400,10 +402,13 @@ def _bicomplex_homology(C, n_max):
         T.check(invol, 1)
     except NotAComplex as e:
         raise TraceError("bicomplex (b + B): %s at degree %d" % e.args)
-    plus, minus = T.eigen(invol, 1), T.eigen(invol, -1)
-    return ([(H, 1) for H in hc],
-            [(plus.homology(n).group, 1) for n in range(0, n_max + 1)],
-            [(minus.homology(n).group, 1) for n in range(0, n_max + 1)])
+    if C.algebra.base.kind == "Z/m":
+        parts = [T.eigen(invol, s) for s in (1, -1)]
+        hd, hdp = ([P.invariants(n) for n in degrees] for P in parts)
+    else:
+        ranks = [T.eigen_ranks(invol, s) for s in (1, -1)]
+        hd, hdp = ([(0,) * r[n] for n in degrees] for r in ranks)
+    return [(H, 1) for H in hc], [(H, 1) for H in hd], [(H, 1) for H in hdp]
 
 
 def dihedral_homology(A, n_max, weight=None):

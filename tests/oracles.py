@@ -569,7 +569,8 @@ def hh_plus_minus_dimensions(A, n, weight=None):
     """(dim HH_n^+, dim HH_n^-), block by block."""
     _require_two_invertible(A.base)
     parts = [split_plus_minus(C) for C in hochschild_blocks(A, n + 1, weight)]
-    return tuple(free_rank(_direct_sum([(P[s].homology(n).group, 1) for P in parts]), A.base)
+    return tuple(free_rank(_direct_sum([(P[s].homology(n).group.invariant_factors(), 1)
+                                        for P in parts]), A.base)
                  for s in (0, 1))
 
 

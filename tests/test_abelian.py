@@ -14,7 +14,9 @@ from c2algebra.abelian import (
     block_matrix,
     chain_group,
     cokernel,
+    diagonal_of,
     direct_sum_groups,
+    elementary_divisors,
     hermite_normal_form,
     identity,
     integer_kernel,
@@ -26,6 +28,7 @@ from c2algebra.abelian import (
     tensor_groups,
     transpose,
     trivial_group,
+    zeros,
 )
 
 from c2algebra.polyring import BaseRing
@@ -623,3 +626,66 @@ def test_chain_complex_check():
     # over Z/3 the comparison is mod 3: -1 may be lifted as 2
     mod3 = ChainComplex.from_matrices({0: 1, 1: 1}, {1: [[1]]}, BaseRing.parse("Z/3"))
     assert mod3.check({0: [[1]], 1: [[2]]}, -1) is mod3
+
+
+# -- homology from boundary ranks and elementary divisors -----------------------
+
+def _smith_divisors(M):
+    """(rank, non-unit divisors) read off the diagonal of smith_normal_form."""
+    diag = [d for d in diagonal_of(smith_normal_form(M)[1]) if d] if M else []
+    return len(diag), tuple(d for d in diag if d != 1)
+
+
+def test_elementary_divisors_of_fixed_matrices():
+    assert elementary_divisors([]) == (0, ())
+    assert elementary_divisors([[0, 0], [0, 0]]) == (0, ())
+    assert elementary_divisors([[2, 4], [6, 8]]) == (2, (2, 4))
+    # no entry is a unit, but the divisors are 1 and det = -2
+    assert elementary_divisors([[2, 3], [4, 5]]) == (2, (2,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0, 0, 1, -1, 2, -2, 3, 4, -6]), min_size=n, max_size=n),
+    max_size=5)), st.booleans())
+def test_elementary_divisors_match_smith_normal_form(M, unit_free):
+    if unit_free:  # every entry even or a multiple of 3: no unit pivot at all
+        M = [[3 * x if x in (1, -1) else x for x in row] for row in M]
+    assert elementary_divisors(M) == _smith_divisors(M)
+    assert elementary_divisors(transpose(M)) == _smith_divisors(M)
+
+
+@st.composite
+def _sparse_complexes(draw):
+    """Chain ranks dims[0..3] and boundaries d_1..d_3: d_1 sparse with
+    entries 0, +-1, +-2, and d_{n+1} a kernel basis of d_n times a small
+    random matrix, so that d o d = 0."""
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2])
+    dims = draw(st.lists(st.integers(0, 5), min_size=4, max_size=4))
+
+    def matrix(rows, cols):
+        return [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+    mats = {1: matrix(dims[0], dims[1])}
+    for n in (2, 3):
+        K = integer_kernel(mats[n - 1], dims[n - 1]) if dims[n - 1] else []
+        mats[n] = mat_mul(transpose(K), matrix(len(K), dims[n])) if K else \
+            zeros(dims[n - 1], dims[n])
+    return dict(enumerate(dims)), mats
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_complexes(), st.sampled_from(["Z", "Q", "Z[1/2]", "Z/3", "Z/4", "Z/6"]))
+def test_invariants_agree_with_homology(complex_, base):
+    dims, mats = complex_
+    C = ChainComplex.from_matrices(dims, mats, BaseRing.parse(base))
+    for n in range(-1, 5):
+        assert C.invariants(n) == C.homology(n).group.invariant_factors(), (base, n)
+
+
+def test_invariants_check_d_o_d():
+    for base in (None, BaseRing.parse("Q"), BaseRing.parse("Z/3")):
+        bad = ChainComplex.from_matrices({0: 1, 1: 1, 2: 1}, {1: [[1]], 2: [[1]]}, base)
+        with pytest.raises(NotAComplex):
+            bad.invariants(1)
+        assert bad.invariants(0) == ()  # d_0 = 0 and d_1 is onto

@@ -17,7 +17,7 @@ from c2algebra.cli import (
 from c2algebra.complexes import homology
 from c2algebra.differentials import cotangent_module, hkr_graded_piece, presentation_of
 from c2algebra.mackey import box, zbar, zbar_c2
-from c2algebra.polyring import BaseRing
+from c2algebra.polyring import BaseRing, RingInvolution
 from c2algebra import trace as tr
 from oracles import algebra_poly, burnside, fingerprint, zsign
 
@@ -257,6 +257,23 @@ def test_dihedral_splits_over_finite_fields():
         assert [a + b for a, b in zip(data["hd"], data["hd_prime"])] == data["hc"], base
 
 
+XY2_JSON = ('{"base": "%s", "gens": [{"name": "x", "sigma": "x"}, {"name": "y", "sigma": "y"}], '
+            '"rels": ["x^2", "y^2"]}')
+
+
+def test_hh_torsion_golden():
+    # Z[x, y]/(x^2, y^2) at weight 4: the 2-torsion over Z, and none over
+    # Z[1/2]; the torsion is read from the elementary divisors of b
+    def hh_lines(base):
+        code, out = run_cli(["hh", "--algebra", XY2_JSON % base, "--weight", "4", "--nmax", "4"])
+        assert code == 0
+        return out.splitlines()
+    assert hh_lines("Z") == ["HH_0 = 0", "HH_1 = 0", "HH_2 = Z/2 + Z + Z",
+                             "HH_3 = Z/2 + Z/2 + Z/2 + Z + Z + Z + Z", "HH_4 = Z + Z"]
+    assert hh_lines("Z[1/2]") == ["HH_0 = 0", "HH_1 = 0", "HH_2 = Z + Z",
+                                  "HH_3 = Z + Z + Z + Z", "HH_4 = Z + Z"]
+
+
 def test_hh_graded_needs_weight():
     code, _ = run_cli(["hh", "--algebra", QX_JSON, "--nmax", "2"])
     assert code == 1
@@ -454,6 +471,16 @@ def test_derham_top_degree_is_cohomology():
         [[0], [], [], []]
     # Z[x, x_s] at --imax 1, weight 2: Z/2 + Z/2 (it printed Z/2 + Z/2 + Z)
     assert table(KXXS_JSON, 1)["2"]["1"]["h"] == [2, 2]
+
+
+def test_derham_checks_that_sigma_is_an_involution_once(monkeypatch):
+    # cli.parse_algebra checks it; the de Rham presentation does not repeat it
+    calls = []
+    real = RingInvolution.is_involution
+    monkeypatch.setattr(RingInvolution, "is_involution",
+                        lambda self: calls.append(self) or real(self))
+    code, _ = run_cli(["derham", "--algebra", KXXS_JSON, "--imax", "1", "--maxweight", "2"])
+    assert code == 0 and len(calls) == 1
 
 
 def test_derham_sigma_scaled_by_a_unit():
@@ -689,6 +716,9 @@ def test_each_command_loads_only_the_layers_it_runs():
     assert hh == layers("abelian polyring trace")
     show = _layers_after(["mackey-show", "--input", ZBAR_JSON])
     assert show == layers("abelian mackey")
+    # hr-gr reads the default truncation from the package, not from tambara
+    hr_gr = _layers_after(["hr-gr", "--algebra", KX_JSON, "--i", "1", "--weight", "2"])
+    assert hr_gr == layers("abelian complexes differentials mackey polyring trace")
 
 
 def test_every_domain_error_is_an_engine_error():

@@ -314,10 +314,9 @@ def plain_hh_plus_minus_dimensions(A, n, weight=None):
     return plus.homology(n).rank(), minus.homology(n).rank()
 
 
-def plain_dihedral_homology(A, n_max, weight=None):
-    if not A.base.two_invertible:
-        raise TwoNotInvertible("2 is not invertible in the base")
-    C = DihedralComplex(A, n_max + 1, weight)
+def plain_bicomplex(C, n_max):
+    """(T, invol): the total complex of the (b, B)-bicomplex of C truncated
+    at n_max columns, and its involution (-1)^i omega on column i."""
     # total complex T_n = sum over columns i of C_{n - 2i}
     layout = {}
     dims = {}
@@ -361,7 +360,13 @@ def plain_dihedral_homology(A, n_max, weight=None):
                 for c in range(C.dim(q)):
                     M[off + r][off + c] = sgn * om[r][c]
         invol[n] = M
-    T = ChainComplex.from_matrices(dims, mats, A.base)
+    return ChainComplex.from_matrices(dims, mats, C.algebra.base), invol
+
+
+def plain_dihedral_homology(A, n_max, weight=None):
+    if not A.base.two_invertible:
+        raise TwoNotInvertible("2 is not invertible in the base")
+    T, invol = plain_bicomplex(DihedralComplex(A, n_max + 1, weight), n_max)
     # sanity: the involution commutes with the total differential (compared
     # in the chain groups, so mod m over Z/m)
     for n, d in T.diffs.items():
@@ -416,6 +421,27 @@ def assert_blocks_match_whole(A, weight, n_max):
         for n in range(0, n_max + 1):
             assert hh_plus_minus_dimensions(A, n, weight) == \
                 plain_hh_plus_minus_dimensions(A, n, weight), (A.ring.names, weight, n)
+
+
+@pytest.mark.parametrize("base", ["Q", "Z[1/2]"])
+@pytest.mark.parametrize("names, images, rules, weight, n_max", [
+    (["x"], [{(1,): 1}], {0: (3, {})}, None, 4),                     # k[x]/x^3
+    (["x"], [{(1,): -1}], {0: (3, {})}, None, 4),                    # x -> -x
+    (["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}], {0: (2, {}), 1: (2, {})}, None, 3),
+    (["x", "x_s"], [{(0, 1): -1}, {(1, 0): -1}], {}, 4, 3),          # x -> -x_s
+])
+def test_eigen_ranks_match_the_eigen_homology(base, names, images, rules, weight, n_max):
+    # on every self-conjugate bicomplex block, rk P_n - rk d_n P_n -
+    # rk d_{n+1} P_{n+1} is the rank of H_n of the eigen subcomplex
+    A = algebra_poly(BaseRing(base), names, images, rules)
+    blocks = [C for C in hochschild_blocks(A, n_max + 1, weight) if not C.paired]
+    assert blocks
+    for C in blocks:
+        T, invol = plain_bicomplex(C, n_max)
+        for sign in (1, -1):
+            ranks, part = T.eigen_ranks(invol, sign), T.eigen(invol, sign)
+            assert [ranks[n] for n in range(0, n_max + 1)] == \
+                [part.homology(n).rank() for n in range(0, n_max + 1)], (C.block, sign)
 
 
 @settings(max_examples=25, deadline=None)
