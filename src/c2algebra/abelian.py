@@ -7,24 +7,27 @@ generators are length-n integer tuples; a homomorphism is an integer matrix
 acting on column vectors.
 
 Homology over a base ring (Z, Z[1/2], Q or Z/m, read from a polyring
-BaseRing) has one home here, ChainComplex (chain groups by degree with their
-boundaries); block_matrix lays out the direct sums they are built from.
-hh, dihedral and derham read only invariant factors and ranks
-(ChainComplex.invariants and eigen_ranks, from boundary ranks and
-elementary divisors: no cycles, no HNF).  The Mackey layer reads cycles and
-induced maps from a Homology (ChainComplex.homology), as do invariants and
-the eigen-subcomplexes (ChainComplex.eigen) over Z/m.  The base-ring rule
-lives only in this module:
+BaseRing) has one home here, ChainComplex: the ranks and integer boundary
+matrices of a complex of free base-modules.  Every base-ring decision is
+made inside it:
 
-* chain_group(dim, base) presents a free base-module of rank dim: as
-  (Z/m)^dim (relations m*I) over Z/m, as Z^dim over every other base;
-* over Z the homology comes from elementary divisors or SNF, over Z/m from
-  those presentations;
-* Q and Z[1/2] are flat over Z, so the homology is computed over Z and then
-  localized: over Q all torsion is dropped, over Z[1/2] the powers of 2 are
-  dropped from the invariant factors.
+* hh, dihedral and derham read invariant factors (ChainComplex.invariants)
+  from boundary ranks and elementary divisors over Z, no cycles, no HNF;
+  Q and Z[1/2] are flat over Z, so these are then localized: over Q all
+  torsion is dropped, over Z[1/2] the powers of 2;
+* over Z/m the chain groups are (Z/m)^dim, presented by chain_group with
+  relations m*I, and the homology is a Homology of those presentations;
+* the +-parts of an involution (ChainComplex.eigen_invariants, where 2 is
+  a unit) are read from ranks over Q and Z[1/2], and over Z/m as the
+  homology of the quotients C / (invol -+ 1) C.
 
-A Z summand of a homology group is then a free rank-1 summand over the base.
+Homology works on presented groups, AbMaps between them, for the Z/m
+chain groups above and for the Mackey layer, which reads cycles and
+induced maps from it.  block_matrix lays out the direct sums the complexes
+are built from.
+
+A free rank-1 summand over the base (free_rank) is then a Z summand over
+Z, Q and Z[1/2] and a Z/m summand over Z/m.
 
 The matrices met here are sparse with entries +-1 (bar complexes, sign-sphere
 cells), so the kernels skip the work whose result is already known: mat_mul
@@ -498,11 +501,6 @@ class FgAbGroup:
         """
         return tuple(d for d in self._factors[0] if d != 1)
 
-    def rank(self):
-        """Number of Z summands; ``Homology.rank`` counts free summands over
-        a base ring Z/m."""
-        return sum(1 for d in self.invariant_factors() if d == 0)
-
     def is_trivial(self):
         return not self.invariant_factors()
 
@@ -743,19 +741,6 @@ def _local_order(d, base):
     return 1 if kind == "Q" else d // (d & -d)
 
 
-def _localize(G, base):
-    """G tensored with a base that is flat over Z, on the same generators:
-    over Q all torsion is dropped, over Z[1/2] the powers of 2."""
-    if not G.relations:
-        return G
-    invs = G.invariant_factors()
-    kept = [_local_order(d, base) for d in invs]
-    if kept == list(invs):
-        return G
-    return FgAbGroup(G.ngens, G.relations + [[k * x for x in b] for b, k in
-                                             zip(G.canonical_basis(), kept) if k])
-
-
 def free_rank(G, base=None):
     """Number of free rank-1 summands of G as a module over the base (None
     means Z): invariant factors m over Z/m, 0 over every other base.  It is
@@ -771,12 +756,11 @@ def free_rank(G, base=None):
 
 
 class Homology:
-    """ker(d_out) / im(d_in) over a base ring (None means Z).
+    """ker(d_out) / im(d_in) for AbMaps d_in and d_out between presented
+    groups; d_out o d_in = 0 is checked here, and kernel checks that d_out
+    carries the relations of its source into those of its target.
 
-    d_in and d_out are AbMaps between the base's chain groups, as presented
-    by chain_group; d_out o d_in = 0 is checked here.
-
-    group: the homology over the base, presented on the kernel generators;
+    group: the homology, presented on the kernel generators;
     cycles: the inclusion of ker(d_out) into the chain group;
     induced(phi, target): the map on homology of a chain map phi.
 
@@ -785,8 +769,7 @@ class Homology:
     (2,)
     """
 
-    def __init__(self, d_in, d_out, base=None):
-        self.base = base
+    def __init__(self, d_in, d_out):
         if not d_out.source.ngens:  # the zero group; d_out o d_in = 0 by shape
             self.group = d_out.source
             self.cycles = AbMap.identity_map(self.group)
@@ -803,12 +786,7 @@ class Homology:
             stacked = hstack(stacked, [[-x for x in row] for row in transpose(Rm)])
             ncols = K.ngens + d_in.source.ngens + len(Rm)
             rels += [v[:K.ngens] for v in integer_kernel(stacked, ncols)]
-        self.group = _localize(FgAbGroup(K.ngens, rels), base)
-
-    def rank(self):
-        """Number of free rank-1 summands over the base: the dimension over a
-        field."""
-        return free_rank(self.group, self.base)
+        self.group = FgAbGroup(K.ngens, rels)
 
     def induced(self, phi, target):
         """H(phi): self.group -> target.group for a chain map phi from this
@@ -822,107 +800,114 @@ class Homology:
 
 
 class ChainComplex:
-    """Chain groups groups[n] over a base ring (None means Z) with
-    boundaries diffs[n] : C_n -> C_{n-1}, as AbMaps; a missing group is 0
-    and a missing boundary the zero map.
+    """A complex of free base-modules (base None means Z): dims[n] is the
+    rank of C_n and mats[n] the integer matrix of d_n : C_n -> C_{n-1}, with
+    dims[n - 1] rows and dims[n] columns.  A missing rank is 0 and a missing
+    matrix the zero map.  Every decision that depends on the base is made
+    here.
 
-    >>> C = ChainComplex.from_matrices({0: 1, 1: 1}, {1: [[2]]})
-    >>> C.homology(0).group.invariant_factors(), C.homology(1).group.invariant_factors()
+    >>> C = ChainComplex({0: 1, 1: 1}, {1: [[2]]})
+    >>> C.invariants(0), C.invariants(1)
     ((2,), ())
     """
 
-    def __init__(self, groups, diffs, base=None):
-        self.groups = groups
-        self.diffs = diffs
+    def __init__(self, dims, mats, base=None):
+        self.dims = dims
+        self.mats = mats
         self.base = base
         self._divisors = {}
 
-    @classmethod
-    def from_matrices(cls, dims, mats, base=None):
-        """Integer boundary matrices on the base's chain groups of rank dims."""
-        groups = {n: chain_group(d, base) for n, d in dims.items()}
-        diffs = {n: AbMap(groups[n], groups[n - 1], M) for n, M in mats.items()}
-        return cls(groups, diffs, base)
-
-    def diff(self, n):
-        d = self.diffs.get(n)
-        if d is None:
-            d = AbMap.zero_map(self.groups.get(n, trivial_group()),
-                               self.groups.get(n - 1, trivial_group()))
-        return d
-
     def homology(self, n):
-        return Homology(self.diff(n + 1), self.diff(n), self.base)
+        """H_n as a Homology of the chain groups chain_group presents, built
+        for the degrees n - 1, n and n + 1 only.  Over Q and Z[1/2] this is
+        the homology over Z, before localization; invariants(n) reads it over
+        the base."""
+        G = {k: chain_group(self.dims.get(k, 0), self.base) for k in (n - 1, n, n + 1)}
+        d_in, d_out = (AbMap(G[k], G[k - 1], self.mats.get(k, ())) for k in (n + 1, n))
+        return Homology(d_in, d_out)
 
     def invariants(self, n):
-        """homology(n).group.invariant_factors(), read without a Homology
-        where the chain groups are free (over Z, Z[1/2] and Q): then
-        H_n = Z^(dim C_n - rk d_n - rk d_{n+1}) + the torsion of
+        """The invariant factors of H_n over the base.  Where the chain
+        groups are free over Z (over Z, Z[1/2] and Q) it is read without a
+        Homology: H_n = Z^(dim C_n - rk d_n - rk d_{n+1}) + the torsion of
         coker d_{n+1}, from the elementary divisors of the two boundaries,
-        localized as _localize does.  Over Z/m it is homology(n).  Raises
-        NotAComplex when d_n o d_{n+1} != 0."""
+        then localized: over Q all torsion is dropped, over Z[1/2] the powers
+        of 2.  Over Z/m it is homology(n).  Raises NotAComplex when
+        d_n o d_{n+1} != 0."""
         if _modulus(self.base):
             return self.homology(n).group.invariant_factors()
-        d_out, d_in = self.diffs.get(n), self.diffs.get(n + 1)
-        if d_out and d_in and any(map(any, mat_mul(d_out.matrix, d_in.matrix))):
+        d_out, d_in = self.mats.get(n), self.mats.get(n + 1)
+        if d_out and d_in and any(map(any, mat_mul(d_out, d_in))):
             raise NotAComplex("d_out o d_in != 0")
-        dim = self.groups[n].ngens if n in self.groups else 0
         rank_in, torsion = self._boundary_divisors(n + 1)
-        free = dim - self._boundary_divisors(n)[0] - rank_in
+        free = self.dims.get(n, 0) - self._boundary_divisors(n)[0] - rank_in
         local = (_local_order(d, self.base) for d in torsion)
         return tuple(d for d in local if d != 1) + (0,) * free
 
     def _boundary_divisors(self, n):
         if n not in self._divisors:
-            d = self.diffs.get(n)
-            self._divisors[n] = elementary_divisors(d.matrix) if d else (0, ())
+            d = self.mats.get(n)
+            self._divisors[n] = elementary_divisors(d) if d else (0, ())
         return self._divisors[n]
 
-    def eigen_ranks(self, invol, sign):
-        """{n: rank of H_n of the sign-eigen part of invol}, for a base in
-        which 2 is a unit, read over Q without eigen kernels: the part is the
-        image of P = 1 + sign invol, so its rank is
-        rk P_n - rk d_n P_n - rk d_{n+1} P_{n+1}."""
-        images = {}  # the columns of P_n, sparse
-        for n, iota in invol.items():
-            images[n] = []
-            for j, col in enumerate(transpose(iota)):
+    def eigen_invariants(self, invol, sign, degrees):
+        """[the invariant factors of H_n of the sign part of invol, for n in
+        degrees], for invol a matrix per degree that commutes with d
+        (check(invol, 1)), in a base where 2 is a unit.  Then C = C+ + C-,
+        and the sign part is both the image of P = 1 + sign invol and the
+        quotient C / (invol - sign) C.
+
+        * Over Q and Z[1/2] only the free part is read, (0,) * r with
+          r = rk P_n - rk d_n P_n - rk d_{n+1} P_{n+1}; over Z[1/2] odd
+          torsion in H_n is not read.
+        * Over Z/m, m odd, it is H_n of the groups
+          (Z/m)^dims[k] / im(invol_k - sign) with the same boundaries, a
+          Homology, which checks that d carries relations into relations.
+
+        Only the degrees asked for are read.  Raises AbelianError when 2 is
+        not a unit."""
+        if self.base is None or not self.base.two_invertible:
+            raise AbelianError("2 is not a unit in the base")
+        if _modulus(self.base):
+            groups = {}
+            for k in {k for n in degrees for k in (n - 1, n, n + 1)}:
+                dim = self.dims.get(k, 0)
+                # relations: m*I and the columns of invol_k - sign
+                shifted = [[x - sign if i == j else x for i, x in enumerate(col)]
+                           for j, col in enumerate(transpose(invol[k]))] if dim else []
+                groups[k] = FgAbGroup(dim, chain_group(dim, self.base).relations + shifted)
+
+            def d(k):
+                return AbMap(groups[k], groups[k - 1], self.mats.get(k, ()))
+            return [Homology(d(n + 1), d(n)).group.invariant_factors() for n in degrees]
+        images = {}  # the columns of P_k, sparse
+        for k in {k for n in degrees for k in (n, n + 1) if k in invol}:
+            images[k] = []
+            for j, col in enumerate(transpose(invol[k])):
                 v = {i: sign * x for i, x in _sparse(col).items()}
                 v[j] = v.get(j, 0) + 1
-                images[n].append({i: x for i, x in v.items() if x})
+                images[k].append({i: x for i, x in v.items() if x})
         boundary = {}
-        for n, d in self.diffs.items():
-            cols = [_sparse(c) for c in transpose(d.matrix)]
+        for k, vs in images.items():
+            cols = [_sparse(c) for c in transpose(self.mats.get(k, ()))]
             if cols:
-                boundary[n] = _rank(_combine(cols, v) for v in images[n])
-        return {n: _rank(vs) - boundary.get(n, 0) - boundary.get(n + 1, 0)
-                for n, vs in images.items()}
+                boundary[k] = _rank(_combine(cols, v) for v in vs)
+        return [(0,) * (_rank(images.get(n, ())) - boundary.get(n, 0) - boundary.get(n + 1, 0))
+                for n in degrees]
 
     def check(self, invol, sign):
-        """d invol = sign invol d for invol a matrix per degree, compared in
-        the chain groups (mod m over Z/m).  d o d = 0 is left to homology(n)
-        and invariants(n), which check it for every degree they read.  A
-        failure raises NotAComplex(what, n), n the degree of the failing
-        boundary's source; returns self."""
-        for n, d in self.diffs.items():
-            lhs = AbMap(d.source, d.target, mat_mul(d.matrix, invol[n]))
-            rhs = AbMap(d.source, d.target, mat_mul(invol[n - 1], d.matrix))
-            if not lhs.equals(rhs.scale(sign)):
+        """d invol = sign invol d for invol a matrix per degree, compared
+        entrywise (mod m over Z/m).  d o d = 0 is left to homology(n) and
+        invariants(n), which check it for every degree they read.  A failure
+        raises NotAComplex(what, n), n the degree of the failing boundary's
+        source; returns self."""
+        m = _modulus(self.base)
+        for n, d in self.mats.items():
+            lhs, rhs = mat_mul(d, invol[n]), mat_mul(invol[n - 1], d)
+            if any((x - sign * y) % m if m else x - sign * y
+                   for row, row2 in zip(lhs, rhs) for x, y in zip(row, row2)):
                 raise NotAComplex("d invol != %d invol d" % sign, n)
         return self
-
-    def eigen(self, invol, sign):
-        """Kernel of (invol - sign) on each chain group, with the restricted
-        boundary.  On (Z/m)^d the kernel is taken mod m, so an integer lift
-        of the involution (entries m - 1 for -1) is enough."""
-        parts = {}
-        for n, G in self.groups.items():
-            shifted = [[x - sign if i == j else x for j, x in enumerate(row)]
-                       for i, row in enumerate(invol[n])]
-            parts[n] = Homology(AbMap.zero_map(trivial_group(), G), AbMap(G, G, shifted),
-                                self.base)
-        diffs = {n: parts[n].induced(d, parts[n - 1]) for n, d in self.diffs.items()}
-        return ChainComplex({n: P.group for n, P in parts.items()}, diffs, self.base)
 
 
 def _combine(cols, v):

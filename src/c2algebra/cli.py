@@ -526,7 +526,7 @@ def cmd_derham(args, out):
         raise ParseError("derham expects an algebra")
     complexes = df.de_rham_complex(df.presentation_of(A), args.imax, args.maxweight)
     table = {str(w): {str(n): {"h": list(C.invariants(-n)),
-                               "dim": C.groups[-n].ngens}
+                               "dim": C.dims[-n]}
                       for n in range(0, args.imax + 1)}
              for w, C in complexes.items()}
     if args.format == "json":

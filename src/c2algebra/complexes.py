@@ -3,6 +3,10 @@
 Provides homology with induced Lewis structure, representation-sphere
 suspension, box products of complexes with Koszul signs, and the
 regular-slice connectivity checks on underlying and geometric fixed points.
+The levels of a Mackey complex, and its geometric fixed points Phi C (the
+groups coker(tr)), are not free, so their homology is an abelian.Homology of
+AbMaps between presented groups, one degree at a time, not an
+abelian.ChainComplex.
 
 S^{k sigma} smashed with zbar is its reduced C2-CW chain complex (Hill-
 Hopkins-Ravenel), |k| + 1 cells: zbar in degree 0 and zbar_c2 in each degree
@@ -13,7 +17,7 @@ zbar -> zbar_c2 (fixed x1) for k < 0; then 1 - sigma (fixed 0), 1 + sigma
 """
 
 from . import EngineError
-from .abelian import AbMap, ChainComplex, Homology, block_matrix, cokernel
+from .abelian import AbMap, Homology, block_matrix, cokernel, trivial_group
 from . import abelian
 from .mackey import (
     MackeyFunctor,
@@ -165,18 +169,24 @@ def suspend_sigma(C, k):
 # geometric fixed points of complexes and slice checks
 
 def phi_complex(C):
-    """Levelwise coker(tr) with induced differentials: a ChainComplex over Z.
+    """Levelwise coker(tr) with induced differentials: {n: the AbMap
+    Phi C_n -> Phi C_{n-1}} for every n from the lowest degree of C to one
+    above its highest, so that Homology(phi[k + 1], phi[k]) is H_k(Phi C)
+    for every degree k of C.
 
     Only sound (exact) on complexes whose terms are direct sums of zbar and
     zbar_c2 cells; enforced via the cell tags the builders propagate.
     """
-    for n in C.degrees():
+    degs = C.degrees()
+    for n in degs:
         if C.term(n).cells is None:
             raise NotFreeTerms("term in degree %d has no free-cell structure" % n)
-    groups = {n: cokernel(C.term(n).tr)[0] for n in C.degrees()}
-    diffs = {n: AbMap(groups[n], groups[n - 1], C.diff(n).f_fixed.matrix)
-             for n in C.degrees() if (n - 1) in groups}
-    return ChainComplex(groups, diffs)
+    groups = {n: cokernel(C.term(n).tr)[0] for n in degs}
+
+    def group(n):
+        return groups.get(n) or trivial_group()
+    return {n: AbMap(group(n), group(n - 1), C.diff(n).f_fixed.matrix)
+            for n in range(degs[0], degs[-1] + 2)} if degs else {}
 
 
 def is_regular_slice_connective(C, n):
@@ -191,7 +201,7 @@ def is_regular_slice_connective(C, n):
             return False
     phi_bound = -((-n) // 2)  # ceil(n/2)
     for k in range(lo, min(phi_bound, hi + 1)):
-        if not phi.homology(k).group.is_trivial():
+        if not Homology(phi[k + 1], phi[k]).group.is_trivial():
             return False
     return True
 

@@ -12,10 +12,11 @@ itself, y^2 = f(x) with y -> -y is hyperelliptic_presentation.  For a ring
 with involution the fixed-point Tambara functor is always cohomological
 (N(res x) = x sigma(x) = x^2), so nothing here needs Tambara data.
 
-The associated de Rham complex is one abelian.ChainComplex per weight,
-Omega^k in chain degree -k, so H^k is its homology at -k (derham reads its
-invariant factors, ChainComplex.invariants).  The differential
-is sigma-antilinear, d(sigma m) = -sigma(d m), which ChainComplex.check
+The associated de Rham complex is one abelian.ChainComplex per weight: the
+ranks of the free base-modules Omega^k, in chain degree -k, and the integer
+matrices of d.  H^k is its homology at -k, whose invariant factors over the
+base derham reads (ChainComplex.invariants).  The differential is
+sigma-antilinear, d(sigma m) = -sigma(d m), which ChainComplex.check
 verifies; cohomology does not depend on sigma.
 
 When sigma permutes the generators up to sign, exterior_power builds
@@ -308,8 +309,8 @@ def de_rham_complex(B, i_max, max_weight):
                     for m2, c2 in partial_derivative(A, {m: A.base.one()}, j).items():
                         d_mat[tgt_index[(m2, S2)]][col] += sgn * integer_lift(c2)
             mats[-k] = d_mat
-        C = ChainComplex.from_matrices({-k: len(basis) for k, (basis, _) in enumerate(powers)},
-                                       mats, A.base)
+        C = ChainComplex({-k: len(basis) for k, (basis, _) in enumerate(powers)}, mats,
+                         A.base)
         sigma = {-k: [[-x for x in row] for row in sig] if k % 2 else sig
                  for k, (_basis, sig) in enumerate(powers)}
         try:

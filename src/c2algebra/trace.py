@@ -13,9 +13,9 @@ the total complex of the (b, B)-bicomplex splits along w, giving the
 dihedral splitting HC = HD + HD' of cyclic homology.  Each of these
 complexes (the Hochschild chains and the total complex of the bicomplex,
 laid out by abelian.block_matrix) is an abelian.ChainComplex over the base
-ring.  HH and HC are read as invariant factors (ChainComplex.invariants);
-HD and HD' as the ranks of the eigen parts (ChainComplex.eigen_ranks), or
-over Z/m from the eigen-subcomplexes.
+ring.  HH and HC are read as invariant factors (ChainComplex.invariants),
+HD and HD' as those of the +-parts of the involution
+(ChainComplex.eigen_invariants); the base ring is that module's concern.
 
 Graded algebras are handled one internal weight at a time (exact per
 weight), finite-dimensional algebras as a whole, and both are cut further
@@ -182,15 +182,15 @@ class DihedralComplex:
             basis = self._basis(n, slots)
             self.bases[n] = basis
             self.index[n] = {t: i for i, t in enumerate(basis)}
-        self.b = {n: self._b_matrix(n) for n in range(1, n_max + 1)}
+        self.b = {n: self._matrix(n, n - 1, self._b_terms) for n in range(1, n_max + 1)}
 
     @cached_property
     def omega(self):
-        return {n: self._omega_matrix(n) for n in range(0, self.n_max + 1)}
+        return {n: self._matrix(n, n, self._omega_terms) for n in range(0, self.n_max + 1)}
 
     @cached_property
     def B(self):
-        return {n: self._B_matrix(n) for n in range(0, self.n_max)}
+        return {n: self._matrix(n, n + 1, self._B_terms) for n in range(0, self.n_max)}
 
     # -- bases ---------------------------------------------------------------
 
@@ -262,58 +262,40 @@ class DihedralComplex:
                 rec(i + 1, acc + [mono], c * integer_lift(cf))
         rec(0, [], coeff)
 
-    def _b_matrix(self, n):
-        ring = self.algebra.ring
-        src = self.bases[n]
-        tgt = self.bases[n - 1]
-        M = zeros(len(tgt), len(src))
-        for j, tensor in enumerate(src):
-            col = [0] * len(tgt)
-            for i in range(n):
-                sign = -1 if i % 2 else 1
-                prod = ring.mul(_mono(ring, tensor[i]), _mono(ring, tensor[i + 1]))
-                slots = [_mono(ring, m) for m in tensor[:i]] + [prod] + \
-                    [_mono(ring, m) for m in tensor[i + 2:]]
-                self._expand(slots, col, sign, n - 1)
-            sign = -1 if n % 2 else 1
-            prod = ring.mul(_mono(ring, tensor[n]), _mono(ring, tensor[0]))
-            slots = [prod] + [_mono(ring, m) for m in tensor[1:n]]
-            self._expand(slots, col, sign, n - 1)
+    def _matrix(self, n, m, terms):
+        """The integer matrix C_n -> C_m whose column j is the sum of the
+        signed slot tensors that terms yields for the j-th basis tensor."""
+        M = zeros(self.dim(m), self.dim(n))
+        for j, tensor in enumerate(self.bases[n]):
+            col = [0] * len(M)
+            for sign, slots in terms(tensor):
+                self._expand(slots, col, sign, m)
             for i, v in enumerate(col):
                 M[i][j] = v
         return M
 
-    def _omega_matrix(self, n):
+    def _b_terms(self, tensor):
         ring = self.algebra.ring
-        om = self.algebra.omega
-        src = self.bases[n]
-        M = zeros(len(src), len(src))
-        sign = -1 if (n * (n + 1) // 2) % 2 else 1
-        for j, tensor in enumerate(src):
-            col = [0] * len(src)
-            slots = [om(_mono(ring, tensor[0]))]
-            for i in range(n, 0, -1):
-                slots.append(om(_mono(ring, tensor[i])))
-            self._expand(slots, col, sign, n)
-            for i, v in enumerate(col):
-                M[i][j] = v
-        return M
+        n = len(tensor) - 1
+        slots = [_mono(ring, m) for m in tensor]
+        for i in range(n):
+            yield (-1 if i % 2 else 1), \
+                slots[:i] + [ring.mul(slots[i], slots[i + 1])] + slots[i + 2:]
+        yield (-1 if n % 2 else 1), [ring.mul(slots[n], slots[0])] + slots[1:n]
 
-    def _B_matrix(self, n):
+    def _omega_terms(self, tensor):
+        ring, om = self.algebra.ring, self.algebra.omega
+        n = len(tensor) - 1
+        # w(a0) (x) w(an) (x) ... (x) w(a1)
+        yield (-1 if (n * (n + 1) // 2) % 2 else 1), \
+            [om(_mono(ring, m)) for m in tensor[:1] + tensor[:0:-1]]
+
+    def _B_terms(self, tensor):
         ring = self.algebra.ring
-        src = self.bases[n]
-        tgt = self.bases[n + 1]
-        M = zeros(len(tgt), len(src))
-        for j, tensor in enumerate(src):
-            col = [0] * len(tgt)
-            for i in range(n + 1):
-                sign = -1 if (i * n) % 2 else 1
-                rotated = tensor[i:] + tensor[:i]
-                slots = [ring.one_poly()] + [_mono(ring, m) for m in rotated]
-                self._expand(slots, col, sign, n + 1)
-            for i, v in enumerate(col):
-                M[i][j] = v
-        return M
+        n = len(tensor) - 1
+        for i in range(n + 1):
+            yield (-1 if (i * n) % 2 else 1), \
+                [ring.one_poly()] + [_mono(ring, m) for m in tensor[i:] + tensor[:i]]
 
 
 def _mono(ring, m):
@@ -345,8 +327,7 @@ def _direct_sum(parts):
 
 def hochschild_chains(C):
     """The Hochschild chains of a DihedralComplex with the boundary b."""
-    return ChainComplex.from_matrices({k: C.dim(k) for k in C.bases}, C.b,
-                                      C.algebra.base)
+    return ChainComplex({k: C.dim(k) for k in C.bases}, C.b, C.algebra.base)
 
 
 def hh_groups(blocks, degrees):
@@ -387,8 +368,8 @@ def _bicomplex_homology(C, n_max):
             if (i - 1, q + 1) in layout[n - 1]:
                 blocks[(i - 1, q + 1), (i, q)] = C.B[q]
         mats[n] = block_matrix(layout[n - 1], layout[n], blocks)
-    T = ChainComplex.from_matrices({n: sum(cols.values()) for n, cols in layout.items()},
-                                   mats, C.algebra.base)
+    T = ChainComplex({n: sum(cols.values()) for n, cols in layout.items()}, mats,
+                     C.algebra.base)
     degrees = range(0, n_max + 1)
     hc = [T.invariants(n) for n in degrees]
     if C.paired:
@@ -402,12 +383,7 @@ def _bicomplex_homology(C, n_max):
         T.check(invol, 1)
     except NotAComplex as e:
         raise TraceError("bicomplex (b + B): %s at degree %d" % e.args)
-    if C.algebra.base.kind == "Z/m":
-        parts = [T.eigen(invol, s) for s in (1, -1)]
-        hd, hdp = ([P.invariants(n) for n in degrees] for P in parts)
-    else:
-        ranks = [T.eigen_ranks(invol, s) for s in (1, -1)]
-        hd, hdp = ([(0,) * r[n] for n in degrees] for r in ranks)
+    hd, hdp = (T.eigen_invariants(invol, s, degrees) for s in (1, -1))
     return [(H, 1) for H in hc], [(H, 1) for H in hd], [(H, 1) for H in hdp]
 
 

@@ -4,8 +4,9 @@ No CLI command runs any of this: fixture algebras, Mackey functors and
 random integral involutions, the Mackey comparator (fingerprint, duals, the
 zeroth slice), the graded norm with its Koszul sign, the Tambara examples (the Burnside table, norm rings,
 fixed-point Green functors, weightwise Mackey pieces) and the trace oracles
-(the omega-eigen splitting of HH, the operator identities of the dihedral
-bar complex)."""
+(the +-parts of an involution as eigen kernels, the omega-eigen splitting
+of HH, localization of integral homology, the operator identities of the
+dihedral bar complex)."""
 
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from c2algebra.abelian import (
     _unimodular_inverse,
     FgAbGroup,
     Homology,
+    chain_group,
     cokernel,
     free_rank,
     identity,
@@ -554,6 +556,50 @@ def mackey_piece(T, w):
 # ---------------------------------------------------------------------------
 # trace oracles
 
+def localized(invs, base):
+    """Invariant factors over Z, tensored with a base that is flat over Z:
+    over Q the torsion goes, over Z[1/2] the powers of 2."""
+    kind = base.kind if base is not None else "Z"
+    out = []
+    for d in invs:
+        if d and kind == "Q":
+            continue
+        while d and kind == "Z[1/2]" and d % 2 == 0:
+            d //= 2
+        if d != 1:
+            out.append(d)
+    return tuple(out)
+
+
+class EigenComplex:
+    """The sign part of an involution of an abelian.ChainComplex T: the
+    kernel of invol - sign on each chain group (taken mod m on (Z/m)^d, so an
+    integer lift of the involution is enough), with the boundaries
+    restricted through Homology.induced.  It is the oracle of
+    ChainComplex.eigen_invariants, which reads the same homology from ranks
+    over Q and Z[1/2] and from the quotients C / (invol - sign) C over Z/m."""
+
+    def __init__(self, T, invol, sign):
+        chains = {n: chain_group(d, T.base) for n, d in T.dims.items()}
+        parts = {}
+        for n, G in chains.items():
+            shifted = [[x - sign if i == j else x for j, x in enumerate(row)]
+                       for i, row in enumerate(invol[n])]
+            parts[n] = Homology(AbMap.zero_map(trivial_group(), G), AbMap(G, G, shifted))
+        self.groups = {n: P.group for n, P in parts.items()}
+        self.diffs = {n: parts[n].induced(AbMap(chains[n], chains[n - 1], M), parts[n - 1])
+                      for n, M in T.mats.items()}
+
+    def diff(self, n):
+        if n in self.diffs:
+            return self.diffs[n]
+        zero = trivial_group()
+        return AbMap.zero_map(self.groups.get(n, zero), self.groups.get(n - 1, zero))
+
+    def homology(self, n):
+        return Homology(self.diff(n + 1), self.diff(n))
+
+
 def split_plus_minus(C):
     """(C+, C-): the omega-eigenvalue subcomplexes of the Hochschild chains
     of C's sigma-orbit.  For a paired block omega swaps C with its partner,
@@ -562,7 +608,7 @@ def split_plus_minus(C):
     chains = hochschild_chains(C)
     if C.paired:
         return chains, chains
-    return chains.eigen(C.omega, 1), chains.eigen(C.omega, -1)
+    return EigenComplex(chains, C.omega, 1), EigenComplex(chains, C.omega, -1)
 
 
 def hh_plus_minus_dimensions(A, n, weight=None):
@@ -582,7 +628,7 @@ def hh_omega_fixed_dimension(A, n, weight=None):
     Cn = H.cycles.target
     om_H = H.induced(AbMap(Cn, Cn, C.omega[n]), H)
     fixed = om_H - AbMap.identity_map(H.group)
-    return Homology(AbMap.zero_map(trivial_group(), H.group), fixed, A.base).rank()
+    return free_rank(Homology(AbMap.zero_map(trivial_group(), H.group), fixed).group, A.base)
 
 
 def cyclic_class_eigenvalue(n):

@@ -191,8 +191,8 @@ def test_hh_builds_one_complex_without_omega_or_B(monkeypatch):
         builds.append(args)
         init(self, *args, **kwargs)
     monkeypatch.setattr(tr.DihedralComplex, "__init__", counting_init)
-    monkeypatch.setattr(tr.DihedralComplex, "_omega_matrix", lambda self, n: lazy.append(n))
-    monkeypatch.setattr(tr.DihedralComplex, "_B_matrix", lambda self, n: lazy.append(n))
+    for name in ("_omega_terms", "_B_terms"):
+        monkeypatch.setattr(tr.DihedralComplex, name, lambda self, t: lazy.append(t) or ())
     code, out = run_cli(["hh", "--algebra", QX_JSON, "--weight", "2", "--nmax", "3"])
     assert code == 0 and out.count("HH_") == 4
     assert len(builds) == 1 and not lazy
@@ -208,8 +208,8 @@ def test_hh_builds_one_complex_per_sigma_orbit_of_blocks(monkeypatch):
         builds.append(kwargs.get("block"))
         init(self, *args, **kwargs)
     monkeypatch.setattr(tr.DihedralComplex, "__init__", counting_init)
-    monkeypatch.setattr(tr.DihedralComplex, "_omega_matrix", lambda self, n: lazy.append(n))
-    monkeypatch.setattr(tr.DihedralComplex, "_B_matrix", lambda self, n: lazy.append(n))
+    for name in ("_omega_terms", "_B_terms"):
+        monkeypatch.setattr(tr.DihedralComplex, name, lambda self, t: lazy.append(t) or ())
     algebra = KXXS_JSON.replace('"Z"', '"Q"')
     code, out = run_cli(["hh", "--algebra", algebra, "--weight", "5", "--nmax", "3"])
     assert code == 0 and out.splitlines()[:3] == ["HH_0 = " + " + ".join(["Z"] * 6),
@@ -255,6 +255,15 @@ def test_dihedral_splits_over_finite_fields():
         data = json.loads(out)
         assert data["hc"][0] == 2, base
         assert [a + b for a, b in zip(data["hd"], data["hd_prime"])] == data["hc"], base
+
+
+def test_dihedral_golden_when_a_part_is_not_free():
+    # sigma(x) = 4x on Z/15[x]/x^2: the + part of H_0 is Z/15 + Z/3, so the
+    # free ranks over Z/15 of HD and HD' need not add up to that of HC
+    code, out = run_cli(["dihedral", "--algebra", DUAL_JSON % ("Z/15", "4*x"), "--nmax", "2"])
+    assert code == 0
+    assert out.splitlines() == ["n=0: HC=2 HD=1 HD'=0", "n=1: HC=0 HD=0 HD'=0",
+                                "n=2: HC=2 HD=0 HD'=1"]
 
 
 XY2_JSON = ('{"base": "%s", "gens": [{"name": "x", "sigma": "x"}, {"name": "y", "sigma": "y"}], '

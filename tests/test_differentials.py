@@ -4,7 +4,7 @@ against the bar complex for signed permutations of up to three variables."""
 
 from c2algebra.polyring import BaseRing, parse_poly
 from c2algebra.tambara import free_involutive_free, free_involutive_trivial
-from c2algebra.abelian import AbMap, ChainComplex, FgAbGroup, NotAComplex
+from c2algebra.abelian import AbMap, ChainComplex, FgAbGroup, NotAComplex, free_rank, mat_mul
 from c2algebra.cli import mackey_to_json, parse_input
 from c2algebra import complexes as cx
 from c2algebra.complexes import homology
@@ -162,7 +162,7 @@ def test_hyperelliptic_fixed_level_facts():
 # -- de Rham -------------------------------------------------------------------
 
 def dims(C, k_max):
-    return [C.groups[-k].ngens for k in range(0, k_max + 1)]
+    return [C.dims[-k] for k in range(0, k_max + 1)]
 
 
 def twisted_sigma(L, k_max, w, twist=True):
@@ -197,14 +197,14 @@ def test_de_rham_underlying_is_classical():
     # Leibniz rule d(x^w) = w x^{w-1} dx, degreewise
     M = de_rham_complex(k_x(), 1, 6)
     for w in range(1, 6):
-        assert M[w].diffs[0].matrix == [[w]]
+        assert M[w].mats[0] == [[w]]
     # two variables: matches the classical de Rham complex of k[x, x_s]
     N = de_rham_complex(k_x_xs(), 2, 4)
     # d on weight 1: dx, dx_s both hit with coefficient 1
     assert dims(N[1], 1) == [2, 2]
-    assert sorted(sum(row) for row in N[1].diffs[0].matrix) == [1, 1]
+    assert sorted(sum(row) for row in N[1].mats[0]) == [1, 1]
     # d(x dx_s) = dx dx_s = -d(x_s dx) at weight 2
-    assert sorted(N[2].diffs[-1].matrix[0]) == [-1, 0, 0, 1]
+    assert sorted(N[2].mats[-1][0]) == [-1, 0, 0, 1]
 
 
 def test_de_rham_antilinearity_through_weight_8():
@@ -214,7 +214,8 @@ def test_de_rham_antilinearity_through_weight_8():
         M = de_rham_complex(P, 2, 8)
         L = cotangent_module(P)
         for w, C in M.items():
-            assert all(C.diff(n - 1).compose(d).is_zero() for n, d in C.diffs.items())
+            assert not any(any(row) for n, d in C.mats.items() if n - 1 in C.mats
+                           for row in mat_mul(C.mats[n - 1], d))
             assert C.check(twisted_sigma(L, 3, w), -1) is C
             assert C.check(twisted_sigma(L, 3, w, twist=False), 1) is C
         with pytest.raises(NotAComplex):
@@ -224,19 +225,19 @@ def test_de_rham_antilinearity_through_weight_8():
 def test_de_rham_cohomology_poincare():
     # de Rham of Q[x]: H^0 = Q, H^1 = 0 (per weight: only weight 0 survives)
     M = de_rham_complex(k_x(Q), 1, 5)
-    assert M[0].homology(0).group.invariant_factors() == (0,)
+    assert M[0].invariants(0) == (0,)
     for w in range(1, 5):
-        assert M[w].homology(0).group.is_trivial(), w
-        assert M[w].homology(-1).group.is_trivial(), w
+        assert M[w].invariants(0) == (), w
+        assert M[w].invariants(-1) == (), w
 
 
 def test_de_rham_cohomology_two_variables():
     # de Rham of Q[x, x_s]: H^0 = Q, H^1 = H^2 = 0
     M = de_rham_complex(k_x_xs(Q), 2, 4)
-    assert M[0].homology(0).group.invariant_factors() == (0,)
+    assert M[0].invariants(0) == (0,)
     for w in range(1, 4):
         for n in (0, 1, 2):
-            assert M[w].homology(-n).group.is_trivial(), (n, w)
+            assert M[w].invariants(-n) == (), (n, w)
 
 
 def test_de_rham_cohomology_of_a_zero_complex():
@@ -423,14 +424,14 @@ def assert_hkr_two_oracles(gens, w, degrees=range(0, 4)):
         for n in degrees:
             if n in C.terms:
                 H = homology(C, n)
-                underlying[n] += H.underlying.rank()
-                fixed[n] += H.fixed.rank()
+                underlying[n] += free_rank(H.underlying)
+                fixed[n] += free_rank(H.fixed)
     bar = DihedralComplex(A["Z"], max(degrees) + 1, w)
     hh = hochschild_chains(bar)
     plus, _minus = split_plus_minus(DihedralComplex(A["Z[1/2]"], max(degrees) + 1, w))
     for n in degrees:
-        assert underlying[n] == hh.homology(n).group.rank(), (gens, w, n)
-        assert fixed[n] == plus.homology(n).rank(), (gens, w, n)
+        assert underlying[n] == free_rank(hh.homology(n).group), (gens, w, n)
+        assert fixed[n] == free_rank(plus.homology(n).group), (gens, w, n)
 
 
 @settings(max_examples=25, deadline=None)

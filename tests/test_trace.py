@@ -2,7 +2,7 @@
 cyclic/dihedral homology, and the graded pieces of real Hochschild homology
 against bar-complex HH."""
 
-from c2algebra.abelian import AbMap, ChainComplex, mat_mul, zeros
+from c2algebra.abelian import AbMap, ChainComplex, chain_group, free_rank, mat_mul, zeros
 from c2algebra.differentials import cotangent_module, hkr_graded_piece, presentation_of
 from c2algebra.polyring import BaseRing, PolyRing, RingInvolution, TwoNotInvertible
 from c2algebra.trace import (
@@ -19,6 +19,7 @@ from c2algebra.trace import (
 from c2algebra.complexes import homology as cx_homology
 from c2algebra.mackey import zbar
 from oracles import (
+    EigenComplex,
     algebra_gaussian,
     algebra_ground,
     algebra_poly,
@@ -30,6 +31,7 @@ from oracles import (
     hh_plus_minus_dimensions,
     idempotent_is_idempotent,
     isomorphic,
+    localized,
     zsign,
 )
 
@@ -61,7 +63,7 @@ def hr_underlying_dims_from_graded(kind, weight, degrees):
         C = hr_graded_pieces(kind, i, weight)
         for n in degrees:
             if n in C.terms:
-                out[n] += cx_homology(C, n).underlying.rank()
+                out[n] += free_rank(cx_homology(C, n).underlying)
     return out
 
 
@@ -102,31 +104,31 @@ def test_identities_poly_per_weight():
 # over Q the rank of HH_n is its dimension
 
 def test_hh_ground_field():
-    assert [G.rank() for G in hh(algebra_ground(), 3)] == [1, 0, 0, 0]
+    assert [free_rank(G) for G in hh(algebra_ground(), 3)] == [1, 0, 0, 0]
 
 
 def test_hh_polynomial_ring():
     # HH_0 = Q[x], HH_1 = Q[x]dx, HH_n = 0 for n >= 2, weight by weight
     A = algebra_q_poly()
     for w in range(0, 5):
-        assert [G.rank() for G in hh(A, 3, w)] == [1, 1 if w >= 1 else 0, 0, 0], w
+        assert [free_rank(G) for G in hh(A, 3, w)] == [1, 1 if w >= 1 else 0, 0, 0], w
 
 
 def test_hh_gaussian_etale():
     # R -> C is quadratic etale: HH_0 = C (dim 2 over Q), HH_n = 0 above
-    assert [G.rank() for G in hh(algebra_gaussian(), 3)] == [2, 0, 0, 0]
+    assert [free_rank(G) for G in hh(algebra_gaussian(), 3)] == [2, 0, 0, 0]
 
 
 def test_hh_dual_numbers_brute():
     # classical: HH_0(Q[x]/x^2) = Q[x]/x^2, HH_n = Q for n >= 1
-    assert [G.rank() for G in hh(algebra_q_dual_numbers(), 4)] == [2, 1, 1, 1, 1]
+    assert [free_rank(G) for G in hh(algebra_q_dual_numbers(), 4)] == [2, 1, 1, 1, 1]
 
 
 def test_split_dims_add_up_dual_numbers():
     A = algebra_q_dual_numbers()
     for n, G in enumerate(hh(A, 4)):
         p, m = hh_plus_minus_dimensions(A, n)
-        assert p + m == G.rank(), n
+        assert p + m == free_rank(G), n
 
 
 def test_dual_numbers_plus_minus_table():
@@ -147,7 +149,7 @@ def test_split_dims_add_up_gaussian():
     A = algebra_gaussian()
     for n, G in enumerate(hh(A, 3)):
         p, m = hh_plus_minus_dimensions(A, n)
-        assert p + m == G.rank(), n
+        assert p + m == free_rank(G), n
 
 
 def test_hh_plus_minus_polynomial():
@@ -193,7 +195,7 @@ def test_hh_two_variable_closed_form():
     # per weight w, dims are (w + 1, 2w, w - 1, 0, ...)
     for w in range(0, 5):
         groups = hh(K_X_XS, 3, w)
-        assert [G.rank() for G in groups] == [w + 1, 2 * w, max(w - 1, 0), 0], w
+        assert [free_rank(G) for G in groups] == [w + 1, 2 * w, max(w - 1, 0), 0], w
         # over Z the groups are torsion-free in the smooth case
         assert not any(d for G in groups[:3] for d in G.invariant_factors()), w
 
@@ -244,7 +246,7 @@ def test_hr_graded_pieces_accepts_presentations():
     C = hkr_graded_piece(cotangent_module(presentation_of(K_X)), 0, 2)
     assert isomorphic(cx_homology(C, 0), zbar())
     C2 = hkr_graded_piece(cotangent_module(presentation_of(K_X_XS)), 1, 1)
-    assert cx_homology(C2, 1).underlying.rank() == 2
+    assert free_rank(cx_homology(C2, 1).underlying) == 2
 
 
 def test_hr_graded_pieces_trivial_case():
@@ -259,7 +261,7 @@ def test_hr_graded_pieces_trivial_case():
         g1 = hr_graded_pieces("trivial", 1, w)
         # Sigma^sigma zbar: homology zsign in degree 1, (Z/2, 0) in degree 0
         assert isomorphic(cx_homology(g1, 1), zsign())
-        assert cx_homology(g1, 1).underlying.rank() == 1
+        assert free_rank(cx_homology(g1, 1).underlying) == 1
 
 
 def test_hr_graded_pieces_underlying_hkr_trivial():
@@ -267,14 +269,14 @@ def test_hr_graded_pieces_underlying_hkr_trivial():
     for w in range(0, 5):
         got = hr_underlying_dims_from_graded("trivial", w, range(0, 5))
         for n, G in enumerate(hh(K_X, 4, w)):
-            assert got[n] == G.rank(), (w, n)
+            assert got[n] == free_rank(G), (w, n)
 
 
 def test_hr_graded_pieces_underlying_hkr_free():
     for w in range(0, 5):
         got = hr_underlying_dims_from_graded("free", w, range(0, 5))
         for n, G in enumerate(hh(K_X_XS, 4, w)):
-            assert got[n] == G.rank(), (w, n)
+            assert got[n] == free_rank(G), (w, n)
 
 
 def test_hr_graded_pieces_free_shapes():
@@ -283,12 +285,12 @@ def test_hr_graded_pieces_free_shapes():
     for w in (2, 3, 4):
         g2 = hr_graded_pieces("free", 2, w)
         H2 = cx_homology(g2, 2)
-        assert H2.underlying.rank() == w - 1, w
+        assert free_rank(H2.underlying) == w - 1, w
         assert cx_homology(g2, 0).underlying.is_trivial()
     for w in (1, 2, 3):
         g1 = hr_graded_pieces("free", 1, w)
         H1 = cx_homology(g1, 1)
-        assert H1.underlying.rank() == 2 * w, w
+        assert free_rank(H1.underlying) == 2 * w, w
 
 
 # -- blocks against the whole weight block -------------------------------------
@@ -305,13 +307,12 @@ def plain_split_plus_minus(C):
     if not C.algebra.base.two_invertible:
         raise TwoNotInvertible("2 is not invertible in the base")
     chains = hochschild_chains(C)
-    return chains.eigen(C.omega, 1), chains.eigen(C.omega, -1)
+    return EigenComplex(chains, C.omega, 1), EigenComplex(chains, C.omega, -1)
 
 
 def plain_hh_plus_minus_dimensions(A, n, weight=None):
     C = DihedralComplex(A, n + 1, weight)
-    plus, minus = plain_split_plus_minus(C)
-    return plus.homology(n).rank(), minus.homology(n).rank()
+    return tuple(free_rank(P.homology(n).group, A.base) for P in plain_split_plus_minus(C))
 
 
 def plain_bicomplex(C, n_max):
@@ -360,7 +361,7 @@ def plain_bicomplex(C, n_max):
                 for c in range(C.dim(q)):
                     M[off + r][off + c] = sgn * om[r][c]
         invol[n] = M
-    return ChainComplex.from_matrices(dims, mats, C.algebra.base), invol
+    return ChainComplex(dims, mats, C.algebra.base), invol
 
 
 def plain_dihedral_homology(A, n_max, weight=None):
@@ -369,15 +370,16 @@ def plain_dihedral_homology(A, n_max, weight=None):
     T, invol = plain_bicomplex(DihedralComplex(A, n_max + 1, weight), n_max)
     # sanity: the involution commutes with the total differential (compared
     # in the chain groups, so mod m over Z/m)
-    for n, d in T.diffs.items():
-        lhs = AbMap(d.source, d.target, mat_mul(invol[n - 1], d.matrix))
-        if not lhs.equals(AbMap(d.source, d.target, mat_mul(d.matrix, invol[n]))):
+    groups = {n: chain_group(d, A.base) for n, d in T.dims.items()}
+    for n, d in T.mats.items():
+        lhs = AbMap(groups[n], groups[n - 1], mat_mul(invol[n - 1], d))
+        if not lhs.equals(AbMap(groups[n], groups[n - 1], mat_mul(d, invol[n]))):
             raise TraceError("bicomplex involution does not commute with b + B")
-    hc = [T.homology(n).rank() for n in range(0, n_max + 1)]
-    plus = T.eigen(invol, 1)
-    minus = T.eigen(invol, -1)
-    hd = [plus.homology(n).rank() for n in range(0, n_max + 1)]
-    hdp = [minus.homology(n).rank() for n in range(0, n_max + 1)]
+    hc = [free_rank(T.homology(n).group, A.base) for n in range(0, n_max + 1)]
+    plus = EigenComplex(T, invol, 1)
+    minus = EigenComplex(T, invol, -1)
+    hd = [free_rank(plus.homology(n).group, A.base) for n in range(0, n_max + 1)]
+    hdp = [free_rank(minus.homology(n).group, A.base) for n in range(0, n_max + 1)]
     return DihedralHomology(hc, hd, hdp)
 
 
@@ -413,7 +415,8 @@ def monomial_algebras(draw):
 def assert_blocks_match_whole(A, weight, n_max):
     blocks = hochschild_blocks(A, n_max + 1, weight)
     got = [G.invariant_factors() for G in hh_groups(blocks, range(0, n_max + 1))]
-    want = [plain_hh_group(A, n, weight).invariant_factors() for n in range(0, n_max + 1)]
+    want = [localized(plain_hh_group(A, n, weight).invariant_factors(), A.base)
+            for n in range(0, n_max + 1)]
     assert got == want, (A.ring.names, weight)
     if A.base.two_invertible:
         D, P = dihedral_homology(A, n_max, weight), plain_dihedral_homology(A, n_max, weight)
@@ -423,7 +426,26 @@ def assert_blocks_match_whole(A, weight, n_max):
                 plain_hh_plus_minus_dimensions(A, n, weight), (A.ring.names, weight, n)
 
 
-@pytest.mark.parametrize("base", ["Q", "Z[1/2]"])
+def assert_eigen_parts_match_the_kernel_route(A, weight, n_max):
+    """On every self-conjugate bicomplex block, eigen_invariants against the
+    homology of the eigen kernels (oracles.EigenComplex): the same invariant
+    factors over Z/m, the same ranks over Q and Z[1/2], where
+    rk P_n - rk d_n P_n - rk d_{n+1} P_{n+1} reads only the free part."""
+    blocks = [C for C in hochschild_blocks(A, n_max + 1, weight) if not C.paired]
+    assert blocks
+    degrees = range(0, n_max + 1)
+    for C in blocks:
+        T, invol = plain_bicomplex(C, n_max)
+        for sign in (1, -1):
+            got, part = T.eigen_invariants(invol, sign, degrees), EigenComplex(T, invol, sign)
+            want = [part.homology(n).group.invariant_factors() for n in degrees]
+            if A.base.kind != "Z/m":
+                assert all(set(h) <= {0} for h in got), (C.block, sign)
+                got, want = [len(h) for h in got], [h.count(0) for h in want]
+            assert got == want, (C.block, sign)
+
+
+@pytest.mark.parametrize("base", ["Q", "Z[1/2]", "Z/3", "Z/5", "Z/9", "Z/15"])
 @pytest.mark.parametrize("names, images, rules, weight, n_max", [
     (["x"], [{(1,): 1}], {0: (3, {})}, None, 4),                     # k[x]/x^3
     (["x"], [{(1,): -1}], {0: (3, {})}, None, 4),                    # x -> -x
@@ -431,17 +453,14 @@ def assert_blocks_match_whole(A, weight, n_max):
     (["x", "x_s"], [{(0, 1): -1}, {(1, 0): -1}], {}, 4, 3),          # x -> -x_s
 ])
 def test_eigen_ranks_match_the_eigen_homology(base, names, images, rules, weight, n_max):
-    # on every self-conjugate bicomplex block, rk P_n - rk d_n P_n -
-    # rk d_{n+1} P_{n+1} is the rank of H_n of the eigen subcomplex
-    A = algebra_poly(BaseRing(base), names, images, rules)
-    blocks = [C for C in hochschild_blocks(A, n_max + 1, weight) if not C.paired]
-    assert blocks
-    for C in blocks:
-        T, invol = plain_bicomplex(C, n_max)
-        for sign in (1, -1):
-            ranks, part = T.eigen_ranks(invol, sign), T.eigen(invol, sign)
-            assert [ranks[n] for n in range(0, n_max + 1)] == \
-                [part.homology(n).rank() for n in range(0, n_max + 1)], (C.block, sign)
+    A = algebra_poly(BaseRing.parse(base), names, images, rules)
+    assert_eigen_parts_match_the_kernel_route(A, weight, n_max)
+
+
+def test_eigen_invariants_match_the_kernel_route_when_a_part_is_not_free():
+    # Z/15[x]/x^2 with sigma(x) = 4x: the + part of H_0 is Z/15 + Z/3
+    A = algebra_poly(BaseRing.parse("Z/15"), ["x"], [{(1,): 4}], {0: (2, {})})
+    assert_eigen_parts_match_the_kernel_route(A, None, 2)
 
 
 @settings(max_examples=25, deadline=None)
