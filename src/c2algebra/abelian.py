@@ -7,9 +7,11 @@ generators are length-n integer tuples; a homomorphism is an integer matrix
 acting on column vectors.
 
 Homology over a base ring (Z, Z[1/2], Q or Z/m, read from a polyring
-BaseRing) has one home here, ChainComplex: the ranks and integer boundary
-matrices of a complex of free base-modules.  Every base-ring decision is
-made inside it:
+BaseRing) has one home here, ChainComplex: the ranks of a complex of free
+base-modules and its boundaries as sparse integer columns ({row: coeff},
+nonzero entries only), the one form in which every complex is built and
+read; an involution handed to it is in the same form.  Every base-ring
+decision is made inside it:
 
 * hh, dihedral and derham read invariant factors (ChainComplex.invariants)
   from boundary ranks and elementary divisors over Z, no cycles, no HNF;
@@ -21,10 +23,12 @@ made inside it:
   a unit) are read from ranks over Q and Z[1/2], and over Z/m as the
   homology of the quotients C / (invol -+ 1) C.
 
-Homology works on presented groups, AbMaps between them, for the Z/m
-chain groups above and for the Mackey layer, which reads cycles and
-induced maps from it.  block_matrix lays out the direct sums the complexes
-are built from.
+Dense matrices (lists of integer rows) remain only where groups are
+presented: AbMap, Homology and the Mackey layer, which reads cycles and
+induced maps from Homology.  A complex's columns become an AbMap through
+dense_matrix, for ChainComplex.homology, for the Z/m quotient groups of
+eigen_invariants and for the HKR pieces of the differentials layer.
+block_matrix lays out the dense direct sums of that layer.
 
 A free rank-1 summand over the base (free_rank) is then a Z summand over
 Z, Q and Z[1/2] and a Z/m summand over Z/m.
@@ -119,9 +123,10 @@ def hstack(A, B):
 
 
 def block_matrix(rows, cols, blocks):
-    """The matrix with the block blocks[(r, c)] added at the row offset of
-    key r and the column offset of key c, zero entries skipped; rows and
-    cols map the keys, in order, to their block sizes.
+    """The dense matrix with the block blocks[(r, c)] added at the row
+    offset of key r and the column offset of key c, zero entries skipped;
+    rows and cols map the keys, in order, to their block sizes.  It lays out
+    the direct sums of groups and maps and the box-product differentials.
 
     >>> block_matrix({0: 1, 1: 2}, {"a": 2}, {(1, "a"): [[1, 2], [3, 4]]})
     [[0, 0], [1, 2], [3, 4]]
@@ -275,33 +280,36 @@ def diagonal_of(D):
     return [D[i][i] for i in range(k)]
 
 
-def elementary_divisors(M):
-    """(rank, the elementary divisors of M other than 1), the divisors
-    positive and each dividing the next.  M and its transpose give the same.
-
-    Reduce before factoring (Kaczynski-Mrozek-Slusarek): the rows are held
-    as sparse dicts; while an entry is +-1, take the shortest row holding
-    one, pivot on its +-1 of shortest column, clear that column with row
-    operations only and drop the pivot's row and column.  Each step removes
-    one divisor 1 and keeps the others; only the core left without a unit
-    entry goes to smith_normal_form.
-
-    >>> elementary_divisors([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    (2, (3,))
-    """
-    return _reduce(map(_sparse, M))
-
-
 def _sparse(v):
     """{i: v[i]} over the nonzero entries, found by compress at C speed."""
     return {i: v[i] for i in compress(count(), v)}
 
 
-def _reduce(rows):
-    """elementary_divisors of the matrix with the given sparse rows."""
+def dense_matrix(cols, nrows):
+    """The row-major integer matrix, nrows rows, whose columns are the sparse
+    columns cols: the one way from a complex's columns to an AbMap."""
+    return [[c.get(i, 0) for c in cols] for i in range(nrows)]
+
+
+def elementary_divisors(vectors):
+    """(rank, the elementary divisors other than 1) of the matrix whose rows
+    are the sparse vectors ({i: x} dicts or (i, x) pairs), the divisors
+    positive and each dividing the next.  A matrix and its transpose give the
+    same, so the columns of a ChainComplex boundary serve as rows.  The
+    vectors are copied, never edited.
+
+    Reduce before factoring (Kaczynski-Mrozek-Slusarek): while an entry is
+    +-1, take the shortest row holding one, pivot on its +-1 of shortest
+    column, clear that column with row operations only and drop the pivot's
+    row and column.  Each step removes one divisor 1 and keeps the others;
+    only the core left without a unit entry goes to smith_normal_form.
+
+    >>> elementary_divisors([{0: 1, 1: 2, 2: 3}, {0: 4, 1: 5, 2: 6}, {0: 7, 1: 8, 2: 9}])
+    (2, (3,))
+    """
     # imported here, so that the commands that never reduce do not load it
     from heapq import heapify, heappop, heappush
-    live = dict(enumerate(r for r in rows if r))
+    live = dict(enumerate(dict(r) for r in vectors if r))
     cols = {}
     for i, r in live.items():
         for j in r:
@@ -801,12 +809,12 @@ class Homology:
 
 class ChainComplex:
     """A complex of free base-modules (base None means Z): dims[n] is the
-    rank of C_n and mats[n] the integer matrix of d_n : C_n -> C_{n-1}, with
-    dims[n - 1] rows and dims[n] columns.  A missing rank is 0 and a missing
-    matrix the zero map.  Every decision that depends on the base is made
-    here.
+    rank of C_n and mats[n] the boundary d_n : C_n -> C_{n-1} as dims[n]
+    sparse integer columns, column j the image {i: coeff} of the j-th basis
+    element, nonzero entries only.  A missing rank is 0 and a missing matrix
+    the zero map.  Every decision that depends on the base is made here.
 
-    >>> C = ChainComplex({0: 1, 1: 1}, {1: [[2]]})
+    >>> C = ChainComplex({0: 1, 1: 1}, {1: [{0: 2}]})
     >>> C.invariants(0), C.invariants(1)
     ((2,), ())
     """
@@ -823,8 +831,12 @@ class ChainComplex:
         the homology over Z, before localization; invariants(n) reads it over
         the base."""
         G = {k: chain_group(self.dims.get(k, 0), self.base) for k in (n - 1, n, n + 1)}
-        d_in, d_out = (AbMap(G[k], G[k - 1], self.mats.get(k, ())) for k in (n + 1, n))
-        return Homology(d_in, d_out)
+        return Homology(self._map(n + 1, G), self._map(n, G))
+
+    def _map(self, k, groups):
+        """d_k as an AbMap from groups[k] to groups[k - 1]."""
+        d = self.mats.get(k)
+        return AbMap(groups[k], groups[k - 1], dense_matrix(d, groups[k - 1].ngens) if d else ())
 
     def invariants(self, n):
         """The invariant factors of H_n over the base.  Where the chain
@@ -837,7 +849,7 @@ class ChainComplex:
         if _modulus(self.base):
             return self.homology(n).group.invariant_factors()
         d_out, d_in = self.mats.get(n), self.mats.get(n + 1)
-        if d_out and d_in and any(map(any, mat_mul(d_out, d_in))):
+        if d_out and d_in and any(_combine(d_out, col) for col in d_in):
             raise NotAComplex("d_out o d_in != 0")
         rank_in, torsion = self._boundary_divisors(n + 1)
         free = self.dims.get(n, 0) - self._boundary_divisors(n)[0] - rank_in
@@ -846,16 +858,15 @@ class ChainComplex:
 
     def _boundary_divisors(self, n):
         if n not in self._divisors:
-            d = self.mats.get(n)
-            self._divisors[n] = elementary_divisors(d) if d else (0, ())
+            self._divisors[n] = elementary_divisors(self.mats.get(n, ()))
         return self._divisors[n]
 
     def eigen_invariants(self, invol, sign, degrees):
         """[the invariant factors of H_n of the sign part of invol, for n in
-        degrees], for invol a matrix per degree that commutes with d
-        (check(invol, 1)), in a base where 2 is a unit.  Then C = C+ + C-,
-        and the sign part is both the image of P = 1 + sign invol and the
-        quotient C / (invol - sign) C.
+        degrees], for invol the sparse columns of an involution per degree
+        that commutes with d (check(invol, 1)), in a base where 2 is a unit.
+        Then C = C+ + C-, and the sign part is both the image of
+        P = 1 + sign invol and the quotient C / (invol - sign) C.
 
         * Over Q and Z[1/2] only the free part is read, (0,) * r with
           r = rk P_n - rk d_n P_n - rk d_{n+1} P_{n+1}; over Z[1/2] odd
@@ -873,40 +884,37 @@ class ChainComplex:
             for k in {k for n in degrees for k in (n - 1, n, n + 1)}:
                 dim = self.dims.get(k, 0)
                 # relations: m*I and the columns of invol_k - sign
-                shifted = [[x - sign if i == j else x for i, x in enumerate(col)]
-                           for j, col in enumerate(transpose(invol[k]))] if dim else []
-                groups[k] = FgAbGroup(dim, chain_group(dim, self.base).relations + shifted)
-
-            def d(k):
-                return AbMap(groups[k], groups[k - 1], self.mats.get(k, ()))
-            return [Homology(d(n + 1), d(n)).group.invariant_factors() for n in degrees]
-        images = {}  # the columns of P_k, sparse
+                shifted = [{**col, j: col.get(j, 0) - sign} for j, col in enumerate(invol[k])] \
+                    if dim else []
+                groups[k] = FgAbGroup(dim, chain_group(dim, self.base).relations
+                                      + transpose(dense_matrix(shifted, dim)))
+            return [Homology(self._map(n + 1, groups), self._map(n, groups))
+                    .group.invariant_factors() for n in degrees]
+        images = {}  # the columns of P_k
         for k in {k for n in degrees for k in (n, n + 1) if k in invol}:
             images[k] = []
-            for j, col in enumerate(transpose(invol[k])):
-                v = {i: sign * x for i, x in _sparse(col).items()}
+            for j, col in enumerate(invol[k]):
+                v = {i: sign * x for i, x in col.items()}
                 v[j] = v.get(j, 0) + 1
                 images[k].append({i: x for i, x in v.items() if x})
-        boundary = {}
-        for k, vs in images.items():
-            cols = [_sparse(c) for c in transpose(self.mats.get(k, ()))]
-            if cols:
-                boundary[k] = _rank(_combine(cols, v) for v in vs)
+        boundary = {k: _rank(_combine(self.mats[k], v) for v in vs)
+                    for k, vs in images.items() if self.mats.get(k)}
         return [(0,) * (_rank(images.get(n, ())) - boundary.get(n, 0) - boundary.get(n + 1, 0))
                 for n in degrees]
 
     def check(self, invol, sign):
-        """d invol = sign invol d for invol a matrix per degree, compared
-        entrywise (mod m over Z/m).  d o d = 0 is left to homology(n) and
-        invariants(n), which check it for every degree they read.  A failure
-        raises NotAComplex(what, n), n the degree of the failing boundary's
-        source; returns self."""
+        """d invol = sign invol d for invol the sparse columns of a map per
+        degree, compared column by column (mod m over Z/m).  d o d = 0 is
+        left to homology(n) and invariants(n), which check it for every
+        degree they read.  A failure raises NotAComplex(what, n), n the
+        degree of the failing boundary's source; returns self."""
         m = _modulus(self.base)
         for n, d in self.mats.items():
-            lhs, rhs = mat_mul(d, invol[n]), mat_mul(invol[n - 1], d)
-            if any((x - sign * y) % m if m else x - sign * y
-                   for row, row2 in zip(lhs, rhs) for x, y in zip(row, row2)):
-                raise NotAComplex("d invol != %d invol d" % sign, n)
+            for col, image in zip(d, invol[n]):
+                lhs, rhs = _combine(d, image), _combine(invol[n - 1], col)
+                diff = (lhs.get(i, 0) - sign * rhs.get(i, 0) for i in lhs.keys() | rhs.keys())
+                if any(x % m if m else x for x in diff):
+                    raise NotAComplex("d invol != %d invol d" % sign, n)
         return self
 
 
@@ -928,7 +936,7 @@ def _rank(vectors):
         g = gcd(*v.values())
         g = g if v[min(v)] > 0 else -g
         primitive.add(tuple(sorted((i, x // g) for i, x in v.items())))
-    return _reduce(map(dict, primitive))[0]
+    return elementary_divisors(primitive)[0]
 
 
 def tensor_groups(G, H):

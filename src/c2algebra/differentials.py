@@ -13,23 +13,24 @@ with involution the fixed-point Tambara functor is always cohomological
 (N(res x) = x sigma(x) = x^2), so nothing here needs Tambara data.
 
 The associated de Rham complex is one abelian.ChainComplex per weight: the
-ranks of the free base-modules Omega^k, in chain degree -k, and the integer
-matrices of d.  H^k is its homology at -k, whose invariant factors over the
-base derham reads (ChainComplex.invariants).  The differential is
+ranks of the free base-modules Omega^k, in chain degree -k, and the sparse
+integer columns of d.  H^k is its homology at -k, whose invariant factors
+over the base derham reads (ChainComplex.invariants).  The differential is
 sigma-antilinear, d(sigma m) = -sigma(d m), which ChainComplex.check
 verifies; cohomology does not depend on sigma.
 
 When sigma permutes the generators up to sign, exterior_power builds
-Lambda^i L at one weight with its natural sigma.  It is the one builder of
-both the de Rham terms (sigma twisted by (-1)^i) and the graded pieces of
-real Hochschild homology, gr^i HR = Sigma^{i sigma} Lambda^i L
-(hkr_graded_piece, the involutive HKR identification).
+Lambda^i L at one weight with its natural sigma, as sparse columns.  It is
+the one builder of both the de Rham terms (sigma twisted by (-1)^i) and the
+graded pieces of real Hochschild homology, gr^i HR = Sigma^{i sigma}
+Lambda^i L (hkr_graded_piece, the involutive HKR identification), whose
+fixed-point Mackey functor takes sigma as a dense AbMap.
 """
 
 from itertools import combinations
 
 from . import EngineError
-from .abelian import AbMap, ChainComplex, FgAbGroup, NotAComplex, zeros
+from .abelian import AbMap, ChainComplex, FgAbGroup, NotAComplex, dense_matrix
 from . import complexes as cx
 from .mackey import fixed_point_mackey
 from .polyring import PolyRing, RingInvolution, integer_lift
@@ -262,8 +263,8 @@ def signed_permutation(L):
 def exterior_power(L, i, w):
     """Lambda^i of a free cotangent module at weight w: the basis of pairs
     (monomial m, increasing generator tuple S) standing for m dv_S, and the
-    matrix of the natural semilinear sigma on it (sigma must be a signed
-    permutation of the generators, see signed_permutation)."""
+    sparse columns of the natural semilinear sigma on it (sigma must be a
+    signed permutation of the generators, see signed_permutation)."""
     perm = signed_permutation(L)
     A = L.algebra
     P = L.presentation
@@ -274,13 +275,14 @@ def exterior_power(L, i, w):
         if sw <= w:
             basis.extend((m, S) for m in A.monomial_basis_weight(w - sw))
     index = {b: k for k, b in enumerate(basis)}
-    sig = zeros(len(basis), len(basis))
-    for (m, S), k in index.items():
+    sig = []
+    for m, S in basis:
         S2, sgn = _sort_wedge(tuple(perm[v][0] for v in S))
         for v in S:
             sgn *= perm[v][1]
-        for m2, c2 in P.sigma_quotient({m: A.base.one()}).items():
-            sig[index[(m2, S2)]][k] += sgn * integer_lift(c2)
+        # sigma(m) is a unit times one monomial
+        sig.append({index[(m2, S2)]: sgn * integer_lift(c2)
+                    for m2, c2 in P.sigma_quotient({m: A.base.one()}).items()})
     return basis, sig
 
 
@@ -300,18 +302,19 @@ def de_rham_complex(B, i_max, max_weight):
         mats = {}
         for k, (basis, _sig) in enumerate(powers[:-1]):
             tgt_index = {b: j for j, b in enumerate(powers[k + 1][0])}
-            d_mat = zeros(len(tgt_index), len(basis))
-            for col, (m, S) in enumerate(basis):
+            mats[-k] = []
+            for m, S in basis:
+                col = {}  # one term per j, each at its own wedge S + j
                 for j in range(nvars):
                     if j in S:
                         continue
                     S2, sgn = _wedge_insert(S, j)
                     for m2, c2 in partial_derivative(A, {m: A.base.one()}, j).items():
-                        d_mat[tgt_index[(m2, S2)]][col] += sgn * integer_lift(c2)
-            mats[-k] = d_mat
+                        col[tgt_index[(m2, S2)]] = sgn * integer_lift(c2)
+                mats[-k].append(col)
         C = ChainComplex({-k: len(basis) for k, (basis, _) in enumerate(powers)}, mats,
                          A.base)
-        sigma = {-k: [[-x for x in row] for row in sig] if k % 2 else sig
+        sigma = {-k: [{r: -x for r, x in col.items()} for col in sig] if k % 2 else sig
                  for k, (_basis, sig) in enumerate(powers)}
         try:
             complexes[w] = C.check(sigma, -1)
@@ -353,4 +356,5 @@ def hkr_graded_piece(L, i, w):
     if not basis:
         return cx.MackeyComplex({}, {})
     G = FgAbGroup.free(len(basis))
-    return cx.suspend_sigma(cx.single(fixed_point_mackey(G, AbMap(G, G, sig))), i)
+    sigma = AbMap(G, G, dense_matrix(sig, len(basis)))
+    return cx.suspend_sigma(cx.single(fixed_point_mackey(G, sigma)), i)

@@ -10,12 +10,14 @@ Hochschild chains C_n = A (x) Abar^{(x) n} with
 These satisfy b^2 = 0, wb = bw, w^2 = 1, B^2 = 0, bB + Bb = 0 and
 wB = -Bw exactly; all are asserted in the test suite.  When 2 is invertible
 the total complex of the (b, B)-bicomplex splits along w, giving the
-dihedral splitting HC = HD + HD' of cyclic homology.  Each of these
-complexes (the Hochschild chains and the total complex of the bicomplex,
-laid out by abelian.block_matrix) is an abelian.ChainComplex over the base
-ring.  HH and HC are read as invariant factors (ChainComplex.invariants),
-HD and HD' as those of the +-parts of the involution
-(ChainComplex.eigen_invariants); the base ring is that module's concern.
+dihedral splitting HC = HD + HD' of cyclic homology.  b, w and B are built
+as sparse integer columns, one {row: coeff} per basis tensor, and each
+complex (the Hochschild chains, and the total complex of the bicomplex with
+its involution, whose columns are those of b, B and w moved to their
+offsets) is an abelian.ChainComplex over the base ring in that form.  HH
+and HC are read as invariant factors (ChainComplex.invariants), HD and HD'
+as those of the +-parts of the involution (ChainComplex.eigen_invariants);
+the base ring is that module's concern.
 
 Graded algebras are handled one internal weight at a time (exact per
 weight), finite-dimensional algebras as a whole, and both are cut further
@@ -23,22 +25,22 @@ into blocks by the finest grading the presentation has.  When every rule is
 a monomial relation x_i^p = 0 and sigma is a signed permutation of the
 variables, sigma(x_i) = u x_pi(i) with u a unit, b and B preserve the
 exponent vector of a tensor (the sum over its slots) and w carries the block
-of e onto the block of pi(e): hochschild_blocks builds one DihedralComplex
-per sigma-orbit of exponent vectors.  A paired orbit, e != pi(e), has two
-blocks with isomorphic homology and a swapped w, so it counts its block
-twice in HH and HC, once in each of HH^+ and HH^-, and once in each of HD
-and HD'; only a self-conjugate block is split along w.  Any other
+of e onto the block of pi(e).  hochschild_blocks enumerates the tensors of
+each degree once, buckets them by exponent vector and builds one
+DihedralComplex per sigma-orbit of vectors.  A paired orbit, e != pi(e),
+has two blocks with isomorphic homology and a swapped w, so it counts its
+block twice in HH and HC, once in each of HH^+ and HH^-, and once in each of
+HD and HD'; only a self-conjugate block is split along w.  Any other
 presentation has one block, the weight block or the whole finite complex.
 The graded pieces gr^i of real Hochschild homology come from the de Rham
 side, differentials.hkr_graded_piece; this complex is their oracle.
 """
 
 from functools import cached_property
-from itertools import product
-from operator import add, le
+from itertools import accumulate, product
 
 from . import EngineError
-from .abelian import ChainComplex, FgAbGroup, NotAComplex, block_matrix, free_rank, zeros
+from .abelian import ChainComplex, FgAbGroup, NotAComplex, free_rank
 from .polyring import TwoNotInvertible, integer_lift
 
 
@@ -127,22 +129,24 @@ def _permuted(perm, e):
     return tuple(out)
 
 
-def _block_keys(algebra, n_max, weight):
-    """The exponent vectors (of weight `weight`, if given) of the tensors in
-    degrees 0..n_max, in sorted order."""
-    ring = algebra.ring
+def _tensors(ring, n_max, weight):
+    """[the basis tensors of degree n, for n = 0..n_max]: the tuples
+    a0, ..., an of basis monomials with a1..an != 1, of total weight
+    `weight`, or all of them for weight None (a finite algebra).  Each degree
+    is in lexicographic order of its slots, a slot's monomials ordered by
+    weight when a weight is given."""
     if weight is None:
         monos = ring.monomial_basis_all()
-    else:
-        monos = [m for w in range(weight + 1) for m in ring.monomial_basis_weight(w)]
-    reduced = [m for m in monos if any(m)]
-    layer = set(monos)
-    keys = set(layer)
-    for _ in range(n_max):
-        layer = {e for a in layer for m in reduced for e in [tuple(map(add, a, m))]
-                 if weight is None or ring.monomial_weight(e) <= weight}
-        keys |= layer
-    return sorted(e for e in keys if weight is None or ring.monomial_weight(e) == weight)
+        reduced = [m for m in monos if any(m)]
+        return [list(product(monos, *[reduced] * n)) for n in range(n_max + 1)]
+    monos = [(m, w) for w in range(weight + 1) for m in ring.monomial_basis_weight(w)]
+    layer, out = [((m,), w) for m, w in monos], []
+    for n in range(n_max + 1):
+        out.append([t for t, s in layer if s == weight])
+        if n < n_max:
+            layer = [(t + (m,), s + w) for t, s in layer for m, w in monos
+                     if w and s + w <= weight]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -150,38 +154,26 @@ def _block_keys(algebra, n_max, weight):
 
 class DihedralComplex:
     """Normalized Hochschild chains of one block, with b, omega and B as
-    integer matrices.  The bases and b are built here; omega and B are built
-    on first read.
+    sparse integer columns (abelian.ChainComplex's form).  The bases and b
+    are built here; omega and B are built on first read.
 
-    block=None is the whole weight block, or the whole finite complex when
-    weight is None.  A block key, an exponent vector (of weight `weight`, if
-    given), keeps only the tensors whose slots sum to it; it needs monomial
-    rules and a signed-permutation sigma, see hochschild_blocks.  The block
-    is paired when sigma moves its key: omega then leaves the block, and
-    reading it raises TraceError.  A weight needs a graded presentation: a
-    rule or sigma-image that is not homogeneous raises UnsupportedAlgebra."""
+    bases[n] lists the basis tensors of degree n, 0 <= n <= n_max; by
+    default every tensor of the weight, or of the whole finite algebra when
+    weight is None.  hochschild_blocks passes the tensors of one
+    exponent-vector block, with its vector as key; the block is paired when
+    sigma moves the key: omega then leaves the block, and reading it raises
+    TraceError.  A weight needs a graded presentation: a rule or sigma-image
+    that is not homogeneous raises UnsupportedAlgebra."""
 
-    def __init__(self, algebra, n_max, weight=None, block=None):
+    def __init__(self, algebra, n_max, weight=None, bases=None, key=None, paired=False):
         _check_request(algebra, n_max, weight)
         self.algebra = algebra
         self.n_max = n_max
         self.weight = weight
-        self.block = block
-        self.paired = False
-        if block is not None:
-            perm = _variable_permutation(algebra)
-            if perm is None:
-                raise TraceError("%r has no exponent-vector blocks" % algebra)
-            if weight is not None and algebra.ring.monomial_weight(block) != weight:
-                raise TraceError("block %r is not of weight %d" % (block, weight))
-            self.paired = _permuted(perm, block) != block
-        self.bases = {}
-        self.index = {}
-        slots = self._slot_monomials()
-        for n in range(0, n_max + 1):
-            basis = self._basis(n, slots)
-            self.bases[n] = basis
-            self.index[n] = {t: i for i, t in enumerate(basis)}
+        self.key = key
+        self.paired = paired
+        self.bases = bases or dict(enumerate(_tensors(algebra.ring, n_max, weight)))
+        self.index = {n: {t: i for i, t in enumerate(basis)} for n, basis in self.bases.items()}
         self.b = {n: self._matrix(n, n - 1, self._b_terms) for n in range(1, n_max + 1)}
 
     @cached_property
@@ -192,46 +184,6 @@ class DihedralComplex:
     def B(self):
         return {n: self._matrix(n, n + 1, self._B_terms) for n in range(0, self.n_max)}
 
-    # -- bases ---------------------------------------------------------------
-
-    def _slot_monomials(self):
-        """The basis monomials a slot can hold: all of them for the whole
-        finite complex, else a list per weight 0..top (dividing the block's
-        monomial, for a block)."""
-        ring = self.algebra.ring
-        if self.weight is None and self.block is None:
-            return ring.monomial_basis_all()
-        if self.block is None:
-            return [ring.monomial_basis_weight(w) for w in range(self.weight + 1)]
-        return [[m for m in ring.monomial_basis_weight(w) if all(map(le, m, self.block))]
-                for w in range(ring.monomial_weight(self.block) + 1)]
-
-    def _basis(self, n, slots):
-        """The tensors a0 (x) ... (x) an of basis monomials, a1..an != 1, in
-        this block."""
-        if self.weight is None and self.block is None:
-            reduced = [m for m in slots if any(m)]
-            return list(product(slots, *[reduced] * n))
-        out = []
-
-        def rec(i, rem, left, acc):
-            # rem: weight still to place; left: exponents still to place
-            if i == n + 1:
-                if rem == 0:
-                    out.append(tuple(acc))
-                return
-            # leave at least 1 per remaining reduced slot
-            for w in range(1 if i else 0, rem - (n - i) + 1):
-                for m in slots[w]:
-                    if left is None:
-                        rec(i + 1, rem - w, None, acc + [m])
-                        continue
-                    rest = tuple(a - b for a, b in zip(left, m))
-                    if min(rest, default=0) >= 0:
-                        rec(i + 1, rem - w, rest, acc + [m])
-        rec(0, len(slots) - 1, self.block, [])
-        return out
-
     def dim(self, n):
         return len(self.bases.get(n, ()))
 
@@ -239,7 +191,8 @@ class DihedralComplex:
 
     def _expand(self, slots_polys, out, coeff, n):
         """Multilinear expansion of a tensor of polynomials into basis
-        tensors, projecting middle slots to Abar; accumulates into out."""
+        tensors, projecting middle slots to Abar; accumulates into the
+        sparse column out."""
         ring = self.algebra.ring
         unit = (0,) * ring.n
 
@@ -252,8 +205,8 @@ class DihedralComplex:
                 if key is None:
                     raise TraceError(
                         "the tensor %r is not in the degree-%d basis of %r, weight %s, block %s"
-                        % (t, n, self.algebra, self.weight, self.block))
-                out[key] += c
+                        % (t, n, self.algebra, self.weight, self.key))
+                out[key] = out.get(key, 0) + c
                 return
             poly = slots_polys[i]
             for mono, cf in poly.items():
@@ -263,16 +216,15 @@ class DihedralComplex:
         rec(0, [], coeff)
 
     def _matrix(self, n, m, terms):
-        """The integer matrix C_n -> C_m whose column j is the sum of the
-        signed slot tensors that terms yields for the j-th basis tensor."""
-        M = zeros(self.dim(m), self.dim(n))
-        for j, tensor in enumerate(self.bases[n]):
-            col = [0] * len(M)
+        """The sparse columns of C_n -> C_m: column j sums the signed slot
+        tensors that terms yields for the j-th basis tensor."""
+        cols = []
+        for tensor in self.bases[n]:
+            col = {}
             for sign, slots in terms(tensor):
                 self._expand(slots, col, sign, m)
-            for i, v in enumerate(col):
-                M[i][j] = v
-        return M
+            cols.append({i: x for i, x in col.items() if x})
+        return cols
 
     def _b_terms(self, tensor):
         ring = self.algebra.ring
@@ -303,20 +255,28 @@ def _mono(ring, m):
 
 
 def hochschild_blocks(A, n_max, weight=None):
-    """One DihedralComplex per sigma-orbit of block keys: the orbit's first
-    key in sorted order, flagged paired when sigma moves it.  With monomial
-    rules and a signed-permutation sigma the keys are the exponent vectors
-    of the tensors in degrees <= n_max; otherwise the one block is the whole
-    weight block (or finite complex)."""
+    """One DihedralComplex per sigma-orbit of blocks.  With monomial rules
+    and a signed-permutation sigma, the tensors of degrees <= n_max,
+    enumerated once, are bucketed by exponent vector (the sum over their
+    slots); each sigma-orbit of vectors is kept as its first vector in
+    sorted order, flagged paired when sigma moves it.  Otherwise the one
+    block is the whole weight block (or finite complex)."""
     _check_request(A, n_max, weight)
     perm = _variable_permutation(A)
     if perm is None:
         return [DihedralComplex(A, n_max, weight)]
+    buckets = {}
+    for n, basis in enumerate(_tensors(A.ring, n_max, weight)):
+        for t in basis:
+            key = tuple(map(sum, zip(*t)))
+            buckets.setdefault(key, [[] for _ in range(n_max + 1)])[n].append(t)
     blocks, seen = [], set()
-    for e in _block_keys(A, n_max, weight):
+    for e in sorted(buckets):
         if e not in seen:
-            seen.update((e, _permuted(perm, e)))
-            blocks.append(DihedralComplex(A, n_max, weight, block=e))
+            partner = _permuted(perm, e)
+            seen.update((e, partner))
+            blocks.append(DihedralComplex(A, n_max, weight, dict(enumerate(buckets[e])),
+                                          key=e, paired=partner != e))
     return blocks
 
 
@@ -355,30 +315,30 @@ def _bicomplex_homology(C, n_max):
     involution acts by (-1)^i omega on column i; HD is its +1 part.  A
     paired orbit's total complex is two copies of C's swapped by the
     involution, so each eigen part is one copy and omega is not built."""
-    # total complex T_n = sum over columns i of C_{n - 2i}
-    layout = {n: {(i, n - 2 * i): C.dim(n - 2 * i) for i in range(0, n_max + 1)
-                  if 0 <= n - 2 * i <= C.n_max}
-              for n in range(0, n_max + 2)}
+    # total complex T_n = sum over columns i of C_{n - 2i}, at these offsets
+    offsets = {}
+    for n in range(0, n_max + 2):
+        keys = [(i, n - 2 * i) for i in range(0, n_max + 1) if 0 <= n - 2 * i <= C.n_max]
+        offsets[n] = dict(zip(keys, accumulate((C.dim(q) for _i, q in keys), initial=0)))
     mats = {}
     for n in range(1, n_max + 2):
-        blocks = {}
-        for (i, q) in layout[n]:
-            if (i, q - 1) in layout[n - 1]:
-                blocks[(i, q - 1), (i, q)] = C.b[q]
-            if (i - 1, q + 1) in layout[n - 1]:
-                blocks[(i - 1, q + 1), (i, q)] = C.B[q]
-        mats[n] = block_matrix(layout[n - 1], layout[n], blocks)
-    T = ChainComplex({n: sum(cols.values()) for n, cols in layout.items()}, mats,
-                     C.algebra.base)
+        target, mats[n] = offsets[n - 1], []
+        for i, q in offsets[n]:
+            cols = [{} for _ in range(C.dim(q))]
+            for M, key in ((C.b, (i, q - 1)), (C.B, (i - 1, q + 1))):
+                if key in target:
+                    for col, image in zip(cols, M[q]):
+                        col.update((target[key] + r, x) for r, x in image.items())
+            mats[n] += cols
+    T = ChainComplex({n: sum(C.dim(q) for _i, q in keys) for n, keys in offsets.items()},
+                     mats, C.algebra.base)
     degrees = range(0, n_max + 1)
     hc = [T.invariants(n) for n in degrees]
     if C.paired:
         return [(H, 2) for H in hc], [(H, 1) for H in hc], [(H, 1) for H in hc]
-    def signed_omega(i, q):
-        return [[-x for x in row] for row in C.omega[q]] if i % 2 else C.omega[q]
-
-    invol = {n: block_matrix(cols, cols, {(key, key): signed_omega(*key) for key in cols})
-             for n, cols in layout.items()}
+    invol = {n: [{o + r: (-x if i % 2 else x) for r, x in image.items()}
+                 for (i, q), o in keys.items() for image in C.omega[q]]
+             for n, keys in offsets.items()}
     try:
         T.check(invol, 1)
     except NotAComplex as e:

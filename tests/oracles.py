@@ -6,7 +6,8 @@ zeroth slice), the graded norm with its Koszul sign, the Tambara examples (the B
 fixed-point Green functors, weightwise Mackey pieces) and the trace oracles
 (the +-parts of an involution as eigen kernels, the omega-eigen splitting
 of HH, localization of integral homology, the operator identities of the
-dihedral bar complex)."""
+dihedral bar complex), which compute with dense matrices: dense and columns
+convert between them and the sparse columns of abelian.ChainComplex."""
 
 from fractions import Fraction
 
@@ -556,6 +557,19 @@ def mackey_piece(T, w):
 # ---------------------------------------------------------------------------
 # trace oracles
 
+def dense(cols, nrows):
+    """The row-major matrix, nrows rows, of a map given as the sparse columns
+    of abelian.ChainComplex; the reference routes compute with these."""
+    return [[col.get(i, 0) for col in cols] for i in range(nrows)]
+
+
+def columns(M, ncols=None):
+    """The sparse columns of a row-major matrix, dense() undone; ncols is
+    needed only when M has no rows."""
+    return [{i: row[j] for i, row in enumerate(M) if row[j]}
+            for j in range(len(M[0]) if M else ncols or 0)]
+
+
 def localized(invs, base):
     """Invariant factors over Z, tensored with a base that is flat over Z:
     over Q the torsion goes, over Z[1/2] the powers of 2."""
@@ -572,22 +586,24 @@ def localized(invs, base):
 
 
 class EigenComplex:
-    """The sign part of an involution of an abelian.ChainComplex T: the
-    kernel of invol - sign on each chain group (taken mod m on (Z/m)^d, so an
-    integer lift of the involution is enough), with the boundaries
-    restricted through Homology.induced.  It is the oracle of
-    ChainComplex.eigen_invariants, which reads the same homology from ranks
-    over Q and Z[1/2] and from the quotients C / (invol - sign) C over Z/m."""
+    """The sign part of an involution of an abelian.ChainComplex T, invol its
+    sparse columns per degree: the kernel of invol - sign on each chain group
+    (taken mod m on (Z/m)^d, so an integer lift of the involution is enough),
+    with the boundaries restricted through Homology.induced, all on dense
+    matrices.  It is the oracle of ChainComplex.eigen_invariants, which reads
+    the same homology from ranks over Q and Z[1/2] and from the quotients
+    C / (invol - sign) C over Z/m."""
 
     def __init__(self, T, invol, sign):
         chains = {n: chain_group(d, T.base) for n, d in T.dims.items()}
         parts = {}
         for n, G in chains.items():
             shifted = [[x - sign if i == j else x for j, x in enumerate(row)]
-                       for i, row in enumerate(invol[n])]
+                       for i, row in enumerate(dense(invol[n], G.ngens))]
             parts[n] = Homology(AbMap.zero_map(trivial_group(), G), AbMap(G, G, shifted))
         self.groups = {n: P.group for n, P in parts.items()}
-        self.diffs = {n: parts[n].induced(AbMap(chains[n], chains[n - 1], M), parts[n - 1])
+        self.diffs = {n: parts[n].induced(AbMap(chains[n], chains[n - 1],
+                                                dense(M, chains[n - 1].ngens)), parts[n - 1])
                       for n, M in T.mats.items()}
 
     def diff(self, n):
@@ -626,7 +642,7 @@ def hh_omega_fixed_dimension(A, n, weight=None):
     C = DihedralComplex(A, n + 1, weight)
     H = hochschild_chains(C).homology(n)
     Cn = H.cycles.target
-    om_H = H.induced(AbMap(Cn, Cn, C.omega[n]), H)
+    om_H = H.induced(AbMap(Cn, Cn, dense(C.omega[n], C.dim(n))), H)
     fixed = om_H - AbMap.identity_map(H.group)
     return free_rank(Homology(AbMap.zero_map(trivial_group(), H.group), fixed).group, A.base)
 
@@ -650,8 +666,10 @@ def _anticommute(X, Y, Z, W):
 
 def check_identities(C):
     """b^2 = 0, wb = bw, w^2 = 1, B^2 = 0, bB + Bb = 0 and wB = -Bw on a
-    DihedralComplex, as integer matrices."""
-    b, B, w = C.b, C.B, C.omega
+    DihedralComplex, as dense integer matrices."""
+    b = {n: dense(M, C.dim(n - 1)) for n, M in C.b.items()}
+    B = {n: dense(M, C.dim(n + 1)) for n, M in C.B.items()}
+    w = {n: dense(M, C.dim(n)) for n, M in C.omega.items()}
     for n in range(2, C.n_max + 1):
         assert _is_zero(mat_mul(b[n - 1], b[n])), "b^2 != 0"
     for n in range(1, C.n_max + 1):
@@ -674,8 +692,8 @@ def idempotent_is_idempotent(C):
     _require_two_invertible(C.algebra.base)
     for n in range(0, C.n_max + 1):
         d = C.dim(n)
-        e = [[Fraction(C.omega[n][i][j] + (1 if i == j else 0), 2) for j in range(d)]
-             for i in range(d)]
+        w = dense(C.omega[n], d)
+        e = [[Fraction(w[i][j] + (1 if i == j else 0), 2) for j in range(d)] for i in range(d)]
         if mat_mul(e, e) != e:
             return False
     return True

@@ -34,7 +34,7 @@ from c2algebra.abelian import (
 )
 
 from c2algebra.polyring import BaseRing
-from oracles import EigenComplex, localized
+from oracles import EigenComplex, columns, dense, localized
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -432,7 +432,8 @@ def _bar_differentials():
     base = BaseRing("Q")
     ring = PolyRing(base, ["x", "x_s"])
     A = InvolutiveAlgebra(base, ring, RingInvolution(ring, [ring.var(1), ring.var(0)]))
-    return [DihedralComplex(A, 4, w).b[n] for w in (3, 4) for n in range(1, 5)]
+    return [dense(C.b[n], C.dim(n - 1))
+            for C in (DihedralComplex(A, 4, w) for w in (3, 4)) for n in range(1, 5)]
 
 
 @pytest.mark.parametrize("inputs", [_sparse_unit_matrices, _bar_differentials])
@@ -598,12 +599,12 @@ def test_block_matrix_places_blocks_at_key_offsets():
 
 def test_chain_complex_homology_and_eigen_parts():
     # Z^2 --0--> Z --2--> Z in degrees 2, 1, 0; the swap acts on Z^2
-    C = ChainComplex({0: 1, 1: 1, 2: 2}, {1: [[2]], 2: [[0, 0]]})
+    C = ChainComplex({0: 1, 1: 1, 2: 2}, {1: [{0: 2}], 2: [{}, {}]})
     assert [C.homology(n).group.invariant_factors() for n in range(-1, 4)] == \
         [(), (2,), (), (0, 0), ()]
     # a missing boundary is the zero map: all of C_0 is cycles
     assert C.homology(0).cycles.matrix == [[1]] and C.homology(5).group.is_trivial()
-    swap = {0: [[1]], 1: [[1]], 2: [[0, 1], [1, 0]]}
+    swap = {0: [{0: 1}], 1: [{0: 1}], 2: [{1: 1}, {0: 1}]}
     plus, minus = EigenComplex(C, swap, 1), EigenComplex(C, swap, -1)
     assert [plus.groups[n].ngens for n in (0, 1, 2)] == [1, 1, 1]
     assert [minus.groups[n].ngens for n in (0, 1, 2)] == [0, 0, 1]
@@ -615,7 +616,7 @@ def test_chain_complex_homology_and_eigen_parts():
     with pytest.raises(AbelianError):
         C.eigen_invariants(swap, 1, range(3))
     for base, top in (("Q", (0,)), ("Z[1/2]", (0,)), ("Z/3", (3,))):
-        C = ChainComplex({0: 1, 1: 1, 2: 2}, {1: [[2]], 2: [[0, 0]]}, BaseRing.parse(base))
+        C = ChainComplex({0: 1, 1: 1, 2: 2}, {1: [{0: 2}], 2: [{}, {}]}, BaseRing.parse(base))
         for sign in (1, -1):
             assert C.eigen_invariants(swap, sign, range(3)) == [(), (), top], (base, sign)
     with pytest.raises(AbelianError):
@@ -623,23 +624,23 @@ def test_chain_complex_homology_and_eigen_parts():
 
 
 def test_chain_complex_check():
-    C = ChainComplex({0: 1, 1: 1, 2: 2}, {1: [[2]], 2: [[0, 0]]})
-    swap = {0: [[1]], 1: [[1]], 2: [[0, 1], [1, 0]]}
+    C = ChainComplex({0: 1, 1: 1, 2: 2}, {1: [{0: 2}], 2: [{}, {}]})
+    swap = {0: [{0: 1}], 1: [{0: 1}], 2: [{1: 1}, {0: 1}]}
     assert C.check(swap, 1) is C
     # (-1)^n on degree n anticommutes with d; the identity does not
-    flip = {0: [[1]], 1: [[-1]], 2: identity(2)}
+    flip = {0: [{0: 1}], 1: [{0: -1}], 2: columns(identity(2))}
     assert C.check(flip, -1) is C
     with pytest.raises(NotAComplex) as e:
-        C.check({0: [[1]], 1: [[1]], 2: identity(2)}, -1)
+        C.check({0: [{0: 1}], 1: [{0: 1}], 2: columns(identity(2))}, -1)
     assert e.value.args == ("d invol != -1 invol d", 1)
     # d o d = 0 is homology's check, not check's
-    bad = ChainComplex({0: 1, 1: 1, 2: 1}, {1: [[1]], 2: [[1]]})
-    assert bad.check({0: [[1]], 1: [[1]], 2: [[1]]}, 1) is bad
+    bad = ChainComplex({0: 1, 1: 1, 2: 1}, {1: [{0: 1}], 2: [{0: 1}]})
+    assert bad.check({0: [{0: 1}], 1: [{0: 1}], 2: [{0: 1}]}, 1) is bad
     with pytest.raises(NotAComplex):
         bad.homology(1)
     # over Z/3 the comparison is mod 3: -1 may be lifted as 2
-    mod3 = ChainComplex({0: 1, 1: 1}, {1: [[1]]}, BaseRing.parse("Z/3"))
-    assert mod3.check({0: [[1]], 1: [[2]]}, -1) is mod3
+    mod3 = ChainComplex({0: 1, 1: 1}, {1: [{0: 1}]}, BaseRing.parse("Z/3"))
+    assert mod3.check({0: [{0: 1}], 1: [{0: 2}]}, -1) is mod3
 
 
 # -- homology from boundary ranks and elementary divisors -----------------------
@@ -651,11 +652,12 @@ def _smith_divisors(M):
 
 
 def test_elementary_divisors_of_fixed_matrices():
-    assert elementary_divisors([]) == (0, ())
-    assert elementary_divisors([[0, 0], [0, 0]]) == (0, ())
-    assert elementary_divisors([[2, 4], [6, 8]]) == (2, (2, 4))
+    # a ChainComplex hands elementary_divisors the sparse columns of a boundary
+    assert elementary_divisors(columns([])) == (0, ())
+    assert elementary_divisors(columns([[0, 0], [0, 0]])) == (0, ())
+    assert elementary_divisors(columns([[2, 4], [6, 8]])) == (2, (2, 4))
     # no entry is a unit, but the divisors are 1 and det = -2
-    assert elementary_divisors([[2, 3], [4, 5]]) == (2, (2,))
+    assert elementary_divisors(columns([[2, 3], [4, 5]])) == (2, (2,))
 
 
 @settings(max_examples=300, deadline=None)
@@ -665,8 +667,9 @@ def test_elementary_divisors_of_fixed_matrices():
 def test_elementary_divisors_match_smith_normal_form(M, unit_free):
     if unit_free:  # every entry even or a multiple of 3: no unit pivot at all
         M = [[3 * x if x in (1, -1) else x for x in row] for row in M]
-    assert elementary_divisors(M) == _smith_divisors(M)
-    assert elementary_divisors(transpose(M)) == _smith_divisors(M)
+    # the columns of M, then its rows (the columns of M^T)
+    assert elementary_divisors(columns(M)) == _smith_divisors(M)
+    assert elementary_divisors(columns(transpose(M))) == _smith_divisors(M)
 
 
 @st.composite
@@ -685,7 +688,7 @@ def _sparse_complexes(draw):
         K = integer_kernel(mats[n - 1], dims[n - 1]) if dims[n - 1] else []
         mats[n] = mat_mul(transpose(K), matrix(len(K), dims[n])) if K else \
             zeros(dims[n - 1], dims[n])
-    return dict(enumerate(dims)), mats
+    return dict(enumerate(dims)), {n: columns(M, dims[n]) for n, M in mats.items()}
 
 
 @settings(max_examples=150, deadline=None)
@@ -701,7 +704,7 @@ def test_invariants_agree_with_homology(complex_, base):
 
 def test_invariants_check_d_o_d():
     for base in (None, BaseRing.parse("Q"), BaseRing.parse("Z/3")):
-        bad = ChainComplex({0: 1, 1: 1, 2: 1}, {1: [[1]], 2: [[1]]}, base)
+        bad = ChainComplex({0: 1, 1: 1, 2: 1}, {1: [{0: 1}], 2: [{0: 1}]}, base)
         with pytest.raises(NotAComplex):
             bad.invariants(1)
         assert bad.invariants(0) == ()  # d_0 = 0 and d_1 is onto

@@ -23,6 +23,7 @@ from oracles import (
     algebra_q_dual_numbers,
     algebra_q_poly,
     burnside,
+    dense,
     diag_swap,
     dual_circle_complex,
     fingerprint,
@@ -223,7 +224,7 @@ def _cotangent_piece(L, w):
     """L_w as a Mackey functor: the fixed points of Lambda^1 L at weight w."""
     basis, sig = df.exterior_power(L, 1, w)
     G = FgAbGroup.free(len(basis))
-    return mk.fixed_point_mackey(G, AbMap(G, G, sig))
+    return mk.fixed_point_mackey(G, AbMap(G, G, dense(sig, len(basis))))
 
 
 def test_criterion_6_cotangent_tables():

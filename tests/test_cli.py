@@ -205,7 +205,7 @@ def test_hh_builds_one_complex_per_sigma_orbit_of_blocks(monkeypatch):
     init = tr.DihedralComplex.__init__
 
     def counting_init(self, *args, **kwargs):
-        builds.append(kwargs.get("block"))
+        builds.append(kwargs.get("key"))
         init(self, *args, **kwargs)
     monkeypatch.setattr(tr.DihedralComplex, "__init__", counting_init)
     for name in ("_omega_terms", "_B_terms"):

@@ -4,7 +4,13 @@ engine's normalized (b, B)-model degree by degree."""
 
 from c2algebra.abelian import ChainComplex, free_rank, mat_mul, zeros
 from c2algebra.trace import dihedral_homology
-from oracles import algebra_gaussian, algebra_ground, algebra_q_dual_numbers, algebra_q_poly
+from oracles import (
+    algebra_gaussian,
+    algebra_ground,
+    algebra_q_dual_numbers,
+    algebra_q_poly,
+    columns,
+)
 
 
 def _unnormalized_chains(A, n_max, weight):
@@ -144,7 +150,7 @@ def classical_hc(A, n_max, weight=None):
     for n in range(2, n_max + 2):
         prod = mat_mul(mats[n - 1], mats[n])
         assert all(all(x == 0 for x in row) for row in prod), "oracle D^2 != 0"
-    T = ChainComplex(dims, mats)
+    T = ChainComplex(dims, {n: columns(M, dims[n]) for n, M in mats.items()})
     return [free_rank(T.homology(n).group) for n in range(0, n_max + 1)]
 
 

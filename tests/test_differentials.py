@@ -4,7 +4,16 @@ against the bar complex for signed permutations of up to three variables."""
 
 from c2algebra.polyring import BaseRing, parse_poly
 from c2algebra.tambara import free_involutive_free, free_involutive_trivial
-from c2algebra.abelian import AbMap, ChainComplex, FgAbGroup, NotAComplex, free_rank, mat_mul
+from c2algebra.abelian import (
+    AbMap,
+    ChainComplex,
+    FgAbGroup,
+    NotAComplex,
+    diagonal_of,
+    free_rank,
+    mat_mul,
+    smith_normal_form,
+)
 from c2algebra.cli import mackey_to_json, parse_input
 from c2algebra import complexes as cx
 from c2algebra.complexes import homology
@@ -19,9 +28,10 @@ from c2algebra.differentials import (
     presentation_of,
 )
 from c2algebra.mackey import fixed_point_mackey, induced, zbar, zbar_c2, is_valid
-from c2algebra.trace import DihedralComplex, hochschild_chains
+from c2algebra.trace import DihedralComplex, dihedral_homology, hochschild_chains
 from oracles import (
     algebra_poly,
+    dense,
     fingerprint,
     isomorphic,
     mackey_piece,
@@ -52,7 +62,7 @@ def cotangent_piece(L, w):
     """L_w as a Mackey functor: the fixed points of Lambda^1 L at weight w."""
     basis, sig = exterior_power(L, 1, w)
     G = FgAbGroup.free(len(basis))
-    return fixed_point_mackey(G, AbMap(G, G, sig))
+    return fixed_point_mackey(G, AbMap(G, G, dense(sig, len(basis))))
 
 
 def test_cotangent_trivial_generator():
@@ -170,7 +180,7 @@ def twisted_sigma(L, k_max, w, twist=True):
     sigma = {}
     for k in range(0, k_max + 1):
         sig = exterior_power(L, k, w)[1]
-        sigma[-k] = [[-x for x in row] for row in sig] if twist and k % 2 else sig
+        sigma[-k] = [{i: -x for i, x in col.items()} for col in sig] if twist and k % 2 else sig
     return sigma
 
 
@@ -182,9 +192,9 @@ def test_de_rham_trivial_generator():
         assert dims(M[w], 2) == [1, 1 if w >= 1 else 0, 0]
     # the natural sigma(dx) is dx for x -> x and -dx for x -> -x; the
     # (-1)^1 twist of the de Rham term makes the first -dx too
-    assert exterior_power(cotangent_module(k_x()), 1, 1)[1] == [[1]]
+    assert exterior_power(cotangent_module(k_x()), 1, 1)[1] == [{0: 1}]
     sign = presentation_of(algebra_poly(Z, ["x"], [{(1,): -1}]))
-    assert exterior_power(cotangent_module(sign), 1, 1)[1] == [[-1]]
+    assert exterior_power(cotangent_module(sign), 1, 1)[1] == [{0: -1}]
 
 
 def test_de_rham_constant():
@@ -197,14 +207,14 @@ def test_de_rham_underlying_is_classical():
     # Leibniz rule d(x^w) = w x^{w-1} dx, degreewise
     M = de_rham_complex(k_x(), 1, 6)
     for w in range(1, 6):
-        assert M[w].mats[0] == [[w]]
+        assert dense(M[w].mats[0], M[w].dims[-1]) == [[w]]
     # two variables: matches the classical de Rham complex of k[x, x_s]
     N = de_rham_complex(k_x_xs(), 2, 4)
     # d on weight 1: dx, dx_s both hit with coefficient 1
     assert dims(N[1], 1) == [2, 2]
-    assert sorted(sum(row) for row in N[1].mats[0]) == [1, 1]
+    assert sorted(sum(row) for row in dense(N[1].mats[0], N[1].dims[-1])) == [1, 1]
     # d(x dx_s) = dx dx_s = -d(x_s dx) at weight 2
-    assert sorted(N[2].mats[-1][0]) == [-1, 0, 0, 1]
+    assert sorted(dense(N[2].mats[-1], N[2].dims[-2])[0]) == [-1, 0, 0, 1]
 
 
 def test_de_rham_antilinearity_through_weight_8():
@@ -215,7 +225,8 @@ def test_de_rham_antilinearity_through_weight_8():
         L = cotangent_module(P)
         for w, C in M.items():
             assert not any(any(row) for n, d in C.mats.items() if n - 1 in C.mats
-                           for row in mat_mul(C.mats[n - 1], d))
+                           for row in mat_mul(dense(C.mats[n - 1], C.dims[n - 2]),
+                                              dense(d, C.dims[n - 1])))
             assert C.check(twisted_sigma(L, 3, w), -1) is C
             assert C.check(twisted_sigma(L, 3, w, twist=False), 1) is C
         with pytest.raises(NotAComplex):
@@ -255,7 +266,7 @@ def test_de_rham_failures_name_the_weight_and_degree(monkeypatch):
 
     def flipped(L, k, w):
         basis, sig = natural(L, k, w)
-        return basis, [[-x for x in row] for row in sig] if k == 1 else sig
+        return basis, [{i: -x for i, x in col.items()} for col in sig] if k == 1 else sig
 
     monkeypatch.setattr(df, "exterior_power", flipped)
     with pytest.raises(DifferentialError, match="at degree 0 weight 1"):
@@ -394,16 +405,18 @@ def test_computed_pieces_match_the_closed_form_table():
 # -- the HKR graded pieces against two routes through the bar complex --------
 
 ORBITS = {"trivial": [("%s", "%s")], "sign": [("%s", "-%s")],
-          "free": [("%s", "%s_s"), ("%s_s", "%s")]}
+          "free": [("%s", "%s_s"), ("%s_s", "%s")],
+          "free-sign": [("%s", "-%s_s"), ("%s_s", "-%s")]}
 
 
 @st.composite
-def signed_permutations(draw):
+def signed_permutations(draw, kinds=("free", "sign", "trivial")):
     """Generators (name, sigma image) of a signed permutation of at most
-    three variables: each orbit fixed, negated or a swapped pair, with the
-    generators in any order."""
+    three variables: each orbit one of the kinds of ORBITS (fixed, negated, a
+    swapped pair, a pair swapped with a sign), with the generators in any
+    order."""
     gens = []
-    for k, orbit in enumerate(draw(st.lists(st.sampled_from(sorted(ORBITS)),
+    for k, orbit in enumerate(draw(st.lists(st.sampled_from(kinds),
                                             min_size=1, max_size=3))):
         gens += [(a % ("v%d" % k), b % ("v%d" % k)) for a, b in ORBITS[orbit]]
     assume(len(gens) <= 3)
@@ -442,3 +455,34 @@ def test_hkr_pieces_match_hh_and_hh_plus(gens, w):
 
 def test_hkr_pieces_match_hh_and_hh_plus_three_generators_weight_4():
     assert_hkr_two_oracles([("y", "-y"), ("x", "x_s"), ("x_s", "x")], 4)
+
+
+# -- dihedral homology against the de Rham complex ------------------------------
+
+def _rank(M):
+    """The rank of a dense integer matrix, from the diagonal of its Smith form."""
+    return sum(1 for d in diagonal_of(smith_normal_form(M)[1]) if d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(gens=signed_permutations(sorted(ORBITS)), w=st.integers(1, 4))
+def test_dihedral_homology_is_the_de_rham_cokernel_split_by_sigma(gens, w):
+    # For a polynomial algebra over Q at weight w >= 1, HC_n is
+    # coker(d: Omega^{n-1}_w -> Omega^n_w); HD_n is the part of it where the
+    # natural sigma of exterior_power acts by (-1)^n, HD'_n the part where it
+    # acts by -(-1)^n.  At weight 0, HC also carries de Rham cohomology.
+    # The bar complex (trace) against the de Rham builder (differentials).
+    A = parse_input({"base": "Q", "gens": [{"name": n, "sigma": s} for n, s in gens]})
+    P = presentation_of(A)
+    L = cotangent_module(P)
+    C = de_rham_complex(P, 3, w)[w]
+    D = dihedral_homology(A, 3, w)
+    for n in range(0, 4):
+        dim = C.dims[-n]
+        S = dense(exterior_power(L, n, w)[1], dim)
+        d = dense(C.mats[1 - n], dim) if n else []   # Omega^{n-1} -> Omega^n
+        parts = []
+        for eps in ((-1) ** n, -(-1) ** n):
+            proj = [[(i == j) + eps * x for j, x in enumerate(row)] for i, row in enumerate(S)]
+            parts.append(_rank(proj) - _rank(mat_mul(proj, d)))
+        assert (D.hc[n], D.hd[n], D.hd_prime[n]) == (dim - _rank(d), *parts), (gens, w, n)

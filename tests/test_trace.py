@@ -5,6 +5,7 @@ against bar-complex HH."""
 from c2algebra.abelian import AbMap, ChainComplex, chain_group, free_rank, mat_mul, zeros
 from c2algebra.differentials import cotangent_module, hkr_graded_piece, presentation_of
 from c2algebra.polyring import BaseRing, PolyRing, RingInvolution, TwoNotInvertible
+from c2algebra import trace
 from c2algebra.trace import (
     DihedralComplex,
     DihedralHomology,
@@ -26,7 +27,9 @@ from oracles import (
     algebra_q_dual_numbers,
     algebra_q_poly,
     check_identities,
+    columns,
     cyclic_class_eigenvalue,
+    dense,
     hh_omega_fixed_dimension,
     hh_plus_minus_dimensions,
     idempotent_is_idempotent,
@@ -34,6 +37,8 @@ from oracles import (
     localized,
     zsign,
 )
+
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -317,7 +322,8 @@ def plain_hh_plus_minus_dimensions(A, n, weight=None):
 
 def plain_bicomplex(C, n_max):
     """(T, invol): the total complex of the (b, B)-bicomplex of C truncated
-    at n_max columns, and its involution (-1)^i omega on column i."""
+    at n_max columns, and its involution (-1)^i omega on column i, laid out
+    as dense matrices and handed over as sparse columns."""
     # total complex T_n = sum over columns i of C_{n - 2i}
     layout = {}
     dims = {}
@@ -338,13 +344,13 @@ def plain_bicomplex(C, n_max):
         for (i, q) in layout[n]:
             src_off = offs[n][(i, q)]
             if (i, q - 1) in offs[n - 1] and q >= 1:
-                b = C.b[q]
+                b = dense(C.b[q], C.dim(q - 1))
                 t_off = offs[n - 1][(i, q - 1)]
                 for r in range(C.dim(q - 1)):
                     for c in range(C.dim(q)):
                         M[t_off + r][src_off + c] += b[r][c]
             if (i - 1, q + 1) in offs[n - 1] and q <= C.n_max - 1:
-                Bm = C.B[q]
+                Bm = dense(C.B[q], C.dim(q + 1))
                 t_off = offs[n - 1][(i - 1, q + 1)]
                 for r in range(C.dim(q + 1)):
                     for c in range(C.dim(q)):
@@ -356,12 +362,13 @@ def plain_bicomplex(C, n_max):
         for (i, q) in layout[n]:
             off = offs[n][(i, q)]
             sgn = -1 if i % 2 else 1
-            om = C.omega[q]
+            om = dense(C.omega[q], C.dim(q))
             for r in range(C.dim(q)):
                 for c in range(C.dim(q)):
                     M[off + r][off + c] = sgn * om[r][c]
         invol[n] = M
-    return ChainComplex(dims, mats, C.algebra.base), invol
+    return ChainComplex(dims, {n: columns(M) for n, M in mats.items()}, C.algebra.base), \
+        {n: columns(M) for n, M in invol.items()}
 
 
 def plain_dihedral_homology(A, n_max, weight=None):
@@ -371,9 +378,10 @@ def plain_dihedral_homology(A, n_max, weight=None):
     # sanity: the involution commutes with the total differential (compared
     # in the chain groups, so mod m over Z/m)
     groups = {n: chain_group(d, A.base) for n, d in T.dims.items()}
-    for n, d in T.mats.items():
-        lhs = AbMap(groups[n], groups[n - 1], mat_mul(invol[n - 1], d))
-        if not lhs.equals(AbMap(groups[n], groups[n - 1], mat_mul(d, invol[n]))):
+    for n, cols in T.mats.items():
+        d = dense(cols, T.dims[n - 1])
+        lhs = AbMap(groups[n], groups[n - 1], mat_mul(dense(invol[n - 1], T.dims[n - 1]), d))
+        if not lhs.equals(AbMap(groups[n], groups[n - 1], mat_mul(d, dense(invol[n], T.dims[n])))):
             raise TraceError("bicomplex involution does not commute with b + B")
     hc = [free_rank(T.homology(n).group, A.base) for n in range(0, n_max + 1)]
     plus = EigenComplex(T, invol, 1)
@@ -384,10 +392,11 @@ def plain_dihedral_homology(A, n_max, weight=None):
 
 
 @st.composite
-def monomial_algebras(draw):
+def monomial_algebras(draw, finite=False):
     """A base among Z, Q, Z[1/2], Z/4 and F_3; up to 3 variables; sigma a
     signed-permutation involution (pairs swapped with one sign, fixed points
-    with a sign); optional relations x^p = 0, p in 2..3, one p per orbit."""
+    with a sign); relations x^p = 0, p in 2..3, one p per orbit, optional
+    unless finite."""
     base = BaseRing.parse(draw(st.sampled_from(["Z", "Q", "Z[1/2]", "Z/4", "Z/3"])))
     n = draw(st.integers(1, 3))
     order = draw(st.permutations(range(n)))
@@ -403,7 +412,7 @@ def monomial_algebras(draw):
     images, rules = [None] * n, {}
     for orbit in orbits:
         u = draw(st.sampled_from([1, -1]))
-        p = draw(st.sampled_from([None, 2, 3]))
+        p = draw(st.sampled_from([2, 3] if finite else [None, 2, 3]))
         for i, j in zip(orbit, orbit[::-1]):
             mono = tuple(1 if k == j else 0 for k in range(n))
             images[i] = {mono: u}
@@ -440,9 +449,9 @@ def assert_eigen_parts_match_the_kernel_route(A, weight, n_max):
             got, part = T.eigen_invariants(invol, sign, degrees), EigenComplex(T, invol, sign)
             want = [part.homology(n).group.invariant_factors() for n in degrees]
             if A.base.kind != "Z/m":
-                assert all(set(h) <= {0} for h in got), (C.block, sign)
+                assert all(set(h) <= {0} for h in got), (C.key, sign)
                 got, want = [len(h) for h in got], [h.count(0) for h in want]
-            assert got == want, (C.block, sign)
+            assert got == want, (C.key, sign)
 
 
 @pytest.mark.parametrize("base", ["Q", "Z[1/2]", "Z/3", "Z/5", "Z/9", "Z/15"])
@@ -483,19 +492,93 @@ def test_blocks_match_the_whole_finite_complex(rules, images, base):
     assert_blocks_match_whole(A, None, 3)
 
 
+def _partner(A, m):
+    """The exponent vector m with sigma's permutation of the variables
+    applied, signs dropped."""
+    perm = [next(iter(img)).index(1) for img in A.omega.images]
+    out = [0] * len(m)
+    for i, k in enumerate(perm):
+        out[k] = m[i]
+    return tuple(out)
+
+
+def assert_blocks_partition_the_whole_complex(A, weight, n_max):
+    """The blocks of hochschild_blocks, with the partners of the paired ones,
+    cut the basis of the whole DihedralComplex into exponent-vector classes,
+    each block in the whole complex's order; HH and (b, B)-homology over the
+    blocks are those of the whole complex taken as one block."""
+    whole = DihedralComplex(A, n_max, weight)
+    # the one-block route over Z/m reads dense Homology of the whole complex
+    assume(sum(map(whole.dim, range(0, n_max + 1))) <= 400)
+    blocks = hochschild_blocks(A, n_max, weight)
+    for n in range(0, n_max + 1):
+        got = []
+        for C in blocks:
+            assert all(tuple(map(sum, zip(*t))) == C.key for t in C.bases[n]), (C.key, n)
+            assert C.bases[n] == [t for t in whole.bases[n] if tuple(map(sum, zip(*t))) == C.key]
+            assert C.paired == (_partner(A, C.key) != C.key), C.key
+            partners = [tuple(_partner(A, m) for m in t) for t in C.bases[n]]
+            got += C.bases[n] + (partners if C.paired else [])
+        assert sorted(got) == sorted(whole.bases[n]) and len(set(got)) == len(got), n
+    degrees = range(0, n_max)
+    assert hh_groups(blocks, degrees) == hh_groups([whole], degrees)
+    if A.base.two_invertible:
+        with patch.object(trace, "hochschild_blocks", lambda A, n, w: [DihedralComplex(A, n, w)]):
+            one = dihedral_homology(A, n_max - 1, weight)
+        split = dihedral_homology(A, n_max - 1, weight)
+        assert (split.hc, split.hd, split.hd_prime) == (one.hc, one.hd, one.hd_prime)
+
+
+@settings(max_examples=25, deadline=None)
+@given(A=monomial_algebras(), weight=st.integers(0, 4), n_max=st.integers(1, 4))
+def test_blocks_partition_the_weight_complex(A, weight, n_max):
+    assert_blocks_partition_the_whole_complex(A, weight, n_max)
+
+
+@settings(max_examples=25, deadline=None)
+@given(A=monomial_algebras(finite=True), n_max=st.integers(1, 3))
+def test_blocks_partition_the_finite_complex(A, n_max):
+    k = len(A.ring.monomial_basis_all())   # the whole complex has k (k - 1)^n tensors
+    assume(sum(k * (k - 1) ** n for n in range(0, n_max + 1)) <= 400)
+    assert_blocks_partition_the_whole_complex(A, None, n_max)
+
+
+def test_a_complex_reads_the_same_after_every_read():
+    # elementary_divisors edits the rows it reduces; every read of a
+    # complex must leave its columns as they were, so the answers of a
+    # complex read in every way agree with those of fresh complexes
+    A = algebra_poly(BaseRing("Q"), ["x"], [{(1,): -1}], {0: (3, {})})
+    degrees = range(0, 4)
+
+    def chains():
+        C = DihedralComplex(A, 4)
+        return hochschild_chains(C), C.omega
+
+    T, omega = chains()
+    frozen = repr(T.mats)
+    hh = [T.invariants(n) for n in degrees]
+    parts = [T.eigen_invariants(omega, s, degrees) for s in (1, -1)]
+    assert T.check(omega, 1) is T and repr(T.mats) == frozen
+    assert hh == [chains()[0].invariants(n) for n in degrees] == [(0,) * 3] + [(0,) * 2] * 3
+    for s, part in zip((1, -1), parts):
+        fresh, fresh_omega = chains()
+        assert part == fresh.eigen_invariants(fresh_omega, s, degrees), s
+    assert [T.invariants(n) for n in degrees] == hh
+
+
 def test_a_relation_that_is_not_monomial_keeps_one_block():
     # Q(i) with i^2 = -1: b does not preserve exponent vectors, so the one
     # block is the whole finite complex, split along omega as before
     A = algebra_gaussian()
     blocks = hochschild_blocks(A, 4)
-    assert len(blocks) == 1 and blocks[0].block is None and not blocks[0].paired
+    assert len(blocks) == 1 and blocks[0].key is None and not blocks[0].paired
     assert_blocks_match_whole(A, None, 3)
 
 
 def test_free_involutive_weight_5_has_three_paired_blocks():
     A = algebra_poly(BaseRing("Q"), ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}])
     blocks = hochschild_blocks(A, 3, 5)
-    assert [C.block for C in blocks] == [(0, 5), (1, 4), (2, 3)]
+    assert [C.key for C in blocks] == [(0, 5), (1, 4), (2, 3)]
     assert all(C.paired for C in blocks)
     with pytest.raises(TraceError):
         blocks[0].omega   # omega carries the block onto its partner's
@@ -503,6 +586,5 @@ def test_free_involutive_weight_5_has_three_paired_blocks():
 
 def test_a_term_outside_the_basis_is_an_error():
     C = DihedralComplex(algebra_q_poly(), 2, weight=2)
-    col = [0] * C.dim(1)
     with pytest.raises(TraceError, match="degree-1 basis"):
-        C._expand([{(1,): 1}, {(2,): 1}], col, 1, 1)   # weight 3, not 2
+        C._expand([{(1,): 1}, {(2,): 1}], {}, 1, 1)   # weight 3, not 2
