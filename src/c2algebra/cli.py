@@ -56,9 +56,11 @@ def default_truncation():
     if v is None:
         return DEFAULT_TRUNCATION
     try:
-        return int(v)
+        if int(v) >= 0:
+            return int(v)
     except ValueError:
-        raise ParseError("MACKEY_TRUNC must be an integer, got %r" % v)
+        pass
+    raise ParseError("MACKEY_TRUNC must be an integer >= 0, got %r" % v)
 
 
 # ---------------------------------------------------------------------------

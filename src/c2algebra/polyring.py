@@ -505,6 +505,13 @@ def parse_poly(ring, text):
                 return t
 
     def parse_factor():
+        # a sign applies to the whole power: -x^2 is -(x^2)
+        if peek() == "-":
+            eat()
+            return ring.neg(parse_factor())
+        if peek() == "+":
+            eat()
+            return parse_factor()
         t = parse_atom()
         while peek() == "^":
             eat()
@@ -524,12 +531,6 @@ def parse_poly(ring, text):
             inner = parse_expr()
             eat(")")
             return inner
-        if t == "-":
-            eat()
-            return ring.neg(parse_atom())
-        if t == "+":
-            eat()
-            return parse_atom()
         if isinstance(t, int):
             eat()
             return ring.const(t)

@@ -10,11 +10,12 @@ Hochschild chains C_n = A (x) Abar^{(x) n} with
 These satisfy b^2 = 0, wb = bw, w^2 = 1, B^2 = 0, bB + Bb = 0 and
 wB = -Bw exactly; all are asserted in the test suite.  When 2 is invertible
 the total complex of the (b, B)-bicomplex splits along w, giving the
-dihedral splitting HC = HD + HD' of cyclic homology.  b, w and B are built
-as sparse integer columns, one {row: coeff} per basis tensor, and each
-complex (the Hochschild chains, and the total complex of the bicomplex with
-its involution, whose columns are those of b, B and w moved to their
-offsets) is an abelian.ChainComplex over the base ring in that form.  HH
+dihedral splitting HC = HD + HD' of cyclic homology.  b, w and B are sparse
+integer columns, one {row: coeff} per basis tensor, read from the algebra's
+memo tables of monomial products and sigma-images, and each complex (the
+Hochschild chains, and the total complex of the bicomplex with its
+involution, whose columns are those of b, B and w moved to their offsets)
+is an abelian.ChainComplex over the base ring in that form.  HH
 and HC are read as invariant factors (ChainComplex.invariants), HD and HD'
 as those of the +-parts of the involution (ChainComplex.eigen_invariants);
 the base ring is that module's concern.
@@ -38,6 +39,7 @@ side, differentials.hkr_graded_piece; this complex is their oracle.
 
 from functools import cached_property
 from itertools import accumulate, product
+from math import prod
 
 from . import EngineError
 from .abelian import ChainComplex, FgAbGroup, NotAComplex, free_rank
@@ -59,18 +61,33 @@ class UnsupportedAlgebra(TraceError):
 class InvolutiveAlgebra:
     """Presented commutative algebra with involution over an exact base.
     The caller checks that omega is an involution that preserves the rules;
-    cli.parse_algebra does, naming the offending relation."""
+    cli.parse_algebra does, naming the offending relation.  The bar complex
+    reads it through two memo tables shared by all its blocks: _products of
+    two basis monomials (one ring.mul per pair) and _images of one under sigma."""
 
     def __init__(self, base, ring, omega):
         self.base = base
         self.ring = ring
         self.omega = omega
+        self._products = _Table(lambda pair: ring.mul({pair[0]: 1}, {pair[1]: 1}))
+        self._images = _Table(lambda m: omega({m: 1}))
 
     def is_finite_dimensional(self):
         return self.ring.is_finite_dimensional()
 
     def __repr__(self):
         return "InvolutiveAlgebra(%s)" % self.ring.names
+
+
+class _Table(dict):
+    """key -> the (monomial, integer) pairs of f(key), made on first lookup."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, key):
+        out = self[key] = tuple((m, integer_lift(c)) for m, c in self.f(key).items())
+        return out
 
 
 def _require_homogeneous(algebra):
@@ -187,71 +204,53 @@ class DihedralComplex:
     def dim(self, n):
         return len(self.bases.get(n, ()))
 
-    # -- linear-map plumbing ---------------------------------------------------
-
-    def _expand(self, slots_polys, out, coeff, n):
-        """Multilinear expansion of a tensor of polynomials into basis
-        tensors, projecting middle slots to Abar; accumulates into the
-        sparse column out."""
-        ring = self.algebra.ring
-        unit = (0,) * ring.n
-
-        def rec(i, acc, c):
-            if c == 0:
-                return
-            if i == len(slots_polys):
-                t = tuple(acc)
-                key = self.index[n].get(t)
-                if key is None:
-                    raise TraceError(
-                        "the tensor %r is not in the degree-%d basis of %r, weight %s, block %s"
-                        % (t, n, self.algebra, self.weight, self.key))
-                out[key] = out.get(key, 0) + c
-                return
-            poly = slots_polys[i]
-            for mono, cf in poly.items():
-                if i >= 1 and mono == unit:
-                    continue  # degenerate
-                rec(i + 1, acc + [mono], c * integer_lift(cf))
-        rec(0, [], coeff)
+    # -- the operators, term by term ------------------------------------------
 
     def _matrix(self, n, m, terms):
         """The sparse columns of C_n -> C_m: column j sums the signed slot
-        tensors that terms yields for the j-th basis tensor."""
+        tensors that terms yields for the j-th basis tensor, each slot a
+        tuple of (monomial, coefficient) pairs, expanded multilinearly; a
+        tensor with a unit in a middle slot is dropped (the projection to
+        Abar), any other tensor outside the basis of C_m is an error."""
+        index, unit = self.index[m], (0,) * self.algebra.ring.n
         cols = []
         for tensor in self.bases[n]:
             col = {}
             for sign, slots in terms(tensor):
-                self._expand(slots, col, sign, m)
+                for pairs in product(*slots):
+                    t, coeffs = zip(*pairs)
+                    j = index.get(t)
+                    if j is None:
+                        if unit in t[1:]:
+                            continue  # degenerate
+                        raise TraceError(
+                            "the tensor %r is not in the degree-%d basis of %r, weight %s, block %s"
+                            % (t, m, self.algebra, self.weight, self.key))
+                    col[j] = col.get(j, 0) + prod(coeffs, start=sign)
             cols.append({i: x for i, x in col.items() if x})
         return cols
 
     def _b_terms(self, tensor):
-        ring = self.algebra.ring
+        products = self.algebra._products
         n = len(tensor) - 1
-        slots = [_mono(ring, m) for m in tensor]
+        slots = [((m, 1),) for m in tensor]
         for i in range(n):
             yield (-1 if i % 2 else 1), \
-                slots[:i] + [ring.mul(slots[i], slots[i + 1])] + slots[i + 2:]
-        yield (-1 if n % 2 else 1), [ring.mul(slots[n], slots[0])] + slots[1:n]
+                slots[:i] + [products[tensor[i], tensor[i + 1]]] + slots[i + 2:]
+        yield (-1 if n % 2 else 1), [products[tensor[n], tensor[0]]] + slots[1:n]
 
     def _omega_terms(self, tensor):
-        ring, om = self.algebra.ring, self.algebra.omega
         n = len(tensor) - 1
         # w(a0) (x) w(an) (x) ... (x) w(a1)
         yield (-1 if (n * (n + 1) // 2) % 2 else 1), \
-            [om(_mono(ring, m)) for m in tensor[:1] + tensor[:0:-1]]
+            [self.algebra._images[m] for m in tensor[:1] + tensor[:0:-1]]
 
     def _B_terms(self, tensor):
-        ring = self.algebra.ring
         n = len(tensor) - 1
+        slots = [((m, 1),) for m in tensor]
+        one = [(((0,) * self.algebra.ring.n, 1),)]
         for i in range(n + 1):
-            yield (-1 if (i * n) % 2 else 1), \
-                [ring.one_poly()] + [_mono(ring, m) for m in tensor[i:] + tensor[:i]]
-
-
-def _mono(ring, m):
-    return {m: ring.base.one()}
+            yield (-1 if (i * n) % 2 else 1), one + slots[i:] + slots[:i]
 
 
 def hochschild_blocks(A, n_max, weight=None):

@@ -7,7 +7,9 @@ fixed-point Green functors, weightwise Mackey pieces) and the trace oracles
 (the +-parts of an involution as eigen kernels, the omega-eigen splitting
 of HH, localization of integral homology, the operator identities of the
 dihedral bar complex), which compute with dense matrices: dense and columns
-convert between them and the sparse columns of abelian.ChainComplex."""
+convert between them and the sparse columns of abelian.ChainComplex.  The
+reference builder of b, omega and B expands them through ring.mul and omega
+term by term."""
 
 from fractions import Fraction
 
@@ -662,6 +664,68 @@ def _is_zero(A):
 def _anticommute(X, Y, Z, W):
     return _is_zero([[x + y for x, y in zip(r1, r2)]
                      for r1, r2 in zip(mat_mul(X, Y), mat_mul(Z, W))])
+
+
+def reference_operators(C):
+    """(b, omega, B) of a DihedralComplex, each {degree: sparse columns},
+    built the way the bar complex first built them: every slot a polynomial,
+    each product of neighbours through ring.mul and each image through
+    omega, once per term, and every term expanded by a recursion over its
+    slots that lifts each coefficient and drops the units of the middle
+    slots.  trace reads the same products and images from memo tables; the
+    columns must agree in value and in order."""
+    A = C.algebra
+    ring, om = A.ring, A.omega
+    unit = (0,) * ring.n
+
+    def mono(m):
+        return {m: ring.base.one()}
+
+    def b_terms(tensor):
+        n = len(tensor) - 1
+        slots = [mono(m) for m in tensor]
+        for i in range(n):
+            yield (-1 if i % 2 else 1), \
+                slots[:i] + [ring.mul(slots[i], slots[i + 1])] + slots[i + 2:]
+        yield (-1 if n % 2 else 1), [ring.mul(slots[n], slots[0])] + slots[1:n]
+
+    def omega_terms(tensor):
+        n = len(tensor) - 1
+        yield (-1 if (n * (n + 1) // 2) % 2 else 1), \
+            [om(mono(m)) for m in tensor[:1] + tensor[:0:-1]]
+
+    def B_terms(tensor):
+        n = len(tensor) - 1
+        for i in range(n + 1):
+            yield (-1 if (i * n) % 2 else 1), \
+                [ring.one_poly()] + [mono(m) for m in tensor[i:] + tensor[:i]]
+
+    def expand(slots, index, out, coeff):
+        def rec(i, acc, c):
+            if c == 0:
+                return
+            if i == len(slots):
+                j = index[tuple(acc)]
+                out[j] = out.get(j, 0) + c
+                return
+            for m, cf in slots[i].items():
+                if i >= 1 and m == unit:
+                    continue  # degenerate
+                rec(i + 1, acc + [m], c * integer_lift(cf))
+        rec(0, [], coeff)
+
+    def matrix(n, m, terms):
+        cols = []
+        for tensor in C.bases[n]:
+            col = {}
+            for sign, slots in terms(tensor):
+                expand(slots, C.index[m], col, sign)
+            cols.append({i: x for i, x in col.items() if x})
+        return cols
+
+    return ({n: matrix(n, n - 1, b_terms) for n in range(1, C.n_max + 1)},
+            {n: matrix(n, n, omega_terms) for n in range(0, C.n_max + 1)},
+            {n: matrix(n, n + 1, B_terms) for n in range(0, C.n_max)})
 
 
 def check_identities(C):

@@ -17,7 +17,7 @@ from c2algebra.cli import (
 from c2algebra.complexes import homology
 from c2algebra.differentials import cotangent_module, hkr_graded_piece, presentation_of
 from c2algebra.mackey import box, zbar, zbar_c2
-from c2algebra.polyring import BaseRing, RingInvolution
+from c2algebra.polyring import BaseRing, PolyRing, RingInvolution
 from c2algebra import trace as tr
 from oracles import algebra_poly, burnside, fingerprint, zsign
 
@@ -218,6 +218,29 @@ def test_hh_builds_one_complex_per_sigma_orbit_of_blocks(monkeypatch):
     assert builds == [(0, 5), (1, 4), (2, 3)] and not lazy
 
 
+def test_hh_multiplies_each_pair_of_monomials_once(monkeypatch):
+    # b reads each product of two basis monomials from the algebra's memo
+    # table, filled by one ring.mul per pair; hh builds no omega, so no
+    # sigma-image is ever computed
+    algebras, pairs = [], []
+    init, mul = tr.InvolutiveAlgebra.__init__, PolyRing.mul
+
+    def recording_init(self, *args):
+        algebras.append(self)
+        init(self, *args)
+
+    def recording_mul(self, a, b):
+        pairs.append((tuple(a.items()), tuple(b.items())))
+        return mul(self, a, b)
+    monkeypatch.setattr(tr.InvolutiveAlgebra, "__init__", recording_init)
+    monkeypatch.setattr(PolyRing, "mul", recording_mul)
+    algebra = KXXS_JSON.replace('"Z"', '"Q"')
+    code, _ = run_cli(["hh", "--algebra", algebra, "--weight", "5", "--nmax", "3"])
+    assert code == 0 and len(algebras) == 1
+    assert pairs and len(set(pairs)) == len(pairs)
+    assert len(algebras[0]._products) == len(pairs) and not algebras[0]._images
+
+
 def _hh_rows(algebra, *opts):
     code, out = run_cli(["hh", "--algebra", algebra, "--format", "json", *opts])
     assert code == 0
@@ -225,6 +248,14 @@ def _hh_rows(algebra, *opts):
 
 
 DUAL_JSON = '{"base": "%s", "gens": [{"name": "x", "sigma": "%s"}], "rels": ["x^2"]}'
+
+
+def test_a_leading_minus_negates_the_whole_power():
+    # Q[x]/(x - 1)^2 is the dual numbers however its relation is signed;
+    # reading -x^2 as x^2 made it Q[x]/(x^2 + 2x - 1), a product of fields
+    algebra = '{"base": "Q", "gens": [{"name": "x"}], "rels": ["%s"]}'
+    rows = [_hh_rows(algebra % rel, "--nmax", "2") for rel in ("-x^2 + 2x - 1", "x^2 - 2x + 1")]
+    assert rows[0] == rows[1] == [[0, 0], [0], [0]]
 
 
 def test_hh_over_the_base_ring():
@@ -673,9 +704,12 @@ def test_mackey_trunc_env_override(monkeypatch):
     code, out = run_cli(["tambara-free", "--kind", "free", "--format", "json"])
     assert code == 0
     assert json.loads(out)["truncation"] == 5
-    monkeypatch.setenv("MACKEY_TRUNC", "bogus")
-    code, _ = run_cli(["tambara-free", "--kind", "free"])
-    assert code == 2
+    for bad in ("bogus", "-3"):
+        monkeypatch.setenv("MACKEY_TRUNC", bad)
+        assert run_cli(["tambara-free", "--kind", "free"]) == (2, "")
+        assert run_cli(["hr-gr", "--algebra", KX_JSON, "--i", "0"]) == (2, "")
+    monkeypatch.setenv("MACKEY_TRUNC", "0")
+    assert run_cli(["tambara-free", "--kind", "free"])[0] == 0
 
 
 def test_a_closed_pipe_ends_quietly(tmp_path):

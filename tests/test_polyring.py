@@ -1,12 +1,13 @@
 """Polynomial layer: the integer-first arithmetic against the
-Fraction-everywhere arithmetic it replaced, and units of the base rings."""
+Fraction-everywhere arithmetic it replaced, units of the base rings, and the
+polynomial parser."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from c2algebra.polyring import BaseRing, PolyRing, RingError, UnsupportedPresentation
+from c2algebra.polyring import BaseRing, PolyRing, RingError, UnsupportedPresentation, parse_poly
 
 
 # -- the plain arithmetic -----------------------------------------------------
@@ -246,3 +247,26 @@ def test_units_and_inverses():
     # mod m an inverse is not the element itself in general
     assert BaseRing("Z/m", 7).inverse(3) == 5
 
+
+
+# -- the parser -----------------------------------------------------------------
+
+def test_a_sign_applies_to_the_whole_power():
+    R = PolyRing(BaseRing("Z"), ["x", "y"])
+    assert parse_poly(R, "-x^2") == {(2, 0): -1}
+    assert parse_poly(R, "-2^2") == {(0, 0): -4}
+    assert parse_poly(R, "(-x)^2") == {(2, 0): 1}
+    assert parse_poly(R, "x*-y") == {(1, 1): -1}
+    assert parse_poly(R, "-x^2 + 2x - 1") == {(2, 0): -1, (1, 0): 2, (0, 0): -1}
+    assert R.poly_string({(2, 0): -1, (3, 0): 1}) == "-x^2 + x^3"
+    assert parse_poly(R, "-x^2 + x^3") == {(2, 0): -1, (3, 0): 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3),
+                         st.sampled_from([1, -1]) | st.integers(-20, 20).filter(bool),
+                         max_size=5))
+def test_poly_string_parses_back(p):
+    # a coefficient of +-1 is printed as a bare sign: "-x^2"
+    R = PolyRing(BaseRing("Z"), ["x", "y", "x_s"])
+    assert parse_poly(R, R.poly_string(p)) == p

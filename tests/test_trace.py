@@ -35,6 +35,7 @@ from oracles import (
     idempotent_is_idempotent,
     isomorphic,
     localized,
+    reference_operators,
     zsign,
 )
 
@@ -587,4 +588,57 @@ def test_free_involutive_weight_5_has_three_paired_blocks():
 def test_a_term_outside_the_basis_is_an_error():
     C = DihedralComplex(algebra_q_poly(), 2, weight=2)
     with pytest.raises(TraceError, match="degree-1 basis"):
-        C._expand([{(1,): 1}, {(2,): 1}], {}, 1, 1)   # weight 3, not 2
+        # x (x) x^2 has weight 3, not 2
+        C._matrix(1, 1, lambda t: [(1, [(((1,), 1),), (((2,), 1),)])])
+
+
+def assert_operators_match_the_reference(C):
+    """b, omega and B read from the algebra's memo tables against
+    oracles.reference_operators, which calls ring.mul and omega per term:
+    the same columns, each with the same entries in the same order."""
+    for got, want in zip((C.b, C.omega, C.B), reference_operators(C)):
+        assert {n: [list(col.items()) for col in M] for n, M in got.items()} == \
+            {n: [list(col.items()) for col in M] for n, M in want.items()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(A=monomial_algebras(), weight=st.integers(0, 4), n_max=st.integers(1, 3))
+def test_operators_match_the_reference_on_a_weight_block(A, weight, n_max):
+    assert_operators_match_the_reference(DihedralComplex(A, n_max, weight))
+
+
+@settings(max_examples=25, deadline=None)
+@given(A=monomial_algebras(finite=True), n_max=st.integers(1, 3))
+def test_operators_match_the_reference_on_a_finite_algebra(A, n_max):
+    k = len(A.ring.monomial_basis_all())   # the complex has k (k - 1)^n tensors
+    assume(sum(k * (k - 1) ** n for n in range(0, n_max + 1)) <= 600)
+    assert_operators_match_the_reference(DihedralComplex(A, n_max))
+
+
+def _graded_algebra(base, names, images, rules, weights):
+    ring = PolyRing(base, names, rules=rules, weights=weights)
+    return InvolutiveAlgebra(base, ring, RingInvolution(ring, images))
+
+
+@pytest.mark.parametrize("base", ["Q", "Z", "Z/3", "Z/15"])
+def test_operators_match_the_reference_beyond_monomial_rules(base):
+    base = BaseRing.parse(base)
+    cases = [
+        # Q(i) with conjugation, i^2 = -1
+        (algebra_poly(base, ["i"], [{(1,): -1}], {0: (2, {(0,): -1})}), None, 3),
+        # y^2 = x^3, y -> -y, the weight blocks 6 and 7 of weights x: 2, y: 3
+        (_graded_algebra(base, ["x", "y"], [{(1, 0): 1}, {(0, 1): -1}],
+                         {1: (2, {(3, 0): 1})}, [2, 3]), 6, 3),
+        (_graded_algebra(base, ["x", "y"], [{(1, 0): 1}, {(0, 1): -1}],
+                         {1: (2, {(3, 0): 1})}, [2, 3]), 7, 3),
+        # y^2 = x^3 + 1 has no weight block; its finite quotient by x^4
+        (algebra_poly(base, ["x", "y"], [{(1, 0): 1}, {(0, 1): -1}],
+                      {0: (4, {}), 1: (2, {(3, 0): 1, (0, 0): 1})}), None, 2),
+        # x^2 = x with x -> 1 - x: sigma-images with a unit term
+        (algebra_poly(base, ["x"], [{(0,): 1, (1,): -1}], {0: (2, {(1,): 1})}), None, 3),
+        # k[x]/x^2 with x -> 4x over Z/3 and Z/15 (16 = 1 in both), x -> -x otherwise
+        (algebra_poly(base, ["x"], [{(1,): 4 if base.kind == "Z/m" else -1}],
+                      {0: (2, {})}), None, 3),
+    ]
+    for A, weight, n_max in cases:
+        assert_operators_match_the_reference(DihedralComplex(A, n_max, weight))
