@@ -14,20 +14,19 @@ read; an involution handed to it is in the same form.  Every base-ring
 decision is made inside it:
 
 * hh, dihedral and derham read invariant factors (ChainComplex.invariants)
-  from boundary ranks and elementary divisors over Z, no cycles, no HNF;
-  Q and Z[1/2] are flat over Z, so these are then localized: over Q all
-  torsion is dropped, over Z[1/2] the powers of 2;
-* over Z/m the chain groups are (Z/m)^dim, presented by chain_group with
-  relations m*I, and the homology is a Homology of those presentations;
+  from the elementary divisors of integer matrices, with no cycles, no HNF
+  and no presented group: over Z of the boundaries, then localized over Q
+  and Z[1/2] (flat over Z: over Q all torsion is dropped, over Z[1/2] the
+  powers of 2), and over Z/m of one matrix per degree, the boundaries with
+  m*I and (d o d) / m added;
 * the +-parts of an involution (ChainComplex.eigen_invariants, where 2 is
   a unit) are read from ranks over Q and Z[1/2], and over Z/m as the
-  homology of the quotients C / (invol -+ 1) C.
+  invariants of a resolution of the quotients C / (invol -+ 1) C.
 
 Dense matrices (lists of integer rows) remain only where groups are
 presented: AbMap, Homology and the Mackey layer, which reads cycles and
 induced maps from Homology.  A complex's columns become an AbMap through
-dense_matrix, for ChainComplex.homology, for the Z/m quotient groups of
-eigen_invariants and for the HKR pieces of the differentials layer.
+dense_matrix only for the HKR pieces of the differentials layer.
 block_matrix lays out the dense direct sums of that layer.
 
 A free rank-1 summand over the base (free_rank) is then a Z summand over
@@ -727,14 +726,6 @@ def cokernel(f):
     return C, proj
 
 
-def chain_group(dim, base=None):
-    """The free base-module of rank dim as an abelian group: (Z/m)^dim, with
-    relations m*I, over Z/m; Z^dim over Z, Z[1/2] and Q."""
-    m = _modulus(base)
-    return FgAbGroup(dim, [[m if i == j else 0 for j in range(dim)]
-                           for i in range(dim)] if m else ())
-
-
 def _modulus(base):
     return base.modulus if base is not None and base.kind == "Z/m" else 0
 
@@ -821,36 +812,37 @@ class ChainComplex:
 
     def __init__(self, dims, mats, base=None):
         self.dims = dims
-        self.mats = mats
         self.base = base
+        m = _modulus(base)
+        # over Z/m the same maps with entries in [-m/2, m/2): -1 is a unit pivot
+        self.mats = {k: [{i: r for i, x in col.items() if (r := (x + m // 2) % m - m // 2)}
+                         for col in cols] for k, cols in mats.items()} if m else mats
         self._divisors = {}
 
-    def homology(self, n):
-        """H_n as a Homology of the chain groups chain_group presents, built
-        for the degrees n - 1, n and n + 1 only.  Over Q and Z[1/2] this is
-        the homology over Z, before localization; invariants(n) reads it over
-        the base."""
-        G = {k: chain_group(self.dims.get(k, 0), self.base) for k in (n - 1, n, n + 1)}
-        return Homology(self._map(n + 1, G), self._map(n, G))
-
-    def _map(self, k, groups):
-        """d_k as an AbMap from groups[k] to groups[k - 1]."""
-        d = self.mats.get(k)
-        return AbMap(groups[k], groups[k - 1], dense_matrix(d, groups[k - 1].ngens) if d else ())
-
     def invariants(self, n):
-        """The invariant factors of H_n over the base.  Where the chain
-        groups are free over Z (over Z, Z[1/2] and Q) it is read without a
-        Homology: H_n = Z^(dim C_n - rk d_n - rk d_{n+1}) + the torsion of
-        coker d_{n+1}, from the elementary divisors of the two boundaries,
-        then localized: over Q all torsion is dropped, over Z[1/2] the powers
-        of 2.  Over Z/m it is homology(n).  Raises NotAComplex when
-        d_n o d_{n+1} != 0."""
-        if _modulus(self.base):
-            return self.homology(n).group.invariant_factors()
-        d_out, d_in = self.mats.get(n), self.mats.get(n + 1)
-        if d_out and d_in and any(_combine(d_out, col) for col in d_in):
+        """The invariant factors of H_n over the base, from the elementary
+        divisors of integer matrices; raises NotAComplex when d_n o d_{n+1}
+        != 0 (mod m over Z/m).
+
+        * Over Z, Z[1/2] and Q: H_n = Z^(dim C_n - rk d_n - rk d_{n+1}) + the
+          torsion of coker d_{n+1}, localized: over Q all torsion is dropped,
+          over Z[1/2] the powers of 2.
+        * Over Z/m, with d_n o d_{n+1} = m h: the torsion of the cokernel of
+          [[d_{n+1}, m I], [-h, -d_n]], a boundary of the complex of free
+          abelian groups C_k + C_{k-1}, quasi-isomorphic to C (the kernel of
+          (x, y) -> x mod m is contractible) and so of finite homology."""
+        m = _modulus(self.base)
+        d_out, d_in = self.mats.get(n), self.mats.get(n + 1) or ()
+        dd = [_combine(d_out, col) if d_out else {} for col in d_in]
+        if any(x % m if m else x for v in dd for x in v.values()):
             raise NotAComplex("d_out o d_in != 0")
+        if m:
+            rows = self.dims.get(n, 0)
+            delta = [{**col, **{rows + i: -x // m for i, x in h.items()}}
+                     for col, h in zip(d_in, dd)]
+            delta += [{j: m, **{rows + i: -x for i, x in col.items()}}
+                      for j, col in enumerate(d_out or [{}] * rows)]
+            return elementary_divisors(delta)[1]
         rank_in, torsion = self._boundary_divisors(n + 1)
         free = self.dims.get(n, 0) - self._boundary_divisors(n)[0] - rank_in
         local = (_local_order(d, self.base) for d in torsion)
@@ -871,25 +863,33 @@ class ChainComplex:
         * Over Q and Z[1/2] only the free part is read, (0,) * r with
           r = rk P_n - rk d_n P_n - rk d_{n+1} P_{n+1}; over Z[1/2] odd
           torsion in H_n is not read.
-        * Over Z/m, m odd, it is H_n of the groups
-          (Z/m)^dims[k] / im(invol_k - sign) with the same boundaries, a
-          Homology, which checks that d carries relations into relations.
+        * Over Z/m, m odd, it is T.invariants(n) for T the total complex of
+          the resolution ... -> C --(invol + sign)--> C --(invol - sign)--> C
+          of the quotient: copy p of C_{k-p} in degree k, d times (-1)^p on
+          it, and invol + (-1)^p sign from copy p to copy p - 1.
 
         Only the degrees asked for are read.  Raises AbelianError when 2 is
         not a unit."""
         if self.base is None or not self.base.two_invertible:
             raise AbelianError("2 is not a unit in the base")
         if _modulus(self.base):
-            groups = {}
-            for k in {k for n in degrees for k in (n - 1, n, n + 1)}:
-                dim = self.dims.get(k, 0)
-                # relations: m*I and the columns of invol_k - sign
-                shifted = [{**col, j: col.get(j, 0) - sign} for j, col in enumerate(invol[k])] \
-                    if dim else []
-                groups[k] = FgAbGroup(dim, chain_group(dim, self.base).relations
-                                      + transpose(dense_matrix(shifted, dim)))
-            return [Homology(self._map(n + 1, groups), self._map(n, groups))
-                    .group.invariant_factors() for n in degrees]
+            lo, top = min(self.dims, default=0), max(degrees, default=0) + 1
+            starts = {k: list(accumulate((self.dims.get(k - p, 0) for p in range(k - lo + 1)),
+                                         initial=0)) for k in range(lo, top + 1)}
+            mats = {}
+            for k in range(lo + 1, top + 1):
+                below, mats[k] = starts[k - 1], []
+                for p in range(k - lo + 1):
+                    unit = -1 if p % 2 else 1
+                    d = self.mats.get(k - p) or [{}] * self.dims.get(k - p, 0)
+                    for j, col in enumerate(d):
+                        v = {below[p] + i: unit * x for i, x in col.items()}
+                        if p:  # invol + (-1)^p sign, into copy p - 1
+                            v.update((below[p - 1] + i, x) for i, x in invol[k - p][j].items())
+                            v[below[p - 1] + j] = v.get(below[p - 1] + j, 0) + unit * sign
+                        mats[k].append(v)  # T drops the zero entries
+            T = ChainComplex({k: s[-1] for k, s in starts.items()}, mats, self.base)
+            return [T.invariants(n) for n in degrees]
         images = {}  # the columns of P_k
         for k in {k for n in degrees for k in (n, n + 1) if k in invol}:
             images[k] = []
@@ -905,9 +905,9 @@ class ChainComplex:
     def check(self, invol, sign):
         """d invol = sign invol d for invol the sparse columns of a map per
         degree, compared column by column (mod m over Z/m).  d o d = 0 is
-        left to homology(n) and invariants(n), which check it for every
-        degree they read.  A failure raises NotAComplex(what, n), n the
-        degree of the failing boundary's source; returns self."""
+        left to invariants(n), which checks it for every degree it reads.
+        A failure raises NotAComplex(what, n), n the degree of the failing
+        boundary's source; returns self."""
         m = _modulus(self.base)
         for n, d in self.mats.items():
             for col, image in zip(d, invol[n]):

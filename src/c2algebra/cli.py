@@ -167,15 +167,10 @@ def parse_algebra(data):
     omega = RingInvolution(ring, images)
     if not omega.is_involution():
         raise DomainError("sigma is not an involution")
-    if not omega.preserves_rules():
-        bad = rels_text[0] if rels_text else "?"
-        for t, p in zip(rels_text, rel_polys):
-            moved = ring.normal_form(dict(p))
-            if not ring.equal(ring.apply_map(moved, omega.images), moved):
-                bad = t
-                break
+    bad = omega.broken_rule()
+    if bad is not None:
         raise DomainError("relation ideal is not sigma-stable (offending "
-                          "relation: %s)" % bad)
+                          "relation: %s)" % rels_text[bad])
     return tr.InvolutiveAlgebra(base, ring, omega)
 
 

@@ -449,16 +449,18 @@ class RingInvolution:
                 return False
         return True
 
-    def preserves_rules(self):
-        """sigma carries each rewrite relation into the ideal (reduces to 0)."""
-        for i, (p, repl) in self.ring.rules.items():
+    def broken_rule(self):
+        """The position, in the order of ring.rules (the order of the
+        relations of a parsed algebra), of the first rewrite relation that
+        sigma does not carry into the ideal (to 0 after reduction); None when
+        sigma preserves them all."""
+        for k, (i, (p, repl)) in enumerate(self.ring.rules.items()):
             lhs = self.ring.one_poly()
             for _ in range(p):
                 lhs = self.ring.mul(lhs, self.images[i])
-            rhs = self(dict(repl))
-            if not self.ring.equal(lhs, rhs):
-                return False
-        return True
+            if not self.ring.equal(lhs, self(dict(repl))):
+                return k
+        return None
 
     @classmethod
     def identity(cls, ring):

@@ -78,7 +78,7 @@ def validate_tambara(T, sample_weight=None, pair_bound=12):
     sig = T.sigma
     if not sig.is_involution():
         return TambaraViolation("sigma_involution")
-    if not sig.preserves_rules():
+    if sig.broken_rule() is not None:
         return TambaraViolation("sigma_stable_relations")
     # res images of fixed generators must be sigma-invariant (this is
     # Frobenius reciprocity in res-faithful form)

@@ -4,7 +4,8 @@ No CLI command runs any of this: fixture algebras, Mackey functors and
 random integral involutions, the Mackey comparator (fingerprint, duals, the
 zeroth slice), the graded norm with its Koszul sign, the Tambara examples (the Burnside table, norm rings,
 fixed-point Green functors, weightwise Mackey pieces) and the trace oracles
-(the +-parts of an involution as eigen kernels, the omega-eigen splitting
+(the homology of a ChainComplex as a Homology of presented chain groups,
+the +-parts of an involution as eigen kernels, the omega-eigen splitting
 of HH, localization of integral homology, the operator identities of the
 dihedral bar complex), which compute with dense matrices: dense and columns
 convert between them and the sparse columns of abelian.ChainComplex.  The
@@ -21,7 +22,7 @@ from c2algebra.abelian import (
     _unimodular_inverse,
     FgAbGroup,
     Homology,
-    chain_group,
+    _modulus,
     cokernel,
     free_rank,
     identity,
@@ -476,7 +477,7 @@ def fixed_point_green(ring, sigma, truncation=tb.DEFAULT_TRUNCATION):
     degreewise (finite rings) or weightwise up to the truncation."""
     if not sigma.is_involution():
         raise tb.TambaraError("sigma is not an involution")
-    if not sigma.preserves_rules():
+    if sigma.broken_rule() is not None:
         raise tb.TambaraError("relations are not sigma-stable")
     if ring.n == 0:
         gens = []
@@ -587,13 +588,39 @@ def localized(invs, base):
     return tuple(out)
 
 
+def chain_group(dim, base=None):
+    """The free base-module of rank dim as an abelian group: (Z/m)^dim, with
+    relations m*I, over Z/m; Z^dim over Z, Z[1/2] and Q."""
+    m = _modulus(base)
+    return FgAbGroup(dim, [[m if i == j else 0 for j in range(dim)]
+                           for i in range(dim)] if m else ())
+
+
+def chain_homology(C, n):
+    """H_n as a Homology (kernel SNF, HNF of the cycles, a second SNF): of
+    an abelian.ChainComplex on the chain groups chain_group presents, built
+    for the degrees n - 1, n and n + 1 only, or of an EigenComplex.  Over Q
+    and Z[1/2] this is the homology over Z, before localization.  It is the
+    oracle of ChainComplex.invariants, which reads H_n from elementary
+    divisors over every base."""
+    if isinstance(C, EigenComplex):
+        return Homology(C.diff(n + 1), C.diff(n))
+    G = {k: chain_group(C.dims.get(k, 0), C.base) for k in (n - 1, n, n + 1)}
+
+    def diff(k):
+        d = C.mats.get(k)
+        return AbMap(G[k], G[k - 1], dense(d, G[k - 1].ngens) if d else ())
+    return Homology(diff(n + 1), diff(n))
+
+
 class EigenComplex:
     """The sign part of an involution of an abelian.ChainComplex T, invol its
     sparse columns per degree: the kernel of invol - sign on each chain group
     (taken mod m on (Z/m)^d, so an integer lift of the involution is enough),
     with the boundaries restricted through Homology.induced, all on dense
-    matrices.  It is the oracle of ChainComplex.eigen_invariants, which reads
-    the same homology from ranks over Q and Z[1/2] and from the quotients
+    matrices; chain_homology reads its homology.  It is the oracle of
+    ChainComplex.eigen_invariants, which reads the same homology from ranks
+    over Q and Z[1/2] and from a resolution of the quotients
     C / (invol - sign) C over Z/m."""
 
     def __init__(self, T, invol, sign):
@@ -614,9 +641,6 @@ class EigenComplex:
         zero = trivial_group()
         return AbMap.zero_map(self.groups.get(n, zero), self.groups.get(n - 1, zero))
 
-    def homology(self, n):
-        return Homology(self.diff(n + 1), self.diff(n))
-
 
 def split_plus_minus(C):
     """(C+, C-): the omega-eigenvalue subcomplexes of the Hochschild chains
@@ -633,7 +657,7 @@ def hh_plus_minus_dimensions(A, n, weight=None):
     """(dim HH_n^+, dim HH_n^-), block by block."""
     _require_two_invertible(A.base)
     parts = [split_plus_minus(C) for C in hochschild_blocks(A, n + 1, weight)]
-    return tuple(free_rank(_direct_sum([(P[s].homology(n).group.invariant_factors(), 1)
+    return tuple(free_rank(_direct_sum([(chain_homology(P[s], n).group.invariant_factors(), 1)
                                         for P in parts]), A.base)
                  for s in (0, 1))
 
@@ -642,7 +666,7 @@ def hh_omega_fixed_dimension(A, n, weight=None):
     """Independent route: dim of the +1 eigenspace of omega acting on HH_n,
     on the whole weight block."""
     C = DihedralComplex(A, n + 1, weight)
-    H = hochschild_chains(C).homology(n)
+    H = chain_homology(hochschild_chains(C), n)
     Cn = H.cycles.target
     om_H = H.induced(AbMap(Cn, Cn, dense(C.omega[n], C.dim(n))), H)
     fixed = om_H - AbMap.identity_map(H.group)

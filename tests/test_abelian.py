@@ -13,7 +13,6 @@ from c2algebra.abelian import (
     Homology,
     NotAComplex,
     block_matrix,
-    chain_group,
     cokernel,
     diagonal_of,
     direct_sum_groups,
@@ -34,7 +33,7 @@ from c2algebra.abelian import (
 )
 
 from c2algebra.polyring import BaseRing
-from oracles import EigenComplex, columns, dense, localized
+from oracles import EigenComplex, chain_group, chain_homology, columns, dense, localized
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -600,17 +599,18 @@ def test_block_matrix_places_blocks_at_key_offsets():
 def test_chain_complex_homology_and_eigen_parts():
     # Z^2 --0--> Z --2--> Z in degrees 2, 1, 0; the swap acts on Z^2
     C = ChainComplex({0: 1, 1: 1, 2: 2}, {1: [{0: 2}], 2: [{}, {}]})
-    assert [C.homology(n).group.invariant_factors() for n in range(-1, 4)] == \
+    assert [chain_homology(C, n).group.invariant_factors() for n in range(-1, 4)] == \
         [(), (2,), (), (0, 0), ()]
     # a missing boundary is the zero map: all of C_0 is cycles
-    assert C.homology(0).cycles.matrix == [[1]] and C.homology(5).group.is_trivial()
+    assert chain_homology(C, 0).cycles.matrix == [[1]] and chain_homology(C, 5).group.is_trivial()
     swap = {0: [{0: 1}], 1: [{0: 1}], 2: [{1: 1}, {0: 1}]}
     plus, minus = EigenComplex(C, swap, 1), EigenComplex(C, swap, -1)
     assert [plus.groups[n].ngens for n in (0, 1, 2)] == [1, 1, 1]
     assert [minus.groups[n].ngens for n in (0, 1, 2)] == [0, 0, 1]
-    assert [plus.homology(n).group for n in (0, 1, 2)] == \
+    assert [chain_homology(plus, n).group for n in (0, 1, 2)] == \
         [FgAbGroup.from_invariants([2]), trivial_group(), Z]
-    assert [minus.homology(n).group for n in (0, 1, 2)] == [trivial_group(), trivial_group(), Z]
+    assert [chain_homology(minus, n).group for n in (0, 1, 2)] == \
+        [trivial_group(), trivial_group(), Z]
     # eigen_invariants needs 2 to be a unit; over Z/3, d_1 = 2 is onto and
     # each part of C_2 is one Z/3
     with pytest.raises(AbelianError):
@@ -637,10 +637,15 @@ def test_chain_complex_check():
     bad = ChainComplex({0: 1, 1: 1, 2: 1}, {1: [{0: 1}], 2: [{0: 1}]})
     assert bad.check({0: [{0: 1}], 1: [{0: 1}], 2: [{0: 1}]}, 1) is bad
     with pytest.raises(NotAComplex):
-        bad.homology(1)
+        chain_homology(bad, 1)
     # over Z/3 the comparison is mod 3: -1 may be lifted as 2
     mod3 = ChainComplex({0: 1, 1: 1}, {1: [{0: 1}]}, BaseRing.parse("Z/3"))
     assert mod3.check({0: [{0: 1}], 1: [{0: 2}]}, -1) is mod3
+    # over Z/m the columns are stored with entries in [-m/2, m/2); the
+    # columns handed over are not edited
+    given = {1: [{0: 2, 1: 3}]}
+    assert ChainComplex({0: 2, 1: 1}, given, BaseRing.parse("Z/3")).mats == {1: [{0: -1}]}
+    assert given == {1: [{0: 2, 1: 3}]}
 
 
 # -- homology from boundary ranks and elementary divisors -----------------------
@@ -692,14 +697,36 @@ def _sparse_complexes(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_sparse_complexes(), st.sampled_from(["Z", "Q", "Z[1/2]", "Z/3", "Z/4", "Z/6"]))
+@given(_sparse_complexes(), st.sampled_from(["Z", "Q", "Z[1/2]", "Z/3", "Z/4", "Z/6", "Z/9",
+                                             "Z/15"]))
 def test_invariants_agree_with_homology(complex_, base):
     dims, mats = complex_
     C = ChainComplex(dims, mats, BaseRing.parse(base))
     for n in range(-1, 5):
-        # homology(n) is over Z for the bases flat over Z
+        # chain_homology is over Z for the bases flat over Z
         assert C.invariants(n) == \
-            localized(C.homology(n).group.invariant_factors(), C.base), (base, n)
+            localized(chain_homology(C, n).group.invariant_factors(), C.base), (base, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_complexes(), st.sampled_from([3, 4, 6, 9]), st.data())
+def test_invariants_over_z_mod_m_read_a_lift_that_is_a_complex_only_mod_m(complex_, m, data):
+    # d + m R is the same boundary over Z/m, and d o d is then 0 only mod m;
+    # the columns are stored in [-m/2, m/2), where the lifts of about one
+    # complex in eight still have d o d != 0 over Z
+    dims, mats = complex_
+    base = BaseRing.parse("Z/%d" % m)
+    lifted = {}
+    for n, cols in mats.items():
+        M = dense(cols, dims[n - 1])
+        R = [data.draw(st.lists(st.integers(-2, 2), min_size=dims[n], max_size=dims[n]))
+             for _ in M]
+        lifted[n] = columns([[x + m * r for x, r in zip(row, rrow)] for row, rrow in zip(M, R)],
+                            dims[n])
+    C, L = ChainComplex(dims, mats, base), ChainComplex(dims, lifted, base)
+    for n in range(-1, 5):
+        assert L.invariants(n) == C.invariants(n) == \
+            chain_homology(L, n).group.invariant_factors(), (m, n)
 
 
 def test_invariants_check_d_o_d():

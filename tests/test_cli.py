@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+from c2algebra.abelian import ChainComplex, NotAComplex
 from c2algebra.cli import (
     mackey_to_json,
     parse_input,
@@ -20,6 +21,8 @@ from c2algebra.mackey import box, zbar, zbar_c2
 from c2algebra.polyring import BaseRing, PolyRing, RingInvolution
 from c2algebra import trace as tr
 from oracles import algebra_poly, burnside, fingerprint, zsign
+
+import pytest
 
 
 def run_cli(argv):
@@ -60,6 +63,13 @@ def test_parse_rejects_non_sigma_stable(capsys):
     assert code == 1
     assert capsys.readouterr().err == ("error: relation ideal is not sigma-stable "
                                        "(offending relation: x^2 - x)\n")
+    # sigma keeps x^2 but moves y^3 - x to -y^3 - x: the second relation is named
+    bad = ('{"base": "Q", "gens": [{"name": "x"}, {"name": "y", "sigma": "-y"}], '
+           '"rels": ["x^2", "y^3 - x"]}')
+    code, out = run_cli(["hh", "--algebra", bad, "--nmax", "1"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == ("error: relation ideal is not sigma-stable "
+                                       "(offending relation: y^3 - x)\n")
 
 
 def test_parse_rejects_sigma_that_is_not_an_involution(capsys):
@@ -312,6 +322,44 @@ def test_hh_torsion_golden():
                              "HH_3 = Z/2 + Z/2 + Z/2 + Z + Z + Z + Z", "HH_4 = Z + Z"]
     assert hh_lines("Z[1/2]") == ["HH_0 = 0", "HH_1 = 0", "HH_2 = Z + Z",
                                   "HH_3 = Z + Z + Z + Z", "HH_4 = Z + Z"]
+
+
+X3_JSON = '{"base": "%s", "gens": [{"name": "x"}], "rels": ["%s"]}'
+
+
+def test_hh_golden_over_z_mod_m_where_the_lift_of_b_is_a_complex_only_mod_m():
+    # the rules x^3 = 2x^2, 3x^2 + 2 and 2x^2 + x lift b to integer columns
+    # with b o b = 0 only mod m, so invariants reads (b o b) / m as well
+    cases = {
+        ("Z/3", "x^3 - 2*x^2"): ["Z/3 + Z/3 + Z/3"] + ["Z/3"] * 4,
+        ("Z/9", "x^3 - 3*x^2 - 2"): ["Z/9 + Z/9 + Z/9"] + ["Z/3 + Z/3 + Z/9"] * 4,
+        ("Z/4", "x^3 - 2*x^2 - x"): ["Z/4 + Z/4 + Z/4"] + ["Z/2 + Z/4"] * 4,
+    }
+    for (base, rel), groups in cases.items():
+        A = parse_input(json.loads(X3_JSON % (base, rel)))
+        (C,) = tr.hochschild_blocks(A, 5)
+        lift = ChainComplex(tr.hochschild_chains(C).dims, C.b)
+        with pytest.raises(NotAComplex):
+            [lift.invariants(n) for n in range(5)]
+        code, out = run_cli(["hh", "--algebra", X3_JSON % (base, rel), "--nmax", "4"])
+        assert code == 0
+        assert out.splitlines() == ["HH_%d = %s" % (n, g) for n, g in enumerate(groups)], base
+
+
+def test_hh_derham_and_dihedral_over_z_mod_m_build_no_homology(monkeypatch):
+    import c2algebra.abelian as ab
+    built = []
+    real = ab.Homology.__init__
+    monkeypatch.setattr(ab.Homology, "__init__",
+                        lambda self, *args: built.append(args) or real(self, *args))
+    finite = '{"base": "Z/%d", "gens": [{"name": "x", "sigma": "-x"}], "rels": ["x^3"]}'
+    for argv in (["hh", "--algebra", finite % 3, "--nmax", "3"],
+                 ["hh", "--algebra", X3_JSON % ("Z/4", "x^3 - 2*x^2 - x"), "--nmax", "2"],
+                 ["dihedral", "--algebra", finite % 9, "--nmax", "3"],
+                 ["derham", "--algebra", KX_JSON.replace('"Z"', '"Z/3"'), "--imax", "1",
+                  "--maxweight", "3"]):
+        code, _ = run_cli(argv)
+        assert (code, built) == (0, []), argv
 
 
 def test_hh_graded_needs_weight():

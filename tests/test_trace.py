@@ -2,7 +2,7 @@
 cyclic/dihedral homology, and the graded pieces of real Hochschild homology
 against bar-complex HH."""
 
-from c2algebra.abelian import AbMap, ChainComplex, chain_group, free_rank, mat_mul, zeros
+from c2algebra.abelian import AbMap, ChainComplex, FgAbGroup, free_rank, mat_mul, zeros
 from c2algebra.differentials import cotangent_module, hkr_graded_piece, presentation_of
 from c2algebra.polyring import BaseRing, PolyRing, RingInvolution, TwoNotInvertible
 from c2algebra import trace
@@ -26,6 +26,8 @@ from oracles import (
     algebra_poly,
     algebra_q_dual_numbers,
     algebra_q_poly,
+    chain_group,
+    chain_homology,
     check_identities,
     columns,
     cyclic_class_eigenvalue,
@@ -39,6 +41,7 @@ from oracles import (
     zsign,
 )
 
+from math import gcd
 from unittest.mock import patch
 
 import pytest
@@ -306,7 +309,7 @@ def test_hr_graded_pieces_free_shapes():
 # degree, the eigen-split on every chain group.
 
 def plain_hh_group(A, n, weight=None):
-    return hochschild_chains(DihedralComplex(A, n + 1, weight)).homology(n).group
+    return chain_homology(hochschild_chains(DihedralComplex(A, n + 1, weight)), n).group
 
 
 def plain_split_plus_minus(C):
@@ -318,7 +321,7 @@ def plain_split_plus_minus(C):
 
 def plain_hh_plus_minus_dimensions(A, n, weight=None):
     C = DihedralComplex(A, n + 1, weight)
-    return tuple(free_rank(P.homology(n).group, A.base) for P in plain_split_plus_minus(C))
+    return tuple(free_rank(chain_homology(P, n).group, A.base) for P in plain_split_plus_minus(C))
 
 
 def plain_bicomplex(C, n_max):
@@ -384,22 +387,21 @@ def plain_dihedral_homology(A, n_max, weight=None):
         lhs = AbMap(groups[n], groups[n - 1], mat_mul(dense(invol[n - 1], T.dims[n - 1]), d))
         if not lhs.equals(AbMap(groups[n], groups[n - 1], mat_mul(d, dense(invol[n], T.dims[n])))):
             raise TraceError("bicomplex involution does not commute with b + B")
-    hc = [free_rank(T.homology(n).group, A.base) for n in range(0, n_max + 1)]
+    hc = [free_rank(chain_homology(T, n).group, A.base) for n in range(0, n_max + 1)]
     plus = EigenComplex(T, invol, 1)
     minus = EigenComplex(T, invol, -1)
-    hd = [free_rank(plus.homology(n).group, A.base) for n in range(0, n_max + 1)]
-    hdp = [free_rank(minus.homology(n).group, A.base) for n in range(0, n_max + 1)]
+    hd = [free_rank(chain_homology(plus, n).group, A.base) for n in range(0, n_max + 1)]
+    hdp = [free_rank(chain_homology(minus, n).group, A.base) for n in range(0, n_max + 1)]
     return DihedralHomology(hc, hd, hdp)
 
 
 @st.composite
-def monomial_algebras(draw, finite=False):
-    """A base among Z, Q, Z[1/2], Z/4 and F_3; up to 3 variables; sigma a
+def monomial_presentations(draw, finite=False, max_vars=3):
+    """(names, sigma images, rules): up to max_vars variables; sigma a
     signed-permutation involution (pairs swapped with one sign, fixed points
     with a sign); relations x^p = 0, p in 2..3, one p per orbit, optional
     unless finite."""
-    base = BaseRing.parse(draw(st.sampled_from(["Z", "Q", "Z[1/2]", "Z/4", "Z/3"])))
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_vars))
     order = draw(st.permutations(range(n)))
     orbits = []
     while order:
@@ -419,7 +421,15 @@ def monomial_algebras(draw, finite=False):
             images[i] = {mono: u}
             if p is not None:
                 rules[i] = (p, {})
-    return algebra_poly(base, names, images, rules)
+    return names, images, rules
+
+
+@st.composite
+def monomial_algebras(draw, finite=False):
+    """A monomial_presentations algebra over a base among Z, Q, Z[1/2], Z/4
+    and F_3."""
+    base = BaseRing.parse(draw(st.sampled_from(["Z", "Q", "Z[1/2]", "Z/4", "Z/3"])))
+    return algebra_poly(base, *draw(monomial_presentations(finite)))
 
 
 def assert_blocks_match_whole(A, weight, n_max):
@@ -448,11 +458,29 @@ def assert_eigen_parts_match_the_kernel_route(A, weight, n_max):
         T, invol = plain_bicomplex(C, n_max)
         for sign in (1, -1):
             got, part = T.eigen_invariants(invol, sign, degrees), EigenComplex(T, invol, sign)
-            want = [part.homology(n).group.invariant_factors() for n in degrees]
+            want = [chain_homology(part, n).group.invariant_factors() for n in degrees]
             if A.base.kind != "Z/m":
                 assert all(set(h) <= {0} for h in got), (C.key, sign)
                 got, want = [len(h) for h in got], [h.count(0) for h in want]
             assert got == want, (C.key, sign)
+
+
+@settings(max_examples=30, deadline=None)
+@given(monomial_presentations(finite=True, max_vars=2), st.sampled_from([2, 3, 4, 6, 9]))
+def test_hh_over_z_mod_m_follows_from_hh_over_z_by_universal_coefficients(presentation, m):
+    # HH_n(A/m) = HH_n(A) (x) Z/m + Tor(HH_{n-1}(A), Z/m), with
+    # Z/d (x) Z/m = Tor(Z/d, Z/m) = Z/gcd(d, m) and gcd(0, m) = m
+    n_max = 3 if len(presentation[0]) == 1 else 2
+
+    def hh(base):
+        A = algebra_poly(BaseRing.parse(base), *presentation)
+        blocks = hochschild_blocks(A, n_max + 1)
+        return [G.invariant_factors() for G in hh_groups(blocks, range(n_max + 1))]
+    over_z, over_m = hh("Z"), hh("Z/%d" % m)
+    for n in range(n_max + 1):
+        tor = [gcd(d, m) for d in over_z[n - 1] if d] if n else []
+        want = FgAbGroup.from_invariants([gcd(d, m) for d in over_z[n]] + tor)
+        assert over_m[n] == want.invariant_factors(), (presentation, m, n)
 
 
 @pytest.mark.parametrize("base", ["Q", "Z[1/2]", "Z/3", "Z/5", "Z/9", "Z/15"])
