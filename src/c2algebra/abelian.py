@@ -27,7 +27,10 @@ Dense matrices (lists of integer rows) remain only where groups are
 presented: AbMap, Homology and the Mackey layer, which reads cycles and
 induced maps from Homology.  A complex's columns become an AbMap through
 dense_matrix only for the HKR pieces of the differentials layer.
-block_matrix lays out the dense direct sums of that layer.
+block_matrix and kronecker lay out the dense matrices of these layers:
+direct sums of groups and maps, the box-product differentials, and the
+presentations of tensor and box products, whose relations are Kronecker
+blocks.
 
 A free rank-1 summand over the base (free_rank) is then a Z summand over
 Z, Q and Z[1/2] and a Z/m summand over Z/m.
@@ -125,7 +128,8 @@ def block_matrix(rows, cols, blocks):
     """The dense matrix with the block blocks[(r, c)] added at the row
     offset of key r and the column offset of key c, zero entries skipped;
     rows and cols map the keys, in order, to their block sizes.  It lays out
-    the direct sums of groups and maps and the box-product differentials.
+    the direct sums of groups and maps, the box-product differentials and
+    the Lewis diagrams of box products and induced functors.
 
     >>> block_matrix({0: 1, 1: 2}, {"a": 2}, {(1, "a"): [[1, 2], [3, 4]]})
     [[0, 0], [1, 2], [3, 4]]
@@ -144,7 +148,9 @@ def block_matrix(rows, cols, blocks):
 
 
 def kronecker(A, B, arows, acols, brows, bcols):
-    """Kronecker product; index (i, j) of the tensor is i * bdim + j."""
+    """Kronecker product; index (i, j) of the tensor is i * bdim + j.  The
+    shapes are given, so a factor without rows or columns keeps the other
+    dimension."""
     out = zeros(arows * brows, acols * bcols)
     for i in range(arows):
         for j in range(acols):
@@ -155,6 +161,16 @@ def kronecker(A, B, arows, acols, brows, bcols):
                 for l in range(bcols):
                     out[i * brows + k][j * bcols + l] = a * B[k][l]
     return out
+
+
+def inner_major(rows, inner):
+    """The rows of a matrix indexed (i, j) -> i * inner + j, listed j-major:
+    all the rows of j = 0, then of j = 1, ..., each in the order of i.
+
+    >>> inner_major([[1], [2], [3], [4], [5], [6]], 2)
+    [[1], [3], [5], [2], [4], [6]]
+    """
+    return [row for j in range(inner) for row in rows[j::inner]]
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +647,6 @@ class AbMap:
         M = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.matrix, other.matrix)]
         return AbMap(self.source, self.target, M)
 
-    def __neg__(self):
-        return AbMap(self.source, self.target, [[-a for a in r] for r in self.matrix])
-
     def scale(self, c):
         return AbMap(self.source, self.target, [[c * a for a in r] for r in self.matrix])
 
@@ -940,33 +953,21 @@ def _rank(vectors):
 
 
 def tensor_groups(G, H):
-    """G (x) H presented on generator pairs (i, j) -> i * H.ngens + j.
+    """G (x) H presented on generator pairs (i, j) -> i * H.ngens + j.  Its
+    relations are the rows of R (x) 1, relation r of G and then j, followed
+    by the rows of 1 (x) S listed relation s of H first and then i.
 
     >>> tensor_groups(FgAbGroup.from_invariants([4]), FgAbGroup.from_invariants([6]))
     FgAbGroup(2,)
     """
-    n = G.ngens * H.ngens
-    rels = []
-    for r in G.relations:
-        for j in range(H.ngens):
-            row = [0] * n
-            for i, c in enumerate(r):
-                row[i * H.ngens + j] = c
-            rels.append(row)
-    for s in H.relations:
-        for i in range(G.ngens):
-            row = [0] * n
-            for j, c in enumerate(s):
-                row[i * H.ngens + j] = c
-            rels.append(row)
-    return FgAbGroup(n, rels)
+    m, n = G.ngens, H.ngens
+    R, S = G.relations, H.relations
+    return FgAbGroup(m * n, kronecker(R, identity(n), len(R), m, n, n)
+                     + inner_major(kronecker(identity(m), S, m, m, len(S), n), len(S)))
 
 
 def tensor_maps(f, g, source=None, target=None):
     src = source or tensor_groups(f.source, g.source)
     tgt = target or tensor_groups(f.target, g.target)
-    M = kronecker(f.matrix, g.matrix, f.target.ngens, f.source.ngens,
-                  g.target.ngens, g.source.ngens)
-    if not M:
-        M = [[] for _ in range(tgt.ngens)] if src.ngens == 0 else zeros(tgt.ngens, src.ngens)
-    return AbMap(src, tgt, M)
+    return AbMap(src, tgt, kronecker(f.matrix, g.matrix, f.target.ngens, f.source.ngens,
+                                     g.target.ngens, g.source.ngens))

@@ -303,10 +303,15 @@ def _canonical_matrix(f):
     return rows
 
 
+def compact_json(data):
+    """The one line of a --format json output: sorted keys, no spaces."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def render_lewis(M, fmt="pretty"):
     from .abelian import render_invariants
     if fmt == "json":
-        return json.dumps(mackey_to_json(M), sort_keys=True, separators=(",", ":"))
+        return compact_json(mackey_to_json(M))
     data = mackey_to_json(M)
     lines = []
     lines.append("C2-level : %s" % render_invariants(tuple(data["fixed"])))
@@ -367,8 +372,7 @@ def cmd_phi(args, out):
         raise ParseError("phi expects a Mackey functor")
     G = mk.geometric_fixed_points(M)
     if args.format == "json":
-        out(json.dumps({"phi": group_to_json(G)}, sort_keys=True,
-                       separators=(",", ":")))
+        out(compact_json({"phi": group_to_json(G)}))
     else:
         out("Phi = %s" % render_invariants(G.invariant_factors()))
     return 0
@@ -382,15 +386,13 @@ def cmd_slice_check(args, out):
     if args.coconnective:
         verdict = cx.is_regular_slice_coconnective(C, args.n)
         if args.format == "json":
-            out(json.dumps({"coconnective": verdict, "n": args.n},
-                           sort_keys=True, separators=(",", ":")))
+            out(compact_json({"coconnective": verdict, "n": args.n}))
         else:
             out("regular-slice (%d)-coconnective: %s" % (args.n, verdict))
     else:
         verdict = cx.is_regular_slice_connective(C, args.n)
         if args.format == "json":
-            out(json.dumps({"connective": verdict, "n": args.n},
-                           sort_keys=True, separators=(",", ":")))
+            out(compact_json({"connective": verdict, "n": args.n}))
         else:
             out("regular-slice (%d)-connective: %s"
                 % (args.n, "true" if verdict else "false"))
@@ -431,7 +433,7 @@ def cmd_tambara_free(args, out):
                 rels.append({"i": i, "j": j, "holds": tb.free_relation_holds(T, i, j)})
         info["t_relations"] = rels
     if args.format == "json":
-        out(json.dumps(info, sort_keys=True, separators=(",", ":")))
+        out(compact_json(info))
     else:
         out("free %s involutive algebra over %s, truncation %d"
             % (args.kind, args.base, trunc))
@@ -470,8 +472,7 @@ def cmd_hr_gr(args, out):
         blocks.append({"weight": w,
                        "homology": {str(n): mackey_to_json(H[n]) for n in degrees}})
     if args.format == "json":
-        out(json.dumps({"algebra": label, "i": args.i, "blocks": blocks},
-                       sort_keys=True, separators=(",", ":")))
+        out(compact_json({"algebra": label, "i": args.i, "blocks": blocks}))
     else:
         out("gr^%d HR of the %s algebra" % (args.i, label))
         for entry in blocks:
@@ -504,7 +505,7 @@ def cmd_cotangent(args, out):
     info["reduced_relations"] = [
         {g: ring.poly_string(c) for g, c in img.items()} for _name, img in rels]
     if args.format == "json":
-        out(json.dumps(info, sort_keys=True, separators=(",", ":")))
+        out(compact_json(info))
     else:
         out("cotangent generators: %s" % ", ".join(info["generators"]))
         for name, img in sorted(info["relations"].items()):
@@ -527,8 +528,7 @@ def cmd_derham(args, out):
                       for n in range(0, args.imax + 1)}
              for w, C in complexes.items()}
     if args.format == "json":
-        out(json.dumps({"imax": args.imax, "table": table}, sort_keys=True,
-                       separators=(",", ":")))
+        out(compact_json({"imax": args.imax, "table": table}))
     else:
         for w in sorted(table, key=int):
             out("weight %s:" % w)
@@ -552,8 +552,7 @@ def cmd_hh(args, out):
     groups = tr.hh_groups(tr.hochschild_blocks(A, args.nmax + 1, weight), degrees)
     rows = [{"n": n, "hh": group_to_json(G)} for n, G in zip(degrees, groups)]
     if args.format == "json":
-        out(json.dumps({"weight": weight, "rows": rows}, sort_keys=True,
-                       separators=(",", ":")))
+        out(compact_json({"weight": weight, "rows": rows}))
     else:
         for r in rows:
             out("HH_%d = %s" % (r["n"], render_invariants(tuple(r["hh"]))))
@@ -571,7 +570,7 @@ def cmd_dihedral(args, out):
     D = tr.dihedral_homology(A, args.nmax, weight=weight)
     data = {"hc": D.hc, "hd": D.hd, "hd_prime": D.hd_prime}
     if args.format == "json":
-        out(json.dumps(data, sort_keys=True, separators=(",", ":")))
+        out(compact_json(data))
     else:
         for n in range(0, args.nmax + 1):
             out("n=%d: HC=%d HD=%d HD'=%d" % (n, D.hc[n], D.hd[n], D.hd_prime[n]))

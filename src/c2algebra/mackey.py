@@ -20,6 +20,7 @@ from .abelian import (
     direct_sum_groups,
     direct_sum_maps,
     identity,
+    inner_major,
     kernel,
     kronecker,
     mat_vec,
@@ -97,16 +98,6 @@ class MackeyMap:
                          self.f_fixed.compose(other.f_fixed),
                          self.f_underlying.compose(other.f_underlying))
 
-    def __add__(self, other):
-        return MackeyMap(self.source, self.target,
-                         self.f_fixed + other.f_fixed,
-                         self.f_underlying + other.f_underlying)
-
-    def __sub__(self, other):
-        return MackeyMap(self.source, self.target,
-                         self.f_fixed - other.f_fixed,
-                         self.f_underlying - other.f_underlying)
-
     def scale(self, c):
         return MackeyMap(self.source, self.target,
                          self.f_fixed.scale(c), self.f_underlying.scale(c))
@@ -180,14 +171,12 @@ def induced(G):
     """Free on the C2-orbit: fixed = G, underlying = G + G, res diagonal."""
     n = G.ngens
     GG = direct_sum_groups([G, G])
-    res = AbMap(G, GG, [r for r in identity(n)] + [r for r in identity(n)])
-    tr = AbMap(GG, G, [row + row for row in identity(n)])
-    swap = zeros(2 * n, 2 * n)
-    for i in range(n):
-        swap[i][n + i] = 1
-        swap[n + i][i] = 1
+    one, halves = identity(n), {0: n, 1: n}
+    res = AbMap(G, GG, block_matrix(halves, {0: n}, {(0, 0): one, (1, 0): one}))
+    tr = AbMap(GG, G, block_matrix({0: n}, halves, {(0, 0): one, (0, 1): one}))
+    swap = AbMap(GG, GG, block_matrix(halves, halves, {(0, 1): one, (1, 0): one}))
     cells = ("free",) * n if not G.relations else None
-    return MackeyFunctor(G, GG, res, tr, AbMap(GG, GG, swap), cells=cells)
+    return MackeyFunctor(G, GG, res, tr, swap, cells=cells)
 
 
 def zbar_c2():
@@ -242,93 +231,52 @@ def box(M, N):
         i(x (x) y)   =  i(sigma x (x) sigma y),
 
     with tr = i and res = (res (x) res, 1 + sigma).
+
+    The fixed level is generated by the block u_i (x) v_j of the fixed
+    levels, then the block i(x_a (x) y_b) of the underlying ones, each in
+    the pair order of tensor_groups: the layout box_map shares.  Its
+    relations are those of the two tensor blocks, then, as Kronecker blocks
+    over the two generator blocks, the rows (a, j) [tr^T (x) 1 | -1 (x) res^T],
+    the rows (b, i) [1 (x) tr^T | -res^T (x) 1] and the rows (a, b)
+    [0 | 1 - (sigma (x) sigma)^T]; res = [res (x) res | 1 + sigma (x) sigma]
+    and tr = [0; 1].
     """
     und = tensor_groups(M.underlying, N.underlying)
+    ff = tensor_groups(M.fixed, N.fixed)
     nf_m, nf_n = M.fixed.ngens, N.fixed.ngens
     ne_m, ne_n = M.underlying.ngens, N.underlying.ngens
-    top = nf_m * nf_n        # generators u_i (x) v_j
-    bot = ne_m * ne_n        # generators i(x_a (x) y_b)
-    n = top + bot
-
-    def top_idx(i, j):
-        return i * nf_n + j
-
-    def bot_idx(a, b):
-        return top + a * ne_n + b
-
-    rels = []
-    # ambient relations of the two tensor blocks
-    ff = tensor_groups(M.fixed, N.fixed)
-    for r in ff.relations:
-        rels.append(list(r) + [0] * bot)
-    for r in und.relations:
-        rels.append([0] * top + list(r))
-    # tr(x) (x) v_j - i(x (x) res v_j)
-    for a in range(ne_m):
-        trx = M.tr.matrix  # nf_m x ne_m
-        for j in range(nf_n):
-            row = [0] * n
-            for i in range(nf_m):
-                row[top_idx(i, j)] += trx[i][a]
-            resv = [N.res.matrix[b][j] for b in range(ne_n)]
-            for b in range(ne_n):
-                row[bot_idx(a, b)] -= resv[b]
-            rels.append(row)
-    # u_i (x) tr(y) - i(res u_i (x) y)
-    for b in range(ne_n):
-        for i in range(nf_m):
-            row = [0] * n
-            for j in range(nf_n):
-                row[top_idx(i, j)] += N.tr.matrix[j][b]
-            resu = [M.res.matrix[a][i] for a in range(ne_m)]
-            for a in range(ne_m):
-                row[bot_idx(a, b)] -= resu[a]
-            rels.append(row)
-    # i(x (x) y) - i(sigma x (x) sigma y)
-    sm, sn = M.sigma.matrix, N.sigma.matrix
-    for a in range(ne_m):
-        for b in range(ne_n):
-            row = [0] * n
-            row[bot_idx(a, b)] += 1
-            for a2 in range(ne_m):
-                for b2 in range(ne_n):
-                    row[bot_idx(a2, b2)] -= sm[a2][a] * sn[b2][b]
-            rels.append(row)
-    fixed = FgAbGroup(n, rels)
-
-    # res: top part res (x) res, bottom part 1 + sigma
-    res_rows = zeros(und.ngens, n)
-    for i in range(nf_m):
-        for j in range(nf_n):
-            col = top_idx(i, j)
-            for a in range(ne_m):
-                for b in range(ne_n):
-                    res_rows[a * ne_n + b][col] = M.res.matrix[a][i] * N.res.matrix[b][j]
-    for a in range(ne_m):
-        for b in range(ne_n):
-            col = bot_idx(a, b)
-            res_rows[a * ne_n + b][col] += 1
-            for a2 in range(ne_m):
-                for b2 in range(ne_n):
-                    res_rows[a2 * ne_n + b2][col] += sm[a2][a] * sn[b2][b]
-    res = AbMap(fixed, und, res_rows)
-
-    tr_rows = zeros(n, und.ngens)
-    for a in range(ne_m):
-        for b in range(ne_n):
-            tr_rows[bot_idx(a, b)][a * ne_n + b] = 1
-    tr = AbMap(und, fixed, tr_rows)
-
+    cols = {"ff": ff.ngens, "und": und.ngens}
     sig = tensor_maps(M.sigma, N.sigma, und, und)
-
+    one = AbMap.identity_map(und)
+    # kronecker is given every shape: transpose loses the column count of
+    # a matrix without rows
+    rels = block_matrix(
+        {"ff": len(ff.relations), "und": len(und.relations), "left": ne_m * nf_n,
+         "right": ne_n * nf_m, "weyl": und.ngens}, cols,
+        {("ff", "ff"): ff.relations,
+         ("und", "und"): und.relations,
+         ("left", "ff"): kronecker(transpose(M.tr.matrix), identity(nf_n),
+                                   ne_m, nf_m, nf_n, nf_n),
+         ("left", "und"): kronecker(identity(ne_m), transpose(N.res.scale(-1).matrix),
+                                    ne_m, ne_m, nf_n, ne_n),
+         # the rows come out (i, b) and are listed b-major: the HNF's rows,
+         # and so the canonical bases printed, depend on the order
+         ("right", "ff"): inner_major(kronecker(identity(nf_m), transpose(N.tr.matrix),
+                                                nf_m, nf_m, ne_n, nf_n), ne_n),
+         ("right", "und"): inner_major(kronecker(transpose(M.res.scale(-1).matrix),
+                                                 identity(ne_n), nf_m, ne_m, ne_n, ne_n),
+                                       ne_n),
+         ("weyl", "und"): transpose((one - sig).matrix)})
+    fixed = FgAbGroup(ff.ngens + und.ngens, rels)
+    res = AbMap(fixed, und, block_matrix(
+        {0: und.ngens}, cols,
+        {(0, "ff"): tensor_maps(M.res, N.res, ff, und).matrix, (0, "und"): (one + sig).matrix}))
+    tr = AbMap(und, fixed, block_matrix(cols, {0: und.ngens},
+                                        {("und", 0): identity(und.ngens)}))
     cells = None
     if M.cells is not None and N.cells is not None:
-        cells = []
-        for cm in M.cells:
-            for cn in N.cells:
-                cells.append("free" if "free" in (cm, cn) else "triv")
-    return MackeyFunctor(fixed, und, res, tr, sig,
-                         cells=tuple(cells) if cells is not None else None)
+        cells = ["free" if "free" in (cm, cn) else "triv" for cm in M.cells for cn in N.cells]
+    return MackeyFunctor(fixed, und, res, tr, sig, cells=cells)
 
 
 def box_map(f, g, source=None, target=None):

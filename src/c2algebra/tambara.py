@@ -145,12 +145,9 @@ def free_involutive_free(base, truncation=DEFAULT_TRUNCATION):
     x, xs = ring.var(0), ring.var(1)
     sigma = RingInvolution(ring, [xs, x])
     gens = [("x_N", ring.mul(x, xs))]
+    xi, xsi = ring.one_poly(), ring.one_poly()
     for i in range(1, truncation + 1):
-        xi = ring.one_poly()
-        xsi = ring.one_poly()
-        for _ in range(i):
-            xi = ring.mul(xi, x)
-            xsi = ring.mul(xsi, xs)
+        xi, xsi = ring.mul(xi, x), ring.mul(xsi, xs)
         gens.append(("t_%d" % i, ring.add(xi, xsi)))
     return TambaraPresentation(base, ring, sigma, gens, truncation)
 

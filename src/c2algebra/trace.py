@@ -258,8 +258,9 @@ def hochschild_blocks(A, n_max, weight=None):
     and a signed-permutation sigma, the tensors of degrees <= n_max,
     enumerated once, are bucketed by exponent vector (the sum over their
     slots); each sigma-orbit of vectors is kept as its first vector in
-    sorted order, flagged paired when sigma moves it.  Otherwise the one
-    block is the whole weight block (or finite complex)."""
+    sorted order, the e with e <= sigma(e), flagged paired when sigma moves
+    it.  Otherwise the one block is the whole weight block (or finite
+    complex)."""
     _check_request(A, n_max, weight)
     perm = _variable_permutation(A)
     if perm is None:
@@ -269,11 +270,10 @@ def hochschild_blocks(A, n_max, weight=None):
         for t in basis:
             key = tuple(map(sum, zip(*t)))
             buckets.setdefault(key, [[] for _ in range(n_max + 1)])[n].append(t)
-    blocks, seen = [], set()
+    blocks = []
     for e in sorted(buckets):
-        if e not in seen:
-            partner = _permuted(perm, e)
-            seen.update((e, partner))
+        partner = _permuted(perm, e)
+        if e <= partner:
             blocks.append(DihedralComplex(A, n_max, weight, dict(enumerate(buckets[e])),
                                           key=e, paired=partner != e))
     return blocks

@@ -10,7 +10,8 @@ of HH, localization of integral homology, the operator identities of the
 dihedral bar complex), which compute with dense matrices: dense and columns
 convert between them and the sparse columns of abelian.ChainComplex.  The
 reference builder of b, omega and B expands them through ring.mul and omega
-term by term."""
+term by term; the reference tensor and box products write their relation
+rows, res and tr one entry at a time."""
 
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from c2algebra.abelian import (
     kernel,
     mat_mul,
     subgroup_coords,
+    tensor_maps,
     transpose,
     trivial_group,
     zeros,
@@ -245,6 +247,119 @@ def fingerprint(M):
 
 def isomorphic(M, N):
     return fingerprint(M) == fingerprint(N)
+
+
+# ---------------------------------------------------------------------------
+# the box product, laid out entry by entry
+
+def reference_tensor_groups(G, H):
+    """G (x) H presented on generator pairs (i, j) -> i * H.ngens + j, its
+    relation rows written one entry at a time."""
+    n = G.ngens * H.ngens
+    rels = []
+    for r in G.relations:
+        for j in range(H.ngens):
+            row = [0] * n
+            for i, c in enumerate(r):
+                row[i * H.ngens + j] = c
+            rels.append(row)
+    for s in H.relations:
+        for i in range(G.ngens):
+            row = [0] * n
+            for j, c in enumerate(s):
+                row[i * H.ngens + j] = c
+            rels.append(row)
+    return FgAbGroup(n, rels)
+
+
+def reference_box(M, N):
+    """The Lewis box product of mackey.box, its relations, res and tr
+    written one entry at a time by index loops."""
+    und = reference_tensor_groups(M.underlying, N.underlying)
+    nf_m, nf_n = M.fixed.ngens, N.fixed.ngens
+    ne_m, ne_n = M.underlying.ngens, N.underlying.ngens
+    top = nf_m * nf_n        # generators u_i (x) v_j
+    bot = ne_m * ne_n        # generators i(x_a (x) y_b)
+    n = top + bot
+
+    def top_idx(i, j):
+        return i * nf_n + j
+
+    def bot_idx(a, b):
+        return top + a * ne_n + b
+
+    rels = []
+    # ambient relations of the two tensor blocks
+    ff = reference_tensor_groups(M.fixed, N.fixed)
+    for r in ff.relations:
+        rels.append(list(r) + [0] * bot)
+    for r in und.relations:
+        rels.append([0] * top + list(r))
+    # tr(x) (x) v_j - i(x (x) res v_j)
+    for a in range(ne_m):
+        trx = M.tr.matrix  # nf_m x ne_m
+        for j in range(nf_n):
+            row = [0] * n
+            for i in range(nf_m):
+                row[top_idx(i, j)] += trx[i][a]
+            resv = [N.res.matrix[b][j] for b in range(ne_n)]
+            for b in range(ne_n):
+                row[bot_idx(a, b)] -= resv[b]
+            rels.append(row)
+    # u_i (x) tr(y) - i(res u_i (x) y)
+    for b in range(ne_n):
+        for i in range(nf_m):
+            row = [0] * n
+            for j in range(nf_n):
+                row[top_idx(i, j)] += N.tr.matrix[j][b]
+            resu = [M.res.matrix[a][i] for a in range(ne_m)]
+            for a in range(ne_m):
+                row[bot_idx(a, b)] -= resu[a]
+            rels.append(row)
+    # i(x (x) y) - i(sigma x (x) sigma y)
+    sm, sn = M.sigma.matrix, N.sigma.matrix
+    for a in range(ne_m):
+        for b in range(ne_n):
+            row = [0] * n
+            row[bot_idx(a, b)] += 1
+            for a2 in range(ne_m):
+                for b2 in range(ne_n):
+                    row[bot_idx(a2, b2)] -= sm[a2][a] * sn[b2][b]
+            rels.append(row)
+    fixed = FgAbGroup(n, rels)
+
+    # res: top part res (x) res, bottom part 1 + sigma
+    res_rows = zeros(und.ngens, n)
+    for i in range(nf_m):
+        for j in range(nf_n):
+            col = top_idx(i, j)
+            for a in range(ne_m):
+                for b in range(ne_n):
+                    res_rows[a * ne_n + b][col] = M.res.matrix[a][i] * N.res.matrix[b][j]
+    for a in range(ne_m):
+        for b in range(ne_n):
+            col = bot_idx(a, b)
+            res_rows[a * ne_n + b][col] += 1
+            for a2 in range(ne_m):
+                for b2 in range(ne_n):
+                    res_rows[a2 * ne_n + b2][col] += sm[a2][a] * sn[b2][b]
+    res = AbMap(fixed, und, res_rows)
+
+    tr = zeros(n, und.ngens)
+    for a in range(ne_m):
+        for b in range(ne_n):
+            tr[bot_idx(a, b)][a * ne_n + b] = 1
+
+    sig = tensor_maps(M.sigma, N.sigma, und, und)
+
+    cells = None
+    if M.cells is not None and N.cells is not None:
+        cells = []
+        for cm in M.cells:
+            for cn in N.cells:
+                cells.append("free" if "free" in (cm, cn) else "triv")
+    return mk.MackeyFunctor(fixed, und, res, AbMap(und, fixed, tr), sig,
+                            cells=tuple(cells) if cells is not None else None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Lewis diagrams: axioms, constructors, box product, duals, Phi, P^0."""
 
 from random import Random
+from unittest import mock
 
+from c2algebra import abelian
 from c2algebra.abelian import AbMap, FgAbGroup, free_rank, tensor_groups
 from c2algebra.mackey import (
     AXIOM_DOUBLE_COSET,
@@ -32,11 +34,14 @@ from oracles import (
     fingerprint,
     isomorphic,
     random_involution,
+    reference_box,
+    reference_tensor_groups,
     zeroth_slice,
     zsign,
 )
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 
 Z4 = FgAbGroup.from_invariants([4])
@@ -190,6 +195,65 @@ def test_box_map_identity():
     M = zbar_c2()
     f = box_map(MackeyMap.identity_map(M), MackeyMap.identity_map(zbar()))
     assert f.is_valid()
+
+
+def _matrices(rows, cols):
+    return st.lists(st.lists(st.integers(-4, 4), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+_GROUPS = st.one_of(
+    st.lists(st.sampled_from([0, 0, 2, 3, 4, 6]), max_size=3).map(FgAbGroup.from_invariants),
+    st.integers(0, 3).flatmap(lambda n: st.integers(0, 2).flatmap(
+        lambda k: _matrices(k, n)).map(lambda R: FgAbGroup(n, R))))
+
+
+@st.composite
+def _diagrams(draw):
+    """A Lewis diagram of any shape: 0-3 generators per level, torsion
+    invariants or any relation rows, and integer res, tr and sigma of the
+    right shapes.  The layout of a box product asks for no Lewis axiom."""
+    fixed, und = draw(_GROUPS), draw(_GROUPS)
+    res = draw(_matrices(und.ngens, fixed.ngens))
+    tr = draw(_matrices(fixed.ngens, und.ngens))
+    sigma = draw(_matrices(und.ngens, und.ngens))
+    cells = draw(st.none() | st.lists(st.sampled_from(["triv", "free"]), max_size=3))
+    return MackeyFunctor(fixed, und, AbMap(fixed, und, res), AbMap(und, fixed, tr),
+                         AbMap(und, und, sigma), cells=cells)
+
+
+def _hnf_inputs(build, *args):
+    """build(*args) and the relation rows each group it presents hands to
+    the HNF, before the HNF."""
+    seen, hnf = [], abelian.hermite_normal_form
+
+    def record(A):
+        seen.append([list(r) for r in A])
+        return hnf(A)
+
+    with mock.patch.object(abelian, "hermite_normal_form", record):
+        return build(*args), seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(_diagrams(), _diagrams())
+def test_box_matches_the_reference_layout(M, N):
+    got, got_rows = _hnf_inputs(box, M, N)
+    want, want_rows = _hnf_inputs(reference_box, M, N)
+    assert got_rows == want_rows
+    assert got.fixed.relations == want.fixed.relations
+    for level in ("res", "tr", "sigma"):
+        assert getattr(got, level).matrix == getattr(want, level).matrix, level
+    assert got.cells == want.cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GROUPS, _GROUPS)
+def test_tensor_groups_matches_the_reference_layout(G, H):
+    got, got_rows = _hnf_inputs(tensor_groups, G, H)
+    want, want_rows = _hnf_inputs(reference_tensor_groups, G, H)
+    assert got_rows == want_rows
+    assert (got.ngens, got.relations) == (want.ngens, want.relations)
 
 
 def test_dual_self_duals():
