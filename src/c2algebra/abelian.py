@@ -365,20 +365,6 @@ def elementary_divisors(vectors):
     return rank + sum(1 for d in diag if d), tuple(d for d in diag if d > 1)
 
 
-def _unimodular_inverse(V):
-    n = len(V)
-    if n == 0:
-        return []
-    U2, D2, V2 = smith_normal_form(V)
-    # U2 * V * V2 = D2 = identity-signed; V^-1 = V2 * D2^-1 * U2
-    Dinv = identity(n)
-    for i in range(n):
-        if D2[i][i] not in (1, -1):
-            raise ValueError("matrix is not unimodular")
-        Dinv[i][i] = D2[i][i]
-    return mat_mul(mat_mul(V2, Dinv), U2)
-
-
 def integer_kernel(A, ncols):
     """Basis (list of length-ncols vectors) of {x : A x = 0}."""
     if not A:
@@ -495,14 +481,13 @@ class FgAbGroup:
     V = identity and run no SNF.  V^-1 is computed only for canonical_basis.
     """
 
-    def __init__(self, ngens, relations=(), labels=None):
+    def __init__(self, ngens, relations=()):
         self.ngens = ngens
         rels = [list(r) for r in relations]
         for r in rels:
             if len(r) != ngens:
                 raise ValueError("relation length != number of generators")
         self.relations = hermite_normal_form(rels)
-        self.labels = list(labels) if labels else None
 
     @cached_property
     def _factors(self):
@@ -544,7 +529,9 @@ class FgAbGroup:
     @cached_property
     def _vinv(self):
         Vt = self._factors[1]
-        return identity(self.ngens) if Vt is None else _unimodular_inverse(transpose(Vt))
+        if Vt is None:
+            return identity(self.ngens)
+        return transpose(_solve_columns(transpose(Vt), identity(self.ngens), self.ngens))
 
     def canonical_coords(self, v):
         """Coordinates of [v] in the invariant-factor decomposition."""
@@ -578,8 +565,8 @@ class FgAbGroup:
         return cls(n, rels)
 
     @classmethod
-    def free(cls, n, labels=None):
-        return cls(n, (), labels)
+    def free(cls, n):
+        return cls(n)
 
 
 def render_invariants(invs):
@@ -670,13 +657,11 @@ class AbMap:
         return cls(source, target, zeros(target.ngens, source.ngens))
 
 
-def direct_sum_maps(maps, source=None, target=None):
-    src = source or direct_sum_groups([f.source for f in maps])
-    tgt = target or direct_sum_groups([f.target for f in maps])
+def direct_sum_maps(maps, source, target):
     M = block_matrix({k: f.target.ngens for k, f in enumerate(maps)},
                      {k: f.source.ngens for k, f in enumerate(maps)},
                      {(k, k): f.matrix for k, f in enumerate(maps)})
-    return AbMap(src, tgt, M)
+    return AbMap(source, target, M)
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +719,7 @@ def cokernel(f):
     rels = [list(r) for r in f.target.relations]
     for e in identity(f.source.ngens):
         rels.append(mat_vec(f.matrix, e))
-    C = FgAbGroup(f.target.ngens, rels, f.target.labels)
+    C = FgAbGroup(f.target.ngens, rels)
     proj = AbMap(f.target, C, identity(f.target.ngens))
     return C, proj
 
@@ -966,8 +951,6 @@ def tensor_groups(G, H):
                      + inner_major(kronecker(identity(m), S, m, m, len(S), n), len(S)))
 
 
-def tensor_maps(f, g, source=None, target=None):
-    src = source or tensor_groups(f.source, g.source)
-    tgt = target or tensor_groups(f.target, g.target)
-    return AbMap(src, tgt, kronecker(f.matrix, g.matrix, f.target.ngens, f.source.ngens,
-                                     g.target.ngens, g.source.ngens))
+def tensor_maps(f, g, source, target):
+    return AbMap(source, target, kronecker(f.matrix, g.matrix, f.target.ngens,
+                                           f.source.ngens, g.target.ngens, g.source.ngens))

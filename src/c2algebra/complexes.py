@@ -1,8 +1,8 @@
 """Bounded chain complexes of Mackey functors.
 
-Provides homology with induced Lewis structure, representation-sphere
-suspension, box products of complexes with Koszul signs, and the
-regular-slice connectivity checks on underlying and geometric fixed points.
+Provides homology with induced Lewis structure, the sign-sphere
+suspension of one Mackey functor, and the regular-slice connectivity checks
+on underlying and geometric fixed points.
 The levels of a Mackey complex, and its geometric fixed points Phi C (the
 groups coker(tr)), are not free, so their homology is an abelian.Homology of
 AbMaps between presented groups, one degree at a time, not an
@@ -13,18 +13,19 @@ Hopkins-Ravenel), |k| + 1 cells: zbar in degree 0 and zbar_c2 in each degree
 1..k (k > 0) or -1..k (k < 0).  Outward from degree 0 the differentials are
 the fold zbar_c2 -> zbar (fixed x2) for k > 0 or its dual, the diagonal
 zbar -> zbar_c2 (fixed x1) for k < 0; then 1 - sigma (fixed 0), 1 + sigma
-(fixed x2), 1 - sigma, ... between the zbar_c2 cells.
+(fixed x2), 1 - sigma, ... between the zbar_c2 cells.  Sigma^{k sigma} M is
+this complex boxed with M cell by cell: box(M, T) for each cell T and
+id_M box d for each differential d.
 """
 
 from . import EngineError
-from .abelian import AbMap, Homology, block_matrix, cokernel, trivial_group
+from .abelian import AbMap, Homology, cokernel, trivial_group
 from . import abelian
 from .mackey import (
     MackeyFunctor,
     MackeyMap,
     box,
     box_map,
-    direct_sum,
     validate,
     zbar,
     zbar_c2,
@@ -120,49 +121,16 @@ def sign_sphere(k):
     return MackeyComplex(terms, diffs)
 
 
-# ---------------------------------------------------------------------------
-# box product of complexes
-
-def box_complex(C, D):
-    """Total complex of the levelwise box with Koszul signs.
-
-    d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy.
-    """
-    pieces = {(i, j): box(C.term(i), D.term(j)) for i in C.degrees() for j in D.degrees()}
-    layout = {}
-    for key in pieces:  # (i, j) in sorted order, so each layout[n] is sorted
-        layout.setdefault(sum(key), []).append(key)
-    terms = {n: direct_sum([pieces[k] for k in keys]) for n, keys in layout.items()}
-    diffs = {}
-    for n in sorted(terms):
-        if (n - 1) not in terms:
-            continue
-        blocks = {}
-        for (i, j) in layout[n]:
-            if (i - 1, j) in pieces:
-                blocks[(i - 1, j), (i, j)] = box_map(
-                    C.diff(i), MackeyMap.identity_map(D.term(j)),
-                    pieces[(i, j)], pieces[(i - 1, j)])
-            if (i, j - 1) in pieces:
-                g = box_map(MackeyMap.identity_map(C.term(i)), D.diff(j),
-                            pieces[(i, j)], pieces[(i, j - 1)])
-                blocks[(i, j - 1), (i, j)] = g.scale(-1) if i % 2 else g
-        src, tgt = terms[n], terms[n - 1]
-
-        def level(name):
-            # the level `name` of d_n, one block per pair of box pieces
-            def sizes(m):
-                return {k: getattr(pieces[k], name).ngens for k in layout[m]}
-            M = block_matrix(sizes(n - 1), sizes(n),
-                             {k: getattr(f, "f_" + name).matrix for k, f in blocks.items()})
-            return AbMap(getattr(src, name), getattr(tgt, name), M)
-        diffs[n] = MackeyMap(src, tgt, level("fixed"), level("underlying"))
-    return MackeyComplex(terms, diffs)
-
-
-def suspend_sigma(C, k):
-    """Smash with S^{k sigma}: one box product with sign_sphere(k)."""
-    return box_complex(C, sign_sphere(k)) if k else C
+def suspend_sigma(M, k):
+    """Sigma^{k sigma} of one Mackey functor: box(M, T) in the degree of each
+    cell T of sign_sphere(k), id_M box d for each of its differentials d."""
+    if not k:
+        return single(M)
+    S = sign_sphere(k)
+    terms = {n: box(M, T) for n, T in sorted(S.terms.items())}
+    one = MackeyMap.identity_map(M)
+    return MackeyComplex(terms, {n: box_map(one, d, terms[n], terms[n - 1])
+                                 for n, d in sorted(S.diffs.items())})
 
 
 # ---------------------------------------------------------------------------

@@ -357,4 +357,4 @@ def hkr_graded_piece(L, i, w):
         return cx.MackeyComplex({}, {})
     G = FgAbGroup.free(len(basis))
     sigma = AbMap(G, G, dense_matrix(sig, len(basis)))
-    return cx.suspend_sigma(cx.single(fixed_point_mackey(G, sigma)), i)
+    return cx.suspend_sigma(fixed_point_mackey(G, sigma), i)

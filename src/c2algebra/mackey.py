@@ -98,10 +98,6 @@ class MackeyMap:
                          self.f_fixed.compose(other.f_fixed),
                          self.f_underlying.compose(other.f_underlying))
 
-    def scale(self, c):
-        return MackeyMap(self.source, self.target,
-                         self.f_fixed.scale(c), self.f_underlying.scale(c))
-
     def is_zero(self):
         return self.f_fixed.is_zero() and self.f_underlying.is_zero()
 
@@ -143,10 +139,6 @@ def _witness(diffmap):
         if not diffmap.target.contains_zero(mat_vec(diffmap.matrix, e)):
             return "generator %d" % j
     return ""
-
-
-def is_valid(M):
-    return validate(M) is None
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +271,9 @@ def box(M, N):
     return MackeyFunctor(fixed, und, res, tr, sig, cells=cells)
 
 
-def box_map(f, g, source=None, target=None):
-    """Box product of Mackey maps (matching box()'s generator layout)."""
-    src = source or box(f.source, g.source)
-    tgt = target or box(f.target, g.target)
+def box_map(f, g, source, target):
+    """Box product of Mackey maps, from source = box(f.source, g.source) to
+    target = box(f.target, g.target) in box()'s generator layout."""
     ff = f.f_fixed.matrix
     gf = g.f_fixed.matrix
     fu = f.f_underlying.matrix
@@ -295,9 +286,9 @@ def box_map(f, g, source=None, target=None):
     # fixed level: the u_i (x) v_j block, then the i(x_a (x) y_b) block
     Mx = block_matrix({0: tf_m * tf_n, 1: te_m * te_n}, {0: nf_m * nf_n, 1: ne_m * ne_n},
                       {(0, 0): kronecker(ff, gf, tf_m, nf_m, tf_n, nf_n), (1, 1): und})
-    f_fixed = AbMap(src.fixed, tgt.fixed, Mx)
-    f_und = AbMap(src.underlying, tgt.underlying, und)
-    return MackeyMap(src, tgt, f_fixed, f_und)
+    f_fixed = AbMap(source.fixed, target.fixed, Mx)
+    f_und = AbMap(source.underlying, target.underlying, und)
+    return MackeyMap(source, target, f_fixed, f_und)
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,18 @@
 
 No CLI command runs any of this: fixture algebras, Mackey functors and
 random integral involutions, the Mackey comparator (fingerprint, duals, the
-zeroth slice), the graded norm with its Koszul sign, the Tambara examples (the Burnside table, norm rings,
-fixed-point Green functors, weightwise Mackey pieces) and the trace oracles
-(the homology of a ChainComplex as a Homology of presented chain groups,
-the +-parts of an involution as eigen kernels, the omega-eigen splitting
-of HH, localization of integral homology, the operator identities of the
-dihedral bar complex), which compute with dense matrices: dense and columns
-convert between them and the sparse columns of abelian.ChainComplex.  The
-reference builder of b, omega and B expands them through ring.mul and omega
-term by term; the reference tensor and box products write their relation
-rows, res and tr one entry at a time."""
+zeroth slice), the shift and the box product of complexes with their Koszul
+signs, the graded norm with its Koszul sign, the Tambara examples (the
+Burnside table, norm rings, fixed-point Green functors, weightwise Mackey
+pieces) and the trace oracles (the homology of a ChainComplex as a
+Homology of presented chain groups, the +-parts of an involution as eigen
+kernels, the omega-eigen splitting of HH, localization of integral
+homology, the operator identities of the dihedral bar complex), which
+compute with dense matrices: dense and columns convert between them and the
+sparse columns of abelian.ChainComplex.  The reference builder of b, omega
+and B expands them through ring.mul and omega term by term; the reference
+tensor and box products write their relation rows, res and tr one entry at
+a time."""
 
 from fractions import Fraction
 
@@ -20,10 +22,10 @@ from c2algebra import mackey as mk
 from c2algebra import tambara as tb
 from c2algebra.abelian import (
     AbMap,
-    _unimodular_inverse,
     FgAbGroup,
     Homology,
     _modulus,
+    block_matrix,
     cokernel,
     free_rank,
     identity,
@@ -99,7 +101,7 @@ def zsign():
 
 def burnside():
     """The C2-Burnside Mackey functor: fixed = Z{[C2/C2], [C2]}."""
-    fixed = FgAbGroup.free(2, labels=["[C2/C2]", "[C2]"])
+    fixed = FgAbGroup.free(2)  # generated by [C2/C2], [C2]
     und = FgAbGroup.free(1)
     return mk.MackeyFunctor(fixed, und, AbMap(fixed, und, [[1, 2]]),
                             AbMap(und, fixed, [[0], [1]]), AbMap.identity_map(und))
@@ -120,22 +122,70 @@ def random_involution(rng, n):
             sig[i][i] = rng.choice([1, -1])
         else:
             sig[i][j] = sig[j][i] = 1
-    T = identity(n)
+    T, Tinv = identity(n), identity(n)
     for _ in range(n):
         a, b = rng.randrange(n), rng.randrange(n)
         if a != b:
             c = rng.randint(-2, 2)
+            # row a += c row b on T; its inverse, column b -= c column a, on Tinv
             T[a] = [x + c * y for x, y in zip(T[a], T[b])]
-    return mat_mul(mat_mul(T, sig), _unimodular_inverse(T))
+            for r in Tinv:
+                r[b] -= c * r[a]
+    return mat_mul(mat_mul(T, sig), Tinv)
+
+
+def negated(f):
+    """-f for a Mackey map f."""
+    return mk.MackeyMap(f.source, f.target, f.f_fixed.scale(-1), f.f_underlying.scale(-1))
 
 
 def shift(C, k):
     """Suspension by S^k: degrees move up by k, differentials keep sign
     (-1)^k per the Koszul convention."""
-    sign = -1 if k % 2 else 1
     return cx.MackeyComplex({n + k: M for n, M in C.terms.items()},
-                            {n + k: d.scale(sign) if sign < 0 else d
+                            {n + k: negated(d) if k % 2 else d
                              for n, d in C.diffs.items()})
+
+
+def box_complex(C, D):
+    """Total complex of the levelwise box with Koszul signs.
+
+    d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy.
+
+    The reference for complexes.suspend_sigma, which boxes one functor with
+    sign_sphere(k) cell by cell: suspend_sigma(M, k) is
+    box_complex(single(M), sign_sphere(k)) for k != 0.
+    """
+    pieces = {(i, j): mk.box(C.term(i), D.term(j)) for i in C.degrees() for j in D.degrees()}
+    layout = {}
+    for key in pieces:  # (i, j) in sorted order, so each layout[n] is sorted
+        layout.setdefault(sum(key), []).append(key)
+    terms = {n: mk.direct_sum([pieces[k] for k in keys]) for n, keys in layout.items()}
+    diffs = {}
+    for n in sorted(terms):
+        if (n - 1) not in terms:
+            continue
+        blocks = {}
+        for (i, j) in layout[n]:
+            if (i - 1, j) in pieces:
+                blocks[(i - 1, j), (i, j)] = mk.box_map(
+                    C.diff(i), mk.MackeyMap.identity_map(D.term(j)),
+                    pieces[(i, j)], pieces[(i - 1, j)])
+            if (i, j - 1) in pieces:
+                g = mk.box_map(mk.MackeyMap.identity_map(C.term(i)), D.diff(j),
+                               pieces[(i, j)], pieces[(i, j - 1)])
+                blocks[(i, j - 1), (i, j)] = negated(g) if i % 2 else g
+        src, tgt = terms[n], terms[n - 1]
+
+        def level(name):
+            # the level `name` of d_n, one block per pair of box pieces
+            def sizes(m):
+                return {k: getattr(pieces[k], name).ngens for k in layout[m]}
+            M = block_matrix(sizes(n - 1), sizes(n),
+                             {k: getattr(f, "f_" + name).matrix for k, f in blocks.items()})
+            return AbMap(getattr(src, name), getattr(tgt, name), M)
+        diffs[n] = mk.MackeyMap(src, tgt, level("fixed"), level("underlying"))
+    return cx.MackeyComplex(terms, diffs)
 
 
 def dual_circle_complex():

@@ -22,6 +22,7 @@ from oracles import (
     algebra_poly,
     algebra_q_dual_numbers,
     algebra_q_poly,
+    box_complex,
     burnside,
     dense,
     diag_swap,
@@ -172,7 +173,7 @@ def test_criterion_1_lewis_axiom_suite():
 # -- criterion 2: Sigma^{-sigma} zbar = Sigma^{-1} zsign ----------------------
 
 def test_criterion_2_negative_sign_sphere():
-    C = cx.box_complex(cx.sign_sphere(-1), cx.single(mk.zbar()))
+    C = box_complex(cx.sign_sphere(-1), cx.single(mk.zbar()))
     ok = isomorphic(cx.homology(C, -1), zsign())
     for n in (-3, -2, 0, 1):
         ok = ok and isomorphic(cx.homology(C, n), mk.zero_mackey())
@@ -195,7 +196,7 @@ def test_criterion_3_dual_circle():
 def test_criterion_4_regular_slices():
     ok = True
     for n in (0, -1, -2):
-        C = cx.suspend_sigma(cx.single(mk.zbar()), n) if n else cx.single(mk.zbar())
+        C = cx.suspend_sigma(mk.zbar(), n)
         ok = ok and cx.is_regular_slice_connective(C, n) is True
         ok = ok and cx.is_regular_slice_connective(C, n + 1) is False
     conclude(4, "S^{n sigma} models are regular slice n-connective, not "

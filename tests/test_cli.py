@@ -163,6 +163,22 @@ def test_slice_check_explicit_complex():
     assert out.strip() == "regular-slice (0)-connective: true"
 
 
+def test_slice_check_refuses_an_explicit_complex_that_is_not_one(capsys):
+    # fixed x1 with underlying x2 breaks res o d = d o res: Zbar -> Zbar is
+    # not a Mackey map; three Zbar cells joined by identities have d o d = 1
+    one = {"fixed": [[1]], "underlying": [[1]]}
+    for complex_json, err in (
+            ({"kind": "complex", "terms": {"0": ["Zbar"], "1": ["Zbar"]},
+              "diffs": {"1": {"fixed": [[1]], "underlying": [[2]]}}},
+             "differential at degree 1 is not a Mackey map"),
+            ({"kind": "complex", "terms": {"0": ["Zbar"], "1": ["Zbar"], "2": ["Zbar"]},
+              "diffs": {"1": one, "2": one}},
+             "d o d != 0 at degree 2")):
+        argv = ["slice-check", "--complex", json.dumps(complex_json), "--n", "0"]
+        assert run_cli(argv) == (1, ""), err
+        assert capsys.readouterr().err == "error: %s\n" % err
+
+
 def test_tambara_free_command():
     code, out = run_cli(["tambara-free", "--kind", "free", "--format", "json"])
     assert code == 0
