@@ -37,11 +37,13 @@ Z, Q and Z[1/2] and a Z/m summand over Z/m.
 
 The matrices met here are sparse with entries +-1 (bar complexes, sign-sphere
 cells), so the kernels skip the work whose result is already known: mat_mul
-and mat_vec skip the zero entries, hermite_normal_form keeps rows it would
-subtract 0 times, and smith_normal_form skips the searches and zero column
-entries described in its docstring.  Each kernel still performs the same
-sequence of integer operations as the plain loops, so every result, and the
-canonical bases printed from V, stays exactly the same.
+and mat_vec skip the zero entries, and smith_normal_form skips the searches
+and zero column entries described in its docstring.  smith_normal_form still
+performs the same sequence of integer operations as the plain loops, since
+its V fixes the canonical bases printed.  hermite_normal_form is held to no
+sequence of operations: its result, the Hermite normal form, depends only on
+the row lattice, so the stored relations of a group do not depend on the
+route by which it was presented.
 
 >>> G = FgAbGroup.from_invariants([2, 0])
 >>> G.invariant_factors()
@@ -161,16 +163,6 @@ def kronecker(A, B, arows, acols, brows, bcols):
                 for l in range(bcols):
                     out[i * brows + k][j * bcols + l] = a * B[k][l]
     return out
-
-
-def inner_major(rows, inner):
-    """The rows of a matrix indexed (i, j) -> i * inner + j, listed j-major:
-    all the rows of j = 0, then of j = 1, ..., each in the order of i.
-
-    >>> inner_major([[1], [2], [3], [4], [5], [6]], 2)
-    [[1], [3], [5], [2], [4], [6]]
-    """
-    return [row for j in range(inner) for row in rows[j::inner]]
 
 
 # ---------------------------------------------------------------------------
@@ -401,63 +393,42 @@ def _solve_columns(A, bs, ncols):
 
 
 def hermite_normal_form(A):
-    """A row echelon basis of the row lattice of A: nonnegative pivots, zero
-    rows dropped, entries above each pivot reduced once, from the last pivot
-    to the first.  A later step can push an entry back out of [0, pivot), so
-    this is not the canonical Hermite form: two bases of one lattice can give
-    different rows.
+    """The Hermite normal form of the row lattice of A: row echelon, zero
+    rows dropped, positive pivots, and every entry above a pivot in
+    [0, pivot).  It depends only on the lattice, not on the rows that span
+    it or their order (Cohen, A Course in Computational Algebraic Number
+    Theory, Thm 2.4.3).
 
     >>> hermite_normal_form([[-3, 4, -4], [-1, -4, 2], [2, 2, 5]])
-    [[1, 0, -10], [0, 2, 25], [0, 0, 42]]
+    [[1, 0, 32], [0, 2, 25], [0, 0, 42]]
     """
     rows = [list(r) for r in A if any(r)]
-    if not rows:
-        return []
-    n = len(rows[0])
     out = []
-    col = 0
-    while rows and col < n:
-        # pick row with nonzero entry of minimal abs value at col
+    for col in range(len(rows[0]) if rows else 0):
         cand = [r for r in rows if r[col]]
         if not cand:
-            col += 1
             continue
-        while True:
-            cand.sort(key=lambda r: abs(r[col]))
-            piv = cand[0]
-            done = True
-            for r in cand[1:]:
-                q = r[col] // piv[col]
-                r[:] = [x - q * y for x, y in zip(r, piv)]
-                if r[col]:
-                    done = False
-            cand = [r for r in cand if r[col]] or [piv]
-            if done or len(cand) == 1:
-                break
-        piv = cand[0]
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        out.append(piv)
-        rest = []
-        for r in rows:
-            if r is not piv and any(r):
-                q = r[col] // piv[col] if piv[col] else 0
-                if not q:
-                    rest.append(r)  # kept as it is, not copied
-                    continue
-                rr = [x - q * y for x, y in zip(r, piv)]
-                if any(rr):
-                    rest.append(rr)
-        rows = rest
-        col += 1
-    # reduce entries above pivots
-    out.sort(key=lambda r: next(j for j, x in enumerate(r) if x))
-    for i in range(len(out) - 1, -1, -1):
-        piv_col = next(j for j, x in enumerate(out[i]) if x)
-        for k in range(i):
-            q = out[k][piv_col] // out[i][piv_col]
+        rows = [r for r in rows if not r[col]]
+        # Euclid among the rows that are nonzero in this column
+        while len(cand) > 1:
+            piv = min(cand, key=lambda r: abs(r[col]))
+            left = [piv]
+            for r in cand:
+                if r is not piv:
+                    q = r[col] // piv[col]
+                    r = [x - q * y for x, y in zip(r, piv)]
+                    if r[col]:
+                        left.append(r)
+                    elif any(r):
+                        rows.append(r)
+            cand = left
+        piv = cand[0] if cand[0][col] > 0 else [-x for x in cand[0]]
+        # later pivots lie further right: they leave this column as it is
+        for i, r in enumerate(out):
+            q = r[col] // piv[col]
             if q:
-                out[k] = [x - q * y for x, y in zip(out[k], out[i])]
+                out[i] = [x - q * y for x, y in zip(r, piv)]
+        out.append(piv)
     return out
 
 
@@ -467,10 +438,9 @@ def hermite_normal_form(A):
 class FgAbGroup:
     """Finitely generated abelian group Z^n / rowspan(relations).
 
-    relations: iterable of length-n integer rows, stored as the echelon
-    basis hermite_normal_form gives.  That basis is not canonical, so two
-    generating sets of one subgroup can store different relations; groups
-    compare by their invariant factors.
+    relations: iterable of length-n integer rows, stored as their Hermite
+    normal form, so two generating sets of one subgroup store the same
+    relations.  Groups compare by their invariant factors.
 
     The group is factored once: U R V = D is the Smith form of the relations
     R, orders[i] = d_i (zero-padded to n entries), and V^T v are the
@@ -700,7 +670,7 @@ def kernel(f):
     ncols = n + (len(Rt) if Rt else 0)
     full = integer_kernel(A, ncols) if f.target.ngens else [list(r) for r in identity(n)]
     gens = [v[:n] for v in full]
-    gens = [g for g in hermite_normal_form(gens)] if gens else []
+    gens = hermite_normal_form(gens) if gens else []
     # relations among the kernel generators: combos landing in source
     # relations; the HNF rows are independent, so a free source gives none
     Rs = f.source.relations
@@ -938,17 +908,24 @@ def _rank(vectors):
 
 
 def tensor_groups(G, H):
-    """G (x) H presented on generator pairs (i, j) -> i * H.ngens + j.  Its
-    relations are the rows of R (x) 1, relation r of G and then j, followed
-    by the rows of 1 (x) S listed relation s of H first and then i.
+    """G (x) H presented on generator pairs (i, j) -> i * H.ngens + j.
 
     >>> tensor_groups(FgAbGroup.from_invariants([4]), FgAbGroup.from_invariants([6]))
     FgAbGroup(2,)
     """
+    return FgAbGroup(G.ngens * H.ngens, tensor_relations(G, H))
+
+
+def tensor_relations(G, H):
+    """The relation rows of G (x) H in the generator order of tensor_groups:
+    those of R (x) 1, then of 1 (x) S.
+
+    >>> tensor_relations(FgAbGroup.from_invariants([2]), FgAbGroup.free(2))
+    [[2, 0], [0, 2]]
+    """
     m, n = G.ngens, H.ngens
     R, S = G.relations, H.relations
-    return FgAbGroup(m * n, kronecker(R, identity(n), len(R), m, n, n)
-                     + inner_major(kronecker(identity(m), S, m, m, len(S), n), len(S)))
+    return kronecker(R, identity(n), len(R), m, n, n) + kronecker(identity(m), S, m, m, len(S), n)
 
 
 def tensor_maps(f, g, source, target):

@@ -20,12 +20,12 @@ from .abelian import (
     direct_sum_groups,
     direct_sum_maps,
     identity,
-    inner_major,
     kernel,
     kronecker,
     mat_vec,
     subgroup_coords,
     tensor_groups,
+    tensor_relations,
     tensor_maps,
     transpose,
     zeros,
@@ -227,42 +227,39 @@ def box(M, N):
     The fixed level is generated by the block u_i (x) v_j of the fixed
     levels, then the block i(x_a (x) y_b) of the underlying ones, each in
     the pair order of tensor_groups: the layout box_map shares.  Its
-    relations are those of the two tensor blocks, then, as Kronecker blocks
-    over the two generator blocks, the rows (a, j) [tr^T (x) 1 | -1 (x) res^T],
-    the rows (b, i) [1 (x) tr^T | -res^T (x) 1] and the rows (a, b)
-    [0 | 1 - (sigma (x) sigma)^T]; res = [res (x) res | 1 + sigma (x) sigma]
-    and tr = [0; 1].
+    relations are, as Kronecker blocks over the two generator blocks, those
+    of the two tensor products, the rows [tr^T (x) 1 | -1 (x) res^T], the
+    rows [1 (x) tr^T | -res^T (x) 1] and the rows [0 | 1 - (sigma (x) sigma)^T];
+    res = [res (x) res | 1 + sigma (x) sigma] and tr = [0; 1].
     """
     und = tensor_groups(M.underlying, N.underlying)
-    ff = tensor_groups(M.fixed, N.fixed)
+    ff = tensor_relations(M.fixed, N.fixed)
     nf_m, nf_n = M.fixed.ngens, N.fixed.ngens
     ne_m, ne_n = M.underlying.ngens, N.underlying.ngens
-    cols = {"ff": ff.ngens, "und": und.ngens}
+    cols = {"ff": nf_m * nf_n, "und": und.ngens}
     sig = tensor_maps(M.sigma, N.sigma, und, und)
     one = AbMap.identity_map(und)
     # kronecker is given every shape: transpose loses the column count of
     # a matrix without rows
     rels = block_matrix(
-        {"ff": len(ff.relations), "und": len(und.relations), "left": ne_m * nf_n,
+        {"ff": len(ff), "und": len(und.relations), "left": ne_m * nf_n,
          "right": ne_n * nf_m, "weyl": und.ngens}, cols,
-        {("ff", "ff"): ff.relations,
+        {("ff", "ff"): ff,
          ("und", "und"): und.relations,
          ("left", "ff"): kronecker(transpose(M.tr.matrix), identity(nf_n),
                                    ne_m, nf_m, nf_n, nf_n),
          ("left", "und"): kronecker(identity(ne_m), transpose(N.res.scale(-1).matrix),
                                     ne_m, ne_m, nf_n, ne_n),
-         # the rows come out (i, b) and are listed b-major: the HNF's rows,
-         # and so the canonical bases printed, depend on the order
-         ("right", "ff"): inner_major(kronecker(identity(nf_m), transpose(N.tr.matrix),
-                                                nf_m, nf_m, ne_n, nf_n), ne_n),
-         ("right", "und"): inner_major(kronecker(transpose(M.res.scale(-1).matrix),
-                                                 identity(ne_n), nf_m, ne_m, ne_n, ne_n),
-                                       ne_n),
+         ("right", "ff"): kronecker(identity(nf_m), transpose(N.tr.matrix),
+                                    nf_m, nf_m, ne_n, nf_n),
+         ("right", "und"): kronecker(transpose(M.res.scale(-1).matrix), identity(ne_n),
+                                     nf_m, ne_m, ne_n, ne_n),
          ("weyl", "und"): transpose((one - sig).matrix)})
-    fixed = FgAbGroup(ff.ngens + und.ngens, rels)
+    fixed = FgAbGroup(sum(cols.values()), rels)
     res = AbMap(fixed, und, block_matrix(
         {0: und.ngens}, cols,
-        {(0, "ff"): tensor_maps(M.res, N.res, ff, und).matrix, (0, "und"): (one + sig).matrix}))
+        {(0, "ff"): kronecker(M.res.matrix, N.res.matrix, ne_m, nf_m, ne_n, nf_n),
+         (0, "und"): (one + sig).matrix}))
     tr = AbMap(und, fixed, block_matrix(cols, {0: und.ngens},
                                         {("und", 0): identity(und.ngens)}))
     cells = None

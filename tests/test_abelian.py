@@ -158,13 +158,18 @@ def _is_row_echelon(H):
     return pivots == sorted(set(pivots)) and all(r[j] > 0 for r, j in zip(H, pivots))
 
 
+def _is_reduced(H):
+    """Every entry above a pivot lies in [0, pivot)."""
+    pivots = [next(j for j, x in enumerate(r) if x) for r in H]
+    return all(0 <= H[k][j] < H[i][j] for i, j in enumerate(pivots) for k in range(i))
+
+
 def test_hnf_spans_the_row_lattice_of_a_fixed_case():
-    # entries above the pivot 42 stay outside [0, 42): the echelon basis is
-    # not the canonical Hermite form
+    # the entry 32 above the pivot 42 is the one in [0, 42)
     A = [[-3, 4, -4], [-1, -4, 2], [2, 2, 5]]
     H = hermite_normal_form(A)
-    assert H == [[1, 0, -10], [0, 2, 25], [0, 0, 42]]
-    assert _is_row_echelon(H) and _same_row_lattice(A, H)
+    assert H == [[1, 0, 32], [0, 2, 25], [0, 0, 42]]
+    assert _is_row_echelon(H) and _is_reduced(H) and _same_row_lattice(A, H)
 
 
 @settings(max_examples=200, deadline=None)
@@ -173,6 +178,33 @@ def test_hnf_spans_the_row_lattice_of_a_fixed_case():
 def test_hnf_spans_the_row_lattice(A):
     H = hermite_normal_form(A)
     assert _is_row_echelon(H) and _same_row_lattice(A, H)
+
+
+@st.composite
+def _matrix_and_unimodular_image(draw):
+    """A (1-5 x 1-5, entries -6..6) and U A for a random unimodular U:
+    elementary row operations, sign flips and a row permutation."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    A = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    UA = [list(r) for r in A]
+    for a, b, c in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1),
+                                           st.integers(-3, 3)), max_size=8)):
+        if a != b:
+            UA[a] = [x + c * y for x, y in zip(UA[a], UA[b])]
+        elif c < 0:
+            UA[a] = [-x for x in UA[a]]
+    return A, draw(st.permutations(UA))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_and_unimodular_image())
+def test_hnf_is_the_hermite_form_of_the_lattice(pair):
+    A, UA = pair
+    H = hermite_normal_form(A)
+    assert _is_row_echelon(H) and _is_reduced(H)
+    assert hermite_normal_form(H) == H
+    assert hermite_normal_form(UA) == H
 
 
 # -- groups -----------------------------------------------------------------
@@ -250,7 +282,8 @@ def test_membership_factors_each_group_once(monkeypatch):
 # The plain loops below are the kernels before their sparsity-aware rewrite.
 # The rewrite skips only work whose result is known, so every output must be
 # identical, not just equivalent: U, D and V of the SNF fix the canonical
-# bases that the CLI prints.
+# bases that the CLI prints.  The Hermite form is unique per lattice, so
+# plain_hermite_normal_form, an independent elimination, must give it too.
 
 def plain_mat_mul(A, B):
     if A and B and len(A[0]) != len(B):
@@ -400,9 +433,9 @@ def plain_hermite_normal_form(A):
                     rest.append(rr)
         rows = rest
         col += 1
-    # reduce entries above pivots
+    # reduce entries above pivots, from the first pivot to the last
     out.sort(key=lambda r: next(j for j, x in enumerate(r) if x))
-    for i in range(len(out) - 1, -1, -1):
+    for i in range(len(out)):
         piv_col = next(j for j, x in enumerate(out[i]) if x)
         for k in range(i):
             q = out[k][piv_col] // out[i][piv_col]

@@ -451,6 +451,10 @@ ZBAR_C2_JSON = ('{"fixed": [0], "underlying": [0, 0], "res": [[1], [1]], '
                 '"tr": [[1, 1]], "sigma": [[0, 1], [1, 0]]}')
 BURNSIDE_JSON = ('{"fixed": [0, 0], "underlying": [0], "res": [[1, 2]], '
                  '"tr": [[0], [1]], "sigma": [[1]]}')
+Z2_CONST_JSON = ('{"fixed": [2], "underlying": [2], "res": [[1]], "tr": [[0]], '
+                 '"sigma": [[1]]}')
+ZBAR_PLUS_SIGN_JSON = ('{"fixed": [0], "underlying": [0, 0], "res": [[1], [0]], '
+                       '"tr": [[2, 0]], "sigma": [[1, 0], [0, -1]]}')
 
 
 def test_basis_dependent_output_golden():
@@ -469,6 +473,12 @@ def test_basis_dependent_output_golden():
     assert code == 0
     assert out == ('{"fixed":[0],"res":[[1],[1]],"sigma":[[0,1],[1,0]],"tr":[[1,1]],'
                    '"underlying":[0,0]}\n')
+    # constant Z/2 boxed with Z + Z_-: a fixed level with relations
+    code, out = run_cli(["box", "--left", Z2_CONST_JSON, "--right", ZBAR_PLUS_SIGN_JSON,
+                         "--format", "json"])
+    assert code == 0
+    assert out == ('{"fixed":[2],"res":[[1],[0]],"sigma":[[1,0],[0,1]],"tr":[[0,0]],'
+                   '"underlying":[2,2]}\n')
 
 
 def test_cotangent_command_hyperelliptic():

@@ -3,7 +3,7 @@ graded norms, regular-slice checks."""
 
 from random import Random
 
-from c2algebra.abelian import AbMap, FgAbGroup, Homology, free_rank, zeros
+from c2algebra.abelian import AbMap, FgAbGroup, Homology, free_rank
 from c2algebra.cli import mackey_to_json
 from c2algebra.mackey import (
     MackeyFunctor,
@@ -37,11 +37,12 @@ from oracles import (
     fingerprint,
     graded_norm,
     isomorphic,
+    random_involution,
     shift,
     zsign,
 )
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 
 def mk(fixed_invs, und_invs, res, tr, sigma):
@@ -346,31 +347,29 @@ def test_suspend_sigma_matches_iterated_box():
                 fingerprints(plain_suspend_sigma(single(M), k), lo, hi), (M, k)
 
 
+def _fixed_point_functor(sig):
+    G = FgAbGroup.free(len(sig))
+    return fixed_point_mackey(G, AbMap(G, G, sig))
+
+
 @st.composite
 def fixed_point_functors(draw):
-    """fixed_point_mackey of Z^n, n = 0..6, under a signed permutation of
-    order at most 2: each basis vector is fixed, negated, or swapped with
-    another, possibly with a sign.  hr-gr's sigma is always one (see
-    differentials.exterior_power); under an involution conjugated away from
-    a signed permutation the second HNF of the reference can change a
-    term's relations, and with them a printed canonical basis."""
-    n = draw(st.integers(0, 6))
-    left = draw(st.permutations(range(n)))
-    sig = zeros(n, n)
-    while left:
-        i, *left = left
-        sign = draw(st.sampled_from((1, -1)))
-        if left and draw(st.booleans()):
-            j, *left = left
-            sig[i][j] = sig[j][i] = sign
-        else:
-            sig[i][i] = sign
-    G = FgAbGroup.free(n)
-    return fixed_point_mackey(G, AbMap(G, G, sig))
+    """fixed_point_mackey of Z^n, n = 0..6, under any integral involution:
+    a signed permutation of order at most 2 conjugated by elementary
+    matrices (oracles.random_involution).  hr-gr's sigma is always a signed
+    permutation (see differentials.exterior_power); the others reach
+    relations that the Hermite form must store the same way whatever the
+    route."""
+    return _fixed_point_functor(random_involution(draw(st.randoms()), draw(st.integers(0, 6))))
 
 
 @settings(max_examples=60, deadline=None)
 @given(M=fixed_point_functors(), k=st.integers(-4, 4))
+# an involution that is not a signed permutation: unless every presentation
+# stores the Hermite form of its relations, H_3 prints another basis through
+# box_complex
+@example(M=_fixed_point_functor([[-1, 0, 0, 0, 0], [0, -1, 0, 0, 0], [-4, -4, 1, 4, 0],
+                                 [0, 0, 0, -1, 0], [0, 0, 0, 0, -1]]), k=3)
 def test_suspend_sigma_is_the_box_with_the_sign_sphere(M, k):
     # the cell-by-cell terms are single box pieces; the reference sums each
     # into a one-piece direct_sum, which takes the HNF of its relations again
