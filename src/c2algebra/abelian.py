@@ -1,10 +1,9 @@
 """Exact integer linear algebra for finitely generated abelian groups.
 
-Everything is built on Smith normal form over Z with arbitrary-precision
-integers: presentations of f.g. abelian groups, homomorphisms between them,
-kernels, cokernels and homology.  Elements of a group presented on n ambient
-generators are length-n integer tuples; a homomorphism is an integer matrix
-acting on column vectors.
+Presentations of f.g. abelian groups, homomorphisms between them, kernels,
+cokernels and homology, with arbitrary-precision integers.  Elements of a
+group presented on n ambient generators are length-n integer tuples; a
+homomorphism is an integer matrix acting on column vectors.
 
 Homology over a base ring (Z, Z[1/2], Q or Z/m, read from a polyring
 BaseRing) has one home here, ChainComplex: the ranks of a complex of free
@@ -38,12 +37,15 @@ Z, Q and Z[1/2] and a Z/m summand over Z/m.
 The matrices met here are sparse with entries +-1 (bar complexes, sign-sphere
 cells), so the kernels skip the work whose result is already known: mat_mul
 and mat_vec skip the zero entries, and smith_normal_form skips the searches
-and zero column entries described in its docstring.  smith_normal_form still
-performs the same sequence of integer operations as the plain loops, since
-its V fixes the canonical bases printed.  hermite_normal_form is held to no
-sequence of operations: its result, the Hermite normal form, depends only on
+and zero column entries described in its docstring.  The Smith normal form
+gives only invariant factors: a group's, with the V that fixes its printed
+canonical basis (so it still performs the plain loops' sequence of integer
+operations), and those of the boundaries of a ChainComplex.  Kernels and
+coordinates are read from the Hermite normal form, which depends only on
 the row lattice, so the stored relations of a group do not depend on the
-route by which it was presented.
+route by which it was presented: integer_kernel is the Hermite basis of a
+kernel and echelon_coords solves in an echelon basis by back substitution,
+all that kernel, Homology and the Mackey layer solve with.
 
 >>> G = FgAbGroup.from_invariants([2, 0])
 >>> G.invariant_factors()
@@ -116,14 +118,6 @@ def transpose(A):
     if not A:
         return []
     return [list(col) for col in zip(*A)]
-
-
-def hstack(A, B):
-    if not A:
-        return mat_copy(B)
-    if not B:
-        return mat_copy(A)
-    return [list(ra) + list(rb) for ra, rb in zip(A, B)]
 
 
 def block_matrix(rows, cols, blocks):
@@ -358,38 +352,62 @@ def elementary_divisors(vectors):
 
 
 def integer_kernel(A, ncols):
-    """Basis (list of length-ncols vectors) of {x : A x = 0}."""
-    if not A:
-        return [list(row) for row in identity(ncols)]
-    U, D, V = smith_normal_form(A)
-    rank = sum(1 for d in diagonal_of(D) if d)
-    cols = transpose(V)
-    return [cols[j] for j in range(rank, ncols)]
+    """The Hermite form of the lattice {x : A x = 0}, A with ncols columns.
+    The rows of [A^T | I] span the (A x, x); the rows of its Hermite form
+    that vanish on A^T span those with A x = 0 and, cut to I, are that form.
+
+    >>> integer_kernel([[1, 2, 2]], 3)
+    [[2, 0, -1], [0, 1, -1]]
+    """
+    m = len(A)
+    rows = [[r[j] for r in A] + e for j, e in enumerate(identity(ncols))]
+    return [r[m:] for r in hermite_normal_form(rows) if not any(r[:m])]
+
+
+def echelon_coords(basis, vectors):
+    """For each vector v, the y with y * basis = v, rows of basis in row
+    echelon form, or None when v is not in their lattice.
+
+    >>> echelon_coords([[2, 1], [0, 3]], [[4, 5], [1, 0]])
+    [[2, 1], None]
+    """
+    rows = {}  # pivot column: (row index, pivot, the row's nonzero entries)
+    for i, b in enumerate(basis):
+        nonzero = _sparse(b)
+        p = min(nonzero)
+        rows[p] = (i, nonzero[p], nonzero.items())
+    out = []
+    for v in vectors:
+        v, y = list(v), [0] * len(rows)
+        # left to right: subtracting the row of pivot j clears entry j and
+        # changes only entries right of it, so each entry is read when final
+        for j, x in enumerate(v):
+            if x:
+                if j not in rows or x % rows[j][1]:
+                    y = None
+                    break
+                i, d, b = rows[j]
+                y[i] = q = x // d
+                for k, z in b:
+                    v[k] -= q * z
+        out.append(y)
+    return out
 
 
 def solve_integer(A, b, ncols):
     """One x with A x = b, or None.  A has ncols columns."""
-    return _solve_columns(A, [b], ncols)[0]
-
-
-def _solve_columns(A, bs, ncols):
-    """solve_integer for every right-hand side in bs, with one SNF of A."""
-    if not (A and bs):
-        return [[0] * ncols if not any(b) else None for b in bs]
+    if not A:
+        return [0] * ncols if not any(b) else None
     U, D, V = smith_normal_form(A)
     diag = diagonal_of(D)
-    out = []
-    for b in bs:
-        y = [0] * ncols
-        for i, ci in enumerate(mat_vec(U, b)):
-            d = diag[i] if i < len(diag) else 0
-            if (ci % d if d else ci):
-                y = None
-                break
-            if d:
-                y[i] = ci // d
-        out.append(None if y is None else mat_vec(V, y))
-    return out
+    y = [0] * ncols
+    for i, ci in enumerate(mat_vec(U, b)):
+        d = diag[i] if i < len(diag) else 0
+        if (ci % d if d else ci):
+            return None
+        if d:
+            y[i] = ci // d
+    return mat_vec(V, y)
 
 
 def hermite_normal_form(A):
@@ -448,7 +466,8 @@ class FgAbGroup:
     membership: v is zero exactly when each coordinate of V^T v is divisible
     by its order (order 0: the coordinate is 0).  Presentations already in
     Smith form, such as free groups and the (Z/m)^d chain groups, have
-    V = identity and run no SNF.  V^-1 is computed only for canonical_basis.
+    V = identity and run no SNF.  V^-1, computed only for canonical_basis, is
+    the right block of the Hermite form of [V | I], which is [I | V^-1].
     """
 
     def __init__(self, ngens, relations=()):
@@ -501,7 +520,9 @@ class FgAbGroup:
         Vt = self._factors[1]
         if Vt is None:
             return identity(self.ngens)
-        return transpose(_solve_columns(transpose(Vt), identity(self.ngens), self.ngens))
+        n = self.ngens
+        return [r[n:] for r in hermite_normal_form(
+            [v + e for v, e in zip(transpose(Vt), identity(n))])]
 
     def canonical_coords(self, v):
         """Coordinates of [v] in the invariant-factor decomposition."""
@@ -637,50 +658,26 @@ def direct_sum_maps(maps, source, target):
 # ---------------------------------------------------------------------------
 # kernels, cokernels, homology
 
-def subgroup_coords(gens, relations, vectors, ngens_ambient):
-    """For each v in vectors, a y with gens*y = v modulo rowspan(relations),
-    or None if there is none.  One SNF serves all the vectors.
-
-    gens: list of column vectors (each length ngens_ambient).
-    """
-    cols = [list(g) for g in gens]
-    rel_cols = transpose(relations) if relations else []
-    A = []
-    for i in range(ngens_ambient):
-        row = [c[i] for c in cols]
-        if rel_cols:
-            row += rel_cols[i]
-        A.append(row)
-    sols = _solve_columns(A, [list(v) for v in vectors], len(cols) + len(relations))
-    return [None if y is None else y[:len(cols)] for y in sols]
-
-
 def kernel(f):
     """(K, inclusion) with K = ker(f) as a subgroup of the source.
+
+    Its generators, the x with f(x) in the lattice of the target relations
+    Rt, are the x parts of integer_kernel([M | -Rt^T]), already in Hermite
+    form since the rows of Rt are independent.  Its relations are the
+    coordinates of the source's; a relation outside K raises IllFormedMap.
 
     >>> f = AbMap(FgAbGroup.free(2), FgAbGroup.free(1), [[1, 1]])
     >>> kernel(f)[0].invariant_factors()
     (0,)
     """
-    f.check()
-    n = f.source.ngens
-    # x with f(x) in rowspan(target relations): kernel of [M | -Rt^T]
-    Rt = f.target.relations
-    A = hstack(f.matrix, [[-x for x in col] for col in transpose(Rt)] if Rt else [])
-    ncols = n + (len(Rt) if Rt else 0)
-    full = integer_kernel(A, ncols) if f.target.ngens else [list(r) for r in identity(n)]
-    gens = [v[:n] for v in full]
-    gens = hermite_normal_form(gens) if gens else []
-    # relations among the kernel generators: combos landing in source
-    # relations; the HNF rows are independent, so a free source gives none
-    Rs = f.source.relations
-    rels = []
-    if gens and Rs:
-        B = hstack(transpose(gens), [[-x for x in col] for col in transpose(Rs)])
-        rels = [v[:len(gens)] for v in integer_kernel(B, len(gens) + len(Rs))]
+    n, Rt = f.source.ngens, f.target.relations
+    A = [row + [-r[i] for r in Rt] for i, row in enumerate(f.matrix)]
+    gens = [v[:n] for v in integer_kernel(A, n + len(Rt))]
+    rels = echelon_coords(gens, f.source.relations)
+    if None in rels:
+        raise IllFormedMap("matrix does not carry source relations into target relations")
     K = FgAbGroup(len(gens), rels)
-    incl = AbMap(K, f.source, transpose(gens) if gens else [[] for _ in range(n)])
-    return K, incl
+    return K, AbMap(K, f.source, transpose(gens))
 
 
 def cokernel(f):
@@ -724,8 +721,9 @@ def free_rank(G, base=None):
 
 class Homology:
     """ker(d_out) / im(d_in) for AbMaps d_in and d_out between presented
-    groups; d_out o d_in = 0 is checked here, and kernel checks that d_out
-    carries the relations of its source into those of its target.
+    groups, with the relations of kernel(d_out) and the coordinates of the
+    columns of d_in in its Hermite basis; a column with none is not a cycle
+    and raises NotAComplex.
 
     group: the homology, presented on the kernel generators;
     cycles: the inclusion of ker(d_out) into the chain group;
@@ -741,26 +739,18 @@ class Homology:
             self.group = d_out.source
             self.cycles = AbMap.identity_map(self.group)
             return
-        if not d_out.compose(d_in).is_zero():
-            raise NotAComplex("d_out o d_in != 0")
         K, self.cycles = kernel(d_out)
-        rels = list(K.relations)
-        if K.ngens and any(map(any, d_in.matrix)):
-            # relations: kernel combinations that are boundaries modulo the
-            # relations of the chain group
-            Rm = d_out.source.relations
-            stacked = hstack(self.cycles.matrix, [[-x for x in row] for row in d_in.matrix])
-            stacked = hstack(stacked, [[-x for x in row] for row in transpose(Rm)])
-            ncols = K.ngens + d_in.source.ngens + len(Rm)
-            rels += [v[:K.ngens] for v in integer_kernel(stacked, ncols)]
-        self.group = FgAbGroup(K.ngens, rels)
+        boundaries = echelon_coords(transpose(self.cycles.matrix), transpose(d_in.matrix))
+        if None in boundaries:
+            raise NotAComplex("d_out o d_in != 0")
+        self.group = FgAbGroup(K.ngens, K.relations + boundaries)
 
     def induced(self, phi, target):
         """H(phi): self.group -> target.group for a chain map phi from this
-        homology's chain group to target's."""
+        homology's chain group to target's.  The cycles contain the relations
+        of their chain group, so coordinates need no relations."""
         images = [phi(c) for c in transpose(self.cycles.matrix)]
-        ys = subgroup_coords(transpose(target.cycles.matrix), phi.target.relations,
-                             images, phi.target.ngens)
+        ys = echelon_coords(transpose(target.cycles.matrix), images)
         if None in ys:
             raise IllFormedMap("the map does not carry cycles to cycles")
         return AbMap(self.group, target.group, transpose(ys))

@@ -19,16 +19,15 @@ from .abelian import (
     cokernel,
     direct_sum_groups,
     direct_sum_maps,
+    echelon_coords,
     identity,
     kernel,
     kronecker,
     mat_vec,
-    subgroup_coords,
     tensor_groups,
     tensor_relations,
     tensor_maps,
     transpose,
-    zeros,
 )
 
 
@@ -179,14 +178,14 @@ def fixed_point_mackey(G, sigma):
     """Strict fixed points: fixed level G^sigma, res = inclusion, tr = 1 + sigma."""
     if not sigma.compose(sigma).equals(AbMap.identity_map(G)):
         raise NotInvolution("sigma squared is not the identity")
-    diff = sigma - AbMap.identity_map(G)
-    K, incl = kernel(diff)
+    K, incl = kernel(sigma - AbMap.identity_map(G))
+    # the fixed subgroup contains the relations of G: 1 + sigma lands in it
+    # modulo them exactly when its columns have coordinates in its basis
     one_plus = AbMap.identity_map(G) + sigma
-    gens = transpose(incl.matrix) if K.ngens else []
-    cols = subgroup_coords(gens, G.relations, transpose(one_plus.matrix), G.ngens)
+    cols = echelon_coords(transpose(incl.matrix), transpose(one_plus.matrix))
     if None in cols:
         raise MackeyError("1 + sigma does not land in the fixed subgroup")
-    tr = AbMap(G, K, transpose(cols) if cols else zeros(K.ngens, G.ngens))
+    tr = AbMap(G, K, transpose(cols))
     return MackeyFunctor(K, G, AbMap(K, G, incl.matrix), tr, sigma)
 
 

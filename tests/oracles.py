@@ -1,15 +1,16 @@
 """Reference routes and fixtures the tests compare the engine against.
 
 No CLI command runs any of this: fixture algebras, Mackey functors and
-random integral involutions, the Mackey comparator (fingerprint, duals, the
-zeroth slice), the shift and the box product of complexes with their Koszul
-signs, the graded norm with its Koszul sign, the Tambara examples (the
-Burnside table, norm rings, fixed-point Green functors, weightwise Mackey
-pieces) and the trace oracles (the homology of a ChainComplex as a
-Homology of presented chain groups, the +-parts of an involution as eigen
-kernels, the omega-eigen splitting of HH, localization of integral
-homology, the operator identities of the dihedral bar complex), which
-compute with dense matrices: dense and columns convert between them and the
+random integral involutions, the Mackey comparator (fingerprint, duals with
+the coordinates they solve for, the zeroth slice), the kernel of an integer
+matrix by the Smith form, the shift and the box product of complexes with
+their Koszul signs, the graded norm with its Koszul sign, the Tambara
+examples (the Burnside table, norm rings, fixed-point Green functors,
+weightwise Mackey pieces) and the trace oracles (the homology of a
+ChainComplex as a Homology of presented chain groups, the +-parts of an
+involution as eigen kernels, the omega-eigen splitting of HH, localization
+of integral homology, the operator identities of the dihedral bar complex),
+which compute with dense matrices: dense and columns convert between them and the
 sparse columns of abelian.ChainComplex.  The reference builder of b, omega
 and B expands them through ring.mul and omega term by term; the reference
 tensor and box products write their relation rows, res and tr one entry at
@@ -27,12 +28,14 @@ from c2algebra.abelian import (
     _modulus,
     block_matrix,
     cokernel,
+    diagonal_of,
     free_rank,
     identity,
     integer_kernel,
     kernel,
     mat_mul,
-    subgroup_coords,
+    smith_normal_form,
+    solve_integer,
     tensor_maps,
     transpose,
     trivial_group,
@@ -215,6 +218,15 @@ def _free_basis(G):
     return G.canonical_basis()
 
 
+def subgroup_coords(gens, relations, vectors, ngens_ambient):
+    """For each v in vectors, a y with gens*y = v modulo rowspan(relations),
+    or None if there is none: solve_integer on the columns gens, then the
+    relations.  gens: list of column vectors (each length ngens_ambient)."""
+    A = [[g[i] for g in gens] + [r[i] for r in relations] for i in range(ngens_ambient)]
+    sols = (solve_integer(A, list(v), len(gens) + len(relations)) for v in vectors)
+    return [None if y is None else y[:len(gens)] for y in sols]
+
+
 def _map_on_bases(f, basis_src, G_tgt, basis_tgt):
     cols = subgroup_coords(basis_tgt, G_tgt.relations, [f(b) for b in basis_src],
                            G_tgt.ngens)
@@ -297,6 +309,20 @@ def fingerprint(M):
 
 def isomorphic(M, N):
     return fingerprint(M) == fingerprint(N)
+
+
+# ---------------------------------------------------------------------------
+# the kernel of an integer matrix by the Smith form
+
+def reference_integer_kernel(A, ncols):
+    """A basis of {x : A x = 0} from the Smith form U A V = D: the columns of
+    V past the rank of D.  It spans the lattice that integer_kernel puts in
+    Hermite form."""
+    if not A:
+        return identity(ncols)
+    _, D, V = smith_normal_form(A)
+    rank = sum(1 for d in diagonal_of(D) if d)
+    return transpose(V)[rank:]
 
 
 # ---------------------------------------------------------------------------

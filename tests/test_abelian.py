@@ -16,6 +16,7 @@ from c2algebra.abelian import (
     cokernel,
     diagonal_of,
     direct_sum_groups,
+    echelon_coords,
     elementary_divisors,
     free_rank,
     hermite_normal_form,
@@ -33,7 +34,15 @@ from c2algebra.abelian import (
 )
 
 from c2algebra.polyring import BaseRing
-from oracles import EigenComplex, chain_group, chain_homology, columns, dense, localized
+from oracles import (
+    EigenComplex,
+    chain_group,
+    chain_homology,
+    columns,
+    dense,
+    localized,
+    reference_integer_kernel,
+)
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,6 +214,66 @@ def test_hnf_is_the_hermite_form_of_the_lattice(pair):
     assert _is_row_echelon(H) and _is_reduced(H)
     assert hermite_normal_form(H) == H
     assert hermite_normal_form(UA) == H
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=5))))
+def test_integer_kernel_is_the_hermite_form_of_the_kernel(case):
+    # the lattice is the one the Smith route spans
+    n, A = case
+    K = integer_kernel(A, n)
+    assert _is_row_echelon(K) and _is_reduced(K)
+    assert not any(any(mat_vec(A, x)) for x in K)
+    assert K == hermite_normal_form(reference_integer_kernel(A, n))
+
+
+@st.composite
+def _hermite_basis_and_vectors(draw):
+    """(n, B, ys, vs): B the Hermite form of up to 4 random rows of length
+    n, ys coordinate vectors for B and vs random vectors of length n."""
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-9, 9)
+    B = hermite_normal_form(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                          min_size=1, max_size=4)))
+    ys = draw(st.lists(st.lists(entry, min_size=len(B), max_size=len(B)), max_size=4))
+    vs = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    return n, B, ys, vs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hermite_basis_and_vectors())
+def test_echelon_coords_inverts_the_basis(case):
+    n, B, ys, vs = case
+    assert echelon_coords(B, [[sum(y * b[j] for y, b in zip(ys_, B)) for j in range(n)]
+                              for ys_ in ys]) == ys
+    # the rows of B are independent, so a solution of B^T y = v is unique
+    assert echelon_coords(B, vs) == [solve_integer(transpose(B), v, len(B)) for v in vs]
+
+
+@st.composite
+def _unimodular(draw):
+    """A random n x n unimodular matrix, n in 1..6: elementary row
+    operations and sign flips on the identity, then a row permutation."""
+    n = draw(st.integers(1, 6))
+    V = identity(n)
+    for a, b, c in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.integers(-4, 4)), max_size=12)):
+        if a != b:
+            V[a] = [x + c * y for x, y in zip(V[a], V[b])]
+        elif c < 0:
+            V[a] = [-x for x in V[a]]
+    return draw(st.permutations(V))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unimodular())
+def test_vinv_inverts_v(V):
+    # _vinv reads V^T from the cached factorization, here a random unimodular V
+    n = len(V)
+    G = FgAbGroup.free(n)
+    G.__dict__["_factors"] = ([0] * n, transpose(V))
+    assert mat_mul(G._vinv, V) == identity(n)
 
 
 # -- groups -----------------------------------------------------------------
@@ -519,9 +588,9 @@ def test_kernel_with_torsion():
 
 
 def test_kernel_of_a_free_source_solves_once(monkeypatch):
-    # the HNF generators of a kernel in a free source are independent, so
-    # only the kernel itself is solved for; a source with relations also
-    # solves for the relations among the generators
+    # only the kernel itself is solved for, with or without relations on the
+    # source: the relations among the Hermite generators are the coordinates
+    # of the source's relations, read by back substitution
     import c2algebra.abelian as ab
     calls = []
     real = ab.integer_kernel
@@ -533,7 +602,26 @@ def test_kernel_of_a_free_source_solves_once(monkeypatch):
     calls.clear()
     f = AbMap(FgAbGroup(2, [[4, 0]]), FgAbGroup.from_invariants([4]), [[2, 0]])
     assert kernel(f)[0].invariant_factors() == (2, 0)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_kernels_homology_and_fixed_points_run_no_smith_form(monkeypatch):
+    # they read kernels and coordinates from the Hermite form; only the
+    # invariant factors read afterwards factor a group
+    import c2algebra.abelian as ab
+    from c2algebra.mackey import fixed_point_mackey
+
+    def refuse(A):
+        raise AssertionError("smith_normal_form called")
+    Z2, Z4, Z3sq = FgAbGroup(1, [[2]]), FgAbGroup(1, [[4]]), FgAbGroup(2, [[3, 0], [0, 3]])
+    monkeypatch.setattr(ab, "smith_normal_form", refuse)
+    K, _ = kernel(AbMap(FgAbGroup(2, [[4, 0]]), Z4, [[2, 0]]))
+    # Z --2--> Z/4 --1--> Z/2: the cycles 2Z/4 are the boundaries
+    H = Homology(AbMap(Z, Z4, [[2]]), AbMap(Z4, Z2, [[1]]))
+    M = fixed_point_mackey(Z3sq, AbMap(Z3sq, Z3sq, [[0, 1], [1, 0]]))
+    monkeypatch.undo()
+    assert K.invariant_factors() == (2, 0) and H.group.is_trivial()
+    assert M.fixed.invariant_factors() == (3,)
 
 
 def test_rank_nullity():
