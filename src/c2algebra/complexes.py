@@ -19,13 +19,14 @@ id_M box d for each differential d.
 """
 
 from . import EngineError
-from .abelian import AbMap, Homology, cokernel, trivial_group
+from .abelian import AbMap, Homology, trivial_group
 from . import abelian
 from .mackey import (
     MackeyFunctor,
     MackeyMap,
     box,
     box_map,
+    geometric_fixed_points,
     validate,
     zbar,
     zbar_c2,
@@ -149,7 +150,7 @@ def phi_complex(C):
     for n in degs:
         if C.term(n).cells is None:
             raise NotFreeTerms("term in degree %d has no free-cell structure" % n)
-    groups = {n: cokernel(C.term(n).tr)[0] for n in degs}
+    groups = {n: geometric_fixed_points(C.term(n)) for n in degs}
 
     def group(n):
         return groups.get(n) or trivial_group()

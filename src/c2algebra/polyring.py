@@ -2,8 +2,8 @@
 
 Rings are presented as k[v_1, ..., v_n] / (rewrite rules), where each rule
 replaces a pure power v_i^p by a polynomial of strictly smaller v_i-degree.
-This covers every quotient the engine needs (truncated polynomial rings,
-y^2 = f(x), i^2 = -1, group rings of cyclic groups) without Groebner bases.
+This covers every quotient the engine needs (x^p = 0, y^2 = f(x),
+i^2 = -1, group rings of cyclic groups) without Groebner bases.
 
 Base rings: Z, Z[1/2], Q and Z/m, all with exact, integer-first
 arithmetic.  A coefficient is an int: in [0, m) over Z/m, and over Q and
@@ -158,24 +158,21 @@ class BaseRing:
 
 
 class PolyRing:
-    """k[vars] with monic power rewrite rules and optional weights/truncation.
+    """k[vars] with monic power rewrite rules.
 
     rules: {var_index: (power, replacement poly dict)}; the replacement must
     have v_i-degree < power, and rule dependencies must be acyclic.
     weights: per-variable positive weights for graded enumeration (None for
     ungraded variables).
-    trunc: drop the monomials of weight over trunc; every rule must then
-    replace v_i^p by monomials of weight >= that of v_i^p.
     """
 
-    def __init__(self, base, names, rules=None, weights=None, trunc=None):
+    def __init__(self, base, names, rules=None, weights=None):
         self.base = base
         self.names = list(names)
         self.n = len(self.names)
         self.rules = {i: (p, {m: base.coerce(c) for m, c in repl.items()})
                       for i, (p, repl) in (rules or {}).items()}
         self.weights = list(weights) if weights is not None else [1] * self.n
-        self.trunc = trunc
         for i, (p, repl) in self.rules.items():
             if p < 1:
                 raise UnsupportedPresentation("rule power must be >= 1")
@@ -183,11 +180,6 @@ class PolyRing:
                 if mono[i] >= p:
                     raise UnsupportedPresentation(
                         "rule for %s does not lower its degree" % self.names[i])
-        if trunc is not None and any(c and self.monomial_weight(m) < p * self.weights[i]
-                                     for i, (p, repl) in self.rules.items()
-                                     for m, c in repl.items()):
-            # dropping the weights over trunc would not commute with the rules
-            raise UnsupportedPresentation("a truncation needs rules that do not lower weight")
         self._check_acyclic()
 
     def _check_acyclic(self):
@@ -239,9 +231,9 @@ class PolyRing:
 
     def normal_form(self, poly):
         """The element a dict monomial -> coefficient stands for: each
-        coefficient coerced into the base, the rules applied, the terms of
-        weight over the truncation dropped.  The entry point for dicts built
-        outside the ring; add, mul, scale and apply_map take elements."""
+        coefficient coerced into the base and the rules applied.  The entry
+        point for dicts built outside the ring; add, mul, scale and apply_map
+        take elements."""
         base = self.base
         out = {}
         work = list(poly.items())
@@ -249,8 +241,6 @@ class PolyRing:
             mono, coeff = work.pop()
             coeff = base.coerce(coeff)
             if coeff == 0:
-                continue
-            if self.trunc is not None and self.monomial_weight(mono) > self.trunc:
                 continue
             hit = None
             for i, (p, repl) in self.rules.items():
@@ -307,22 +297,23 @@ class PolyRing:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        """a * b; with a truncation, the products of weight over it are
-        never formed."""
-        if self.trunc is None:
-            limit, weight = 0, _weightless
-        else:
-            limit, weight = self.trunc, self.monomial_weight
-        b_terms = [(m2, c2, weight(m2)) for m2, c2 in b.items()]
         out = {}
         for m1, c1 in a.items():
-            room = limit - weight(m1)
-            for m2, c2, w2 in b_terms:
-                if w2 > room:
-                    continue
+            for m2, c2 in b.items():
                 m = tuple(map(operator.add, m1, m2))
                 out[m] = out.get(m, 0) + c1 * c2
         return self.normal_form(out) if self.rules else self._settle(out)
+
+    def pow(self, a, e):
+        """a^e for an integer e >= 0, by repeated squaring."""
+        out = self.one_poly()
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
+        return out
 
     def is_zero(self, a):
         return not self.normal_form(a)
@@ -416,10 +407,6 @@ class PolyRing:
         return out
 
 
-def _weightless(mono):
-    return 0
-
-
 def _is_power_of_two(n):
     return n > 0 and n & (n - 1) == 0
 
@@ -455,10 +442,7 @@ class RingInvolution:
         sigma does not carry into the ideal (to 0 after reduction); None when
         sigma preserves them all."""
         for k, (i, (p, repl)) in enumerate(self.ring.rules.items()):
-            lhs = self.ring.one_poly()
-            for _ in range(p):
-                lhs = self.ring.mul(lhs, self.images[i])
-            if not self.ring.equal(lhs, self(dict(repl))):
+            if not self.ring.equal(self.ring.pow(self.images[i], p), self(dict(repl))):
                 return k
         return None
 
@@ -520,10 +504,7 @@ def parse_poly(ring, text):
             e = eat()
             if not (isinstance(e, int) and e >= 0):
                 raise RingError("exponent must be a nonnegative integer")
-            out = ring.one_poly()
-            for _ in range(e):
-                out = ring.mul(out, t)
-            t = out
+            t = ring.pow(t, e)
         return t
 
     def parse_atom():

@@ -259,24 +259,25 @@ def hochschild_blocks(A, n_max, weight=None):
     enumerated once, are bucketed by exponent vector (the sum over their
     slots); each sigma-orbit of vectors is kept as its first vector in
     sorted order, the e with e <= sigma(e), flagged paired when sigma moves
-    it.  Otherwise the one block is the whole weight block (or finite
+    it; the tensors of its partner are never stored.  Otherwise the one block is the whole weight block (or finite
     complex)."""
     _check_request(A, n_max, weight)
     perm = _variable_permutation(A)
     if perm is None:
         return [DihedralComplex(A, n_max, weight)]
-    buckets = {}
+    buckets = {}  # e -> its tensors by degree, or None for a dropped partner
     for n, basis in enumerate(_tensors(A.ring, n_max, weight)):
         for t in basis:
             key = tuple(map(sum, zip(*t)))
-            buckets.setdefault(key, [[] for _ in range(n_max + 1)])[n].append(t)
-    blocks = []
-    for e in sorted(buckets):
-        partner = _permuted(perm, e)
-        if e <= partner:
-            blocks.append(DihedralComplex(A, n_max, weight, dict(enumerate(buckets[e])),
-                                          key=e, paired=partner != e))
-    return blocks
+            if key not in buckets:
+                buckets[key] = ([[] for _ in range(n_max + 1)]
+                                if key <= _permuted(perm, key) else None)
+            bucket = buckets[key]
+            if bucket is not None:
+                bucket[n].append(t)
+    return [DihedralComplex(A, n_max, weight, dict(enumerate(buckets[e])),
+                            key=e, paired=_permuted(perm, e) != e)
+            for e in sorted(buckets) if buckets[e] is not None]
 
 
 def _direct_sum(parts):

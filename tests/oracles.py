@@ -710,7 +710,7 @@ def norm_ring(R, truncation=tb.DEFAULT_TRUNCATION):
         raise UnsupportedPresentation("norm_ring supports polynomial rings only")
     n = R.n
     ring = PolyRing(R.base, list(R.names) + [v + "_s" for v in R.names],
-                    weights=list(R.weights) * 2, trunc=truncation)
+                    weights=list(R.weights) * 2)
     sig = RingInvolution(ring, [ring.var(i + n) for i in range(n)] +
                          [ring.var(i) for i in range(n)])
     gens = [("%s_N" % R.names[i], ring.mul(ring.var(i), ring.var(i + n))) for i in range(n)]
@@ -728,7 +728,7 @@ def gaussian_algebra(truncation=tb.DEFAULT_TRUNCATION):
 def group_ring_involutive(order, truncation=tb.DEFAULT_TRUNCATION):
     """Z[Z/order] with g -> g^{-1}."""
     ring = PolyRing(BaseRing("Z"), ["g"], rules={0: (order, {(0,): 1})})
-    sigma = RingInvolution(ring, [tb._pow(ring, ring.var(0), order - 1)])
+    sigma = RingInvolution(ring, [ring.pow(ring.var(0), order - 1)])
     return fixed_point_green(ring, sigma, truncation)
 
 

@@ -181,6 +181,15 @@ def test_slice_check_of_a_dense_full_rank_differential_returns_at_once():
     assert time.monotonic() - t0 < 1.0
 
 
+def test_a_large_power_in_sigma_returns_at_once():
+    # (1)^100000000 is raised by squaring, not by 10^8 multiplications
+    algebra = '{"base": "Q", "gens": [{"name": "x", "sigma": "(1)^100000000 * x"}]}'
+    t0 = time.monotonic()
+    assert run_cli(["cotangent", "--algebra", algebra]) == \
+        (0, "cotangent generators: dx\nreduced generators: dx\n")
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_slice_check_refuses_an_explicit_complex_that_is_not_one(capsys):
     # fixed x1 with underlying x2 breaks res o d = d o res: Zbar -> Zbar is
     # not a Mackey map; three Zbar cells joined by identities have d o d = 1
@@ -203,6 +212,23 @@ def test_tambara_free_command():
     data = json.loads(out)
     assert data["cohomological"] is True
     assert all(r["holds"] for r in data["t_relations"])
+    # --trunc T bounds the t_i listed (i <= T) and the relations checked
+    # (j <= i <= min(4, T // 2)); the ring itself is not truncated
+    for base in ("Z", "Q", "Z/6"):
+        for trunc in (0, 1, 2, 3, 12):
+            argv = ["tambara-free", "--base", base, "--trunc", str(trunc), "--format", "json"]
+            want = {"base": base, "cohomological": True, "truncation": trunc}
+            code, out = run_cli(argv + ["--kind", "trivial", "--names", "x,y"])
+            assert code == 0
+            assert json.loads(out) == dict(want, kind="trivial", underlying=["x", "y"],
+                                           fixed_generators=["x", "y"])
+            code, out = run_cli(argv + ["--kind", "free"])
+            assert code == 0
+            assert json.loads(out) == dict(
+                want, kind="free", underlying=["x", "x_s"],
+                fixed_generators=sorted(["t_%d" % i for i in range(1, trunc + 1)] + ["x_N"]),
+                t_relations=[{"holds": True, "i": i, "j": j}
+                             for i in range(1, min(4, trunc // 2) + 1) for j in range(1, i + 1)])
 
 
 def test_tambara_free_names_are_distinct_variable_names(capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from c2algebra.polyring import BaseRing, PolyRing, RingError, UnsupportedPresentation, parse_poly
+from c2algebra.polyring import BaseRing, PolyRing, RingError, parse_poly
 
 
 # -- the plain arithmetic -----------------------------------------------------
@@ -59,20 +59,15 @@ class PlainBaseRing:
 
 
 class PlainPolyRing:
-    def __init__(self, base, names, rules=None, weights=None, trunc=None):
+    def __init__(self, base, names, rules=None):
         self.base = base
         self.names = list(names)
         self.n = len(self.names)
         self.rules = dict(rules or {})
-        self.weights = list(weights) if weights is not None else [1] * self.n
-        self.trunc = trunc
 
     def const(self, c):
         c = self.base.coerce(c)
         return {} if self.base.is_zero(c) else {(0,) * self.n: c}
-
-    def monomial_weight(self, mono):
-        return sum(e * w for e, w in zip(mono, self.weights))
 
     def normal_form(self, poly):
         out = {}
@@ -81,8 +76,6 @@ class PlainPolyRing:
             mono, coeff = work.pop()
             coeff = self.base.coerce(coeff)
             if self.base.is_zero(coeff):
-                continue
-            if self.trunc is not None and self.monomial_weight(mono) > self.trunc:
                 continue
             hit = None
             for i, (p, repl) in self.rules.items():
@@ -149,7 +142,6 @@ class PlainPolyRing:
 # -- the two arithmetics agree -------------------------------------------------
 
 BASES = [("Z", None), ("Q", None), ("Z[1/2]", None), ("Z/m", 4), ("Z/m", 6), ("Z/m", 7)]
-WEIGHTS = [1, 2]   # k[x, y] with x of weight 1 and y of weight 2
 
 
 def coefficients(kind):
@@ -186,24 +178,12 @@ def assert_elements(base, poly):
 
 @pytest.mark.parametrize("kind,modulus", BASES)
 @pytest.mark.parametrize("ruled", [False, True])
-@pytest.mark.parametrize("trunc", [None, 5])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_arithmetic_matches_the_plain_arithmetic(kind, modulus, ruled, trunc, data):
+def test_arithmetic_matches_the_plain_arithmetic(kind, modulus, ruled, data):
     rules = {0: (3, data.draw(rule(kind)))} if ruled else None
-    if trunc is not None and ruled and any(
-            BaseRing(kind, modulus).coerce(c) and m[0] * WEIGHTS[0] + m[1] * WEIGHTS[1] < 3
-            for m, c in rules[0][1].items()):
-        # a rule that lowers the weight of x^3 does not commute with the
-        # truncation: such a ring is refused
-        with pytest.raises(UnsupportedPresentation):
-            PolyRing(BaseRing(kind, modulus), ["x", "y"], rules=rules, weights=WEIGHTS,
-                     trunc=trunc)
-        return
-    new = PolyRing(BaseRing(kind, modulus), ["x", "y"], rules=rules, weights=WEIGHTS,
-                   trunc=trunc)
-    plain = PlainPolyRing(PlainBaseRing(kind, modulus), ["x", "y"], rules=rules,
-                          weights=WEIGHTS, trunc=trunc)
+    new = PolyRing(BaseRing(kind, modulus), ["x", "y"], rules=rules)
+    plain = PlainPolyRing(PlainBaseRing(kind, modulus), ["x", "y"], rules=rules)
     base = new.base
 
     def both(raw):
@@ -216,12 +196,17 @@ def test_arithmetic_matches_the_plain_arithmetic(kind, modulus, ruled, trunc, da
     b, pb = both(data.draw(polys(kind)))
     images = [both(data.draw(polys(kind, max_exp=2, max_terms=3))) for _ in range(2)]
     c = data.draw(coefficients(kind))
+    e = data.draw(st.integers(0, 5))
+    power = plain.const(1)
+    for _ in range(e):
+        power = plain.mul(power, pa)
     for got, want in ((new.add(a, b), plain.add(pa, pb)),
                       (new.sub(a, b), plain.sub(pa, pb)),
                       (new.mul(a, b), plain.mul(pa, pb)),
                       (new.scale(c, a), plain.scale(c, pa)),
                       (new.apply_map(a, [i for i, _ in images]),
-                       plain.apply_map(pa, [p for _, p in images]))):
+                       plain.apply_map(pa, [p for _, p in images])),
+                      (new.pow(a, e), power)):
         assert got == want
         assert_elements(base, got)
 
@@ -260,6 +245,14 @@ def test_a_sign_applies_to_the_whole_power():
     assert parse_poly(R, "-x^2 + 2x - 1") == {(2, 0): -1, (1, 0): 2, (0, 0): -1}
     assert R.poly_string({(2, 0): -1, (3, 0): 1}) == "-x^2 + x^3"
     assert parse_poly(R, "-x^2 + x^3") == {(2, 0): -1, (3, 0): 1}
+
+
+def test_a_power_is_raised_by_squaring():
+    # 10^8 multiplications of 1 by -1 would not return
+    R = PolyRing(BaseRing("Q"), ["x"], rules={0: (2, {(0,): 1})})  # x^2 = 1
+    assert parse_poly(R, "(-1)^100000001 * x") == {(1,): -1}
+    assert parse_poly(R, "x^100000001") == {(1,): 1}
+    assert R.pow(parse_poly(R, "x + 1"), 0) == {(0,): 1}
 
 
 @settings(max_examples=200, deadline=None)
