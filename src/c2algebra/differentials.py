@@ -67,6 +67,7 @@ class InvolutivePresentation:
         self.relations = list(relations)
         self.quotient = quotient
         self.to_quotient = list(to_quotient)
+        self._to_quotient = [[quotient.one_poly(), img] for img in self.to_quotient]
         self.sigma_quotient = sigma_quotient
         for rname, r in self.relations:
             img = sigma_free(r)
@@ -76,7 +77,7 @@ class InvolutivePresentation:
 
     def project(self, poly):
         """Image of a free-ring polynomial in the quotient."""
-        return self.quotient.apply_map(poly, self.to_quotient)
+        return self.quotient.apply_map(poly, self._to_quotient)
 
 
 def partial_derivative(ring, poly, j):
@@ -242,21 +243,19 @@ def presentation_of(A):
 
 def signed_permutation(L):
     """sigma on the variables of a free cotangent module as a signed
-    permutation: perm[j] = (k, s) when sigma(v_j) = s v_k, s a unit, so
-    that sigma(dv_j) = s dv_k.  Relations, or a sigma that is not such a
-    permutation of variables of equal weights, raise NotSmoothPresentation."""
+    permutation, read from RingInvolution.signed_permutation: perm[j] =
+    (k, s) when sigma(v_j) = s v_k, s a unit, so that sigma(dv_j) = s dv_k.
+    Relations, or a sigma that is not such a permutation of variables of
+    equal weights, raise NotSmoothPresentation."""
     if not L.is_free():
         raise NotSmoothPresentation("cotangent module has relations")
-    ring = L.presentation.free_ring
-    perm = []
-    for j, img in enumerate(L.presentation.sigma.images):
-        mono, c = next(iter(img.items())) if len(img) == 1 else ((), 0)
-        if sum(mono) != 1 or not ring.base.is_unit(c) \
-                or ring.weights[mono.index(1)] != ring.weights[j]:
+    ring, sigma = L.presentation.free_ring, L.presentation.sigma
+    perm = sigma.signed_permutation()
+    for j, p in enumerate(perm):
+        if p is None or ring.weights[p[0]] != ring.weights[j]:
             raise NotSmoothPresentation(
                 "sigma(%s) = %s is not a signed permutation of the generators "
-                "of equal weight" % (ring.names[j], ring.poly_string(img)))
-        perm.append((mono.index(1), integer_lift(c)))
+                "of equal weight" % (ring.names[j], ring.poly_string(sigma.images[j])))
     return perm
 
 

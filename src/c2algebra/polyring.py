@@ -13,7 +13,10 @@ monomial-exponent-tuple -> coefficient, kept in normal form; a dict built
 outside the ring (parser output, involution images, {monomial: 1}) enters
 through PolyRing.normal_form, which coerces each coefficient once.  add,
 mul, scale and apply_map take polynomials in normal form and convert
-nothing.
+nothing.  apply_map extends in place the tables [1, image, image^2, ...]
+that a ring map keeps (RingInvolution, InvolutivePresentation.project), so
+each power is computed once per map.  RingInvolution alone reads sigma as a
+signed permutation of the variables.
 """
 
 import operator
@@ -321,24 +324,19 @@ class PolyRing:
     def equal(self, a, b):
         return self.is_zero(self.sub(a, b))
 
-    def apply_map(self, poly, images):
-        """Ring map fixing the base, v_i -> images[i] (polys in this ring).
-        Each monomial's image is the product of powers of the images, and
-        each power is computed once per call."""
-        powers = [[self.one_poly(), img] for img in images]
-
-        def power(i, e):
-            table = powers[i]
-            while len(table) <= e:
-                table.append(self.mul(table[-1], images[i]))
-            return table[e]
-
+    def apply_map(self, poly, powers):
+        """Ring map fixing the base, v_i -> powers[i][1] (polys in this ring).
+        powers[i] is the table [1, image, image^2, ...] owned by the map,
+        extended here in place, so each power is computed once per map; each
+        monomial's image is the product of powers of the images."""
         out = {}
         for mono, coeff in poly.items():
             term = None
-            for i, e in enumerate(mono):
+            for table, e in zip(powers, mono):
                 if e:
-                    term = power(i, e) if term is None else self.mul(term, power(i, e))
+                    while len(table) <= e:
+                        table.append(self.mul(table[-1], table[1]))
+                    term = table[e] if term is None else self.mul(term, table[e])
             out = self.add(out, self.const(coeff) if term is None else self.scale(coeff, term))
         return out
 
@@ -418,16 +416,30 @@ def _coeff_str(c):
 
 
 class RingInvolution:
-    """Order <= 2 ring automorphism given by images of the variables."""
+    """Order <= 2 ring automorphism given by images of the variables: the one
+    place where sigma is read (signed_permutation) and applied (__call__,
+    through power tables of the images kept across calls)."""
 
     def __init__(self, ring, images):
         self.ring = ring
         self.images = [ring.normal_form(img) for img in images]
         if len(self.images) != ring.n:
             raise UnsupportedPresentation("involution needs one image per variable")
+        self._powers = [[ring.one_poly(), img] for img in self.images]
 
     def __call__(self, poly):
-        return self.ring.apply_map(poly, self.images)
+        return self.ring.apply_map(poly, self._powers)
+
+    def signed_permutation(self):
+        """[(k, u) for each generator j with sigma(v_j) = u v_k, u a unit
+        lifted by integer_lift, or None at a generator whose image is not a
+        unit times one variable]."""
+        out = []
+        for img in self.images:
+            mono, c = next(iter(img.items())) if len(img) == 1 else ((), 0)
+            ok = sum(mono) == 1 and self.ring.base.is_unit(c)
+            out.append((mono.index(1), integer_lift(c)) if ok else None)
+        return out
 
     def is_involution(self):
         for i in range(self.ring.n):

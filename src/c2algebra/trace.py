@@ -121,27 +121,11 @@ def _require_two_invertible(base):
         raise TwoNotInvertible("2 is not invertible in the base")
 
 
-def _variable_permutation(algebra):
-    """pi with sigma(x_i) = u x_pi(i) when every rule is a monomial relation
-    x_i^p = 0 and sigma is a signed permutation of the variables (u is a unit
-    because sigma is an involution); None otherwise, when the only block key
-    is constant."""
-    ring = algebra.ring
-    if any(repl for _p, repl in ring.rules.values()):
-        return None
-    perm = []
-    for img in algebra.omega.images:
-        mono = next(iter(img)) if len(img) == 1 else ()
-        if sum(mono) != 1:
-            return None
-        perm.append(mono.index(1))
-    return perm
-
-
 def _permuted(perm, e):
-    """The exponent vector of sigma(x^e): x_i^e_i goes to x_pi(i)^e_i."""
+    """The exponent vector of sigma(x^e), for the (pi(i), u) pairs of
+    RingInvolution.signed_permutation: x_i^e_i goes to x_pi(i)^e_i."""
     out = [0] * len(e)
-    for i, k in enumerate(perm):
+    for i, (k, _u) in enumerate(perm):
         out[k] = e[i]
     return tuple(out)
 
@@ -254,16 +238,17 @@ class DihedralComplex:
 
 
 def hochschild_blocks(A, n_max, weight=None):
-    """One DihedralComplex per sigma-orbit of blocks.  With monomial rules
-    and a signed-permutation sigma, the tensors of degrees <= n_max,
-    enumerated once, are bucketed by exponent vector (the sum over their
-    slots); each sigma-orbit of vectors is kept as its first vector in
-    sorted order, the e with e <= sigma(e), flagged paired when sigma moves
-    it; the tensors of its partner are never stored.  Otherwise the one block is the whole weight block (or finite
-    complex)."""
+    """One DihedralComplex per sigma-orbit of blocks.  When every rule is a
+    monomial relation x_i^p = 0 and sigma is a signed permutation (read from
+    the involution, RingInvolution.signed_permutation), the tensors of
+    degrees <= n_max, enumerated once, are bucketed by exponent vector (the
+    sum over their slots); each sigma-orbit of vectors is kept as its first
+    vector in sorted order, the e with e <= sigma(e), flagged paired when
+    sigma moves it; the tensors of its partner are never stored.  Otherwise
+    the one block is the whole weight block (or finite complex)."""
     _check_request(A, n_max, weight)
-    perm = _variable_permutation(A)
-    if perm is None:
+    perm = A.omega.signed_permutation()
+    if any(repl for _p, repl in A.ring.rules.values()) or None in perm:
         return [DihedralComplex(A, n_max, weight)]
     buckets = {}  # e -> its tensors by degree, or None for a dropped partner
     for n, basis in enumerate(_tensors(A.ring, n_max, weight)):

@@ -231,6 +231,27 @@ def test_tambara_free_command():
                              for i in range(1, min(4, trunc // 2) + 1) for j in range(1, i + 1)])
 
 
+def test_tambara_free_multiplies_linearly_in_the_truncation(monkeypatch):
+    # sigma applies through the power tables the involution keeps, so
+    # sigma(t_i) reads x_s^i from its table instead of making i products
+    calls = [0]
+    real = PolyRing.mul
+
+    def counting_mul(self, a, b):
+        calls[0] += 1
+        return real(self, a, b)
+
+    monkeypatch.setattr(PolyRing, "mul", counting_mul)
+    code, out = run_cli(["tambara-free", "--kind", "free", "--trunc", "400", "--format", "json"])
+    assert code == 0 and json.loads(out)["cohomological"] is True
+    assert calls[0] <= 20 * 400
+    monkeypatch.undo()
+    t0 = time.monotonic()
+    code, out = run_cli(["tambara-free", "--kind", "free", "--trunc", "1000", "--format", "json"])
+    assert code == 0 and json.loads(out)["truncation"] == 1000
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_tambara_free_names_are_distinct_variable_names(capsys):
     code, out = run_cli(["tambara-free", "--kind", "trivial", "--names", "x,y"])
     assert code == 0 and "underlying generators: x, y" in out

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from c2algebra.polyring import BaseRing, PolyRing, RingError, parse_poly
+from c2algebra.polyring import (
+    BaseRing, PolyRing, RingError, RingInvolution, integer_lift, parse_poly)
 
 
 # -- the plain arithmetic -----------------------------------------------------
@@ -200,12 +201,16 @@ def test_arithmetic_matches_the_plain_arithmetic(kind, modulus, ruled, data):
     power = plain.const(1)
     for _ in range(e):
         power = plain.mul(power, pa)
+    # apply_map takes the power tables [1, image] of the map and extends them;
+    # a second call on the extended tables reads the powers already there
+    tables = [[new.one_poly(), i] for i, _ in images]
+    mapped = plain.apply_map(pa, [p for _, p in images])
     for got, want in ((new.add(a, b), plain.add(pa, pb)),
                       (new.sub(a, b), plain.sub(pa, pb)),
                       (new.mul(a, b), plain.mul(pa, pb)),
                       (new.scale(c, a), plain.scale(c, pa)),
-                      (new.apply_map(a, [i for i, _ in images]),
-                       plain.apply_map(pa, [p for _, p in images])),
+                      (new.apply_map(a, tables), mapped),
+                      (new.apply_map(a, tables), mapped),
                       (new.pow(a, e), power)):
         assert got == want
         assert_elements(base, got)
@@ -232,6 +237,35 @@ def test_units_and_inverses():
     # mod m an inverse is not the element itself in general
     assert BaseRing("Z/m", 7).inverse(3) == 5
 
+
+
+# -- sigma read as a signed permutation -------------------------------------------
+
+# (base, integral units, a nonzero non-unit or None)
+SIGNED = [(("Z", None), [1, -1], 2), (("Q", None), [1, -1, 2, -3], None),
+          (("Z[1/2]", None), [1, -1, 2, -8], 3), (("Z/m", 6), [1, 5], 3),
+          (("Z/m", 9), [1, 2, 4, 8], 6), (("Z/m", 15), [1, 2, 4, 14], 5)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_signed_permutation_reads_each_unit_times_one_variable(data):
+    (kind, modulus), units, non_unit = data.draw(st.sampled_from(SIGNED))
+    base = BaseRing(kind, modulus)
+    n = data.draw(st.integers(2, 3))
+    ring = PolyRing(base, ["v%d" % j for j in range(n)])
+    pi = data.draw(st.permutations(range(n)))
+    us = data.draw(st.lists(st.sampled_from(units), min_size=n, max_size=n))
+    images = [ring.scale(u, ring.var(k)) for k, u in zip(pi, us)]
+    want = [(k, integer_lift(base.coerce(u))) for k, u in zip(pi, us)]
+    assert RingInvolution(ring, images).signed_permutation() == want
+    # an image that is not a unit times one variable reads None there alone
+    bad = ["v0 + v1", "v1^2", "1 - v0", "3", "0"] + \
+        (["%d*v1" % non_unit] if non_unit is not None else [])
+    j = data.draw(st.integers(0, n - 1))
+    images[j] = parse_poly(ring, data.draw(st.sampled_from(bad)))
+    want[j] = None
+    assert RingInvolution(ring, images).signed_permutation() == want
 
 
 # -- the parser -----------------------------------------------------------------
