@@ -13,9 +13,9 @@ read; an involution handed to it is in the same form.  Every base-ring
 decision is made inside it:
 
 * hh, dihedral and derham read invariant factors (ChainComplex.invariants)
-  from the elementary divisors of integer matrices, with no cycles, no HNF
-  and no presented group: over Z of the boundaries, then localized over Q
-  and Z[1/2] (flat over Z: over Q all torsion is dropped, over Z[1/2] the
+  from the ranks and elementary divisors of integer matrices, with no cycles
+  and no Homology: over Z of the boundaries, then localized over Q and
+  Z[1/2] (flat over Z: over Q all torsion is dropped, over Z[1/2] the
   powers of 2), and over Z/m of one matrix per degree, the boundaries with
   m*I and (d o d) / m added;
 * the +-parts of an involution (ChainComplex.eigen_invariants, where 2 is
@@ -34,18 +34,16 @@ blocks.
 A free rank-1 summand over the base (free_rank) is then a Z summand over
 Z, Q and Z[1/2] and a Z/m summand over Z/m.
 
-The matrices met here are sparse with entries +-1 (bar complexes, sign-sphere
-cells), so the kernels skip the work whose result is already known: mat_mul
-and mat_vec skip the zero entries, and smith_normal_form skips the searches
-and zero column entries described in its docstring.  The Smith normal form
-gives only invariant factors: a group's, with the V that fixes its printed
-canonical basis (so it still performs the plain loops' sequence of integer
-operations), and those of the boundaries of a ChainComplex.  Kernels and
-coordinates are read from the Hermite normal form, which depends only on
-the row lattice, so the stored relations of a group do not depend on the
-route by which it was presented: integer_kernel is the Hermite basis of a
+A lattice is reduced in one place, hermite_normal_form, which depends only
+on the row lattice, so the stored relations of a group do not depend on the
+route by which it was presented.  Ranks, membership, kernels and
+coordinates are read from it: integer_kernel is the Hermite basis of a
 kernel and echelon_coords solves in an echelon basis by back substitution,
-all that kernel, Homology and the Mackey layer solve with.
+all that membership, kernel, Homology and the Mackey layer solve with.  The
+Smith normal form only reads a Hermite form, in FgAbGroup, for invariant
+factors and the V that fixes a group's printed canonical basis; the
+elementary divisors of a ChainComplex boundary are those of the group its
+unit-free core presents.  mat_mul and mat_vec skip zero entries.
 
 >>> G = FgAbGroup.from_invariants([2, 0])
 >>> G.invariant_factors()
@@ -292,21 +290,20 @@ def dense_matrix(cols, nrows):
     return [[c.get(i, 0) for c in cols] for i in range(nrows)]
 
 
-def elementary_divisors(vectors):
-    """(rank, the elementary divisors other than 1) of the matrix whose rows
-    are the sparse vectors ({i: x} dicts or (i, x) pairs), the divisors
-    positive and each dividing the next.  A matrix and its transpose give the
-    same, so the columns of a ChainComplex boundary serve as rows.  The
-    vectors are copied, never edited.
+def lattice_core(vectors):
+    """(rank, core) of the matrix whose rows are the sparse vectors ({i: x}
+    dicts or (i, x) pairs), core the FgAbGroup presented by the rows left
+    without a unit entry: its nonzero invariant factors are the elementary
+    divisors of the matrix other than 1.  A matrix and its transpose have
+    the same rank and divisors, so the columns of a ChainComplex boundary
+    serve as rows.  The vectors are copied, never edited.
 
     Reduce before factoring (Kaczynski-Mrozek-Slusarek): while an entry is
     +-1, take the shortest row holding one, pivot on its +-1 of shortest
     column, clear that column with row operations only and drop the pivot's
-    row and column.  Each step removes one divisor 1 and keeps the others;
-    only the core left without a unit entry goes to smith_normal_form.
-
-    >>> elementary_divisors([{0: 1, 1: 2, 2: 3}, {0: 4, 1: 5, 2: 6}, {0: 7, 1: 8, 2: 9}])
-    (2, (3,))
+    row and column.  Each step removes one divisor 1 and keeps the others.
+    The rank is the count of these steps plus the number of Hermite rows of
+    the core, so it reads no Smith form.
     """
     # imported here, so that the commands that never reduce do not load it
     from heapq import heapify, heappop, heappush
@@ -346,9 +343,20 @@ def elementary_divisors(vectors):
                 del live[k]
         rank += 1
     core_cols = sorted({j for r in live.values() for j in r})
-    core = [[r.get(j, 0) for j in core_cols] for r in live.values()]
-    diag = diagonal_of(smith_normal_form(core)[1]) if core else []
-    return rank + sum(1 for d in diag if d), tuple(d for d in diag if d > 1)
+    core = FgAbGroup(len(core_cols), ([r.get(j, 0) for j in core_cols] for r in live.values()))
+    return rank + len(core.relations), core
+
+
+def elementary_divisors(vectors):
+    """(rank, the elementary divisors other than 1) of the matrix whose rows
+    are the sparse vectors, the divisors positive and each dividing the
+    next: the nonzero invariant factors of lattice_core's core.
+
+    >>> elementary_divisors([{0: 1, 1: 2, 2: 3}, {0: 4, 1: 5, 2: 6}, {0: 7, 1: 8, 2: 9}])
+    (2, (3,))
+    """
+    rank, core = lattice_core(vectors)
+    return rank, tuple(d for d in core.invariant_factors() if d)
 
 
 def integer_kernel(A, ncols):
@@ -458,16 +466,19 @@ class FgAbGroup:
 
     relations: iterable of length-n integer rows, stored as their Hermite
     normal form, so two generating sets of one subgroup store the same
-    relations.  Groups compare by their invariant factors.
+    relations.  Membership reads them: v is zero exactly when echelon_coords
+    finds its coordinates in them (contains_zero, one call for many v), and
+    the group is trivial exactly when they are the identity.  Groups compare
+    by their invariant factors.
 
-    The group is factored once: U R V = D is the Smith form of the relations
-    R, orders[i] = d_i (zero-padded to n entries), and V^T v are the
-    coordinates of v in which the relations are diagonal.  One rule decides
-    membership: v is zero exactly when each coordinate of V^T v is divisible
-    by its order (order 0: the coordinate is 0).  Presentations already in
-    Smith form, such as free groups and the (Z/m)^d chain groups, have
-    V = identity and run no SNF.  V^-1, computed only for canonical_basis, is
-    the right block of the Hermite form of [V | I], which is [I | V^-1].
+    What is printed or counted (invariant factors, the canonical basis and
+    coordinates) reads the Smith form U R V = D of the Hermite relations R,
+    computed once: orders[i] = d_i (zero-padded to n entries), and V^T v are
+    the coordinates of v in which the relations are diagonal.  Presentations
+    already in Smith form, such as free groups and the (Z/m)^d chain groups,
+    have V = identity and run no SNF.  V^-1, computed only for
+    canonical_basis, is the right block of the Hermite form of [V | I],
+    which is [I | V^-1].
     """
 
     def __init__(self, ngens, relations=()):
@@ -499,16 +510,17 @@ class FgAbGroup:
         return tuple(d for d in self._factors[0] if d != 1)
 
     def is_trivial(self):
-        return not self.invariant_factors()
+        return self.relations == identity(self.ngens)
 
-    def contains_zero(self, v):
-        """Is the class of v the identity?
+    def contains_zero(self, *vectors):
+        """Is the class of each v the identity?  One echelon_coords call on
+        the Hermite relations answers for all of them.
 
         >>> G = FgAbGroup(2, [[2, -1]])
         >>> G.contains_zero([2, -1]), G.contains_zero([1, 0])
         (True, False)
         """
-        return not any(self.canonical_coords(v))
+        return None not in echelon_coords(self.relations, vectors)
 
     def canonical_basis(self):
         """Ambient vectors whose classes are the invariant-factor generators,
@@ -598,10 +610,8 @@ class AbMap:
         self.matrix = M
 
     def is_well_defined(self):
-        for r in self.source.relations:
-            if not self.target.contains_zero(mat_vec(self.matrix, r)):
-                return False
-        return True
+        images = (mat_vec(self.matrix, r) for r in self.source.relations)
+        return self.target.contains_zero(*images)
 
     def check(self):
         if not self.is_well_defined():
@@ -633,8 +643,7 @@ class AbMap:
         return self.source.ngens == other.source.ngens and (self - other).is_zero()
 
     def is_zero(self):
-        return all(self.target.contains_zero([row[j] for row in self.matrix])
-                   for j in range(self.source.ngens))
+        return self.target.contains_zero(*transpose(self.matrix))
 
     def __repr__(self):
         return "AbMap(%r -> %r)" % (self.source, self.target)
@@ -683,10 +692,7 @@ def kernel(f):
 def cokernel(f):
     """(C, projection) with C = target/im(f)."""
     f.check()
-    rels = [list(r) for r in f.target.relations]
-    for e in identity(f.source.ngens):
-        rels.append(mat_vec(f.matrix, e))
-    C = FgAbGroup(f.target.ngens, rels)
+    C = FgAbGroup(f.target.ngens, f.target.relations + transpose(f.matrix))
     proj = AbMap(f.target, C, identity(f.target.ngens))
     return C, proj
 
@@ -695,14 +701,16 @@ def _modulus(base):
     return base.modulus if base is not None and base.kind == "Z/m" else 0
 
 
-def _local_order(d, base):
-    """The order of Z/d tensored with the base (0 = Z): 1 over Q for d > 0,
-    the odd part of d over Z[1/2], d over Z."""
+def _local_torsion(core, base):
+    """The torsion of the group core tensored with the base: none over Q,
+    read with no Smith form; the odd parts of its nonzero invariant factors
+    over Z[1/2], and those factors over Z."""
     kind = base.kind if base is not None else "Z"
-    if d == 0 or kind not in ("Q", "Z[1/2]"):
-        return d
+    if kind == "Q":
+        return ()
     # d & -d is the largest power of 2 dividing d > 0
-    return 1 if kind == "Q" else d // (d & -d)
+    local = (d // (d & -d) if kind == "Z[1/2]" else d for d in core.invariant_factors() if d)
+    return tuple(d for d in local if d != 1)
 
 
 def free_rank(G, base=None):
@@ -775,7 +783,7 @@ class ChainComplex:
         # over Z/m the same maps with entries in [-m/2, m/2): -1 is a unit pivot
         self.mats = {k: [{i: r for i, x in col.items() if (r := (x + m // 2) % m - m // 2)}
                          for col in cols] for k, cols in mats.items()} if m else mats
-        self._divisors = {}
+        self._cores = {}
 
     def invariants(self, n):
         """The invariant factors of H_n over the base, from the elementary
@@ -783,8 +791,8 @@ class ChainComplex:
         != 0 (mod m over Z/m).
 
         * Over Z, Z[1/2] and Q: H_n = Z^(dim C_n - rk d_n - rk d_{n+1}) + the
-          torsion of coker d_{n+1}, localized: over Q all torsion is dropped,
-          over Z[1/2] the powers of 2.
+          torsion of coker d_{n+1}, localized: over Q all torsion is dropped
+          and only ranks are read, over Z[1/2] the powers of 2.
         * Over Z/m, with d_n o d_{n+1} = m h: the torsion of the cokernel of
           [[d_{n+1}, m I], [-h, -d_n]], a boundary of the complex of free
           abelian groups C_k + C_{k-1}, quasi-isomorphic to C (the kernel of
@@ -801,15 +809,14 @@ class ChainComplex:
             delta += [{j: m, **{rows + i: -x for i, x in col.items()}}
                       for j, col in enumerate(d_out or [{}] * rows)]
             return elementary_divisors(delta)[1]
-        rank_in, torsion = self._boundary_divisors(n + 1)
-        free = self.dims.get(n, 0) - self._boundary_divisors(n)[0] - rank_in
-        local = (_local_order(d, self.base) for d in torsion)
-        return tuple(d for d in local if d != 1) + (0,) * free
+        rank_in, core = self._boundary_core(n + 1)
+        free = self.dims.get(n, 0) - self._boundary_core(n)[0] - rank_in
+        return _local_torsion(core, self.base) + (0,) * free
 
-    def _boundary_divisors(self, n):
-        if n not in self._divisors:
-            self._divisors[n] = elementary_divisors(self.mats.get(n, ()))
-        return self._divisors[n]
+    def _boundary_core(self, n):
+        if n not in self._cores:
+            self._cores[n] = lattice_core(self.mats.get(n, ()))
+        return self._cores[n]
 
     def eigen_invariants(self, invol, sign, degrees):
         """[the invariant factors of H_n of the sign part of invol, for n in
@@ -894,7 +901,7 @@ def _rank(vectors):
         g = gcd(*v.values())
         g = g if v[min(v)] > 0 else -g
         primitive.add(tuple(sorted((i, x // g) for i, x in v.items())))
-    return elementary_divisors(primitive)[0]
+    return lattice_core(primitive)[0]
 
 
 def tensor_groups(G, H):

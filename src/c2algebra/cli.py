@@ -197,7 +197,8 @@ def _relations_to_rules(ring, rel_polys, rels_text):
             lead = None
             for mono, c in r.items():
                 if mono[i] and all(e == 0 for j, e in enumerate(mono) if j != i):
-                    if c in (1, -1) or getattr(c, "numerator", None) in (1, -1):
+                    # a unit +-1 of the base: -1 over Z/m is stored as m - 1
+                    if c in (1, ring.base.neg(1)):
                         if lead is None or mono[i] > lead[0]:
                             lead = (mono[i], mono, c)
             if lead is None:

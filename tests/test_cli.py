@@ -163,20 +163,24 @@ def test_slice_check_explicit_complex():
     assert out.strip() == "regular-slice (0)-connective: true"
 
 
+# a dense 7 x 7 matrix of Smith form diag(1, 1, 1, 1, 1, 1, 16212170), and
+# the complex of seven Zbar cells in degrees 0 and 1 it joins on both levels
+DENSE_7X7 = [[2, 6, -9, 6, -8, 0, 9], [9, 3, -4, -4, 7, -2, -9], [-3, 8, 8, -2, 3, 7, 2],
+             [9, 2, 5, -1, 8, -9, 3], [7, -5, 7, 8, -3, 4, -8], [6, 2, 9, 8, -3, 7, 4],
+             [6, 2, 4, 2, -9, 8, 8]]
+DENSE_7X7_COMPLEX_JSON = json.dumps(
+    {"kind": "complex", "terms": {"0": ["Zbar"] * 7, "1": ["Zbar"] * 7},
+     "diffs": {"1": {"fixed": DENSE_7X7, "underlying": DENSE_7X7}}})
+
+
 def test_slice_check_of_a_dense_full_rank_differential_returns_at_once():
-    # seven Zbar cells in degrees 0 and 1, joined on both levels by a dense
-    # 7 x 7 matrix of Smith form diag(1, 1, 1, 1, 1, 1, 16212170): its
-    # kernel is 0, so H_1 = 0.  The min-pivot Smith form with transforms
-    # blows up on this matrix; the kernel is read from the Hermite form.
-    M = [[2, 6, -9, 6, -8, 0, 9], [9, 3, -4, -4, 7, -2, -9], [-3, 8, 8, -2, 3, 7, 2],
-         [9, 2, 5, -1, 8, -9, 3], [7, -5, 7, 8, -3, 4, -8], [6, 2, 9, 8, -3, 7, 4],
-         [6, 2, 4, 2, -9, 8, 8]]
-    assert integer_kernel(M, 7) == []
-    cells = ["Zbar"] * 7
-    job = json.dumps({"kind": "complex", "terms": {"0": cells, "1": cells},
-                      "diffs": {"1": {"fixed": M, "underlying": M}}})
+    # the kernel of the dense 7 x 7 matrix is 0, so H_1 = 0.  The min-pivot
+    # Smith form with transforms blows up on this matrix; the kernel is read
+    # from the Hermite form.
+    assert integer_kernel(DENSE_7X7, 7) == []
     t0 = time.monotonic()
-    assert run_cli(["slice-check", "--complex", job, "--n", "0", "--coconnective"]) == \
+    assert run_cli(["slice-check", "--complex", DENSE_7X7_COMPLEX_JSON, "--n", "0",
+                    "--coconnective"]) == \
         (0, "regular-slice (0)-coconnective: passes-necessary-conditions\n")
     assert time.monotonic() - t0 < 1.0
 
@@ -425,6 +429,80 @@ def test_hh_golden_over_z_mod_m_where_the_lift_of_b_is_a_complex_only_mod_m():
         code, out = run_cli(["hh", "--algebra", X3_JSON % (base, rel), "--nmax", "4"])
         assert code == 0
         assert out.splitlines() == ["HH_%d = %s" % (n, g) for n, g in enumerate(groups)], base
+
+
+def test_a_leading_minus_one_over_z_mod_m_is_monic():
+    # over Z/m the coefficient -1 is stored as m - 1: -x^3 + 1 is the
+    # relation x^3 - 1, as over Z and Q
+    for base in ("Z/5", "Z/9"):
+        answers = [run_cli(["hh", "--algebra", X3_JSON % (base, rel), "--nmax", "3"])
+                   for rel in ("-x^3 + 1", "x^3 - 1")]
+        assert answers[0] == answers[1] and answers[0][0] == 0, base
+
+
+SIGMA_X_MINUS_Y_JSON = ('{"base": "%s", "gens": [{"name": "x", "sigma": "x"}, '
+                        '{"name": "y", "sigma": "x - y"}]}')
+# dihedral of Q[x, x_s] with sigma swapping the variables, at --weight 6 --nmax 2
+SWAP_W6_ANSWER = "n=0: HC=7 HD=4 HD'=3\nn=1: HC=5 HD=3 HD'=2\nn=2: HC=0 HD=0 HD'=0\n"
+
+
+def test_dihedral_of_a_sigma_that_is_no_signed_permutation_returns_at_once():
+    # sigma(y) = x - y swaps y and x - y, so HC, HD and HD' are those of the
+    # swap on Q[x, x_s]; its one block has a unit-free core on which the
+    # min-pivot Smith form ran past 60 s
+    argv = ["dihedral", "--algebra", SIGMA_X_MINUS_Y_JSON % "Q", "--weight", "6", "--nmax", "2"]
+    t0 = time.monotonic()
+    assert run_cli(argv) == (0, SWAP_W6_ANSWER)
+    assert time.monotonic() - t0 < 2.0
+    assert run_cli(["dihedral", "--algebra", KXXS_JSON.replace('"Z"', '"Q"'),
+                    "--weight", "6", "--nmax", "2"]) == (0, SWAP_W6_ANSWER)
+
+
+def test_hh_and_dihedral_over_q_run_no_smith_form(monkeypatch):
+    # over Q only ranks are read, and a rank reads no Smith form
+    import c2algebra.abelian as ab
+    free = KXXS_JSON.replace('"Z"', '"Q"')
+    argvs = [["hh", "--algebra", free, "--weight", "5", "--nmax", "5"],
+             ["dihedral", "--algebra", free, "--weight", "5", "--nmax", "5"],
+             ["dihedral", "--algebra", SIGMA_X_MINUS_Y_JSON % "Q", "--weight", "6", "--nmax", "2"]]
+
+    def refuse(A):
+        raise AssertionError("smith_normal_form(%r)" % (A,))
+    monkeypatch.setattr(ab, "smith_normal_form", refuse)
+    answers = [run_cli(argv) for argv in argvs]
+    monkeypatch.undo()
+    assert answers == [run_cli(argv) for argv in argvs]
+    assert answers[0][1].count("HH_") == 6 and answers[1][1].count("HC=") == 6
+    assert answers[2] == (0, SWAP_W6_ANSWER)
+
+
+def test_the_smith_form_reads_only_hermite_forms(monkeypatch):
+    # every Smith form the commands take is of a group's Hermite relations
+    import c2algebra.abelian as ab
+    real, seen = ab.smith_normal_form, []
+
+    def hermite_only(A):
+        assert A == ab.hermite_normal_form(A), A
+        seen.append(A)
+        return real(A)
+    argvs = [["hh", "--algebra", XY2_JSON % "Z", "--weight", "4", "--nmax", "4"],
+             ["hh", "--algebra", X3_JSON % ("Z/9", "x^3 - 3*x^2 - 2"), "--nmax", "3"],
+             ["dihedral", "--algebra", SIGMA_X_MINUS_Y_JSON % "Z[1/2]", "--weight", "4",
+              "--nmax", "2"],
+             ["dihedral", "--algebra", DUAL_JSON % ("Z/15", "4*x"), "--nmax", "2"],
+             ["dihedral", "--algebra", DUAL_JSON % ("Z/9", "-x"), "--nmax", "3"],
+             ["derham", "--algebra", KX_JSON, "--imax", "1", "--maxweight", "6"],
+             ["derham", "--algebra", KXXS_JSON.replace('"Z"', '"Z[1/2]"'), "--maxweight", "4"],
+             ["derham", "--algebra", KX_JSON.replace('"Z"', '"Z/9"'), "--maxweight", "4"],
+             ["hr-gr", "--algebra", KXXS_JSON, "--i", "2", "--weight", "4"],
+             ["slice-check", "--complex", '{"kind": "sigma-sphere", "k": 3}', "--n", "3"],
+             ["slice-check", "--complex", DENSE_7X7_COMPLEX_JSON, "--n", "0", "--coconnective"]]
+    monkeypatch.setattr(ab, "smith_normal_form", hermite_only)
+    answers = [run_cli(argv) for argv in argvs]
+    monkeypatch.undo()
+    assert answers == [run_cli(argv) for argv in argvs]
+    assert all(code == 0 for code, _ in answers)
+    assert any(not A == ab.identity(len(A)) for A in seen)
 
 
 def test_hh_derham_and_dihedral_over_z_mod_m_build_no_homology(monkeypatch):
