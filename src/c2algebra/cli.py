@@ -120,8 +120,8 @@ def _int_matrix(rows):
 
 
 def parse_algebra(data):
+    """The checked RingInvolution sigma of an algebra object, on its ring."""
     from .polyring import BaseRing, PolyRing, RingError, RingInvolution, parse_poly
-    from . import trace as tr
     allowed = {"base", "gens", "rels", "weights"}
     unknown = set(data) - allowed
     if unknown:
@@ -171,7 +171,7 @@ def parse_algebra(data):
     if bad is not None:
         raise DomainError("relation ideal is not sigma-stable (offending "
                           "relation: %s)" % rels_text[bad])
-    return tr.InvolutiveAlgebra(base, ring, omega)
+    return omega
 
 
 def _generator_weights(weights, names):
@@ -346,6 +346,15 @@ def _load(path_or_json):
                          % (e.lineno, e.colno, e.msg))
 
 
+def _algebra(args):
+    """The parsed --algebra of an algebra command: its RingInvolution."""
+    from .polyring import RingInvolution
+    sigma = parse_input(_load(args.algebra))
+    if not isinstance(sigma, RingInvolution):
+        raise ParseError("%s expects an algebra" % args.command)
+    return sigma
+
+
 def cmd_mackey_show(args, out):
     from . import mackey as mk
     M = parse_input(_load(args.input))
@@ -450,14 +459,11 @@ def cmd_hr_gr(args, out):
     from .abelian import render_invariants
     from . import complexes as cx
     from . import differentials as df
-    from . import trace as tr
-    A = parse_input(_load(args.algebra))
-    if not isinstance(A, tr.InvolutiveAlgebra):
-        raise ParseError("hr-gr expects an algebra")
-    if A.base.kind != "Z":
+    sigma = _algebra(args)
+    if sigma.ring.base.kind != "Z":
         raise DomainError("hr-gr computes Mackey homology over Z only, not over %s"
-                          % A.base)
-    L = df.cotangent_module(df.presentation_of(A))
+                          % sigma.ring.base)
+    L = df.cotangent_module(df.presentation_of(sigma))
     # one sigma-orbit type per generator; a swapped pair at its first member
     label = "+".join(("trivial" if s == 1 else "sign") if k == j else "free"
                      for j, (k, s) in enumerate(df.signed_permutation(L)) if k >= j)
@@ -489,11 +495,7 @@ def cmd_hr_gr(args, out):
 
 def cmd_cotangent(args, out):
     from . import differentials as df
-    from . import trace as tr
-    A = parse_input(_load(args.algebra))
-    if not isinstance(A, tr.InvolutiveAlgebra):
-        raise ParseError("cotangent expects an algebra")
-    L = df.cotangent_module(df.presentation_of(A))
+    L = df.cotangent_module(df.presentation_of(_algebra(args)))
     ring = L.algebra
     info = {
         "generators": list(L.gen_names),
@@ -519,11 +521,8 @@ def cmd_cotangent(args, out):
 def cmd_derham(args, out):
     from .abelian import render_invariants
     from . import differentials as df
-    from . import trace as tr
-    A = parse_input(_load(args.algebra))
-    if not isinstance(A, tr.InvolutiveAlgebra):
-        raise ParseError("derham expects an algebra")
-    complexes = df.de_rham_complex(df.presentation_of(A), args.imax, args.maxweight)
+    complexes = df.de_rham_complex(df.presentation_of(_algebra(args)), args.imax,
+                                   args.maxweight)
     table = {str(w): {str(n): {"h": list(C.invariants(-n)),
                                "dim": C.dims[-n]}
                       for n in range(0, args.imax + 1)}
@@ -543,11 +542,9 @@ def cmd_derham(args, out):
 def cmd_hh(args, out):
     from .abelian import render_invariants
     from . import trace as tr
-    A = parse_input(_load(args.algebra))
-    if not isinstance(A, tr.InvolutiveAlgebra):
-        raise ParseError("hh expects an algebra")
+    A = tr.InvolutiveAlgebra(_algebra(args))
     weight = args.weight
-    if not A.is_finite_dimensional() and weight is None:
+    if not A.ring.is_finite_dimensional() and weight is None:
         raise DomainError("graded algebra: pass --weight")
     degrees = range(0, args.nmax + 1)
     groups = tr.hh_groups(tr.hochschild_blocks(A, args.nmax + 1, weight), degrees)
@@ -562,11 +559,9 @@ def cmd_hh(args, out):
 
 def cmd_dihedral(args, out):
     from . import trace as tr
-    A = parse_input(_load(args.algebra))
-    if not isinstance(A, tr.InvolutiveAlgebra):
-        raise ParseError("dihedral expects an algebra")
+    A = tr.InvolutiveAlgebra(_algebra(args))
     weight = args.weight
-    if not A.is_finite_dimensional() and weight is None:
+    if not A.ring.is_finite_dimensional() and weight is None:
         raise DomainError("graded algebra: pass --weight")
     D = tr.dihedral_homology(A, args.nmax, weight=weight)
     data = {"hc": D.hc, "hd": D.hd, "hd_prime": D.hd_prime}

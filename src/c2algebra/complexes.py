@@ -124,11 +124,13 @@ def sign_sphere(k):
 
 def suspend_sigma(M, k):
     """Sigma^{k sigma} of one Mackey functor: box(M, T) in the degree of each
-    cell T of sign_sphere(k), id_M box d for each of its differentials d."""
+    cell T of sign_sphere(k), id_M box d for each of its differentials d;
+    box(M, zbar_c2), the term of every free cell, is built once."""
     if not k:
         return single(M)
     S = sign_sphere(k)
-    terms = {n: box(M, T) for n, T in sorted(S.terms.items())}
+    free = box(M, zbar_c2())
+    terms = {n: free if n else box(M, T) for n, T in sorted(S.terms.items())}
     one = MackeyMap.identity_map(M)
     return MackeyComplex(terms, {n: box_map(one, d, terms[n], terms[n - 1])
                                  for n, d in sorted(S.diffs.items())})

@@ -7,10 +7,11 @@ sigma-stable relations) has a cotangent module
 
 with the universal derivation acting by Leibniz expansion and sigma acting
 semilinearly (sigma(dv) = d(sigma v)).  presentation_of is the one route
-from a parsed algebra to such a presentation: a rule-free algebra presents
-itself, y^2 = f(x) with y -> -y is hyperelliptic_presentation.  For a ring
-with involution the fixed-point Tambara functor is always cohomological
-(N(res x) = x sigma(x) = x^2), so nothing here needs Tambara data.
+from a parsed algebra, the RingInvolution of cli.parse_algebra, to such a
+presentation: a rule-free algebra presents itself, y^2 = f(x) with y -> -y
+is hyperelliptic_presentation.  For a ring with involution the fixed-point
+Tambara functor is always cohomological (N(res x) = x sigma(x) = x^2), so
+nothing here needs Tambara data.
 
 The associated de Rham complex is one abelian.ChainComplex per weight: the
 ranks of the free base-modules Omega^k, in chain degree -k, and the sparse
@@ -25,14 +26,14 @@ the one builder of both the de Rham terms (sigma twisted by (-1)^i) and the
 graded pieces of real Hochschild homology, gr^i HR = Sigma^{i sigma}
 Lambda^i L (hkr_graded_piece, the involutive HKR identification), whose
 fixed-point Mackey functor takes sigma as a dense AbMap.
+
+Only polyring loads with this module: de_rham_complex imports abelian, and
+hkr_graded_piece the Mackey layer, where they run (derham, hr-gr).
 """
 
 from itertools import combinations
 
 from . import EngineError
-from .abelian import AbMap, ChainComplex, FgAbGroup, NotAComplex, dense_matrix
-from . import complexes as cx
-from .mackey import fixed_point_mackey
 from .polyring import PolyRing, RingInvolution, integer_lift
 
 
@@ -215,25 +216,25 @@ def hyperelliptic_presentation(f_coeffs, base):
                                   quotient, to_q, sigma_q)
 
 
-def presentation_of(A):
-    """The InvolutivePresentation of a parsed algebra A (ring, omega, base):
-    a rule-free algebra is its own free presentation, y^2 = f(x) with
-    y -> -y and x -> x is hyperelliptic_presentation; anything else raises
-    DifferentialError."""
-    ring = A.ring
+def presentation_of(sigma):
+    """The InvolutivePresentation of a parsed algebra, the RingInvolution
+    sigma on its ring: a rule-free algebra is its own free presentation,
+    y^2 = f(x) with y -> -y and x -> x is hyperelliptic_presentation;
+    anything else raises DifferentialError."""
+    ring = sigma.ring
     if not ring.rules:
         ident = [ring.var(i) for i in range(ring.n)]
-        return InvolutivePresentation(ring, A.omega, [], ring, ident, A.omega)
+        return InvolutivePresentation(ring, sigma, [], ring, ident, sigma)
     if ring.n == 2 and len(ring.rules) == 1:
         (iy, (p, repl)), = ring.rules.items()
         ix = 1 - iy
-        if p == 2 and ring.equal(A.omega.images[iy], ring.neg(ring.var(iy))) and \
-                ring.equal(A.omega.images[ix], ring.var(ix)) and \
+        if p == 2 and ring.equal(sigma.images[iy], ring.neg(ring.var(iy))) and \
+                ring.equal(sigma.images[ix], ring.var(ix)) and \
                 all(m[iy] == 0 for m in repl):
             coeffs = [0] * (max((m[ix] for m in repl), default=0) + 1)
             for m, c in repl.items():
                 coeffs[m[ix]] = c
-            return hyperelliptic_presentation(coeffs, A.base)
+            return hyperelliptic_presentation(coeffs, ring.base)
     raise DifferentialError("cotangent supports free involutive presentations and "
                             "hyperelliptic quotients")
 
@@ -292,6 +293,7 @@ def de_rham_complex(B, i_max, max_weight):
     for 0 <= k <= i_max + 1, so H^k = homology(-k) for k <= i_max.  The
     exterior derivative is sigma-antilinear for sigma on Omega^k twisted by
     (-1)^k, which is checked."""
+    from .abelian import ChainComplex, NotAComplex
     L = cotangent_module(B)
     A = L.algebra
     nvars = L.presentation.free_ring.n
@@ -351,9 +353,11 @@ def hkr_graded_piece(L, i, w):
     HKR identification: Sigma^{i sigma} of Lambda^i L_w with its natural
     sigma, for a free cotangent module L (an empty complex when Lambda^i L_w
     is 0)."""
+    from .abelian import AbMap, FgAbGroup, dense_matrix
+    from . import complexes as cx, mackey as mk
     basis, sig = exterior_power(L, i, w)
     if not basis:
         return cx.MackeyComplex({}, {})
     G = FgAbGroup.free(len(basis))
     sigma = AbMap(G, G, dense_matrix(sig, len(basis)))
-    return cx.suspend_sigma(fixed_point_mackey(G, sigma), i)
+    return cx.suspend_sigma(mk.fixed_point_mackey(G, sigma), i)

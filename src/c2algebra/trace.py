@@ -11,14 +11,15 @@ These satisfy b^2 = 0, wb = bw, w^2 = 1, B^2 = 0, bB + Bb = 0 and
 wB = -Bw exactly; all are asserted in the test suite.  When 2 is invertible
 the total complex of the (b, B)-bicomplex splits along w, giving the
 dihedral splitting HC = HD + HD' of cyclic homology.  b, w and B are sparse
-integer columns, one {row: coeff} per basis tensor, read from the algebra's
-memo tables of monomial products and sigma-images, and each complex (the
-Hochschild chains, and the total complex of the bicomplex with its
-involution, whose columns are those of b, B and w moved to their offsets)
-is an abelian.ChainComplex over the base ring in that form.  HH
-and HC are read as invariant factors (ChainComplex.invariants), HD and HD'
-as those of the +-parts of the involution (ChainComplex.eigen_invariants);
-the base ring is that module's concern.
+integer columns, one {row: coeff} per basis tensor, read from the memo
+tables of an InvolutiveAlgebra, which hh and dihedral wrap once per run
+around the parsed sigma.  Each complex (the Hochschild chains, and the
+total complex of the bicomplex with its involution, whose columns are those
+of b, B and w moved to their offsets) is an abelian.ChainComplex over the
+base ring in that form.  HH and HC are read as invariant factors
+(ChainComplex.invariants), HD and HD' as those of the +-parts of the
+involution (ChainComplex.eigen_invariants); the base ring is that module's
+concern.
 
 Graded algebras are handled one internal weight at a time (exact per
 weight), finite-dimensional algebras as a whole, and both are cut further
@@ -59,21 +60,19 @@ class UnsupportedAlgebra(TraceError):
 
 
 class InvolutiveAlgebra:
-    """Presented commutative algebra with involution over an exact base.
-    The caller checks that omega is an involution that preserves the rules;
-    cli.parse_algebra does, naming the offending relation.  The bar complex
-    reads it through two memo tables shared by all its blocks: _products of
-    two basis monomials (one ring.mul per pair) and _images of one under sigma."""
+    """The bar complex's view of a presented algebra with involution: sigma
+    (a polyring.RingInvolution, which knows its ring and the ring its base)
+    and two memo tables that all blocks of one run share: _products of two
+    basis monomials (one ring.mul per pair) and _images of one under sigma.
+    The caller checks that sigma is an involution that preserves the rules;
+    cli.parse_algebra does, naming the offending relation."""
 
-    def __init__(self, base, ring, omega):
-        self.base = base
-        self.ring = ring
+    def __init__(self, omega):
         self.omega = omega
+        self.ring = ring = omega.ring
+        self.base = ring.base
         self._products = _Table(lambda pair: ring.mul({pair[0]: 1}, {pair[1]: 1}))
         self._images = _Table(lambda m: omega({m: 1}))
-
-    def is_finite_dimensional(self):
-        return self.ring.is_finite_dimensional()
 
     def __repr__(self):
         return "InvolutiveAlgebra(%s)" % self.ring.names
@@ -110,7 +109,7 @@ def _require_homogeneous(algebra):
 def _check_request(algebra, n_max, weight):
     if n_max < 1:
         raise TruncationTooSmall("need n_max >= 1")
-    if weight is None and not algebra.is_finite_dimensional():
+    if weight is None and not algebra.ring.is_finite_dimensional():
         raise UnsupportedAlgebra("graded algebra needs a weight block")
     if weight is not None:
         _require_homogeneous(algebra)

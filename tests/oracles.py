@@ -65,33 +65,33 @@ def algebra_poly(base, names, omega_images=None, rules=None):
     ring = PolyRing(base, names, rules=rules or {})
     om = RingInvolution.identity(ring) if omega_images is None else \
         RingInvolution(ring, omega_images)
-    return InvolutiveAlgebra(base, ring, om)
+    return InvolutiveAlgebra(om)
 
 
 def algebra_q_poly():
     base = BaseRing("Q")
     ring = PolyRing(base, ["x"])
-    return InvolutiveAlgebra(base, ring, RingInvolution.identity(ring))
+    return InvolutiveAlgebra(RingInvolution.identity(ring))
 
 
 def algebra_q_dual_numbers():
     """Q[x]/x^2 with w(x) = -x."""
     base = BaseRing("Q")
     ring = PolyRing(base, ["x"], rules={0: (2, {})})
-    return InvolutiveAlgebra(base, ring, RingInvolution(ring, [ring.neg(ring.var(0))]))
+    return InvolutiveAlgebra(RingInvolution(ring, [ring.neg(ring.var(0))]))
 
 
 def algebra_gaussian():
     """Q(i) over Q with conjugation: the desk model of C over R."""
     base = BaseRing("Q")
     ring = PolyRing(base, ["i"], rules={0: (2, {(0,): -1})})
-    return InvolutiveAlgebra(base, ring, RingInvolution(ring, [ring.neg(ring.var(0))]))
+    return InvolutiveAlgebra(RingInvolution(ring, [ring.neg(ring.var(0))]))
 
 
 def algebra_ground(base=None):
     base = base or BaseRing("Q")
     ring = PolyRing(base, [])
-    return InvolutiveAlgebra(base, ring, RingInvolution.identity(ring))
+    return InvolutiveAlgebra(RingInvolution.identity(ring))
 
 
 def zsign():

@@ -534,7 +534,7 @@ def _bar_differentials():
     from c2algebra.trace import DihedralComplex, InvolutiveAlgebra
     base = BaseRing("Q")
     ring = PolyRing(base, ["x", "x_s"])
-    A = InvolutiveAlgebra(base, ring, RingInvolution(ring, [ring.var(1), ring.var(0)]))
+    A = InvolutiveAlgebra(RingInvolution(ring, [ring.var(1), ring.var(0)]))
     return [dense(C.b[n], C.dim(n - 1))
             for C in (DihedralComplex(A, 4, w) for w in (3, 4)) for n in range(1, 5)]
 

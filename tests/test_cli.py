@@ -44,7 +44,7 @@ HYPER_JSON = ('{"base": "Q", "gens": [{"name": "x", "sigma": "x"}, '
 
 def test_parse_minimal_algebra():
     A = parse_input(json.loads(KX_JSON))
-    assert isinstance(A, tr.InvolutiveAlgebra)
+    assert isinstance(A, RingInvolution)
     assert A.ring.names == ["x"]
 
 
@@ -52,7 +52,7 @@ def test_parse_hyperelliptic():
     A = parse_input(json.loads(HYPER_JSON))
     assert A.ring.rules
     # omega(y) = -y survives the quotient
-    img = A.omega.images[1]
+    img = A.images[1]
     assert A.ring.equal(img, A.ring.neg(A.ring.var(1)))
 
 
@@ -92,7 +92,7 @@ def test_parse_rejects_unknown_fields():
 def test_mackey_roundtrip():
     for M in (zbar(), zsign(), zbar_c2(), burnside(), box(zbar(), zbar()),
               homology(hkr_graded_piece(cotangent_module(presentation_of(algebra_poly(
-                  BaseRing("Z"), ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}]))), 2, 4), 2)):
+                  BaseRing("Z"), ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}]).omega)), 2, 4), 2)):
         data = mackey_to_json(M)
         M2 = parse_mackey(json.loads(json.dumps(data)))
         assert fingerprint(M2) == fingerprint(M)
@@ -421,7 +421,7 @@ def test_hh_golden_over_z_mod_m_where_the_lift_of_b_is_a_complex_only_mod_m():
         ("Z/4", "x^3 - 2*x^2 - x"): ["Z/4 + Z/4 + Z/4"] + ["Z/2 + Z/4"] * 4,
     }
     for (base, rel), groups in cases.items():
-        A = parse_input(json.loads(X3_JSON % (base, rel)))
+        A = tr.InvolutiveAlgebra(parse_input(json.loads(X3_JSON % (base, rel))))
         (C,) = tr.hochschild_blocks(A, 5)
         lift = ChainComplex(tr.hochschild_chains(C).dims, C.b)
         with pytest.raises(NotAComplex):
@@ -968,17 +968,29 @@ def _layers_after(argv):
 
 def test_each_command_loads_only_the_layers_it_runs():
     package = {"c2algebra", "c2algebra.cli"}
-    layers = lambda names: package | {"c2algebra." + n for n in names.split()}
     assert _layers_loaded("import c2algebra.cli") == package
-    sphere = ["slice-check", "--complex", '{"kind":"sigma-sphere","k":2}', "--n", "2"]
-    assert _layers_after(sphere) == layers("abelian mackey complexes")
-    hh = _layers_after(["hh", "--algebra", QX_JSON, "--weight", "2", "--nmax", "2"])
-    assert hh == layers("abelian polyring trace")
-    show = _layers_after(["mackey-show", "--input", ZBAR_JSON])
-    assert show == layers("abelian mackey")
-    # hr-gr reads the default truncation from the package, not from tambara
-    hr_gr = _layers_after(["hr-gr", "--algebra", KX_JSON, "--i", "1", "--weight", "2"])
-    assert hr_gr == layers("abelian complexes differentials mackey polyring trace")
+    sphere = '{"kind":"sigma-sphere","k":2}'
+    # hr-gr reads the default truncation from the package, not from tambara;
+    # the parsed algebra is its RingInvolution, so only hh and dihedral load trace
+    cases = [
+        (["cotangent", "--algebra", HYPER_JSON], "polyring differentials"),
+        (["derham", "--algebra", KXXS_JSON], "abelian polyring differentials"),
+        (["hr-gr", "--algebra", KX_JSON, "--i", "1", "--weight", "2"],
+         "abelian polyring differentials mackey complexes"),
+        (["hh", "--algebra", QX_JSON, "--weight", "2", "--nmax", "2"],
+         "abelian polyring trace"),
+        (["dihedral", "--algebra", QX_JSON, "--weight", "2", "--nmax", "2"],
+         "abelian polyring trace"),
+        (["slice-check", "--complex", sphere, "--n", "2"], "abelian mackey complexes"),
+        (["slice-check", "--complex", sphere, "--n", "0", "--coconnective"],
+         "abelian mackey complexes"),
+        (["mackey-show", "--input", ZBAR_JSON], "abelian mackey"),
+        (["box", "--left", ZBAR_JSON, "--right", ZSIGN_JSON], "abelian mackey"),
+        (["phi", "--input", ZBAR_JSON], "abelian mackey"),
+        (["tambara-free", "--kind", "free", "--trunc", "2"], "polyring tambara"),
+    ]
+    for argv, names in cases:
+        assert _layers_after(argv) == package | {"c2algebra." + n for n in names.split()}, argv
 
 
 def test_every_domain_error_is_an_engine_error():

@@ -2,6 +2,10 @@
 graded pieces: against the closed-form table of the two monogenic cases, and
 against the bar complex for signed permutations of up to three variables."""
 
+import io
+import json
+from itertools import combinations
+
 from c2algebra.polyring import BaseRing, parse_poly
 from c2algebra.tambara import free_involutive_free, free_involutive_trivial
 from c2algebra.abelian import (
@@ -14,7 +18,7 @@ from c2algebra.abelian import (
     mat_mul,
     smith_normal_form,
 )
-from c2algebra.cli import mackey_to_json, parse_input
+from c2algebra.cli import mackey_to_json, parse_input, run
 from c2algebra import complexes as cx
 from c2algebra.complexes import homology
 from c2algebra.differentials import (
@@ -28,7 +32,12 @@ from c2algebra.differentials import (
     presentation_of,
 )
 from c2algebra.mackey import fixed_point_mackey, induced, validate, zbar, zbar_c2
-from c2algebra.trace import DihedralComplex, dihedral_homology, hochschild_chains
+from c2algebra.trace import (
+    DihedralComplex,
+    InvolutiveAlgebra,
+    dihedral_homology,
+    hochschild_chains,
+)
 from oracles import (
     algebra_poly,
     box_complex,
@@ -52,12 +61,12 @@ Q = BaseRing("Q")
 
 def k_x(base=Z, names=("x",)):
     """k[names] with the trivial involution, as a presentation."""
-    return presentation_of(algebra_poly(base, list(names)))
+    return presentation_of(algebra_poly(base, list(names)).omega)
 
 
 def k_x_xs(base=Z):
     """k[x, x_s] with the swap, as a presentation."""
-    return presentation_of(algebra_poly(base, ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}]))
+    return presentation_of(algebra_poly(base, ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}]).omega)
 
 
 def cotangent_piece(L, w):
@@ -94,7 +103,7 @@ def test_cotangent_free_orbit():
 def test_presentation_of_a_parsed_algebra():
     # a rule-free algebra is its own free presentation
     A = algebra_poly(Z, ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}])
-    P = presentation_of(A)
+    P = presentation_of(A.omega)
     assert P.free_ring is A.ring and P.quotient is A.ring and P.relations == []
     assert P.to_quotient == [A.ring.var(0), A.ring.var(1)]
     # y^2 = x^3 + 1 with y -> -y is the hyperelliptic presentation
@@ -195,7 +204,7 @@ def test_de_rham_trivial_generator():
     # the natural sigma(dx) is dx for x -> x and -dx for x -> -x; the
     # (-1)^1 twist of the de Rham term makes the first -dx too
     assert exterior_power(cotangent_module(k_x()), 1, 1)[1] == [{0: 1}]
-    sign = presentation_of(algebra_poly(Z, ["x"], [{(1,): -1}]))
+    sign = presentation_of(algebra_poly(Z, ["x"], [{(1,): -1}]).omega)
     assert exterior_power(cotangent_module(sign), 1, 1)[1] == [{0: -1}]
 
 
@@ -429,9 +438,10 @@ def assert_hkr_two_oracles(gens, w, degrees=range(0, 4)):
     """Over Z, the underlying ranks of H_n(gr^i) summed over i are the
     bar-complex HH_n; their fixed ranks are HH_n^+ over Z[1/2]."""
     names = [n for n, _ in gens]
-    A = {b: parse_input({"base": b, "gens": [{"name": n, "sigma": s} for n, s in gens]})
+    A = {b: InvolutiveAlgebra(parse_input({"base": b, "gens": [{"name": n, "sigma": s}
+                                                               for n, s in gens]}))
          for b in ("Z", "Z[1/2]")}
-    L = cotangent_module(presentation_of(A["Z"]))
+    L = cotangent_module(presentation_of(A["Z"].omega))
     underlying = {n: 0 for n in degrees}
     fixed = {n: 0 for n in degrees}
     for i in range(0, len(names) + 1):
@@ -474,11 +484,11 @@ def test_dihedral_homology_is_the_de_rham_cokernel_split_by_sigma(gens, w):
     # natural sigma of exterior_power acts by (-1)^n, HD'_n the part where it
     # acts by -(-1)^n.  At weight 0, HC also carries de Rham cohomology.
     # The bar complex (trace) against the de Rham builder (differentials).
-    A = parse_input({"base": "Q", "gens": [{"name": n, "sigma": s} for n, s in gens]})
-    P = presentation_of(A)
+    sigma = parse_input({"base": "Q", "gens": [{"name": n, "sigma": s} for n, s in gens]})
+    P = presentation_of(sigma)
     L = cotangent_module(P)
     C = de_rham_complex(P, 3, w)[w]
-    D = dihedral_homology(A, 3, w)
+    D = dihedral_homology(InvolutiveAlgebra(sigma), 3, w)
     for n in range(0, 4):
         dim = C.dims[-n]
         S = dense(exterior_power(L, n, w)[1], dim)
@@ -488,3 +498,43 @@ def test_dihedral_homology_is_the_de_rham_cokernel_split_by_sigma(gens, w):
             proj = [[(i == j) + eps * x for j, x in enumerate(row)] for i, row in enumerate(S)]
             parts.append(_rank(proj) - _rank(mat_mul(proj, d)))
         assert (D.hc[n], D.hd[n], D.hd_prime[n]) == (dim - _rank(d), *parts), (gens, w, n)
+
+
+# -- derham over F_p against the Cartier isomorphism --------------------------
+
+def _monomials(weights, w):
+    """The number of monomials of weight w in generators of these weights."""
+    if not weights:
+        return int(w == 0)
+    return sum(_monomials(weights[1:], w - k * weights[0]) for k in range(w // weights[0] + 1))
+
+
+def _omega_dim(weights, i, w):
+    """dim Omega^i at weight w of the polynomial ring on generators of these
+    weights: the m dv_S with |S| = i and weight(m) + weight(S) = w."""
+    return sum(_monomials(weights, w - sum(S)) for S in combinations(weights, i) if sum(S) <= w)
+
+
+@settings(max_examples=50, deadline=None)
+@given(gens=signed_permutations(sorted(ORBITS)),
+       orbit_weights=st.tuples(*[st.integers(1, 3)] * 3),
+       p=st.sampled_from([3, 5, 7]), imax=st.integers(0, 4))
+def test_derham_over_f_p_is_the_cartier_count(gens, orbit_weights, p, imax):
+    # Cartier: over F_p, H^i of the de Rham complex of F_p[x_1, ..., x_n] is
+    # Omega^i of F_p[x_1^p, ..., x_n^p], whose weights are p times those of
+    # the x_j; sigma does not change the cohomology.  The generators v<k>
+    # and v<k>_s of orbit k share its weight, so sigma preserves weights.
+    weights = [orbit_weights[int(n[1])] for n, _ in gens]
+    algebra = {"base": "Z/%d" % p, "gens": [{"name": n, "sigma": s} for n, s in gens],
+               "weights": {n: w for (n, _), w in zip(gens, weights)}}
+    buf = io.StringIO()
+    assert run(["derham", "--algebra", json.dumps(algebra), "--imax", str(imax),
+                "--maxweight", "9", "--format", "json"], stdout=buf) == 0
+    table = json.loads(buf.getvalue())["table"]
+    assert sorted(table, key=int) == [str(w) for w in range(10)]
+    for w in range(10):
+        assert sorted(table[str(w)], key=int) == [str(i) for i in range(imax + 1)]
+        for i in range(imax + 1):
+            cartier = _omega_dim(weights, i, w // p) if w % p == 0 else 0
+            assert table[str(w)][str(i)] == {"dim": _omega_dim(weights, i, w),
+                                             "h": [p] * cartier}, (gens, p, w, i)

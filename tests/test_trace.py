@@ -51,8 +51,8 @@ from hypothesis import assume, given, settings, strategies as st
 Z = BaseRing("Z")
 K_X = algebra_poly(Z, ["x"])                                          # k[x]
 K_X_XS = algebra_poly(Z, ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}])   # k[x, x_s]
-COTANGENT = {"trivial": cotangent_module(presentation_of(K_X)),
-             "free": cotangent_module(presentation_of(K_X_XS))}
+COTANGENT = {"trivial": cotangent_module(presentation_of(K_X.omega)),
+             "free": cotangent_module(presentation_of(K_X_XS.omega))}
 
 
 def hh(A, n_max, weight=None):
@@ -100,7 +100,7 @@ def test_identities_gaussian():
 def test_identities_x_cubed():
     base = BaseRing("Q")
     ring = PolyRing(base, ["x"], rules={0: (3, {})})
-    A = InvolutiveAlgebra(base, ring, RingInvolution.identity(ring))
+    A = InvolutiveAlgebra(RingInvolution.identity(ring))
     assert check_identities(DihedralComplex(A, 4))
 
 
@@ -189,7 +189,7 @@ def test_hr_fixed_points_two_routes():
 def test_hr_requires_two_invertible():
     base = BaseRing("Z")
     ring = PolyRing(base, ["x"])
-    A = InvolutiveAlgebra(base, ring, RingInvolution.identity(ring))
+    A = InvolutiveAlgebra(RingInvolution.identity(ring))
     with pytest.raises(TwoNotInvertible):
         hh_plus_minus_dimensions(A, 1, weight=1)
 
@@ -252,9 +252,9 @@ def test_dihedral_requires_two_invertible():
 # -- graded pieces of HR -------------------------------------------------------
 
 def test_hr_graded_pieces_accepts_presentations():
-    C = hkr_graded_piece(cotangent_module(presentation_of(K_X)), 0, 2)
+    C = hkr_graded_piece(cotangent_module(presentation_of(K_X.omega)), 0, 2)
     assert isomorphic(cx_homology(C, 0), zbar())
-    C2 = hkr_graded_piece(cotangent_module(presentation_of(K_X_XS)), 1, 1)
+    C2 = hkr_graded_piece(cotangent_module(presentation_of(K_X_XS.omega)), 1, 1)
     assert free_rank(cx_homology(C2, 1).underlying) == 2
 
 
@@ -645,7 +645,7 @@ def test_operators_match_the_reference_on_a_finite_algebra(A, n_max):
 
 def _graded_algebra(base, names, images, rules, weights):
     ring = PolyRing(base, names, rules=rules, weights=weights)
-    return InvolutiveAlgebra(base, ring, RingInvolution(ring, images))
+    return InvolutiveAlgebra(RingInvolution(ring, images))
 
 
 @pytest.mark.parametrize("base", ["Q", "Z", "Z/3", "Z/15"])
