@@ -541,13 +541,18 @@ def cmd_derham(args, out):
 
 def cmd_hh(args, out):
     from .abelian import render_invariants
-    from . import trace as tr
-    A = tr.InvolutiveAlgebra(_algebra(args))
+    sigma = _algebra(args)
     weight = args.weight
-    if not A.ring.is_finite_dimensional() and weight is None:
-        raise DomainError("graded algebra: pass --weight")
     degrees = range(0, args.nmax + 1)
-    groups = tr.hh_groups(tr.hochschild_blocks(A, args.nmax + 1, weight), degrees)
+    # the small complex when the ring splits by variable, else the bar complex
+    if sigma.ring.splits_by_variable():
+        from . import koszul
+        groups = koszul.hh_groups(koszul.hochschild_complex(sigma, args.nmax + 1, weight),
+                                  degrees)
+    else:
+        from . import trace as tr
+        groups = tr.hh_groups(tr.hochschild_blocks(tr.InvolutiveAlgebra(sigma), args.nmax + 1,
+                                                   weight), degrees)
     rows = [{"n": n, "hh": group_to_json(G)} for n, G in zip(degrees, groups)]
     if args.format == "json":
         out(compact_json({"weight": weight, "rows": rows}))
@@ -559,11 +564,7 @@ def cmd_hh(args, out):
 
 def cmd_dihedral(args, out):
     from . import trace as tr
-    A = tr.InvolutiveAlgebra(_algebra(args))
-    weight = args.weight
-    if not A.ring.is_finite_dimensional() and weight is None:
-        raise DomainError("graded algebra: pass --weight")
-    D = tr.dihedral_homology(A, args.nmax, weight=weight)
+    D = tr.dihedral_homology(tr.InvolutiveAlgebra(_algebra(args)), args.nmax, weight=args.weight)
     data = {"hc": D.hc, "hd": D.hd, "hd_prime": D.hd_prime}
     if args.format == "json":
         out(compact_json(data))

@@ -16,7 +16,8 @@ mul, scale and apply_map take polynomials in normal form and convert
 nothing.  apply_map extends in place the tables [1, image, image^2, ...]
 that a ring map keeps (RingInvolution, InvolutivePresentation.project), so
 each power is computed once per map.  RingInvolution alone reads sigma as a
-signed permutation of the variables.
+signed permutation of the variables, and refuses a weight request the
+presentation cannot serve (require_weight).
 """
 
 import operator
@@ -345,6 +346,13 @@ class PolyRing:
     def is_finite_dimensional(self):
         return all(i in self.rules for i in range(self.n)) or self.n == 0
 
+    def splits_by_variable(self):
+        """Whether the ring is the tensor product over the base of its
+        one-variable rings: every rule rewrites x_i^p into a polynomial in
+        x_i alone."""
+        return not any(e for i, (_p, repl) in self.rules.items()
+                       for m in repl for j, e in enumerate(m) if j != i)
+
     def monomial_basis_all(self):
         """All normal-form monomials; requires every variable to be ruled."""
         if not self.is_finite_dimensional():
@@ -440,6 +448,31 @@ class RingInvolution:
             ok = sum(mono) == 1 and self.ring.base.is_unit(c)
             out.append((mono.index(1), integer_lift(c)) if ok else None)
         return out
+
+    def require_weight(self, weight, halves=False):
+        """Refuse a job at this weight (None: on the whole algebra) that the
+        presentation cannot serve, in this order: a ring that is not finite
+        dimensional needs a weight; a job that halves (the dihedral
+        splitting) needs 2 invertible in the base; a weight needs a graded
+        presentation, every rule replacement and every sigma-image
+        homogeneous of the weight of what it replaces."""
+        ring = self.ring
+        if weight is None and not ring.is_finite_dimensional():
+            raise UnsupportedPresentation("graded algebra: pass --weight")
+        if halves and not ring.base.two_invertible:
+            raise TwoNotInvertible("2 is not invertible in the base")
+        if weight is None:
+            return
+        for i, (p, repl) in sorted(ring.rules.items()):
+            if any(ring.monomial_weight(m) != p * ring.weights[i] for m in repl):
+                raise UnsupportedPresentation(
+                    "a weight needs a graded ring: the relation %s^%d = %s is not homogeneous"
+                    % (ring.names[i], p, ring.poly_string(repl)))
+        for i, img in enumerate(self.images):
+            if any(ring.monomial_weight(m) != ring.weights[i] for m in img):
+                raise UnsupportedPresentation(
+                    "a weight needs a graded ring: sigma(%s) = %s is not homogeneous"
+                    % (ring.names[i], ring.poly_string(img)))
 
     def is_involution(self):
         for i in range(self.ring.n):

@@ -1,7 +1,9 @@
 """Chain-level real Hochschild homology.
 
-The dihedral bar complex of a presented algebra with involution: normalized
-Hochschild chains C_n = A (x) Abar^{(x) n} with
+The route of dihedral, and of hh when a rule mixes variables (y^2 = x^3);
+for every other ring hh reads the small complex of koszul, whose oracle this
+bar complex is.  The dihedral bar complex of a presented algebra with
+involution: normalized Hochschild chains C_n = A (x) Abar^{(x) n} with
 
     b  = the Hochschild boundary,
     w_n(a0 (x) ... (x) an) = (-1)^{n(n+1)/2} w(a0) (x) w(an) (x) ... (x) w(a1),
@@ -44,7 +46,7 @@ from math import prod
 
 from . import EngineError
 from .abelian import ChainComplex, FgAbGroup, NotAComplex, free_rank
-from .polyring import TwoNotInvertible, integer_lift
+from .polyring import integer_lift
 
 
 class TraceError(EngineError):
@@ -52,10 +54,6 @@ class TraceError(EngineError):
 
 
 class TruncationTooSmall(TraceError):
-    pass
-
-
-class UnsupportedAlgebra(TraceError):
     pass
 
 
@@ -89,35 +87,10 @@ class _Table(dict):
         return out
 
 
-def _require_homogeneous(algebra):
-    """Weight blocks exist only for a graded presentation: every rule
-    replacement and every sigma-image must be homogeneous of the weight of
-    what it replaces."""
-    ring = algebra.ring
-    for i, (p, repl) in sorted(ring.rules.items()):
-        if any(ring.monomial_weight(m) != p * ring.weights[i] for m in repl):
-            raise UnsupportedAlgebra(
-                "a weight needs a graded ring: the relation %s^%d = %s is not homogeneous"
-                % (ring.names[i], p, ring.poly_string(repl)))
-    for i, img in enumerate(algebra.omega.images):
-        if any(ring.monomial_weight(m) != ring.weights[i] for m in img):
-            raise UnsupportedAlgebra(
-                "a weight needs a graded ring: sigma(%s) = %s is not homogeneous"
-                % (ring.names[i], ring.poly_string(img)))
-
-
 def _check_request(algebra, n_max, weight):
     if n_max < 1:
         raise TruncationTooSmall("need n_max >= 1")
-    if weight is None and not algebra.ring.is_finite_dimensional():
-        raise UnsupportedAlgebra("graded algebra needs a weight block")
-    if weight is not None:
-        _require_homogeneous(algebra)
-
-
-def _require_two_invertible(base):
-    if not base.two_invertible:
-        raise TwoNotInvertible("2 is not invertible in the base")
+    algebra.omega.require_weight(weight)
 
 
 def _permuted(perm, e):
@@ -162,8 +135,9 @@ class DihedralComplex:
     weight is None.  hochschild_blocks passes the tensors of one
     exponent-vector block, with its vector as key; the block is paired when
     sigma moves the key: omega then leaves the block, and reading it raises
-    TraceError.  A weight needs a graded presentation: a rule or sigma-image
-    that is not homogeneous raises UnsupportedAlgebra."""
+    TraceError.  A job sigma.require_weight refuses (a graded ring without a
+    weight, a weight on a presentation that is not graded) raises its
+    polyring error."""
 
     def __init__(self, algebra, n_max, weight=None, bases=None, key=None, paired=False):
         _check_request(algebra, n_max, weight)
@@ -336,9 +310,10 @@ def dihedral_homology(A, n_max, weight=None):
 
     Returns per-degree dimensions (free ranks over the base) for
     0 <= n <= n_max, each the free rank of the direct sum over the blocks
-    of hochschild_blocks.
+    of hochschild_blocks.  Refuses what sigma.require_weight refuses for a
+    job that halves: 2 must be a unit of the base.
     """
-    _require_two_invertible(A.base)
+    A.omega.require_weight(weight, halves=True)
     parts = [_bicomplex_homology(C, n_max) for C in hochschild_blocks(A, n_max + 1, weight)]
     hc, hd, hdp = ([free_rank(_direct_sum([p[s][n] for p in parts]), A.base)
                     for n in range(0, n_max + 1)] for s in range(3))

@@ -45,6 +45,7 @@ from c2algebra.polyring import (
     BaseRing,
     PolyRing,
     RingInvolution,
+    TwoNotInvertible,
     UnsupportedPresentation,
     integer_lift,
 )
@@ -52,7 +53,6 @@ from c2algebra.trace import (
     DihedralComplex,
     InvolutiveAlgebra,
     _direct_sum,
-    _require_two_invertible,
     hochschild_blocks,
     hochschild_chains,
 )
@@ -802,6 +802,11 @@ def chain_homology(C, n):
         d = C.mats.get(k)
         return AbMap(G[k], G[k - 1], dense(d, G[k - 1].ngens) if d else ())
     return Homology(diff(n + 1), diff(n))
+
+
+def _require_two_invertible(base):
+    if not base.two_invertible:
+        raise TwoNotInvertible("2 is not invertible in the base")
 
 
 class EigenComplex:

@@ -38,6 +38,10 @@ KXXS_JSON = ('{"base": "Z", "gens": [{"name": "x", "sigma": "x_s"}, '
              '{"name": "x_s", "sigma": "x"}], "rels": []}')
 Q_JSON = '{"base": "Q", "gens": [], "rels": []}'
 QX_JSON = '{"base": "Q", "gens": [{"name": "x", "sigma": "x"}], "rels": []}'
+# y^2 = x^3 with x, y of weights 2, 3: its rule mixes variables, so hh runs
+# the bar complex
+CUSP_JSON = ('{"base": "Q", "gens": [{"name": "x", "sigma": "x"}, {"name": "y", "sigma": "-y"}], '
+             '"rels": ["y^2 - x^3"], "weights": {"x": 2, "y": 3}}')
 HYPER_JSON = ('{"base": "Q", "gens": [{"name": "x", "sigma": "x"}, '
               '{"name": "y", "sigma": "-y"}], "rels": ["y^2 - x^3 - 1"]}')
 
@@ -288,14 +292,16 @@ def test_hh_builds_one_complex_without_omega_or_B(monkeypatch):
     monkeypatch.setattr(tr.DihedralComplex, "__init__", counting_init)
     for name in ("_omega_terms", "_B_terms"):
         monkeypatch.setattr(tr.DihedralComplex, name, lambda self, t: lazy.append(t) or ())
-    code, out = run_cli(["hh", "--algebra", QX_JSON, "--weight", "2", "--nmax", "3"])
+    code, out = run_cli(["hh", "--algebra", CUSP_JSON, "--weight", "6", "--nmax", "3"])
     assert code == 0 and out.count("HH_") == 4
     assert len(builds) == 1 and not lazy
 
 
 def test_hh_builds_one_complex_per_sigma_orbit_of_blocks(monkeypatch):
-    # Q[x, x_s] at weight 5 has 6 exponent vectors, paired by sigma into 3
-    # orbits; omega and B are never built
+    # the bar-complex route of hh: Q[x, x_s] at weight 5 has 6 exponent
+    # vectors, paired by sigma into 3 orbits; omega and B are never built.
+    # The hh command reads this rule-free algebra from the small complex of
+    # koszul, which prints the same lines.
     builds, lazy = [], []
     init = tr.DihedralComplex.__init__
 
@@ -306,22 +312,28 @@ def test_hh_builds_one_complex_per_sigma_orbit_of_blocks(monkeypatch):
     for name in ("_omega_terms", "_B_terms"):
         monkeypatch.setattr(tr.DihedralComplex, name, lambda self, t: lazy.append(t) or ())
     algebra = KXXS_JSON.replace('"Z"', '"Q"')
+    A = tr.InvolutiveAlgebra(parse_input(json.loads(algebra)))
+    groups = tr.hh_groups(tr.hochschild_blocks(A, 4, 5), range(4))
+    assert [G.invariant_factors() for G in groups[:3]] == [(0,) * 6, (0,) * 10, (0,) * 4]
+    assert builds == [(0, 5), (1, 4), (2, 3)] and not lazy
     code, out = run_cli(["hh", "--algebra", algebra, "--weight", "5", "--nmax", "3"])
     assert code == 0 and out.splitlines()[:3] == ["HH_0 = " + " + ".join(["Z"] * 6),
                                                   "HH_1 = " + " + ".join(["Z"] * 10),
                                                   "HH_2 = " + " + ".join(["Z"] * 4)]
-    assert builds == [(0, 5), (1, 4), (2, 3)] and not lazy
+    assert len(builds) == 3
 
 
 def test_hh_multiplies_each_pair_of_monomials_once(monkeypatch):
     # b reads each product of two basis monomials from the algebra's memo
     # table, filled by one ring.mul per pair; hh builds no omega, so no
-    # sigma-image is ever computed
+    # sigma-image is ever computed.  The rule y^2 = x^3 sends hh to the bar
+    # complex; the products taken while parsing it are not counted.
     algebras, pairs = [], []
     init, mul = tr.InvolutiveAlgebra.__init__, PolyRing.mul
 
     def recording_init(self, *args):
         algebras.append(self)
+        pairs.clear()
         init(self, *args)
 
     def recording_mul(self, a, b):
@@ -329,8 +341,7 @@ def test_hh_multiplies_each_pair_of_monomials_once(monkeypatch):
         return mul(self, a, b)
     monkeypatch.setattr(tr.InvolutiveAlgebra, "__init__", recording_init)
     monkeypatch.setattr(PolyRing, "mul", recording_mul)
-    algebra = KXXS_JSON.replace('"Z"', '"Q"')
-    code, _ = run_cli(["hh", "--algebra", algebra, "--weight", "5", "--nmax", "3"])
+    code, _ = run_cli(["hh", "--algebra", CUSP_JSON, "--weight", "6", "--nmax", "3"])
     assert code == 0 and len(algebras) == 1
     assert pairs and len(set(pairs)) == len(pairs)
     assert len(algebras[0]._products) == len(pairs) and not algebras[0]._images
@@ -971,13 +982,16 @@ def test_each_command_loads_only_the_layers_it_runs():
     assert _layers_loaded("import c2algebra.cli") == package
     sphere = '{"kind":"sigma-sphere","k":2}'
     # hr-gr reads the default truncation from the package, not from tambara;
-    # the parsed algebra is its RingInvolution, so only hh and dihedral load trace
+    # the parsed algebra is its RingInvolution, so only dihedral, and hh of a
+    # ring whose rules mix variables, load trace
     cases = [
         (["cotangent", "--algebra", HYPER_JSON], "polyring differentials"),
         (["derham", "--algebra", KXXS_JSON], "abelian polyring differentials"),
         (["hr-gr", "--algebra", KX_JSON, "--i", "1", "--weight", "2"],
          "abelian polyring differentials mackey complexes"),
         (["hh", "--algebra", QX_JSON, "--weight", "2", "--nmax", "2"],
+         "abelian polyring koszul"),
+        (["hh", "--algebra", CUSP_JSON, "--weight", "6", "--nmax", "2"],
          "abelian polyring trace"),
         (["dihedral", "--algebra", QX_JSON, "--weight", "2", "--nmax", "2"],
          "abelian polyring trace"),
