@@ -1,18 +1,24 @@
 """Exact-arithmetic engine for C2-equivariant algebra.
 
-Subpackages:
-  abelian        exact integer linear algebra (SNF, homology)
-  mackey         C2-Mackey functors as Lewis diagrams
+Modules:
+  abelian        Hermite and Smith normal forms, f.g. abelian groups
+  chains         homology of complexes of free modules over a base ring
+  polyring       presented polynomial rings over Z, Z[1/2], Q, Z/m, involutions
+  mackey         C2-Mackey functors as Lewis diagrams, maps of presented groups
   complexes      chain complexes of Mackey functors, sign-sphere shifts
   tambara        Green/Tambara structure, norms, free involutive algebras
+  koszul         the small Hochschild complex of rings split by variable
   trace          real Hochschild homology at the chain level
   differentials  involutive cotangent modules and de Rham complexes
+  mackey_json    JSON of Mackey functors and complexes
+  algebra_json   JSON of algebras with involution
   cli            batch front end
 
-EngineError is the base of every domain error the layers raise (RingError,
-MackeyError, ComplexError, TambaraError, TraceError, DifferentialError); the
-CLI reports any of them with exit code 1.  AbelianError, a malformed input to
-the linear algebra, stays outside it.
+The CLI reports an EngineError, the base of every domain error, with exit
+code 1 and a ParseError with exit code 2; AbelianError, a malformed input to
+the linear algebra, is neither.  They live here because cli runs as
+__main__ under python -m, where classes of its own would be copies that the
+readers' raises do not match.
 """
 
 __version__ = "0.1.0"
@@ -25,3 +31,11 @@ DEFAULT_TRUNCATION = 8
 class EngineError(Exception):
     """A job the engine refuses: the input is well formed, the answer does
     not exist or is not computed."""
+
+
+class DomainError(EngineError):
+    """A refusal found by the front end or a JSON reader."""
+
+
+class ParseError(Exception):
+    """Input that is not well formed: bad JSON, a wrong type or shape."""

@@ -1,35 +1,7 @@
-"""Batch front end: parse presented rings and Lewis diagrams from JSON,
-dispatch computations, emit pretty text or JSON.
-
-Exit codes: 0 success, 1 domain error, 2 parse/schema error.  All numeric
-output is exact; identical jobs produce byte-identical output.  The JSON
-interchange formats:
-
-Mackey functor
-    {"fixed": [0, 2], "underlying": [0], "res": [[1]], "tr": [[2]],
-     "sigma": [[1]]}
-  groups are invariant-factor lists (0 = Z), matrices row-major over those
-  generators.
-
-Algebra with involution
-    {"base": "Z" | "Q" | "Z[1/2]" | "Z/m",
-     "gens": [{"name": "x", "sigma": "x"}, ...],
-     "rels": ["y^2 - x^3 - 1", ...],
-     "weights": {"x": 2, ...}}
-  names are variable names; sigma images (default: the generator itself)
-  and relations are polynomial strings; weights map generator names to
-  integers >= 1 (default 1) and grade the weight blocks.  "rels" and
-  "weights" are optional.  Each relation must be monic in a pure power of
-  some variable, and the relation ideal must be sigma-stable.  A field of
-  the wrong JSON type is a parse error.
-
-Complex (for slice-check)
-    {"kind": "sigma-sphere", "k": -1}
-  or an explicit {"kind": "complex", "terms": {"0": ["Zbar"], ...},
-  "diffs": {"1": {"fixed": [[...]], "underlying": [[...]]}}} with terms
-  given as lists of cell names Zbar / ZbarC2.
-
-The default truncation is 8, overridable with MACKEY_TRUNC.
+"""Batch front end: parse JSON input (mackey_json, algebra_json), dispatch
+computations, emit pretty text or JSON.  Exit codes: 0 success, 1 domain
+error (EngineError), 2 parse/schema error (ParseError).  Identical jobs
+produce byte-identical output.  MACKEY_TRUNC overrides the truncation 8.
 """
 
 import argparse
@@ -37,18 +9,10 @@ import json
 import os
 import sys
 
-from . import DEFAULT_TRUNCATION, EngineError
+from . import DEFAULT_TRUNCATION, DomainError, EngineError, ParseError
 
 # Each command imports the layers it runs inside its own functions, so that
 # a process loads (and compiles) no layer it does not call.
-
-
-class ParseError(Exception):
-    pass
-
-
-class DomainError(EngineError):
-    pass
 
 
 def default_truncation():
@@ -64,244 +28,23 @@ def default_truncation():
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# parsing and rendering
 
 def parse_input(data):
     """Dispatch a JSON object to a domain object by its fields."""
     if not isinstance(data, dict):
         raise ParseError("top-level JSON must be an object")
     if "fixed" in data and "underlying" in data:
+        from .mackey_json import parse_mackey
         return parse_mackey(data)
     if "base" in data and "gens" in data:
+        from .algebra_json import parse_algebra
         return parse_algebra(data)
     if "kind" in data:
+        from .mackey_json import parse_complex
         return parse_complex(data)
     raise ParseError("unrecognized input object (expected a Mackey functor, "
                      "an algebra, or a complex)")
-
-
-def parse_mackey(data):
-    from .abelian import AbMap, FgAbGroup, IllFormedMap
-    from . import mackey as mk
-    allowed = {"fixed", "underlying", "res", "tr", "sigma"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ParseError("unknown fields in Mackey functor: %s" % sorted(unknown))
-    fixed = FgAbGroup.from_invariants(_invariant_list(data, "fixed"))
-    und = FgAbGroup.from_invariants(_invariant_list(data, "underlying"))
-    try:
-        res = AbMap(fixed, und, _int_matrix(data.get("res") or []))
-        tr_ = AbMap(und, fixed, _int_matrix(data.get("tr") or []))
-        sig = AbMap(und, und, _int_matrix(data.get("sigma") or []))
-    except IllFormedMap as e:
-        raise ParseError("malformed Mackey functor: %s" % e)
-    M = mk.MackeyFunctor(fixed, und, res, tr_, sig)
-    v = mk.validate(M)
-    if v is not None:
-        raise DomainError("Lewis axioms fail: %r" % v)
-    return M
-
-
-def _invariant_list(data, field):
-    """A level of a Mackey functor, checked to be a list of invariant
-    factors: integers >= 0."""
-    invs = data.get(field)
-    if not (isinstance(invs, list) and all(type(d) is int and d >= 0 for d in invs)):
-        raise ParseError("%s must be a list of integers >= 0, got %r" % (field, invs))
-    return invs
-
-
-def _int_matrix(rows):
-    """A JSON matrix, checked to be a list of rows of integers."""
-    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)
-            and all(type(x) is int for r in rows for x in r)):
-        raise ParseError("matrix entries must be integers, got %r" % (rows,))
-    return rows
-
-
-def parse_algebra(data):
-    """The checked RingInvolution sigma of an algebra object, on its ring."""
-    from .polyring import BaseRing, PolyRing, RingError, RingInvolution, parse_poly
-    allowed = {"base", "gens", "rels", "weights"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ParseError("unknown fields in algebra: %s" % sorted(unknown))
-    if type(data.get("base")) is not str:
-        raise ParseError("base must be a string, got %r" % (data.get("base"),))
-    try:
-        base = BaseRing.parse(data["base"])
-    except RingError as e:
-        raise ParseError("unsupported base ring: %s" % e)
-    gens = data.get("gens", [])
-    if not (isinstance(gens, list) and all(isinstance(g, dict) for g in gens)):
-        raise ParseError("gens must be a list of generator objects, got %r" % (gens,))
-    names = []
-    for g in gens:
-        unknown = set(g) - {"name", "sigma"}
-        if unknown:
-            raise ParseError("unknown fields in generator: %s" % sorted(unknown))
-        name = g.get("name")
-        if not (type(name) is str and name.isidentifier()):
-            raise ParseError("each generator needs a variable name, got %r" % (name,))
-        if type(g.get("sigma", "")) is not str:
-            raise ParseError("sigma(%s) must be a polynomial string, got %r"
-                             % (name, g["sigma"]))
-        names.append(name)
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate generator names")
-    rels_text = data.get("rels", [])
-    if not (isinstance(rels_text, list) and all(type(t) is str for t in rels_text)):
-        raise ParseError("rels must be a list of polynomial strings, got %r" % (rels_text,))
-    weights = _generator_weights(data.get("weights", {}), names)
-    plain = PolyRing(base, names, weights=weights)
-    try:
-        rel_polys = [parse_poly(plain, t) for t in rels_text]
-    except RingError as e:
-        raise ParseError("bad relation: %s" % e)
-    rules = _relations_to_rules(plain, rel_polys, rels_text)
-    ring = PolyRing(base, names, rules=rules, weights=weights)
-    try:
-        images = [parse_poly(ring, g.get("sigma", g["name"])) for g in gens]
-    except RingError as e:
-        raise ParseError("bad sigma image: %s" % e)
-    omega = RingInvolution(ring, images)
-    if not omega.is_involution():
-        raise DomainError("sigma is not an involution")
-    bad = omega.broken_rule()
-    if bad is not None:
-        raise DomainError("relation ideal is not sigma-stable (offending "
-                          "relation: %s)" % rels_text[bad])
-    return omega
-
-
-def _generator_weights(weights, names):
-    """The "weights" object of an algebra as a list over the generators:
-    each named generator's weight an integer >= 1, absent ones 1."""
-    if not isinstance(weights, dict):
-        raise ParseError("weights must be an object from generator names to "
-                         "integers, got %r" % (weights,))
-    unknown = set(weights) - set(names)
-    if unknown:
-        raise ParseError("weights of unknown generators: %s" % sorted(unknown))
-    for name, w in weights.items():
-        if type(w) is not int or w < 1:
-            raise ParseError("the weight of %s must be an integer >= 1, got %r" % (name, w))
-    return [weights.get(n, 1) for n in names]
-
-
-def _relations_to_rules(ring, rel_polys, rels_text):
-    rules = {}
-    for text, r in zip(rels_text, rel_polys):
-        candidates = []
-        for i in range(ring.n):
-            lead = None
-            for mono, c in r.items():
-                if mono[i] and all(e == 0 for j, e in enumerate(mono) if j != i):
-                    # a unit +-1 of the base: -1 over Z/m is stored as m - 1
-                    if c in (1, ring.base.neg(1)):
-                        if lead is None or mono[i] > lead[0]:
-                            lead = (mono[i], mono, c)
-            if lead is None:
-                continue
-            p, mono, c = lead
-            if any(m[i] >= p for m in r if m != mono):
-                continue
-            if i in rules:
-                continue
-            candidates.append((p, i, mono, c))
-        if not candidates:
-            raise ParseError("relation %r is not monic in a pure power of a "
-                             "variable" % text)
-        # prefer the smallest leading power (y^2 = f(x) over x^d = ...)
-        p, i, mono, c = min(candidates)
-        rest = {m: cc for m, cc in r.items() if m != mono}
-        repl = {m: ring.base.neg(ring.base.mul(cc, c)) for m, cc in rest.items()}
-        rules[i] = (p, repl)
-    return rules
-
-
-def parse_complex(data):
-    from .abelian import AbMap, IllFormedMap
-    from . import mackey as mk
-    from . import complexes as cx
-    unknown = set(data) - {"kind", "k", "terms", "diffs"}
-    if unknown:
-        raise ParseError("unknown fields in complex: %s" % sorted(unknown))
-    kind = data.get("kind")
-    if kind == "sigma-sphere":
-        k = data.get("k", 0)
-        if type(k) is not int:
-            raise ParseError("k must be an integer, got %r" % (k,))
-        return cx.sign_sphere(k)
-    if kind != "complex":
-        raise ParseError("unknown complex kind %r" % kind)
-    CELLS = {"Zbar": mk.zbar, "ZbarC2": mk.zbar_c2}
-    terms = {}
-    for deg, cells in _degree_items(data, "terms"):
-        if not isinstance(cells, list):
-            raise ParseError("cells at degree %d must be a list, got %r" % (deg, cells))
-        parts = []
-        for c in cells:
-            if type(c) is not str or c not in CELLS:
-                raise ParseError("unknown cell %r (use Zbar or ZbarC2)" % (c,))
-            parts.append(CELLS[c]())
-        terms[deg] = mk.direct_sum(parts)
-    diffs = {}
-    for n, mats in _degree_items(data, "diffs"):
-        if n not in terms or (n - 1) not in terms:
-            raise ParseError("differential at %d has no source or target" % n)
-        src, tgt = terms[n], terms[n - 1]
-        try:
-            diffs[n] = mk.MackeyMap(
-                src, tgt, AbMap(src.fixed, tgt.fixed, _int_matrix(mats["fixed"])),
-                AbMap(src.underlying, tgt.underlying, _int_matrix(mats["underlying"])))
-        except (KeyError, TypeError, IllFormedMap) as e:
-            raise ParseError("malformed differential at %d: %s" % (n, e))
-    C = cx.MackeyComplex(terms, diffs)
-    try:
-        C.check()
-    except cx.ComplexError as e:
-        raise DomainError(str(e))
-    return C
-
-
-def _degree_items(data, field):
-    """The (degree, value) pairs of a complex's "terms" or "diffs" object."""
-    obj = data.get(field, {})
-    if not isinstance(obj, dict):
-        raise ParseError("%s must be an object keyed by degree" % field)
-    try:
-        items = [(int(key), value) for key, value in obj.items()]
-    except ValueError as e:
-        raise ParseError("%s keys must be integer degrees: %s" % (field, e))
-    if len({n for n, _ in items}) < len(items):
-        raise ParseError("%s names a degree twice: %s" % (field, sorted(obj)))
-    return items
-
-
-# ---------------------------------------------------------------------------
-# rendering
-
-def mackey_to_json(M):
-    """Canonical-coordinate JSON form; parse(emit(M)) is the identity."""
-    fixed_inv = list(M.fixed.invariant_factors())
-    und_inv = list(M.underlying.invariant_factors())
-    return {
-        "fixed": fixed_inv,
-        "underlying": und_inv,
-        "res": _canonical_matrix(M.res),
-        "tr": _canonical_matrix(M.tr),
-        "sigma": _canonical_matrix(M.sigma),
-    }
-
-
-def _canonical_matrix(f):
-    rows = []
-    cols = [f.target.canonical_coords(f(b)) for b in f.source.canonical_basis()]
-    n = len(f.target.invariant_factors())
-    for i in range(n):
-        rows.append([c[i] for c in cols])
-    return rows
 
 
 def compact_json(data):
@@ -311,6 +54,7 @@ def compact_json(data):
 
 def render_lewis(M, fmt="pretty"):
     from .abelian import render_invariants
+    from .mackey_json import mackey_to_json
     if fmt == "json":
         return compact_json(mackey_to_json(M))
     data = mackey_to_json(M)
@@ -321,10 +65,6 @@ def render_lewis(M, fmt="pretty"):
     lines.append("tr    = %s" % data["tr"])
     lines.append("sigma = %s" % data["sigma"])
     return "\n".join(lines)
-
-
-def group_to_json(G):
-    return list(G.invariant_factors())
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +122,7 @@ def cmd_phi(args, out):
         raise ParseError("phi expects a Mackey functor")
     G = mk.geometric_fixed_points(M)
     if args.format == "json":
-        out(compact_json({"phi": group_to_json(G)}))
+        out(compact_json({"phi": list(G.invariant_factors())}))
     else:
         out("Phi = %s" % render_invariants(G.invariant_factors()))
     return 0
@@ -394,18 +134,15 @@ def cmd_slice_check(args, out):
     if not isinstance(C, cx.MackeyComplex):
         raise ParseError("slice-check expects a complex")
     if args.coconnective:
-        verdict = cx.is_regular_slice_coconnective(C, args.n)
-        if args.format == "json":
-            out(compact_json({"coconnective": verdict, "n": args.n}))
-        else:
-            out("regular-slice (%d)-coconnective: %s" % (args.n, verdict))
+        kind, verdict = "coconnective", cx.is_regular_slice_coconnective(C, args.n)
+        text = verdict
     else:
-        verdict = cx.is_regular_slice_connective(C, args.n)
-        if args.format == "json":
-            out(compact_json({"connective": verdict, "n": args.n}))
-        else:
-            out("regular-slice (%d)-connective: %s"
-                % (args.n, "true" if verdict else "false"))
+        kind, verdict = "connective", cx.is_regular_slice_connective(C, args.n)
+        text = "true" if verdict else "false"
+    if args.format == "json":
+        out(compact_json({kind: verdict, "n": args.n}))
+    else:
+        out("regular-slice (%d)-%s: %s" % (args.n, kind, text))
     return 0
 
 
@@ -459,6 +196,7 @@ def cmd_hr_gr(args, out):
     from .abelian import render_invariants
     from . import complexes as cx
     from . import differentials as df
+    from .mackey_json import mackey_to_json
     sigma = _algebra(args)
     if sigma.ring.base.kind != "Z":
         raise DomainError("hr-gr computes Mackey homology over Z only, not over %s"
@@ -553,7 +291,7 @@ def cmd_hh(args, out):
         from . import trace as tr
         groups = tr.hh_groups(tr.hochschild_blocks(tr.InvolutiveAlgebra(sigma), args.nmax + 1,
                                                    weight), degrees)
-    rows = [{"n": n, "hh": group_to_json(G)} for n, G in zip(degrees, groups)]
+    rows = [{"n": n, "hh": list(G.invariant_factors())} for n, G in zip(degrees, groups)]
     if args.format == "json":
         out(compact_json({"weight": weight, "rows": rows}))
     else:

@@ -4,9 +4,9 @@ Provides homology with induced Lewis structure, the sign-sphere
 suspension of one Mackey functor, and the regular-slice connectivity checks
 on underlying and geometric fixed points.
 The levels of a Mackey complex, and its geometric fixed points Phi C (the
-groups coker(tr)), are not free, so their homology is an abelian.Homology of
-AbMaps between presented groups, one degree at a time, not an
-abelian.ChainComplex.
+groups coker(tr)), are not free, so their homology is a mackey.Homology of
+AbMaps between presented groups, one degree at a time, not a
+chains.ChainComplex.
 
 S^{k sigma} smashed with zbar is its reduced C2-CW chain complex (Hill-
 Hopkins-Ravenel), |k| + 1 cells: zbar in degree 0 and zbar_c2 in each degree
@@ -19,9 +19,11 @@ id_M box d for each differential d.
 """
 
 from . import EngineError
-from .abelian import AbMap, Homology, trivial_group
 from . import abelian
+from .abelian import trivial_group
 from .mackey import (
+    AbMap,
+    Homology,
     MackeyFunctor,
     MackeyMap,
     box,

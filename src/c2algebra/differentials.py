@@ -7,13 +7,13 @@ sigma-stable relations) has a cotangent module
 
 with the universal derivation acting by Leibniz expansion and sigma acting
 semilinearly (sigma(dv) = d(sigma v)).  presentation_of is the one route
-from a parsed algebra, the RingInvolution of cli.parse_algebra, to such a
-presentation: a rule-free algebra presents itself, y^2 = f(x) with y -> -y
-is hyperelliptic_presentation.  For a ring with involution the fixed-point
-Tambara functor is always cohomological (N(res x) = x sigma(x) = x^2), so
-nothing here needs Tambara data.
+from a parsed algebra, the RingInvolution of algebra_json.parse_algebra, to
+such a presentation: a rule-free algebra presents itself, y^2 = f(x) with
+y -> -y is hyperelliptic_presentation.  For a ring with involution the
+fixed-point Tambara functor is always cohomological (N(res x) = x sigma(x) =
+x^2), so nothing here needs Tambara data.
 
-The associated de Rham complex is one abelian.ChainComplex per weight: the
+The associated de Rham complex is one chains.ChainComplex per weight: the
 ranks of the free base-modules Omega^k, in chain degree -k, and the sparse
 integer columns of d.  H^k is its homology at -k, whose invariant factors
 over the base derham reads (ChainComplex.invariants).  The differential is
@@ -27,7 +27,7 @@ graded pieces of real Hochschild homology, gr^i HR = Sigma^{i sigma}
 Lambda^i L (hkr_graded_piece, the involutive HKR identification), whose
 fixed-point Mackey functor takes sigma as a dense AbMap.
 
-Only polyring loads with this module: de_rham_complex imports abelian, and
+Only polyring loads with this module: de_rham_complex imports chains, and
 hkr_graded_piece the Mackey layer, where they run (derham, hr-gr).
 """
 
@@ -56,7 +56,7 @@ class InvolutivePresentation:
     to_quotient: images of the free variables in the quotient,
     sigma_quotient: the induced involution on the quotient.
 
-    The caller checks that sigma_free is an involution; cli.parse_algebra
+    The caller checks that sigma_free is an involution; parse_algebra
     does, and hyperelliptic_presentation builds one.  The relations are
     checked to be sigma-stable here.
     """
@@ -288,12 +288,13 @@ def exterior_power(L, i, w):
 
 def de_rham_complex(B, i_max, max_weight):
     """Involutive de Rham complex of a smooth presentation, as one
-    abelian.ChainComplex over the base per weight w <= max_weight: the
+    chains.ChainComplex over the base per weight w <= max_weight: the
     exterior power Omega^k_w of the cotangent module sits in chain degree -k
     for 0 <= k <= i_max + 1, so H^k = homology(-k) for k <= i_max.  The
     exterior derivative is sigma-antilinear for sigma on Omega^k twisted by
     (-1)^k, which is checked."""
-    from .abelian import ChainComplex, NotAComplex
+    from .abelian import NotAComplex
+    from .chains import ChainComplex
     L = cotangent_module(B)
     A = L.algebra
     nvars = L.presentation.free_ring.n
@@ -353,11 +354,12 @@ def hkr_graded_piece(L, i, w):
     HKR identification: Sigma^{i sigma} of Lambda^i L_w with its natural
     sigma, for a free cotangent module L (an empty complex when Lambda^i L_w
     is 0)."""
-    from .abelian import AbMap, FgAbGroup, dense_matrix
+    from .abelian import FgAbGroup
+    from .chains import dense_matrix
     from . import complexes as cx, mackey as mk
     basis, sig = exterior_power(L, i, w)
     if not basis:
         return cx.MackeyComplex({}, {})
     G = FgAbGroup.free(len(basis))
-    sigma = AbMap(G, G, dense_matrix(sig, len(basis)))
+    sigma = mk.AbMap(G, G, dense_matrix(sig, len(basis)))
     return cx.suspend_sigma(mk.fixed_point_mackey(G, sigma), i)

@@ -9,25 +9,232 @@ Weyl action sigma on M^e, subject to
 
 Standard diagrams: zbar() is the constant functor at Z (res = 1, tr = 2),
 zbar_c2() = induced(Z), the two cells of sign-sphere complexes.
+
+Its levels are abelian.FgAbGroups and its maps AbMaps, dense integer
+matrices; kernel, cokernel and Homology solve with integer_kernel and
+echelon_coords alone.
 """
+
+from itertools import compress
 
 from . import EngineError
 from .abelian import (
-    AbMap,
     FgAbGroup,
+    IllFormedMap,
+    NotAComplex,
     block_matrix,
-    cokernel,
     direct_sum_groups,
-    direct_sum_maps,
     echelon_coords,
     identity,
-    kernel,
-    kronecker,
-    tensor_groups,
-    tensor_relations,
-    tensor_maps,
+    integer_kernel,
+    mat_vec,
     transpose,
+    zeros,
 )
+
+
+# ---------------------------------------------------------------------------
+# matrices and maps between presented groups
+
+def mat_mul(A, B):
+    """A*B, accumulating a * b over the nonzero entries a = A[i][k] and
+    b = B[k][j]."""
+    if A and B and len(A[0]) != len(B):
+        raise ValueError("shape mismatch")
+    n = len(B[0]) if B else 0
+    sparse = [dict(compress(enumerate(Bk), Bk)).items() for Bk in B]
+    out = []
+    for row in A:
+        acc = [0] * n
+        for a, Bk in zip(row, sparse):
+            if a:
+                for j, b in Bk:
+                    acc[j] += a * b
+        out.append(acc)
+    return out
+
+
+def kronecker(A, B, arows, acols, brows, bcols):
+    """Kronecker product; index (i, j) of the tensor is i * bdim + j.  The
+    shapes are given, so a factor without rows or columns keeps the other
+    dimension."""
+    out = zeros(arows * brows, acols * bcols)
+    for i in range(arows):
+        for j in range(acols):
+            a = A[i][j]
+            if not a:
+                continue
+            for k in range(brows):
+                for l in range(bcols):
+                    out[i * brows + k][j * bcols + l] = a * B[k][l]
+    return out
+
+
+class AbMap:
+    """Homomorphism source -> target given by a matrix on ambient generators."""
+
+    def __init__(self, source, target, matrix):
+        self.source = source
+        self.target = target
+        M = [list(r) for r in matrix]
+        if not M:
+            M = [[0] * source.ngens for _ in range(target.ngens)]
+        if len(M) != target.ngens:
+            raise IllFormedMap("matrix has %d rows, target has %d generators"
+                               % (len(M), target.ngens))
+        if any(len(r) != source.ngens for r in M):
+            raise IllFormedMap("matrix column count != source generators")
+        self.matrix = M
+
+    def is_well_defined(self):
+        images = (mat_vec(self.matrix, r) for r in self.source.relations)
+        return self.target.contains_zero(*images)
+
+    def check(self):
+        if not self.is_well_defined():
+            raise IllFormedMap("matrix does not carry source relations into target relations")
+        return self
+
+    def __call__(self, v):
+        return mat_vec(self.matrix, list(v))
+
+    def compose(self, other):
+        """self after other."""
+        if self.source.ngens == 0:
+            return AbMap.zero_map(other.source, self.target)
+        return AbMap(other.source, self.target, mat_mul(self.matrix, other.matrix))
+
+    def __add__(self, other):
+        M = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.matrix, other.matrix)]
+        return AbMap(self.source, self.target, M)
+
+    def __sub__(self, other):
+        M = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.matrix, other.matrix)]
+        return AbMap(self.source, self.target, M)
+
+    def scale(self, c):
+        return AbMap(self.source, self.target, [[c * a for a in r] for r in self.matrix])
+
+    def equals(self, other):
+        """Equality as maps, i.e. matrix equality modulo target relations."""
+        return self.source.ngens == other.source.ngens and (self - other).is_zero()
+
+    def is_zero(self):
+        return self.target.contains_zero(*transpose(self.matrix))
+
+    def __repr__(self):
+        return "AbMap(%r -> %r)" % (self.source, self.target)
+
+    @classmethod
+    def identity_map(cls, G):
+        return cls(G, G, identity(G.ngens))
+
+    @classmethod
+    def zero_map(cls, source, target):
+        return cls(source, target, zeros(target.ngens, source.ngens))
+
+
+def direct_sum_maps(maps, source, target):
+    M = block_matrix({k: f.target.ngens for k, f in enumerate(maps)},
+                     {k: f.source.ngens for k, f in enumerate(maps)},
+                     {(k, k): f.matrix for k, f in enumerate(maps)})
+    return AbMap(source, target, M)
+
+
+# ---------------------------------------------------------------------------
+# kernels, cokernels, homology
+
+def kernel(f):
+    """(K, inclusion) with K = ker(f) as a subgroup of the source.
+
+    Its generators, the x with f(x) in the lattice of the target relations
+    Rt, are the x parts of integer_kernel([M | -Rt^T]), already in Hermite
+    form since the rows of Rt are independent.  Its relations are the
+    coordinates of the source's; a relation outside K raises IllFormedMap.
+
+    >>> f = AbMap(FgAbGroup.free(2), FgAbGroup.free(1), [[1, 1]])
+    >>> kernel(f)[0].invariant_factors()
+    (0,)
+    """
+    n, Rt = f.source.ngens, f.target.relations
+    A = [row + [-r[i] for r in Rt] for i, row in enumerate(f.matrix)]
+    gens = [v[:n] for v in integer_kernel(A, n + len(Rt))]
+    rels = echelon_coords(gens, f.source.relations)
+    if None in rels:
+        raise IllFormedMap("matrix does not carry source relations into target relations")
+    K = FgAbGroup(len(gens), rels)
+    return K, AbMap(K, f.source, transpose(gens))
+
+
+def cokernel(f):
+    """(C, projection) with C = target/im(f)."""
+    f.check()
+    C = FgAbGroup(f.target.ngens, f.target.relations + transpose(f.matrix))
+    proj = AbMap(f.target, C, identity(f.target.ngens))
+    return C, proj
+
+
+class Homology:
+    """ker(d_out) / im(d_in) for AbMaps d_in and d_out between presented
+    groups, with the relations of kernel(d_out) and the coordinates of the
+    columns of d_in in its Hermite basis; a column with none is not a cycle
+    and raises NotAComplex.
+
+    group: the homology, presented on the kernel generators;
+    cycles: the inclusion of ker(d_out) into the chain group;
+    induced(phi, target): the map on homology of a chain map phi.
+
+    >>> Z = FgAbGroup.free(1)
+    >>> Homology(AbMap(Z, Z, [[2]]), AbMap(Z, Z, [[0]])).group.invariant_factors()
+    (2,)
+    """
+
+    def __init__(self, d_in, d_out):
+        if not d_out.source.ngens:  # the zero group; d_out o d_in = 0 by shape
+            self.group = d_out.source
+            self.cycles = AbMap.identity_map(self.group)
+            return
+        K, self.cycles = kernel(d_out)
+        boundaries = echelon_coords(transpose(self.cycles.matrix), transpose(d_in.matrix))
+        if None in boundaries:
+            raise NotAComplex("d_out o d_in != 0")
+        self.group = FgAbGroup(K.ngens, K.relations + boundaries)
+
+    def induced(self, phi, target):
+        """H(phi): self.group -> target.group for a chain map phi from this
+        homology's chain group to target's.  The cycles contain the relations
+        of their chain group, so coordinates need no relations."""
+        images = [phi(c) for c in transpose(self.cycles.matrix)]
+        ys = echelon_coords(transpose(target.cycles.matrix), images)
+        if None in ys:
+            raise IllFormedMap("the map does not carry cycles to cycles")
+        return AbMap(self.group, target.group, transpose(ys))
+
+
+def tensor_groups(G, H):
+    """G (x) H presented on generator pairs (i, j) -> i * H.ngens + j.
+
+    >>> tensor_groups(FgAbGroup.from_invariants([4]), FgAbGroup.from_invariants([6]))
+    FgAbGroup(2,)
+    """
+    return FgAbGroup(G.ngens * H.ngens, tensor_relations(G, H))
+
+
+def tensor_relations(G, H):
+    """The relation rows of G (x) H in the generator order of tensor_groups:
+    those of R (x) 1, then of 1 (x) S.
+
+    >>> tensor_relations(FgAbGroup.from_invariants([2]), FgAbGroup.free(2))
+    [[2, 0], [0, 2]]
+    """
+    m, n = G.ngens, H.ngens
+    R, S = G.relations, H.relations
+    return kronecker(R, identity(n), len(R), m, n, n) + kronecker(identity(m), S, m, m, len(S), n)
+
+
+def tensor_maps(f, g, source, target):
+    return AbMap(source, target, kronecker(f.matrix, g.matrix, f.target.ngens,
+                                           f.source.ngens, g.target.ngens, g.source.ngens))
 
 
 class MackeyError(EngineError):

@@ -7,7 +7,8 @@ i^2 = -1, group rings of cyclic groups) without Groebner bases.
 
 Base rings: Z, Z[1/2], Q and Z/m, all with exact, integer-first
 arithmetic.  A coefficient is an int: in [0, m) over Z/m, and over Q and
-Z[1/2] an int unless a denominator is left, when it is a Fraction.
+Z[1/2] an int unless a denominator is left, when it is a Fraction;
+fractions is imported only then.
 BaseRing.coerce is the one conversion into the base.  Polynomials are dicts
 monomial-exponent-tuple -> coefficient, kept in normal form; a dict built
 outside the ring (parser output, involution images, {monomial: 1}) enters
@@ -21,7 +22,6 @@ presentation cannot serve (require_weight).
 """
 
 import operator
-from fractions import Fraction
 from math import gcd
 
 from . import EngineError
@@ -42,11 +42,9 @@ class TwoNotInvertible(RingError):
 def integer_lift(c):
     """The integer a base-ring coefficient stands for (its residue over Z/m);
     non-integral rationals are refused."""
-    if isinstance(c, Fraction):
-        if c.denominator != 1:
-            raise UnsupportedPresentation("non-integer structure constant %s" % c)
-        return c.numerator
-    return int(c)
+    if c.denominator != 1:
+        raise UnsupportedPresentation("non-integer structure constant %s" % c)
+    return int(c.numerator)
 
 
 class BaseRing:
@@ -67,13 +65,12 @@ class BaseRing:
 
     def coerce(self, x):
         if self.kind == "Z/m":
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise RingError("fraction in Z/m")
-                x = x.numerator
-            return x % self.modulus
+            if x.denominator != 1:
+                raise RingError("fraction in Z/m")
+            return x.numerator % self.modulus
         if type(x) is int:
             return x
+        from fractions import Fraction
         x = Fraction(x)
         if x.denominator == 1:
             return x.numerator
@@ -88,7 +85,7 @@ class BaseRing:
         over Z/m, an integral Fraction as its int."""
         if self.kind == "Z/m":
             return x % self.modulus
-        if type(x) is Fraction and x.denominator == 1:
+        if type(x) is not int and x.denominator == 1:
             return x.numerator
         return x
 
@@ -123,6 +120,9 @@ class BaseRing:
             raise RingError("%s is not a unit in %r" % (_coeff_str(c), self))
         if self.kind == "Z/m":
             return pow(c, -1, self.modulus)
+        if c in (1, -1):
+            return c
+        from fractions import Fraction
         return self.coerce(1 / Fraction(c))
 
     @property
@@ -418,7 +418,7 @@ def _is_power_of_two(n):
 
 
 def _coeff_str(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if c.denominator == 1:
         return str(c.numerator)
     return str(c)
 

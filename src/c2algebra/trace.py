@@ -17,7 +17,7 @@ integer columns, one {row: coeff} per basis tensor, read from the memo
 tables of an InvolutiveAlgebra, which hh and dihedral wrap once per run
 around the parsed sigma.  Each complex (the Hochschild chains, and the
 total complex of the bicomplex with its involution, whose columns are those
-of b, B and w moved to their offsets) is an abelian.ChainComplex over the
+of b, B and w moved to their offsets) is a chains.ChainComplex over the
 base ring in that form.  HH and HC are read as invariant factors
 (ChainComplex.invariants), HD and HD' as those of the +-parts of the
 involution (ChainComplex.eigen_invariants); the base ring is that module's
@@ -45,7 +45,8 @@ from itertools import accumulate, product
 from math import prod
 
 from . import EngineError
-from .abelian import ChainComplex, FgAbGroup, NotAComplex, free_rank
+from .abelian import FgAbGroup, NotAComplex
+from .chains import ChainComplex, free_rank
 from .polyring import integer_lift
 
 
@@ -63,7 +64,7 @@ class InvolutiveAlgebra:
     and two memo tables that all blocks of one run share: _products of two
     basis monomials (one ring.mul per pair) and _images of one under sigma.
     The caller checks that sigma is an involution that preserves the rules;
-    cli.parse_algebra does, naming the offending relation."""
+    algebra_json.parse_algebra does, naming the offending relation."""
 
     def __init__(self, omega):
         self.omega = omega
@@ -127,7 +128,7 @@ def _tensors(ring, n_max, weight):
 
 class DihedralComplex:
     """Normalized Hochschild chains of one block, with b, omega and B as
-    sparse integer columns (abelian.ChainComplex's form).  The bases and b
+    sparse integer columns (chains.ChainComplex's form).  The bases and b
     are built here; omega and B are built on first read.
 
     bases[n] lists the basis tensors of degree n, 0 <= n <= n_max; by

@@ -22,24 +22,25 @@ from c2algebra import complexes as cx
 from c2algebra import mackey as mk
 from c2algebra import tambara as tb
 from c2algebra.abelian import (
-    AbMap,
     FgAbGroup,
-    Homology,
-    _modulus,
     block_matrix,
-    cokernel,
     diagonal_of,
-    free_rank,
     identity,
     integer_kernel,
-    kernel,
-    mat_mul,
     smith_normal_form,
     solve_integer,
-    tensor_maps,
     transpose,
     trivial_group,
     zeros,
+)
+from c2algebra.chains import _modulus, free_rank
+from c2algebra.mackey import (
+    AbMap,
+    Homology,
+    cokernel,
+    kernel,
+    mat_mul,
+    tensor_maps,
 )
 from c2algebra.polyring import (
     BaseRing,

@@ -7,31 +7,32 @@ from math import gcd
 from random import Random
 
 from c2algebra.abelian import (
-    AbMap,
     AbelianError,
-    ChainComplex,
     FgAbGroup,
-    Homology,
     NotAComplex,
     block_matrix,
-    cokernel,
     diagonal_of,
     direct_sum_groups,
     echelon_coords,
-    elementary_divisors,
-    free_rank,
     hermite_normal_form,
     identity,
     integer_kernel,
-    kernel,
-    mat_mul,
     mat_vec,
     smith_normal_form,
+    smith_orders,
     solve_integer,
-    tensor_groups,
     transpose,
     trivial_group,
     zeros,
+)
+from c2algebra.chains import ChainComplex, elementary_divisors, free_rank
+from c2algebra.mackey import (
+    AbMap,
+    Homology,
+    cokernel,
+    kernel,
+    mat_mul,
+    tensor_groups,
 )
 
 from c2algebra.polyring import BaseRing
@@ -227,6 +228,22 @@ def test_integer_kernel_is_the_hermite_form_of_the_kernel(case):
     assert _is_row_echelon(K) and _is_reduced(K)
     assert not any(any(mat_vec(A, x)) for x in K)
     assert K == hermite_normal_form(reference_integer_kernel(A, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=5),
+    st.lists(st.integers(-4, 4), max_size=5))))
+def test_smith_orders_read_mod_delta_are_the_exact_smith_form(case):
+    # a row c * (first row) makes factors shared between rows
+    n, A, scales = case
+    if A:
+        A = A + [[c * x for x in A[0]] for c in scales]
+    R = hermite_normal_form(A)
+    _, D, _ = smith_normal_form(R)
+    exact = diagonal_of(D) + [0] * (n - len(R))
+    assert smith_orders(R, n) == exact
+    assert FgAbGroup(n, A).invariant_factors() == tuple(d for d in exact if d != 1)
 
 
 @st.composite
@@ -593,7 +610,7 @@ def test_kernel_of_a_free_source_solves_once(monkeypatch):
     # only the kernel itself is solved for, with or without relations on the
     # source: the relations among the Hermite generators are the coordinates
     # of the source's relations, read by back substitution
-    import c2algebra.abelian as ab
+    import c2algebra.mackey as ab
     calls = []
     real = ab.integer_kernel
     monkeypatch.setattr(ab, "integer_kernel",

@@ -7,7 +7,9 @@ import io
 import time
 from random import Random
 
-from c2algebra.abelian import AbMap, FgAbGroup, free_rank
+from c2algebra.abelian import FgAbGroup
+from c2algebra.chains import free_rank
+from c2algebra.mackey import AbMap
 from c2algebra import mackey as mk
 from c2algebra import complexes as cx
 from c2algebra import tambara as tb

@@ -8,13 +8,10 @@ import sys
 import time
 from pathlib import Path
 
-from c2algebra.abelian import ChainComplex, NotAComplex, integer_kernel
-from c2algebra.cli import (
-    mackey_to_json,
-    parse_input,
-    parse_mackey,
-    run,
-)
+from c2algebra.abelian import NotAComplex, integer_kernel
+from c2algebra.chains import ChainComplex
+from c2algebra.cli import parse_input, run
+from c2algebra.mackey_json import mackey_to_json, parse_mackey
 from c2algebra.complexes import homology
 from c2algebra.differentials import cotangent_module, hkr_graded_piece, presentation_of
 from c2algebra.mackey import box, zbar, zbar_c2
@@ -516,8 +513,25 @@ def test_the_smith_form_reads_only_hermite_forms(monkeypatch):
     assert any(not A == ab.identity(len(A)) for A in seen)
 
 
+def test_dihedral_over_z_mod_15_is_the_smaller_of_its_prime_parts():
+    # the Smith form of its 7 x 19 Hermite input grew entries past 80,000
+    # bits before invariant factors were read mod delta; over Z/15 = Z/3 x Z/5
+    # a free rank is the smaller of the two ranks
+    algebra = ('{"base": "%s", "gens": [{"name": "x", "sigma": "x"}], '
+               '"rels": ["x^4 + 3*x^3 + 2*x^2 + 3"]}')
+    t0 = time.monotonic()
+    code, out = run_cli(["dihedral", "--algebra", algebra % "Z/15", "--nmax", "2",
+                         "--format", "json"])
+    assert code == 0 and time.monotonic() - t0 < 10.0
+    got = json.loads(out)
+    parts = [json.loads(run_cli(["dihedral", "--algebra", algebra % b, "--nmax", "2",
+                                 "--format", "json"])[1]) for b in ("Z/3", "Z/5")]
+    assert got["hc"] == [min(a, b) for a, b in zip(parts[0]["hc"], parts[1]["hc"])]
+    assert [a + b for a, b in zip(got["hd"], got["hd_prime"])] == got["hc"] == [4, 0, 4]
+
+
 def test_hh_derham_and_dihedral_over_z_mod_m_build_no_homology(monkeypatch):
-    import c2algebra.abelian as ab
+    import c2algebra.mackey as ab
     built = []
     real = ab.Homology.__init__
     monkeypatch.setattr(ab.Homology, "__init__",
@@ -983,28 +997,70 @@ def test_each_command_loads_only_the_layers_it_runs():
     sphere = '{"kind":"sigma-sphere","k":2}'
     # hr-gr reads the default truncation from the package, not from tambara;
     # the parsed algebra is its RingInvolution, so only dihedral, and hh of a
-    # ring whose rules mix variables, load trace
+    # ring whose rules mix variables, load trace.  The Mackey commands load
+    # no chains, and hh, dihedral and derham no mackey
     cases = [
-        (["cotangent", "--algebra", HYPER_JSON], "polyring differentials"),
-        (["derham", "--algebra", KXXS_JSON], "abelian polyring differentials"),
+        (["cotangent", "--algebra", HYPER_JSON], "polyring algebra_json differentials"),
+        (["derham", "--algebra", KXXS_JSON],
+         "abelian polyring algebra_json differentials chains"),
         (["hr-gr", "--algebra", KX_JSON, "--i", "1", "--weight", "2"],
-         "abelian polyring differentials mackey complexes"),
+         "abelian polyring algebra_json differentials chains mackey complexes mackey_json"),
         (["hh", "--algebra", QX_JSON, "--weight", "2", "--nmax", "2"],
-         "abelian polyring koszul"),
+         "abelian polyring algebra_json chains koszul"),
         (["hh", "--algebra", CUSP_JSON, "--weight", "6", "--nmax", "2"],
-         "abelian polyring trace"),
+         "abelian polyring algebra_json chains trace"),
         (["dihedral", "--algebra", QX_JSON, "--weight", "2", "--nmax", "2"],
-         "abelian polyring trace"),
-        (["slice-check", "--complex", sphere, "--n", "2"], "abelian mackey complexes"),
+         "abelian polyring algebra_json chains trace"),
+        (["slice-check", "--complex", sphere, "--n", "2"],
+         "abelian mackey complexes mackey_json"),
         (["slice-check", "--complex", sphere, "--n", "0", "--coconnective"],
-         "abelian mackey complexes"),
-        (["mackey-show", "--input", ZBAR_JSON], "abelian mackey"),
-        (["box", "--left", ZBAR_JSON, "--right", ZSIGN_JSON], "abelian mackey"),
-        (["phi", "--input", ZBAR_JSON], "abelian mackey"),
+         "abelian mackey complexes mackey_json"),
+        (["mackey-show", "--input", ZBAR_JSON], "abelian mackey mackey_json"),
+        (["box", "--left", ZBAR_JSON, "--right", ZSIGN_JSON], "abelian mackey mackey_json"),
+        (["phi", "--input", ZBAR_JSON], "abelian mackey mackey_json"),
         (["tambara-free", "--kind", "free", "--trunc", "2"], "polyring tambara"),
     ]
     for argv, names in cases:
         assert _layers_after(argv) == package | {"c2algebra." + n for n in names.split()}, argv
+
+
+def test_the_benchmark_algebra_jobs_load_no_fractions():
+    # a coefficient that stays an integer needs no Fraction; one process runs
+    # the jobs in turn, so the first job to load fractions is the one named
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from jobs import make_jobs
+    finally:
+        sys.path.pop(0)
+    argvs = [job.argv for w in ("bar", "sweep") for job in make_jobs(w, 1)
+             if "--algebra" in job.argv]
+    assert len(argvs) > 10
+    loaded = _layers_loaded(
+        "import io, sys\nfrom c2algebra.cli import run\n"
+        "for argv in %r:\n"
+        "    run(argv, stdout=io.StringIO())\n"
+        "    assert 'fractions' not in sys.modules, argv\n" % (argvs,))
+    assert "c2algebra.koszul" in loaded and "c2algebra.trace" in loaded
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["mackey-show", "--input", '{"fixed": [0], "underlying": "Z"}'], 2, "parse error: "),
+    (["hh", "--algebra", '{"base": "Q", "gens": "x"}'], 2, "parse error: "),
+    (["slice-check", "--complex", '{"kind": "complex", "terms": []}', "--n", "0"], 2,
+     "parse error: "),
+    (["mackey-show", "--input", '{"fixed": [0], "underlying": [0], "res": [[1]], '
+      '"tr": [[1]], "sigma": [[1]]}'], 1, "error: Lewis axioms fail"),
+    (["hh", "--algebra", '{"base": "Q", "gens": [{"name": "x", "sigma": "-x"}], '
+      '"rels": ["x^2 - x"]}'], 1, "error: relation ideal is not sigma-stable"),
+])
+def test_python_m_reports_the_readers_errors(argv, code, prefix):
+    # under python -m, cli is __main__: the readers raise the package's
+    # ParseError and DomainError, which run catches there too
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "c2algebra.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, ""), proc.stderr
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_every_domain_error_is_an_engine_error():

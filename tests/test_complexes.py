@@ -3,8 +3,10 @@ graded norms, regular-slice checks."""
 
 from random import Random
 
-from c2algebra.abelian import AbMap, FgAbGroup, Homology, free_rank
-from c2algebra.cli import mackey_to_json
+from c2algebra.abelian import FgAbGroup
+from c2algebra.chains import free_rank
+from c2algebra.mackey import AbMap, Homology
+from c2algebra.mackey_json import mackey_to_json
 from c2algebra.mackey import (
     MackeyFunctor,
     MackeyMap,

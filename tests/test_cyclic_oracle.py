@@ -2,7 +2,9 @@
 (b, b', 1 - t, N) bicomplex on unnormalized chains, compared against the
 engine's normalized (b, B)-model degree by degree."""
 
-from c2algebra.abelian import ChainComplex, free_rank, mat_mul, zeros
+from c2algebra.abelian import zeros
+from c2algebra.chains import ChainComplex, free_rank
+from c2algebra.mackey import mat_mul
 from c2algebra.trace import dihedral_homology
 from oracles import (
     algebra_gaussian,

@@ -8,17 +8,11 @@ from itertools import combinations
 
 from c2algebra.polyring import BaseRing, parse_poly
 from c2algebra.tambara import free_involutive_free, free_involutive_trivial
-from c2algebra.abelian import (
-    AbMap,
-    ChainComplex,
-    FgAbGroup,
-    NotAComplex,
-    diagonal_of,
-    free_rank,
-    mat_mul,
-    smith_normal_form,
-)
-from c2algebra.cli import mackey_to_json, parse_input, run
+from c2algebra.abelian import FgAbGroup, NotAComplex, diagonal_of, smith_normal_form
+from c2algebra.chains import ChainComplex, free_rank
+from c2algebra.cli import parse_input, run
+from c2algebra.mackey import AbMap, mat_mul
+from c2algebra.mackey_json import mackey_to_json
 from c2algebra import complexes as cx
 from c2algebra.complexes import homology
 from c2algebra.differentials import (

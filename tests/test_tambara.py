@@ -3,7 +3,7 @@ Green functors, free involutive algebras and norm rings."""
 
 from fractions import Fraction
 
-from c2algebra.abelian import free_rank
+from c2algebra.chains import free_rank
 from c2algebra.mackey import validate
 from c2algebra.polyring import BaseRing, PolyRing, parse_poly
 from c2algebra.tambara import (

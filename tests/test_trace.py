@@ -2,7 +2,9 @@
 cyclic/dihedral homology, and the graded pieces of real Hochschild homology
 against bar-complex HH."""
 
-from c2algebra.abelian import AbMap, ChainComplex, FgAbGroup, free_rank, mat_mul, zeros
+from c2algebra.abelian import FgAbGroup, zeros
+from c2algebra.chains import ChainComplex, free_rank
+from c2algebra.mackey import AbMap, mat_mul
 from c2algebra.differentials import cotangent_module, hkr_graded_piece, presentation_of
 from c2algebra.polyring import BaseRing, PolyRing, RingInvolution, TwoNotInvertible
 from c2algebra import trace
