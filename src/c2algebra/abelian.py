@@ -385,6 +385,7 @@ class FgAbGroup:
     coordinates read the exact Smith form U R V = D, computed once and only
     for them: V^T v are the coordinates of v in which the relations are
     diagonal, and V^-1 is the right block of the Hermite form of [V | I].
+    Invariant factors asked for after it read its diagonal.
     Relations already in Smith form (free groups, the (Z/m)^d chain groups)
     have V = identity and run neither.
     """
@@ -408,7 +409,10 @@ class FgAbGroup:
 
     @cached_property
     def _orders(self):
-        """The invariant factors with their units, zero-padded to n entries."""
+        """The invariant factors with their units, zero-padded to n entries:
+        the exact Smith form's if it is taken already, else smith_orders'."""
+        if "_factors" in vars(self):
+            return self._factors[0]
         diag = self._diagonal()
         if diag is None:
             return smith_orders(self.relations, self.ngens)

@@ -1,13 +1,14 @@
-"""Batch front end: parse JSON input (mackey_json, algebra_json), dispatch
-computations, emit pretty text or JSON.  Exit codes: 0 success, 1 domain
-error (EngineError), 2 parse/schema error (ParseError).  Identical jobs
-produce byte-identical output.  MACKEY_TRUNC overrides the truncation 8.
+"""Batch front end: read argv by the command table, parse JSON input
+(mackey_json, algebra_json), dispatch computations, emit pretty text or
+JSON.  Exit codes: 0 success, 1 domain error (EngineError), 2 parse/schema
+error (ParseError), malformed argv included.  Identical jobs produce
+byte-identical output.  MACKEY_TRUNC overrides the truncation 8.
 """
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import DEFAULT_TRUNCATION, DomainError, EngineError, ParseError
 
@@ -315,96 +316,145 @@ def cmd_dihedral(args, out):
 # ---------------------------------------------------------------------------
 # entry point
 
+# The command synopsis, printed by -h and --help; README.md shows it as is.
+USAGE = """\
+usage: c2algebra COMMAND --OPTION VALUE ... [--format pretty|json]
+
+mackey-show --input M.json            render a Lewis diagram
+box --left A.json --right B.json      box product
+phi --input M.json                    geometric fixed points
+slice-check --complex C.json --n N [--coconnective]
+tambara-free --kind trivial|free [--base Z] [--trunc T] [--names x,y]
+cotangent --algebra A.json
+derham --algebra A.json [--imax I] [--maxweight W]
+hr-gr --algebra A.json --i I [--weight W]
+hh --algebra A.json [--nmax N] [--weight W]
+dihedral --algebra A.json [--nmax N] [--weight W]"""
+
+
 def nonnegative(text):
-    """argparse type of the size options: an integer >= 0."""
+    """Converter of the size options: an integer >= 0."""
     n = int(text)
     if n < 0:
-        raise argparse.ArgumentTypeError("must be >= 0, got %d" % n)
+        raise ParseError("must be >= 0, got %d" % n)
     return n
 
 
 def base_ring(text):
-    """argparse type of --base: the name of a supported base ring, kept as
+    """Converter of --base: the name of a supported base ring, kept as
     written because the output echoes it."""
     from .polyring import BaseRing, RingError
     try:
         BaseRing.parse(text)
     except RingError as e:
-        raise argparse.ArgumentTypeError(str(e))
+        raise ParseError(str(e))
     return text
 
 
 def generator_names(text):
-    """argparse type of --names: comma-separated distinct variable names."""
+    """Converter of --names: comma-separated distinct variable names."""
     names = text.split(",")
     if not all(n.isidentifier() for n in names) or len(set(names)) != len(names):
-        raise argparse.ArgumentTypeError(
-            "expected distinct comma-separated variable names, got %r" % text)
+        raise ParseError("expected distinct comma-separated variable names, got %r" % text)
     return names
 
 
-def build_parser():
-    p = argparse.ArgumentParser(prog="c2algebra",
-                                description="exact C2-equivariant algebra engine")
-    sub = p.add_subparsers(dest="command", required=True)
+def output_format(text):
+    """Converter of --format, which every command takes."""
+    if text not in ("pretty", "json"):
+        raise ParseError("expected pretty or json, got %r" % text)
+    return text
 
-    def add(name, fn):
-        sp = sub.add_parser(name)
-        sp.set_defaults(fn=fn)
-        sp.add_argument("--format", choices=("pretty", "json"), default="pretty")
-        return sp
 
-    sp = add("mackey-show", cmd_mackey_show)
-    sp.add_argument("--input", required=True)
-    sp = add("box", cmd_box)
-    sp.add_argument("--left", required=True)
-    sp.add_argument("--right", required=True)
-    sp = add("phi", cmd_phi)
-    sp.add_argument("--input", required=True)
-    sp = add("slice-check", cmd_slice_check)
-    sp.add_argument("--complex", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--coconnective", action="store_true")
-    sp = add("tambara-free", cmd_tambara_free)
-    sp.add_argument("--kind", required=True)
-    sp.add_argument("--base", type=base_ring, default="Z")
-    sp.add_argument("--trunc", type=nonnegative)
-    sp.add_argument("--names", type=generator_names)
-    sp = add("cotangent", cmd_cotangent)
-    sp.add_argument("--algebra", required=True)
-    sp = add("derham", cmd_derham)
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--imax", type=nonnegative, default=2)
-    sp.add_argument("--maxweight", type=nonnegative, default=4)
-    sp = add("hr-gr", cmd_hr_gr)
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--i", type=int, required=True)
-    sp.add_argument("--weight", type=nonnegative)
-    sp = add("hh", cmd_hh)
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--nmax", type=nonnegative, default=4)
-    sp.add_argument("--weight", type=nonnegative)
-    sp = add("dihedral", cmd_dihedral)
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--nmax", type=nonnegative, default=4)
-    sp.add_argument("--weight", type=nonnegative)
-    return p
+REQUIRED = object()     # the default of an option that must be given
+FLAG = (None, False)    # an option that takes no value
+
+# The command table: each command's function and its options, as option ->
+# (converter, default).  run calls the function through COMMANDS, whose
+# values a wrapper may replace (as perfbench/tracer.py does).
+COMMANDS = {
+    "mackey-show": cmd_mackey_show,
+    "box": cmd_box,
+    "phi": cmd_phi,
+    "slice-check": cmd_slice_check,
+    "tambara-free": cmd_tambara_free,
+    "cotangent": cmd_cotangent,
+    "derham": cmd_derham,
+    "hr-gr": cmd_hr_gr,
+    "hh": cmd_hh,
+    "dihedral": cmd_dihedral,
+}
+OPTIONS = {
+    "mackey-show": {"input": (str, REQUIRED)},
+    "box": {"left": (str, REQUIRED), "right": (str, REQUIRED)},
+    "phi": {"input": (str, REQUIRED)},
+    "slice-check": {"complex": (str, REQUIRED), "n": (int, REQUIRED), "coconnective": FLAG},
+    "tambara-free": {"kind": (str, REQUIRED), "base": (base_ring, "Z"),
+                     "trunc": (nonnegative, None), "names": (generator_names, None)},
+    "cotangent": {"algebra": (str, REQUIRED)},
+    "derham": {"algebra": (str, REQUIRED), "imax": (nonnegative, 2),
+               "maxweight": (nonnegative, 4)},
+    "hr-gr": {"algebra": (str, REQUIRED), "i": (int, REQUIRED), "weight": (nonnegative, None)},
+    "hh": {"algebra": (str, REQUIRED), "nmax": (nonnegative, 4), "weight": (nonnegative, None)},
+    "dihedral": {"algebra": (str, REQUIRED), "nmax": (nonnegative, 4),
+                 "weight": (nonnegative, None)},
+}
+
+
+def read_argv(argv):
+    """The command of argv with a value for each of its options, or None
+    when argv asks for help.  Options are --name value or --name=value, the
+    value always the next token (so --n -4 is n = -4); a repeated option
+    keeps its last value.  Any other argv is a ParseError."""
+    if not argv:
+        raise ParseError("no command given; c2algebra --help lists them")
+    command = argv[0]
+    if command in ("-h", "--help"):
+        return None
+    if command not in COMMANDS:
+        raise ParseError("unknown command %r; c2algebra --help lists them" % command)
+    options = dict(OPTIONS[command], format=(output_format, "pretty"))
+    args = {name: default for name, (_, default) in options.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        option, has_value, value = token.partition("=")
+        name = option[2:]
+        if not option.startswith("--") or name not in options:
+            raise ParseError("%s takes no argument %r" % (command, token))
+        convert, _ = options[name]
+        if convert is None:
+            if has_value:
+                raise ParseError("%s takes no value" % option)
+            args[name] = True
+            continue
+        if not has_value:
+            value = next(tokens, None)
+            if value is None:
+                raise ParseError("%s needs a value" % option)
+        try:
+            args[name] = convert(value)
+        except ValueError:
+            raise ParseError("%s expects an integer, got %r" % (option, value)) from None
+        except ParseError as e:
+            raise ParseError("%s: %s" % (option, e)) from None
+    missing = [name for name, value in args.items() if value is REQUIRED]
+    if missing:
+        raise ParseError("%s needs --%s" % (command, " and --".join(missing)))
+    return SimpleNamespace(command=command, **args)
 
 
 def run(argv, stdout=None):
     stdout = stdout if stdout is not None else sys.stdout
     lines = []
-
-    def out(s):
-        lines.append(s)
-
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
-        code = args.fn(args, out)
+        args = read_argv(argv)
+        if args is None:
+            lines.append(USAGE)
+            code = 0
+        else:
+            code = COMMANDS[args.command](args, lines.append)
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 2

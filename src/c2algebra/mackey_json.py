@@ -107,22 +107,24 @@ def _degree_items(data, field):
 
 
 def mackey_to_json(M):
-    """Canonical-coordinate JSON form; parse(emit(M)) is the identity."""
-    fixed_inv = list(M.fixed.invariant_factors())
-    und_inv = list(M.underlying.invariant_factors())
+    """Canonical-coordinate JSON form; parse(emit(M)) is the identity.  The
+    maps come first: the canonical basis of each level takes its exact Smith
+    form, whose diagonal then gives its invariant factors, so each level is
+    factored once."""
+    res, tr, sigma = (_canonical_matrix(f) for f in (M.res, M.tr, M.sigma))
     return {
-        "fixed": fixed_inv,
-        "underlying": und_inv,
-        "res": _canonical_matrix(M.res),
-        "tr": _canonical_matrix(M.tr),
-        "sigma": _canonical_matrix(M.sigma),
+        "fixed": list(M.fixed.invariant_factors()),
+        "underlying": list(M.underlying.invariant_factors()),
+        "res": res,
+        "tr": tr,
+        "sigma": sigma,
     }
 
 
 def _canonical_matrix(f):
     rows = []
     cols = [f.target.canonical_coords(f(b)) for b in f.source.canonical_basis()]
-    n = len(f.target.invariant_factors())
+    n = len(f.target.canonical_basis())
     for i in range(n):
         rows.append([c[i] for c in cols])
     return rows

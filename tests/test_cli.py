@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -263,7 +264,7 @@ def test_tambara_free_names_are_distinct_variable_names(capsys):
     for names in ("x,x", "1", ",", "x y", ""):
         code, out = run_cli(["tambara-free", "--kind", "trivial", "--names", names])
         assert (code, out) == (2, ""), names
-        assert "argument --names" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("parse error: --names: "), names
     # the free kind has its own generators x, x_s: names are refused, not dropped
     assert run_cli(["tambara-free", "--kind", "free", "--names", "a,b"]) == (2, "")
     assert "--names" in capsys.readouterr().err
@@ -649,6 +650,25 @@ def test_basis_dependent_output_golden():
                    '"underlying":[2,2]}\n')
 
 
+def test_a_printed_group_is_factored_once(monkeypatch):
+    # its canonical basis takes the exact Smith form, whose diagonal gives
+    # the invariant factors too: no smith_orders of the same relations
+    import c2algebra.abelian as ab
+    factored = []
+    real_orders, real_smith = ab.smith_orders, ab.smith_normal_form
+    monkeypatch.setattr(ab, "smith_orders", lambda R, n: factored.append(R) or real_orders(R, n))
+    monkeypatch.setattr(ab, "smith_normal_form", lambda A: factored.append(A) or real_smith(A))
+    kxy = ('{"base": "Z", "gens": [{"name": "x", "sigma": "x_s"}, {"name": "x_s", "sigma": "x"}, '
+           '{"name": "y", "sigma": "-y"}]}')
+    for argv in (["hr-gr", "--algebra", KXXS_JSON, "--i", "2", "--weight", "4"],
+                 ["hr-gr", "--algebra", kxy, "--i", "2"],
+                 ["box", "--left", Z2_CONST_JSON, "--right", ZBAR_PLUS_SIGN_JSON]):
+        factored.clear()
+        assert run_cli(argv + ["--format", "json"])[0] == 0
+        ids = [id(R) for R in factored]
+        assert ids and len(set(ids)) == len(ids), argv
+
+
 def test_cotangent_command_hyperelliptic():
     code, out = run_cli(["cotangent", "--algebra", HYPER_JSON, "--format", "json"])
     assert code == 0
@@ -975,11 +995,13 @@ def test_a_closed_pipe_ends_quietly(tmp_path):
 
 def _layers_loaded(statements):
     """The c2algebra modules a fresh interpreter holds after running
-    statements (the pytest process has imported every layer already)."""
+    statements (the pytest process has imported every layer already), and
+    argparse, gettext or locale if it holds them."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     code = statements + (
         "\nimport sys"
-        "\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('c2algebra'))))")
+        "\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('c2algebra')"
+        " or m in ('argparse', 'gettext', 'locale'))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -992,6 +1014,8 @@ def _layers_after(argv):
 
 
 def test_each_command_loads_only_the_layers_it_runs():
+    # and no argument parser: argparse (with gettext and locale) costs about
+    # 6 ms of every job
     package = {"c2algebra", "c2algebra.cli"}
     assert _layers_loaded("import c2algebra.cli") == package
     sphere = '{"kind":"sigma-sphere","k":2}'
@@ -1052,15 +1076,66 @@ def test_the_benchmark_algebra_jobs_load_no_fractions():
       '"tr": [[1]], "sigma": [[1]]}'], 1, "error: Lewis axioms fail"),
     (["hh", "--algebra", '{"base": "Q", "gens": [{"name": "x", "sigma": "-x"}], '
       '"rels": ["x^2 - x"]}'], 1, "error: relation ideal is not sigma-stable"),
+    # malformed argv: no command, an unknown command, an unknown option (an
+    # abbreviation is one), a stray value, a value given to a flag, a missing
+    # value or required option, a non-integer, a negative size, a bad format,
+    # base ring or generator list
+    ([], 2, "parse error: "),
+    (["homology", "--algebra", QX_JSON], 2, "parse error: "),
+    (["hh", "--algebra", QX_JSON, "--weigth", "2"], 2, "parse error: "),
+    (["hh", "--alg", QX_JSON], 2, "parse error: "),
+    (["hh", QX_JSON], 2, "parse error: "),
+    (["slice-check", "--complex", '{"kind": "sigma-sphere", "k": 1}', "--n", "1",
+      "--coconnective=yes"], 2, "parse error: "),
+    (["hh", "--algebra", QX_JSON, "--nmax"], 2, "parse error: "),
+    (["hh", "--nmax", "2"], 2, "parse error: "),
+    (["slice-check", "--complex", '{"kind": "sigma-sphere", "k": 1}'], 2, "parse error: "),
+    (["hr-gr", "--algebra", KX_JSON, "--i", "one"], 2, "parse error: "),
+    (["hh", "--algebra", QX_JSON, "--weight", "2", "--nmax", "2.5"], 2, "parse error: "),
+    (["hh", "--algebra", QX_JSON, "--nmax", "-1"], 2, "parse error: "),
+    (["derham", "--algebra", KX_JSON, "--imax=-1"], 2, "parse error: "),
+    (["tambara-free", "--kind", "free", "--format", "xml"], 2, "parse error: "),
+    (["tambara-free", "--kind", "free", "--base", "Z/x"], 2, "parse error: "),
+    (["tambara-free", "--kind", "trivial", "--names", "x,x"], 2, "parse error: "),
 ])
 def test_python_m_reports_the_readers_errors(argv, code, prefix):
-    # under python -m, cli is __main__: the readers raise the package's
-    # ParseError and DomainError, which run catches there too
+    # under python -m, cli is __main__: the readers and the argv reader raise
+    # the package's ParseError and DomainError, which run catches there too
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-m", "c2algebra.cli"] + argv,
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout) == (code, ""), proc.stderr
     assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["hh", "--help"],
+                                  ["slice-check", "--n", "2", "-h"]])
+def test_help_prints_the_synopsis_of_the_readme(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "c2algebra.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "hh --algebra A.json [--nmax N] [--weight W]\n" in proc.stdout
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert "```\n%s```\n" % proc.stdout in readme
+
+
+def test_the_synopsis_lists_each_command_with_its_options():
+    from c2algebra.cli import OPTIONS, USAGE
+    lines = USAGE.split("\n\n", 1)[1].splitlines()
+    assert {line.split()[0]: set(re.findall(r"--(\w+)", line)) for line in lines} == {
+        command: set(options) for command, options in OPTIONS.items()}
+
+
+def test_an_option_value_follows_a_space_or_an_equals_sign():
+    # the next token is the value, also when it starts with a minus
+    sphere = '{"kind": "sigma-sphere", "k": -4}'
+    spaced = run_cli(["slice-check", "--complex", sphere, "--n", "-4", "--format", "json"])
+    assert spaced == (0, '{"connective":true,"n":-4}\n')
+    assert run_cli(["slice-check", "--complex=" + sphere, "--n=-4", "--format=json"]) == spaced
+    # a repeated option keeps its last value
+    assert run_cli(["slice-check", "--complex", sphere, "--n", "7", "--format", "pretty",
+                    "--n", "-4", "--format", "json"]) == spaced
 
 
 def test_every_domain_error_is_an_engine_error():
