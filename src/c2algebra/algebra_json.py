@@ -23,7 +23,7 @@ def parse_algebra(data):
         base = BaseRing.parse(data["base"])
     except RingError as e:
         raise ParseError("unsupported base ring: %s" % e)
-    gens = data.get("gens", [])
+    gens = data.get("gens")
     if not (isinstance(gens, list) and all(isinstance(g, dict) for g in gens)):
         raise ParseError("gens must be a list of generator objects, got %r" % (gens,))
     names = []

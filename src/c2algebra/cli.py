@@ -1,8 +1,10 @@
-"""Batch front end: read argv by the command table, parse JSON input
-(mackey_json, algebra_json), dispatch computations, emit pretty text or
-JSON.  Exit codes: 0 success, 1 domain error (EngineError), 2 parse/schema
-error (ParseError), malformed argv included.  Identical jobs produce
-byte-identical output.  MACKEY_TRUNC overrides the truncation 8.
+"""Batch front end: read argv by the command table; each command reads its
+JSON input with the reader of its own kind (mackey_json.parse_mackey or
+parse_complex, algebra_json.parse_algebra), makes one engine call on what
+it parsed and emits pretty text or JSON.  Exit codes: 0 success, 1 domain
+error (EngineError), 2 parse/schema error (ParseError), malformed argv and
+a JSON object of another kind than the command reads included.  Identical
+jobs produce byte-identical output.  MACKEY_TRUNC overrides the truncation 8.
 """
 
 import json
@@ -29,24 +31,7 @@ def default_truncation():
 
 
 # ---------------------------------------------------------------------------
-# parsing and rendering
-
-def parse_input(data):
-    """Dispatch a JSON object to a domain object by its fields."""
-    if not isinstance(data, dict):
-        raise ParseError("top-level JSON must be an object")
-    if "fixed" in data and "underlying" in data:
-        from .mackey_json import parse_mackey
-        return parse_mackey(data)
-    if "base" in data and "gens" in data:
-        from .algebra_json import parse_algebra
-        return parse_algebra(data)
-    if "kind" in data:
-        from .mackey_json import parse_complex
-        return parse_complex(data)
-    raise ParseError("unrecognized input object (expected a Mackey functor, "
-                     "an algebra, or a complex)")
-
+# rendering
 
 def compact_json(data):
     """The one line of a --format json output: sorted keys, no spaces."""
@@ -81,36 +66,32 @@ def _load(path_or_json):
         except OSError as e:
             raise ParseError("cannot read %s: %s" % (path_or_json, e))
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError("invalid JSON at line %d column %d: %s"
                          % (e.lineno, e.colno, e.msg))
+    if not isinstance(data, dict):
+        raise ParseError("top-level JSON must be an object")
+    return data
 
 
 def _algebra(args):
     """The parsed --algebra of an algebra command: its RingInvolution."""
-    from .polyring import RingInvolution
-    sigma = parse_input(_load(args.algebra))
-    if not isinstance(sigma, RingInvolution):
-        raise ParseError("%s expects an algebra" % args.command)
-    return sigma
+    from .algebra_json import parse_algebra
+    return parse_algebra(_load(args.algebra))
 
 
 def cmd_mackey_show(args, out):
-    from . import mackey as mk
-    M = parse_input(_load(args.input))
-    if not isinstance(M, mk.MackeyFunctor):
-        raise ParseError("mackey-show expects a Mackey functor")
-    out(render_lewis(M, args.format))
+    from .mackey_json import parse_mackey
+    out(render_lewis(parse_mackey(_load(args.input)), args.format))
     return 0
 
 
 def cmd_box(args, out):
     from . import mackey as mk
-    L = parse_input(_load(args.left))
-    R = parse_input(_load(args.right))
-    if not (isinstance(L, mk.MackeyFunctor) and isinstance(R, mk.MackeyFunctor)):
-        raise ParseError("box expects two Mackey functors")
+    from .mackey_json import parse_mackey
+    L = parse_mackey(_load(args.left))
+    R = parse_mackey(_load(args.right))
     out(render_lewis(mk.box(L, R), args.format))
     return 0
 
@@ -118,10 +99,8 @@ def cmd_box(args, out):
 def cmd_phi(args, out):
     from .abelian import render_invariants
     from . import mackey as mk
-    M = parse_input(_load(args.input))
-    if not isinstance(M, mk.MackeyFunctor):
-        raise ParseError("phi expects a Mackey functor")
-    G = mk.geometric_fixed_points(M)
+    from .mackey_json import parse_mackey
+    G = mk.geometric_fixed_points(parse_mackey(_load(args.input)))
     if args.format == "json":
         out(compact_json({"phi": list(G.invariant_factors())}))
     else:
@@ -131,9 +110,8 @@ def cmd_phi(args, out):
 
 def cmd_slice_check(args, out):
     from . import complexes as cx
-    C = parse_input(_load(args.complex))
-    if not isinstance(C, cx.MackeyComplex):
-        raise ParseError("slice-check expects a complex")
+    from .mackey_json import parse_complex
+    C = parse_complex(_load(args.complex))
     if args.coconnective:
         kind, verdict = "coconnective", cx.is_regular_slice_coconnective(C, args.n)
         text = verdict
@@ -202,15 +180,14 @@ def cmd_hr_gr(args, out):
     if sigma.ring.base.kind != "Z":
         raise DomainError("hr-gr computes Mackey homology over Z only, not over %s"
                           % sigma.ring.base)
-    L = df.cotangent_module(df.presentation_of(sigma))
     # one sigma-orbit type per generator; a swapped pair at its first member
     label = "+".join(("trivial" if s == 1 else "sign") if k == j else "free"
-                     for j, (k, s) in enumerate(df.signed_permutation(L)) if k >= j)
+                     for j, (k, s) in enumerate(df.signed_permutation(sigma)) if k >= j)
     trunc = default_truncation()
     weights = [args.weight] if args.weight is not None else list(range(0, min(5, trunc + 1)))
     blocks = []
     for w in weights:
-        C = df.hkr_graded_piece(L, args.i, w)
+        C = df.hkr_graded_piece(sigma, args.i, w)
         H = {n: cx.homology(C, n) for n in C.degrees()}
         nonzero = [n for n, h in H.items()
                    if not (h.fixed.is_trivial() and h.underlying.is_trivial())]
@@ -260,8 +237,7 @@ def cmd_cotangent(args, out):
 def cmd_derham(args, out):
     from .abelian import render_invariants
     from . import differentials as df
-    complexes = df.de_rham_complex(df.presentation_of(_algebra(args)), args.imax,
-                                   args.maxweight)
+    complexes = df.de_rham_complex(_algebra(args), args.imax, args.maxweight)
     table = {str(w): {str(n): {"h": list(C.invariants(-n)),
                                "dim": C.dims[-n]}
                       for n in range(0, args.imax + 1)}
@@ -281,20 +257,15 @@ def cmd_derham(args, out):
 def cmd_hh(args, out):
     from .abelian import render_invariants
     sigma = _algebra(args)
-    weight = args.weight
-    degrees = range(0, args.nmax + 1)
     # the small complex when the ring splits by variable, else the bar complex
     if sigma.ring.splits_by_variable():
-        from . import koszul
-        groups = koszul.hh_groups(koszul.hochschild_complex(sigma, args.nmax + 1, weight),
-                                  degrees)
+        from .koszul import hochschild_complex
     else:
-        from . import trace as tr
-        groups = tr.hh_groups(tr.hochschild_blocks(tr.InvolutiveAlgebra(sigma), args.nmax + 1,
-                                                   weight), degrees)
-    rows = [{"n": n, "hh": list(G.invariant_factors())} for n, G in zip(degrees, groups)]
+        from .trace import hochschild_complex
+    C = hochschild_complex(sigma, args.nmax + 1, args.weight)
+    rows = [{"n": n, "hh": list(C.invariants(n))} for n in range(0, args.nmax + 1)]
     if args.format == "json":
-        out(compact_json({"weight": weight, "rows": rows}))
+        out(compact_json({"weight": args.weight, "rows": rows}))
     else:
         for r in rows:
             out("HH_%d = %s" % (r["n"], render_invariants(tuple(r["hh"]))))
@@ -303,7 +274,7 @@ def cmd_hh(args, out):
 
 def cmd_dihedral(args, out):
     from . import trace as tr
-    D = tr.dihedral_homology(tr.InvolutiveAlgebra(_algebra(args)), args.nmax, weight=args.weight)
+    D = tr.dihedral_homology(_algebra(args), args.nmax, weight=args.weight)
     data = {"hc": D.hc, "hd": D.hd, "hd_prime": D.hd_prime}
     if args.format == "json":
         out(compact_json(data))

@@ -192,7 +192,8 @@ def is_regular_slice_coconnective(C, n):
     degs = C.degrees()
     if not degs:
         return "passes-necessary-conditions"
-    for k in range(n + 1, max(degs) + 2):  # n <= 0, so n <= floor(n/2)
+    # below its lowest degree C has no homology; n <= 0, so n <= floor(n/2)
+    for k in range(max(n + 1, min(degs)), max(degs) + 2):
         H = homology(C, k)
         if not H.underlying.is_trivial() or (k > n // 2 and not H.fixed.is_trivial()):
             return "fails"

@@ -6,12 +6,13 @@ sigma-stable relations) has a cotangent module
     L = coker( A{dr per relation} -> A{dv per generator} )
 
 with the universal derivation acting by Leibniz expansion and sigma acting
-semilinearly (sigma(dv) = d(sigma v)).  presentation_of is the one route
-from a parsed algebra, the RingInvolution of algebra_json.parse_algebra, to
-such a presentation: a rule-free algebra presents itself, y^2 = f(x) with
-y -> -y is hyperelliptic_presentation.  For a ring with involution the
-fixed-point Tambara functor is always cohomological (N(res x) = x sigma(x) =
-x^2), so nothing here needs Tambara data.
+semilinearly (sigma(dv) = d(sigma v)).  The cotangent command reads it
+through presentation_of, its one route from a parsed algebra, the
+RingInvolution of algebra_json.parse_algebra, to such a presentation: a
+rule-free algebra presents itself, y^2 = f(x) with y -> -y is
+hyperelliptic_presentation.  For a ring with involution the fixed-point
+Tambara functor is always cohomological (N(res x) = x sigma(x) = x^2), so
+nothing here needs Tambara data.
 
 The associated de Rham complex is one chains.ChainComplex per weight: the
 ranks of the free base-modules Omega^k, in chain degree -k, and the sparse
@@ -20,12 +21,15 @@ over the base derham reads (ChainComplex.invariants).  The differential is
 sigma-antilinear, d(sigma m) = -sigma(d m), which ChainComplex.check
 verifies; cohomology does not depend on sigma.
 
-When sigma permutes the generators up to sign, exterior_power builds
-Lambda^i L at one weight with its natural sigma, as sparse columns.  It is
-the one builder of both the de Rham terms (sigma twisted by (-1)^i) and the
-graded pieces of real Hochschild homology, gr^i HR = Sigma^{i sigma}
-Lambda^i L (hkr_graded_piece, the involutive HKR identification), whose
-fixed-point Mackey functor takes sigma as a dense AbMap.
+derham and hr-gr read sigma itself and build no presentation: the
+cotangent module L of a rule-free ring is free on the dv.  When sigma
+permutes the generators up to sign (signed_permutation, which refuses a
+ring with rules), exterior_power(sigma, i, w) builds Lambda^i L at one
+weight with its natural sigma, as sparse columns.  It is the one builder of
+both the de Rham terms (sigma twisted by (-1)^i) and the graded pieces of
+real Hochschild homology, gr^i HR = Sigma^{i sigma} Lambda^i L
+(hkr_graded_piece, the involutive HKR identification), whose fixed-point
+Mackey functor takes sigma as a dense AbMap.
 
 Only polyring loads with this module: de_rham_complex imports chains, and
 hkr_graded_piece the Mackey layer, where they run (derham, hr-gr).
@@ -123,9 +127,6 @@ class CotangentPresentation:
                 if coeff:
                     img[self.gen_names[j]] = coeff
             self.sigma_on_gens.append(img)
-
-    def is_free(self):
-        return not self.relation_images
 
     def reduced_presentation(self):
         """Eliminate generators with a unit coefficient in some relation;
@@ -242,15 +243,16 @@ def presentation_of(sigma):
 # ---------------------------------------------------------------------------
 # exterior powers and de Rham complexes
 
-def signed_permutation(L):
-    """sigma on the variables of a free cotangent module as a signed
-    permutation, read from RingInvolution.signed_permutation: perm[j] =
-    (k, s) when sigma(v_j) = s v_k, s a unit, so that sigma(dv_j) = s dv_k.
-    Relations, or a sigma that is not such a permutation of variables of
-    equal weights, raise NotSmoothPresentation."""
-    if not L.is_free():
+def signed_permutation(sigma):
+    """sigma on the variables of a rule-free ring as a signed permutation,
+    read from RingInvolution.signed_permutation: perm[j] = (k, s) when
+    sigma(v_j) = s v_k, s a unit, so that sigma(dv_j) = s dv_k on its free
+    cotangent module.  Rules (the cotangent module has relations), or a
+    sigma that is not such a permutation of variables of equal weights,
+    raise NotSmoothPresentation."""
+    ring = sigma.ring
+    if ring.rules:
         raise NotSmoothPresentation("cotangent module has relations")
-    ring, sigma = L.presentation.free_ring, L.presentation.sigma
     perm = sigma.signed_permutation()
     for j, p in enumerate(perm):
         if p is None or ring.weights[p[0]] != ring.weights[j]:
@@ -260,18 +262,17 @@ def signed_permutation(L):
     return perm
 
 
-def exterior_power(L, i, w):
-    """Lambda^i of a free cotangent module at weight w: the basis of pairs
-    (monomial m, increasing generator tuple S) standing for m dv_S, and the
-    sparse columns of the natural semilinear sigma on it (sigma must be a
-    signed permutation of the generators, see signed_permutation)."""
-    perm = signed_permutation(L)
-    A = L.algebra
-    P = L.presentation
-    gweights = P.free_ring.weights
+def exterior_power(sigma, i, w):
+    """Lambda^i of the free cotangent module of sigma's ring at weight w:
+    the basis of pairs (monomial m, increasing generator tuple S) standing
+    for m dv_S, and the sparse columns of the natural semilinear sigma on it
+    (sigma must be a signed permutation of the generators, see
+    signed_permutation)."""
+    perm = signed_permutation(sigma)
+    A = sigma.ring
     basis = []
-    for S in combinations(range(P.free_ring.n), i) if i >= 0 else ():
-        sw = sum(gweights[k] for k in S)
+    for S in combinations(range(A.n), i) if i >= 0 else ():
+        sw = sum(A.weights[k] for k in S)
         if sw <= w:
             basis.extend((m, S) for m in A.monomial_basis_weight(w - sw))
     index = {b: k for k, b in enumerate(basis)}
@@ -282,12 +283,12 @@ def exterior_power(L, i, w):
             sgn *= perm[v][1]
         # sigma(m) is a unit times one monomial
         sig.append({index[(m2, S2)]: sgn * integer_lift(c2)
-                    for m2, c2 in P.sigma_quotient({m: A.base.one()}).items()})
+                    for m2, c2 in sigma({m: A.base.one()}).items()})
     return basis, sig
 
 
-def de_rham_complex(B, i_max, max_weight):
-    """Involutive de Rham complex of a smooth presentation, as one
+def de_rham_complex(sigma, i_max, max_weight):
+    """Involutive de Rham complex of sigma's rule-free ring, as one
     chains.ChainComplex over the base per weight w <= max_weight: the
     exterior power Omega^k_w of the cotangent module sits in chain degree -k
     for 0 <= k <= i_max + 1, so H^k = homology(-k) for k <= i_max.  The
@@ -295,19 +296,17 @@ def de_rham_complex(B, i_max, max_weight):
     (-1)^k, which is checked."""
     from .abelian import NotAComplex
     from .chains import ChainComplex
-    L = cotangent_module(B)
-    A = L.algebra
-    nvars = L.presentation.free_ring.n
+    A = sigma.ring
     complexes = {}
     for w in range(0, max_weight + 1):
-        powers = [exterior_power(L, k, w) for k in range(0, i_max + 2)]
+        powers = [exterior_power(sigma, k, w) for k in range(0, i_max + 2)]
         mats = {}
         for k, (basis, _sig) in enumerate(powers[:-1]):
             tgt_index = {b: j for j, b in enumerate(powers[k + 1][0])}
             mats[-k] = []
             for m, S in basis:
                 col = {}  # one term per j, each at its own wedge S + j
-                for j in range(nvars):
+                for j in range(A.n):
                     if j in S:
                         continue
                     S2, sgn = _wedge_insert(S, j)
@@ -316,10 +315,10 @@ def de_rham_complex(B, i_max, max_weight):
                 mats[-k].append(col)
         C = ChainComplex({-k: len(basis) for k, (basis, _) in enumerate(powers)}, mats,
                          A.base)
-        sigma = {-k: [{r: -x for r, x in col.items()} for col in sig] if k % 2 else sig
-                 for k, (_basis, sig) in enumerate(powers)}
+        twisted = {-k: [{r: -x for r, x in col.items()} for col in sig] if k % 2 else sig
+                   for k, (_basis, sig) in enumerate(powers)}
         try:
-            complexes[w] = C.check(sigma, -1)
+            complexes[w] = C.check(twisted, -1)
         except NotAComplex as e:
             what, n = e.args
             raise DifferentialError("de Rham complex: %s at degree %d weight %d"
@@ -349,15 +348,15 @@ def _sort_wedge(S):
 # ---------------------------------------------------------------------------
 # the HKR graded pieces
 
-def hkr_graded_piece(L, i, w):
+def hkr_graded_piece(sigma, i, w):
     """gr^i of real Hochschild homology at weight w, through the involutive
     HKR identification: Sigma^{i sigma} of Lambda^i L_w with its natural
-    sigma, for a free cotangent module L (an empty complex when Lambda^i L_w
-    is 0)."""
+    sigma, for L the free cotangent module of sigma's rule-free ring (an
+    empty complex when Lambda^i L_w is 0)."""
     from .abelian import FgAbGroup
     from .chains import dense_matrix
     from . import complexes as cx, mackey as mk
-    basis, sig = exterior_power(L, i, w)
+    basis, sig = exterior_power(sigma, i, w)
     if not basis:
         return cx.MackeyComplex({}, {})
     G = FgAbGroup.free(len(basis))

@@ -15,11 +15,11 @@ With a weight, the generator of degree 2j + e (e = 0, 1) has weight
 (j p + e) w(x_i) for x_i^p = 0, the one homogeneous rule in one variable,
 and e w(x_i) for a free variable; a basis element x_i^a g weighs
 a w(x_i) more.  The complex of one weight, or of the whole finite algebra,
-is one chains.ChainComplex over the base, read with invariants as the bar
-complex is.  trace's bar complex is its oracle.
+is one chains.ChainComplex over the base; hh prints its invariants, as it
+does those of trace.hochschild_complex, which has the same signature and is
+its oracle.
 """
 
-from .abelian import FgAbGroup
 from .chains import ChainComplex
 from .polyring import UnsupportedPresentation, integer_lift
 
@@ -51,7 +51,7 @@ def _derivative_columns(ring, i):
 
 def hochschild_complex(sigma, n_max, weight=None):
     """The tensor product of the K(A_i) of sigma's ring in degrees
-    0..n_max, at the weight (None: the whole finite algebra), as an
+    0..n_max, at the weight (None: the whole finite algebra), as one
     chains.ChainComplex over the base.  A basis element of degree n is a
     tuple of one (k, a) per variable with the k summing to n.  Refuses
     what sigma.require_weight refuses, and a ring that does not split by
@@ -84,8 +84,3 @@ def hochschild_complex(sigma, n_max, weight=None):
                 sign = -sign if k % 2 else sign
             mats[n].append({j: x for j, x in col.items() if x})
     return ChainComplex({n: len(basis) for n, basis in bases.items()}, mats, ring.base)
-
-
-def hh_groups(C, degrees):
-    """HH_n for each n in degrees, from the complex of hochschild_complex."""
-    return [FgAbGroup.from_invariants(C.invariants(n)) for n in degrees]

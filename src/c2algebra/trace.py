@@ -2,8 +2,11 @@
 
 The route of dihedral, and of hh when a rule mixes variables (y^2 = x^3);
 for every other ring hh reads the small complex of koszul, whose oracle this
-bar complex is.  The dihedral bar complex of a presented algebra with
-involution: normalized Hochschild chains C_n = A (x) Abar^{(x) n} with
+bar complex is.  Both take the parsed sigma: hochschild_complex(sigma,
+n_max, weight) has the signature and result of koszul's, and
+dihedral_homology(sigma, n_max, weight) returns HC, HD and HD'.  The
+dihedral bar complex of a presented algebra with involution: normalized
+Hochschild chains C_n = A (x) Abar^{(x) n} with
 
     b  = the Hochschild boundary,
     w_n(a0 (x) ... (x) an) = (-1)^{n(n+1)/2} w(a0) (x) w(an) (x) ... (x) w(a1),
@@ -14,14 +17,13 @@ wB = -Bw exactly; all are asserted in the test suite.  When 2 is invertible
 the total complex of the (b, B)-bicomplex splits along w, giving the
 dihedral splitting HC = HD + HD' of cyclic homology.  b, w and B are sparse
 integer columns, one {row: coeff} per basis tensor, read from the memo
-tables of an InvolutiveAlgebra, which hh and dihedral wrap once per run
-around the parsed sigma.  Each complex (the Hochschild chains, and the
-total complex of the bicomplex with its involution, whose columns are those
-of b, B and w moved to their offsets) is a chains.ChainComplex over the
-base ring in that form.  HH and HC are read as invariant factors
-(ChainComplex.invariants), HD and HD' as those of the +-parts of the
-involution (ChainComplex.eigen_invariants); the base ring is that module's
-concern.
+tables of an InvolutiveAlgebra, which each of the two wraps once per run
+around sigma.  Each complex (the Hochschild chains, and the total complex
+of the bicomplex with its involution, whose columns are those of b, B and w
+moved to their offsets) is a chains.ChainComplex over the base ring in that
+form.  HH and HC are read as invariant factors (ChainComplex.invariants),
+HD and HD' as those of the +-parts of the involution
+(ChainComplex.eigen_invariants); the base ring is that module's concern.
 
 Graded algebras are handled one internal weight at a time (exact per
 weight), finite-dimensional algebras as a whole, and both are cut further
@@ -33,11 +35,12 @@ of e onto the block of pi(e).  hochschild_blocks enumerates the tensors of
 each degree once, buckets them by exponent vector and builds one
 DihedralComplex per sigma-orbit of vectors.  A paired orbit, e != pi(e),
 has two blocks with isomorphic homology and a swapped w, so it counts its
-block twice in HH and HC, once in each of HH^+ and HH^-, and once in each of
-HD and HD'; only a self-conjugate block is split along w.  Any other
-presentation has one block, the weight block or the whole finite complex.
-The graded pieces gr^i of real Hochschild homology come from the de Rham
-side, differentials.hkr_graded_piece; this complex is their oracle.
+block twice in HC and once in each of HD and HD'; only a self-conjugate
+block is split along w.  Any other presentation has one block, the weight
+block or the whole finite complex; hh reaches this module only then, and
+reads that one block's Hochschild chains.  The graded pieces gr^i of real
+Hochschild homology come from the de Rham side,
+differentials.hkr_graded_piece; this complex is their oracle.
 """
 
 from functools import cached_property
@@ -249,12 +252,12 @@ def hochschild_chains(C):
     return ChainComplex({k: C.dim(k) for k in C.bases}, C.b, C.algebra.base)
 
 
-def hh_groups(blocks, degrees):
-    """HH_n for each n in degrees, from the blocks of hochschild_blocks: the
-    direct sum of the blocks' homology, a paired block counted twice."""
-    chains = [(C, hochschild_chains(C), 2 if C.paired else 1) for C in blocks]
-    return [_direct_sum([(ch.invariants(n), k) for C, ch, k in chains if C.dim(n)])
-            for n in degrees]
+def hochschild_complex(sigma, n_max, weight=None):
+    """The Hochschild chains of sigma's ring in degrees 0..n_max, at the
+    weight (None: the whole finite algebra), as one chains.ChainComplex over
+    the base: koszul.hochschild_complex's signature and result, for any
+    ring.  Refuses what sigma.require_weight refuses."""
+    return hochschild_chains(DihedralComplex(InvolutiveAlgebra(sigma), n_max, weight))
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +277,13 @@ def _bicomplex_homology(C, n_max):
     involution acts by (-1)^i omega on column i; HD is its +1 part.  A
     paired orbit's total complex is two copies of C's swapped by the
     involution, so each eigen part is one copy and omega is not built."""
-    # total complex T_n = sum over columns i of C_{n - 2i}, at these offsets
+    # total complex T_n = sum over columns i of C_{n - 2i}, at these offsets;
+    # only the degrees q where C is nonempty, in decreasing order (column i up)
+    nonempty = [q for q in range(C.n_max, -1, -1) if C.dim(q)]
     offsets = {}
     for n in range(0, n_max + 2):
-        keys = [(i, n - 2 * i) for i in range(0, n_max + 1) if 0 <= n - 2 * i <= C.n_max]
+        keys = [((n - q) // 2, q) for q in nonempty
+                if q <= n and (n - q) % 2 == 0 and n - q <= 2 * n_max]
         offsets[n] = dict(zip(keys, accumulate((C.dim(q) for _i, q in keys), initial=0)))
     mats = {}
     for n in range(1, n_max + 2):
@@ -306,15 +312,17 @@ def _bicomplex_homology(C, n_max):
     return [(H, 1) for H in hc], [(H, 1) for H in hd], [(H, 1) for H in hdp]
 
 
-def dihedral_homology(A, n_max, weight=None):
-    """HC, HD, HD' of the (b, B)-bicomplex truncated at n_max columns.
+def dihedral_homology(sigma, n_max, weight=None):
+    """HC, HD, HD' of the (b, B)-bicomplex of sigma's ring truncated at
+    n_max columns.
 
     Returns per-degree dimensions (free ranks over the base) for
     0 <= n <= n_max, each the free rank of the direct sum over the blocks
     of hochschild_blocks.  Refuses what sigma.require_weight refuses for a
     job that halves: 2 must be a unit of the base.
     """
-    A.omega.require_weight(weight, halves=True)
+    sigma.require_weight(weight, halves=True)
+    A = InvolutiveAlgebra(sigma)
     parts = [_bicomplex_homology(C, n_max) for C in hochschild_blocks(A, n_max + 1, weight)]
     hc, hd, hdp = ([free_rank(_direct_sum([p[s][n] for p in parts]), A.base)
                     for n in range(0, n_max + 1)] for s in range(3))

@@ -8,13 +8,13 @@ their Koszul signs, the graded norm with its Koszul sign, the Tambara
 examples (the Burnside table, norm rings, fixed-point Green functors,
 weightwise Mackey pieces) and the trace oracles (the homology of a
 ChainComplex as a Homology of presented chain groups, the +-parts of an
-involution as eigen kernels, the omega-eigen splitting of HH, localization
-of integral homology, the operator identities of the dihedral bar complex),
-which compute with dense matrices: dense and columns convert between them and the
-sparse columns of abelian.ChainComplex.  The reference builder of b, omega
-and B expands them through ring.mul and omega term by term; the reference
-tensor and box products write their relation rows, res and tr one entry at
-a time."""
+involution as eigen kernels, HH of the blocked bar complex, the
+omega-eigen splitting of HH, localization of integral homology, the operator
+identities of the dihedral bar complex), which compute with dense matrices:
+dense and columns convert between them and the sparse columns of
+abelian.ChainComplex.  The reference builder of b, omega and B expands them
+through ring.mul and omega term by term; the reference tensor and box
+products write their relation rows, res and tr one entry at a time."""
 
 from fractions import Fraction
 
@@ -848,6 +848,15 @@ def split_plus_minus(C):
     if C.paired:
         return chains, chains
     return EigenComplex(chains, C.omega, 1), EigenComplex(chains, C.omega, -1)
+
+
+def hh_groups(blocks, degrees):
+    """HH_n for each n in degrees, from the blocks of trace.hochschild_blocks:
+    the direct sum of the blocks' homology, a paired block counted twice.
+    The blocked bar complex, the oracle of koszul's small complex."""
+    chains = [(C, hochschild_chains(C), 2 if C.paired else 1) for C in blocks]
+    return [_direct_sum([(ch.invariants(n), k) for C, ch, k in chains if C.dim(n)])
+            for n in degrees]
 
 
 def hh_plus_minus_dimensions(A, n, weight=None):

@@ -10,15 +10,16 @@ import time
 from pathlib import Path
 
 from c2algebra.abelian import NotAComplex, integer_kernel
+from c2algebra.algebra_json import parse_algebra
 from c2algebra.chains import ChainComplex
-from c2algebra.cli import parse_input, run
+from c2algebra.cli import run
 from c2algebra.mackey_json import mackey_to_json, parse_mackey
 from c2algebra.complexes import homology
-from c2algebra.differentials import cotangent_module, hkr_graded_piece, presentation_of
+from c2algebra.differentials import hkr_graded_piece
 from c2algebra.mackey import box, zbar, zbar_c2
 from c2algebra.polyring import BaseRing, PolyRing, RingInvolution
 from c2algebra import trace as tr
-from oracles import algebra_poly, burnside, fingerprint, zsign
+from oracles import algebra_poly, burnside, fingerprint, hh_groups, zsign
 
 import pytest
 
@@ -45,13 +46,13 @@ HYPER_JSON = ('{"base": "Q", "gens": [{"name": "x", "sigma": "x"}, '
 
 
 def test_parse_minimal_algebra():
-    A = parse_input(json.loads(KX_JSON))
+    A = parse_algebra(json.loads(KX_JSON))
     assert isinstance(A, RingInvolution)
     assert A.ring.names == ["x"]
 
 
 def test_parse_hyperelliptic():
-    A = parse_input(json.loads(HYPER_JSON))
+    A = parse_algebra(json.loads(HYPER_JSON))
     assert A.ring.rules
     # omega(y) = -y survives the quotient
     img = A.images[1]
@@ -93,8 +94,8 @@ def test_parse_rejects_unknown_fields():
 
 def test_mackey_roundtrip():
     for M in (zbar(), zsign(), zbar_c2(), burnside(), box(zbar(), zbar()),
-              homology(hkr_graded_piece(cotangent_module(presentation_of(algebra_poly(
-                  BaseRing("Z"), ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}]).omega)), 2, 4), 2)):
+              homology(hkr_graded_piece(algebra_poly(
+                  BaseRing("Z"), ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}]).omega, 2, 4), 2)):
         data = mackey_to_json(M)
         M2 = parse_mackey(json.loads(json.dumps(data)))
         assert fingerprint(M2) == fingerprint(M)
@@ -310,8 +311,8 @@ def test_hh_builds_one_complex_per_sigma_orbit_of_blocks(monkeypatch):
     for name in ("_omega_terms", "_B_terms"):
         monkeypatch.setattr(tr.DihedralComplex, name, lambda self, t: lazy.append(t) or ())
     algebra = KXXS_JSON.replace('"Z"', '"Q"')
-    A = tr.InvolutiveAlgebra(parse_input(json.loads(algebra)))
-    groups = tr.hh_groups(tr.hochschild_blocks(A, 4, 5), range(4))
+    A = tr.InvolutiveAlgebra(parse_algebra(json.loads(algebra)))
+    groups = hh_groups(tr.hochschild_blocks(A, 4, 5), range(4))
     assert [G.invariant_factors() for G in groups[:3]] == [(0,) * 6, (0,) * 10, (0,) * 4]
     assert builds == [(0, 5), (1, 4), (2, 3)] and not lazy
     code, out = run_cli(["hh", "--algebra", algebra, "--weight", "5", "--nmax", "3"])
@@ -430,7 +431,7 @@ def test_hh_golden_over_z_mod_m_where_the_lift_of_b_is_a_complex_only_mod_m():
         ("Z/4", "x^3 - 2*x^2 - x"): ["Z/4 + Z/4 + Z/4"] + ["Z/2 + Z/4"] * 4,
     }
     for (base, rel), groups in cases.items():
-        A = tr.InvolutiveAlgebra(parse_input(json.loads(X3_JSON % (base, rel))))
+        A = tr.InvolutiveAlgebra(parse_algebra(json.loads(X3_JSON % (base, rel))))
         (C,) = tr.hochschild_blocks(A, 5)
         lift = ChainComplex(tr.hochschild_chains(C).dims, C.b)
         with pytest.raises(NotAComplex):
@@ -928,7 +929,8 @@ def test_exit_code_2_on_bad_json():
         argv = ["slice-check", "--n", "0", "--complex", complex_json]
         assert run_cli(argv)[0] == 2, complex_json
     # malformed algebras: fields of the wrong JSON type, weights that are not
-    # integers >= 1 or that name no generator, unknown generator fields
+    # integers >= 1 or that name no generator, unknown generator fields, no
+    # "gens"
     x = '{"name": "x", "sigma": "x"}'
     for algebra_json in ('{"base": "Q", "gens": [%s], "weights": {"x": "abc"}}' % x,
                          '{"base": "Q", "gens": [%s], "weights": [1]}' % x,
@@ -945,7 +947,8 @@ def test_exit_code_2_on_bad_json():
                          '{"base": "Q", "gens": {"x": "x"}}',
                          '{"base": 5, "gens": []}',
                          '{"base": null, "gens": []}',
-                         '{"base": "Q", "gens": [%s], "rels": null}' % x):
+                         '{"base": "Q", "gens": [%s], "rels": null}' % x,
+                         '{"base": "Q", "rels": []}'):
         argv = ["hh", "--algebra", algebra_json, "--weight", "2"]
         assert run_cli(argv)[0] == 2, algebra_json
     # a zero weight is refused when the algebra is parsed, by every command
@@ -1048,6 +1051,22 @@ def test_each_command_loads_only_the_layers_it_runs():
         assert _layers_after(argv) == package | {"c2algebra." + n for n in names.split()}, argv
 
 
+def test_derham_and_hr_gr_build_no_cotangent_presentation(monkeypatch):
+    # they read sigma itself; only cotangent presents the module
+    from c2algebra import differentials as df
+    argvs = (["derham", "--algebra", KXXS_JSON],
+             ["hr-gr", "--algebra", KX_JSON, "--i", "1", "--weight", "2"])
+    answers = [run_cli(argv) for argv in argvs]
+    assert all(code == 0 for code, _ in answers)
+
+    def refuse(*args):
+        raise AssertionError("a cotangent presentation was built")
+    monkeypatch.setattr(df, "CotangentPresentation", refuse)
+    assert [run_cli(argv) for argv in argvs] == answers
+    with pytest.raises(AssertionError, match="cotangent presentation"):
+        run_cli(["cotangent", "--algebra", KX_JSON])
+
+
 def test_the_benchmark_algebra_jobs_load_no_fractions():
     # a coefficient that stays an integer needs no Fraction; one process runs
     # the jobs in turn, so the first job to load fractions is the one named
@@ -1067,13 +1086,17 @@ def test_the_benchmark_algebra_jobs_load_no_fractions():
     assert "c2algebra.koszul" in loaded and "c2algebra.trace" in loaded
 
 
+# tr o res = 1 on Z, where the Lewis axioms ask for 2
+LEWIS_INVALID_JSON = ('{"fixed": [0], "underlying": [0], "res": [[1]], "tr": [[1]], '
+                      '"sigma": [[1]]}')
+
+
 @pytest.mark.parametrize("argv, code, prefix", [
     (["mackey-show", "--input", '{"fixed": [0], "underlying": "Z"}'], 2, "parse error: "),
     (["hh", "--algebra", '{"base": "Q", "gens": "x"}'], 2, "parse error: "),
     (["slice-check", "--complex", '{"kind": "complex", "terms": []}', "--n", "0"], 2,
      "parse error: "),
-    (["mackey-show", "--input", '{"fixed": [0], "underlying": [0], "res": [[1]], '
-      '"tr": [[1]], "sigma": [[1]]}'], 1, "error: Lewis axioms fail"),
+    (["mackey-show", "--input", LEWIS_INVALID_JSON], 1, "error: Lewis axioms fail"),
     (["hh", "--algebra", '{"base": "Q", "gens": [{"name": "x", "sigma": "-x"}], '
       '"rels": ["x^2 - x"]}'], 1, "error: relation ideal is not sigma-stable"),
     # malformed argv: no command, an unknown command, an unknown option (an
@@ -1097,6 +1120,14 @@ def test_the_benchmark_algebra_jobs_load_no_fractions():
     (["tambara-free", "--kind", "free", "--format", "xml"], 2, "parse error: "),
     (["tambara-free", "--kind", "free", "--base", "Z/x"], 2, "parse error: "),
     (["tambara-free", "--kind", "trivial", "--names", "x,x"], 2, "parse error: "),
+    # a JSON object of another kind than the command reads, valid or not in
+    # its own kind
+    (["slice-check", "--complex", LEWIS_INVALID_JSON, "--n", "0"], 2, "parse error: "),
+    (["hh", "--algebra", LEWIS_INVALID_JSON], 2, "parse error: "),
+    (["mackey-show", "--input", '{"base": "Q", "gens": [{"name": "x", "sigma": "x^2"}]}'], 2,
+     "parse error: "),
+    (["hh", "--algebra", '{"kind": "sigma-sphere", "k": 2}'], 2, "parse error: "),
+    (["box", "--left", ZBAR_JSON, "--right", QX_JSON], 2, "parse error: "),
 ])
 def test_python_m_reports_the_readers_errors(argv, code, prefix):
     # under python -m, cli is __main__: the readers and the argv reader raise

@@ -158,21 +158,21 @@ def classical_hc(A, n_max, weight=None):
 
 
 def test_oracle_matches_engine_ground_field():
-    got = dihedral_homology(algebra_ground(), 4).hc
+    got = dihedral_homology(algebra_ground().omega, 4).hc
     assert classical_hc(algebra_ground(), 4) == got == [1, 0, 1, 0, 1]
 
 
 def test_oracle_matches_engine_dual_numbers():
     A = algebra_q_dual_numbers()
-    assert classical_hc(A, 3) == dihedral_homology(A, 3).hc
+    assert classical_hc(A, 3) == dihedral_homology(A.omega, 3).hc
 
 
 def test_oracle_matches_engine_gaussian():
     A = algebra_gaussian()
-    assert classical_hc(A, 3) == dihedral_homology(A, 3).hc
+    assert classical_hc(A, 3) == dihedral_homology(A.omega, 3).hc
 
 
 def test_oracle_matches_engine_polynomial_weights():
     A = algebra_q_poly()
     for w in (0, 1, 2):
-        assert classical_hc(A, 3, weight=w) == dihedral_homology(A, 3, weight=w).hc, w
+        assert classical_hc(A, 3, weight=w) == dihedral_homology(A.omega, 3, weight=w).hc, w

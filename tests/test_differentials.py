@@ -10,7 +10,8 @@ from c2algebra.polyring import BaseRing, parse_poly
 from c2algebra.tambara import free_involutive_free, free_involutive_trivial
 from c2algebra.abelian import FgAbGroup, NotAComplex, diagonal_of, smith_normal_form
 from c2algebra.chains import ChainComplex, free_rank
-from c2algebra.cli import parse_input, run
+from c2algebra.algebra_json import parse_algebra
+from c2algebra.cli import run
 from c2algebra.mackey import AbMap, mat_mul
 from c2algebra.mackey_json import mackey_to_json
 from c2algebra import complexes as cx
@@ -54,43 +55,44 @@ Q = BaseRing("Q")
 
 
 def k_x(base=Z, names=("x",)):
-    """k[names] with the trivial involution, as a presentation."""
-    return presentation_of(algebra_poly(base, list(names)).omega)
+    """k[names] with the trivial involution, as its RingInvolution."""
+    return algebra_poly(base, list(names)).omega
 
 
 def k_x_xs(base=Z):
-    """k[x, x_s] with the swap, as a presentation."""
-    return presentation_of(algebra_poly(base, ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}]).omega)
+    """k[x, x_s] with the swap, as its RingInvolution."""
+    return algebra_poly(base, ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}]).omega
 
 
-def cotangent_piece(L, w):
-    """L_w as a Mackey functor: the fixed points of Lambda^1 L at weight w."""
-    basis, sig = exterior_power(L, 1, w)
+def cotangent_piece(sigma, w):
+    """L_w as a Mackey functor: the fixed points of Lambda^1 L at weight w,
+    L the cotangent module of sigma's ring."""
+    basis, sig = exterior_power(sigma, 1, w)
     G = FgAbGroup.free(len(basis))
     return fixed_point_mackey(G, AbMap(G, G, dense(sig, len(basis))))
 
 
 def test_cotangent_trivial_generator():
     # L(k[x]) = (k[x], k[x]{dx})
-    L = cotangent_module(k_x())
+    L = cotangent_module(presentation_of(k_x()))
     assert L.gen_names == ["dx"]
-    assert L.is_free()
+    assert not L.relation_images
     # sigma(dx) = dx
     assert L.sigma_on_gens[0] == {"dx": L.algebra.one_poly()}
     for w in range(1, 4):
-        piece = cotangent_piece(L, w)
+        piece = cotangent_piece(k_x(), w)
         assert validate(piece) is None
         assert isomorphic(piece, zbar()), w
 
 
 def test_cotangent_free_orbit():
     # L(k[x, x_s]) = (k[x, x_s], k[x, x_s] (x) C2 {dx, dx_s})
-    L = cotangent_module(k_x_xs())
+    L = cotangent_module(presentation_of(k_x_xs()))
     assert L.gen_names == ["dx", "dx_s"]
-    assert L.is_free()
+    assert not L.relation_images
     assert L.sigma_on_gens[0] == {"dx_s": L.algebra.one_poly()}
     assert L.sigma_on_gens[1] == {"dx": L.algebra.one_poly()}
-    piece = cotangent_piece(L, 1)
+    piece = cotangent_piece(k_x_xs(), 1)
     assert isomorphic(piece, zbar_c2())
 
 
@@ -101,13 +103,13 @@ def test_presentation_of_a_parsed_algebra():
     assert P.free_ring is A.ring and P.quotient is A.ring and P.relations == []
     assert P.to_quotient == [A.ring.var(0), A.ring.var(1)]
     # y^2 = x^3 + 1 with y -> -y is the hyperelliptic presentation
-    H = parse_input({"base": "Q", "gens": [{"name": "x"}, {"name": "y", "sigma": "-y"}],
-                     "rels": ["y^2 - x^3 - 1"]})
+    H = parse_algebra({"base": "Q", "gens": [{"name": "x"}, {"name": "y", "sigma": "-y"}],
+                       "rels": ["y^2 - x^3 - 1"]})
     assert [name for name, _ in presentation_of(H).relations] == ["z", "w"]
     # other quotients have no presentation here
     with pytest.raises(DifferentialError):
-        presentation_of(parse_input({"base": "Q", "gens": [{"name": "x"}],
-                                     "rels": ["x^3"]}))
+        presentation_of(parse_algebra({"base": "Q", "gens": [{"name": "x"}],
+                                       "rels": ["x^3"]}))
 
 
 def test_hyperelliptic_cotangent():
@@ -180,13 +182,13 @@ def dims(C, k_max):
     return [C.dims[-k] for k in range(0, k_max + 1)]
 
 
-def twisted_sigma(L, k_max, w, twist=True):
+def twisted_sigma(sigma, k_max, w, twist=True):
     """sigma on Omega^k_w in chain degree -k, times (-1)^k when twist."""
-    sigma = {}
+    out = {}
     for k in range(0, k_max + 1):
-        sig = exterior_power(L, k, w)[1]
-        sigma[-k] = [{i: -x for i, x in col.items()} for col in sig] if twist and k % 2 else sig
-    return sigma
+        sig = exterior_power(sigma, k, w)[1]
+        out[-k] = [{i: -x for i, x in col.items()} for col in sig] if twist and k % 2 else sig
+    return out
 
 
 def test_de_rham_trivial_generator():
@@ -197,9 +199,9 @@ def test_de_rham_trivial_generator():
         assert dims(M[w], 2) == [1, 1 if w >= 1 else 0, 0]
     # the natural sigma(dx) is dx for x -> x and -dx for x -> -x; the
     # (-1)^1 twist of the de Rham term makes the first -dx too
-    assert exterior_power(cotangent_module(k_x()), 1, 1)[1] == [{0: 1}]
-    sign = presentation_of(algebra_poly(Z, ["x"], [{(1,): -1}]).omega)
-    assert exterior_power(cotangent_module(sign), 1, 1)[1] == [{0: -1}]
+    assert exterior_power(k_x(), 1, 1)[1] == [{0: 1}]
+    sign = algebra_poly(Z, ["x"], [{(1,): -1}]).omega
+    assert exterior_power(sign, 1, 1)[1] == [{0: -1}]
 
 
 def test_de_rham_constant():
@@ -225,17 +227,16 @@ def test_de_rham_underlying_is_classical():
 def test_de_rham_antilinearity_through_weight_8():
     # d^2 = 0 and d sigma = -sigma d on every monomial block up to weight 8
     # for sigma twisted by (-1)^k; the natural sigma commutes with d instead
-    for P in (k_x(), k_x_xs()):
-        M = de_rham_complex(P, 2, 8)
-        L = cotangent_module(P)
+    for sigma in (k_x(), k_x_xs()):
+        M = de_rham_complex(sigma, 2, 8)
         for w, C in M.items():
             assert not any(any(row) for n, d in C.mats.items() if n - 1 in C.mats
                            for row in mat_mul(dense(C.mats[n - 1], C.dims[n - 2]),
                                               dense(d, C.dims[n - 1])))
-            assert C.check(twisted_sigma(L, 3, w), -1) is C
-            assert C.check(twisted_sigma(L, 3, w, twist=False), 1) is C
+            assert C.check(twisted_sigma(sigma, 3, w), -1) is C
+            assert C.check(twisted_sigma(sigma, 3, w, twist=False), 1) is C
         with pytest.raises(NotAComplex):
-            M[2].check(twisted_sigma(L, 3, 2, twist=False), -1)
+            M[2].check(twisted_sigma(sigma, 3, 2, twist=False), -1)
 
 
 def test_de_rham_cohomology_poincare():
@@ -269,8 +270,8 @@ def test_de_rham_failures_name_the_weight_and_degree(monkeypatch):
     import c2algebra.differentials as df
     natural = df.exterior_power
 
-    def flipped(L, k, w):
-        basis, sig = natural(L, k, w)
+    def flipped(sigma, k, w):
+        basis, sig = natural(sigma, k, w)
         return basis, [{i: -x for i, x in col.items()} for col in sig] if k == 1 else sig
 
     monkeypatch.setattr(df, "exterior_power", flipped)
@@ -281,7 +282,7 @@ def test_de_rham_failures_name_the_weight_and_degree(monkeypatch):
 def test_de_rham_rejects_non_smooth():
     P = hyperelliptic_presentation([1, 0, 0, 1], Q)
     with pytest.raises(NotSmoothPresentation):
-        de_rham_complex(P, 1, 2)
+        de_rham_complex(P.sigma_quotient, 1, 2)
 
 
 # -- the HKR graded pieces against the closed-form table ---------------------
@@ -332,8 +333,8 @@ def closed_form_graded_pieces(kind, i, weight, trunc=8):
     raise ValueError(kind)
 
 
-def monogenic_cotangent(kind):
-    return cotangent_module(k_x() if kind == "trivial" else k_x_xs())
+def monogenic_sigma(kind):
+    return k_x() if kind == "trivial" else k_x_xs()
 
 
 def check_hkr(kind, i_values=(0, 1, 2, 3, 4), weights=(0, 1, 2, 3, 4), trunc=8):
@@ -341,12 +342,12 @@ def check_hkr(kind, i_values=(0, 1, 2, 3, 4), weights=(0, 1, 2, 3, 4), trunc=8):
 
     Returns a report: list of (i, weight, degree, bool); overall agreement
     is all(entry[-1] for entry in report)."""
-    L = monogenic_cotangent(kind)
+    sigma = monogenic_sigma(kind)
     report = []
     for i in i_values:
         for w in weights:
             lhs = closed_form_graded_pieces(kind, i, w, trunc)
-            rhs = hkr_graded_piece(L, i, w)
+            rhs = hkr_graded_piece(sigma, i, w)
             degrees = set()
             for C in (lhs, rhs):
                 if C.terms:
@@ -381,7 +382,7 @@ def test_check_hkr_free_case():
 
 def test_lsym_weight_piece_shapes():
     # i = 1 trivial weight w: Sigma^sigma zbar
-    C = hkr_graded_piece(monogenic_cotangent("trivial"), 1, 2)
+    C = hkr_graded_piece(monogenic_sigma("trivial"), 1, 2)
     assert isomorphic(homology(C, 1), zsign())
 
 
@@ -392,12 +393,12 @@ def test_computed_pieces_match_the_closed_form_table():
     for kind in ("trivial", "free"):
         report = check_hkr(kind, i_values=range(0, 5), weights=range(0, 9))
         assert all(entry[-1] for entry in report), kind
-        L = monogenic_cotangent(kind)
+        sigma = monogenic_sigma(kind)
         for i in range(0, 5):
             if (kind, i) == ("free", 1):
                 continue
             for w in range(0, 9):
-                computed = hkr_graded_piece(L, i, w)
+                computed = hkr_graded_piece(sigma, i, w)
                 table = closed_form_graded_pieces(kind, i, w)
                 for n in computed.degrees():
                     H = homology(computed, n)
@@ -432,14 +433,13 @@ def assert_hkr_two_oracles(gens, w, degrees=range(0, 4)):
     """Over Z, the underlying ranks of H_n(gr^i) summed over i are the
     bar-complex HH_n; their fixed ranks are HH_n^+ over Z[1/2]."""
     names = [n for n, _ in gens]
-    A = {b: InvolutiveAlgebra(parse_input({"base": b, "gens": [{"name": n, "sigma": s}
-                                                               for n, s in gens]}))
+    A = {b: InvolutiveAlgebra(parse_algebra({"base": b, "gens": [{"name": n, "sigma": s}
+                                                                 for n, s in gens]}))
          for b in ("Z", "Z[1/2]")}
-    L = cotangent_module(presentation_of(A["Z"].omega))
     underlying = {n: 0 for n in degrees}
     fixed = {n: 0 for n in degrees}
     for i in range(0, len(names) + 1):
-        C = hkr_graded_piece(L, i, w)
+        C = hkr_graded_piece(A["Z"].omega, i, w)
         for n in degrees:
             if n in C.terms:
                 H = homology(C, n)
@@ -478,14 +478,12 @@ def test_dihedral_homology_is_the_de_rham_cokernel_split_by_sigma(gens, w):
     # natural sigma of exterior_power acts by (-1)^n, HD'_n the part where it
     # acts by -(-1)^n.  At weight 0, HC also carries de Rham cohomology.
     # The bar complex (trace) against the de Rham builder (differentials).
-    sigma = parse_input({"base": "Q", "gens": [{"name": n, "sigma": s} for n, s in gens]})
-    P = presentation_of(sigma)
-    L = cotangent_module(P)
-    C = de_rham_complex(P, 3, w)[w]
-    D = dihedral_homology(InvolutiveAlgebra(sigma), 3, w)
+    sigma = parse_algebra({"base": "Q", "gens": [{"name": n, "sigma": s} for n, s in gens]})
+    C = de_rham_complex(sigma, 3, w)[w]
+    D = dihedral_homology(sigma, 3, w)
     for n in range(0, 4):
         dim = C.dims[-n]
-        S = dense(exterior_power(L, n, w)[1], dim)
+        S = dense(exterior_power(sigma, n, w)[1], dim)
         d = dense(C.mats[1 - n], dim) if n else []   # Omega^{n-1} -> Omega^n
         parts = []
         for eps in ((-1) ** n, -(-1) ** n):

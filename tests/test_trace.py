@@ -5,7 +5,7 @@ against bar-complex HH."""
 from c2algebra.abelian import FgAbGroup, zeros
 from c2algebra.chains import ChainComplex, free_rank
 from c2algebra.mackey import AbMap, mat_mul
-from c2algebra.differentials import cotangent_module, hkr_graded_piece, presentation_of
+from c2algebra.differentials import hkr_graded_piece
 from c2algebra.polyring import BaseRing, PolyRing, RingInvolution, TwoNotInvertible
 from c2algebra import trace
 from c2algebra.trace import (
@@ -15,7 +15,6 @@ from c2algebra.trace import (
     TraceError,
     TruncationTooSmall,
     dihedral_homology,
-    hh_groups,
     hochschild_blocks,
     hochschild_chains,
 )
@@ -34,6 +33,7 @@ from oracles import (
     columns,
     cyclic_class_eigenvalue,
     dense,
+    hh_groups,
     hh_omega_fixed_dimension,
     hh_plus_minus_dimensions,
     idempotent_is_idempotent,
@@ -53,18 +53,17 @@ from hypothesis import assume, given, settings, strategies as st
 Z = BaseRing("Z")
 K_X = algebra_poly(Z, ["x"])                                          # k[x]
 K_X_XS = algebra_poly(Z, ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}])   # k[x, x_s]
-COTANGENT = {"trivial": cotangent_module(presentation_of(K_X.omega)),
-             "free": cotangent_module(presentation_of(K_X_XS.omega))}
+SIGMA = {"trivial": K_X.omega, "free": K_X_XS.omega}
 
 
 def hh(A, n_max, weight=None):
-    """HH_0, ..., HH_{n_max} of A, by the route of the hh command."""
+    """HH_0, ..., HH_{n_max} of A, by the blocked bar complex."""
     return hh_groups(hochschild_blocks(A, n_max + 1, weight), range(n_max + 1))
 
 
 def hr_graded_pieces(kind, i, w):
     """gr^i HR of k[x] ("trivial") or k[x, x_s] ("free") at weight w."""
-    return hkr_graded_piece(COTANGENT[kind], i, w)
+    return hkr_graded_piece(SIGMA[kind], i, w)
 
 
 def hr_underlying_dims_from_graded(kind, weight, degrees):
@@ -212,7 +211,7 @@ def test_hh_two_variable_closed_form():
 
 
 def test_cyclic_homology_ground_field():
-    D = dihedral_homology(algebra_ground(), 4)
+    D = dihedral_homology(algebra_ground().omega, 4)
     assert D.hc == [1, 0, 1, 0, 1]
     for n in range(0, 5):
         assert D.hd[n] + D.hd_prime[n] == D.hc[n]
@@ -230,33 +229,33 @@ def test_cyclic_homology_ground_field():
 def test_cyclic_homology_polynomial():
     A = algebra_q_poly()
     # weight 0 block reproduces HC(Q)
-    D0 = dihedral_homology(A, 4, weight=0)
+    D0 = dihedral_homology(A.omega, 4, weight=0)
     assert D0.hc == [1, 0, 1, 0, 1]
     # positive weights: reduced HC of Q[x] is x Q[x] in degree 0 only
     for w in (1, 2, 3):
-        D = dihedral_homology(A, 3, weight=w)
+        D = dihedral_homology(A.omega, 3, weight=w)
         assert D.hc == [1, 0, 0, 0], w
         assert D.hd[0] + D.hd_prime[0] == 1
         for n in range(0, 4):
             assert D.hd[n] + D.hd_prime[n] == D.hc[n]
     # HD_0 = Q[x]^+ = Q[x]: the degree-0 class is in the plus part
     for w in (0, 1, 2, 3):
-        D = dihedral_homology(A, 2, weight=w)
+        D = dihedral_homology(A.omega, 2, weight=w)
         assert D.hd[0] == 1 and D.hd_prime[0] == 0
 
 
 def test_dihedral_requires_two_invertible():
     A = K_X
     with pytest.raises(TwoNotInvertible):
-        dihedral_homology(A, 2, weight=1)
+        dihedral_homology(A.omega, 2, weight=1)
 
 
 # -- graded pieces of HR -------------------------------------------------------
 
 def test_hr_graded_pieces_accepts_presentations():
-    C = hkr_graded_piece(cotangent_module(presentation_of(K_X.omega)), 0, 2)
+    C = hkr_graded_piece(K_X.omega, 0, 2)
     assert isomorphic(cx_homology(C, 0), zbar())
-    C2 = hkr_graded_piece(cotangent_module(presentation_of(K_X_XS.omega)), 1, 1)
+    C2 = hkr_graded_piece(K_X_XS.omega, 1, 1)
     assert free_rank(cx_homology(C2, 1).underlying) == 2
 
 
@@ -441,7 +440,8 @@ def assert_blocks_match_whole(A, weight, n_max):
             for n in range(0, n_max + 1)]
     assert got == want, (A.ring.names, weight)
     if A.base.two_invertible:
-        D, P = dihedral_homology(A, n_max, weight), plain_dihedral_homology(A, n_max, weight)
+        D = dihedral_homology(A.omega, n_max, weight)
+        P = plain_dihedral_homology(A, n_max, weight)
         assert (D.hc, D.hd, D.hd_prime) == (P.hc, P.hd, P.hd_prime), (A.ring.names, weight)
         for n in range(0, n_max + 1):
             assert hh_plus_minus_dimensions(A, n, weight) == \
@@ -555,8 +555,8 @@ def assert_blocks_partition_the_whole_complex(A, weight, n_max):
     assert hh_groups(blocks, degrees) == hh_groups([whole], degrees)
     if A.base.two_invertible:
         with patch.object(trace, "hochschild_blocks", lambda A, n, w: [DihedralComplex(A, n, w)]):
-            one = dihedral_homology(A, n_max - 1, weight)
-        split = dihedral_homology(A, n_max - 1, weight)
+            one = dihedral_homology(A.omega, n_max - 1, weight)
+        split = dihedral_homology(A.omega, n_max - 1, weight)
         assert (split.hc, split.hd, split.hd_prime) == (one.hc, one.hd, one.hd_prime)
 
 
