@@ -211,7 +211,7 @@ def cmd_hr_gr(args, out):
 
 def cmd_cotangent(args, out):
     from . import differentials as df
-    L = df.cotangent_module(df.presentation_of(_algebra(args)))
+    L = df.CotangentPresentation(df.presentation_of(_algebra(args)))
     ring = L.algebra
     info = {
         "generators": list(L.gen_names),

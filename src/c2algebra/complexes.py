@@ -1,12 +1,15 @@
 """Bounded chain complexes of Mackey functors.
 
-Provides homology with induced Lewis structure, the sign-sphere
-suspension of one Mackey functor, and the regular-slice connectivity checks
-on underlying and geometric fixed points.
+Provides homology with induced Lewis structure (hr-gr prints it), the
+sign-sphere suspension of one Mackey functor, and the regular-slice
+connectivity checks on underlying and geometric fixed points.
 The levels of a Mackey complex, and its geometric fixed points Phi C (the
 groups coker(tr)), are not free, so their homology is a mackey.Homology of
 AbMaps between presented groups, one degree at a time, not a
-chains.ChainComplex.
+chains.ChainComplex.  A slice check reads one level's homology group per
+degree and builds no Mackey functor.  Phi C is taken levelwise, which is
+exact on sums of zbar and zbar_c2 cells: the only terms of the complexes
+that mackey_json.parse_complex and sign_sphere build.
 
 S^{k sigma} smashed with zbar is its reduced C2-CW chain complex (Hill-
 Hopkins-Ravenel), |k| + 1 cells: zbar in degree 0 and zbar_c2 in each degree
@@ -41,10 +44,6 @@ class ComplexError(EngineError):
 
 
 class NotAComplex(ComplexError):
-    pass
-
-
-class NotFreeTerms(ComplexError):
     pass
 
 
@@ -147,13 +146,12 @@ def phi_complex(C):
     above its highest, so that Homology(phi[k + 1], phi[k]) is H_k(Phi C)
     for every degree k of C.
 
-    Only sound (exact) on complexes whose terms are direct sums of zbar and
-    zbar_c2 cells; enforced via the cell tags the builders propagate.
+    Exact only on complexes whose terms are direct sums of zbar and zbar_c2
+    cells.  The two builders of the complexes slice-check reads hold this:
+    mackey_json.parse_complex accepts no other cell, and sign_sphere uses
+    these two.
     """
     degs = C.degrees()
-    for n in degs:
-        if C.term(n).cells is None:
-            raise NotFreeTerms("term in degree %d has no free-cell structure" % n)
     groups = {n: geometric_fixed_points(C.term(n)) for n in degs}
 
     def group(n):
@@ -162,21 +160,31 @@ def phi_complex(C):
             for n in range(degs[0], degs[-1] + 2)} if degs else {}
 
 
+def _vanishes(d, k):
+    """Whether H_k = ker d(k) / im d(k + 1) is 0, for d the map from a
+    degree to the differential of one level: underlying, fixed or Phi."""
+    try:
+        return Homology(d(k + 1), d(k)).group.is_trivial()
+    except abelian.NotAComplex:
+        raise NotAComplex("d o d != 0 at degree %d" % (k + 1))
+
+
+def _level(C, name):
+    """The degree -> differential map of C's level: "f_underlying" or "f_fixed"."""
+    return lambda m: getattr(C.diff(m), name)
+
+
 def is_regular_slice_connective(C, n):
     """True iff H_k(C^e) = 0 for k < n and H_k(Phi C) = 0 for k < ceil(n/2)."""
-    phi = phi_complex(C)
     degs = C.degrees()
     if not degs:
         return True
-    lo, hi = min(degs), max(degs)
-    for k in range(lo, min(n, hi + 1)):
-        if not homology(C, k).underlying.is_trivial():
-            return False
-    phi_bound = -((-n) // 2)  # ceil(n/2)
-    for k in range(lo, min(phi_bound, hi + 1)):
-        if not Homology(phi[k + 1], phi[k]).group.is_trivial():
-            return False
-    return True
+    lo, hi = degs[0], degs[-1]
+    if not all(_vanishes(_level(C, "f_underlying"), k) for k in range(lo, min(n, hi + 1))):
+        return False
+    phi = phi_complex(C)
+    return all(_vanishes(phi.__getitem__, k)
+               for k in range(lo, min(-((-n) // 2), hi + 1)))  # ceil(n/2)
 
 
 def is_regular_slice_coconnective(C, n):
@@ -185,16 +193,12 @@ def is_regular_slice_coconnective(C, n):
     or "fails"."""
     if n > 0:
         raise ComplexError("coconnectivity check is stated for n <= 0")
-    # demand the same free-term structure as the connective check
-    for k in C.degrees():
-        if C.term(k).cells is None:
-            raise NotFreeTerms("term in degree %d has no free-cell structure" % k)
     degs = C.degrees()
     if not degs:
         return "passes-necessary-conditions"
+    und, fixed = _level(C, "f_underlying"), _level(C, "f_fixed")
     # below its lowest degree C has no homology; n <= 0, so n <= floor(n/2)
-    for k in range(max(n + 1, min(degs)), max(degs) + 2):
-        H = homology(C, k)
-        if not H.underlying.is_trivial() or (k > n // 2 and not H.fixed.is_trivial()):
+    for k in range(max(n + 1, degs[0]), degs[-1] + 2):
+        if not _vanishes(und, k) or (k > n // 2 and not _vanishes(fixed, k)):
             return "fails"
     return "passes-necessary-conditions"

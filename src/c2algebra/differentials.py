@@ -191,11 +191,6 @@ def _unit_inverse(A, poly):
     return A.const(A.base.inverse(c))
 
 
-def cotangent_module(P):
-    """Cotangent module of an InvolutivePresentation."""
-    return CotangentPresentation(P)
-
-
 def hyperelliptic_presentation(f_coeffs, base):
     """k[x, y]/(y^2 - f(x)) over the BaseRing k = base, with y -> -y,
     presented involutively as k[y, y_s, x] / (y + y_s, -y y_s - f(x)); f

@@ -8,7 +8,10 @@ Weyl action sigma on M^e, subject to
     res o tr = 1 + sigma.
 
 Standard diagrams: zbar() is the constant functor at Z (res = 1, tr = 2),
-zbar_c2() = induced(Z), the two cells of sign-sphere complexes.
+zbar_c2() = induced(Z), the two cells of sign-sphere complexes.  A functor
+is its Lewis diagram alone and keeps no record of the cells it was built
+from; which complexes are sums of cells is the concern of their builders
+(complexes.phi_complex).
 
 Its levels are abelian.FgAbGroups and its maps AbMaps, dense integer
 matrices; kernel, cokernel and Homology solve with integer_kernel and
@@ -264,15 +267,12 @@ AXIOM_DOUBLE_COSET = "res_tr"
 
 
 class MackeyFunctor:
-    def __init__(self, fixed, underlying, res, tr, sigma, cells=None):
+    def __init__(self, fixed, underlying, res, tr, sigma):
         self.fixed = fixed
         self.underlying = underlying
         self.res = res
         self.tr = tr
         self.sigma = sigma
-        # cells: tuple over {"triv", "free"} when the functor is a known
-        # direct sum of zbar/zbar_c2 summands (soundness tag for Phi)
-        self.cells = tuple(cells) if cells is not None else None
 
     def __repr__(self):
         return "MackeyFunctor(%s / %s)" % (self.fixed, self.underlying)
@@ -341,13 +341,10 @@ def validate(M):
 
 def constant_mackey(G):
     """Constant Mackey functor: both levels G, res = id, tr = x2, sigma = id."""
-    n = G.ngens
-    cells = ("triv",) * n if not G.relations else None
     return MackeyFunctor(G, G,
                          AbMap.identity_map(G),
-                         AbMap(G, G, [[2 * x for x in row] for row in identity(n)]),
-                         AbMap.identity_map(G),
-                         cells=cells)
+                         AbMap(G, G, [[2 * x for x in row] for row in identity(G.ngens)]),
+                         AbMap.identity_map(G))
 
 
 def zbar():
@@ -362,8 +359,7 @@ def induced(G):
     res = AbMap(G, GG, block_matrix(halves, {0: n}, {(0, 0): one, (1, 0): one}))
     tr = AbMap(GG, G, block_matrix({0: n}, halves, {(0, 0): one, (0, 1): one}))
     swap = AbMap(GG, GG, block_matrix(halves, halves, {(0, 1): one, (1, 0): one}))
-    cells = ("free",) * n if not G.relations else None
-    return MackeyFunctor(G, GG, res, tr, swap, cells=cells)
+    return MackeyFunctor(G, GG, res, tr, swap)
 
 
 def zbar_c2():
@@ -391,17 +387,13 @@ def direct_sum(functors):
     res = direct_sum_maps([M.res for M in functors], fixed, und)
     tr = direct_sum_maps([M.tr for M in functors], und, fixed)
     sig = direct_sum_maps([M.sigma for M in functors], und, und)
-    cells = None
-    if all(M.cells is not None for M in functors):
-        cells = sum((M.cells for M in functors), ())
-    return MackeyFunctor(fixed, und, res, tr, sig, cells=cells)
+    return MackeyFunctor(fixed, und, res, tr, sig)
 
 
 def zero_mackey():
     zero = FgAbGroup(0)
     return MackeyFunctor(zero, zero, AbMap.zero_map(zero, zero),
-                         AbMap.zero_map(zero, zero), AbMap.zero_map(zero, zero),
-                         cells=())
+                         AbMap.zero_map(zero, zero), AbMap.zero_map(zero, zero))
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +449,7 @@ def box(M, N):
          (0, "und"): (one + sig).matrix}))
     tr = AbMap(und, fixed, block_matrix(cols, {0: und.ngens},
                                         {("und", 0): identity(und.ngens)}))
-    cells = None
-    if M.cells is not None and N.cells is not None:
-        cells = ["free" if "free" in (cm, cn) else "triv" for cm in M.cells for cn in N.cells]
-    return MackeyFunctor(fixed, und, res, tr, sig, cells=cells)
+    return MackeyFunctor(fixed, und, res, tr, sig)
 
 
 def box_map(f, g, source, target):

@@ -4,7 +4,9 @@ The route of dihedral, and of hh when a rule mixes variables (y^2 = x^3);
 for every other ring hh reads the small complex of koszul, whose oracle this
 bar complex is.  Both take the parsed sigma: hochschild_complex(sigma,
 n_max, weight) has the signature and result of koszul's, and
-dihedral_homology(sigma, n_max, weight) returns HC, HD and HD'.  The
+dihedral_homology(sigma, n_max, weight) returns HC, HD and HD'.  Each checks
+its request once, with sigma.require_weight, before it builds anything; the
+blocks and complexes below take the request as checked.  The
 dihedral bar complex of a presented algebra with involution: normalized
 Hochschild chains C_n = A (x) Abar^{(x) n} with
 
@@ -57,10 +59,6 @@ class TraceError(EngineError):
     pass
 
 
-class TruncationTooSmall(TraceError):
-    pass
-
-
 class InvolutiveAlgebra:
     """The bar complex's view of a presented algebra with involution: sigma
     (a polyring.RingInvolution, which knows its ring and the ring its base)
@@ -89,12 +87,6 @@ class _Table(dict):
     def __missing__(self, key):
         out = self[key] = tuple((m, integer_lift(c)) for m, c in self.f(key).items())
         return out
-
-
-def _check_request(algebra, n_max, weight):
-    if n_max < 1:
-        raise TruncationTooSmall("need n_max >= 1")
-    algebra.omega.require_weight(weight)
 
 
 def _permuted(perm, e):
@@ -139,12 +131,10 @@ class DihedralComplex:
     weight is None.  hochschild_blocks passes the tensors of one
     exponent-vector block, with its vector as key; the block is paired when
     sigma moves the key: omega then leaves the block, and reading it raises
-    TraceError.  A job sigma.require_weight refuses (a graded ring without a
-    weight, a weight on a presentation that is not graded) raises its
-    polyring error."""
+    TraceError.  The caller has checked the request with
+    sigma.require_weight."""
 
     def __init__(self, algebra, n_max, weight=None, bases=None, key=None, paired=False):
-        _check_request(algebra, n_max, weight)
         self.algebra = algebra
         self.n_max = n_max
         self.weight = weight
@@ -223,7 +213,6 @@ def hochschild_blocks(A, n_max, weight=None):
     vector in sorted order, the e with e <= sigma(e), flagged paired when
     sigma moves it; the tensors of its partner are never stored.  Otherwise
     the one block is the whole weight block (or finite complex)."""
-    _check_request(A, n_max, weight)
     perm = A.omega.signed_permutation()
     if any(repl for _p, repl in A.ring.rules.values()) or None in perm:
         return [DihedralComplex(A, n_max, weight)]
@@ -257,6 +246,7 @@ def hochschild_complex(sigma, n_max, weight=None):
     weight (None: the whole finite algebra), as one chains.ChainComplex over
     the base: koszul.hochschild_complex's signature and result, for any
     ring.  Refuses what sigma.require_weight refuses."""
+    sigma.require_weight(weight)
     return hochschild_chains(DihedralComplex(InvolutiveAlgebra(sigma), n_max, weight))
 
 

@@ -428,15 +428,7 @@ def reference_box(M, N):
             tr[bot_idx(a, b)][a * ne_n + b] = 1
 
     sig = tensor_maps(M.sigma, N.sigma, und, und)
-
-    cells = None
-    if M.cells is not None and N.cells is not None:
-        cells = []
-        for cm in M.cells:
-            for cn in N.cells:
-                cells.append("free" if "free" in (cm, cn) else "triv")
-    return mk.MackeyFunctor(fixed, und, res, AbMap(und, fixed, tr), sig,
-                            cells=tuple(cells) if cells is not None else None)
+    return mk.MackeyFunctor(fixed, und, res, AbMap(und, fixed, tr), sig)
 
 
 # ---------------------------------------------------------------------------

@@ -237,14 +237,14 @@ def test_criterion_6_cotangent_tables():
     Z = BaseRing("Z")
     # L(k[x]) = (k[x], k[x]{dx})
     X = algebra_poly(Z, ["x"]).omega
-    L = df.cotangent_module(df.presentation_of(X))
+    L = df.CotangentPresentation(df.presentation_of(X))
     ok = ok and L.gen_names == ["dx"] and not L.relation_images
     ok = ok and L.sigma_on_gens[0] == {"dx": L.algebra.one_poly()}
     for w in range(1, 5):
         ok = ok and isomorphic(_cotangent_piece(X, w), mk.zbar())
     # L(k[x, x_s]) = (k[x, x_s], k[x, x_s] (x) C2)
     F = algebra_poly(Z, ["x", "x_s"], [{(0, 1): 1}, {(1, 0): 1}])
-    LF = df.cotangent_module(df.presentation_of(F.omega))
+    LF = df.CotangentPresentation(df.presentation_of(F.omega))
     ok = ok and LF.gen_names == ["dx", "dx_s"] and not LF.relation_images
     ok = ok and LF.sigma_on_gens[0] == {"dx_s": LF.algebra.one_poly()}
     for w in range(1, 5):
@@ -253,7 +253,7 @@ def test_criterion_6_cotangent_tables():
     # hyperelliptic: dw -> -y dy_s - y_s dy - f'(x) dx, underlying diagram
     # A{dx, dy}/(2y dy - f'(x) dx)
     P = df.hyperelliptic_presentation([1, 0, 0, 1], BaseRing("Q"))  # f = x^3 + 1
-    LH = df.cotangent_module(P)
+    LH = df.CotangentPresentation(P)
     A = LH.algebra
     from c2algebra.polyring import parse_poly
     dw = dict(LH.relation_images[1][1])

@@ -913,7 +913,8 @@ def test_exit_code_2_on_bad_json():
         assert run_cli(["derham", "--algebra", algebra])[0] == 2, base
     # malformed complexes: a non-integer k, non-integer or repeated degree
     # keys, terms or diffs that are not objects, cells that are not lists of
-    # cell names
+    # cell names, cells other than Zbar and ZbarC2 (levelwise Phi is exact
+    # only on sums of these two)
     for complex_json in ('{"kind": "sigma-sphere", "k": "abc"}',
                          '{"kind": "sigma-sphere", "k": [1]}',
                          '{"kind": "sigma-sphere", "k": 1.5}',
@@ -925,7 +926,9 @@ def test_exit_code_2_on_bad_json():
                          '{"kind": "complex", "terms": {"0": 5}}',
                          '{"kind": "complex", "terms": {"0": {"Zbar": 1}}}',
                          '{"kind": "complex", "terms": {"0": [["Zbar"]]}}',
-                         '{"kind": "complex", "terms": {"0": ["Zbar"], "00": ["ZbarC2"]}}'):
+                         '{"kind": "complex", "terms": {"0": ["Zbar"], "00": ["ZbarC2"]}}',
+                         '{"kind": "complex", "terms": {"0": ["Zsign"]}}',
+                         '{"kind": "complex", "terms": {"0": ["Z"]}}'):
         argv = ["slice-check", "--n", "0", "--complex", complex_json]
         assert run_cli(argv)[0] == 2, complex_json
     # malformed algebras: fields of the wrong JSON type, weights that are not

@@ -100,8 +100,9 @@ def test_the_small_complex_refuses_as_the_bar_complex_does():
         koszul.hochschild_complex(cusp, 3, 6)
     free = parse_algebra({"base": "Q", "gens": [{"name": "x"}]})
     idempotent = parse_algebra({"base": "Z", "gens": [{"name": "x"}], "rels": ["x^2 - x"]})
-    for route in (small_hh, bar_hh):
+    # each route checks the request where hh enters it, before any block
+    for route in (koszul.hochschild_complex, trace.hochschild_complex):
         with pytest.raises(UnsupportedPresentation, match="graded algebra: pass --weight"):
-            route(free, 2)
+            route(free, 3)
         with pytest.raises(UnsupportedPresentation, match="x\\^2 = x is not homogeneous"):
-            route(idempotent, 2, 2)
+            route(idempotent, 3, 2)

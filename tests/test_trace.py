@@ -13,7 +13,6 @@ from c2algebra.trace import (
     DihedralHomology,
     InvolutiveAlgebra,
     TraceError,
-    TruncationTooSmall,
     dihedral_homology,
     hochschild_blocks,
     hochschild_chains,
@@ -75,11 +74,6 @@ def hr_underlying_dims_from_graded(kind, weight, degrees):
             if n in C.terms:
                 out[n] += free_rank(cx_homology(C, n).underlying)
     return out
-
-
-def test_truncation_guard():
-    with pytest.raises(TruncationTooSmall):
-        DihedralComplex(algebra_ground(), 0)
 
 
 def test_identities_ground_field():
