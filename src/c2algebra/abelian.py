@@ -19,16 +19,12 @@ from functools import cached_property
 from itertools import accumulate, compress, count
 from math import gcd
 
-
-class AbelianError(Exception):
-    pass
+# the two errors live in the package, so that chains raises them without
+# loading this module; NotAComplex is re-exported for mackey
+from . import AbelianError, NotAComplex, render_invariants
 
 
 class IllFormedMap(AbelianError):
-    pass
-
-
-class NotAComplex(AbelianError):
     pass
 
 
@@ -504,16 +500,3 @@ def direct_sum_groups(groups):
     rels = block_matrix({k: len(g.relations) for k, g in enumerate(groups)}, sizes,
                         {(k, k): g.relations for k, g in enumerate(groups)})
     return FgAbGroup(sum(sizes.values()), rels)
-
-
-def render_invariants(invs):
-    if not invs:
-        return "0"
-    parts = ["Z" if d == 0 else "Z/%d" % d for d in invs]
-    return " + ".join(parts)
-
-
-def trivial_group():
-    return FgAbGroup(0)
-
-

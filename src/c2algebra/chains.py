@@ -2,15 +2,18 @@
 complexes of free base-modules, the one home of every base-ring decision:
 ChainComplex, the module ranks and the boundaries as sparse integer columns
 ({row: coeff}, nonzero entries only), in which hh, dihedral and derham build
-every complex and involution.  Its invariant factors and the +-parts of an
-involution are read from ranks and elementary divisors (lattice_core), with
-no cycles.  dense_matrix turns columns into the rows of an AbMap, for hr-gr.
+every complex and involution, and slice-check reads the levels of a complex
+of cells.  Its invariant factors and the +-parts of an involution are read
+from ranks and elementary divisors (lattice_core), with no cycles.  abelian
+is loaded only for a boundary whose unit pivots leave a core that is not a
+sum of single rows and columns.  dense_matrix turns columns into the rows of
+an AbMap, for hr-gr.
 """
 
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 
-from .abelian import AbelianError, FgAbGroup, NotAComplex
+from . import AbelianError, NotAComplex
 
 
 def dense_matrix(cols, nrows):
@@ -21,18 +24,23 @@ def dense_matrix(cols, nrows):
 
 def lattice_core(vectors):
     """(rank, core) of the matrix whose rows are the sparse vectors ({i: x}
-    dicts or (i, x) pairs), core the FgAbGroup presented by the rows left
-    without a unit entry: its nonzero invariant factors are the elementary
-    divisors of the matrix other than 1.  A matrix and its transpose have
-    the same rank and divisors, so the columns of a ChainComplex boundary
-    serve as rows.  The vectors are copied, never edited.
+    dicts or (i, x) pairs), core what the rows left without a unit entry
+    present: None when none is left; when each block of them (the rows that
+    share columns) is one row or lies in one column, a sum of cyclic groups,
+    the tuple of the contents of the blocks; else the abelian.FgAbGroup they
+    present, the one case that loads abelian.  The nonzero invariant factors
+    of the core (_divisors) are the elementary divisors of the matrix other
+    than 1.  A matrix and its
+    transpose have the same rank and divisors, so the columns of a
+    ChainComplex boundary serve as rows.  The vectors are copied, never
+    edited.
 
     Reduce before factoring (Kaczynski-Mrozek-Slusarek): while an entry is
     +-1, take the shortest row holding one, pivot on its +-1 of shortest
     column, clear that column with row operations only and drop the pivot's
     row and column.  Each step removes one divisor 1 and keeps the others.
-    The rank is the count of these steps plus the number of Hermite rows of
-    the core, so it reads no Smith form.
+    The rank is the count of these steps plus the rank of the core, its
+    number of blocks or of Hermite rows, so it reads no Smith form.
     """
     # imported here, so that the commands that never reduce do not load it
     from heapq import heapify, heappop, heappush
@@ -71,9 +79,55 @@ def lattice_core(vectors):
             else:
                 del live[k]
         rank += 1
+    if not live:
+        return rank, None
+    # the blocks of rows that share no column: union the columns of each row
+    parent = {}
+
+    def root(j):
+        while parent.setdefault(j, j) != j:
+            j = parent[j]
+        return j
+    for r in live.values():
+        first, *rest = r
+        for j in rest:
+            parent[root(j)] = root(first)
+    blocks = {}
+    for r in live.values():
+        blocks.setdefault(root(next(iter(r))), []).append(r)
+    if all(len(b) == 1 or all(len(r) == 1 for r in b) for b in blocks.values()):
+        return rank + len(blocks), tuple(gcd(*(x for r in b for x in r.values()))
+                                         for b in blocks.values())
+    from .abelian import FgAbGroup
     core_cols = sorted({j for r in live.values() for j in r})
     core = FgAbGroup(len(core_cols), ([r.get(j, 0) for j in core_cols] for r in live.values()))
     return rank + len(core.relations), core
+
+
+def _divisors(core):
+    """The nonzero invariant factors other than 1 of a core of lattice_core."""
+    if isinstance(core, tuple):
+        return tuple(_invariant_factors(core))
+    return tuple(d for d in core.invariant_factors() if d) if core else ()
+
+
+def _invariant_factors(orders):
+    """The invariant factors other than 1, each dividing the next, of the
+    direct sum of the cyclic groups Z/d for d in orders (0 = Z).  Sorted with
+    0 last they often are; else Z/a + Z/b = Z/gcd + Z/lcm, over each pair in
+    turn, makes them so.
+
+    >>> _invariant_factors([0, 2, 1, 3, 4])
+    [2, 12, 0]
+    """
+    orders = sorted((d for d in orders if d != 1), key=lambda d: (d == 0, d))
+    if all(b % a == 0 if a else not b for a, b in zip(orders, orders[1:])):
+        return orders
+    for i, a in enumerate(orders):
+        for j in range(i + 1, len(orders)):
+            a, orders[j] = gcd(a, orders[j]), lcm(a, orders[j])
+        orders[i] = a
+    return [d for d in orders if d != 1]
 
 
 def elementary_divisors(vectors):
@@ -85,7 +139,7 @@ def elementary_divisors(vectors):
     (2, (3,))
     """
     rank, core = lattice_core(vectors)
-    return rank, tuple(d for d in core.invariant_factors() if d)
+    return rank, _divisors(core)
 
 
 def _modulus(base):
@@ -100,22 +154,23 @@ def _local_torsion(core, base):
     if kind == "Q":
         return ()
     # d & -d is the largest power of 2 dividing d > 0
-    local = (d // (d & -d) if kind == "Z[1/2]" else d for d in core.invariant_factors() if d)
+    local = (d // (d & -d) if kind == "Z[1/2]" else d for d in _divisors(core))
     return tuple(d for d in local if d != 1)
 
 
-def free_rank(G, base=None):
-    """Number of free rank-1 summands of G as a module over the base (None
-    means Z): invariant factors m over Z/m, 0 over every other base.  It is
-    not additive over Z/m (Z/2 + Z/3 = Z/6 over Z/6), so a direct sum is
-    formed first and counted once.
+def free_rank_of_sum(factors, base=None):
+    """The number of free rank-1 summands, as a module over the base (None
+    means Z), of the direct sum of the cyclic groups Z/d for d in factors
+    (0 = Z): its invariant factors m over Z/m, 0 over every other base.  It
+    is not additive over Z/m (Z/2 + Z/3 = Z/6 over Z/6), so the invariant
+    factors of the sum are formed first over Z/m.
 
     >>> from c2algebra.polyring import BaseRing
-    >>> free_rank(FgAbGroup.from_invariants([2, 3]), BaseRing.parse("Z/6"))
-    1
+    >>> free_rank_of_sum([2, 3], BaseRing.parse("Z/6")), free_rank_of_sum([0, 2, 0])
+    (1, 2)
     """
     m = _modulus(base)
-    return sum(1 for d in G.invariant_factors() if d == m)
+    return (_invariant_factors(factors) if m else list(factors)).count(m)
 
 
 class ChainComplex:

@@ -1,10 +1,11 @@
 """Batch front end: read argv by the command table; each command reads its
-JSON input with the reader of its own kind (mackey_json.parse_mackey or
-parse_complex, algebra_json.parse_algebra), makes one engine call on what
-it parsed and emits pretty text or JSON.  Exit codes: 0 success, 1 domain
-error (EngineError), 2 parse/schema error (ParseError), malformed argv and
-a JSON object of another kind than the command reads included.  Identical
-jobs produce byte-identical output.  MACKEY_TRUNC overrides the truncation 8.
+JSON input with the reader of its own kind (mackey_json.parse_mackey,
+slices.parse_complex, algebra_json.parse_algebra), makes one engine call on
+what it parsed and emits pretty text or JSON.  Exit codes: 0 success, 1
+domain error (EngineError), 2 parse/schema error (ParseError), malformed
+argv and a JSON object of another kind than the command reads included.
+Identical jobs produce byte-identical output.  MACKEY_TRUNC overrides the
+truncation 8.
 """
 
 import json
@@ -12,7 +13,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import DEFAULT_TRUNCATION, DomainError, EngineError, ParseError
+from . import DEFAULT_TRUNCATION, DomainError, EngineError, ParseError, render_invariants
 
 # Each command imports the layers it runs inside its own functions, so that
 # a process loads (and compiles) no layer it does not call.
@@ -39,7 +40,6 @@ def compact_json(data):
 
 
 def render_lewis(M, fmt="pretty"):
-    from .abelian import render_invariants
     from .mackey_json import mackey_to_json
     if fmt == "json":
         return compact_json(mackey_to_json(M))
@@ -97,7 +97,6 @@ def cmd_box(args, out):
 
 
 def cmd_phi(args, out):
-    from .abelian import render_invariants
     from . import mackey as mk
     from .mackey_json import parse_mackey
     G = mk.geometric_fixed_points(parse_mackey(_load(args.input)))
@@ -109,14 +108,13 @@ def cmd_phi(args, out):
 
 
 def cmd_slice_check(args, out):
-    from . import complexes as cx
-    from .mackey_json import parse_complex
-    C = parse_complex(_load(args.complex))
+    from . import slices
+    C = slices.parse_complex(_load(args.complex))
     if args.coconnective:
-        kind, verdict = "coconnective", cx.is_regular_slice_coconnective(C, args.n)
+        kind, verdict = "coconnective", slices.is_regular_slice_coconnective(C, args.n)
         text = verdict
     else:
-        kind, verdict = "connective", cx.is_regular_slice_connective(C, args.n)
+        kind, verdict = "connective", slices.is_regular_slice_connective(C, args.n)
         text = "true" if verdict else "false"
     if args.format == "json":
         out(compact_json({kind: verdict, "n": args.n}))
@@ -172,7 +170,6 @@ def cmd_tambara_free(args, out):
 
 
 def cmd_hr_gr(args, out):
-    from .abelian import render_invariants
     from . import complexes as cx
     from . import differentials as df
     from .mackey_json import mackey_to_json
@@ -235,7 +232,6 @@ def cmd_cotangent(args, out):
 
 
 def cmd_derham(args, out):
-    from .abelian import render_invariants
     from . import differentials as df
     complexes = df.de_rham_complex(_algebra(args), args.imax, args.maxweight)
     table = {str(w): {str(n): {"h": list(C.invariants(-n)),
@@ -255,7 +251,6 @@ def cmd_derham(args, out):
 
 
 def cmd_hh(args, out):
-    from .abelian import render_invariants
     sigma = _algebra(args)
     # the small complex when the ring splits by variable, else the bar complex
     if sigma.ring.splits_by_variable():

@@ -37,7 +37,7 @@ hkr_graded_piece the Mackey layer, where they run (derham, hr-gr).
 
 from itertools import combinations
 
-from . import EngineError
+from . import EngineError, NotAComplex
 from .polyring import PolyRing, RingInvolution, integer_lift
 
 
@@ -289,7 +289,6 @@ def de_rham_complex(sigma, i_max, max_weight):
     for 0 <= k <= i_max + 1, so H^k = homology(-k) for k <= i_max.  The
     exterior derivative is sigma-antilinear for sigma on Omega^k twisted by
     (-1)^k, which is checked."""
-    from .abelian import NotAComplex
     from .chains import ChainComplex
     A = sigma.ring
     complexes = {}

@@ -10,8 +10,8 @@ Weyl action sigma on M^e, subject to
 Standard diagrams: zbar() is the constant functor at Z (res = 1, tr = 2),
 zbar_c2() = induced(Z), the two cells of sign-sphere complexes.  A functor
 is its Lewis diagram alone and keeps no record of the cells it was built
-from; which complexes are sums of cells is the concern of their builders
-(complexes.phi_complex).
+from; complexes of sums of cells are read without Mackey functors
+(slices).
 
 Its levels are abelian.FgAbGroups and its maps AbMaps, dense integer
 matrices; kernel, cokernel and Homology solve with integer_kernel and
@@ -135,13 +135,6 @@ class AbMap:
     @classmethod
     def zero_map(cls, source, target):
         return cls(source, target, zeros(target.ngens, source.ngens))
-
-
-def direct_sum_maps(maps, source, target):
-    M = block_matrix({k: f.target.ngens for k, f in enumerate(maps)},
-                     {k: f.source.ngens for k, f in enumerate(maps)},
-                     {(k, k): f.matrix for k, f in enumerate(maps)})
-    return AbMap(source, target, M)
 
 
 # ---------------------------------------------------------------------------
@@ -285,27 +278,6 @@ class MackeyMap:
         self.f_fixed = f_fixed
         self.f_underlying = f_underlying
 
-    def is_valid(self):
-        f, u = self.f_fixed, self.f_underlying
-        if not (f.is_well_defined() and u.is_well_defined()):
-            return False
-        s, t = self.source, self.target
-        if not t.res.compose(f).equals(u.compose(s.res)):
-            return False
-        if not t.tr.compose(u).equals(f.compose(s.tr)):
-            return False
-        if not t.sigma.compose(u).equals(u.compose(s.sigma)):
-            return False
-        return True
-
-    def compose(self, other):
-        return MackeyMap(other.source, self.target,
-                         self.f_fixed.compose(other.f_fixed),
-                         self.f_underlying.compose(other.f_underlying))
-
-    def is_zero(self):
-        return self.f_fixed.is_zero() and self.f_underlying.is_zero()
-
     @classmethod
     def identity_map(cls, M):
         return cls(M, M, AbMap.identity_map(M.fixed), AbMap.identity_map(M.underlying))
@@ -379,15 +351,6 @@ def fixed_point_mackey(G, sigma):
         raise MackeyError("1 + sigma does not land in the fixed subgroup")
     tr = AbMap(G, K, transpose(cols))
     return MackeyFunctor(K, G, AbMap(K, G, incl.matrix), tr, sigma)
-
-
-def direct_sum(functors):
-    fixed = direct_sum_groups([M.fixed for M in functors])
-    und = direct_sum_groups([M.underlying for M in functors])
-    res = direct_sum_maps([M.res for M in functors], fixed, und)
-    tr = direct_sum_maps([M.tr for M in functors], und, fixed)
-    sig = direct_sum_maps([M.sigma for M in functors], und, und)
-    return MackeyFunctor(fixed, und, res, tr, sig)
 
 
 def zero_mackey():

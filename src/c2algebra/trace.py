@@ -49,9 +49,8 @@ from functools import cached_property
 from itertools import accumulate, product
 from math import prod
 
-from . import EngineError
-from .abelian import FgAbGroup, NotAComplex
-from .chains import ChainComplex, free_rank
+from . import EngineError, NotAComplex
+from .chains import ChainComplex, free_rank_of_sum
 from .polyring import integer_lift
 
 
@@ -231,11 +230,6 @@ def hochschild_blocks(A, n_max, weight=None):
             for e in sorted(buckets) if buckets[e] is not None]
 
 
-def _direct_sum(parts):
-    """The direct sum of (invariant factors, multiplicity) pairs."""
-    return FgAbGroup.from_invariants([d for invs, k in parts for d in invs * k])
-
-
 def hochschild_chains(C):
     """The Hochschild chains of a DihedralComplex with the boundary b."""
     return ChainComplex({k: C.dim(k) for k in C.bases}, C.b, C.algebra.base)
@@ -262,7 +256,7 @@ class DihedralHomology:
 
 def _bicomplex_homology(C, n_max):
     """(HC, HD, HD') of the (b, B)-bicomplex of one block, truncated at
-    n_max columns: for each degree 0..n_max a (group, multiplicity) pair, the
+    n_max columns: for each degree 0..n_max the invariant factors of the
     block's share of the direct sum over all blocks.  The bicomplex
     involution acts by (-1)^i omega on column i; HD is its +1 part.  A
     paired orbit's total complex is two copies of C's swapped by the
@@ -290,7 +284,7 @@ def _bicomplex_homology(C, n_max):
     degrees = range(0, n_max + 1)
     hc = [T.invariants(n) for n in degrees]
     if C.paired:
-        return [(H, 2) for H in hc], [(H, 1) for H in hc], [(H, 1) for H in hc]
+        return [H * 2 for H in hc], hc, hc
     invol = {n: [{o + r: (-x if i % 2 else x) for r, x in image.items()}
                  for (i, q), o in keys.items() for image in C.omega[q]]
              for n, keys in offsets.items()}
@@ -299,7 +293,7 @@ def _bicomplex_homology(C, n_max):
     except NotAComplex as e:
         raise TraceError("bicomplex (b + B): %s at degree %d" % e.args)
     hd, hdp = (T.eigen_invariants(invol, s, degrees) for s in (1, -1))
-    return [(H, 1) for H in hc], [(H, 1) for H in hd], [(H, 1) for H in hdp]
+    return hc, hd, hdp
 
 
 def dihedral_homology(sigma, n_max, weight=None):
@@ -314,6 +308,6 @@ def dihedral_homology(sigma, n_max, weight=None):
     sigma.require_weight(weight, halves=True)
     A = InvolutiveAlgebra(sigma)
     parts = [_bicomplex_homology(C, n_max) for C in hochschild_blocks(A, n_max + 1, weight)]
-    hc, hd, hdp = ([free_rank(_direct_sum([p[s][n] for p in parts]), A.base)
+    hc, hd, hdp = ([free_rank_of_sum([d for p in parts for d in p[s][n]], A.base)
                     for n in range(0, n_max + 1)] for s in range(3))
     return DihedralHomology(hc, hd, hdp)

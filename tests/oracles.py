@@ -6,15 +6,17 @@ the coordinates they solve for, the zeroth slice), the kernel of an integer
 matrix by the Smith form, the shift and the box product of complexes with
 their Koszul signs, the graded norm with its Koszul sign, the Tambara
 examples (the Burnside table, norm rings, fixed-point Green functors,
-weightwise Mackey pieces) and the trace oracles (the homology of a
-ChainComplex as a Homology of presented chain groups, the +-parts of an
-involution as eigen kernels, HH of the blocked bar complex, the
-omega-eigen splitting of HH, localization of integral homology, the operator
-identities of the dihedral bar complex), which compute with dense matrices:
-dense and columns convert between them and the sparse columns of
-abelian.ChainComplex.  The reference builder of b, omega and B expands them
-through ring.mul and omega term by term; the reference tensor and box
-products write their relation rows, res and tr one entry at a time."""
+weightwise Mackey pieces), the Mackey route of the regular-slice checks (the
+Mackey complex of a complex of cells, its Lewis checks, Phi C as coker(tr)
+groups, a mackey.Homology per degree) and the trace oracles (the homology of
+a ChainComplex as a Homology of presented chain groups, the +-parts of an
+involution as eigen kernels, HH of the blocked bar complex, the omega-eigen
+splitting of HH, localization of integral homology, the operator identities
+of the dihedral bar complex), which compute with dense matrices: dense and
+columns convert between them and the sparse columns of chains.ChainComplex.
+The reference builder of b, omega and B expands them through ring.mul and
+omega term by term; the reference tensor and box products write their
+relation rows, res and tr one entry at a time."""
 
 from fractions import Fraction
 
@@ -23,17 +25,18 @@ from c2algebra import mackey as mk
 from c2algebra import tambara as tb
 from c2algebra.abelian import (
     FgAbGroup,
+    NotAComplex,
     block_matrix,
     diagonal_of,
+    direct_sum_groups,
     identity,
     integer_kernel,
     smith_normal_form,
     solve_integer,
     transpose,
-    trivial_group,
     zeros,
 )
-from c2algebra.chains import _modulus, free_rank
+from c2algebra.chains import _modulus, free_rank_of_sum
 from c2algebra.mackey import (
     AbMap,
     Homology,
@@ -53,7 +56,6 @@ from c2algebra.polyring import (
 from c2algebra.trace import (
     DihedralComplex,
     InvolutiveAlgebra,
-    _direct_sum,
     hochschild_blocks,
     hochschild_chains,
 )
@@ -138,6 +140,23 @@ def random_involution(rng, n):
     return mat_mul(mat_mul(T, sig), Tinv)
 
 
+def direct_sum_maps(maps, source, target):
+    M = block_matrix({k: f.target.ngens for k, f in enumerate(maps)},
+                     {k: f.source.ngens for k, f in enumerate(maps)},
+                     {(k, k): f.matrix for k, f in enumerate(maps)})
+    return AbMap(source, target, M)
+
+
+def direct_sum(functors):
+    """The direct sum of Mackey functors, levelwise."""
+    fixed = direct_sum_groups([M.fixed for M in functors])
+    und = direct_sum_groups([M.underlying for M in functors])
+    res = direct_sum_maps([M.res for M in functors], fixed, und)
+    tr = direct_sum_maps([M.tr for M in functors], und, fixed)
+    sig = direct_sum_maps([M.sigma for M in functors], und, und)
+    return mk.MackeyFunctor(fixed, und, res, tr, sig)
+
+
 def negated(f):
     """-f for a Mackey map f."""
     return mk.MackeyMap(f.source, f.target, f.f_fixed.scale(-1), f.f_underlying.scale(-1))
@@ -164,7 +183,7 @@ def box_complex(C, D):
     layout = {}
     for key in pieces:  # (i, j) in sorted order, so each layout[n] is sorted
         layout.setdefault(sum(key), []).append(key)
-    terms = {n: mk.direct_sum([pieces[k] for k in keys]) for n, keys in layout.items()}
+    terms = {n: direct_sum([pieces[k] for k in keys]) for n, keys in layout.items()}
     diffs = {}
     for n in sorted(terms):
         if (n - 1) not in terms:
@@ -198,11 +217,108 @@ def dual_circle_complex():
     zbar + zbar --((1,0),(0,1) both to e + sigma)--> zbar_c2, in degrees
     0 and -1; its homology is zbar in degree 0 and zsign in degree -1.
     """
-    src = mk.direct_sum([mk.zbar(), mk.zbar()])
+    src = direct_sum([mk.zbar(), mk.zbar()])
     tgt = mk.zbar_c2()
     d = mk.MackeyMap(src, tgt, AbMap(src.fixed, tgt.fixed, [[1, 1]]),
                      AbMap(src.underlying, tgt.underlying, [[1, 1], [1, 1]]))
     return cx.MackeyComplex({0: src, -1: tgt}, {0: d})
+
+
+# ---------------------------------------------------------------------------
+# the Mackey route of the regular-slice checks, the reference of slices
+
+def is_mackey_map(f):
+    """Whether the MackeyMap f commutes with res, tr and sigma, as maps of
+    presented groups."""
+    F, U = f.f_fixed, f.f_underlying
+    if not (F.is_well_defined() and U.is_well_defined()):
+        return False
+    s, t = f.source, f.target
+    return (t.res.compose(F).equals(U.compose(s.res))
+            and t.tr.compose(U).equals(F.compose(s.tr))
+            and t.sigma.compose(U).equals(U.compose(s.sigma)))
+
+
+def check_complex(C):
+    """C, a MackeyComplex, checked in the order of its diffs: each is a
+    Mackey map and composes to 0 with the one below it."""
+    for n, d in C.diffs.items():
+        if not is_mackey_map(d):
+            raise cx.NotAComplex("differential at degree %d is not a Mackey map" % n)
+        below = C.diffs.get(n - 1)
+        if below is not None and not (below.f_fixed.compose(d.f_fixed).is_zero()
+                                      and below.f_underlying.compose(d.f_underlying).is_zero()):
+            raise cx.NotAComplex("d o d != 0 at degree %d" % n)
+    return C
+
+
+def mackey_complex(C):
+    """The MackeyComplex of a slices.CellComplex: each term the direct_sum of
+    its cells, each differential its two matrices on those levels."""
+    cells = {"Zbar": mk.zbar, "ZbarC2": mk.zbar_c2}
+    terms = {n: direct_sum([cells[c]() for c in names]) for n, names in C.cells.items()}
+    return cx.MackeyComplex(terms, {
+        n: mk.MackeyMap(terms[n], terms[n - 1], AbMap(terms[n].fixed, terms[n - 1].fixed, F),
+                        AbMap(terms[n].underlying, terms[n - 1].underlying, U))
+        for n, (F, U) in C.diffs.items()})
+
+
+def phi_complex(C):
+    """Levelwise coker(tr) with induced differentials: {n: the AbMap
+    Phi C_n -> Phi C_{n-1}} for every n from the lowest degree of C to one
+    above its highest, so that Homology(phi[k + 1], phi[k]) is H_k(Phi C)
+    for every degree k of C.  Exact only on complexes whose terms are
+    direct sums of zbar and zbar_c2 cells."""
+    degs = C.degrees()
+    groups = {n: mk.geometric_fixed_points(C.term(n)) for n in degs}
+
+    def group(n):
+        return groups.get(n) or trivial_group()
+    return {n: AbMap(group(n), group(n - 1), C.diff(n).f_fixed.matrix)
+            for n in range(degs[0], degs[-1] + 2)} if degs else {}
+
+
+def _vanishes(d, k):
+    """Whether H_k = ker d(k) / im d(k + 1) is 0, for d the map from a
+    degree to the differential of one level: underlying, fixed or Phi."""
+    try:
+        return Homology(d(k + 1), d(k)).group.is_trivial()
+    except NotAComplex:
+        raise cx.NotAComplex("d o d != 0 at degree %d" % (k + 1))
+
+
+def _level(C, name):
+    """The degree -> differential map of C's level: "f_underlying" or "f_fixed"."""
+    return lambda m: getattr(C.diff(m), name)
+
+
+def is_regular_slice_connective(C, n):
+    """True iff H_k(C^e) = 0 for k < n and H_k(Phi C) = 0 for k < ceil(n/2),
+    for C a MackeyComplex of sums of cells."""
+    degs = C.degrees()
+    if not degs:
+        return True
+    lo, hi = degs[0], degs[-1]
+    if not all(_vanishes(_level(C, "f_underlying"), k) for k in range(lo, min(n, hi + 1))):
+        return False
+    phi = phi_complex(C)
+    return all(_vanishes(phi.__getitem__, k)
+               for k in range(lo, min(-((-n) // 2), hi + 1)))  # ceil(n/2)
+
+
+def is_regular_slice_coconnective(C, n):
+    """H_k(C^e) = 0 for k > n and H_k(C^{C2}) = 0 for k > floor(n/2), for C
+    a MackeyComplex: "passes-necessary-conditions" or "fails"."""
+    if n > 0:
+        raise cx.ComplexError("coconnectivity check is stated for n <= 0")
+    degs = C.degrees()
+    if not degs:
+        return "passes-necessary-conditions"
+    und, fixed = _level(C, "f_underlying"), _level(C, "f_fixed")
+    for k in range(max(n + 1, degs[0]), degs[-1] + 2):
+        if not _vanishes(und, k) or (k > n // 2 and not _vanishes(fixed, k)):
+            return "fails"
+    return "passes-necessary-conditions"
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +859,21 @@ def mackey_piece(T, w):
 
 # ---------------------------------------------------------------------------
 # trace oracles
+
+def trivial_group():
+    return FgAbGroup(0)
+
+
+def free_rank(G, base=None):
+    """The number of free rank-1 summands of the group G as a module over
+    the base (None means Z)."""
+    return free_rank_of_sum(G.invariant_factors(), base)
+
+
+def _direct_sum(parts):
+    """The direct sum of (invariant factors, multiplicity) pairs."""
+    return FgAbGroup.from_invariants([d for invs, k in parts for d in invs * k])
+
 
 def dense(cols, nrows):
     """The row-major matrix, nrows rows, of a map given as the sparse columns

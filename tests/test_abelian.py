@@ -22,10 +22,9 @@ from c2algebra.abelian import (
     smith_orders,
     solve_integer,
     transpose,
-    trivial_group,
     zeros,
 )
-from c2algebra.chains import ChainComplex, elementary_divisors, free_rank
+from c2algebra.chains import ChainComplex, elementary_divisors
 from c2algebra.mackey import (
     AbMap,
     Homology,
@@ -42,8 +41,10 @@ from oracles import (
     chain_homology,
     columns,
     dense,
+    free_rank,
     localized,
     reference_integer_kernel,
+    trivial_group,
 )
 
 import pytest

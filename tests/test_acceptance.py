@@ -8,10 +8,10 @@ import time
 from random import Random
 
 from c2algebra.abelian import FgAbGroup
-from c2algebra.chains import free_rank
 from c2algebra.mackey import AbMap
 from c2algebra import mackey as mk
 from c2algebra import complexes as cx
+from c2algebra import slices
 from c2algebra import tambara as tb
 from c2algebra import trace as tr
 from c2algebra import differentials as df
@@ -28,12 +28,15 @@ from oracles import (
     burnside,
     dense,
     diag_swap,
+    direct_sum,
     dual_circle_complex,
     fingerprint,
+    free_rank,
     graded_norm,
     hh_groups,
     hh_omega_fixed_dimension,
     hh_plus_minus_dimensions,
+    is_regular_slice_connective,
     isomorphic,
     mackey_piece,
     random_involution,
@@ -53,7 +56,7 @@ def _random_valid_mackey(rng):
     if kind == 0:
         blocks = [mk.zbar, zsign, mk.zbar_c2, burnside]
         parts = [rng.choice(blocks)() for _ in range(rng.randint(1, 3))]
-        return mk.direct_sum(parts)
+        return direct_sum(parts)
     if kind == 1:
         return mk.constant_mackey(FgAbGroup.from_invariants([rng.choice([2, 3, 4, 5, 6])]))
     if kind == 2:
@@ -197,11 +200,14 @@ def test_criterion_3_dual_circle():
 # -- criterion 4: regular slice checks ----------------------------------------
 
 def test_criterion_4_regular_slices():
+    # the checks of slices on the cells of S^{n sigma}, and the Mackey route
+    # of the oracles on its model as a suspension of zbar
     ok = True
     for n in (0, -1, -2):
-        C = cx.suspend_sigma(mk.zbar(), n)
-        ok = ok and cx.is_regular_slice_connective(C, n) is True
-        ok = ok and cx.is_regular_slice_connective(C, n + 1) is False
+        for connective, C in ((slices.is_regular_slice_connective, slices.sign_sphere(n)),
+                              (is_regular_slice_connective, cx.suspend_sigma(mk.zbar(), n))):
+            ok = ok and connective(C, n) is True
+            ok = ok and connective(C, n + 1) is False
     conclude(4, "S^{n sigma} models are regular slice n-connective, not "
                 "(n+1)-connective, n in {0,-1,-2}", ok)
 
@@ -302,9 +308,9 @@ def _expected_free(i, w):
         out = {}
         parts2 = [mk.induced(FgAbGroup.free(1)) for _ in range(free_orbits)]
         parts2 += [zsign() for _ in range(trivials)]
-        out[2] = fingerprint(mk.direct_sum(parts2) if parts2 else mk.zero_mackey())
+        out[2] = fingerprint(direct_sum(parts2) if parts2 else mk.zero_mackey())
         if trivials:
-            out[1] = fingerprint(mk.direct_sum([_half_fixed()] * trivials))
+            out[1] = fingerprint(direct_sum([_half_fixed()] * trivials))
         return out
     return {}
 

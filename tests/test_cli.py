@@ -199,18 +199,49 @@ def test_a_large_power_in_sigma_returns_at_once():
 
 def test_slice_check_refuses_an_explicit_complex_that_is_not_one(capsys):
     # fixed x1 with underlying x2 breaks res o d = d o res: Zbar -> Zbar is
-    # not a Mackey map; three Zbar cells joined by identities have d o d = 1
+    # not a Mackey map; three Zbar cells joined by identities have d o d = 1.
+    # A matrix of the wrong shape is a parse error, read before any map is
+    # checked; ZbarC2 -> Zbar needs an even fixed entry; the identity of
+    # ZbarC2 then the fold has d o d != 0; and a bad map at the degree
+    # whose d o d != 0 is refused as the bad map, each degree of "diffs"
+    # checked in turn
     one = {"fixed": [[1]], "underlying": [[1]]}
-    for complex_json, err in (
+    minus = {"fixed": [[0]], "underlying": [[1, -1], [-1, 1]]}
+    zbar3 = {"0": ["Zbar"], "1": ["Zbar"], "2": ["Zbar"]}
+    for complex_json, code, err in (
             ({"kind": "complex", "terms": {"0": ["Zbar"], "1": ["Zbar"]},
               "diffs": {"1": {"fixed": [[1]], "underlying": [[2]]}}},
-             "differential at degree 1 is not a Mackey map"),
-            ({"kind": "complex", "terms": {"0": ["Zbar"], "1": ["Zbar"], "2": ["Zbar"]},
-              "diffs": {"1": one, "2": one}},
-             "d o d != 0 at degree 2")):
+             1, "error: differential at degree 1 is not a Mackey map"),
+            ({"kind": "complex", "terms": zbar3, "diffs": {"1": one, "2": one}},
+             1, "error: d o d != 0 at degree 2"),
+            ({"kind": "complex", "terms": {"0": ["Zbar"], "1": ["ZbarC2"]},
+              "diffs": {"1": {"fixed": [[2], [2]], "underlying": [[1, 1]]}}},
+             2, "parse error: malformed differential at 1: matrix has 2 rows, target has 1 "
+                "generators"),
+            ({"kind": "complex", "terms": {"0": ["Zbar"], "1": ["ZbarC2"]},
+              "diffs": {"1": {"fixed": [[3]], "underlying": [[1, 1]]}}},
+             1, "error: differential at degree 1 is not a Mackey map"),
+            ({"kind": "complex", "terms": {"0": ["Zbar"], "1": ["ZbarC2"], "2": ["ZbarC2"]},
+              "diffs": {"1": {"fixed": [[2]], "underlying": [[1, 1]]},
+                        "2": {"fixed": [[1]], "underlying": [[1, 0], [0, 1]]}}},
+             1, "error: d o d != 0 at degree 2"),
+            ({"kind": "complex", "terms": zbar3,
+              "diffs": {"1": one, "2": {"fixed": [[1]], "underlying": [[2]]}}},
+             1, "error: differential at degree 2 is not a Mackey map"),
+            # res fails where tr holds, tr fails where res holds, and 1 - sigma
+            # twice, whose d o d is 0 on the fixed level alone
+            ({"kind": "complex", "terms": {"0": ["ZbarC2"], "1": ["Zbar"]},
+              "diffs": {"1": {"fixed": [[1]], "underlying": [[0], [2]]}}},
+             1, "error: differential at degree 1 is not a Mackey map"),
+            ({"kind": "complex", "terms": {"0": ["ZbarC2"], "1": ["ZbarC2"]},
+              "diffs": {"1": {"fixed": [[1]], "underlying": [[2, -1], [0, 1]]}}},
+             1, "error: differential at degree 1 is not a Mackey map"),
+            ({"kind": "complex", "terms": {"0": ["ZbarC2"], "1": ["ZbarC2"], "2": ["ZbarC2"]},
+              "diffs": {"1": minus, "2": minus}},
+             1, "error: d o d != 0 at degree 2")):
         argv = ["slice-check", "--complex", json.dumps(complex_json), "--n", "0"]
-        assert run_cli(argv) == (1, ""), err
-        assert capsys.readouterr().err == "error: %s\n" % err
+        assert run_cli(argv) == (code, ""), err
+        assert capsys.readouterr().err == err + "\n"
 
 
 def test_tambara_free_command():
@@ -1028,23 +1059,26 @@ def test_each_command_loads_only_the_layers_it_runs():
     # hr-gr reads the default truncation from the package, not from tambara;
     # the parsed algebra is its RingInvolution, so only dihedral, and hh of a
     # ring whose rules mix variables, load trace.  The Mackey commands load
-    # no chains, and hh, dihedral and derham no mackey
+    # no chains, and hh, dihedral, derham and slice-check no mackey.  chains
+    # loads abelian only for a boundary whose unit pivots leave a core that
+    # is not a sum of single rows and columns: the bar complex of the cusp
+    # and the dense 7 x 7 matrix leave one
     cases = [
         (["cotangent", "--algebra", HYPER_JSON], "polyring algebra_json differentials"),
-        (["derham", "--algebra", KXXS_JSON],
-         "abelian polyring algebra_json differentials chains"),
+        (["derham", "--algebra", KXXS_JSON], "polyring algebra_json differentials chains"),
         (["hr-gr", "--algebra", KX_JSON, "--i", "1", "--weight", "2"],
-         "abelian polyring algebra_json differentials chains mackey complexes mackey_json"),
+         "abelian polyring algebra_json differentials chains slices mackey complexes "
+         "mackey_json"),
         (["hh", "--algebra", QX_JSON, "--weight", "2", "--nmax", "2"],
-         "abelian polyring algebra_json chains koszul"),
+         "polyring algebra_json chains koszul"),
         (["hh", "--algebra", CUSP_JSON, "--weight", "6", "--nmax", "2"],
          "abelian polyring algebra_json chains trace"),
         (["dihedral", "--algebra", QX_JSON, "--weight", "2", "--nmax", "2"],
-         "abelian polyring algebra_json chains trace"),
-        (["slice-check", "--complex", sphere, "--n", "2"],
-         "abelian mackey complexes mackey_json"),
-        (["slice-check", "--complex", sphere, "--n", "0", "--coconnective"],
-         "abelian mackey complexes mackey_json"),
+         "polyring algebra_json chains trace"),
+        (["slice-check", "--complex", sphere, "--n", "2"], "chains slices"),
+        (["slice-check", "--complex", sphere, "--n", "0", "--coconnective"], "chains slices"),
+        (["slice-check", "--complex", DENSE_7X7_COMPLEX_JSON, "--n", "0", "--coconnective"],
+         "abelian chains slices"),
         (["mackey-show", "--input", ZBAR_JSON], "abelian mackey mackey_json"),
         (["box", "--left", ZBAR_JSON, "--right", ZSIGN_JSON], "abelian mackey mackey_json"),
         (["phi", "--input", ZBAR_JSON], "abelian mackey mackey_json"),
@@ -1173,9 +1207,11 @@ def test_an_option_value_follows_a_space_or_an_equals_sign():
 
 
 def test_every_domain_error_is_an_engine_error():
-    from c2algebra import EngineError, complexes, differentials, mackey, polyring, tambara
+    from c2algebra import (EngineError, complexes, differentials, mackey, polyring, slices,
+                           tambara)
     from c2algebra.abelian import AbelianError
     for cls in (tr.TraceError, tambara.TambaraError, differentials.DifferentialError,
-                complexes.ComplexError, mackey.MackeyError, polyring.RingError):
+                complexes.ComplexError, mackey.MackeyError, polyring.RingError,
+                slices.SliceError):
         assert issubclass(cls, EngineError), cls
     assert not issubclass(AbelianError, EngineError)

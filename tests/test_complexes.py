@@ -4,9 +4,8 @@ graded norms, regular-slice checks."""
 from random import Random
 
 from c2algebra.abelian import FgAbGroup
-from c2algebra.chains import free_rank
 from c2algebra.mackey import AbMap, Homology
-from c2algebra.mackey_json import mackey_to_json, parse_complex
+from c2algebra.mackey_json import mackey_to_json
 from c2algebra.mackey import (
     MackeyFunctor,
     MackeyMap,
@@ -20,24 +19,29 @@ from c2algebra.mackey import (
 from c2algebra.complexes import (
     MackeyComplex,
     homology,
-    is_regular_slice_coconnective,
-    is_regular_slice_connective,
-    phi_complex,
     sign_sphere,
     single,
     suspend_sigma,
 )
 
-from c2algebra import complexes
+from c2algebra import DomainError, EngineError, complexes, slices
+from c2algebra.chains import ChainComplex
+from c2algebra.slices import UNDERLYING, CellComplex, parse_complex
 from oracles import (
     box_complex,
     burnside,
+    check_complex,
     diag_swap,
     dual_circle_complex,
     dual_map,
     fingerprint,
+    free_rank,
     graded_norm,
+    is_regular_slice_coconnective,
+    is_regular_slice_connective,
     isomorphic,
+    mackey_complex,
+    phi_complex,
     random_involution,
     shift,
     zsign,
@@ -63,7 +67,7 @@ def test_homology_of_single_term():
 
 def test_sigma_sphere_homology():
     C = sign_sphere(1)
-    C.check()
+    check_complex(C)
     assert isomorphic(homology(C, 1), zsign())
     assert isomorphic(homology(C, 0), H0_SIGMA_SPHERE)
 
@@ -71,7 +75,7 @@ def test_sigma_sphere_homology():
 def test_dual_sigma_sphere_homology():
     # Sigma^{-sigma} zbar = Sigma^{-1} zsign: homology is zsign in degree -1 only
     C = sign_sphere(-1)
-    C.check()
+    check_complex(C)
     assert isomorphic(homology(C, 0), zero_mackey())
     assert isomorphic(homology(C, -1), zsign())
 
@@ -117,12 +121,12 @@ def test_box_complex_d_squared_zero():
              single(zbar(), 1)]
     for _ in range(6):
         C = box_complex(rng.choice(cells), rng.choice(cells))
-        C.check()
+        check_complex(C)
 
 
 def test_dual_circle_complex():
     C = dual_circle_complex()
-    C.check()
+    check_complex(C)
     assert isomorphic(homology(C, 0), zbar())
     assert isomorphic(homology(C, -1), zsign())
 
@@ -148,6 +152,8 @@ def test_homology_outputs_validate():
 
 
 # -- regular slice checks -----------------------------------------------------
+# slices reads complexes of cells; the Mackey route of oracles reads Mackey
+# complexes such as the box products below, and is the reference of slices.
 
 def sigma_sphere_model(n):
     """S^{n sigma} smash zbar as a complex, n any integer."""
@@ -174,9 +180,9 @@ def test_slice_connectivity_deeper_negative_sigma_spheres():
 
 
 def test_slice_connectivity_dual_sphere_example():
-    C = sign_sphere(-1)
-    assert is_regular_slice_connective(C, -1) is True
-    assert is_regular_slice_connective(C, 0) is False
+    C = slices.sign_sphere(-1)
+    assert slices.is_regular_slice_connective(C, -1) is True
+    assert slices.is_regular_slice_connective(C, 0) is False
 
 
 def test_regular_rho_sphere_is_2m_slice():
@@ -189,62 +195,77 @@ def test_regular_rho_sphere_is_2m_slice():
 
 
 def test_slice_connectivity_zero_complex():
-    Z = MackeyComplex({}, {})
+    Z = CellComplex({}, {})
     for n in (-3, 0, 5):
-        assert is_regular_slice_connective(Z, n) is True
+        assert slices.is_regular_slice_connective(Z, n) is True
 
 
 def test_coconnectivity():
-    assert is_regular_slice_coconnective(single(zbar()), 0) == "passes-necessary-conditions"
-    up = single(zbar(), 1)
-    assert is_regular_slice_coconnective(up, 0) == "fails"
-    C = sign_sphere(-1)
-    assert is_regular_slice_coconnective(C, -1) == "passes-necessary-conditions"
+    cocon = slices.is_regular_slice_coconnective
+    assert cocon(CellComplex({0: ("Zbar",)}, {}), 0) == "passes-necessary-conditions"
+    assert cocon(CellComplex({1: ("Zbar",)}, {}), 0) == "fails"
+    assert cocon(slices.sign_sphere(-1), -1) == "passes-necessary-conditions"
 
 
 def test_coconnectivity_computes_each_homology_once(monkeypatch):
     # degrees n + 1 .. 1 of S^{-6 sigma} at n = -6: one underlying homology
     # per degree, and one fixed homology per degree above floor(n/2) = -3.
-    # Every differential the check reads is stored, so each has one identity.
-    C = sign_sphere(-6)
-    for m in range(-6, 3):
-        C.diffs[m] = C.diff(m)
-    level = {id(getattr(d, name)): (name, m) for m, d in C.diffs.items()
-             for name in ("f_underlying", "f_fixed")}
+    # The underlying level has rank 2 in degree -1, the fixed level rank 1.
     builds = []
+    invariants = ChainComplex.invariants
 
-    def counted(d_in, d_out):
-        (name, k), read_in = level[id(d_out)], level[id(d_in)]
-        assert read_in == (name, k + 1), (read_in, name, k)
-        builds.append((name[2:], k))
-        return Homology(d_in, d_out)
+    def counted(self, k):
+        builds.append(("underlying" if self.dims[-1] == 2 else "fixed", k))
+        return invariants(self, k)
 
-    monkeypatch.setattr(complexes, "Homology", counted)
-    assert is_regular_slice_coconnective(C, -6) == "passes-necessary-conditions"
+    monkeypatch.setattr(ChainComplex, "invariants", counted)
+    C = slices.sign_sphere(-6)
+    assert slices.is_regular_slice_coconnective(C, -6) == "passes-necessary-conditions"
     assert builds == [("underlying", k) for k in range(-5, -2)] + \
         [(name, k) for k in range(-2, 2) for name in ("underlying", "fixed")]
 
 
 def test_slice_checks_read_homology_groups_not_mackey_functors(monkeypatch):
-    # neither check builds the Mackey functor H_k: on sign spheres and on
-    # S^sigma written out as Zbar and ZbarC2 cells, where H_0(Phi) = Z/2
-    # decides the verdict at n = 1 (the underlying H_0 is 0)
-    def refused(C, n):
-        raise AssertionError("a slice check built the Mackey functor H_%d" % n)
+    # neither check builds a Mackey functor: on sign spheres and on S^sigma
+    # written out as Zbar and ZbarC2 cells, where H_0(Phi) = Z/2 decides the
+    # verdict at n = 1 (the underlying H_0 is 0)
+    from c2algebra import mackey
 
-    monkeypatch.setattr(complexes, "homology", refused)
+    def refused(*args):
+        raise AssertionError("a slice check built a Mackey functor")
+
+    monkeypatch.setattr(mackey.MackeyFunctor, "__init__", refused)
     explicit = parse_complex({"kind": "complex", "terms": {"1": ["ZbarC2"], "0": ["Zbar"]},
                               "diffs": {"1": {"fixed": [[2]], "underlying": [[1, 1]]}}})
+    connective, coconnective = slices.is_regular_slice_connective, \
+        slices.is_regular_slice_coconnective
     for k in range(-3, 4):
-        C, n = sign_sphere(k), min(k, 0)
-        assert is_regular_slice_connective(C, n) is True, k
-        assert is_regular_slice_connective(C, n + 1) is False, k
-    assert is_regular_slice_coconnective(sign_sphere(-1), -1) == "passes-necessary-conditions"
-    assert is_regular_slice_coconnective(sign_sphere(1), 0) == "fails"
-    assert is_regular_slice_connective(explicit, 0) is True
-    assert is_regular_slice_connective(explicit, 1) is False
-    assert is_regular_slice_coconnective(explicit, 0) == "fails"
-    assert is_regular_slice_coconnective(explicit, -1) == "fails"
+        C, n = slices.sign_sphere(k), min(k, 0)
+        assert connective(C, n) is True, k
+        assert connective(C, n + 1) is False, k
+    assert coconnective(slices.sign_sphere(-1), -1) == "passes-necessary-conditions"
+    assert coconnective(slices.sign_sphere(1), 0) == "fails"
+    assert connective(explicit, 0) is True
+    assert connective(explicit, 1) is False
+    assert coconnective(explicit, 0) == "fails"
+    assert coconnective(explicit, -1) == "fails"
+
+
+def test_connective_check_reads_phi_only_in_the_degrees_it_checks(monkeypatch):
+    # H_k(Phi C) is read for k < ceil(n/2) once the underlying degrees pass,
+    # and the rank of each Phi boundary once: none for S^{40 sigma} at
+    # n = 0, degrees -40..-21 for S^{-40 sigma} at n = -40
+    read, ranked = [], []
+    phi_homology, divisors = CellComplex.phi_homology, slices.elementary_divisors
+    monkeypatch.setattr(CellComplex, "phi_homology",
+                        lambda self, k: read.append(k) or phi_homology(self, k))
+    monkeypatch.setattr(slices, "elementary_divisors",
+                        lambda block: ranked.append(block) or divisors(block))
+    assert slices.is_regular_slice_connective(slices.sign_sphere(40), 0) is True
+    assert (read, ranked) == ([], [])
+    assert slices.is_regular_slice_connective(slices.sign_sphere(-40), -40) is True
+    assert read == list(range(-40, -20))
+    assert len(ranked) == 21  # Phi d_k for k = -40..-20
 
 
 def test_phi_complex_consistency():
@@ -256,6 +277,149 @@ def test_phi_complex_consistency():
     assert Homology(phi[2], phi[1]).group.is_trivial()
     assert geometric_fixed_points(homology(C, 0)) == Z2
     assert geometric_fixed_points(homology(C, 1)).is_trivial()
+
+
+# the maps between two cells, in the parameters a, b: (fixed entry,
+# underlying block), the hom spaces of Mackey functors between the cells
+CELL_MAPS = {
+    ("Zbar", "Zbar"): lambda a, b: (a, [[a]]),
+    ("ZbarC2", "Zbar"): lambda a, b: (2 * b, [[b, b]]),
+    ("Zbar", "ZbarC2"): lambda a, b: (b, [[b], [b]]),
+    ("ZbarC2", "ZbarC2"): lambda a, b: (a + b, [[a, b], [b, a]]),
+}
+CELL_NAMES = st.lists(st.sampled_from(["Zbar", "ZbarC2"]), max_size=3)
+
+
+def _cell_map(source, target, blocks):
+    """The (fixed, underlying) matrices of the map from the sum of cells
+    source to target whose block from cell j to cell i is blocks[i, j], an
+    (entry, block) pair; missing blocks are 0."""
+    def offsets(cells):
+        return [sum(UNDERLYING[c] for c in cells[:i]) for i in range(len(cells) + 1)]
+    rows, cols = offsets(target), offsets(source)
+    F = [[0] * len(source) for _ in target]
+    U = [[0] * cols[-1] for _ in range(rows[-1])]
+    for (i, j), (a, block) in blocks.items():
+        F[i][j] = a
+        for r, row in enumerate(block):
+            U[rows[i] + r][cols[j]:cols[j] + len(row)] = row
+    return F, U
+
+
+PARAMETERS = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def _random_map(draw, source, target, rows=None, cols=None):
+    """A Mackey map from the sum of cells source to target, its blocks drawn
+    from CELL_MAPS, zero outside the target cells rows and source cells
+    cols (all by default)."""
+    rows = range(len(target)) if rows is None else rows
+    cols = range(len(source)) if cols is None else cols
+    return _cell_map(source, target, {(i, j): CELL_MAPS[source[j], target[i]](
+        *draw(PARAMETERS)) for i in rows for j in cols})
+
+
+def _matmul(A, B, ncols):
+    return [[sum(a * row[j] for a, row in zip(r, B)) for j in range(ncols)] for r in A]
+
+
+@st.composite
+def cell_complexes(draw):
+    """Complexes of 2 or 3 terms of Zbar and ZbarC2 cells, lowest degree
+    -3..1, with valid differentials.  Three terms: d_top into the upper
+    cells of the middle term and d_bottom out of its lower ones, so they
+    compose to 0, then the middle term changed by automorphisms 1 + c E, E
+    a map from one of its cells to another, so that E o E = 0."""
+    lo = draw(st.integers(-3, 1))
+    if draw(st.booleans()):
+        top, bottom = draw(CELL_NAMES), draw(CELL_NAMES)
+        return CellComplex({lo + 1: tuple(top), lo: tuple(bottom)},
+                           {lo + 1: draw(_random_map(top, bottom))})
+    top, upper, lower, bottom = (draw(CELL_NAMES) for _ in range(4))
+    middle = upper + lower
+    d_top = draw(_random_map(top, middle, rows=range(len(upper))))
+    d_bottom = draw(_random_map(middle, bottom, cols=range(len(upper), len(middle))))
+    for _ in range(draw(st.integers(0, 3)) if len(middle) > 1 else 0):
+        i, j = draw(st.permutations(range(len(middle))))[:2]
+        c, (a, block) = draw(st.integers(-2, 2)), CELL_MAPS[middle[j], middle[i]](
+            *draw(PARAMETERS))
+        one = {(m, m): CELL_MAPS[t, t](1, 0) for m, t in enumerate(middle)}
+        g, g_inv = (_cell_map(middle, middle, {**one, (i, j): (
+            s * a, [[s * x for x in r] for r in block])}) for s in (c, -c))
+        d_top = tuple(_matmul(m, d, len(d[0])) for m, d in zip(g, d_top))
+        d_bottom = tuple(_matmul(d, m, len(m)) for d, m in zip(d_bottom, g_inv))
+    return CellComplex({lo + 2: tuple(top), lo + 1: tuple(middle), lo: tuple(bottom)},
+                       {lo + 2: d_top, lo + 1: d_bottom})
+
+
+def _verdicts(connective, coconnective, C):
+    """Both checks at every n in -10..6: each verdict or the message refused."""
+    out = []
+    for n in range(-10, 7):
+        out.append(connective(C, n))
+        try:
+            out.append(coconnective(C, n))
+        except EngineError as e:
+            out.append(str(e))
+    return out
+
+
+# three Zbar cells on three, joined by a matrix of determinant 2: Phi d has
+# rank 2 over F_2, one less than its rank
+DET_2 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.integers(-8, 8).map(slices.sign_sphere), cell_complexes()))
+@example(parse_complex({"kind": "complex", "terms": {"1": ["ZbarC2"], "0": ["Zbar"]},
+                        "diffs": {"1": {"fixed": [[2]], "underlying": [[1, 1]]}}}))
+@example(CellComplex({1: ("Zbar",) * 3, 0: ("Zbar",) * 3}, {1: (DET_2, DET_2)}))
+def test_slice_checks_match_the_mackey_route(C):
+    # the verdicts, and the homology of each level read by slices against
+    # the Homology of the Mackey complex of the same cells
+    M = check_complex(mackey_complex(C))
+    assert _verdicts(slices.is_regular_slice_connective, slices.is_regular_slice_coconnective,
+                     C) == _verdicts(is_regular_slice_connective,
+                                     is_regular_slice_coconnective, M)
+    degs, phi = C.degrees(), phi_complex(M)
+    for which, name in enumerate(("f_fixed", "f_underlying")):
+        level = C.level(which)
+        for k in range(degs[0] - 1, degs[-1] + 2):
+            H = Homology(getattr(M.diff(k + 1), name), getattr(M.diff(k), name))
+            assert level.invariants(k) == H.group.invariant_factors(), (name, k)
+    for k in degs:
+        assert C.phi_homology(k) == len(Homology(phi[k + 1], phi[k]).group.invariant_factors())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_the_complex_reader_refuses_as_the_mackey_route(data):
+    # two differentials between three terms, each block a Mackey map or
+    # random entries: the reader's refusal is the Mackey route's, message
+    # and order of the degrees in "diffs" included
+    cells = [data.draw(CELL_NAMES) for _ in range(3)]
+    diffs = {}
+    for n in data.draw(st.permutations([1, 2])):
+        src, tgt = cells[n], cells[n - 1]
+        F, U = data.draw(_random_map(src, tgt))
+        if data.draw(st.booleans()):
+            F = [[x + data.draw(st.integers(-1, 1)) for x in r] for r in F]
+            U = [[x + data.draw(st.integers(-1, 1)) for x in r] for r in U]
+        diffs[n] = (F, U)
+    json_complex = {"kind": "complex", "terms": {str(n): c for n, c in enumerate(cells)},
+                    "diffs": {str(n): {"fixed": F, "underlying": U}
+                              for n, (F, U) in diffs.items()}}
+    try:
+        got = parse_complex(json_complex)
+    except DomainError as e:
+        got = str(e)
+    try:
+        want = check_complex(mackey_complex(CellComplex(
+            {n: tuple(c) for n, c in enumerate(cells)}, diffs)))
+    except complexes.NotAComplex as e:
+        want = str(e)
+    assert (got if isinstance(got, str) else None) == (want if isinstance(want, str) else None)
 
 
 # -- the (|k| + 1)-cell sign sphere against the iterated box -------------------
@@ -341,7 +505,7 @@ def test_sign_sphere_one_cell_cases_are_the_plain_cells():
 def test_sign_sphere_has_k_plus_one_cells_and_is_a_complex():
     for k in SIGN_SPHERE_KS:
         C = sign_sphere(k)
-        C.check()
+        check_complex(C)
         assert C.degrees() == list(range(min(k, 0), max(k, 0) + 1)), k
         free = functor_entries(zbar_c2())
         assert [functor_entries(C.term(n)) for n in C.degrees()].count(free) == abs(k), k
@@ -354,14 +518,15 @@ def test_sign_sphere_homology_matches_iterated_box():
 
 
 def test_sign_sphere_slice_verdicts_match_iterated_box():
+    # the cells of slices against the Mackey route on the iterated box
     for k, plain in PLAIN_SPHERES.items():
-        C = sign_sphere(k)
+        C = slices.sign_sphere(k)
         for n in range(-abs(k) - 1, abs(k) + 2):
-            assert is_regular_slice_connective(C, n) == \
+            assert slices.is_regular_slice_connective(C, n) == \
                 is_regular_slice_connective(plain, n), (k, n)
         # n far below the lowest degree reads only the degrees of C
         for n in [*range(-abs(k) - 1, 1), -10 ** 9]:
-            assert is_regular_slice_coconnective(C, n) == \
+            assert slices.is_regular_slice_coconnective(C, n) == \
                 is_regular_slice_coconnective(plain, n), (k, n)
 
 

@@ -3,7 +3,7 @@
 engine's normalized (b, B)-model degree by degree."""
 
 from c2algebra.abelian import zeros
-from c2algebra.chains import ChainComplex, free_rank
+from c2algebra.chains import ChainComplex
 from c2algebra.mackey import mat_mul
 from c2algebra.trace import dihedral_homology
 from oracles import (
@@ -13,6 +13,7 @@ from oracles import (
     algebra_q_poly,
     chain_homology,
     columns,
+    free_rank,
 )
 
 

@@ -9,7 +9,7 @@ from itertools import combinations
 from c2algebra.polyring import BaseRing, parse_poly
 from c2algebra.tambara import free_involutive_free, free_involutive_trivial
 from c2algebra.abelian import FgAbGroup, NotAComplex, diagonal_of, smith_normal_form
-from c2algebra.chains import ChainComplex, free_rank
+from c2algebra.chains import ChainComplex
 from c2algebra.algebra_json import parse_algebra
 from c2algebra.cli import run
 from c2algebra.mackey import AbMap, mat_mul
@@ -39,6 +39,7 @@ from oracles import (
     chain_homology,
     dense,
     fingerprint,
+    free_rank,
     isomorphic,
     mackey_piece,
     shift,

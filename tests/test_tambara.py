@@ -3,7 +3,6 @@ Green functors, free involutive algebras and norm rings."""
 
 from fractions import Fraction
 
-from c2algebra.chains import free_rank
 from c2algebra.mackey import validate
 from c2algebra.polyring import BaseRing, PolyRing, parse_poly
 from c2algebra.tambara import (
@@ -17,6 +16,7 @@ from c2algebra.tambara import (
 from oracles import (
     BurnsideTable,
     fixed_point_green,
+    free_rank,
     gaussian_algebra,
     graded_norm,
     group_ring_involutive,

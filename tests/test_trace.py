@@ -3,7 +3,7 @@ cyclic/dihedral homology, and the graded pieces of real Hochschild homology
 against bar-complex HH."""
 
 from c2algebra.abelian import FgAbGroup, zeros
-from c2algebra.chains import ChainComplex, free_rank
+from c2algebra.chains import ChainComplex
 from c2algebra.mackey import AbMap, mat_mul
 from c2algebra.differentials import hkr_graded_piece
 from c2algebra.polyring import BaseRing, PolyRing, RingInvolution, TwoNotInvertible
@@ -32,6 +32,7 @@ from oracles import (
     columns,
     cyclic_class_eigenvalue,
     dense,
+    free_rank,
     hh_groups,
     hh_omega_fixed_dimension,
     hh_plus_minus_dimensions,
