@@ -19,11 +19,18 @@ The CLI reports an EngineError, the base of every domain error, with exit
 code 1 and a ParseError with exit code 2; AbelianError, a malformed input to
 the linear algebra, is neither.  They live here because cli runs as
 __main__ under python -m, where classes of its own would be copies that the
-readers' raises do not match.  AbelianError and NotAComplex live here too,
-so that chains raises them without loading abelian, which re-exports them;
-so do the two helpers that the JSON readers and the printers of several
-commands share, int_matrix and render_invariants.
+readers' raises do not match, and where an import of cli by any module
+would compile and run cli.py a second time.  AbelianError and NotAComplex
+live here too, so that chains raises them without loading abelian, which
+re-exports them.  So do the helpers that the bodies of several commands
+share (cli keeps the argv reader and one thin function per command, which
+imports its body from a module the command loads anyway): load_json, the
+reader of every command's JSON input; int_matrix; default_truncation; and
+the printers compact_json and render_invariants.
 """
+
+import json
+import os
 
 __version__ = "0.1.0"
 
@@ -53,6 +60,39 @@ class NotAComplex(AbelianError):
     """Boundaries whose composite is not zero."""
 
 
+def default_truncation():
+    """The truncation of tambara-free and hr-gr: MACKEY_TRUNC if set."""
+    v = os.environ.get("MACKEY_TRUNC")
+    if v is None:
+        return DEFAULT_TRUNCATION
+    try:
+        if int(v) >= 0:
+            return int(v)
+    except ValueError:
+        pass
+    raise ParseError("MACKEY_TRUNC must be an integer >= 0, got %r" % v)
+
+
+def load_json(path_or_json):
+    """The JSON object given inline (text starting with {) or in a file."""
+    if path_or_json.strip().startswith("{"):
+        text = path_or_json
+    else:
+        try:
+            with open(path_or_json, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as e:
+            raise ParseError("cannot read %s: %s" % (path_or_json, e))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError("invalid JSON at line %d column %d: %s"
+                         % (e.lineno, e.colno, e.msg))
+    if not isinstance(data, dict):
+        raise ParseError("top-level JSON must be an object")
+    return data
+
+
 def int_matrix(rows):
     """A JSON matrix, checked to be a list of rows of integers."""
     if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)
@@ -66,3 +106,8 @@ def render_invariants(invs):
     if not invs:
         return "0"
     return " + ".join("Z" if d == 0 else "Z/%d" % d for d in invs)
+
+
+def compact_json(data):
+    """The one line of a --format json output: sorted keys, no spaces."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))

@@ -5,9 +5,12 @@ relations as polynomial strings, weights integers >= 1 (default 1); "rels"
 and "weights" are optional.  Each relation must be monic in a pure power of
 a variable.  A field of the wrong JSON type raises ParseError; a sigma that
 is not an involution or does not keep the relation ideal DomainError.
+run_hh, the body of hh, reads the parsed algebra's Hochschild homology from
+the small complex of koszul when its ring splits by variable, else from the
+bar complex of trace, and loads only the one it reads.
 """
 
-from . import DomainError, ParseError
+from . import DomainError, ParseError, compact_json, load_json, render_invariants
 from .polyring import BaseRing, PolyRing, RingError, RingInvolution, parse_poly
 
 
@@ -109,3 +112,19 @@ def _relations_to_rules(ring, rel_polys, rels_text):
         repl = {m: ring.base.neg(ring.base.mul(cc, c)) for m, cc in rest.items()}
         rules[i] = (p, repl)
     return rules
+
+
+def run_hh(args, out):
+    sigma = parse_algebra(load_json(args.algebra))
+    if sigma.ring.splits_by_variable():
+        from .koszul import hochschild_complex
+    else:
+        from .trace import hochschild_complex
+    C = hochschild_complex(sigma, args.nmax + 1, args.weight)
+    rows = [{"n": n, "hh": list(C.invariants(n))} for n in range(0, args.nmax + 1)]
+    if args.format == "json":
+        out(compact_json({"weight": args.weight, "rows": rows}))
+    else:
+        for r in rows:
+            out("HH_%d = %s" % (r["n"], render_invariants(tuple(r["hh"]))))
+    return 0

@@ -4,10 +4,11 @@ ChainComplex, the module ranks and the boundaries as sparse integer columns
 ({row: coeff}, nonzero entries only), in which hh, dihedral and derham build
 every complex and involution, and slice-check reads the levels of a complex
 of cells.  Its invariant factors and the +-parts of an involution are read
-from ranks and elementary divisors (lattice_core), with no cycles.  abelian
-is loaded only for a boundary whose unit pivots leave a core that is not a
-sum of single rows and columns.  dense_matrix turns columns into the rows of
-an AbMap, for hr-gr.
+from ranks and elementary divisors (lattice_core), with no cycles.  A rank
+reads no abelian: the rank of a core left by the unit pivots comes from
+exact integer elimination.  abelian is loaded only when the elementary
+divisors of a core that is not a sum of single rows and columns are read
+(over Z, Z/m, and for the torsion over Z[1/2]; never over Q).
 """
 
 from itertools import accumulate
@@ -16,31 +17,25 @@ from math import gcd, lcm
 from . import AbelianError, NotAComplex
 
 
-def dense_matrix(cols, nrows):
-    """The row-major integer matrix, nrows rows, whose columns are the sparse
-    columns cols: the one way from a complex's columns to an AbMap."""
-    return [[c.get(i, 0) for c in cols] for i in range(nrows)]
-
-
 def lattice_core(vectors):
     """(rank, core) of the matrix whose rows are the sparse vectors ({i: x}
     dicts or (i, x) pairs), core what the rows left without a unit entry
-    present: None when none is left; when each block of them (the rows that
-    share columns) is one row or lies in one column, a sum of cyclic groups,
-    the tuple of the contents of the blocks; else the abelian.FgAbGroup they
-    present, the one case that loads abelian.  The nonzero invariant factors
-    of the core (_divisors) are the elementary divisors of the matrix other
-    than 1.  A matrix and its
-    transpose have the same rank and divisors, so the columns of a
-    ChainComplex boundary serve as rows.  The vectors are copied, never
-    edited.
+    present: when each block of them (the rows that share columns) is one
+    row or lies in one column, a sum of cyclic groups, the tuple of the
+    contents of the blocks (empty when no row is left); else the list of the
+    rows, dense on the columns they use.  The nonzero invariant factors of
+    the core (_divisors) are the elementary divisors of the matrix other
+    than 1.  A matrix and its transpose have the same rank and divisors, so
+    the columns of a ChainComplex boundary serve as rows.  The vectors are
+    copied, never edited.
 
     Reduce before factoring (Kaczynski-Mrozek-Slusarek): while an entry is
     +-1, take the shortest row holding one, pivot on its +-1 of shortest
     column, clear that column with row operations only and drop the pivot's
     row and column.  Each step removes one divisor 1 and keeps the others.
     The rank is the count of these steps plus the rank of the core, its
-    number of blocks or of Hermite rows, so it reads no Smith form.
+    number of blocks or _elimination_rank of its rows, so it reads no Hermite
+    or Smith form.
     """
     # imported here, so that the commands that never reduce do not load it
     from heapq import heapify, heappop, heappush
@@ -80,7 +75,7 @@ def lattice_core(vectors):
                 del live[k]
         rank += 1
     if not live:
-        return rank, None
+        return rank, ()
     # the blocks of rows that share no column: union the columns of each row
     parent = {}
 
@@ -98,17 +93,44 @@ def lattice_core(vectors):
     if all(len(b) == 1 or all(len(r) == 1 for r in b) for b in blocks.values()):
         return rank + len(blocks), tuple(gcd(*(x for r in b for x in r.values()))
                                          for b in blocks.values())
-    from .abelian import FgAbGroup
     core_cols = sorted({j for r in live.values() for j in r})
-    core = FgAbGroup(len(core_cols), ([r.get(j, 0) for j in core_cols] for r in live.values()))
-    return rank + len(core.relations), core
+    core = [[r.get(j, 0) for j in core_cols] for r in live.values()]
+    return rank + _elimination_rank(core), core
+
+
+def _elimination_rank(rows):
+    """The rank of the integer rows, by fraction-free elimination: the first
+    row's first nonzero entry is the pivot, and each other row with an entry
+    c in its column becomes the primitive part of pivot * row - c * first
+    row, so no entry leaves Z.
+
+    >>> _elimination_rank([[2, 4, 6], [3, 6, 9], [0, 0, 0], [1, 3, 5]])
+    2
+    """
+    rank = 0
+    while rows:
+        top, *rows = rows
+        j = next((j for j, x in enumerate(top) if x), None)
+        if j is not None:
+            rank += 1
+            rows = [_primitive([top[j] * x - r[j] * y for x, y in zip(r, top)]) if r[j] else r
+                    for r in rows]
+    return rank
+
+
+def _primitive(row):
+    """row divided by the gcd of its entries (a zero row as it is)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _divisors(core):
-    """The nonzero invariant factors other than 1 of a core of lattice_core."""
+    """The nonzero invariant factors other than 1 of a core of lattice_core;
+    the one place that loads abelian, for a core of rows."""
     if isinstance(core, tuple):
         return tuple(_invariant_factors(core))
-    return tuple(d for d in core.invariant_factors() if d) if core else ()
+    from .abelian import FgAbGroup
+    return tuple(d for d in FgAbGroup(len(core[0]), core).invariant_factors() if d)
 
 
 def _invariant_factors(orders):

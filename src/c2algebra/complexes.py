@@ -8,9 +8,12 @@ The regular-slice checks read complexes of cells with no Mackey functor
 (slices); sign_sphere is the Mackey complex of slices.sign_sphere's cells.
 Sigma^{k sigma} M is S^{k sigma} smashed with zbar, boxed with M cell by
 cell: box(M, T) for each cell T and id_M box d for each differential d.
+run_hr_gr, the body of hr-gr, prints the homology of the HKR pieces
+(differentials.hkr_graded_piece).
 """
 
-from . import EngineError
+from . import (DomainError, EngineError, compact_json, default_truncation, load_json,
+               render_invariants)
 from . import abelian
 from . import slices
 from .mackey import (
@@ -107,3 +110,40 @@ def suspend_sigma(M, k):
     one = MackeyMap.identity_map(M)
     return MackeyComplex(terms, {n: box_map(one, d, terms[n], terms[n - 1])
                                  for n, d in sorted(S.diffs.items())})
+
+
+def run_hr_gr(args, out):
+    from . import differentials as df
+    from .algebra_json import parse_algebra
+    from .mackey_json import mackey_to_json
+    sigma = parse_algebra(load_json(args.algebra))
+    if sigma.ring.base.kind != "Z":
+        raise DomainError("hr-gr computes Mackey homology over Z only, not over %s"
+                          % sigma.ring.base)
+    # one sigma-orbit type per generator; a swapped pair at its first member
+    label = "+".join(("trivial" if s == 1 else "sign") if k == j else "free"
+                     for j, (k, s) in enumerate(df.signed_permutation(sigma)) if k >= j)
+    trunc = default_truncation()
+    weights = [args.weight] if args.weight is not None else list(range(0, min(5, trunc + 1)))
+    blocks = []
+    for w in weights:
+        C = df.hkr_graded_piece(sigma, args.i, w)
+        H = {n: homology(C, n) for n in C.degrees()}
+        nonzero = [n for n, h in H.items()
+                   if not (h.fixed.is_trivial() and h.underlying.is_trivial())]
+        degrees = range(min(nonzero), max(nonzero) + 1) if nonzero else ()
+        blocks.append({"weight": w,
+                       "homology": {str(n): mackey_to_json(H[n]) for n in degrees}})
+    if args.format == "json":
+        out(compact_json({"algebra": label, "i": args.i, "blocks": blocks}))
+    else:
+        out("gr^%d HR of the %s algebra" % (args.i, label))
+        for entry in blocks:
+            out("weight %d:" % entry["weight"])
+            if not entry["homology"]:
+                out("  0")
+            for n in sorted(entry["homology"], key=int):
+                h = entry["homology"][n]
+                out("  H_%s: %s / %s" % (n, render_invariants(tuple(h["fixed"])),
+                                         render_invariants(tuple(h["underlying"]))))
+    return 0

@@ -33,11 +33,13 @@ Mackey functor takes sigma as a dense AbMap.
 
 Only polyring loads with this module: de_rham_complex imports chains, and
 hkr_graded_piece the Mackey layer, where they run (derham, hr-gr).
+run_cotangent and run_derham, the bodies of cotangent and derham, read the
+algebra and print its cotangent presentation or its de Rham table.
 """
 
 from itertools import combinations
 
-from . import EngineError, NotAComplex
+from . import EngineError, NotAComplex, compact_json, load_json, render_invariants
 from .polyring import PolyRing, RingInvolution, integer_lift
 
 
@@ -348,11 +350,59 @@ def hkr_graded_piece(sigma, i, w):
     sigma, for L the free cotangent module of sigma's rule-free ring (an
     empty complex when Lambda^i L_w is 0)."""
     from .abelian import FgAbGroup
-    from .chains import dense_matrix
     from . import complexes as cx, mackey as mk
     basis, sig = exterior_power(sigma, i, w)
     if not basis:
         return cx.MackeyComplex({}, {})
     G = FgAbGroup.free(len(basis))
-    sigma = mk.AbMap(G, G, dense_matrix(sig, len(basis)))
+    # the dense rows of the map whose columns are sig
+    sigma = mk.AbMap(G, G, [[col.get(r, 0) for col in sig] for r in range(len(basis))])
     return cx.suspend_sigma(mk.fixed_point_mackey(G, sigma), i)
+
+
+# ---------------------------------------------------------------------------
+# the commands
+
+def run_cotangent(args, out):
+    from .algebra_json import parse_algebra
+    L = CotangentPresentation(presentation_of(parse_algebra(load_json(args.algebra))))
+    ring = L.algebra
+    info = {
+        "generators": list(L.gen_names),
+        "sigma": L.sigma_string(),
+        "relations": {name: {g: ring.poly_string(c) for g, c in img.items()}
+                      for name, img in L.relation_images},
+    }
+    gens, rels = L.reduced_presentation()
+    info["reduced_generators"] = gens
+    info["reduced_relations"] = [
+        {g: ring.poly_string(c) for g, c in img.items()} for _name, img in rels]
+    if args.format == "json":
+        out(compact_json(info))
+    else:
+        out("cotangent generators: %s" % ", ".join(info["generators"]))
+        for name, img in sorted(info["relations"].items()):
+            body = " + ".join("(%s)%s" % (c, g) for g, c in sorted(img.items()))
+            out("%s -> %s" % (name, body or "0"))
+        out("reduced generators: %s" % ", ".join(gens))
+    return 0
+
+
+def run_derham(args, out):
+    from .algebra_json import parse_algebra
+    complexes = de_rham_complex(parse_algebra(load_json(args.algebra)), args.imax,
+                                args.maxweight)
+    table = {str(w): {str(n): {"h": list(C.invariants(-n)),
+                               "dim": C.dims[-n]}
+                      for n in range(0, args.imax + 1)}
+             for w, C in complexes.items()}
+    if args.format == "json":
+        out(compact_json({"imax": args.imax, "table": table}))
+    else:
+        for w in sorted(table, key=int):
+            out("weight %s:" % w)
+            for n in sorted(table[w], key=int):
+                cell = table[w][n]
+                out("  Omega^%s dim %d, H^%s = %s"
+                    % (n, cell["dim"], n, render_invariants(tuple(cell["h"]))))
+    return 0

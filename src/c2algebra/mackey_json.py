@@ -2,10 +2,12 @@
 "tr": [[2]], "sigma": [[1]]} (groups as invariant-factor lists, 0 = Z).
 Malformed input raises ParseError, a Lewis-axiom failure DomainError.
 mackey_to_json writes canonical coordinates, which parse_mackey reads back.
-The complexes of slice-check are read by slices.parse_complex.
+The complexes of slice-check are read by slices.parse_complex.  The bodies
+of the commands that read and print Mackey functors (mackey-show, box, phi)
+live here, with render_lewis, their printer.
 """
 
-from . import DomainError, ParseError, int_matrix
+from . import DomainError, ParseError, compact_json, int_matrix, load_json, render_invariants
 from . import mackey as mk
 from .abelian import FgAbGroup, IllFormedMap
 
@@ -61,3 +63,37 @@ def _canonical_matrix(f):
     for i in range(n):
         rows.append([c[i] for c in cols])
     return rows
+
+
+def render_lewis(M, fmt="pretty"):
+    if fmt == "json":
+        return compact_json(mackey_to_json(M))
+    data = mackey_to_json(M)
+    lines = []
+    lines.append("C2-level : %s" % render_invariants(tuple(data["fixed"])))
+    lines.append("e-level  : %s" % render_invariants(tuple(data["underlying"])))
+    lines.append("res   = %s" % data["res"])
+    lines.append("tr    = %s" % data["tr"])
+    lines.append("sigma = %s" % data["sigma"])
+    return "\n".join(lines)
+
+
+def run_mackey_show(args, out):
+    out(render_lewis(parse_mackey(load_json(args.input)), args.format))
+    return 0
+
+
+def run_box(args, out):
+    L = parse_mackey(load_json(args.left))
+    R = parse_mackey(load_json(args.right))
+    out(render_lewis(mk.box(L, R), args.format))
+    return 0
+
+
+def run_phi(args, out):
+    G = mk.geometric_fixed_points(parse_mackey(load_json(args.input)))
+    if args.format == "json":
+        out(compact_json({"phi": list(G.invariant_factors())}))
+    else:
+        out("Phi = %s" % render_invariants(G.invariant_factors()))
+    return 0

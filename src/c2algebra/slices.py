@@ -21,11 +21,12 @@ the fold ZbarC2 -> Zbar (fixed x2) for k > 0 or its dual, the diagonal
 Zbar -> ZbarC2 (fixed x1) for k < 0; then 1 - sigma (fixed 0), 1 + sigma
 (fixed x2), 1 - sigma, ... between the ZbarC2 cells.
 complexes.sign_sphere builds its Mackey complex from these cells.
+run_slice_check is the body of slice-check.
 """
 
 from itertools import accumulate
 
-from . import DomainError, EngineError, ParseError, int_matrix
+from . import DomainError, EngineError, ParseError, compact_json, int_matrix, load_json
 from .chains import ChainComplex, elementary_divisors
 
 # each cell has one fixed generator; its underlying rank, and tr on each of
@@ -236,3 +237,18 @@ def is_regular_slice_coconnective(C, n):
         if und.invariants(k) or (k > n // 2 and fixed.invariants(k)):
             return "fails"
     return "passes-necessary-conditions"
+
+
+def run_slice_check(args, out):
+    C = parse_complex(load_json(args.complex))
+    if args.coconnective:
+        kind, verdict = "coconnective", is_regular_slice_coconnective(C, args.n)
+        text = verdict
+    else:
+        kind, verdict = "connective", is_regular_slice_connective(C, args.n)
+        text = "true" if verdict else "false"
+    if args.format == "json":
+        out(compact_json({kind: verdict, "n": args.n}))
+    else:
+        out("regular-slice (%d)-%s: %s" % (args.n, kind, text))
+    return 0

@@ -5,11 +5,13 @@ together with its fixed level and norm data: the fixed level is the strict
 invariant subring of the underlying level, res is the inclusion,
 tr = 1 + sigma and N(a) = a * sigma(a).  All computation happens in the
 underlying polynomial ring (res-injective normal forms).  The free
-involutive algebras of tambara-free are built here.
+involutive algebras of tambara-free are built here, and run_tambara_free,
+the body of that command, checks and prints them.
 """
 
-from . import DEFAULT_TRUNCATION, EngineError
-from .polyring import PolyRing, RingInvolution
+from . import (DEFAULT_TRUNCATION, DomainError, EngineError, ParseError, compact_json,
+               default_truncation)
+from .polyring import BaseRing, PolyRing, RingInvolution
 
 
 class TambaraError(EngineError):
@@ -163,3 +165,47 @@ def free_relation_holds(T, i, j):
     else:
         rhs = ring.mul(ring.pow(xN, j), t(i - j))
     return ring.equal(lhs, ring.add(t(i + j), rhs))
+
+
+def run_tambara_free(args, out):
+    base = BaseRing.parse(args.base)
+    trunc = args.trunc if args.trunc is not None else default_truncation()
+    if args.kind == "trivial":
+        T = free_involutive_trivial(base, args.names or ["x"], truncation=trunc)
+    elif args.kind == "free":
+        if args.names is not None:
+            raise ParseError("--names applies to --kind trivial only: the free "
+                             "kind's generators are x, x_s")
+        T = free_involutive_free(base, truncation=trunc)
+    else:
+        raise ParseError("kind must be trivial or free")
+    # one sample covering both min(trunc, 4) and the weight 2 that the
+    # cohomological verdict needs: samples are weight-ordered prefixes
+    v = validate_tambara(T, sample_weight=max(2, min(trunc, 4)))
+    if v is not None:
+        raise DomainError("Tambara axioms fail: %r" % v)
+    info = {
+        "kind": args.kind,
+        "base": args.base,
+        "truncation": trunc,
+        "underlying": list(T.ring.names),
+        "fixed_generators": sorted(name for name, _ in T.fixed_gens),
+        "cohomological": is_cohomological(T),
+    }
+    if args.kind == "free":
+        rels = []
+        for i in range(1, min(4, trunc // 2) + 1):
+            for j in range(1, i + 1):
+                rels.append({"i": i, "j": j, "holds": free_relation_holds(T, i, j)})
+        info["t_relations"] = rels
+    if args.format == "json":
+        out(compact_json(info))
+    else:
+        out("free %s involutive algebra over %s, truncation %d"
+            % (args.kind, args.base, trunc))
+        out("underlying generators: %s" % ", ".join(info["underlying"]))
+        out("fixed generators: %s" % ", ".join(info["fixed_generators"]))
+        out("cohomological: %s" % info["cohomological"])
+        for r in info.get("t_relations", []):
+            out("t_%(i)d * t_%(j)d relation holds: %(holds)s" % r)
+    return 0

@@ -4,7 +4,8 @@ The route of dihedral, and of hh when a rule mixes variables (y^2 = x^3);
 for every other ring hh reads the small complex of koszul, whose oracle this
 bar complex is.  Both take the parsed sigma: hochschild_complex(sigma,
 n_max, weight) has the signature and result of koszul's, and
-dihedral_homology(sigma, n_max, weight) returns HC, HD and HD'.  Each checks
+dihedral_homology(sigma, n_max, weight) returns HC, HD and HD', which
+run_dihedral, the body of dihedral, prints.  Each checks
 its request once, with sigma.require_weight, before it builds anything; the
 blocks and complexes below take the request as checked.  The
 dihedral bar complex of a presented algebra with involution: normalized
@@ -49,7 +50,7 @@ from functools import cached_property
 from itertools import accumulate, product
 from math import prod
 
-from . import EngineError, NotAComplex
+from . import EngineError, NotAComplex, compact_json, load_json
 from .chains import ChainComplex, free_rank_of_sum
 from .polyring import integer_lift
 
@@ -311,3 +312,16 @@ def dihedral_homology(sigma, n_max, weight=None):
     hc, hd, hdp = ([free_rank_of_sum([d for p in parts for d in p[s][n]], A.base)
                     for n in range(0, n_max + 1)] for s in range(3))
     return DihedralHomology(hc, hd, hdp)
+
+
+def run_dihedral(args, out):
+    from .algebra_json import parse_algebra
+    D = dihedral_homology(parse_algebra(load_json(args.algebra)), args.nmax,
+                          weight=args.weight)
+    data = {"hc": D.hc, "hd": D.hd, "hd_prime": D.hd_prime}
+    if args.format == "json":
+        out(compact_json(data))
+    else:
+        for n in range(0, args.nmax + 1):
+            out("n=%d: HC=%d HD=%d HD'=%d" % (n, D.hc[n], D.hd[n], D.hd_prime[n]))
+    return 0

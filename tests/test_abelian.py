@@ -24,7 +24,7 @@ from c2algebra.abelian import (
     transpose,
     zeros,
 )
-from c2algebra.chains import ChainComplex, elementary_divisors
+from c2algebra.chains import ChainComplex, _elimination_rank, elementary_divisors, lattice_core
 from c2algebra.mackey import (
     AbMap,
     Homology,
@@ -842,6 +842,34 @@ def test_elementary_divisors_of_dense_matrices_match_the_minor_oracle(M, scales)
     divisors = snf_invariants_by_minors(M)
     assert elementary_divisors(columns(M)) == \
         (len(divisors), tuple(d for d in divisors if d != 1))
+
+
+@st.composite
+def _rows_with_dependencies(draw):
+    """Up to 8 integer rows of length up to 8, entries in [-50, 50] before
+    mixing, some of them integer combinations of others and some zero."""
+    n = draw(st.integers(1, 8))
+    row = st.lists(st.integers(-50, 50), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 8 - len(rows)))):
+        kind = draw(st.sampled_from(["zero", "combination"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        else:
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_with_dependencies())
+def test_elimination_rank_is_the_hermite_row_count(rows):
+    # the rank of a core that is not a sum of cyclic groups is read with no
+    # abelian: by fraction-free elimination, against the Hermite rows
+    rank = len(FgAbGroup(len(rows[0]), rows).relations)
+    assert _elimination_rank(rows) == rank
+    assert lattice_core(columns(transpose(rows)))[0] == rank
+    assert lattice_core(columns(rows))[0] == rank
 
 
 @st.composite
