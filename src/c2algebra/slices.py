@@ -12,7 +12,8 @@ sums of cells is a pair of integer matrices (fixed, underlying) that
 commute with res, tr and sigma as integer matrices.  The geometric fixed
 points Phi C = coker(tr) are F_2 on each Zbar cell and 0 on each ZbarC2
 cell, with boundaries the Zbar blocks of the fixed boundaries mod 2 (an
-entry ZbarC2 -> Zbar is even, so they compose to 0 mod 2).
+entry ZbarC2 -> Zbar is even, so they compose to 0 mod 2), whose ranks
+chains.elementary_divisors reads by elimination mod 2.
 
 S^{k sigma} smashed with zbar is its reduced C2-CW chain complex (Hill-
 Hopkins-Ravenel), |k| + 1 cells: Zbar in degree 0 and ZbarC2 in each degree
@@ -72,14 +73,14 @@ class CellComplex:
 
     def phi_rank(self, n):
         """The rank over F_2 of Phi d_n, the Zbar block of the fixed d_n mod
-        2: its odd elementary divisors, units included."""
+        2, eliminated mod 2: every entry is a unit, so abelian is never
+        loaded."""
         if n not in self._phi_ranks:
             fixed = self.diffs[n][0] if n in self.diffs else ()
             rows = self.zbar_index(n - 1)
             block = [{i: 1 for i, r in enumerate(rows) if fixed[r][j] % 2}
                      for j in self.zbar_index(n)] if fixed else ()
-            rank, divisors = elementary_divisors(block)
-            self._phi_ranks[n] = rank - sum(1 for d in divisors if d % 2 == 0)
+            self._phi_ranks[n] = elementary_divisors(block, 2)[0]
         return self._phi_ranks[n]
 
     def phi_homology(self, k):

@@ -26,7 +26,8 @@ of the bicomplex with its involution, whose columns are those of b, B and w
 moved to their offsets) is a chains.ChainComplex over the base ring in that
 form.  HH and HC are read as invariant factors (ChainComplex.invariants),
 HD and HD' as those of the +-parts of the involution
-(ChainComplex.eigen_invariants); the base ring is that module's concern.
+(ChainComplex.eigen_invariants), over Z/m each by one elimination mod m per
+degree; the base ring is that module's concern.
 
 Graded algebras are handled one internal weight at a time (exact per
 weight), finite-dimensional algebras as a whole, and both are cut further

@@ -940,8 +940,9 @@ class EigenComplex:
     with the boundaries restricted through Homology.induced, all on dense
     matrices; chain_homology reads its homology.  It is the oracle of
     ChainComplex.eigen_invariants, which reads the same homology from ranks
-    over Q and Z[1/2] and from a resolution of the quotients
-    C / (invol - sign) C over Z/m."""
+    over Q and Z[1/2], and over odd Z/m as ker d P_n / (im d_{n+1} +
+    im Q_n), P = 1 + sign invol and Q = 1 - sign invol, by one elimination
+    mod m per degree."""
 
     def __init__(self, T, invol, sign):
         chains = {n: chain_group(d, T.base) for n, d in T.dims.items()}

@@ -782,11 +782,12 @@ def test_chain_complex_check():
     # over Z/3 the comparison is mod 3: -1 may be lifted as 2
     mod3 = ChainComplex({0: 1, 1: 1}, {1: [{0: 1}]}, BaseRing.parse("Z/3"))
     assert mod3.check({0: [{0: 1}], 1: [{0: 2}]}, -1) is mod3
-    # over Z/m the columns are stored with entries in [-m/2, m/2); the
-    # columns handed over are not edited
+    # over Z/m the columns are stored as given and read mod m, never
+    # edited: a lone 2 is a unit pivot over Z/5
     given = {1: [{0: 2, 1: 3}]}
-    assert ChainComplex({0: 2, 1: 1}, given, BaseRing.parse("Z/3")).mats == {1: [{0: -1}]}
+    assert ChainComplex({0: 2, 1: 1}, given, BaseRing.parse("Z/3")).mats is given
     assert given == {1: [{0: 2, 1: 3}]}
+    assert elementary_divisors([{0: 2}], 5) == (1, ())
 
 
 # -- homology from boundary ranks and elementary divisors -----------------------
@@ -816,6 +817,20 @@ def test_elementary_divisors_match_smith_normal_form(M, unit_free):
     # the columns of M, then its rows (the columns of M^T)
     assert elementary_divisors(columns(M)) == _smith_divisors(M)
     assert elementary_divisors(columns(transpose(M))) == _smith_divisors(M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 6, 9, 12, 15, 25, 45]), st.integers(1, 3), st.data())
+def test_elementary_divisors_over_z_mod_m_match_the_smith_form_stacked_over_m(m, width, data):
+    # the Smith entries over Z/m are those over Z of the rows stacked over
+    # m I: the rank counts the ones other than m, the divisors are the ones
+    # other than 1 and m; entries outside [0, m) are read mod m
+    M = data.draw(st.lists(st.lists(st.integers(-m, 2 * m), min_size=width, max_size=width),
+                           max_size=3))
+    diag = _smith_divisors(M + [[m * (i == j) for j in range(width)] for i in range(width)])[1]
+    want = (width - diag.count(m), tuple(d for d in diag if d != m))
+    assert elementary_divisors(columns(transpose(M)), m) == want
+    assert elementary_divisors(columns(M, width), m) == want
 
 
 M7 = [[2, 6, -9, 6, -8, 0, 9], [9, 3, -4, -4, 7, -2, -9], [-3, 8, 8, -2, 3, 7, 2],

@@ -260,7 +260,7 @@ def test_connective_check_reads_phi_only_in_the_degrees_it_checks(monkeypatch):
     monkeypatch.setattr(CellComplex, "phi_homology",
                         lambda self, k: read.append(k) or phi_homology(self, k))
     monkeypatch.setattr(slices, "elementary_divisors",
-                        lambda block: ranked.append(block) or divisors(block))
+                        lambda block, *args: ranked.append(block) or divisors(block, *args))
     assert slices.is_regular_slice_connective(slices.sign_sphere(40), 0) is True
     assert (read, ranked) == ([], [])
     assert slices.is_regular_slice_connective(slices.sign_sphere(-40), -40) is True

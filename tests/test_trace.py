@@ -2,7 +2,7 @@
 cyclic/dihedral homology, and the graded pieces of real Hochschild homology
 against bar-complex HH."""
 
-from c2algebra.abelian import FgAbGroup, zeros
+from c2algebra.abelian import FgAbGroup, block_matrix, identity, integer_kernel, zeros
 from c2algebra.chains import ChainComplex
 from c2algebra.mackey import AbMap, mat_mul
 from c2algebra.differentials import hkr_graded_piece
@@ -496,6 +496,90 @@ def test_eigen_invariants_match_the_kernel_route_when_a_part_is_not_free():
     # Z/15[x]/x^2 with sigma(x) = 4x: the + part of H_0 is Z/15 + Z/3
     A = algebra_poly(BaseRing.parse("Z/15"), ["x"], [{(1,): 4}], {0: (2, {})})
     assert_eigen_parts_match_the_kernel_route(A, None, 2)
+
+
+def _minor(A, i, j):
+    return [r[:j] + r[j + 1:] for t, r in enumerate(A) if t != i]
+
+
+def _det(A):
+    """The determinant of a square integer matrix, by cofactors of its first row."""
+    return sum((-1) ** j * x * _det(_minor(A, 0, j)) for j, x in enumerate(A[0])) if A else 1
+
+
+@st.composite
+def _z_mod_m_complexes(draw, moduli):
+    """(base, dims, mats, invol): D = C + C + E in degrees 0..2 over Z/m, m
+    drawn from moduli, each D_n of rank 3 or less.  C and E are complexes of
+    free Z/m-modules, d_2 drawn and d_1 from the left kernel of d_2 mod m;
+    invol is the swap of the two copies of C and a drawn sign on E.  Each
+    degree is then conjugated by a matrix A_n = LU invertible mod m (L
+    unitriangular, U triangular with units on its diagonal)."""
+    m = draw(st.sampled_from(moduli))
+    entry, unit = st.integers(0, m - 1), st.sampled_from([u for u in range(1, m) if gcd(u, m) == 1])
+    c = draw(st.lists(st.integers(0, 1), min_size=3, max_size=3))
+    e = [draw(st.integers(0, 3 - 2 * k)) for k in c]
+
+    def matrix(rows, cols):
+        return [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+    def complex_(dims):
+        # v d_2 = 0 mod m: the first dims[1] coordinates of the kernel of [d_2^T | m I]
+        d2 = matrix(dims[1], dims[2])
+        stacked = [[r[j] for r in d2] + [m * (i == j) for i in range(dims[2])]
+                   for j in range(dims[2])]
+        kernel = [v[:dims[1]] for v in integer_kernel(stacked, dims[1] + dims[2])] \
+            if dims[2] else identity(dims[1])
+        d1 = [[sum(a * v[j] for a, v in zip(row, kernel)) % m for j in range(dims[1])]
+              for row in matrix(dims[0], len(kernel))]
+        return {1: d1, 2: d2}
+    dC, dE, s = complex_(c), complex_(e), draw(st.sampled_from([1, -1]))
+    sizes = [{0: k, 1: k, 2: j} for k, j in zip(c, e)]
+    d = {n: block_matrix(sizes[n - 1], sizes[n], {(0, 0): dC[n], (1, 1): dC[n], (2, 2): dE[n]})
+         for n in (1, 2)}
+    invol = {n: block_matrix(sizes[n], sizes[n], {(0, 1): identity(c[n]), (1, 0): identity(c[n]),
+                                                  (2, 2): [[s * (i == j) for j in range(e[n])]
+                                                           for i in range(e[n])]})
+             for n in range(3)}
+    dims = {n: 2 * k + j for n, (k, j) in enumerate(zip(c, e))}
+    A, inverse = {}, {}
+    for n, k in dims.items():
+        L = [[1 if i == j else draw(entry) * (i > j) for j in range(k)] for i in range(k)]
+        U = [[draw(unit) if i == j else draw(entry) * (i < j) for j in range(k)] for i in range(k)]
+        A[n] = [[x % m for x in row] for row in mat_mul(L, U)] if k else []
+        u = pow(_det(A[n]), -1, m)
+        inverse[n] = [[(-1) ** (i + j) * _det(_minor(A[n], j, i)) * u % m for j in range(k)]
+                      for i in range(k)]
+
+    def conjugate(M, n_out, n_in):
+        if not (dims[n_out] and dims[n_in]):
+            return columns([], dims[n_in])
+        return columns([[x % m for x in row] for row in
+                        mat_mul(mat_mul(A[n_out], M), inverse[n_in])], dims[n_in])
+    return (BaseRing.parse("Z/%d" % m), dims, {n: conjugate(d[n], n - 1, n) for n in d},
+            {n: conjugate(invol[n], n, n) for n in invol})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_z_mod_m_complexes([3, 4, 5, 6, 9, 12, 15, 21, 25, 45]))
+def test_invariants_over_z_mod_m_match_the_dense_homology(complex_):
+    base, dims, mats, _invol = complex_
+    C = ChainComplex(dims, mats, base)
+    for n in range(-1, 4):
+        assert C.invariants(n) == chain_homology(C, n).group.invariant_factors(), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_z_mod_m_complexes([3, 5, 9, 15, 21, 25, 45]))
+def test_eigen_invariants_over_z_mod_m_match_the_eigen_homology(complex_):
+    # H_n(e C) = ker d P_n / (im d_{n+1} + im Q_n), read by one elimination
+    # mod m per degree, against the dense homology of the eigen kernels
+    base, dims, mats, invol = complex_
+    C = ChainComplex(dims, mats, base).check(invol, 1)
+    for sign in (1, -1):
+        part = EigenComplex(C, invol, sign)
+        assert C.eigen_invariants(invol, sign, range(-1, 4)) == \
+            [chain_homology(part, n).group.invariant_factors() for n in range(-1, 4)], sign
 
 
 @settings(max_examples=25, deadline=None)
