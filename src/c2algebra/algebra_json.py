@@ -7,7 +7,12 @@ a variable.  A field of the wrong JSON type raises ParseError; a sigma that
 is not an involution or does not keep the relation ideal DomainError.
 run_hh, the body of hh, reads the parsed algebra's Hochschild homology from
 the small complex of koszul when its ring splits by variable, else from the
-bar complex of trace, and loads only the one it reads.
+bar complex of trace, and loads only the one it reads.  run_dihedral, the
+body of dihedral, checks the request with sigma.require_weight and then
+reads HC, HD and HD' of a rule-free ring over Q or Z[1/2] whose sigma is a
+signed permutation in closed form (dihedral_de_rham, from the
+sigma-character of the involutive de Rham complex), with no chain complex
+and no other module; every other ring reads the (b, B)-bicomplex of trace.
 """
 
 from . import DomainError, ParseError, compact_json, load_json, render_invariants
@@ -16,8 +21,7 @@ from .polyring import BaseRing, PolyRing, RingError, RingInvolution, parse_poly
 
 def parse_algebra(data):
     """The checked RingInvolution sigma of an algebra object, on its ring."""
-    allowed = {"base", "gens", "rels", "weights"}
-    unknown = set(data) - allowed
+    unknown = set(data) - {"base", "gens", "rels", "weights"}
     if unknown:
         raise ParseError("unknown fields in algebra: %s" % sorted(unknown))
     if type(data.get("base")) is not str:
@@ -85,32 +89,24 @@ def _generator_weights(weights, names):
 
 def _relations_to_rules(ring, rel_polys, rels_text):
     rules = {}
+    units = (1, ring.base.neg(1))  # -1 over Z/m is stored as m - 1
     for text, r in zip(rels_text, rel_polys):
         candidates = []
         for i in range(ring.n):
-            lead = None
-            for mono, c in r.items():
-                if mono[i] and all(e == 0 for j, e in enumerate(mono) if j != i):
-                    # a unit +-1 of the base: -1 over Z/m is stored as m - 1
-                    if c in (1, ring.base.neg(1)):
-                        if lead is None or mono[i] > lead[0]:
-                            lead = (mono[i], mono, c)
-            if lead is None:
-                continue
-            p, mono, c = lead
-            if any(m[i] >= p for m in r if m != mono):
-                continue
-            if i in rules:
-                continue
-            candidates.append((p, i, mono, c))
+            # the highest pure power of x_i with coefficient +-1 leads
+            pure = [(mono[i], mono, c) for mono, c in r.items()
+                    if c in units and 0 < mono[i] == sum(mono)]
+            if pure and i not in rules:
+                p, mono, c = max(pure)
+                if all(m[i] < p for m in r if m != mono):
+                    candidates.append((p, i, mono, c))
         if not candidates:
             raise ParseError("relation %r is not monic in a pure power of a "
                              "variable" % text)
         # prefer the smallest leading power (y^2 = f(x) over x^d = ...)
         p, i, mono, c = min(candidates)
-        rest = {m: cc for m, cc in r.items() if m != mono}
-        repl = {m: ring.base.neg(ring.base.mul(cc, c)) for m, cc in rest.items()}
-        rules[i] = (p, repl)
+        rules[i] = (p, {m: ring.base.neg(ring.base.mul(cc, c))
+                        for m, cc in r.items() if m != mono})
     return rules
 
 
@@ -127,4 +123,50 @@ def run_hh(args, out):
     else:
         for r in rows:
             out("HH_%d = %s" % (r["n"], render_invariants(tuple(r["hh"]))))
+    return 0
+
+
+def dihedral_de_rham(sigma, n_max, weight):
+    """HC, HD and HD' in degrees 0..n_max of a rule-free ring over Q or
+    Z[1/2] whose sigma is a signed permutation, in the form of
+    trace.dihedral_homology (the dict of their lists under "hc", "hd" and
+    "hd_prime"), read from the sigma-character of Omega^k_w
+    (RingInvolution.form_character) with no chain complex.  At weight
+    w >= 1 the weight-w de Rham complex is exact over Q, since the Euler
+    field E = sum w_i x_i d/dx_i gives d i_E + i_E d = w, and sigma commutes
+    with d.  So HC_n = Omega^n_w / d Omega^(n-1)_w is Omega^n_w - HC_(n-1)
+    as a virtual sigma-representation, and HD_n, its part where sigma acts
+    by (-1)^n, is (HC_n + (-1)^n tr sigma)/2.  At weight 0, and on the ground
+    ring, HC_n is H^0_dR = Q in each even degree n = 2j, where sigma acts by
+    (-1)^j (Loday, Cyclic Homology, Thm 3.4.12).  Free ranks over Z[1/2] are
+    those over Q."""
+    hc, hd, c, t = [], [], 0, 0
+    for n in range(n_max + 1):
+        if weight:
+            dim, tr = sigma.form_character(n, weight)
+            c, t = dim - c, tr - t
+        else:
+            c = t = 1 - n % 2
+            t *= (-1) ** (n // 2)
+        hc.append(c)
+        hd.append((c + (-1) ** n * t) // 2)
+    return {"hc": hc, "hd": hd, "hd_prime": [c - d for c, d in zip(hc, hd)]}
+
+
+def run_dihedral(args, out):
+    sigma = parse_algebra(load_json(args.algebra))
+    sigma.require_weight(args.weight, halves=True)
+    ring = sigma.ring
+    # the closed form serves a smooth ring (no rules) in characteristic 0 whose
+    # sigma permutes the variables up to sign; the bar complex serves the rest
+    if ring.base.kind == "Z/m" or ring.rules or None in sigma.signed_permutation():
+        from .trace import dihedral_homology
+        data = dihedral_homology(sigma, args.nmax, args.weight)
+    else:
+        data = dihedral_de_rham(sigma, args.nmax, args.weight)
+    if args.format == "json":
+        out(compact_json(data))
+    else:
+        for n, row in enumerate(zip(data["hc"], data["hd"], data["hd_prime"])):
+            out("n=%d: HC=%d HD=%d HD'=%d" % (n, *row))
     return 0

@@ -74,17 +74,26 @@ def lattice_core(vectors, m=0):
         for k in list(cols[c]):
             target = live[k]
             f = target[c] * inverse
-            for j, x in r.items():
-                y = target.get(j, 0) - f * x
-                if m:
-                    y %= m
-                if y:
-                    if j not in target:
-                        cols[j].add(k)
-                    target[j] = y
-                elif j in target:  # over Z/m, f x may vanish where target has no entry
-                    del target[j]
-                    cols[j].discard(k)
+            if m:  # the row operation mod m, where f x may vanish off target
+                for j, x in r.items():
+                    y = (target.get(j, 0) - f * x) % m
+                    if y:
+                        if j not in target:
+                            cols[j].add(k)
+                        target[j] = y
+                    elif j in target:
+                        del target[j]
+                        cols[j].discard(k)
+            else:
+                for j, x in r.items():
+                    y = target.get(j, 0) - f * x
+                    if y:
+                        if j not in target:
+                            cols[j].add(k)
+                        target[j] = y
+                    else:
+                        del target[j]
+                        cols[j].discard(k)
             if target:
                 heappush(heap, (len(target), k))
             else:

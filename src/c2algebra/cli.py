@@ -1,7 +1,7 @@
 """Batch front end: read argv by the command table and run the command's
 function, which imports its body from a module the command loads anyway
-(mackey_json, slices, tambara, differentials, complexes, algebra_json,
-trace).  Each body reads its JSON input with the reader of its own kind
+(mackey_json, slices, tambara, differentials, complexes, algebra_json).
+Each body reads its JSON input with the reader of its own kind
 (mackey_json.parse_mackey, slices.parse_complex, algebra_json.parse_algebra),
 makes one engine call on what it parsed and emits pretty text or JSON.  No
 module imports cli: under python -m it runs as __main__, and an import
@@ -68,7 +68,7 @@ def cmd_hh(args, out):
 
 
 def cmd_dihedral(args, out):
-    from .trace import run_dihedral
+    from .algebra_json import run_dihedral
     return run_dihedral(args, out)
 
 

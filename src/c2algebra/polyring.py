@@ -22,6 +22,7 @@ presentation cannot serve (require_weight).
 """
 
 import operator
+from itertools import combinations, product
 from math import gcd
 
 from . import EngineError
@@ -127,11 +128,7 @@ class BaseRing:
 
     @property
     def two_invertible(self):
-        if self.kind in ("Q", "Z[1/2]"):
-            return True
-        if self.kind == "Z/m":
-            return self.modulus % 2 == 1
-        return False
+        return self.is_unit(2)
 
     def __str__(self):
         return self.kind if self.kind != "Z/m" else "Z/%d" % self.modulus
@@ -146,12 +143,9 @@ class BaseRing:
     @classmethod
     def parse(cls, text):
         text = text.strip()
-        if text in ("Z", "ZZ"):
-            return cls("Z")
-        if text in ("Q", "QQ"):
-            return cls("Q")
-        if text in ("Z[1/2]", "Z1/2"):
-            return cls("Z[1/2]")
+        kind = {"ZZ": "Z", "QQ": "Q", "Z1/2": "Z[1/2]"}.get(text, text)
+        if kind in ("Z", "Q", "Z[1/2]"):
+            return cls(kind)
         if text.startswith("Z/"):
             try:
                 modulus = int(text[2:])
@@ -180,35 +174,22 @@ class PolyRing:
         for i, (p, repl) in self.rules.items():
             if p < 1:
                 raise UnsupportedPresentation("rule power must be >= 1")
-            for mono in repl:
-                if mono[i] >= p:
-                    raise UnsupportedPresentation(
-                        "rule for %s does not lower its degree" % self.names[i])
+            if any(mono[i] >= p for mono in repl):
+                raise UnsupportedPresentation(
+                    "rule for %s does not lower its degree" % self.names[i])
         self._check_acyclic()
 
     def _check_acyclic(self):
-        deps = {}
-        for i, (_p, repl) in self.rules.items():
-            deps[i] = set()
-            for mono in repl:
-                for j, e in enumerate(mono):
-                    if e and j in self.rules and j != i:
-                        deps[i].add(j)
-        seen, stack = set(), set()
-
-        def visit(i):
-            if i in stack:
+        """Refuse rules that depend on each other in a cycle: peel off the
+        rules whose replacements use no variable with a rule left."""
+        deps = {i: {j for m in repl for j, e in enumerate(m) if e and j in self.rules and j != i}
+                for i, (_p, repl) in self.rules.items()}
+        while deps:
+            done = [i for i, d in deps.items() if not d & deps.keys()]
+            if not done:
                 raise UnsupportedPresentation("cyclic rewrite rules")
-            if i in seen:
-                return
-            stack.add(i)
-            for j in deps.get(i, ()):
-                visit(j)
-            stack.discard(i)
-            seen.add(i)
-
-        for i in deps:
-            visit(i)
+            for i in done:
+                del deps[i]
 
     # -- polynomial plumbing -------------------------------------------------
 
@@ -357,40 +338,25 @@ class PolyRing:
         """All normal-form monomials; requires every variable to be ruled."""
         if not self.is_finite_dimensional():
             raise UnsupportedPresentation("ring is not finite dimensional")
-        out = [(0,) * self.n]
-        for i in range(self.n):
-            p = self.rules[i][0]
-            out = [m[:i] + (e,) + m[i + 1:] for m in out for e in range(p)]
-        return sorted(out)
+        return list(product(*(range(self.rules[i][0]) for i in range(self.n))))
 
     def monomial_basis_weight(self, w):
-        """Normal-form monomials of weight w (positive weights required)."""
+        """Normal-form monomials of weight w (positive weights required), in
+        lexicographic order: each prefix is extended by every exponent that
+        leaves its weight <= w."""
         if any(wt <= 0 for wt in self.weights):
             raise UnsupportedPresentation("weight enumeration needs positive weights")
-        out = []
-
-        def rec(i, rem, acc):
-            if i == self.n:
-                if rem == 0:
-                    out.append(tuple(acc))
-                return
-            cap = rem // self.weights[i]
-            if i in self.rules:
-                cap = min(cap, self.rules[i][0] - 1)
-            for e in range(cap + 1):
-                rec(i + 1, rem - e * self.weights[i], acc + [e])
-
-        rec(0, w, [])
-        return sorted(out)
+        layer = [((), w)]
+        for i, wt in enumerate(self.weights):
+            top = self.rules[i][0] - 1 if i in self.rules else w
+            layer = [(m + (e,), rest - e * wt) for m, rest in layer
+                     for e in range(min(rest // wt, top) + 1)]
+        return [m for m, rest in layer if rest == 0]
 
     def monomial_string(self, mono):
-        parts = []
-        for name, e in zip(self.names, mono):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append("%s^%d" % (name, e))
-        return "*".join(parts) if parts else "1"
+        parts = [name if e == 1 else "%s^%d" % (name, e)
+                 for name, e in zip(self.names, mono) if e]
+        return "*".join(parts) or "1"
 
     def poly_string(self, poly):
         if not poly:
@@ -449,6 +415,23 @@ class RingInvolution:
             out.append((mono.index(1), integer_lift(c)) if ok else None)
         return out
 
+    def form_character(self, k, weight):
+        """(dim, trace) of sigma on Omega^k of the rule-free ring at this
+        weight, sigma a signed permutation, sigma(x_i) = u_i x_pi(i), u_i = +-1.
+        sigma is diagonal in the basis z_i of the same weights: z_i = x_i with
+        eigenvalue u_i where pi fixes i, and x_i + u_i x_j and x_i - u_i x_j
+        with eigenvalues 1 and -1 for a pair i < j = pi(i), the -1 counted at
+        j.  The z^m dz_S with |S| = k and weight(m) + weight(S) = weight are
+        a basis of eigenvectors, z^m dz_S with the eigenvalue -1 to the power
+        of its degree in the z_i of eigenvalue -1."""
+        ring = self.ring
+        # the z_i of eigenvalue -1: j < i, or j == i and u = -1
+        odd = [i for i, (j, u) in enumerate(self.signed_permutation()) if (j, u) < (i, 1)]
+        signs = [(-1) ** sum(m[i] + (i in S) for i in odd)
+                 for S in combinations(range(ring.n), k)
+                 for m in ring.monomial_basis_weight(weight - sum(ring.weights[s] for s in S))]
+        return len(signs), sum(signs)
+
     def require_weight(self, weight, halves=False):
         """Refuse a job at this weight (None: on the whole algebra) that the
         presentation cannot serve, in this order: a ring that is not finite
@@ -475,11 +458,8 @@ class RingInvolution:
                     % (ring.names[i], ring.poly_string(img)))
 
     def is_involution(self):
-        for i in range(self.ring.n):
-            twice = self(self.images[i])
-            if not self.ring.equal(twice, self.ring.var(i)):
-                return False
-        return True
+        return all(self.ring.equal(self(img), self.ring.var(i))
+                   for i, img in enumerate(self.images))
 
     def broken_rule(self):
         """The position, in the order of ring.rules (the order of the
@@ -576,27 +556,20 @@ def parse_poly(ring, text):
 
 
 def _tokenize(text):
-    out = []
-    i = 0
+    out, i = [], 0
     while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c.isdigit():
-            j = i
+        c, j = text[i], i + 1
+        if c.isdigit():
             while j < len(text) and text[j].isdigit():
                 j += 1
             out.append(int(text[i:j]))
-            i = j
         elif c.isalpha() or c == "_":
-            j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             out.append(text[i:j])
-            i = j
         elif c in "+-*^()":
             out.append(c)
-            i += 1
-        else:
+        elif not c.isspace():
             raise RingError("bad character %r in polynomial" % c)
+        i = j
     return out

@@ -1,12 +1,15 @@
 """Chain-level real Hochschild homology.
 
-The route of dihedral, and of hh when a rule mixes variables (y^2 = x^3);
-for every other ring hh reads the small complex of koszul, whose oracle this
-bar complex is.  Both take the parsed sigma: hochschild_complex(sigma,
-n_max, weight) has the signature and result of koszul's, and
+The route of hh when a rule mixes variables (y^2 = x^3), and of dihedral
+when the ring has rules, the base is Z/m or sigma is no signed permutation;
+hh of every other ring reads the small complex of koszul, and dihedral of a
+rule-free signed permutation over Q or Z[1/2] the closed form of
+algebra_json.dihedral_de_rham.  This bar complex is the oracle of both.
+Both entry points take the parsed sigma: hochschild_complex(sigma, n_max,
+weight) has the signature and result of koszul's, and
 dihedral_homology(sigma, n_max, weight) returns HC, HD and HD', which
-run_dihedral, the body of dihedral, prints.  Each checks
-its request once, with sigma.require_weight, before it builds anything; the
+algebra_json.run_dihedral, the body of dihedral, prints.  Each checks its
+request once, with sigma.require_weight, before it builds anything; the
 blocks and complexes below take the request as checked.  The
 dihedral bar complex of a presented algebra with involution: normalized
 Hochschild chains C_n = A (x) Abar^{(x) n} with
@@ -51,7 +54,7 @@ from functools import cached_property
 from itertools import accumulate, product
 from math import prod
 
-from . import EngineError, NotAComplex, compact_json, load_json
+from . import EngineError, NotAComplex
 from .chains import ChainComplex, free_rank_of_sum
 from .polyring import integer_lift
 
@@ -249,13 +252,6 @@ def hochschild_complex(sigma, n_max, weight=None):
 # ---------------------------------------------------------------------------
 # cyclic and dihedral homology
 
-class DihedralHomology:
-    def __init__(self, hc, hd, hd_prime):
-        self.hc = hc
-        self.hd = hd
-        self.hd_prime = hd_prime
-
-
 def _bicomplex_homology(C, n_max):
     """(HC, HD, HD') of the (b, B)-bicomplex of one block, truncated at
     n_max columns: for each degree 0..n_max the invariant factors of the
@@ -300,9 +296,10 @@ def _bicomplex_homology(C, n_max):
 
 def dihedral_homology(sigma, n_max, weight=None):
     """HC, HD, HD' of the (b, B)-bicomplex of sigma's ring truncated at
-    n_max columns.
+    n_max columns, as the dict of their lists under "hc", "hd" and
+    "hd_prime", the form dihedral prints as JSON.
 
-    Returns per-degree dimensions (free ranks over the base) for
+    The lists hold per-degree dimensions (free ranks over the base) for
     0 <= n <= n_max, each the free rank of the direct sum over the blocks
     of hochschild_blocks.  Refuses what sigma.require_weight refuses for a
     job that halves: 2 must be a unit of the base.
@@ -312,17 +309,5 @@ def dihedral_homology(sigma, n_max, weight=None):
     parts = [_bicomplex_homology(C, n_max) for C in hochschild_blocks(A, n_max + 1, weight)]
     hc, hd, hdp = ([free_rank_of_sum([d for p in parts for d in p[s][n]], A.base)
                     for n in range(0, n_max + 1)] for s in range(3))
-    return DihedralHomology(hc, hd, hdp)
+    return {"hc": hc, "hd": hd, "hd_prime": hdp}
 
-
-def run_dihedral(args, out):
-    from .algebra_json import parse_algebra
-    D = dihedral_homology(parse_algebra(load_json(args.algebra)), args.nmax,
-                          weight=args.weight)
-    data = {"hc": D.hc, "hd": D.hd, "hd_prime": D.hd_prime}
-    if args.format == "json":
-        out(compact_json(data))
-    else:
-        for n in range(0, args.nmax + 1):
-            out("n=%d: HC=%d HD=%d HD'=%d" % (n, D.hc[n], D.hd[n], D.hd_prime[n]))
-    return 0

@@ -383,14 +383,14 @@ def test_criterion_8_half_splitting():
 def test_criterion_9_dihedral():
     ok = True
     D = tr.dihedral_homology(algebra_ground().omega, 4)
-    ok = ok and D.hc == [1, 0, 1, 0, 1]  # truncated-bicomplex oracle for Q
+    ok = ok and D["hc"] == [1, 0, 1, 0, 1]  # truncated-bicomplex oracle for Q
     for n in range(0, 5):
-        ok = ok and D.hd[n] + D.hd_prime[n] == D.hc[n]
+        ok = ok and D["hd"][n] + D["hd_prime"][n] == D["hc"][n]
     A = algebra_q_poly()
     for w in range(0, 4):
         Dw = tr.dihedral_homology(A.omega, 4, weight=w)
         for n in range(0, 5):
-            ok = ok and Dw.hd[n] + Dw.hd_prime[n] == Dw.hc[n]
+            ok = ok and Dw["hd"][n] + Dw["hd_prime"][n] == Dw["hc"][n]
     conclude(9, "HD + HD' = HC for Q and Q[x] up to degree 4; HC(Q) matches "
                 "the bicomplex oracle", ok)
 

@@ -1108,6 +1108,10 @@ LAYER_CASES = [
     (["hh", "--algebra", CUSP_JSON, "--weight", "6", "--nmax", "2"],
      "polyring algebra_json chains trace"),
     (["dihedral", "--algebra", QX_JSON, "--weight", "2", "--nmax", "2"],
+     "polyring algebra_json"),
+    (["dihedral", "--algebra", DUAL_JSON % ("Q", "x"), "--nmax", "2"],
+     "polyring algebra_json chains trace"),
+    (["dihedral", "--algebra", QX_JSON.replace('"Q"', '"Z/3"'), "--weight", "2", "--nmax", "2"],
      "polyring algebra_json chains trace"),
     (["slice-check", "--complex", '{"kind":"sigma-sphere","k":2}', "--n", "2"], "chains slices"),
     (["slice-check", "--complex", '{"kind":"sigma-sphere","k":2}', "--n", "0", "--coconnective"],
@@ -1155,6 +1159,43 @@ def test_derham_and_hr_gr_build_no_cotangent_presentation(monkeypatch):
     assert [run_cli(argv) for argv in argvs] == answers
     with pytest.raises(AssertionError, match="cotangent presentation"):
         run_cli(["cotangent", "--algebra", KX_JSON])
+
+
+def test_the_de_rham_route_of_dihedral_builds_no_bar_complex(monkeypatch):
+    # a rule-free signed permutation over Q or Z[1/2] reads the closed form;
+    # rules, Z/m and any other sigma keep the bar complex
+    from c2algebra import trace as tr
+    closed = (["dihedral", "--algebra", QX_JSON, "--weight", "2", "--nmax", "2"],
+              ["dihedral", "--algebra", KXXS_JSON.replace('"Z"', '"Z[1/2]"'), "--weight", "3"],
+              ["dihedral", "--algebra", Q_JSON, "--nmax", "5", "--format", "json"])
+    bar = (["dihedral", "--algebra", DUAL_JSON % ("Q", "x"), "--nmax", "2"],
+           ["dihedral", "--algebra", QX_JSON.replace('"Q"', '"Z/3"'), "--weight", "2"],
+           ["dihedral", "--algebra", SIGMA_X_MINUS_Y_JSON % "Q", "--weight", "2", "--nmax", "2"])
+    answers = [run_cli(argv) for argv in closed + bar]
+    assert all(code == 0 for code, _ in answers)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a DihedralComplex was built")
+    monkeypatch.setattr(tr, "DihedralComplex", refuse)
+    assert [run_cli(argv) for argv in closed] == answers[:len(closed)]
+    for argv in bar:
+        with pytest.raises(AssertionError, match="DihedralComplex"):
+            run_cli(argv)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["dihedral", "--algebra", KXXS_JSON, "--weight", "2"],
+     "error: 2 is not invertible in the base\n"),
+    (["dihedral", "--algebra", KX_JSON.replace('"Z"', '"Z/2"'), "--weight", "2"],
+     "error: 2 is not invertible in the base\n"),
+    (["dihedral", "--algebra", QX_JSON], "error: graded algebra: pass --weight\n"),
+    (["dihedral", "--algebra", CUSP_JSON], "error: graded algebra: pass --weight\n"),
+    # a graded ring without --weight is refused before the base is read
+    (["dihedral", "--algebra", KX_JSON], "error: graded algebra: pass --weight\n"),
+])
+def test_dihedral_refusals_keep_their_bytes_on_either_route(argv, err, capsys):
+    assert run_cli(argv) == (1, "")
+    assert capsys.readouterr().err == err
 
 
 def test_the_benchmark_algebra_jobs_load_no_fractions():

@@ -10,7 +10,7 @@ from c2algebra.polyring import BaseRing, parse_poly
 from c2algebra.tambara import free_involutive_free, free_involutive_trivial
 from c2algebra.abelian import FgAbGroup, NotAComplex, diagonal_of, smith_normal_form
 from c2algebra.chains import ChainComplex
-from c2algebra.algebra_json import parse_algebra
+from c2algebra.algebra_json import dihedral_de_rham, parse_algebra
 from c2algebra.cli import run
 from c2algebra.mackey import AbMap, mat_mul
 from c2algebra.mackey_json import mackey_to_json
@@ -481,11 +481,12 @@ def test_dihedral_homology_is_the_de_rham_cokernel_split_by_sigma(gens, w):
     # acts by -(-1)^n.  At weight 0, HC_n also carries H^0_dR = Q for each
     # even n >= 2, in HD_n when n = 0 mod 4 and in HD'_n when n = 2 mod 4:
     # the dihedral homology of the ground ring (Loday, Cyclic Homology,
-    # ch. 5).  The bar complex (trace) against the de Rham builder
+    # ch. 5).  Both routes of dihedral, the bar complex (trace) and the
+    # closed form (algebra_json), against the de Rham builder
     # (differentials); degrees above w are empty.
     sigma = parse_algebra({"base": "Q", "gens": [{"name": n, "sigma": s} for n, s in gens]})
     C = de_rham_complex(sigma, 6, w)[w]
-    D = dihedral_homology(sigma, 6, w)
+    routes = [dihedral_homology(sigma, 6, w), dihedral_de_rham(sigma, 6, w)]
     for n in range(0, 7):
         dim = C.dims[-n]
         S = dense(exterior_power(sigma, n, w)[1], dim)
@@ -496,7 +497,27 @@ def test_dihedral_homology_is_the_de_rham_cokernel_split_by_sigma(gens, w):
             parts.append(_rank(proj) - _rank(mat_mul(proj, d)))
         h0 = int(w == 0 and n >= 2 and n % 2 == 0)
         want = (dim - _rank(d) + h0, parts[0] + h0 * (n % 4 == 0), parts[1] + h0 * (n % 4 == 2))
-        assert (D.hc[n], D.hd[n], D.hd_prime[n]) == want, (gens, w, n)
+        for D in routes:
+            assert (D["hc"][n], D["hd"][n], D["hd_prime"][n]) == want, (gens, w, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(gens=signed_permutations(sorted(ORBITS)),
+       orbit_weights=st.tuples(*[st.integers(1, 2)] * 3),
+       base=st.sampled_from(["Q", "Z[1/2]"]), w=st.integers(0, 6), n_max=st.integers(0, 5))
+# three generators with HC_2 != 0: Q[x, x_s, y] with y -> -y, and Q[x, y, z] with y <-> z
+@example(gens=[("v0", "v0_s"), ("v0_s", "v0"), ("v1", "-v1")], orbit_weights=(1, 1, 1),
+         base="Q", w=5, n_max=4)
+@example(gens=[("v0", "v0"), ("v1", "v1_s"), ("v1_s", "v1")], orbit_weights=(1, 1, 1),
+         base="Q", w=4, n_max=3)
+def test_the_de_rham_route_of_dihedral_matches_the_bar_complex(gens, orbit_weights, base, w,
+                                                               n_max):
+    # the closed form from the sigma-character of Omega^k_w against the
+    # (b, B)-bicomplex, on rule-free signed permutations; the generators of
+    # orbit k share its weight, so sigma preserves weights
+    sigma = parse_algebra({"base": base, "gens": [{"name": n, "sigma": s} for n, s in gens],
+                           "weights": {n: orbit_weights[int(n[1])] for n, _ in gens}})
+    assert dihedral_de_rham(sigma, n_max, w) == dihedral_homology(sigma, n_max, w)
 
 
 # -- derham over F_p against the Cartier isomorphism --------------------------
